@@ -6,8 +6,7 @@ scalars, deterministic ECDSA on the certificates, fixed validity window).
 
 from __future__ import annotations
 
-import os
-from typing import Dict, Optional
+from typing import Optional
 
 from .curve import CurveParams
 from .drbg import HmacDrbg
@@ -57,35 +56,3 @@ def generate_pki(curve: CurveParams, entropy: bytes,
                CredentialSet(ca_der, server_der, server_key),
                CredentialSet(ca_der, client_der, client_key))
 
-
-def write_key_file(path: str, key: KeyPair) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("curve=%s\nd=%x\n" % (key.curve.id, key.d))
-
-
-def read_key_file(path: str, registry) -> KeyPair:
-    fields: Dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line and "=" in line:
-                k, _, v = line.partition("=")
-                fields[k.strip()] = v.strip()
-    curve = registry.get(fields["curve"])
-    return KeyPair(int(fields["d"], 16), curve)
-
-
-def write_pki_files(pki: Pki, out_dir: str) -> Dict[str, str]:
-    os.makedirs(out_dir, exist_ok=True)
-    paths = {}
-    for name, der, key in (("ca", pki.ca_der, pki.ca_key),
-                           ("server", pki.server.cert_der, pki.server.key),
-                           ("client", pki.client.cert_der, pki.client.key)):
-        cert_path = os.path.join(out_dir, "%s.der" % name)
-        key_path = os.path.join(out_dir, "%s.key" % name)
-        with open(cert_path, "wb") as fh:
-            fh.write(der)
-        write_key_file(key_path, key)
-        paths[name + "_cert"] = cert_path
-        paths[name + "_key"] = key_path
-    return paths

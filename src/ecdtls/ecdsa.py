@@ -12,6 +12,7 @@ from typing import Optional
 from . import counters
 from .curve import AffinePoint, CurveError, CurveParams, point_add, \
     validate_point
+from .der import TAG_SEQUENCE, DerCursor, DerError, der_integer, der_tlv
 from .drbg import HmacDrbg
 from .field import NonInvertibleError, inv_euclid_int, mul_int
 from .scalarmult import CombCache, ecsm_comb
@@ -44,53 +45,23 @@ class EcdsaSignature:
         return 1 <= self.r < n and 1 <= self.s < n
 
     def to_der(self) -> bytes:
-        return _der_sequence(_der_integer(self.r) + _der_integer(self.s))
+        return der_tlv(TAG_SEQUENCE, der_integer(self.r) + der_integer(self.s))
 
     @classmethod
     def from_der(cls, data: bytes) -> "EcdsaSignature":
-        body, rest = _der_expect(data, 0x30)
-        if rest:
-            raise SignatureError("trailing bytes after signature")
-        r, body = _der_read_integer(body)
-        s, body = _der_read_integer(body)
-        if body:
-            raise SignatureError("trailing bytes inside signature")
+        """Strict DER: minimal lengths and minimal non-negative INTEGERs."""
+        try:
+            top = DerCursor(data)
+            body = top.enter(TAG_SEQUENCE)
+            if not top.done():
+                raise DerError("trailing bytes after signature")
+            r = body.read_uint()
+            s = body.read_uint()
+            if not body.done():
+                raise DerError("trailing bytes inside signature")
+        except DerError as exc:
+            raise SignatureError("bad DER signature: %s" % exc) from None
         return cls(r, s)
-
-
-def _der_integer(v: int) -> bytes:
-    raw = v.to_bytes((v.bit_length() + 8) // 8 or 1, "big")
-    return b"\x02" + len(raw).to_bytes(1, "big") + raw
-
-
-def _der_sequence(body: bytes) -> bytes:
-    if len(body) < 0x80:
-        return b"\x30" + len(body).to_bytes(1, "big") + body
-    raw = len(body).to_bytes((len(body).bit_length() + 7) // 8, "big")
-    return b"\x30" + (0x80 | len(raw)).to_bytes(1, "big") + raw + body
-
-
-def _der_expect(data: bytes, tag: int):
-    if len(data) < 2 or data[0] != tag:
-        raise SignatureError("unexpected DER tag")
-    length = data[1]
-    off = 2
-    if length & 0x80:
-        nlen = length & 0x7F
-        if nlen == 0 or nlen > 2 or len(data) < 2 + nlen:
-            raise SignatureError("bad DER length")
-        length = int.from_bytes(data[2:2 + nlen], "big")
-        off = 2 + nlen
-    if len(data) < off + length:
-        raise SignatureError("truncated DER element")
-    return data[off:off + length], data[off + length:]
-
-
-def _der_read_integer(data: bytes):
-    body, rest = _der_expect(data, 0x02)
-    if not body:
-        raise SignatureError("empty DER integer")
-    return int.from_bytes(body, "big"), rest
 
 
 class KeyPair:

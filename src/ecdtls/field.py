@@ -1,10 +1,13 @@
 """Modular arithmetic over arbitrary odd primes up to 256 bits.
 
-Multiplication is bit-serial interleaved reduction (accumulate-and-reduce per
-scalar bit), which supports primes with no special structure and runs exactly
-bitlen(p) iterations per product regardless of operand values.  Inversion is
-binary extended Euclid; Fermat inversion (square-and-multiply) is kept as the
-comparison baseline and is priced through the multiplications it performs.
+The counters price the hardware algorithms the paper describes: a bit-serial
+interleaved multiplier that runs exactly bitlen(p) iterations per product
+whatever the operands, and binary extended Euclid inversion, priced at
+bitlen(p) units of work.  Execution is native: each result is computed with
+Python's own integer arithmetic, which is exact and far cheaper than a
+simulation of the hardware loop.  Fermat inversion (square-and-multiply) is
+kept as the comparison baseline and is priced through the multiplications it
+performs.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ def _is_probable_prime(n: int, rounds: int = 64) -> bool:
 class PrimeModulus:
     """An odd prime p, 3 < p < 2^256, validated once at construction."""
 
-    __slots__ = ("p", "bitlen", "byte_len", "_fmt")
+    __slots__ = ("p", "bitlen", "byte_len")
 
     def __init__(self, p: int):
         if not isinstance(p, int) or p <= 3:
@@ -78,7 +81,6 @@ class PrimeModulus:
         self.p = p
         self.bitlen = p.bit_length()
         self.byte_len = (self.bitlen + 7) // 8
-        self._fmt = "0%db" % self.bitlen
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimeModulus) and self.p == other.p
@@ -96,21 +98,11 @@ class PrimeModulus:
 # operation is tallied exactly once.
 
 def mul_int(x: int, y: int, mod: PrimeModulus) -> int:
-    """Interleaved-reduction product: one shift-accumulate step per bit of x,
-    with both trailing conditional subtractions evaluated every iteration."""
+    """x*y mod p, priced as one bit-serial interleaved product: one
+    shift-accumulate-reduce iteration per bit of p."""
     counters.record("mod_mul")
     counters.record("mul_iter", mod.bitlen)
-    p = mod.p
-    acc = 0
-    for ch in format(x, mod._fmt):
-        acc += acc
-        if ch == "1":
-            acc += y
-        if acc >= p:
-            acc -= p
-        if acc >= p:
-            acc -= p
-    return acc
+    return x * y % mod.p
 
 
 def add_int(x: int, y: int, mod: PrimeModulus) -> int:
@@ -126,33 +118,17 @@ def sub_int(x: int, y: int, mod: PrimeModulus) -> int:
 
 
 def inv_euclid_int(x: int, mod: PrimeModulus) -> int:
-    """Binary extended Euclid (almost-inverse family); no exponentiation."""
-    if x == 0:
+    """x^-1 mod p, priced as one binary extended Euclid inversion."""
+    if x % mod.p == 0:
         raise NonInvertibleError("inverse of zero")
     counters.record("mod_inv_euclid")
     counters.record("inv_work", mod.bitlen)
-    p = mod.p
-    u, v = x, p
-    x1, x2 = 1, 0
-    while u != 1 and v != 1:
-        while not u & 1:
-            u >>= 1
-            x1 = x1 >> 1 if not x1 & 1 else (x1 + p) >> 1
-        while not v & 1:
-            v >>= 1
-            x2 = x2 >> 1 if not x2 & 1 else (x2 + p) >> 1
-        if u >= v:
-            u -= v
-            x1 -= x2
-        else:
-            v -= u
-            x2 -= x1
-    return x1 % p if u == 1 else x2 % p
+    return pow(x, -1, mod.p)
 
 
 def inv_fermat_int(x: int, mod: PrimeModulus) -> int:
     """x^(p-2) by square-and-multiply; each step is a counted mod_mul."""
-    if x == 0:
+    if x % mod.p == 0:
         raise NonInvertibleError("inverse of zero")
     counters.record("mod_inv_fermat")
     e = mod.p - 2
@@ -213,9 +189,6 @@ class FieldElement:
     def inverse(self) -> "FieldElement":
         return FieldElement(inv_euclid_int(self.value, self.modulus), self.modulus)
 
-    def inverse_fermat(self) -> "FieldElement":
-        return FieldElement(inv_fermat_int(self.value, self.modulus), self.modulus)
-
     def to_bytes(self) -> bytes:
         """Fixed-width big-endian encoding, ceil(bitlen/8) bytes."""
         return self.value.to_bytes(self.modulus.byte_len, "big")
@@ -232,25 +205,3 @@ class FieldElement:
         if v >= modulus.p:
             raise FieldError("encoded value not below the modulus")
         return cls(v, modulus)
-
-
-# Spec-facing operation aliases.
-
-def mod_add(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a + b
-
-
-def mod_sub(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a - b
-
-
-def mod_mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a * b
-
-
-def mod_inv_euclid(a: FieldElement) -> FieldElement:
-    return a.inverse()
-
-
-def mod_inv_fermat(a: FieldElement) -> FieldElement:
-    return a.inverse_fermat()

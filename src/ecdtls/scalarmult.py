@@ -186,11 +186,6 @@ class CombCache:
         return table
 
 
-def cache_get_or_build(P: AffinePoint, cache: CombCache,
-                       w: int = DEFAULT_COMB_WIDTH) -> CombTable:
-    return cache.get_or_build(P, w)
-
-
 # ---------------------------------------------------------------------------
 # Scalar multiplication variants
 

@@ -1,37 +1,18 @@
 """SHA-256 (FIPS 180-4) with an incremental context, and HMAC (RFC 2104).
 
-The compression function is instrumented: one `sha_compress` tick per 64-byte
-block, one `sha_message` tick per finalized digest.
+The counters price the hardware algorithm: one `sha_compress` tick per 64-byte
+block the compression function absorbs, one `sha_message` tick per finalized
+digest.  Execution is native (`hashlib`).  FIPS 180-4 padding is
+deterministic, so the block count follows from byte lengths alone: every whole
+block absorbed by `update`, plus one final block in `digest`, or two when the
+0x80 byte and the 8-byte length no longer fit after the last partial block.
 """
 
 from __future__ import annotations
 
-import struct
+import hashlib
 
 from . import counters
-
-_K = (
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
-    0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
-    0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
-    0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
-    0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
-    0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
-    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
-    0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
-    0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
-)
-
-_H0 = (0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-       0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19)
-
-_MASK = 0xFFFFFFFF
-
-
-def _rotr(x: int, n: int) -> int:
-    return ((x >> n) | (x << (32 - n))) & _MASK
 
 
 class Sha256:
@@ -41,58 +22,34 @@ class Sha256:
     digest_size = 32
 
     def __init__(self, data: bytes = b""):
-        self._h = list(_H0)
-        self._buf = b""
+        self._h = hashlib.sha256()
         self._length = 0
         if data:
             self.update(data)
 
     def update(self, data: bytes) -> "Sha256":
+        before = self._length
         self._length += len(data)
-        buf = self._buf + data
-        whole = len(buf) // 64 * 64
-        for off in range(0, whole, 64):
-            self._compress(buf[off:off + 64])
-        self._buf = buf[whole:]
+        self._h.update(data)
+        self._compress(self._length // 64 - before // 64)
         return self
 
-    def _compress(self, block: bytes) -> None:
-        counters.record("sha_compress")
-        w = list(struct.unpack(">16L", block))
-        for i in range(16, 64):
-            s0 = _rotr(w[i - 15], 7) ^ _rotr(w[i - 15], 18) ^ (w[i - 15] >> 3)
-            s1 = _rotr(w[i - 2], 17) ^ _rotr(w[i - 2], 19) ^ (w[i - 2] >> 10)
-            w.append((w[i - 16] + s0 + w[i - 7] + s1) & _MASK)
-        a, b, c, d, e, f, g, h = self._h
-        for i in range(64):
-            s1 = _rotr(e, 6) ^ _rotr(e, 11) ^ _rotr(e, 25)
-            ch = (e & f) ^ (~e & g)
-            t1 = (h + s1 + ch + _K[i] + w[i]) & _MASK
-            s0 = _rotr(a, 2) ^ _rotr(a, 13) ^ _rotr(a, 22)
-            maj = (a & b) ^ (a & c) ^ (b & c)
-            t2 = (s0 + maj) & _MASK
-            a, b, c, d, e, f, g, h = (t1 + t2) & _MASK, a, b, c, \
-                (d + t1) & _MASK, e, f, g
-        hh = self._h
-        for i, v in enumerate((a, b, c, d, e, f, g, h)):
-            hh[i] = (hh[i] + v) & _MASK
+    def _compress(self, blocks: int) -> None:
+        """Price `blocks` runs of the compression function.  Zero runs
+        record nothing, so no zero-valued entry appears in a tally."""
+        if blocks:
+            counters.record("sha_compress", blocks)
 
     def copy(self) -> "Sha256":
-        clone = Sha256()
-        clone._h = list(self._h)
-        clone._buf = self._buf
+        clone = Sha256.__new__(Sha256)
+        clone._h = self._h.copy()
         clone._length = self._length
         return clone
 
     def digest(self) -> bytes:
         counters.record("sha_message")
-        clone = self.copy()
-        bitlen = clone._length * 8
-        pad = b"\x80" + b"\x00" * ((55 - clone._length) % 64)
-        tail = clone._buf + pad + struct.pack(">Q", bitlen)
-        for off in range(0, len(tail), 64):
-            clone._compress(tail[off:off + 64])
-        return struct.pack(">8L", *clone._h)
+        self._compress(2 if self._length % 64 >= 56 else 1)
+        return self._h.digest()
 
     def hexdigest(self) -> str:
         return self.digest().hex()

@@ -7,9 +7,7 @@ length equal to length.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
-
-from .curve import CurveParams, CurveRegistry
+from typing import List, Tuple
 
 HT_CLIENT_HELLO = 1
 HT_SERVER_HELLO = 2
@@ -55,16 +53,6 @@ def tls_curve_id(curve_id: str) -> int:
         return std
     # deterministic private-use code point for locally registered curves
     return PRIVATE_TLS_CURVE_BASE | (sum(curve_id.encode()) & 0xFF)
-
-
-def curve_by_tls_id(code: int, registry: CurveRegistry) -> Optional[CurveParams]:
-    for name, std in STANDARD_TLS_CURVE_IDS.items():
-        if code == std:
-            return registry.get(name) if name in registry else None
-    for name in registry.names():
-        if name not in STANDARD_TLS_CURVE_IDS and tls_curve_id(name) == code:
-            return registry.get(name)
-    return None
 
 
 # ---------------------------------------------------------------------------

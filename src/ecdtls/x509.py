@@ -14,6 +14,10 @@ from typing import Dict, Optional, Tuple
 
 from . import counters
 from .curve import AffinePoint, CurveParams, CurveRegistry, PointDecodeError
+from .der import (TAG_BIT_STRING, TAG_BOOLEAN, TAG_CTX0, TAG_CTX3,
+                  TAG_INTEGER, TAG_OCTET_STRING, TAG_OID, TAG_PRINTABLE,
+                  TAG_SEQUENCE, TAG_SET, TAG_UTCTIME, TAG_UTF8, DerCursor,
+                  DerError, der_integer, der_read_tlv, der_tlv)
 from .ecdsa import EcdsaSignature, KeyPair, SignatureError, ecdsa_sign, \
     ecdsa_verify
 from .scalarmult import CombCache
@@ -77,81 +81,7 @@ def curve_from_oid(oid: str, registry: CurveRegistry) -> CurveParams:
 
 
 # ---------------------------------------------------------------------------
-# DER primitives (strict: definite, minimally encoded lengths only)
-
-TAG_INTEGER = 0x02
-TAG_BIT_STRING = 0x03
-TAG_OCTET_STRING = 0x04
-TAG_NULL = 0x05
-TAG_OID = 0x06
-TAG_UTF8 = 0x0C
-TAG_PRINTABLE = 0x13
-TAG_UTCTIME = 0x17
-TAG_GENERALIZEDTIME = 0x18
-TAG_SEQUENCE = 0x30
-TAG_SET = 0x31
-TAG_CTX0 = 0xA0
-TAG_CTX3 = 0xA3
-TAG_BOOLEAN = 0x01
-
-
-def der_read_tlv(data: bytes, offset: int) -> Tuple[int, bytes, int, int]:
-    """Return (tag, contents, content_offset, end_offset); strict DER."""
-    if offset + 2 > len(data):
-        raise MalformedDerError("truncated TLV header")
-    tag = data[offset]
-    if tag & 0x1F == 0x1F:
-        raise MalformedDerError("multi-byte tags unsupported")
-    first = data[offset + 1]
-    pos = offset + 2
-    if first == 0x80:
-        raise MalformedDerError("indefinite length is not DER")
-    if first & 0x80:
-        nlen = first & 0x7F
-        if nlen > 4:
-            raise MalformedDerError("length of length too large")
-        if pos + nlen > len(data):
-            raise MalformedDerError("truncated long-form length")
-        length = int.from_bytes(data[pos:pos + nlen], "big")
-        if length < 0x80 or data[pos] == 0:
-            raise MalformedDerError("non-minimal long-form length")
-        pos += nlen
-    else:
-        length = first
-    end = pos + length
-    if end > len(data):
-        raise MalformedDerError("contents overrun input")
-    return tag, data[pos:end], pos, end
-
-
-class DerCursor:
-    """Sequential reader over the contents of one constructed element."""
-
-    def __init__(self, data: bytes, base_offset: int = 0):
-        self.data = data
-        self.pos = 0
-        self.base = base_offset
-
-    def done(self) -> bool:
-        return self.pos >= len(self.data)
-
-    def peek_tag(self) -> Optional[int]:
-        return self.data[self.pos] if not self.done() else None
-
-    def read(self, expect_tag: Optional[int] = None):
-        tag, contents, coff, end = der_read_tlv(self.data, self.pos)
-        if expect_tag is not None and tag != expect_tag:
-            raise MalformedDerError("expected tag 0x%02x, found 0x%02x"
-                                    % (expect_tag, tag))
-        span = (self.base + self.pos, self.base + end)
-        inner_base = self.base + coff
-        self.pos = end
-        return tag, contents, span, inner_base
-
-    def enter(self, expect_tag: int) -> "DerCursor":
-        _, contents, _, inner_base = self.read(expect_tag)
-        return DerCursor(contents, inner_base)
-
+# Object identifiers
 
 def decode_oid(contents: bytes) -> str:
     if not contents:
@@ -182,19 +112,6 @@ def encode_oid(oid: str) -> bytes:
             arc >>= 7
         out.extend(reversed(chunk))
     return der_tlv(TAG_OID, bytes(out))
-
-
-def der_tlv(tag: int, body: bytes) -> bytes:
-    n = len(body)
-    if n < 0x80:
-        return bytes([tag, n]) + body
-    raw = n.to_bytes((n.bit_length() + 7) // 8, "big")
-    return bytes([tag, 0x80 | len(raw)]) + raw + body
-
-
-def der_integer(v: int) -> bytes:
-    raw = v.to_bytes((v.bit_length() + 8) // 8 or 1, "big")
-    return der_tlv(TAG_INTEGER, raw)
 
 
 def _parse_utctime(contents: bytes) -> int:
@@ -269,7 +186,7 @@ def _dn_common_name(dn_der: bytes) -> Optional[str]:
                 tag, value, _, _ = atv.read()
                 if tag in (TAG_UTF8, TAG_PRINTABLE):
                     return value.decode("utf-8", "replace")
-    except X509Error:
+    except (X509Error, DerError):
         return None
     return None
 
@@ -289,6 +206,13 @@ def _parse_algorithm(cur: DerCursor) -> str:
 
 def x509_parse(der: bytes, registry: CurveRegistry) -> Certificate:
     """Parse a DER v3 certificate; raises typed errors, never crashes."""
+    try:
+        return _parse_certificate(der, registry)
+    except DerError as exc:
+        raise MalformedDerError(str(exc)) from None
+
+
+def _parse_certificate(der: bytes, registry: CurveRegistry) -> Certificate:
     if not isinstance(der, (bytes, bytearray)):
         raise MalformedDerError("certificate must be bytes")
     der = bytes(der)
@@ -315,10 +239,7 @@ def x509_parse(der: bytes, registry: CurveRegistry) -> Certificate:
     if ver_body != b"\x02":
         raise UnsupportedAlgorithmError("only X.509 v3 is supported")
 
-    _, serial_body, _, _ = tbs.read(TAG_INTEGER)
-    if not serial_body:
-        raise MalformedDerError("empty serial")
-    serial = int.from_bytes(serial_body, "big")
+    serial = tbs.read_uint()
 
     tbs_sig_alg = _parse_algorithm(tbs)
     if tbs_sig_alg != OID_ECDSA_SHA256:
@@ -456,9 +377,6 @@ class CertCache:
                                            cert.curve_id)
         while len(self._entries) > self.capacity:
             del self._entries[next(iter(self._entries))]
-
-    def fingerprints(self):
-        return list(self._entries)
 
     def save(self, path: str) -> None:
         """Persist as text: fingerprint, curve, subject, point per line."""

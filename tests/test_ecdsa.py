@@ -6,8 +6,8 @@ import pytest
 from ecdtls import counters
 from ecdtls.curve import CurveError
 from ecdtls.drbg import HmacDrbg
-from ecdtls.ecdsa import (EcdsaSignature, KeyPair, ecdsa_sign, ecdsa_verify,
-                          rfc6979_nonce)
+from ecdtls.ecdsa import (EcdsaSignature, KeyPair, SignatureError, ecdsa_sign,
+                          ecdsa_verify, rfc6979_nonce)
 from ecdtls.scalarmult import CombCache
 from ecdtls.sha256 import sha256
 
@@ -146,3 +146,48 @@ class TestKeyPair:
             sig = EcdsaSignature(rng.randrange(1, 2**255),
                                  rng.randrange(1, 2**255))
             assert EcdsaSignature.from_der(sig.to_der()) == sig
+
+
+class TestStrictDerSignature:
+    """DER (X.690 10.1, 8.3.2) allows exactly one encoding of a signature;
+    every other spelling of (r, s) = (1, 0x80) must be refused."""
+
+    def test_minimal_encoding_round_trips(self):
+        good = bytes.fromhex("300702010102020080")
+        assert EcdsaSignature(1, 0x80).to_der() == good
+        assert EcdsaSignature.from_der(good) == EcdsaSignature(1, 0x80)
+
+    @pytest.mark.parametrize("hexder", [
+        # long-form SEQUENCE length where the short form fits
+        "30810702010102020080",
+        # long-form length with a leading zero octet
+        "3082000702010102020080",
+        # long-form INTEGER length
+        "30080281010102020080",
+        # INTEGERs padded with a zero octet they do not need
+        "30080202000102020080",
+        "30080201010203000080",
+        # negative INTEGERs
+        "3006020181020101",
+        "30060201010201ff",
+    ])
+    def test_lax_encodings_rejected(self, hexder):
+        with pytest.raises(SignatureError):
+            EcdsaSignature.from_der(bytes.fromhex(hexder))
+
+    @pytest.mark.parametrize("hexder", [
+        "3006020002020080",            # empty INTEGER
+        "3080020101020200800000",      # indefinite length
+        "30070201010202008000",        # trailing byte after the SEQUENCE
+        "3009020101020200800500",      # trailing element inside it
+        "310702010102020080",          # SET, not SEQUENCE
+    ])
+    def test_malformed_encodings_rejected(self, hexder):
+        with pytest.raises(SignatureError):
+            EcdsaSignature.from_der(bytes.fromhex(hexder))
+
+    def test_truncated_encodings_rejected(self):
+        der = EcdsaSignature(2**255 - 19, 2**160 + 7).to_der()
+        for cut in range(len(der)):
+            with pytest.raises(SignatureError):
+                EcdsaSignature.from_der(der[:cut])

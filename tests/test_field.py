@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecdtls import counters
+from ecdtls.curve import builtin_registry
 from ecdtls.field import (FieldElement, FieldError, ModulusMismatchError,
                           NonInvertibleError, NotPrimeError, PrimeModulus,
-                          mod_add, mod_inv_euclid, mod_inv_fermat, mod_mul,
-                          mod_sub)
+                          inv_euclid_int, inv_fermat_int, mul_int)
 
 P256 = 0xFFFFFFFF00000001000000000000000000000000FFFFFFFFFFFFFFFFFFFFFFFF
 MOD256 = PrimeModulus(P256)
@@ -23,6 +23,94 @@ CURVE_PRIMES = {
 
 def fe(v, mod=MOD256):
     return FieldElement(v % mod.p, mod)
+
+
+def fermat_inverse(a):
+    return FieldElement(inv_fermat_int(a.value, a.modulus), a.modulus)
+
+
+# ---------------------------------------------------------------------------
+# Bit-serial reference algorithms.  The counters price these hardware
+# algorithms; the library computes the same results natively, and these
+# oracles check that the two agree.
+
+def bit_serial_mul(x, y, p):
+    """Interleaved-reduction product: one shift-accumulate step per bit of p,
+    with both trailing conditional subtractions evaluated every iteration.
+    Returns (product, iterations)."""
+    acc = 0
+    iterations = 0
+    for ch in format(x, "0%db" % p.bit_length()):
+        acc += acc
+        if ch == "1":
+            acc += y
+        if acc >= p:
+            acc -= p
+        if acc >= p:
+            acc -= p
+        iterations += 1
+    return acc, iterations
+
+
+def binary_euclid_inv(x, p):
+    """Binary extended Euclid (almost-inverse family); no exponentiation."""
+    u, v = x, p
+    x1, x2 = 1, 0
+    while u != 1 and v != 1:
+        while not u & 1:
+            u >>= 1
+            x1 = x1 >> 1 if not x1 & 1 else (x1 + p) >> 1
+        while not v & 1:
+            v >>= 1
+            x2 = x2 >> 1 if not x2 & 1 else (x2 + p) >> 1
+        if u >= v:
+            u -= v
+            x1 -= x2
+        else:
+            v -= u
+            x2 -= x1
+    return x1 % p if u == 1 else x2 % p
+
+
+def _registered_moduli():
+    registry = builtin_registry()
+    return [pytest.param(getattr(registry.get(name), attr),
+                         id="%s-%s" % (name, label))
+            for name in registry.names()
+            for attr, label in (("mod", "p"), ("n_mod", "n"))]
+
+
+@pytest.mark.parametrize("mod", _registered_moduli())
+class TestNativeAgainstBitSerial:
+    def test_mul_matches_interleaved_multiplier(self, mod):
+        p = mod.p
+        rng = random.Random(p)
+        operands = [(0, 0), (1, p - 1), (p - 1, p - 1)] + \
+            [(rng.randrange(p), rng.randrange(p)) for _ in range(200)]
+        for x, y in operands:
+            want, iterations = bit_serial_mul(x, y, p)
+            with counters.scope() as sc:
+                assert mul_int(x, y, mod) == want
+            assert sc.counters["mul_iter"] == iterations == mod.bitlen
+            assert sc.counters["mod_mul"] == 1
+
+    def test_inverse_matches_binary_euclid(self, mod):
+        p = mod.p
+        rng = random.Random(p + 1)
+        for x in [1, 2, p - 1] + [rng.randrange(1, p) for _ in range(100)]:
+            with counters.scope() as sc:
+                assert inv_euclid_int(x, mod) == binary_euclid_inv(x, p)
+            assert dict(sc.counters) == {"mod_inv_euclid": 1,
+                                         "inv_work": mod.bitlen}
+
+    def test_multiples_of_modulus_not_invertible(self, mod):
+        for x in (0, mod.p, 2 * mod.p, -mod.p):
+            with counters.scope() as sc:
+                with pytest.raises(NonInvertibleError):
+                    inv_euclid_int(x, mod)
+                with pytest.raises(NonInvertibleError):
+                    inv_fermat_int(x, mod)
+            assert not sc.counters
 
 
 class TestPrimeModulus:
@@ -43,33 +131,33 @@ class TestPrimeModulus:
 class TestAddSub:
     def test_additive_identity(self):
         b = fe(0x1234)
-        assert mod_add(fe(0), b) == b
+        assert fe(0) + b == b
 
     def test_additive_inverse(self):
         a = fe(0xABCDEF)
-        assert mod_add(a, fe(P256 - 0xABCDEF)).value == 0
+        assert (a + fe(P256 - 0xABCDEF)).value == 0
 
     def test_sub_self_and_zero(self):
         a = fe(99)
-        assert mod_sub(a, a).value == 0
-        assert mod_sub(fe(0), fe(7)).value == P256 - 7
+        assert (a - a).value == 0
+        assert (fe(0) - fe(7)).value == P256 - 7
 
     def test_random_against_bigint_oracle(self, rng):
         for _ in range(300):
             a, b = rng.randrange(P256), rng.randrange(P256)
-            assert mod_add(fe(a), fe(b)).value == (a + b) % P256
-            assert mod_sub(fe(a), fe(b)).value == (a - b) % P256
+            assert (fe(a) + fe(b)).value == (a + b) % P256
+            assert (fe(a) - fe(b)).value == (a - b) % P256
 
     def test_modulus_mismatch(self):
         with pytest.raises(ModulusMismatchError):
-            mod_add(fe(1), FieldElement(1, PrimeModulus(7)))
+            fe(1) + FieldElement(1, PrimeModulus(7))
 
 
 class TestMul:
     def test_zero_and_one(self):
         b = fe(0x55AA)
-        assert mod_mul(fe(0), b).value == 0
-        assert mod_mul(fe(1), b) == b
+        assert (fe(0) * b).value == 0
+        assert fe(1) * b == b
 
     @pytest.mark.parametrize("bits", sorted(CURVE_PRIMES))
     def test_against_wide_multiply_oracle(self, bits):
@@ -78,14 +166,14 @@ class TestMul:
         rng = random.Random(bits)
         for _ in range(500):
             a, b = rng.randrange(p), rng.randrange(p)
-            got = mod_mul(FieldElement(a, mod), FieldElement(b, mod))
+            got = FieldElement(a, mod) * FieldElement(b, mod)
             assert got.value == a * b % p
 
     def test_iteration_count_depends_only_on_bitlen(self, rng):
         for a, b in [(1, 1), (0, 0), (P256 - 1, P256 - 1),
                      (rng.randrange(P256), rng.randrange(P256))]:
             with counters.scope() as sc:
-                mod_mul(fe(a), fe(b))
+                fe(a) * fe(b)
             assert sc.counters["mul_iter"] == 256
             assert sc.counters["mod_mul"] == 1
 
@@ -116,36 +204,36 @@ class TestRingAxioms:
 
 class TestInversion:
     def test_inv_one(self):
-        assert mod_inv_euclid(fe(1)).value == 1
-        assert mod_inv_fermat(fe(1)).value == 1
+        assert fe(1).inverse().value == 1
+        assert fermat_inverse(fe(1)).value == 1
 
     def test_inv_3_mod_7_bruteforce(self):
         mod7 = PrimeModulus(7)
         expected = next(x for x in range(1, 7) if 3 * x % 7 == 1)
         assert expected == 5
-        assert mod_inv_euclid(FieldElement(3, mod7)).value == expected
+        assert FieldElement(3, mod7).inverse().value == expected
 
     def test_zero_not_invertible(self):
         with pytest.raises(NonInvertibleError):
-            mod_inv_euclid(fe(0))
+            fe(0).inverse()
         with pytest.raises(NonInvertibleError):
-            mod_inv_fermat(fe(0))
+            fermat_inverse(fe(0))
 
     def test_inverse_property(self, rng):
         for _ in range(100):
             a = fe(rng.randrange(1, P256))
-            assert mod_mul(a, mod_inv_euclid(a)).value == 1
+            assert (a * a.inverse()).value == 1
 
     def test_euclid_agrees_with_fermat(self, rng):
         for _ in range(100):
             a = fe(rng.randrange(1, P256))
-            assert mod_inv_euclid(a) == mod_inv_fermat(a)
+            assert a.inverse() == fermat_inverse(a)
 
     def test_fermat_mul_count(self):
         e = P256 - 2
         expected = (e.bit_length() - 1) + bin(e).count("1") - 1
         with counters.scope() as sc:
-            mod_inv_fermat(fe(0x1234567))
+            fermat_inverse(fe(0x1234567))
         assert sc.counters["mod_mul"] == expected
         # square-and-multiply averages ~1.5 multiplications per exponent bit
         assert expected == pytest.approx(1.5 * 256, rel=0.08)

@@ -4,7 +4,7 @@ import hmac as stdlib_hmac
 import pytest
 
 from ecdtls import counters
-from ecdtls.sha256 import Sha256, hmac_sha256, sha256
+from ecdtls.sha256 import HmacKey, Sha256, hmac_sha256, sha256
 
 # FIPS 180-4 known-answer vectors
 SHA_KATS = [
@@ -59,6 +59,15 @@ class TestSha256:
         ctx.update(b"world")
         assert snap == sha256(b"hello snapshot")
         assert ctx.digest() == sha256(b"hello world")
+        # a fork past a block boundary, updated on both sides
+        base = Sha256(b"a" * 70)
+        fork = base.copy().update(b"fork side")
+        base.update(b"base side")
+        assert fork.digest() == hashlib.sha256(b"a" * 70 + b"fork side").digest()
+        assert base.digest() == hashlib.sha256(b"a" * 70 + b"base side").digest()
+        with counters.scope() as sc:
+            base.copy().digest()
+        assert sc.counters["sha_compress"] == 1
 
     def test_compression_counter(self):
         with counters.scope() as sc:
@@ -71,8 +80,53 @@ class TestSha256:
             msg = bytes(rng.randrange(256) for _ in range(n))
             assert sha256(msg) == hashlib.sha256(msg).digest()
 
+    def test_block_count_exact_for_every_length_and_split(self, rng):
+        # FIPS 180-4 padding appends 0x80 and an 8-byte length, so a
+        # message of n bytes runs the compression function (n + 8)//64 + 1
+        # times, however update() splits it
+        for n in range(201):
+            msg = bytes(rng.randrange(256) for _ in range(n))
+            cuts = sorted(rng.randrange(n + 1) for _ in range(rng.randrange(4)))
+            with counters.scope() as sc:
+                ctx = Sha256()
+                for lo, hi in zip([0] + cuts, cuts + [n]):
+                    ctx.update(msg[lo:hi])
+                got = ctx.digest()
+            assert got == hashlib.sha256(msg).digest()
+            assert sc.counters["sha_compress"] == (n + 8) // 64 + 1
+            assert sc.counters["sha_message"] == 1
+
+    def test_digest_does_not_finalize_context(self):
+        ctx = Sha256(b"abc")
+        first = ctx.digest()
+        assert ctx.digest() == first
+        assert ctx.update(b"d").digest() == sha256(b"abcd")
+
+
+# Per-call ticks of the block-by-block reference implementation, by key
+# length and by message length (a MAC costs the same under every key).
+HMAC_KEY_TICKS = {
+    0: {"sha_compress": 2}, 20: {"sha_compress": 2}, 64: {"sha_compress": 2},
+    65: {"sha_compress": 4, "sha_message": 1},
+    131: {"sha_compress": 5, "sha_message": 1},
+}
+HMAC_MAC_TICKS = {
+    0: 2, 1: 2, 55: 2, 56: 3, 63: 3, 64: 3, 119: 3, 120: 4, 200: 5,
+}
+
 
 class TestHmacSha256:
+    @pytest.mark.parametrize("key_len", sorted(HMAC_KEY_TICKS))
+    def test_tick_counts_match_reference(self, key_len):
+        with counters.scope() as sc:
+            key = HmacKey(b"k" * key_len)
+        assert dict(sc.counters) == HMAC_KEY_TICKS[key_len]
+        for msg_len, compress in HMAC_MAC_TICKS.items():
+            with counters.scope() as sc:
+                key.mac(b"m" * msg_len)
+            assert dict(sc.counters) == {"hmac": 1, "sha_message": 2,
+                                         "sha_compress": compress}
+
     @pytest.mark.parametrize("key,msg,want", HMAC_KATS)
     def test_rfc4231_kats(self, key, msg, want):
         assert hmac_sha256(key, msg).hex() == want

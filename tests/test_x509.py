@@ -3,6 +3,7 @@ import random
 import pytest
 
 from ecdtls import counters
+from ecdtls.der import TAG_SEQUENCE, der_read_tlv, der_tlv
 from ecdtls.drbg import HmacDrbg
 from ecdtls.ecdsa import KeyPair
 from ecdtls.x509 import (ACCEPTED, CertCache, MalformedDerError,
@@ -84,6 +85,28 @@ class TestParse:
         der[1] = 0x80
         with pytest.raises(MalformedDerError):
             x509_parse(bytes(der), registry)
+
+    @pytest.mark.parametrize("serial", [
+        b"\x02\x02\x00\x02",   # padded with a zero octet it does not need
+        b"\x02\x01\x82",       # negative
+        b"\x02\x00",           # empty
+    ])
+    def test_non_canonical_serial_rejected(self, registry, fixture_pki,
+                                           serial):
+        version_and_serial = b"\xa0\x03\x02\x01\x02\x02\x01\x02"
+
+        def with_serial(enc):
+            _, body, _, _ = der_read_tlv(fixture_pki["leaf_der"], 0)
+            _, tbs, _, tbs_end = der_read_tlv(body, 0)
+            assert tbs.count(version_and_serial) == 1
+            tbs = tbs.replace(version_and_serial,
+                              version_and_serial[:5] + enc)
+            return der_tlv(TAG_SEQUENCE,
+                           der_tlv(TAG_SEQUENCE, tbs) + body[tbs_end:])
+
+        assert x509_parse(with_serial(b"\x02\x01\x02"), registry).serial == 2
+        with pytest.raises(MalformedDerError):
+            x509_parse(with_serial(serial), registry)
 
     def test_fuzz_floor_no_crashes(self, registry, fixture_pki, rng):
         der = fixture_pki["leaf_der"]
