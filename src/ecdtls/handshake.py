@@ -1,9 +1,19 @@
-"""DTLS 1.2 mutual-authentication handshake as an explicit state machine.
+"""DTLS 1.2 mutual-authentication handshake driven by one flight table.
 
-Both roles advance one flight per step call over a reliable in-order datagram
-transport.  The fixed suite is ECDHE-ECDSA with AES-128-GCM and SHA-256
-transcripts; server certificates can be fingerprint-cached to skip one
-certificate verification in later handshakes.
+Between step calls a session rests in a `State`.  `_FLIGHTS` maps each
+(role, resting state) to the flight awaited there (RFC 6347 §4.2.4 flights):
+the handler that consumes it and sends the reply, the number of inbound
+records in it, and the state reached when the handler returns.  A step runs
+the handler and sets the state once, afterwards.  A handler that runs out of
+datagrams leaves the state where it was, as does the server answering a bad
+cookie with a fresh HelloVerifyRequest; a protocol error moves the session to
+FAILED and answers with a fatal alert.  Nothing retransmits yet, so a lost
+record stalls the handshake without failing it.
+
+The fixed suite is ECDHE-ECDSA with AES-128-GCM and SHA-256 transcripts.
+Both roles check the peer certificate on one path.  A cached-mode client skips
+that check for a server certificate it verified earlier under the same trust
+anchor, while the certificate is inside its validity window.
 
 Records are decoded lazily, one datagram at a time, so a ChangeCipherSpec can
 switch the read epoch before the Finished record behind it is opened.
@@ -14,7 +24,7 @@ from __future__ import annotations
 import enum
 import os
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import counters, wire
 from .aesgcm import AeadKey
@@ -29,26 +39,24 @@ from .record import (CONTENT_ALERT, CONTENT_APPDATA, CONTENT_CCS,
                      CONTENT_HANDSHAKE, DROP_OK, RecordLayer)
 from .scalarmult import CombCache
 from .sha256 import Sha256, hmac_sha256, sha256
-from .x509 import CertCache, X509Error, x509_parse, x509_verify, \
-    _dn_common_name
+from .x509 import CertCache, Certificate, X509Error, x509_parse, \
+    x509_verify, _dn_common_name
 
 VERIFY_DATA_LEN = 12
 MASTER_SECRET_LEN = 48
 KEY_BLOCK_LEN = 40  # 16 + 16 + 4 + 4 for AES-128-GCM
-MICRO_STACK_CAPACITY = 2048
 
 ALERT_HANDSHAKE_FAILURE = 40
 
 MODE_FULL = "full"
 MODE_CACHED = "cached"
 
+_RECORD_KINDS = {CONTENT_HANDSHAKE: "handshake", CONTENT_CCS: "ccs",
+                 CONTENT_ALERT: "alert", CONTENT_APPDATA: "app"}
+
 
 class HandshakeError(Exception):
     pass
-
-
-class MicroStackOverflow(HandshakeError):
-    """Scratch arena exceeded its fixed capacity."""
 
 
 class _Abort(Exception):
@@ -60,8 +68,14 @@ class _Abort(Exception):
         self.send_alert = send_alert
 
 
-class _FlightIncomplete(Exception):
-    """Internal: a record was dropped; wait instead of failing."""
+class _Stay(Exception):
+    """Internal: keep the resting state and send `out`.  Raised when a
+    record is missing (datagram loss is not a protocol failure) and when a
+    bad cookie is answered with a fresh HelloVerifyRequest."""
+
+    def __init__(self, out: Optional[List[bytes]] = None):
+        super().__init__()
+        self.out = out or []
 
 
 class State(enum.Enum):
@@ -69,85 +83,9 @@ class State(enum.Enum):
     HELLO_SENT = "HELLO_SENT"
     COOKIE_WAIT = "COOKIE_WAIT"
     HELLO_EXCHANGED = "HELLO_EXCHANGED"
-    KEY_EXCHANGE = "KEY_EXCHANGE"
-    CERTS_VERIFIED = "CERTS_VERIFIED"
     FINISHED_WAIT = "FINISHED_WAIT"
     ESTABLISHED = "ESTABLISHED"
     FAILED = "FAILED"
-
-
-# (role, state) -> {event: next_state}; FAILED and ESTABLISHED are terminal.
-TRANSITIONS: Dict[Tuple[str, State], Dict[str, State]] = {
-    ("client", State.INIT): {"start": State.HELLO_SENT},
-    ("client", State.HELLO_SENT): {"hello_verify": State.COOKIE_WAIT,
-                                   "fail": State.FAILED},
-    ("client", State.COOKIE_WAIT): {"server_flight": State.HELLO_EXCHANGED,
-                                    "fail": State.FAILED},
-    ("client", State.HELLO_EXCHANGED): {"certs_ok": State.CERTS_VERIFIED,
-                                        "fail": State.FAILED},
-    ("client", State.CERTS_VERIFIED): {"keys_ok": State.KEY_EXCHANGE,
-                                       "fail": State.FAILED},
-    ("client", State.KEY_EXCHANGE): {"flight_sent": State.FINISHED_WAIT,
-                                     "fail": State.FAILED},
-    ("client", State.FINISHED_WAIT): {"peer_finished": State.ESTABLISHED,
-                                      "fail": State.FAILED},
-    ("server", State.INIT): {"client_hello": State.COOKIE_WAIT,
-                             "fail": State.FAILED},
-    ("server", State.COOKIE_WAIT): {"cookie_ok": State.HELLO_EXCHANGED,
-                                    "bad_cookie": State.COOKIE_WAIT,
-                                    "fail": State.FAILED},
-    ("server", State.HELLO_EXCHANGED): {"client_keys": State.KEY_EXCHANGE,
-                                        "fail": State.FAILED},
-    ("server", State.KEY_EXCHANGE): {"certs_ok": State.CERTS_VERIFIED,
-                                     "fail": State.FAILED},
-    ("server", State.CERTS_VERIFIED): {"await_finished": State.FINISHED_WAIT,
-                                       "fail": State.FAILED},
-    ("server", State.FINISHED_WAIT): {"peer_finished": State.ESTABLISHED,
-                                      "fail": State.FAILED},
-}
-
-
-class MicroStack:
-    """Fixed-capacity LIFO scratch arena for handshake temporaries."""
-
-    def __init__(self, capacity: int = MICRO_STACK_CAPACITY):
-        self.capacity = capacity
-        self.watermark = 0
-        self.peak = 0
-        self._sizes: List[int] = []
-
-    def push(self, size: int) -> int:
-        if self.watermark + size > self.capacity:
-            raise MicroStackOverflow("micro stack overflow: %d + %d > %d"
-                                     % (self.watermark, size, self.capacity))
-        self._sizes.append(size)
-        self.watermark += size
-        self.peak = max(self.peak, self.watermark)
-        return len(self._sizes) - 1
-
-    def pop(self, handle: int) -> None:
-        if not self._sizes or handle != len(self._sizes) - 1:
-            raise HandshakeError("micro stack pop out of LIFO order")
-        self.watermark -= self._sizes.pop()
-
-    class _Scratch:
-        def __init__(self, stack: "MicroStack", size: int):
-            self.stack = stack
-            self.size = size
-
-        def __enter__(self):
-            self.handle = self.stack.push(self.size)
-            return self
-
-        def __exit__(self, *exc):
-            self.stack.pop(self.handle)
-
-    def scratch(self, size: int) -> "_Scratch":
-        return MicroStack._Scratch(self, size)
-
-    @property
-    def balanced(self) -> bool:
-        return self.watermark == 0
 
 
 class SecurityParams:
@@ -215,7 +153,6 @@ class HandshakeSession:
         self.role = config.role
         self.state = State.INIT
         self.failure_reason: Optional[str] = None
-        self.micro_stack = MicroStack()
         self.records = RecordLayer()
         self.transcript = Sha256()
         self._recorder = counters.Recorder(label="%s-session" % self.role)
@@ -243,13 +180,6 @@ class HandshakeSession:
 
     # -- state plumbing -------------------------------------------------------
 
-    def _advance(self, event: str) -> None:
-        table = TRANSITIONS.get((self.role, self.state))
-        if table is None or event not in table:
-            raise HandshakeError("illegal transition %s from %s"
-                                 % (event, self.state))
-        self.state = table[event]
-
     @property
     def established(self) -> bool:
         return self.state is State.ESTABLISHED
@@ -258,31 +188,30 @@ class HandshakeSession:
     def failed(self) -> bool:
         return self.state is State.FAILED
 
+    @property
+    def awaited_records(self) -> int:
+        """Inbound records in the flight the next step consumes; 0 when that
+        step only sends, and once the handshake has ended."""
+        flight = _FLIGHTS.get((self.role, self.state))
+        return flight.records if flight is not None else 0
+
     # -- record intake ---------------------------------------------------------
 
-    def _pull(self, pending: List[bytes]) -> Tuple[Optional[str], Optional[bytes]]:
-        """Decode datagrams until one yields a record; drops are silent."""
+    def _pull(self, pending: List[bytes]) -> Tuple[str, bytes]:
+        """Decode datagrams until one yields a record; drops and unknown
+        content types are skipped silently."""
         while pending:
             outcome, ctype, payload = self.records.decode(pending.pop(0))
-            if outcome != DROP_OK:
-                continue
-            if ctype == CONTENT_HANDSHAKE:
-                return "handshake", payload
-            if ctype == CONTENT_CCS:
-                return "ccs", payload
-            if ctype == CONTENT_ALERT:
-                return "alert", payload
-            if ctype == CONTENT_APPDATA:
-                return "app", payload
-        return None, None
+            kind = _RECORD_KINDS.get(ctype) if outcome == DROP_OK else None
+            if kind == "alert":
+                raise _Abort("peer sent a fatal alert", send_alert=False)
+            if kind is not None:
+                return kind, payload
+        raise _Stay()
 
     def _expect_handshake(self, pending: List[bytes],
                           expected_type: int) -> Tuple[bytes, bytes]:
         kind, payload = self._pull(pending)
-        if kind is None:
-            raise _FlightIncomplete()
-        if kind == "alert":
-            raise _Abort("peer sent a fatal alert", send_alert=False)
         if kind != "handshake":
             raise _Abort("unexpected %s record mid-flight" % kind)
         try:
@@ -304,9 +233,6 @@ class HandshakeSession:
             self.transcript.update(msg)
         return self.records.encode(CONTENT_HANDSHAKE, msg)
 
-    def _note_received(self, raw_msg: bytes) -> None:
-        self.transcript.update(raw_msg)
-
     def _cookie_for(self, client_random: bytes) -> bytes:
         return hmac_sha256(self.cookie_secret,
                            self.config.peer_label.encode() + client_random)
@@ -314,17 +240,14 @@ class HandshakeSession:
     # -- key schedule -----------------------------------------------------------
 
     def _derive_keys(self, premaster: bytes) -> None:
-        ms = self.micro_stack
         buf = bytearray(premaster)
-        with ms.scratch(len(buf)), ms.scratch(64), \
-                ms.scratch(MASTER_SECRET_LEN + KEY_BLOCK_LEN):
-            master = tls_prf_sha256(bytes(buf), b"master secret",
-                                    self.client_random + self.server_random,
-                                    MASTER_SECRET_LEN)
-            key_block = tls_prf_sha256(master, b"key expansion",
-                                       self.server_random + self.client_random,
-                                       KEY_BLOCK_LEN)
-            self.security = SecurityParams(master, key_block)
+        master = tls_prf_sha256(bytes(buf), b"master secret",
+                                self.client_random + self.server_random,
+                                MASTER_SECRET_LEN)
+        key_block = tls_prf_sha256(master, b"key expansion",
+                                   self.server_random + self.client_random,
+                                   KEY_BLOCK_LEN)
+        self.security = SecurityParams(master, key_block)
         for i in range(len(buf)):
             buf[i] = 0
 
@@ -340,59 +263,97 @@ class HandshakeSession:
         return tls_prf_sha256(bytes(self.security.master_secret), label,
                               digest, VERIFY_DATA_LEN)
 
+    def _change_cipher_and_finish(self, write_key: AeadKey,
+                                  label: bytes) -> List[bytes]:
+        """ChangeCipherSpec, then Finished under the new write epoch."""
+        ccs = self.records.encode(CONTENT_CCS, b"\x01")
+        self.records.start_write_epoch(write_key)
+        verify_data = self._verify_data(label, self.transcript.copy().digest())
+        return [ccs, self._send_handshake(wire.HT_FINISHED, verify_data)]
+
+    def _read_peer_finished(self, pending: List[bytes], read_key: AeadKey,
+                            label: bytes) -> None:
+        """The peer's ChangeCipherSpec, then its Finished under the new read
+        epoch, checked against the transcript so far."""
+        kind, _payload = self._pull(pending)
+        if kind != "ccs":
+            raise _Abort("expected ChangeCipherSpec before %s"
+                         % label.decode())
+        self.records.start_read_epoch(read_key)
+        raw, body = self._expect_handshake(pending, wire.HT_FINISHED)
+        if body != self._verify_data(label, self.transcript.copy().digest()):
+            raise _Abort("%s verification failed" % label.decode())
+        self.transcript.update(raw)
+
     # -- step drivers -------------------------------------------------------------
 
     def client_step(self, datagrams: List[bytes]) -> List[bytes]:
         if self.role != "client":
             raise HandshakeError("client_step on a server session")
-        return self._step(datagrams, self._client_step_inner)
+        return self._step(datagrams)
 
     def server_step(self, datagrams: List[bytes]) -> List[bytes]:
         if self.role != "server":
             raise HandshakeError("server_step on a client session")
-        return self._step(datagrams, self._server_step_inner)
+        return self._step(datagrams)
 
-    def _step(self, datagrams: List[bytes], inner) -> List[bytes]:
-        if self.state in (State.ESTABLISHED, State.FAILED):
+    def _step(self, datagrams: List[bytes]) -> List[bytes]:
+        flight = _FLIGHTS.get((self.role, self.state))
+        if flight is None:  # ESTABLISHED or FAILED
             return []
-        pending = list(datagrams)
         with self._recorder:
             try:
-                out = inner(pending)
-            except _FlightIncomplete:
-                out = []  # wait: datagram loss is not a protocol failure
+                out = flight.handler(self, list(datagrams))
+                self.state = flight.reached
+                if self.established:
+                    self.handshake_counters = self._recorder.counters.copy()
+            except _Stay as stay:
+                out = stay.out
             except _Abort as abort:
                 self.failure_reason = abort.reason
-                self._advance("fail")
+                self.state = State.FAILED
                 out = []
                 if abort.send_alert:
                     out = [self.records.encode(
                         CONTENT_ALERT, bytes([2, ALERT_HANDSHAKE_FAILURE]))]
-            if self.established and self.handshake_counters is None:
-                self.handshake_counters = self._recorder.counters.copy()
             return out
 
-    # -- client ---------------------------------------------------------------
+    # -- peer certificate ---------------------------------------------------------
 
-    def _client_step_inner(self, pending: List[bytes]) -> List[bytes]:
-        if self.state is State.INIT:
-            self.client_random = self.drbg.generate(32)
-            hello = wire.build_client_hello(
-                self.client_random, b"",
-                wire.tls_curve_id(self.config.curve.id))
-            record = self._send_handshake(wire.HT_CLIENT_HELLO, hello,
-                                          in_transcript=False)
-            self._advance("start")
-            return [record]
-        if self.state is State.HELLO_SENT:
-            return self._client_handle_hvr(pending)
-        if self.state is State.COOKIE_WAIT:
-            return self._client_handle_server_flight(pending)
-        if self.state is State.FINISHED_WAIT:
-            return self._client_handle_server_finished(pending)
-        raise HandshakeError("client step in unexpected state %s" % self.state)
+    def _check_peer_identity(self, curve_id: str, subject: bytes) -> None:
+        expected_cn = self.config.expected_peer_cn
+        if curve_id != self.config.curve.id or (
+                expected_cn is not None and
+                _dn_common_name(subject) != expected_cn):
+            raise _Abort("peer certificate rejected")
 
-    def _client_handle_hvr(self, pending: List[bytes]) -> List[bytes]:
+    def _verify_peer_certificate(self, der: bytes) -> Certificate:
+        """The full check of the peer's leaf certificate: parse, curve and
+        expected common name, issued by the trust anchor, then signature and
+        validity window under the session clock."""
+        try:
+            cert = x509_parse(der, self.registry)
+        except X509Error:
+            raise _Abort("peer certificate rejected") from None
+        self._check_peer_identity(cert.curve_id, cert.subject)
+        if cert.issuer != self.ca_subject:
+            raise _Abort("peer certificate rejected")
+        ok, _reason = x509_verify(cert, self.ca_key, int(self.config.clock()),
+                                  self.comb_cache)
+        if not ok:
+            raise _Abort("peer certificate rejected")
+        return cert
+
+    # -- client flights -------------------------------------------------------
+
+    def _send_client_hello(self, pending: List[bytes]) -> List[bytes]:
+        self.client_random = self.drbg.generate(32)
+        hello = wire.build_client_hello(
+            self.client_random, b"", wire.tls_curve_id(self.config.curve.id))
+        return [self._send_handshake(wire.HT_CLIENT_HELLO, hello,
+                                     in_transcript=False)]
+
+    def _on_hello_verify_request(self, pending: List[bytes]) -> List[bytes]:
         _, body = self._expect_handshake(pending, wire.HT_HELLO_VERIFY_REQUEST)
         try:
             cookie = wire.parse_hello_verify_request(body)
@@ -400,18 +361,16 @@ class HandshakeSession:
             raise _Abort(str(exc)) from None
         hello = wire.build_client_hello(
             self.client_random, cookie, wire.tls_curve_id(self.config.curve.id))
-        record = self._send_handshake(wire.HT_CLIENT_HELLO, hello)
-        self._advance("hello_verify")
-        return [record]
+        return [self._send_handshake(wire.HT_CLIENT_HELLO, hello)]
 
-    def _client_handle_server_flight(self, pending: List[bytes]) -> List[bytes]:
+    def _on_server_flight(self, pending: List[bytes]) -> List[bytes]:
         flight = {}
         for expected in (wire.HT_SERVER_HELLO, wire.HT_CERTIFICATE,
                          wire.HT_SERVER_KEY_EXCHANGE,
                          wire.HT_CERTIFICATE_REQUEST,
                          wire.HT_SERVER_HELLO_DONE):
             raw, body = self._expect_handshake(pending, expected)
-            self._note_received(raw)
+            self.transcript.update(raw)
             flight[expected] = body
 
         try:
@@ -429,10 +388,17 @@ class HandshakeSession:
             raise _Abort("non-empty ServerHelloDone")
         if len(cert_ders) != 1:
             raise _Abort("expected exactly the server leaf certificate")
-        server_key = self._verify_server_certificate(cert_ders[0])
-        if server_key is None:
-            raise _Abort("server certificate rejected")
-        self.peer_key = server_key
+        entry = None
+        if self.config.mode == MODE_CACHED:
+            entry = self.cert_cache.check(cert_ders[0], self.ca_key,
+                                          int(self.config.clock()))
+        if entry is not None:
+            self._check_peer_identity(entry.curve_id, entry.subject)
+            self.peer_key = entry.public_key
+        else:
+            cert = self._verify_peer_certificate(cert_ders[0])
+            self.cert_cache.insert(cert, self.ca_key)
+            self.peer_key = cert.public_key
 
         if ske.curve_code != wire.tls_curve_id(self.config.curve.id):
             raise _Abort("server negotiated a different curve")
@@ -442,17 +408,13 @@ class HandshakeSession:
             raise _Abort("bad server ephemeral: %s" % exc) from None
         signed = wire.server_key_exchange_signed_data(
             self.client_random, self.server_random, ske.signed_params)
-        with self.micro_stack.scratch(len(signed)), \
-                self.micro_stack.scratch(32):
-            try:
-                sig = EcdsaSignature.from_der(ske.signature_der)
-            except SignatureError:
-                raise _Abort("undecodable ServerKeyExchange signature") from None
-            if not ecdsa_verify(server_key, sha256(signed), sig,
-                                self.comb_cache):
-                raise _Abort("ServerKeyExchange signature invalid")
-        self._advance("server_flight")
-        self._advance("certs_ok")
+        try:
+            sig = EcdsaSignature.from_der(ske.signature_der)
+        except SignatureError:
+            raise _Abort("undecodable ServerKeyExchange signature") from None
+        if not ecdsa_verify(self.peer_key, sha256(signed), sig,
+                            self.comb_cache):
+            raise _Abort("ServerKeyExchange signature invalid")
 
         try:
             self.eph_key = KeyPair.generate(self.config.curve, self.drbg,
@@ -461,131 +423,63 @@ class HandshakeSession:
         except (KeyAgreementError, CurveError) as exc:
             raise _Abort("key agreement failed: %s" % exc) from None
         self._derive_keys(shared.to_bytes())
-        self._advance("keys_ok")
 
-        out = []
-        out.append(self._send_handshake(
+        out = [self._send_handshake(
             wire.HT_CERTIFICATE,
-            wire.build_certificate([self.config.own_cert_der])))
+            wire.build_certificate([self.config.own_cert_der]))]
         out.append(self._send_handshake(
             wire.HT_CLIENT_KEY_EXCHANGE,
             wire.build_client_key_exchange(self.eph_key.Q.encode())))
-        cv_digest = self.transcript.copy().digest()
-        with self.micro_stack.scratch(32):
-            cv_sig = ecdsa_sign(self.own_key, cv_digest, self.drbg,
-                                cache=self.comb_cache)
+        cv_sig = ecdsa_sign(self.own_key, self.transcript.copy().digest(),
+                            self.drbg, cache=self.comb_cache)
         out.append(self._send_handshake(
             wire.HT_CERTIFICATE_VERIFY,
             wire.build_certificate_verify(cv_sig.to_der())))
-        out.append(self.records.encode(CONTENT_CCS, b"\x01"))
-        self.records.start_write_epoch(self._client_write_key())
-        with self.micro_stack.scratch(VERIFY_DATA_LEN + 32):
-            finished_digest = self.transcript.copy().digest()
-            verify_data = self._verify_data(b"client finished", finished_digest)
-        out.append(self._send_handshake(wire.HT_FINISHED, verify_data))
-        self._advance("flight_sent")
-        return out
+        return out + self._change_cipher_and_finish(self._client_write_key(),
+                                                    b"client finished")
 
-    def _verify_server_certificate(self, der: bytes) -> Optional[AffinePoint]:
-        """Full mode parses and verifies; a cached-mode hit skips both."""
-        expected_cn = self.config.expected_peer_cn
-        if self.config.mode == MODE_CACHED:
-            entry = self.cert_cache.check(der)
-            if entry is not None:
-                if entry.curve_id != self.config.curve.id:
-                    return None
-                if expected_cn is not None and \
-                        _dn_common_name(entry.subject) != expected_cn:
-                    return None
-                return entry.public_key
-        try:
-            cert = x509_parse(der, self.registry)
-        except X509Error:
-            return None
-        if cert.curve_id != self.config.curve.id:
-            return None
-        if cert.issuer != self.ca_subject:
-            return None
-        if expected_cn is not None and cert.subject_cn() != expected_cn:
-            return None
-        ok, _reason = x509_verify(cert, self.ca_key, int(self.config.clock()),
-                                  self.comb_cache)
-        if not ok:
-            return None
-        self.cert_cache.insert(cert)
-        return cert.public_key
-
-    def _client_handle_server_finished(self, pending: List[bytes]) -> List[bytes]:
-        kind, _payload = self._pull(pending)
-        if kind is None:
-            raise _FlightIncomplete()
-        if kind == "alert":
-            raise _Abort("peer sent a fatal alert", send_alert=False)
-        if kind != "ccs":
-            raise _Abort("expected ChangeCipherSpec before server Finished")
-        self.records.start_read_epoch(self._server_write_key())
-        raw, body = self._expect_handshake(pending, wire.HT_FINISHED)
-        digest = self.transcript.copy().digest()
-        if body != self._verify_data(b"server finished", digest):
-            raise _Abort("server Finished verification failed")
-        self._note_received(raw)
-        self._advance("peer_finished")
+    def _on_server_finished(self, pending: List[bytes]) -> List[bytes]:
+        self._read_peer_finished(pending, self._server_write_key(),
+                                 b"server finished")
         return []
 
-    # -- server ---------------------------------------------------------------
+    # -- server flights -------------------------------------------------------
 
-    def _server_step_inner(self, pending: List[bytes]) -> List[bytes]:
-        if self.state is State.INIT:
-            return self._server_handle_first_hello(pending)
-        if self.state is State.COOKIE_WAIT:
-            return self._server_handle_cookie_hello(pending)
-        if self.state is State.HELLO_EXCHANGED:
-            return self._server_handle_client_flight(pending)
-        raise HandshakeError("server step in unexpected state %s" % self.state)
-
-    def _check_offers(self, hello: wire.ClientHello) -> None:
-        if wire.CIPHER_ECDHE_ECDSA_AES128_GCM_SHA256 not in hello.cipher_suites:
-            raise _Abort("client does not offer our cipher suite")
-        if wire.tls_curve_id(self.config.curve.id) not in hello.curve_codes:
-            raise _Abort("client does not offer our curve")
-
-    def _server_handle_first_hello(self, pending: List[bytes]) -> List[bytes]:
-        _, body = self._expect_handshake(pending, wire.HT_CLIENT_HELLO)
-        try:
-            hello = wire.parse_client_hello(body)
-        except wire.WireError as exc:
-            raise _Abort(str(exc)) from None
-        self._check_offers(hello)
-        cookie = self._cookie_for(hello.random)
-        record = self._send_handshake(wire.HT_HELLO_VERIFY_REQUEST,
-                                      wire.build_hello_verify_request(cookie),
-                                      in_transcript=False)
-        self._advance("client_hello")
-        return [record]
-
-    def _server_handle_cookie_hello(self, pending: List[bytes]) -> List[bytes]:
+    def _read_client_hello(self, pending: List[bytes]
+                           ) -> Tuple[bytes, wire.ClientHello]:
         raw, body = self._expect_handshake(pending, wire.HT_CLIENT_HELLO)
         try:
             hello = wire.parse_client_hello(body)
         except wire.WireError as exc:
             raise _Abort(str(exc)) from None
-        self._check_offers(hello)
-        if hello.cookie != self._cookie_for(hello.random):
-            self._advance("bad_cookie")
-            cookie = self._cookie_for(hello.random)
-            return [self._send_handshake(
-                wire.HT_HELLO_VERIFY_REQUEST,
-                wire.build_hello_verify_request(cookie), in_transcript=False)]
+        if wire.CIPHER_ECDHE_ECDSA_AES128_GCM_SHA256 not in hello.cipher_suites:
+            raise _Abort("client does not offer our cipher suite")
+        if wire.tls_curve_id(self.config.curve.id) not in hello.curve_codes:
+            raise _Abort("client does not offer our curve")
+        return raw, hello
+
+    def _hello_verify_request(self, cookie: bytes) -> bytes:
+        return self._send_handshake(wire.HT_HELLO_VERIFY_REQUEST,
+                                    wire.build_hello_verify_request(cookie),
+                                    in_transcript=False)
+
+    def _on_client_hello(self, pending: List[bytes]) -> List[bytes]:
+        _, hello = self._read_client_hello(pending)
+        return [self._hello_verify_request(self._cookie_for(hello.random))]
+
+    def _on_cookie_hello(self, pending: List[bytes]) -> List[bytes]:
+        raw, hello = self._read_client_hello(pending)
+        cookie = self._cookie_for(hello.random)
+        if hello.cookie != cookie:
+            raise _Stay([self._hello_verify_request(cookie)])
         self.client_random = hello.random
-        self._note_received(raw)
-        self._advance("cookie_ok")
+        self.transcript.update(raw)
 
         self.server_random = self.drbg.generate(32)
         curve_code = wire.tls_curve_id(self.config.curve.id)
-        out = []
-        out.append(self._send_handshake(
+        out = [self._send_handshake(
             wire.HT_SERVER_HELLO,
-            wire.build_server_hello(self.server_random, curve_code)))
+            wire.build_server_hello(self.server_random, curve_code))]
         out.append(self._send_handshake(
             wire.HT_CERTIFICATE,
             wire.build_certificate([self.config.own_cert_der])))
@@ -597,10 +491,8 @@ class HandshakeSession:
             len(point).to_bytes(1, "big") + point
         signed = wire.server_key_exchange_signed_data(
             self.client_random, self.server_random, params)
-        with self.micro_stack.scratch(len(signed)), \
-                self.micro_stack.scratch(32):
-            sig = ecdsa_sign(self.own_key, sha256(signed), self.drbg,
-                             cache=self.comb_cache)
+        sig = ecdsa_sign(self.own_key, sha256(signed), self.drbg,
+                         cache=self.comb_cache)
         out.append(self._send_handshake(
             wire.HT_SERVER_KEY_EXCHANGE,
             wire.build_server_key_exchange(curve_code, point, sig.to_der())))
@@ -609,22 +501,19 @@ class HandshakeSession:
         out.append(self._send_handshake(wire.HT_SERVER_HELLO_DONE, b""))
         return out
 
-    def _server_handle_client_flight(self, pending: List[bytes]) -> List[bytes]:
+    def _on_client_flight(self, pending: List[bytes]) -> List[bytes]:
         raw, body = self._expect_handshake(pending, wire.HT_CERTIFICATE)
-        self._note_received(raw)
+        self.transcript.update(raw)
         try:
             cert_ders = wire.parse_certificate(body)
         except wire.WireError as exc:
             raise _Abort(str(exc)) from None
         if len(cert_ders) != 1:
             raise _Abort("expected exactly the client leaf certificate")
-        client_key = self._verify_client_certificate(cert_ders[0])
-        if client_key is None:
-            raise _Abort("client certificate rejected")
-        self.peer_key = client_key
+        self.peer_key = self._verify_peer_certificate(cert_ders[0]).public_key
 
         raw, body = self._expect_handshake(pending, wire.HT_CLIENT_KEY_EXCHANGE)
-        self._note_received(raw)
+        self.transcript.update(raw)
         try:
             point = wire.parse_client_key_exchange(body)
             self.peer_eph = AffinePoint.decode(point, self.config.curve)
@@ -633,56 +522,20 @@ class HandshakeSession:
             raise _Abort("key agreement failed: %s" % exc) from None
         cv_digest = self.transcript.copy().digest()
         self._derive_keys(shared.to_bytes())
-        self._advance("client_keys")
 
         raw, body = self._expect_handshake(pending, wire.HT_CERTIFICATE_VERIFY)
         try:
             sig = EcdsaSignature.from_der(wire.parse_certificate_verify(body))
         except (wire.WireError, SignatureError) as exc:
             raise _Abort("bad CertificateVerify: %s" % exc) from None
-        if not ecdsa_verify(client_key, cv_digest, sig, self.comb_cache):
+        if not ecdsa_verify(self.peer_key, cv_digest, sig, self.comb_cache):
             raise _Abort("CertificateVerify signature invalid")
-        self._note_received(raw)
-        self._advance("certs_ok")
-        self._advance("await_finished")
+        self.transcript.update(raw)
 
-        kind, _payload = self._pull(pending)
-        if kind is None:
-            raise _FlightIncomplete()
-        if kind != "ccs":
-            raise _Abort("expected ChangeCipherSpec before client Finished")
-        self.records.start_read_epoch(self._client_write_key())
-        raw, body = self._expect_handshake(pending, wire.HT_FINISHED)
-        digest = self.transcript.copy().digest()
-        if body != self._verify_data(b"client finished", digest):
-            raise _Abort("client Finished verification failed")
-        self._note_received(raw)
-        self._advance("peer_finished")
-
-        out = [self.records.encode(CONTENT_CCS, b"\x01")]
-        self.records.start_write_epoch(self._server_write_key())
-        digest = self.transcript.copy().digest()
-        verify_data = self._verify_data(b"server finished", digest)
-        out.append(self._send_handshake(wire.HT_FINISHED, verify_data))
-        return out
-
-    def _verify_client_certificate(self, der: bytes) -> Optional[AffinePoint]:
-        try:
-            cert = x509_parse(der, self.registry)
-        except X509Error:
-            return None
-        if cert.curve_id != self.config.curve.id:
-            return None
-        if cert.issuer != self.ca_subject:
-            return None
-        if self.config.expected_peer_cn is not None and \
-                cert.subject_cn() != self.config.expected_peer_cn:
-            return None
-        ok, _reason = x509_verify(cert, self.ca_key, int(self.config.clock()),
-                                  self.comb_cache)
-        if not ok:
-            return None
-        return cert.public_key
+        self._read_peer_finished(pending, self._client_write_key(),
+                                 b"client finished")
+        return self._change_cipher_and_finish(self._server_write_key(),
+                                              b"server finished")
 
     # -- application data --------------------------------------------------------
 
@@ -716,3 +569,29 @@ class HandshakeSession:
     def close(self) -> None:
         if self.security is not None:
             self.security.zeroize()
+
+
+class _Flight(NamedTuple):
+    handler: Callable[[HandshakeSession, List[bytes]], List[bytes]]
+    records: int    # inbound records in the awaited flight
+    reached: State  # resting state once the handler returns
+
+
+# (role, resting state) -> the flight awaited there.  ESTABLISHED and FAILED
+# have no entry, so steps in them do nothing.
+_FLIGHTS: Dict[Tuple[str, State], _Flight] = {
+    ("client", State.INIT): _Flight(
+        HandshakeSession._send_client_hello, 0, State.HELLO_SENT),
+    ("client", State.HELLO_SENT): _Flight(  # HelloVerifyRequest
+        HandshakeSession._on_hello_verify_request, 1, State.COOKIE_WAIT),
+    ("client", State.COOKIE_WAIT): _Flight(  # SH, Cert, SKE, CertReq, SHDone
+        HandshakeSession._on_server_flight, 5, State.FINISHED_WAIT),
+    ("client", State.FINISHED_WAIT): _Flight(  # CCS, Finished
+        HandshakeSession._on_server_finished, 2, State.ESTABLISHED),
+    ("server", State.INIT): _Flight(  # ClientHello
+        HandshakeSession._on_client_hello, 1, State.COOKIE_WAIT),
+    ("server", State.COOKIE_WAIT): _Flight(  # ClientHello with cookie
+        HandshakeSession._on_cookie_hello, 1, State.HELLO_EXCHANGED),
+    ("server", State.HELLO_EXCHANGED): _Flight(  # Cert, CKE, CV, CCS, Finished
+        HandshakeSession._on_client_flight, 5, State.ESTABLISHED),
+}

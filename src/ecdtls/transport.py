@@ -2,7 +2,9 @@
 
 Loopback runs both state machines in one thread of control, stepping them
 alternately; an optional interceptor sees every flight and may tamper with
-or drop datagrams (the adversarial-harness hook).
+or drop datagrams (the adversarial-harness hook).  The UDP driver blocks for
+as many datagrams as the session's flight table says its next flight holds
+(`HandshakeSession.awaited_records`), one record per datagram.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import socket
 from typing import Callable, List, Optional, Tuple
 
-from .handshake import HandshakeSession, State
+from .handshake import HandshakeSession
 
 Interceptor = Callable[[str, List[bytes]], List[bytes]]
 
@@ -134,30 +136,15 @@ class UdpEndpoint:
         self.sock.close()
 
 
-# inbound record counts per (role, state): one flight each
-_EXPECTED_FLIGHT = {
-    ("client", State.HELLO_SENT): 1,      # HelloVerifyRequest
-    ("client", State.COOKIE_WAIT): 5,     # SH, Cert, SKE, CertReq, SHDone
-    ("client", State.FINISHED_WAIT): 2,   # CCS, Finished
-    ("server", State.INIT): 1,            # ClientHello
-    ("server", State.COOKIE_WAIT): 1,     # ClientHello(cookie)
-    ("server", State.HELLO_EXCHANGED): 5, # Cert, CKE, CV, CCS, Finished
-}
-
-
 def run_udp_handshake(session: HandshakeSession, endpoint: UdpEndpoint,
                       max_iterations: int = MAX_LOOPBACK_ITERATIONS) -> bool:
     """Drive one role of the handshake over UDP until it terminates."""
     step = session.client_step if session.role == "client" else \
         session.server_step
-    if session.role == "client":
-        endpoint.send(step([]))
     for _ in range(max_iterations):
         if session.established or session.failed:
             break
-        expected = _EXPECTED_FLIGHT.get((session.role, session.state), 1)
-        inbound = endpoint.receive(expected)
-        out = step(inbound)
+        out = step(endpoint.receive(session.awaited_records))
         if out:
             endpoint.send(out)
     return session.established

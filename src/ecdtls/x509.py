@@ -337,19 +337,25 @@ def x509_verify(cert: Certificate, issuer_key: AffinePoint, now: int,
 
 
 # ---------------------------------------------------------------------------
-# Certificate cache (fingerprint -> verified subject key)
+# Certificate cache ((trust anchor, fingerprint) -> verified subject key)
 
 class CertCacheEntry:
-    __slots__ = ("subject", "public_key", "curve_id")
+    __slots__ = ("subject", "public_key", "curve_id", "not_before",
+                 "not_after")
 
-    def __init__(self, subject: bytes, public_key: AffinePoint, curve_id: str):
+    def __init__(self, subject: bytes, public_key: AffinePoint, curve_id: str,
+                 not_before: int, not_after: int):
         self.subject = subject
         self.public_key = public_key
         self.curve_id = curve_id
+        self.not_before = not_before
+        self.not_after = not_after
 
 
 class CertCache:
-    """Bounded LRU of verified certificates keyed by SHA-256 fingerprint."""
+    """Bounded LRU of verified certificates keyed by the encoded trust-anchor
+    key plus the certificate's SHA-256 fingerprint, so a hit never accepts
+    what the full path would reject under the same anchor and clock."""
 
     def __init__(self, capacity: int = 4):
         self.capacity = capacity
@@ -358,33 +364,38 @@ class CertCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def check(self, der: bytes) -> Optional[CertCacheEntry]:
-        """Hit returns the stored key with no parsing or verification."""
-        fp = sha256(der)
-        entry = self._entries.get(fp)
-        if entry is None:
+    def check(self, der: bytes, anchor: AffinePoint,
+              now: int) -> Optional[CertCacheEntry]:
+        """A hit returns the stored key with no parsing or signature check.
+        An entry outside its validity window at now counts as a miss."""
+        key = anchor.encode() + sha256(der)
+        entry = self._entries.get(key)
+        if entry is None or not entry.not_before <= now <= entry.not_after:
             counters.record("cert_cache_miss")
             return None
         counters.record("cert_cache_hit")
-        del self._entries[fp]
-        self._entries[fp] = entry
+        del self._entries[key]
+        self._entries[key] = entry
         return entry
 
-    def insert(self, cert: Certificate) -> None:
-        fp = cert.fingerprint()
-        self._entries.pop(fp, None)
-        self._entries[fp] = CertCacheEntry(cert.subject, cert.public_key,
-                                           cert.curve_id)
+    def insert(self, cert: Certificate, anchor: AffinePoint) -> None:
+        """Remember cert as verified under the trust anchor's key."""
+        key = anchor.encode() + cert.fingerprint()
+        self._entries.pop(key, None)
+        self._entries[key] = CertCacheEntry(cert.subject, cert.public_key,
+                                            cert.curve_id, cert.not_before,
+                                            cert.not_after)
         while len(self._entries) > self.capacity:
             del self._entries[next(iter(self._entries))]
 
     def save(self, path: str) -> None:
-        """Persist as text: fingerprint, curve, subject, point per line."""
+        """Persist as text, one entry per line: key (anchor || fingerprint),
+        curve, subject, point, notBefore, notAfter."""
         lines = []
-        for fp, e in self._entries.items():
-            lines.append("%s %s %s %s" % (fp.hex(), e.curve_id,
-                                          e.subject.hex(),
-                                          e.public_key.encode().hex()))
+        for key, e in self._entries.items():
+            lines.append("%s %s %s %s %d %d" % (
+                key.hex(), e.curve_id, e.subject.hex(),
+                e.public_key.encode().hex(), e.not_before, e.not_after))
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + ("\n" if lines else ""))
 
@@ -397,11 +408,13 @@ class CertCache:
                 line = line.strip()
                 if not line:
                     continue
-                fp_hex, curve_id, subj_hex, point_hex = line.split()
+                key_hex, curve_id, subj_hex, point_hex, not_before, \
+                    not_after = line.split()
                 curve = registry.get(curve_id)
                 point = AffinePoint.decode(bytes.fromhex(point_hex), curve)
-                cache._entries[bytes.fromhex(fp_hex)] = CertCacheEntry(
-                    bytes.fromhex(subj_hex), point, curve_id)
+                cache._entries[bytes.fromhex(key_hex)] = CertCacheEntry(
+                    bytes.fromhex(subj_hex), point, curve_id,
+                    int(not_before), int(not_after))
         return cache
 
 

@@ -1,11 +1,10 @@
 import pytest
 
-from ecdtls import counters
-from ecdtls.credentials import generate_pki
-from ecdtls.handshake import (MODE_CACHED, MODE_FULL, MICRO_STACK_CAPACITY,
-                              HandshakeError, HandshakeSession, MicroStack,
-                              MicroStackOverflow, SessionConfig, State,
-                              TRANSITIONS)
+from ecdtls import wire
+from ecdtls.credentials import NOT_AFTER, generate_pki
+from ecdtls.handshake import (MODE_CACHED, MODE_FULL, HandshakeError,
+                              HandshakeSession, SessionConfig, State)
+from ecdtls.record import CONTENT_HANDSHAKE
 from ecdtls.scalarmult import CombCache
 from ecdtls.transport import exchange_app_data, run_loopback
 from ecdtls.x509 import CertCache
@@ -14,12 +13,13 @@ FIXED_CLOCK = lambda: 1754784000.0  # mid validity window
 
 
 def make_pair(curve, pki, mode=MODE_FULL, client_entropy=b"C" * 32,
-              server_entropy=b"S" * 32, cert_cache=None):
+              server_entropy=b"S" * 32, cert_cache=None,
+              client_clock=FIXED_CLOCK, client_ca_der=None):
     client_cfg = SessionConfig(
         role="client", curve=curve, own_cert_der=pki.client.cert_der,
-        own_key_d=pki.client.key.d, ca_der=pki.ca_der, mode=mode,
-        entropy=client_entropy, expected_peer_cn="server",
-        cert_cache=cert_cache, clock=FIXED_CLOCK)
+        own_key_d=pki.client.key.d, ca_der=client_ca_der or pki.ca_der,
+        mode=mode, entropy=client_entropy, expected_peer_cn="server",
+        cert_cache=cert_cache, clock=client_clock)
     server_cfg = SessionConfig(
         role="server", curve=curve, own_cert_der=pki.server.cert_der,
         own_key_d=pki.server.key.d, ca_der=pki.ca_der, mode=MODE_FULL,
@@ -30,6 +30,11 @@ def make_pair(curve, pki, mode=MODE_FULL, client_entropy=b"C" * 32,
 @pytest.fixture(scope="module")
 def toy_pki(toy):
     return generate_pki(toy, b"toy-pki-entropy" * 2)
+
+
+@pytest.fixture(scope="module")
+def p160_pki(curves):
+    return generate_pki(curves["secp160r1"], b"p160-pki-entropy" * 2)
 
 
 @pytest.fixture(scope="module")
@@ -88,14 +93,6 @@ class TestLoopbackHandshake:
         with pytest.raises(HandshakeError):
             client.seal_app_data(b"too early")
 
-    def test_micro_stack_balanced_with_peak(self, toy, toy_pki):
-        client, server = make_pair(toy, toy_pki)
-        result = run_loopback(client, server)
-        assert result.established
-        for session in (client, server):
-            assert session.micro_stack.balanced
-            assert 0 < session.micro_stack.peak <= MICRO_STACK_CAPACITY
-
     def test_teardown_zeroizes_keys(self, toy, toy_pki):
         client, server = make_pair(toy, toy_pki)
         run_loopback(client, server)
@@ -130,6 +127,37 @@ class TestCachedMode:
         result = run_loopback(client, server)
         assert result.established
         assert client.handshake_counters["cert_cache_miss"] == 1
+
+    def test_cached_entry_expires_with_the_certificate(self, toy, toy_pki):
+        cache = CertCache()
+        client, server = make_pair(toy, toy_pki, mode=MODE_CACHED,
+                                   cert_cache=cache)
+        assert run_loopback(client, server).established
+
+        client, server = make_pair(toy, toy_pki, mode=MODE_CACHED,
+                                   cert_cache=cache,
+                                   client_clock=lambda: NOT_AFTER + 1.0)
+        result = run_loopback(client, server)
+        assert not result.established and client.failed
+        assert client.session_counters["cert_cache_hit"] == 0
+        assert client.session_counters["cert_cache_miss"] == 1
+
+    def test_cached_entry_bound_to_its_trust_anchor(self, curves, p160_pki):
+        # the client keeps its credentials but trusts another CA, whose
+        # certificate carries the same subject name as the real one
+        curve = curves["secp160r1"]
+        cache = CertCache()
+        client, server = make_pair(curve, p160_pki, mode=MODE_CACHED,
+                                   cert_cache=cache)
+        assert run_loopback(client, server).established
+
+        other = generate_pki(curve, b"other-anchor-entropy" * 2)
+        client, server = make_pair(curve, p160_pki, mode=MODE_CACHED,
+                                   cert_cache=cache,
+                                   client_ca_der=other.ca_der)
+        result = run_loopback(client, server)
+        assert not result.established and client.failed
+        assert client.session_counters["cert_cache_hit"] == 0
 
 
 class TestTampering:
@@ -190,30 +218,33 @@ class TestTampering:
 
 
 class TestStateMachine:
-    def test_no_transitions_out_of_failed(self):
-        for (role, state), events in TRANSITIONS.items():
-            assert state is not State.FAILED
-            assert state is not State.ESTABLISHED
+    def test_flight_table_drives_loopback(self, toy, toy_pki):
+        client, server = make_pair(toy, toy_pki)
+        steps = {"client": [], "server": []}
 
-    def test_established_only_via_full_flight_sequence(self):
-        # exhaustively walk the per-role transition graphs
-        for role in ("client", "server"):
-            frontier = [State.INIT]
-            paths = {State.INIT: []}
-            while frontier:
-                state = frontier.pop()
-                events = TRANSITIONS.get((role, state), {})
-                for event, nxt in events.items():
-                    if nxt not in paths or nxt is state:
-                        if nxt is not state:
-                            paths[nxt] = paths[state] + [event]
-                            frontier.append(nxt)
-            assert State.ESTABLISHED in paths
-            walked = paths[State.ESTABLISHED]
-            assert "fail" not in walked
-            # the path must traverse every non-terminal protocol phase
-            assert len(walked) == len([
-                s for (r, s) in TRANSITIONS if r == role])
+        def recording(session, step):
+            def wrapped(datagrams):
+                steps[session.role].append(
+                    (session.state, session.awaited_records, len(datagrams)))
+                return step(datagrams)
+            return wrapped
+
+        client.client_step = recording(client, client.client_step)
+        server.server_step = recording(server, server.server_step)
+        assert run_loopback(client, server).established
+
+        expected = {
+            "client": [State.INIT, State.HELLO_SENT, State.COOKIE_WAIT,
+                       State.FINISHED_WAIT, State.ESTABLISHED],
+            "server": [State.INIT, State.COOKIE_WAIT, State.HELLO_EXCHANGED,
+                       State.ESTABLISHED],
+        }
+        for session in (client, server):
+            seen = steps[session.role]
+            assert [s for s, _, _ in seen] + [session.state] == \
+                expected[session.role]
+            assert [awaited for _, awaited, _ in seen] == \
+                [delivered for _, _, delivered in seen]
 
     def test_steps_after_terminal_state_are_noops(self, toy, toy_pki):
         client, server = make_pair(toy, toy_pki)
@@ -222,36 +253,57 @@ class TestStateMachine:
         assert client.client_step([]) == []
         assert server.server_step([]) == []
 
+        failed, _ = make_pair(toy, toy_pki)
+        hello = failed.client_step([])
+        # a ClientHello where a HelloVerifyRequest belongs: abort with alert
+        assert len(failed.client_step(hello)) == 1
+        assert failed.failed
+        reason = failed.failure_reason
+        assert failed.client_step(hello) == []
+        assert failed.client_step([]) == []
+        assert failed.failed and failed.failure_reason == reason
+
     def test_wrong_role_step_rejected(self, toy, toy_pki):
         client, _ = make_pair(toy, toy_pki)
         with pytest.raises(HandshakeError):
             client.server_step([])
 
+    def test_bad_cookie_gets_fresh_hello_verify_request(self, toy, toy_pki):
+        client, server = make_pair(toy, toy_pki)
+        server.server_step(client.client_step([]))
+        assert server.state is State.COOKIE_WAIT
+        digest = server.transcript.copy().digest()
 
-class TestMicroStack:
-    def test_lifo_enforced(self):
-        ms = MicroStack(100)
-        a = ms.push(10)
-        b = ms.push(20)
-        with pytest.raises(HandshakeError):
-            ms.pop(a)
-        ms.pop(b)
-        ms.pop(a)
-        assert ms.balanced
+        bad_hello = wire.build_client_hello(client.client_random, b"\x00" * 32,
+                                            wire.tls_curve_id(toy.id))
+        out = server.server_step([client.records.encode(
+            CONTENT_HANDSHAKE,
+            wire.pack_handshake(wire.HT_CLIENT_HELLO, 1, bad_hello))])
 
-    def test_overflow_is_hard_error(self):
-        ms = MicroStack(64)
-        ms.push(60)
-        with pytest.raises(MicroStackOverflow):
-            ms.push(5)
+        assert server.state is State.COOKIE_WAIT
+        assert server.transcript.copy().digest() == digest
+        assert len(out) == 1
+        _outcome, ctype, payload = client.records.decode(out[0])
+        assert ctype == CONTENT_HANDSHAKE
+        msg_type, _seq, body = wire.parse_handshake(payload)
+        assert msg_type == wire.HT_HELLO_VERIFY_REQUEST
+        assert wire.parse_hello_verify_request(body) != b"\x00" * 32
 
-    def test_peak_watermark(self):
-        ms = MicroStack(128)
-        with ms.scratch(50):
-            with ms.scratch(30):
-                pass
-        assert ms.peak == 80
-        assert ms.balanced
+
+class TestLoss:
+    # the client's third flight: Certificate, ClientKeyExchange,
+    # CertificateVerify, ChangeCipherSpec, Finished
+    @pytest.mark.parametrize("lost", [3, 4], ids=["ccs", "finished"])
+    def test_lost_client_record_stalls_without_raising(self, curves,
+                                                       p160_pki, lost):
+        def interceptor(sender, datagrams):
+            if sender == "client" and len(datagrams) == 5:
+                return datagrams[:lost] + datagrams[lost + 1:]
+            return datagrams
+
+        client, server = make_pair(curves["secp160r1"], p160_pki)
+        result = run_loopback(client, server, interceptor=interceptor)
+        assert not client.established and not server.established
 
 
 class TestReplayAcrossHandshake:

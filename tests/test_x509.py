@@ -151,10 +151,11 @@ class TestCertCache:
     def test_hit_skips_parse_and_verify(self, registry, fixture_pki):
         cache = CertCache()
         der = fixture_pki["leaf_der"]
-        assert cache.check(der) is None
-        cache.insert(x509_parse(der, registry))
+        anchor = fixture_pki["ca_key"].Q
+        assert cache.check(der, anchor, NOW) is None
+        cache.insert(x509_parse(der, registry), anchor)
         with counters.scope() as sc:
-            entry = cache.check(der)
+            entry = cache.check(der, anchor, NOW)
         assert entry is not None
         assert sc.counters["ecdsa_verify"] == 0
         assert sc.counters["x509_parse"] == 0
@@ -162,8 +163,9 @@ class TestCertCache:
 
     def test_hit_returns_same_key_as_fresh_parse(self, registry, fixture_pki):
         cache = CertCache()
-        cache.insert(x509_parse(fixture_pki["leaf_der"], registry))
-        entry = cache.check(fixture_pki["leaf_der"])
+        anchor = fixture_pki["ca_key"].Q
+        cache.insert(x509_parse(fixture_pki["leaf_der"], registry), anchor)
+        entry = cache.check(fixture_pki["leaf_der"], anchor, NOW)
         fresh = x509_parse(fixture_pki["leaf_der"], registry)
         assert entry.public_key == fresh.public_key
         assert entry.subject == fresh.subject
@@ -171,11 +173,12 @@ class TestCertCache:
     def test_any_byte_change_misses(self, registry, fixture_pki, rng):
         cache = CertCache()
         der = fixture_pki["leaf_der"]
-        cache.insert(x509_parse(der, registry))
+        anchor = fixture_pki["ca_key"].Q
+        cache.insert(x509_parse(der, registry), anchor)
         for _ in range(20):
             mutated = bytearray(der)
             mutated[rng.randrange(len(mutated))] ^= 0xFF
-            assert cache.check(bytes(mutated)) is None
+            assert cache.check(bytes(mutated), anchor, NOW) is None
 
     def test_lru_eviction_at_capacity(self, registry, fixture_pki):
         cache = CertCache(capacity=4)
@@ -188,20 +191,27 @@ class TestCertCache:
             der = make_certificate("peer%d" % i, "test ca", 10 + i, key.Q, ca,
                                    NOT_BEFORE, NOT_AFTER)
             ders.append(der)
-            cache.insert(x509_parse(der, registry))
+            cache.insert(x509_parse(der, registry), ca.Q)
         assert len(cache) == 4
-        assert cache.check(ders[0]) is None       # evicted
-        assert cache.check(ders[1]) is not None
+        assert cache.check(ders[0], ca.Q, NOW) is None       # evicted
+        assert cache.check(ders[1], ca.Q, NOW) is not None
 
     def test_save_load_round_trip(self, registry, fixture_pki, tmp_path):
         cache = CertCache()
-        cache.insert(x509_parse(fixture_pki["leaf_der"], registry))
+        der = fixture_pki["leaf_der"]
+        anchor = fixture_pki["ca_key"].Q
+        cache.insert(x509_parse(der, registry), anchor)
         path = str(tmp_path / "cache.txt")
         cache.save(path)
         loaded = CertCache.load(path, registry)
-        entry = loaded.check(fixture_pki["leaf_der"])
+        entry = loaded.check(der, anchor, NOW)
         assert entry is not None
         assert entry.public_key == fixture_pki["leaf_key"].Q
+        # the anchor and the validity window survive the round trip
+        assert loaded.check(der, fixture_pki["leaf_key"].Q, NOW) is None
+        assert loaded.check(der, anchor, NOT_BEFORE - 1) is None
+        assert loaded.check(der, anchor, NOT_AFTER + 1) is None
+        assert loaded.check(der, anchor, NOT_AFTER) is not None
 
 
 class TestOidHelpers:
