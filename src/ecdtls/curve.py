@@ -239,19 +239,18 @@ class CurveRegistry:
     def __contains__(self, name: str) -> bool:
         return name in self._curves
 
-    def register(self, params: CurveParams, validate: bool = True) -> CurveParams:
-        if validate:
-            _validate_params(params)
+    def register(self, params: CurveParams) -> CurveParams:
+        _validate_params(params)
         self._curves[params.id] = params
         return params
 
-    def load_text(self, text: str, validate: bool = True) -> None:
+    def load_text(self, text: str) -> None:
         for params in parse_registry_text(text):
-            self.register(params, validate=validate)
+            self.register(params)
 
-    def load_file(self, path: str, validate: bool = True) -> None:
+    def load_file(self, path: str) -> None:
         with open(path, "r", encoding="utf-8") as fh:
-            self.load_text(fh.read(), validate=validate)
+            self.load_text(fh.read())
 
 
 def _validate_params(params: CurveParams) -> None:

@@ -1,4 +1,5 @@
-"""Energy model: weights over operation counters, reports, and comparisons.
+"""Energy model: joules per counted operation, and the modeled total of a
+counter vector.
 
 The model prices field work per interleaved-multiplier iteration and per
 Euclid-inversion bit, with the two weights fitted once so that a default
@@ -11,10 +12,12 @@ operations, not a measurement.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from . import counters
 from .counters import OpCounters
+from .curve import CurveParams, get_curve
+from .scalarmult import CombCache, ecsm_comb, ecsm_jacobian
 
 # Reference calibration anchors (all energies in joules)
 CAL_ECSM_256B_J = 6.34e-6        # one 256-bit scalar multiplication
@@ -24,92 +27,48 @@ CAL_AFFINE_VS_JACOBIAN = 1.93    # projective/affine ECSM energy ratio
 CAL_HANDSHAKE_J = 44.08e-6       # reference whole-handshake energy
 CAL_APPDATA_J_PER_BYTE = 0.89e-9  # reference per-byte application data cost
 
-CATEGORY_ECC = "ecc"
-CATEGORY_SYMMETRIC = "symmetric"
-CATEGORY_OTHER = "other"
-
-KIND_CATEGORIES: Dict[str, str] = {
-    "mod_add": CATEGORY_ECC, "mod_sub": CATEGORY_ECC, "mod_mul": CATEGORY_ECC,
-    "mul_iter": CATEGORY_ECC, "mod_inv_euclid": CATEGORY_ECC,
-    "inv_work": CATEGORY_ECC, "mod_inv_fermat": CATEGORY_ECC,
-    "point_add": CATEGORY_ECC, "point_double": CATEGORY_ECC,
-    "ecsm_comb": CATEGORY_ECC, "ecsm_double_and_add": CATEGORY_ECC,
-    "ecsm_jacobian": CATEGORY_ECC, "ecsm_montgomery": CATEGORY_ECC,
-    "comb_precompute": CATEGORY_ECC, "comb_cache_hit": CATEGORY_ECC,
-    "comb_cache_miss": CATEGORY_ECC, "ecdsa_sign": CATEGORY_ECC,
-    "ecdsa_verify": CATEGORY_ECC,
-    "aes_block": CATEGORY_SYMMETRIC, "ghash_block": CATEGORY_SYMMETRIC,
-    "sha_compress": CATEGORY_SYMMETRIC, "sha_message": CATEGORY_SYMMETRIC,
-    "hmac": CATEGORY_SYMMETRIC, "drbg_generate": CATEGORY_SYMMETRIC,
-    "cert_cache_hit": CATEGORY_OTHER, "cert_cache_miss": CATEGORY_OTHER,
-    "x509_parse": CATEGORY_OTHER, "bytes_sealed": CATEGORY_OTHER,
-    "bytes_opened": CATEGORY_OTHER,
-}
+# Every counter kind the model prices; most weigh nothing, but a kind missing
+# here is an error, so a new counter cannot silently cost zero.
+PRICED_KINDS = (
+    "mod_add", "mod_sub", "mod_mul", "mul_iter", "mod_inv_euclid",
+    "inv_work", "mod_inv_fermat", "point_add", "point_double", "ecsm_comb",
+    "ecsm_double_and_add", "ecsm_jacobian", "ecsm_montgomery",
+    "comb_precompute", "comb_cache_hit", "comb_cache_miss", "ecdsa_sign",
+    "ecdsa_verify", "aes_block", "ghash_block", "sha_compress", "sha_message",
+    "hmac", "drbg_generate", "cert_cache_hit", "cert_cache_miss",
+    "x509_parse", "bytes_sealed", "bytes_opened",
+)
 
 
 class EnergyModelError(Exception):
     pass
 
 
-class EnergyEstimate:
-    def __init__(self, total: float, by_category: Dict[str, float],
-                 by_kind: Dict[str, float]):
-        self.total = total
-        self.by_category = by_category
-        self.by_kind = by_kind
-
-    def category_share(self, category: str) -> float:
-        if self.total == 0:
-            return 0.0
-        return self.by_category.get(category, 0.0) / self.total
+class EnergyEstimate(NamedTuple):
+    total: float  # joules
 
 
 class EnergyModel:
     """Weight table over counter kinds; weights are joules per counted unit."""
 
-    def __init__(self, weights: Dict[str, float], provenance: Dict[str, str]):
+    def __init__(self, weights: Dict[str, float]):
         for kind, w in weights.items():
             if w < 0:
                 raise EnergyModelError("negative weight for %s" % kind)
         self.weights = weights
-        self.provenance = provenance
 
     def estimate(self, counts: OpCounters) -> EnergyEstimate:
         unknown = sorted(k for k in counts if k not in self.weights)
         if unknown:
             raise EnergyModelError(
                 "no weight for counter kind(s): %s" % ", ".join(unknown))
-        by_kind: Dict[str, float] = {}
-        by_category = {CATEGORY_ECC: 0.0, CATEGORY_SYMMETRIC: 0.0,
-                       CATEGORY_OTHER: 0.0}
+        # one kind at a time in the counters' order: float addition does not
+        # associate, so another order or a compensated sum (such as sum() on
+        # Python 3.12+) would move totals in their last digit
         total = 0.0
         for kind, count in counts.items():
-            j = self.weights[kind] * count
-            if j:
-                by_kind[kind] = j
-            by_category[KIND_CATEGORIES.get(kind, CATEGORY_OTHER)] += j
-            total += j
-        return EnergyEstimate(total, by_category, by_kind)
-
-    def calibration_rows(self) -> List["Metric"]:
-        """Calibration constants and their provenance, for report headers."""
-        rows = [
-            Metric("calib.ecsm_256bit", CAL_ECSM_256B_J * 1e6, "uJ",
-                   "reference anchor"),
-            Metric("calib.aes_block", CAL_AES_BLOCK_J * 1e9, "nJ",
-                   "reference anchor"),
-            Metric("calib.sha_compress", CAL_SHA_COMPRESS_J * 1e9, "nJ",
-                   "reference anchor"),
-            Metric("calib.affine_vs_jacobian", CAL_AFFINE_VS_JACOBIAN, "ratio",
-                   "reference anchor"),
-            Metric("weight.mul_iteration", self.weights["mul_iter"] * 1e12,
-                   "pJ", self.provenance.get("mul_iter", "fitted")),
-            Metric("weight.inversion_bit", self.weights["inv_work"] * 1e12,
-                   "pJ", self.provenance.get("inv_work", "fitted")),
-            Metric("weight.ghash_block", self.weights["ghash_block"] * 1e9,
-                   "nJ", self.provenance.get("ghash_block", "model choice")),
-        ]
-        return rows
+            total += self.weights[kind] * count
+        return EnergyEstimate(total)
 
 
 _default_model: Optional[EnergyModel] = None
@@ -126,12 +85,15 @@ def default_model() -> EnergyModel:
 _FIT_CURVE = "secp256r1"
 
 
+def calibration_scalar(curve: CurveParams) -> int:
+    """The fixed odd scalar, about 2n/3, that the fit multiplies by."""
+    return (curve.n * 2 // 3) | 1
+
+
 def _measure_calibration_counts() -> Tuple[OpCounters, OpCounters]:
-    from .curve import get_curve
-    from .scalarmult import CombCache, ecsm_comb, ecsm_jacobian
     curve = get_curve(_FIT_CURVE)
     G = curve.generator()
-    k_cal = (curve.n * 2 // 3) | 1
+    k_cal = calibration_scalar(curve)
     with counters.isolated():
         cache = CombCache()
         ecsm_comb(k_cal, G, cache)  # build the table outside the measurement
@@ -165,7 +127,7 @@ def _fit_default_model() -> EnergyModel:
     w_inv = (a1 * target_jac - a2 * target_hit) / det
     if w_iter <= 0 or w_inv <= 0:
         raise EnergyModelError("calibration produced non-positive weights")
-    weights = {kind: 0.0 for kind in KIND_CATEGORIES}
+    weights = dict.fromkeys(PRICED_KINDS, 0.0)
     weights["mul_iter"] = w_iter
     weights["mod_add"] = w_iter
     weights["mod_sub"] = w_iter
@@ -174,128 +136,4 @@ def _fit_default_model() -> EnergyModel:
     weights["sha_compress"] = CAL_SHA_COMPRESS_J
     # GHASH runs on the same datapath scale as one AES block pass (model choice)
     weights["ghash_block"] = CAL_AES_BLOCK_J
-    provenance = {
-        "mul_iter": "fitted to the 256-bit ECSM anchor",
-        "inv_work": "fitted to the affine/Jacobian ratio anchor",
-        "aes_block": "reference anchor",
-        "sha_compress": "reference anchor",
-        "ghash_block": "modeled equal to one AES block",
-    }
-    return EnergyModel(weights, provenance)
-
-
-# ---------------------------------------------------------------------------
-# Scenarios and comparison reports
-
-class Scenario:
-    """A labeled counter snapshot plus the configuration that produced it."""
-
-    def __init__(self, label: str, counts: OpCounters, config: Dict[str, str]):
-        self.label = label
-        self.counts = counts
-        self.config = dict(config)
-
-    def energy(self, model: Optional[EnergyModel] = None) -> EnergyEstimate:
-        return (model or default_model()).estimate(self.counts)
-
-
-class Metric:
-    """One report row: name, value, unit, provenance."""
-
-    __slots__ = ("name", "value", "unit", "provenance")
-
-    def __init__(self, name: str, value, unit: str, provenance: str):
-        self.name = name
-        self.value = value
-        self.unit = unit
-        self.provenance = provenance
-
-
-class Report:
-    def __init__(self, title: str):
-        self.title = title
-        self.rows: List[Metric] = []
-
-    def add(self, name: str, value, unit: str, provenance: str) -> None:
-        self.rows.append(Metric(name, value, unit, provenance))
-
-    def extend(self, rows: Sequence[Metric]) -> None:
-        self.rows.extend(rows)
-
-    def render_text(self) -> str:
-        lines = ["# %s" % self.title]
-        width = max((len(r.name) for r in self.rows), default=0)
-        for r in self.rows:
-            if isinstance(r.value, float):
-                value = "%.6g" % r.value
-            else:
-                value = str(r.value)
-            lines.append("%-*s  %14s %-6s  [%s]"
-                         % (width, r.name, value, r.unit, r.provenance))
-        return "\n".join(lines)
-
-    def render_machine(self) -> str:
-        """One metric per line: name, value, unit, provenance (tab-separated)."""
-        lines = []
-        for r in self.rows:
-            value = ("%.9g" % r.value) if isinstance(r.value, float) else str(r.value)
-            lines.append("\t".join((r.name, value, r.unit, r.provenance)))
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    def write(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.render_machine())
-
-
-INTERESTING_RATIO_KINDS = (
-    "point_add", "point_double", "mod_mul", "mod_inv_euclid",
-    "mod_inv_fermat", "ecdsa_verify", "aes_block", "sha_compress",
-)
-
-
-def compare_report(a: Scenario, b: Scenario,
-                   contrast: Sequence[str] = (),
-                   model: Optional[EnergyModel] = None) -> Report:
-    """Ratio table for two scenarios that differ only in the contrasted
-    configuration keys."""
-    keys = set(a.config) | set(b.config)
-    for key in keys:
-        if key in contrast:
-            continue
-        if a.config.get(key) != b.config.get(key):
-            raise EnergyModelError(
-                "scenario configs differ outside the contrast: %r" % key)
-    model = model or default_model()
-    ea, eb = model.estimate(a.counts), model.estimate(b.counts)
-    report = Report("%s vs %s" % (a.label, b.label))
-    report.extend(model.calibration_rows())
-    report.add("energy.%s" % a.label, ea.total * 1e6, "uJ", "modeled")
-    report.add("energy.%s" % b.label, eb.total * 1e6, "uJ", "modeled")
-    if eb.total:
-        report.add("energy.ratio", ea.total / eb.total, "ratio", "modeled")
-    for kind in INTERESTING_RATIO_KINDS:
-        ca, cb = a.counts.get(kind, 0), b.counts.get(kind, 0)
-        if ca == 0 and cb == 0:
-            continue
-        report.add("count.%s.%s" % (kind, a.label), ca, "ops", "measured")
-        report.add("count.%s.%s" % (kind, b.label), cb, "ops", "measured")
-        if cb:
-            report.add("count.%s.ratio" % kind, ca / cb, "ratio", "measured")
-    return report
-
-
-def breakdown_report(title: str, scenario: Scenario,
-                     model: Optional[EnergyModel] = None) -> Report:
-    model = model or default_model()
-    est = model.estimate(scenario.counts)
-    report = Report(title)
-    report.extend(model.calibration_rows())
-    report.add("energy.total", est.total * 1e6, "uJ", "modeled")
-    for cat in (CATEGORY_ECC, CATEGORY_SYMMETRIC, CATEGORY_OTHER):
-        report.add("energy.%s" % cat, est.by_category[cat] * 1e6, "uJ",
-                   "modeled")
-        report.add("share.%s" % cat, est.category_share(cat), "fraction",
-                   "modeled")
-    for kind in sorted(scenario.counts):
-        report.add("count.%s" % kind, scenario.counts[kind], "ops", "measured")
-    return report
+    return EnergyModel(weights)

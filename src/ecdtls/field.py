@@ -183,9 +183,6 @@ class FieldElement:
     def __repr__(self) -> str:
         return "FieldElement(0x%x mod 0x%x)" % (self.value, self.modulus.p)
 
-    def is_zero(self) -> bool:
-        return self.value == 0
-
     def inverse(self) -> "FieldElement":
         return FieldElement(inv_euclid_int(self.value, self.modulus), self.modulus)
 

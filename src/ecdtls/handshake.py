@@ -28,8 +28,8 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import counters, wire
 from .aesgcm import AeadKey
-from .curve import AffinePoint, CurveError, CurveParams, CurveRegistry, \
-    WEIERSTRASS
+from .curve import AffinePoint, CurveError, CurveParams, WEIERSTRASS, \
+    builtin_registry
 from .drbg import HmacDrbg
 from .ecdsa import EcdsaSignature, KeyPair, SignatureError, ecdsa_sign, \
     ecdsa_verify
@@ -117,10 +117,8 @@ class SessionConfig:
                  own_key_d: int, ca_der: bytes, mode: str = MODE_FULL,
                  entropy: Optional[bytes] = None,
                  expected_peer_cn: Optional[str] = None,
-                 peer_label: str = "client",
                  comb_cache: Optional[CombCache] = None,
                  cert_cache: Optional[CertCache] = None,
-                 registry: Optional[CurveRegistry] = None,
                  clock: Callable[[], float] = time.time):
         if role not in ("client", "server"):
             raise HandshakeError("role must be client or server")
@@ -136,10 +134,8 @@ class SessionConfig:
         self.ca_der = ca_der
         self.entropy = entropy if entropy is not None else os.urandom(32)
         self.expected_peer_cn = expected_peer_cn
-        self.peer_label = peer_label
         self.comb_cache = comb_cache if comb_cache is not None else CombCache()
         self.cert_cache = cert_cache if cert_cache is not None else CertCache()
-        self.registry = registry
         self.clock = clock
 
 
@@ -147,9 +143,8 @@ class HandshakeSession:
     """One endpoint of a DTLS 1.2 handshake plus its application-data phase."""
 
     def __init__(self, config: SessionConfig):
-        from .curve import builtin_registry
         self.config = config
-        self.registry = config.registry or builtin_registry()
+        self.registry = builtin_registry()
         self.role = config.role
         self.state = State.INIT
         self.failure_reason: Optional[str] = None
@@ -234,8 +229,7 @@ class HandshakeSession:
         return self.records.encode(CONTENT_HANDSHAKE, msg)
 
     def _cookie_for(self, client_random: bytes) -> bytes:
-        return hmac_sha256(self.cookie_secret,
-                           self.config.peer_label.encode() + client_random)
+        return hmac_sha256(self.cookie_secret, b"client" + client_random)
 
     # -- key schedule -----------------------------------------------------------
 
@@ -338,10 +332,10 @@ class HandshakeSession:
         self._check_peer_identity(cert.curve_id, cert.subject)
         if cert.issuer != self.ca_subject:
             raise _Abort("peer certificate rejected")
-        ok, _reason = x509_verify(cert, self.ca_key, int(self.config.clock()),
-                                  self.comb_cache)
+        ok, reason = x509_verify(cert, self.ca_key, int(self.config.clock()),
+                                 self.comb_cache)
         if not ok:
-            raise _Abort("peer certificate rejected")
+            raise _Abort("peer certificate rejected: %s" % reason)
         return cert
 
     # -- client flights -------------------------------------------------------

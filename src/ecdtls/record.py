@@ -30,7 +30,6 @@ DROP_MALFORMED = "malformed"
 DROP_REPLAY = "replay"
 DROP_BAD_EPOCH = "bad_epoch"
 DROP_AUTH_FAIL = "auth_fail"
-DROP_BAD_VERSION = "bad_version"
 
 
 class RecordError(Exception):

@@ -144,8 +144,7 @@ class CombCache:
     Mutable; callers serialize access (one writer at a time).
     """
 
-    def __init__(self, capacity: int = COMB_CACHE_CAPACITY):
-        self.capacity = capacity
+    def __init__(self):
         self._tables: Dict[bytes, CombTable] = {}
 
     def __len__(self) -> int:
@@ -180,7 +179,7 @@ class CombCache:
             raise CachePoisonedError("freshly built table base mismatch")
         self._tables.pop(key, None)
         self._tables[key] = table
-        while len(self._tables) > self.capacity:
+        while len(self._tables) > COMB_CACHE_CAPACITY:
             oldest = next(iter(self._tables))
             del self._tables[oldest]
         return table

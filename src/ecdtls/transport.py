@@ -32,15 +32,14 @@ class LoopbackResult:
 
 
 def run_loopback(client: HandshakeSession, server: HandshakeSession,
-                 interceptor: Optional[Interceptor] = None,
-                 max_iterations: int = MAX_LOOPBACK_ITERATIONS
+                 interceptor: Optional[Interceptor] = None
                  ) -> LoopbackResult:
     """Alternate client/server steps until both establish, either fails, or
     progress stalls."""
     to_server: List[bytes] = []
     to_client: List[bytes] = []
     iterations = 0
-    while iterations < max_iterations:
+    while iterations < MAX_LOOPBACK_ITERATIONS:
         iterations += 1
         progressed = False
 
@@ -136,12 +135,12 @@ class UdpEndpoint:
         self.sock.close()
 
 
-def run_udp_handshake(session: HandshakeSession, endpoint: UdpEndpoint,
-                      max_iterations: int = MAX_LOOPBACK_ITERATIONS) -> bool:
+def run_udp_handshake(session: HandshakeSession,
+                      endpoint: UdpEndpoint) -> bool:
     """Drive one role of the handshake over UDP until it terminates."""
     step = session.client_step if session.role == "client" else \
         session.server_step
-    for _ in range(max_iterations):
+    for _ in range(MAX_LOOPBACK_ITERATIONS):
         if session.established or session.failed:
             break
         out = step(endpoint.receive(session.awaited_records))

@@ -40,6 +40,11 @@ class UnsupportedCurveError(X509Error):
     """EC key on a curve absent from the registry."""
 
 
+class UnknownCriticalExtensionError(X509Error):
+    """A critical extension this parser does not recognise; RFC 5280 §4.2
+    requires the certificate to be rejected."""
+
+
 OID_ECDSA_SHA256 = "1.2.840.10045.4.3.2"
 OID_EC_PUBLIC_KEY = "1.2.840.10045.2.1"
 OID_COMMON_NAME = "2.5.4.3"
@@ -287,11 +292,15 @@ def _parse_certificate(der: bytes, registry: CurveRegistry) -> Certificate:
                 _, crit_body, _, _ = ext.read(TAG_BOOLEAN)
                 critical = crit_body != b"\x00"
             _, ext_value, _, _ = ext.read(TAG_OCTET_STRING)
-            if decode_oid(ext_oid_body) == OID_BASIC_CONSTRAINTS:
+            ext_oid = decode_oid(ext_oid_body)
+            if ext_oid == OID_BASIC_CONSTRAINTS:
                 bc = DerCursor(*_contents_of(ext_value, TAG_SEQUENCE))
                 if not bc.done() and bc.peek_tag() == TAG_BOOLEAN:
                     _, ca_body, _, _ = bc.read(TAG_BOOLEAN)
                     is_ca = ca_body != b"\x00"
+            elif critical:
+                raise UnknownCriticalExtensionError(
+                    "unknown critical extension %s" % ext_oid)
     if not tbs.done():
         raise MalformedDerError("unexpected data after TBS extensions")
 
@@ -339,6 +348,9 @@ def x509_verify(cert: Certificate, issuer_key: AffinePoint, now: int,
 # ---------------------------------------------------------------------------
 # Certificate cache ((trust anchor, fingerprint) -> verified subject key)
 
+CERT_CACHE_CAPACITY = 4
+
+
 class CertCacheEntry:
     __slots__ = ("subject", "public_key", "curve_id", "not_before",
                  "not_after")
@@ -357,8 +369,7 @@ class CertCache:
     key plus the certificate's SHA-256 fingerprint, so a hit never accepts
     what the full path would reject under the same anchor and clock."""
 
-    def __init__(self, capacity: int = 4):
-        self.capacity = capacity
+    def __init__(self):
         self._entries: Dict[bytes, CertCacheEntry] = {}
 
     def __len__(self) -> int:
@@ -385,7 +396,7 @@ class CertCache:
         self._entries[key] = CertCacheEntry(cert.subject, cert.public_key,
                                             cert.curve_id, cert.not_before,
                                             cert.not_after)
-        while len(self._entries) > self.capacity:
+        while len(self._entries) > CERT_CACHE_CAPACITY:
             del self._entries[next(iter(self._entries))]
 
     def save(self, path: str) -> None:
@@ -400,9 +411,8 @@ class CertCache:
             fh.write("\n".join(lines) + ("\n" if lines else ""))
 
     @classmethod
-    def load(cls, path: str, registry: CurveRegistry,
-             capacity: int = 4) -> "CertCache":
-        cache = cls(capacity)
+    def load(cls, path: str, registry: CurveRegistry) -> "CertCache":
+        cache = cls()
         with open(path, "r", encoding="utf-8") as fh:
             for line in fh:
                 line = line.strip()

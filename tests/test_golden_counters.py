@@ -7,10 +7,21 @@ bit-serial reference implementation; any drift in a handshake's counter
 vector, an ECSM snapshot, or the order of traced comb operations fails here.
 """
 
+from typing import Dict, Optional, Tuple
+
 import pytest
 
-from ecdtls import bench, counters
-from ecdtls.scalarmult import CombCache, ecsm_comb
+from ecdtls import counters
+from ecdtls.counters import OpCounters
+from ecdtls.credentials import generate_pki
+from ecdtls.curve import get_curve
+from ecdtls.energy import calibration_scalar
+from ecdtls.handshake import MODE_CACHED, MODE_FULL, HandshakeSession, \
+    SessionConfig
+from ecdtls.scalarmult import CombCache, ecsm_comb, ecsm_double_and_add, \
+    ecsm_jacobian
+from ecdtls.transport import run_loopback
+from ecdtls.x509 import CertCache
 
 HANDSHAKE_COUNTERS = {
     ("secp160r1", "cached", "client"): {
@@ -123,12 +134,72 @@ TRACE_LETTERS = {"mod_mul": "m", "mod_inv_euclid": "i", "mod_inv_fermat": "f",
                  "point_add": "A", "point_double": "D"}
 
 
+# ---------------------------------------------------------------------------
+# The scenarios the vectors were taken from
+
+FIXED_CLOCK = lambda: 1754784000.0
+
+
+def ecsm_scenarios(curve_name: str) -> Dict[str, OpCounters]:
+    """Comb (miss, then hit), double-and-add and Jacobian counts for the
+    energy model's calibration scalar."""
+    curve = get_curve(curve_name)
+    G = curve.generator()
+    k = calibration_scalar(curve)
+    cache = CombCache()
+    out = {}
+    for label, run in (("comb_miss", lambda: ecsm_comb(k, G, cache)),
+                       ("comb_hit", lambda: ecsm_comb(k, G, cache)),
+                       ("double_and_add", lambda: ecsm_double_and_add(k, G)),
+                       ("jacobian", lambda: ecsm_jacobian(k, G))):
+        with counters.scope() as sc:
+            run()
+        out[label] = sc.counters
+    return out
+
+
+def _session_pair(curve, pki, mode: str, cert_cache: Optional[CertCache],
+                  entropy_tag: bytes) -> Tuple[HandshakeSession,
+                                               HandshakeSession]:
+    client = HandshakeSession(SessionConfig(
+        role="client", curve=curve, own_cert_der=pki.client.cert_der,
+        own_key_d=pki.client.key.d, ca_der=pki.ca_der, mode=mode,
+        entropy=b"bench-client" + entropy_tag, expected_peer_cn="server",
+        cert_cache=cert_cache, clock=FIXED_CLOCK))
+    server = HandshakeSession(SessionConfig(
+        role="server", curve=curve, own_cert_der=pki.server.cert_der,
+        own_key_d=pki.server.key.d, ca_der=pki.ca_der, mode=MODE_FULL,
+        entropy=b"bench-server" + entropy_tag, expected_peer_cn="client",
+        clock=FIXED_CLOCK))
+    return client, server
+
+
+def handshake_scenario(curve_name: str, mode: str
+                       ) -> Tuple[HandshakeSession, HandshakeSession]:
+    """One established loopback handshake from a cold process: fresh comb
+    caches, and for cached mode a certificate cache primed the way a prior
+    run would leave it."""
+    curve = get_curve(curve_name)
+    seed = b"bench"
+    with counters.isolated():
+        pki = generate_pki(curve, b"bench-pki" + seed)
+        cert_cache = None
+        if mode == MODE_CACHED:
+            cert_cache = CertCache()
+            prime_client, prime_server = _session_pair(
+                curve, pki, MODE_CACHED, cert_cache, seed + b"-prime")
+            assert run_loopback(prime_client, prime_server).established
+    client, server = _session_pair(curve, pki, mode, cert_cache, seed)
+    assert run_loopback(client, server).established
+    return client, server
+
+
 @pytest.mark.parametrize("curve,mode", [("toy59", "full"),
                                         ("toy59", "cached"),
                                         ("secp160r1", "full"),
                                         ("secp160r1", "cached")])
 def test_handshake_counters(curve, mode):
-    _, client, server = bench.handshake_scenario(curve, mode)
+    client, server = handshake_scenario(curve, mode)
     assert dict(client.handshake_counters) == \
         HANDSHAKE_COUNTERS[(curve, mode, "client")]
     assert dict(server.handshake_counters) == \
@@ -136,8 +207,8 @@ def test_handshake_counters(curve, mode):
 
 
 def test_ecsm_scenarios_secp160r1():
-    got = {label: dict(s.counts)
-           for label, s in bench.ecsm_scenarios("secp160r1").items()}
+    got = {label: dict(c)
+           for label, c in ecsm_scenarios("secp160r1").items()}
     assert got == ECSM_SECP160R1
 
 
@@ -147,6 +218,6 @@ def test_comb_trace_secp160r1(registry):
     cache = CombCache()
     ecsm_comb(2, G, cache)
     with counters.scope(trace=True) as sc:
-        ecsm_comb(bench._calibration_scalar(curve), G, cache)
+        ecsm_comb(calibration_scalar(curve), G, cache)
     assert set(sc.trace) <= counters.TRACED_KINDS
     assert "".join(TRACE_LETTERS[k] for k in sc.trace) == COMB_TRACE_SECP160R1

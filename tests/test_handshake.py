@@ -139,6 +139,7 @@ class TestCachedMode:
                                    client_clock=lambda: NOT_AFTER + 1.0)
         result = run_loopback(client, server)
         assert not result.established and client.failed
+        assert client.failure_reason == "peer certificate rejected: expired"
         assert client.session_counters["cert_cache_hit"] == 0
         assert client.session_counters["cert_cache_miss"] == 1
 
@@ -157,6 +158,8 @@ class TestCachedMode:
                                    client_ca_der=other.ca_der)
         result = run_loopback(client, server)
         assert not result.established and client.failed
+        assert client.failure_reason == \
+            "peer certificate rejected: bad_signature"
         assert client.session_counters["cert_cache_hit"] == 0
 
 

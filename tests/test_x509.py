@@ -8,6 +8,7 @@ from ecdtls.drbg import HmacDrbg
 from ecdtls.ecdsa import KeyPair
 from ecdtls.x509 import (ACCEPTED, CertCache, MalformedDerError,
                          REJECT_BAD_SIGNATURE, REJECT_EXPIRED, X509Error,
+                         UnknownCriticalExtensionError,
                          UnsupportedAlgorithmError, UnsupportedCurveError,
                          curve_from_oid, curve_oid, make_certificate,
                          x509_parse, x509_verify)
@@ -108,6 +109,19 @@ class TestParse:
         with pytest.raises(MalformedDerError):
             x509_parse(with_serial(serial), registry)
 
+    def test_unknown_critical_extension_rejected(self, registry,
+                                                 fixture_pki):
+        # basicConstraints (2.5.29.19) turned into the unassigned 2.5.29.99,
+        # followed by its critical flag
+        der = fixture_pki["ca_der"]
+        known = b"\x06\x03\x55\x1d\x13\x01\x01\xff"
+        assert der.count(known) == 1
+        unknown = b"\x06\x03\x55\x1d\x63\x01\x01"
+        cert = x509_parse(der.replace(known, unknown + b"\x00"), registry)
+        assert not cert.is_ca
+        with pytest.raises(UnknownCriticalExtensionError):
+            x509_parse(der.replace(known, unknown + b"\xff"), registry)
+
     def test_fuzz_floor_no_crashes(self, registry, fixture_pki, rng):
         der = fixture_pki["leaf_der"]
         for _ in range(2000):
@@ -181,7 +195,7 @@ class TestCertCache:
             assert cache.check(bytes(mutated), anchor, NOW) is None
 
     def test_lru_eviction_at_capacity(self, registry, fixture_pki):
-        cache = CertCache(capacity=4)
+        cache = CertCache()
         c = registry.get("secp256r1")
         drbg = HmacDrbg(b"evict" * 7)
         ca = fixture_pki["ca_key"]
