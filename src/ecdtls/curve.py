@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 from typing import Dict, Iterable, List, Optional
 
-from . import counters
+from . import counters, wire
 from .field import (FieldElement, FieldError, PrimeModulus, add_int,
                     inv_euclid_int, mul_int, sub_int)
 
@@ -240,6 +240,14 @@ class CurveRegistry:
         return name in self._curves
 
     def register(self, params: CurveParams) -> CurveParams:
+        """Validate params and add them, replacing a curve of the same id.
+        The handshake names a curve by its TLS code point, so no two
+        registered curves may share one."""
+        code = wire.tls_curve_id(params.id)
+        for other in self._curves:
+            if other != params.id and wire.tls_curve_id(other) == code:
+                raise CurveError("TLS curve code 0x%04x of %r is taken by %r"
+                                 % (code, params.id, other))
         _validate_params(params)
         self._curves[params.id] = params
         return params

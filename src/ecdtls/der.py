@@ -1,6 +1,7 @@
 """Strict DER (X.690) for the subset that certificates and ECDSA signatures
-use: single-byte tags, definite and minimally encoded lengths, and INTEGERs
-that are minimally encoded and non-negative.  Anything else is a DerError.
+use: single-byte tags, definite and minimally encoded lengths, INTEGERs
+that are minimally encoded and non-negative, and BOOLEAN DEFAULT FALSE fields
+that are either absent or TRUE.  Anything else is a DerError.
 """
 
 from __future__ import annotations
@@ -95,6 +96,16 @@ class DerCursor:
 
     def read_uint(self) -> int:
         return der_uint(self.read(TAG_INTEGER)[1])
+
+    def read_default_false(self) -> bool:
+        """An optional BOOLEAN DEFAULT FALSE: absent reads False.  DER omits a
+        DEFAULT value, so a present one must be TRUE, the single byte ff
+        (X.690 11.1 and 11.5)."""
+        if self.peek_tag() != TAG_BOOLEAN:
+            return False
+        if self.read(TAG_BOOLEAN)[1] != b"\xff":
+            raise DerError("BOOLEAN DEFAULT FALSE must be absent or ff")
+        return True
 
 
 def der_tlv(tag: int, body: bytes) -> bytes:

@@ -287,17 +287,12 @@ def _parse_certificate(der: bytes, registry: CurveRegistry) -> Certificate:
         while not exts.done():
             ext = exts.enter(TAG_SEQUENCE)
             _, ext_oid_body, _, _ = ext.read(TAG_OID)
-            critical = False
-            if ext.peek_tag() == TAG_BOOLEAN:
-                _, crit_body, _, _ = ext.read(TAG_BOOLEAN)
-                critical = crit_body != b"\x00"
+            critical = ext.read_default_false()
             _, ext_value, _, _ = ext.read(TAG_OCTET_STRING)
             ext_oid = decode_oid(ext_oid_body)
             if ext_oid == OID_BASIC_CONSTRAINTS:
                 bc = DerCursor(*_contents_of(ext_value, TAG_SEQUENCE))
-                if not bc.done() and bc.peek_tag() == TAG_BOOLEAN:
-                    _, ca_body, _, _ = bc.read(TAG_BOOLEAN)
-                    is_ca = ca_body != b"\x00"
+                is_ca = bc.read_default_false()
             elif critical:
                 raise UnknownCriticalExtensionError(
                     "unknown critical extension %s" % ext_oid)
@@ -412,19 +407,19 @@ class CertCache:
 
     @classmethod
     def load(cls, path: str, registry: CurveRegistry) -> "CertCache":
+        """Read what save wrote.  Lines run oldest first, so only the last
+        CERT_CACHE_CAPACITY lines are kept."""
         cache = cls()
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                key_hex, curve_id, subj_hex, point_hex, not_before, \
-                    not_after = line.split()
-                curve = registry.get(curve_id)
-                point = AffinePoint.decode(bytes.fromhex(point_hex), curve)
-                cache._entries[bytes.fromhex(key_hex)] = CertCacheEntry(
-                    bytes.fromhex(subj_hex), point, curve_id,
-                    int(not_before), int(not_after))
+            lines = [line for line in fh if line.strip()]
+        for line in lines[-CERT_CACHE_CAPACITY:]:
+            key_hex, curve_id, subj_hex, point_hex, not_before, \
+                not_after = line.split()
+            curve = registry.get(curve_id)
+            point = AffinePoint.decode(bytes.fromhex(point_hex), curve)
+            cache._entries[bytes.fromhex(key_hex)] = CertCacheEntry(
+                bytes.fromhex(subj_hex), point, curve_id,
+                int(not_before), int(not_after))
         return cache
 
 

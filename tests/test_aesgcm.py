@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
 from ecdtls import counters
-from ecdtls.aesgcm import (AeadError, AeadKey, Aes128, AuthenticationError,
-                           GcmContext, aes_gcm_open, aes_gcm_seal)
+from ecdtls.aesgcm import (_RCON, _SBOX, _XTIME, AeadError, AeadKey, Aes128,
+                           AuthenticationError, GcmContext, _GhashKey,
+                           aes_gcm_open, aes_gcm_seal)
 
 # McGrew-Viega AES-128-GCM test cases (SP 800-38D validation set)
 GCM_K3 = bytes.fromhex("feffe9928665731c6d6a8f9467308308")
@@ -115,3 +118,143 @@ class TestGcmBehaviour:
         # 64 CTR blocks + 1 tag mask; 1 aad + 64 data + 1 length block
         assert sc.counters["aes_block"] == 65
         assert sc.counters["ghash_block"] == 66
+
+
+# ---------------------------------------------------------------------------
+# Byte-wise and bit-serial reference algorithms.  The counters price one AES
+# block and one GHASH block; the library computes them with T-tables and an
+# 8-bit multiplication table, and these oracles check that the two agree.
+
+def bytewise_round_keys(key):
+    words = [list(key[i:i + 4]) for i in range(0, 16, 4)]
+    for i in range(4, 44):
+        tmp = list(words[i - 1])
+        if i % 4 == 0:
+            tmp = tmp[1:] + tmp[:1]
+            tmp = [_SBOX[b] for b in tmp]
+            tmp[0] ^= _RCON[i // 4 - 1]
+        words.append([a ^ b for a, b in zip(words[i - 4], tmp)])
+    return [sum((words[4 * r + c] for c in range(4)), []) for r in range(11)]
+
+
+def shift_rows(s):
+    # column-major state: byte (row r, col c) sits at index 4c + r
+    return [s[0], s[5], s[10], s[15],
+            s[4], s[9], s[14], s[3],
+            s[8], s[13], s[2], s[7],
+            s[12], s[1], s[6], s[11]]
+
+
+def mix_columns(s):
+    out = []
+    for c in range(0, 16, 4):
+        a0, a1, a2, a3 = s[c], s[c + 1], s[c + 2], s[c + 3]
+        out.extend((
+            _XTIME[a0] ^ (_XTIME[a1] ^ a1) ^ a2 ^ a3,
+            a0 ^ _XTIME[a1] ^ (_XTIME[a2] ^ a2) ^ a3,
+            a0 ^ a1 ^ _XTIME[a2] ^ (_XTIME[a3] ^ a3),
+            (_XTIME[a0] ^ a0) ^ a1 ^ a2 ^ _XTIME[a3],
+        ))
+    return out
+
+
+def bytewise_encrypt_block(key, block):
+    rk = bytewise_round_keys(key)
+    state = [b ^ k for b, k in zip(block, rk[0])]
+    for rnd in range(1, 10):
+        state = [_SBOX[b] for b in state]
+        state = shift_rows(state)
+        state = mix_columns(state)
+        state = [b ^ k for b, k in zip(state, rk[rnd])]
+    state = [_SBOX[b] for b in state]
+    state = shift_rows(state)
+    return bytes(b ^ k for b, k in zip(state, rk[10]))
+
+
+def bit_serial_gf_mul(h, y):
+    """y * H in GF(2^128) in GCM bit order: xor H * x^i for every set
+    coefficient x^i of y (the coefficient of x^i lives at integer bit
+    127 - i)."""
+    acc = 0
+    v = h
+    for i in range(128):
+        if y >> (127 - i) & 1:
+            acc ^= v
+        v = (v >> 1) ^ (0xE1 << 120) if v & 1 else v >> 1
+    return acc
+
+
+class TestKernelsAgainstOracles:
+    def test_aes_matches_bytewise_rounds(self):
+        rng = random.Random(0xAE5)
+        for _ in range(64):
+            key = bytes(rng.randrange(256) for _ in range(16))
+            aes = Aes128(key)
+            for _ in range(4):
+                block = bytes(rng.randrange(256) for _ in range(16))
+                want = bytewise_encrypt_block(key, block)
+                assert aes.encrypt_block(block) == want
+                assert aes.encrypt_int(int.from_bytes(block, "big")) == \
+                    int.from_bytes(want, "big")
+
+    def test_int_path_records_nothing(self):
+        aes = Aes128(b"\x00" * 16)
+        with counters.scope() as sc:
+            aes.encrypt_int(0)
+        assert not sc.counters
+
+    def test_ghash_mul_matches_bit_serial(self):
+        rng = random.Random(0x6C)
+        edges = [0, 1, 1 << 127, (1 << 128) - 1]
+        subkeys = edges + [rng.getrandbits(128) for _ in range(8)]
+        for h in subkeys:
+            gh = _GhashKey(h)
+            for y in edges + [rng.getrandbits(128) for _ in range(16)]:
+                assert gh.mul(y) == bit_serial_gf_mul(h, y)
+
+
+# (plaintext length, AAD length) -> counter items of seal, then of open, in
+# the order each kind first appears (energy.estimate sums in dict order)
+GCM_COUNTER_ITEMS = {
+    (0, 0): ([("ghash_block", 1), ("aes_block", 1)],
+             [("ghash_block", 1), ("aes_block", 1)]),
+    (0, 13): ([("ghash_block", 2), ("aes_block", 1)],
+              [("ghash_block", 2), ("aes_block", 1)]),
+    (1, 0): ([("aes_block", 2), ("ghash_block", 2)],
+             [("ghash_block", 2), ("aes_block", 2)]),
+    (1, 13): ([("aes_block", 2), ("ghash_block", 3)],
+              [("ghash_block", 3), ("aes_block", 2)]),
+    (15, 0): ([("aes_block", 2), ("ghash_block", 2)],
+              [("ghash_block", 2), ("aes_block", 2)]),
+    (15, 13): ([("aes_block", 2), ("ghash_block", 3)],
+               [("ghash_block", 3), ("aes_block", 2)]),
+    (16, 0): ([("aes_block", 2), ("ghash_block", 2)],
+              [("ghash_block", 2), ("aes_block", 2)]),
+    (16, 13): ([("aes_block", 2), ("ghash_block", 3)],
+               [("ghash_block", 3), ("aes_block", 2)]),
+    (17, 0): ([("aes_block", 3), ("ghash_block", 3)],
+              [("ghash_block", 3), ("aes_block", 3)]),
+    (17, 13): ([("aes_block", 3), ("ghash_block", 4)],
+               [("ghash_block", 4), ("aes_block", 3)]),
+    (64, 0): ([("aes_block", 5), ("ghash_block", 5)],
+              [("ghash_block", 5), ("aes_block", 5)]),
+    (64, 13): ([("aes_block", 5), ("ghash_block", 6)],
+               [("ghash_block", 6), ("aes_block", 5)]),
+    (16384, 0): ([("aes_block", 1025), ("ghash_block", 1025)],
+                 [("ghash_block", 1025), ("aes_block", 1025)]),
+    (16384, 13): ([("aes_block", 1025), ("ghash_block", 1026)],
+                  [("ghash_block", 1026), ("aes_block", 1025)]),
+}
+
+
+@pytest.mark.parametrize("n,aad_len", sorted(GCM_COUNTER_ITEMS))
+def test_counter_items_in_order(n, aad_len):
+    key = AeadKey(bytes(range(16)), b"salt")
+    pt = bytes(i * 7 & 0xFF for i in range(n))
+    aad = b"\x0d" * aad_len
+    with counters.scope() as sealing:
+        sealed = aes_gcm_seal(key, b"\x01" * 8, aad, pt)
+    with counters.scope() as opening:
+        assert aes_gcm_open(key, b"\x01" * 8, aad, sealed) == pt
+    assert (list(sealing.counters.items()), list(opening.counters.items())) \
+        == GCM_COUNTER_ITEMS[(n, aad_len)]

@@ -1,5 +1,6 @@
 import pytest
 
+from ecdtls import wire
 from ecdtls.curve import (AffinePoint, CurveError, CurveParams, CurveRegistry,
                           PointDecodeError, builtin_registry, parse_registry_text,
                           point_add, point_double, validate_point)
@@ -10,6 +11,12 @@ def test_builtin_registry_contents(registry):
     names = set(registry.names())
     assert {"secp160r1", "secp192r1", "secp224r1", "secp256r1",
             "toy59", "curve25519"} <= names
+
+
+def test_builtin_tls_codes_unchanged(registry):
+    assert {name: wire.tls_curve_id(name) for name in registry.names()} == {
+        "secp160r1": 0x10, "secp192r1": 0x13, "secp224r1": 0x15,
+        "secp256r1": 0x17, "toy59": 0xFECA, "curve25519": 0xFE2B}
 
 
 def test_registered_generators_on_curve(registry):
@@ -151,6 +158,18 @@ class TestRegistryParsing:
         bad = CurveParams("bad59n", "weierstrass", 59, 2, 11, 5, 21, 59, 1)
         with pytest.raises(CurveError):
             CurveRegistry().register(bad)
+
+    def test_register_rejects_colliding_tls_code(self, toy):
+        # an anagram has the same byte sum, so the same private code point
+        anagram = CurveParams("yot59", toy.kind, toy.p, toy.a, toy.b,
+                              toy.gx, toy.gy, toy.n, toy.h)
+        assert wire.tls_curve_id("yot59") == wire.tls_curve_id("toy59")
+        reg = CurveRegistry()
+        reg.register(toy)
+        with pytest.raises(CurveError, match="0xfeca"):
+            reg.register(anagram)
+        assert reg.names() == ["toy59"]
+        reg.register(toy)  # replacing a curve under its own id still works
 
     def test_register_rejects_singular(self):
         sing = CurveParams("sing", "weierstrass", 59, 0, 0, 1, 1, 53, 1)

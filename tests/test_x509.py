@@ -3,11 +3,13 @@ import random
 import pytest
 
 from ecdtls import counters
-from ecdtls.der import TAG_SEQUENCE, der_read_tlv, der_tlv
+from ecdtls.der import (TAG_CTX3, TAG_OCTET_STRING, TAG_SEQUENCE, DerCursor,
+                        der_read_tlv, der_tlv)
 from ecdtls.drbg import HmacDrbg
 from ecdtls.ecdsa import KeyPair
-from ecdtls.x509 import (ACCEPTED, CertCache, MalformedDerError,
-                         REJECT_BAD_SIGNATURE, REJECT_EXPIRED, X509Error,
+from ecdtls.x509 import (ACCEPTED, CERT_CACHE_CAPACITY, CertCache,
+                         MalformedDerError, REJECT_BAD_SIGNATURE,
+                         REJECT_EXPIRED, X509Error,
                          UnknownCriticalExtensionError,
                          UnsupportedAlgorithmError, UnsupportedCurveError,
                          curve_from_oid, curve_oid, make_certificate,
@@ -16,6 +18,31 @@ from ecdtls.x509 import (ACCEPTED, CertCache, MalformedDerError,
 NOT_BEFORE = 1704067200   # 2024-01-01T00:00:00Z
 NOT_AFTER = 2335219200    # 2044-01-01T00:00:00Z
 NOW = 1754784000          # mid-window
+
+BASIC_CONSTRAINTS_OID = b"\x06\x03\x55\x1d\x13"
+DER_TRUE = b"\x01\x01\xff"
+# BOOLEAN spellings DER refuses: TRUE is the single byte ff, and an explicit
+# FALSE is the DEFAULT value, which DER omits
+NON_DER_BOOLEANS = [b"\x01\x01\x01", b"\x01\x01\x7f", b"\x01\x00",
+                    b"\x01\x02\xff\xff", b"\x01\x01\x00"]
+
+
+def with_extension(ca_der, oid=BASIC_CONSTRAINTS_OID, critical=DER_TRUE,
+                   ca_flag=DER_TRUE):
+    """The fixture CA with its one extension rebuilt from the OID TLV, the
+    critical-flag TLV and the cA-flag TLV inside basicConstraints (b""
+    omits a flag), and every length around them re-encoded.  The signature
+    no longer matches, which parsing does not check."""
+    _, body, _, _ = der_read_tlv(ca_der, 0)
+    _, tbs_body, (_, tbs_end), _ = DerCursor(body).read(TAG_SEQUENCE)
+    tbs = DerCursor(tbs_body)
+    while tbs.peek_tag() != TAG_CTX3:
+        tbs.read()
+    ext = der_tlv(TAG_SEQUENCE, oid + critical + der_tlv(
+        TAG_OCTET_STRING, der_tlv(TAG_SEQUENCE, ca_flag)))
+    new_tbs = der_tlv(TAG_SEQUENCE, tbs_body[:tbs.pos] + der_tlv(
+        TAG_CTX3, der_tlv(TAG_SEQUENCE, ext)))
+    return der_tlv(TAG_SEQUENCE, new_tbs + body[tbs_end:])
 
 
 @pytest.fixture(scope="module")
@@ -117,10 +144,28 @@ class TestParse:
         known = b"\x06\x03\x55\x1d\x13\x01\x01\xff"
         assert der.count(known) == 1
         unknown = b"\x06\x03\x55\x1d\x63\x01\x01"
-        cert = x509_parse(der.replace(known, unknown + b"\x00"), registry)
+        # not critical: DER omits the DEFAULT FALSE flag, and an explicit
+        # FALSE is not DER
+        cert = x509_parse(with_extension(der, b"\x06\x03\x55\x1d\x63",
+                                         critical=b""), registry)
         assert not cert.is_ca
+        with pytest.raises(MalformedDerError):
+            x509_parse(der.replace(known, unknown + b"\x00"), registry)
         with pytest.raises(UnknownCriticalExtensionError):
             x509_parse(der.replace(known, unknown + b"\xff"), registry)
+
+    @pytest.mark.parametrize("flag", ["critical", "ca_flag"])
+    def test_non_der_boolean_rejected(self, registry, fixture_pki, flag):
+        der = fixture_pki["ca_der"]
+        assert der.count(BASIC_CONSTRAINTS_OID + DER_TRUE) == 1
+        assert with_extension(der) == der
+        assert x509_parse(der, registry).is_ca
+        for spelling in NON_DER_BOOLEANS:
+            with pytest.raises(MalformedDerError):
+                x509_parse(with_extension(der, **{flag: spelling}), registry)
+        # the DER spelling of FALSE is no flag at all
+        omitted = x509_parse(with_extension(der, **{flag: b""}), registry)
+        assert omitted.is_ca == (flag == "critical")
 
     def test_fuzz_floor_no_crashes(self, registry, fixture_pki, rng):
         der = fixture_pki["leaf_der"]
@@ -226,6 +271,23 @@ class TestCertCache:
         assert loaded.check(der, anchor, NOT_BEFORE - 1) is None
         assert loaded.check(der, anchor, NOT_AFTER + 1) is None
         assert loaded.check(der, anchor, NOT_AFTER) is not None
+
+    def test_load_keeps_the_newest_entries(self, registry, fixture_pki,
+                                           tmp_path):
+        cache = CertCache()
+        cache.insert(x509_parse(fixture_pki["leaf_der"], registry),
+                     fixture_pki["ca_key"].Q)
+        path = tmp_path / "cache.txt"
+        cache.save(str(path))
+        key_hex, rest = path.read_text().split(" ", 1)
+        # save writes oldest first: ten entries with distinct keys
+        keys = ["%02x%s" % (i, key_hex[2:]) for i in range(10)]
+        path.write_text("".join("%s %s" % (k, rest) for k in keys))
+        loaded = CertCache.load(str(path), registry)
+        assert len(loaded) == CERT_CACHE_CAPACITY == 4
+        loaded.save(str(path))
+        assert [line.split()[0] for line in
+                path.read_text().splitlines()] == keys[-4:]
 
 
 class TestOidHelpers:
