@@ -57,9 +57,11 @@ class OpCounters(dict):
         return out
 
     def diff(self, earlier: "OpCounters") -> "OpCounters":
-        """Return self - earlier, dropping zero entries."""
+        """Return self - earlier, dropping zero entries.  Keys keep their
+        first-appearance order, self's keys first, so an energy estimate of
+        the result sums in the same order in every process."""
         out = OpCounters()
-        for k in set(self) | set(earlier):
+        for k in list(self) + [k for k in earlier if k not in self]:
             d = self.get(k, 0) - earlier.get(k, 0)
             if d:
                 out[k] = d

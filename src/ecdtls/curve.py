@@ -1,9 +1,8 @@
-"""Prime-curve parameters, affine points, and the Weierstrass group law.
+"""Short Weierstrass prime curves, affine points, the group law, and the
+curve registry.
 
 Group operations use affine coordinates throughout: one Euclid inversion plus
-a handful of multiplications per addition or doubling.  Montgomery curves can
-be registered for x-only ladder work; the affine group law itself is
-Weierstrass-only.
+a handful of multiplications per addition or doubling.
 """
 
 from __future__ import annotations
@@ -12,11 +11,7 @@ import os
 from typing import Dict, Iterable, List, Optional
 
 from . import counters, wire
-from .field import (FieldElement, FieldError, PrimeModulus, add_int,
-                    inv_euclid_int, mul_int, sub_int)
-
-WEIERSTRASS = "weierstrass"
-MONTGOMERY = "montgomery"
+from .field import PrimeModulus, add_int, inv_euclid_int, mul_int, sub_int
 
 
 class CurveError(Exception):
@@ -28,17 +23,14 @@ class PointDecodeError(CurveError):
 
 
 class CurveParams:
-    """One registered curve: y^2 = x^3 + ax + b, or B y^2 = x^3 + A x^2 + x."""
+    """One registered curve: y^2 = x^3 + ax + b over GF(p)."""
 
-    __slots__ = ("id", "kind", "mod", "a", "b", "gx", "gy", "n", "h",
+    __slots__ = ("id", "mod", "a", "b", "gx", "gy", "n", "h",
                  "n_mod", "n_bits", "n_bytes")
 
-    def __init__(self, id: str, kind: str, p: int, a: int, b: int,
+    def __init__(self, id: str, p: int, a: int, b: int,
                  gx: int, gy: int, n: int, h: int):
-        if kind not in (WEIERSTRASS, MONTGOMERY):
-            raise CurveError("unknown curve kind %r" % kind)
         self.id = id
-        self.kind = kind
         self.mod = PrimeModulus(p)
         self.a = a % p
         self.b = b % p
@@ -54,9 +46,6 @@ class CurveParams:
     def p(self) -> int:
         return self.mod.p
 
-    def field(self, value: int) -> FieldElement:
-        return FieldElement(value % self.mod.p, self.mod)
-
     def generator(self) -> "AffinePoint":
         return AffinePoint(self, self.gx, self.gy)
 
@@ -64,16 +53,10 @@ class CurveParams:
         return AffinePoint(self, None, None, at_infinity=True)
 
     def equation_holds(self, x: int, y: int) -> bool:
-        p = self.mod.p
-        if self.kind == WEIERSTRASS:
-            return (y * y - (x * x * x + self.a * x + self.b)) % p == 0
-        return (self.b * y * y - (x * x * x + self.a * x * x + x)) % p == 0
+        return (y * y - (x * x * x + self.a * x + self.b)) % self.mod.p == 0
 
     def discriminant_ok(self) -> bool:
-        p = self.mod.p
-        if self.kind == WEIERSTRASS:
-            return (4 * self.a ** 3 + 27 * self.b ** 2) % p != 0
-        return (self.b * (self.a * self.a - 4)) % p != 0
+        return (4 * self.a ** 3 + 27 * self.b ** 2) % self.mod.p != 0
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CurveParams) and self.id == other.id \
@@ -151,16 +134,10 @@ class AffinePoint:
         return pt
 
 
-def _require_weierstrass(P: AffinePoint) -> None:
-    if P.curve.kind != WEIERSTRASS:
-        raise CurveError("affine group law requires a Weierstrass curve")
-
-
 def point_add(P: AffinePoint, Q: AffinePoint) -> AffinePoint:
     """Affine chord addition; dispatches to point_double when P == Q."""
     if P.curve != Q.curve:
         raise CurveError("points on different curves")
-    _require_weierstrass(P)
     if P.at_infinity:
         return Q
     if Q.at_infinity:
@@ -181,7 +158,6 @@ def point_add(P: AffinePoint, Q: AffinePoint) -> AffinePoint:
 
 def point_double(P: AffinePoint) -> AffinePoint:
     """Affine tangent doubling; 2P of a 2-torsion point is infinity."""
-    _require_weierstrass(P)
     if P.at_infinity:
         return P
     if P.y == 0:
@@ -268,20 +244,17 @@ def _validate_params(params: CurveParams) -> None:
         raise CurveError("singular curve (zero discriminant)")
     if not params.equation_holds(params.gx, params.gy):
         raise CurveError("generator not on curve")
+    from .scalarmult import scalar_mul_unchecked
     with counters.isolated():
-        if params.kind == WEIERSTRASS:
-            from .scalarmult import scalar_mul_unchecked
-            if not scalar_mul_unchecked(params.n, params.generator()).at_infinity:
-                raise CurveError("n * G is not the identity")
-        else:
-            from .scalarmult import montgomery_ladder_raw
-            _, z = montgomery_ladder_raw(params.n, params.gx, params)
-            if z != 0:
-                raise CurveError("n * G is not the identity")
+        if not scalar_mul_unchecked(params.n, params.generator()).at_infinity:
+            raise CurveError("n * G is not the identity")
 
 
 def parse_registry_text(text: str) -> List[CurveParams]:
-    """Parse the curve registry format: [name] blocks of hex key=value lines."""
+    """Parse the curve registry format: [name] blocks of hex key=value lines.
+    Each record names its curve form in `kind`; only `weierstrass` is
+    accepted, so a record written for another form is refused rather than
+    misread."""
     records: List[CurveParams] = []
     name = None
     fields: Dict[str, str] = {}
@@ -292,8 +265,10 @@ def parse_registry_text(text: str) -> List[CurveParams]:
         try:
             kind = fields.pop("kind")
             vals = {k: int(v, 16) for k, v in fields.items()}
+            if kind != "weierstrass":
+                raise ValueError("unsupported curve kind %r" % kind)
             records.append(CurveParams(
-                id=name, kind=kind, p=vals["p"], a=vals["a"], b=vals["b"],
+                id=name, p=vals["p"], a=vals["a"], b=vals["b"],
                 gx=vals["gx"], gy=vals["gy"], n=vals["n"], h=vals["h"]))
         except (KeyError, ValueError) as exc:
             raise CurveError("bad registry record %r: %s" % (name, exc)) from None

@@ -1,5 +1,8 @@
 """Modular arithmetic over arbitrary odd primes up to 256 bits.
 
+Residues are plain ints in [0, p).  Each counted kernel below takes them with
+the `PrimeModulus` they belong to and returns the reduced result.
+
 The counters price the hardware algorithms the paper describes: a bit-serial
 interleaved multiplier that runs exactly bitlen(p) iterations per product
 whatever the operands, and binary extended Euclid inversion, priced at
@@ -19,10 +22,6 @@ from . import counters
 
 class FieldError(Exception):
     """Base class for field arithmetic errors."""
-
-
-class ModulusMismatchError(FieldError):
-    """Operands belong to different prime fields."""
 
 
 class NonInvertibleError(FieldError):
@@ -94,8 +93,8 @@ class PrimeModulus:
 
 # ---------------------------------------------------------------------------
 # Counted integer kernels.  These operate on plain ints already reduced mod p;
-# FieldElement and the curve formulas both route through them so every modular
-# operation is tallied exactly once.
+# every modular operation of the curve formulas routes through them, so each
+# is tallied exactly once.
 
 def mul_int(x: int, y: int, mod: PrimeModulus) -> int:
     """x*y mod p, priced as one bit-serial interleaved product: one
@@ -139,66 +138,3 @@ def inv_fermat_int(x: int, mod: PrimeModulus) -> int:
             acc = mul_int(acc, x, mod)
     return acc
 
-
-class FieldElement:
-    """A fully reduced residue mod p.  Immutable; operators are counted ops."""
-
-    __slots__ = ("value", "modulus")
-
-    def __init__(self, value: int, modulus: PrimeModulus):
-        if not 0 <= value < modulus.p:
-            raise FieldError("value out of range [0, p)")
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "modulus", modulus)
-
-    def __setattr__(self, name, val):
-        raise AttributeError("FieldElement is immutable")
-
-    def _same(self, other: "FieldElement") -> None:
-        if self.modulus != other.modulus:
-            raise ModulusMismatchError("operands from different fields")
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._same(other)
-        return FieldElement(add_int(self.value, other.value, self.modulus), self.modulus)
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._same(other)
-        return FieldElement(sub_int(self.value, other.value, self.modulus), self.modulus)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._same(other)
-        return FieldElement(mul_int(self.value, other.value, self.modulus), self.modulus)
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(sub_int(0, self.value, self.modulus), self.modulus)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, FieldElement) and self.value == other.value
-                and self.modulus == other.modulus)
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.modulus.p))
-
-    def __repr__(self) -> str:
-        return "FieldElement(0x%x mod 0x%x)" % (self.value, self.modulus.p)
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(inv_euclid_int(self.value, self.modulus), self.modulus)
-
-    def to_bytes(self) -> bytes:
-        """Fixed-width big-endian encoding, ceil(bitlen/8) bytes."""
-        return self.value.to_bytes(self.modulus.byte_len, "big")
-
-    def hex(self) -> str:
-        return self.to_bytes().hex()
-
-    @classmethod
-    def from_bytes(cls, data: bytes, modulus: PrimeModulus) -> "FieldElement":
-        """Deserialize; values >= p are rejected, not reduced."""
-        if len(data) != modulus.byte_len:
-            raise FieldError("expected %d bytes, got %d" % (modulus.byte_len, len(data)))
-        v = int.from_bytes(data, "big")
-        if v >= modulus.p:
-            raise FieldError("encoded value not below the modulus")
-        return cls(v, modulus)

@@ -28,8 +28,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import counters, wire
 from .aesgcm import AeadKey
-from .curve import AffinePoint, CurveError, CurveParams, WEIERSTRASS, \
-    builtin_registry
+from .curve import AffinePoint, CurveError, CurveParams, builtin_registry
 from .drbg import HmacDrbg
 from .ecdsa import EcdsaSignature, KeyPair, SignatureError, ecdsa_sign, \
     ecdsa_verify
@@ -124,8 +123,6 @@ class SessionConfig:
             raise HandshakeError("role must be client or server")
         if mode not in (MODE_FULL, MODE_CACHED):
             raise HandshakeError("mode must be full or cached")
-        if curve.kind != WEIERSTRASS:
-            raise HandshakeError("handshake requires a Weierstrass curve")
         self.role = role
         self.curve = curve
         self.mode = mode
@@ -416,7 +413,7 @@ class HandshakeSession:
             shared = ecdhe_shared(self.eph_key, self.peer_eph, self.comb_cache)
         except (KeyAgreementError, CurveError) as exc:
             raise _Abort("key agreement failed: %s" % exc) from None
-        self._derive_keys(shared.to_bytes())
+        self._derive_keys(shared)
 
         out = [self._send_handshake(
             wire.HT_CERTIFICATE,
@@ -515,7 +512,7 @@ class HandshakeSession:
         except (wire.WireError, CurveError, KeyAgreementError) as exc:
             raise _Abort("key agreement failed: %s" % exc) from None
         cv_digest = self.transcript.copy().digest()
-        self._derive_keys(shared.to_bytes())
+        self._derive_keys(shared)
 
         raw, body = self._expect_handshake(pending, wire.HT_CERTIFICATE_VERIFY)
         try:
@@ -555,10 +552,6 @@ class HandshakeSession:
     @property
     def session_counters(self) -> counters.OpCounters:
         return self._recorder.counters.copy()
-
-    def appdata_counters(self) -> counters.OpCounters:
-        base = self.handshake_counters or counters.OpCounters()
-        return self._recorder.counters.diff(base)
 
     def close(self) -> None:
         if self.security is not None:

@@ -1,13 +1,11 @@
-"""Key agreement and identification protocols: ECDHE, ECMQV, Schnorr."""
+"""Ephemeral ECDH key agreement for the ECDHE-ECDSA handshake."""
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
-from .curve import AffinePoint, CurveError, point_add, validate_point
-from .drbg import HmacDrbg
-from .ecdsa import KeyPair, _scalar_from_drbg
-from .field import FieldElement
+from .curve import AffinePoint, CurveError, validate_point
+from .ecdsa import KeyPair
 from .scalarmult import CombCache, ecsm_comb
 
 
@@ -16,8 +14,9 @@ class KeyAgreementError(Exception):
 
 
 def ecdhe_shared(own: KeyPair, peer: AffinePoint,
-                 cache: Optional[CombCache] = None) -> FieldElement:
-    """x-coordinate of d_own * peer after validating the peer point."""
+                 cache: Optional[CombCache] = None) -> bytes:
+    """x-coordinate of d_own * peer after validating the peer point,
+    big-endian at the fixed width of the curve's field."""
     if peer.curve != own.curve:
         raise KeyAgreementError("peer point on a different curve")
     try:
@@ -27,71 +26,4 @@ def ecdhe_shared(own: KeyPair, peer: AffinePoint,
     shared = ecsm_comb(own.d, peer, cache)
     if shared.at_infinity:
         raise KeyAgreementError("shared point at infinity")
-    return FieldElement(shared.x, own.curve.mod)
-
-
-def _half_width_map(x: int, n_bits: int) -> int:
-    """The MQV bar map: keep the low ceil(n_bits/2) bits and set one above."""
-    f = (n_bits + 1) // 2
-    return (x % (1 << f)) + (1 << f)
-
-
-def ecmqv_shared(own_static: KeyPair, own_eph: KeyPair,
-                 peer_static: AffinePoint, peer_eph: AffinePoint,
-                 cache: Optional[CombCache] = None) -> FieldElement:
-    """Implicitly authenticated shared secret (two-pass MQV)."""
-    curve = own_static.curve
-    for P in (peer_static, peer_eph):
-        if P.curve != curve:
-            raise KeyAgreementError("peer point on a different curve")
-        try:
-            validate_point(P)
-        except CurveError as exc:
-            raise KeyAgreementError("peer point invalid: %s" % exc) from None
-    n = curve.n
-    bar_own = _half_width_map(own_eph.Q.x, curve.n_bits)
-    s = (own_eph.d + bar_own * own_static.d) % n
-    bar_peer = _half_width_map(peer_eph.x, curve.n_bits)
-    scale = curve.h * s % n
-    if scale == 0:
-        raise KeyAgreementError("degenerate implicit signature")
-    T = point_add(peer_eph, ecsm_comb(bar_peer % n, peer_static, cache))
-    if T.at_infinity:
-        raise KeyAgreementError("combined peer point at infinity")
-    K = ecsm_comb(scale, T, cache)
-    if K.at_infinity:
-        raise KeyAgreementError("shared point at infinity")
-    return FieldElement(K.x, curve.mod)
-
-
-def schnorr_commit(key: KeyPair, drbg: HmacDrbg,
-                   cache: Optional[CombCache] = None
-                   ) -> Tuple[AffinePoint, int]:
-    """Prover commitment: (T, r) with T = r*G; r stays with the prover."""
-    r = _scalar_from_drbg(key.curve, drbg)
-    T = ecsm_comb(r, key.curve.generator(), cache)
-    return T, r
-
-
-def schnorr_respond(key: KeyPair, r: int, challenge: int) -> int:
-    """Prover response s = r + c*d mod n."""
-    n = key.curve.n
-    if not 0 <= challenge < n:
-        raise KeyAgreementError("challenge out of range")
-    return (r + challenge * key.d) % n
-
-
-def schnorr_verify(pub: AffinePoint, T: AffinePoint, challenge: int, s: int,
-                   cache: Optional[CombCache] = None) -> bool:
-    """Verifier equation: s*G == T + c*Q."""
-    curve = pub.curve
-    n = curve.n
-    if not 0 <= challenge < n or not 0 <= s < n:
-        return False
-    G = curve.generator()
-    left = ecsm_comb(s, G, cache) if s else curve.infinity()
-    if challenge == 0:
-        right = T
-    else:
-        right = point_add(T, ecsm_comb(challenge, pub, cache))
-    return left == right
+    return shared.x.to_bytes(own.curve.mod.byte_len, "big")

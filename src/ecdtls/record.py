@@ -69,24 +69,30 @@ def seq_number_bytes(epoch: int, sequence: int) -> bytes:
 
 
 class ReplayWindow:
-    """Sliding 64-bit anti-replay bitmap (advanced only after auth)."""
+    """Sliding 64-bit anti-replay bitmap (advanced only after auth).
 
-    def __init__(self, size: int = REPLAY_WINDOW):
-        self.size = size
+    Bit i of `bits` marks sequence number top - i as received, so the bitmap
+    never holds more than REPLAY_WINDOW bits, however far a record jumps."""
+
+    def __init__(self):
         self.top = -1
         self.bits = 0
 
     def seen(self, seq: int) -> bool:
         if seq > self.top:
             return False
-        if self.top - seq >= self.size:
+        if self.top - seq >= REPLAY_WINDOW:
             return True  # too old to track: treat as replayed
         return bool(self.bits & (1 << (self.top - seq)))
 
     def mark(self, seq: int) -> None:
         if seq > self.top:
             shift = seq - self.top
-            self.bits = ((self.bits << shift) | 1) & ((1 << self.size) - 1)
+            if shift >= REPLAY_WINDOW:
+                self.bits = 1  # every earlier mark slides out of the window
+            else:
+                self.bits = ((self.bits << shift) | 1) & \
+                    ((1 << REPLAY_WINDOW) - 1)
             self.top = seq
         else:
             self.bits |= 1 << (self.top - seq)

@@ -4,8 +4,7 @@ The production path is a fixed-base comb with zero-less signed-digit (ZSD)
 recoding: every scalar of a given curve drives the identical sequence of
 point operations, and precomputed tables are held in a six-entry LRU cache.
 Double-and-add and Jacobian-plus-Fermat multipliers are kept as correctness
-oracles and cost baselines, and an x-only Montgomery ladder covers
-Montgomery-form curves.
+oracles and cost baselines.
 """
 
 from __future__ import annotations
@@ -13,10 +12,9 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from . import counters
-from .curve import (MONTGOMERY, WEIERSTRASS, AffinePoint, CurveError,
-                    CurveParams, point_add, point_double)
-from .field import FieldElement, add_int, inv_euclid_int, inv_fermat_int, \
-    mul_int, sub_int
+from .curve import AffinePoint, CurveError, CurveParams, point_add, \
+    point_double
+from .field import add_int, inv_fermat_int, mul_int, sub_int
 
 DEFAULT_COMB_WIDTH = 4
 COMB_CACHE_CAPACITY = 6
@@ -30,10 +28,6 @@ class ScalarRangeError(CurveError):
 
 class CachePoisonedError(CurveError):
     """A cached table does not belong to the requested base point."""
-
-
-class LadderResultInfinite(CurveError):
-    """x-only ladder produced the point at infinity."""
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +244,6 @@ def ecsm_jacobian(k: int, P: AffinePoint) -> AffinePoint:
     the projective baseline whose inner loop avoids inversions entirely."""
     curve = P.curve
     _check_range(k, curve)
-    if curve.kind != WEIERSTRASS:
-        raise CurveError("Jacobian path requires a Weierstrass curve")
     counters.record("ecsm_jacobian")
     if P.at_infinity:
         return P
@@ -317,48 +309,3 @@ def ecsm_jacobian(k: int, P: AffinePoint) -> AffinePoint:
     y = mul_int(Y, mul_int(zz, zinv, mod), mod)
     return AffinePoint(curve, x, y)
 
-
-def montgomery_ladder_raw(k: int, xP: int, curve: CurveParams) -> Tuple[int, int]:
-    """Projective (X:Z) ladder over exactly n_bits steps; returns (X, Z)."""
-    mod = curve.mod
-    a24 = mul_int(add_int(curve.a, 2 % mod.p, mod),
-                  inv_euclid_int(4 % mod.p, mod), mod)
-    x2, z2 = 1, 0
-    x3, z3 = xP, 1
-    for i in range(curve.n_bits - 1, -1, -1):
-        bit = (k >> i) & 1
-        if bit:
-            x2, x3 = x3, x2
-            z2, z3 = z3, z2
-        A = add_int(x2, z2, mod)
-        B = sub_int(x2, z2, mod)
-        AA = mul_int(A, A, mod)
-        BB = mul_int(B, B, mod)
-        E = sub_int(AA, BB, mod)
-        C = add_int(x3, z3, mod)
-        D = sub_int(x3, z3, mod)
-        DA = mul_int(D, A, mod)
-        CB = mul_int(C, B, mod)
-        s = add_int(DA, CB, mod)
-        x3 = mul_int(s, s, mod)
-        t = sub_int(DA, CB, mod)
-        z3 = mul_int(mul_int(t, t, mod), xP, mod)
-        x2 = mul_int(AA, BB, mod)
-        z2 = mul_int(E, add_int(BB, mul_int(a24, E, mod), mod), mod)
-        if bit:
-            x2, x3 = x3, x2
-            z2, z3 = z3, z2
-    return x2, z2
-
-
-def ecsm_montgomery(k: int, x_P: FieldElement, curve: CurveParams) -> FieldElement:
-    """x-coordinate of k*P on a Montgomery curve via the fixed-length ladder."""
-    if curve.kind != MONTGOMERY:
-        raise CurveError("Montgomery ladder requires a Montgomery curve")
-    _check_range(k, curve)
-    counters.record("ecsm_montgomery")
-    X, Z = montgomery_ladder_raw(k, x_P.value, curve)
-    if Z == 0:
-        raise LadderResultInfinite("scalar multiple has no affine x")
-    x = mul_int(X, inv_euclid_int(Z, curve.mod), curve.mod)
-    return FieldElement(x, curve.mod)

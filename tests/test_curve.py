@@ -10,13 +10,13 @@ from ecdtls.scalarmult import scalar_mul_unchecked
 def test_builtin_registry_contents(registry):
     names = set(registry.names())
     assert {"secp160r1", "secp192r1", "secp224r1", "secp256r1",
-            "toy59", "curve25519"} <= names
+            "toy59"} <= names
 
 
 def test_builtin_tls_codes_unchanged(registry):
     assert {name: wire.tls_curve_id(name) for name in registry.names()} == {
         "secp160r1": 0x10, "secp192r1": 0x13, "secp224r1": 0x15,
-        "secp256r1": 0x17, "toy59": 0xFECA, "curve25519": 0xFE2B}
+        "secp256r1": 0x17, "toy59": 0xFECA}
 
 
 def test_registered_generators_on_curve(registry):
@@ -48,7 +48,7 @@ class TestGroupLaw:
 
     def test_double_two_torsion_point(self):
         # y^2 = x^3 - x over GF(59) has (0, 0) as a 2-torsion point
-        c = CurveParams("torsion59", "weierstrass", 59, 58, 0, 3, 24, 53, 1)
+        c = CurveParams("torsion59", 59, 58, 0, 3, 24, 53, 1)
         assert c.equation_holds(0, 0)
         P = AffinePoint(c, 0, 0)
         assert point_double(P).at_infinity
@@ -121,9 +121,7 @@ class TestValidation:
 
     def test_validate_accepts_generator(self, registry):
         for name in registry.names():
-            c = registry.get(name)
-            if c.kind == "weierstrass":
-                validate_point(c.generator())
+            validate_point(registry.get(name).generator())
 
 
 class TestRegistryParsing:
@@ -149,19 +147,19 @@ class TestRegistryParsing:
             parse_registry_text("[x]\nkind = weierstrass\np = 3b\n")
 
     def test_register_rejects_bad_generator(self):
-        bad = CurveParams("bad59", "weierstrass", 59, 2, 11, 5, 22, 53, 1)
+        bad = CurveParams("bad59", 59, 2, 11, 5, 22, 53, 1)
         reg = CurveRegistry()
         with pytest.raises(CurveError):
             reg.register(bad)
 
     def test_register_rejects_wrong_order(self):
-        bad = CurveParams("bad59n", "weierstrass", 59, 2, 11, 5, 21, 59, 1)
+        bad = CurveParams("bad59n", 59, 2, 11, 5, 21, 59, 1)
         with pytest.raises(CurveError):
             CurveRegistry().register(bad)
 
     def test_register_rejects_colliding_tls_code(self, toy):
         # an anagram has the same byte sum, so the same private code point
-        anagram = CurveParams("yot59", toy.kind, toy.p, toy.a, toy.b,
+        anagram = CurveParams("yot59", toy.p, toy.a, toy.b,
                               toy.gx, toy.gy, toy.n, toy.h)
         assert wire.tls_curve_id("yot59") == wire.tls_curve_id("toy59")
         reg = CurveRegistry()
@@ -172,11 +170,15 @@ class TestRegistryParsing:
         reg.register(toy)  # replacing a curve under its own id still works
 
     def test_register_rejects_singular(self):
-        sing = CurveParams("sing", "weierstrass", 59, 0, 0, 1, 1, 53, 1)
+        sing = CurveParams("sing", 59, 0, 0, 1, 1, 53, 1)
         with pytest.raises(CurveError):
             CurveRegistry().register(sing)
 
-    def test_montgomery_registration_validates_by_ladder(self, registry):
-        c = registry.get("curve25519")
-        assert c.kind == "montgomery"
-        assert c.n_bits == 253
+    def test_other_curve_form_refused(self):
+        # a Montgomery record reuses the same keys; it must not be read as
+        # the Weierstrass curve those numbers would describe
+        text = "[tiny]\nkind = montgomery\np = 3b\na = 02\nb = 0b\n" \
+            "gx = 05\ngy = 15\nn = 35\nh = 01\n"
+        assert parse_registry_text(text.replace("montgomery", "weierstrass"))
+        with pytest.raises(CurveError, match="montgomery"):
+            parse_registry_text(text)

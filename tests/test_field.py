@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from ecdtls import counters
 from ecdtls.curve import builtin_registry
-from ecdtls.field import (FieldElement, FieldError, ModulusMismatchError,
-                          NonInvertibleError, NotPrimeError, PrimeModulus,
-                          inv_euclid_int, inv_fermat_int, mul_int)
+from ecdtls.field import (NonInvertibleError, NotPrimeError, PrimeModulus,
+                          add_int, inv_euclid_int, inv_fermat_int, mul_int,
+                          sub_int)
 
 P256 = 0xFFFFFFFF00000001000000000000000000000000FFFFFFFFFFFFFFFFFFFFFFFF
 MOD256 = PrimeModulus(P256)
@@ -19,14 +19,6 @@ CURVE_PRIMES = {
     224: 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFF000000000000000000000001,
     256: P256,
 }
-
-
-def fe(v, mod=MOD256):
-    return FieldElement(v % mod.p, mod)
-
-
-def fermat_inverse(a):
-    return FieldElement(inv_fermat_int(a.value, a.modulus), a.modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -130,34 +122,30 @@ class TestPrimeModulus:
 
 class TestAddSub:
     def test_additive_identity(self):
-        b = fe(0x1234)
-        assert fe(0) + b == b
+        b = 0x1234
+        assert add_int(0, b, MOD256) == b
 
     def test_additive_inverse(self):
-        a = fe(0xABCDEF)
-        assert (a + fe(P256 - 0xABCDEF)).value == 0
+        a = 0xABCDEF
+        assert add_int(a, P256 - 0xABCDEF, MOD256) == 0
 
     def test_sub_self_and_zero(self):
-        a = fe(99)
-        assert (a - a).value == 0
-        assert (fe(0) - fe(7)).value == P256 - 7
+        a = 99
+        assert sub_int(a, a, MOD256) == 0
+        assert sub_int(0, 7, MOD256) == P256 - 7
 
     def test_random_against_bigint_oracle(self, rng):
         for _ in range(300):
             a, b = rng.randrange(P256), rng.randrange(P256)
-            assert (fe(a) + fe(b)).value == (a + b) % P256
-            assert (fe(a) - fe(b)).value == (a - b) % P256
-
-    def test_modulus_mismatch(self):
-        with pytest.raises(ModulusMismatchError):
-            fe(1) + FieldElement(1, PrimeModulus(7))
+            assert add_int(a, b, MOD256) == (a + b) % P256
+            assert sub_int(a, b, MOD256) == (a - b) % P256
 
 
 class TestMul:
     def test_zero_and_one(self):
-        b = fe(0x55AA)
-        assert (fe(0) * b).value == 0
-        assert fe(1) * b == b
+        b = 0x55AA
+        assert mul_int(0, b, MOD256) == 0
+        assert mul_int(1, b, MOD256) == b
 
     @pytest.mark.parametrize("bits", sorted(CURVE_PRIMES))
     def test_against_wide_multiply_oracle(self, bits):
@@ -166,22 +154,21 @@ class TestMul:
         rng = random.Random(bits)
         for _ in range(500):
             a, b = rng.randrange(p), rng.randrange(p)
-            got = FieldElement(a, mod) * FieldElement(b, mod)
-            assert got.value == a * b % p
+            got = mul_int(a, b, mod)
+            assert got == a * b % p
 
     def test_iteration_count_depends_only_on_bitlen(self, rng):
         for a, b in [(1, 1), (0, 0), (P256 - 1, P256 - 1),
                      (rng.randrange(P256), rng.randrange(P256))]:
             with counters.scope() as sc:
-                fe(a) * fe(b)
+                mul_int(a, b, MOD256)
             assert sc.counters["mul_iter"] == 256
             assert sc.counters["mod_mul"] == 1
 
     def test_serialized_width_fixed(self):
-        assert len(fe(0).to_bytes()) == 32
-        assert len(fe(1).to_bytes()) == 32
+        assert MOD256.byte_len == 32
         mod161 = PrimeModulus(0x0100000000000000000001F4C8F927AED3CA752257)
-        assert len(FieldElement(1, mod161).to_bytes()) == 21
+        assert mod161.byte_len == 21
 
 
 class TestRingAxioms:
@@ -191,68 +178,52 @@ class TestRingAxioms:
         mod = PrimeModulus(p)
         rng = random.Random(1000 + bits)
         for _ in range(1000):
-            a, b, c = (FieldElement(rng.randrange(p), mod) for _ in range(3))
-            assert (a + b) + c == a + (b + c)
-            assert a * (b + c) == a * b + a * c
+            a, b, c = (rng.randrange(p) for _ in range(3))
+            assert add_int(add_int(a, b, mod), c, mod) == \
+                add_int(a, add_int(b, c, mod), mod)
+            assert mul_int(a, add_int(b, c, mod), mod) == \
+                add_int(mul_int(a, b, mod), mul_int(a, c, mod), mod)
 
     @given(st.integers(0, P256 - 1), st.integers(0, P256 - 1))
     @settings(max_examples=50, deadline=None)
     def test_closure_and_canonical(self, a, b):
-        for out in (fe(a) + fe(b), fe(a) - fe(b), fe(a) * fe(b)):
-            assert 0 <= out.value < P256
+        for out in (add_int(a, b, MOD256), sub_int(a, b, MOD256),
+                    mul_int(a, b, MOD256)):
+            assert 0 <= out < P256
 
 
 class TestInversion:
     def test_inv_one(self):
-        assert fe(1).inverse().value == 1
-        assert fermat_inverse(fe(1)).value == 1
+        assert inv_euclid_int(1, MOD256) == 1
+        assert inv_fermat_int(1, MOD256) == 1
 
     def test_inv_3_mod_7_bruteforce(self):
         mod7 = PrimeModulus(7)
         expected = next(x for x in range(1, 7) if 3 * x % 7 == 1)
         assert expected == 5
-        assert FieldElement(3, mod7).inverse().value == expected
+        assert inv_euclid_int(3, mod7) == expected
 
     def test_zero_not_invertible(self):
         with pytest.raises(NonInvertibleError):
-            fe(0).inverse()
+            inv_euclid_int(0, MOD256)
         with pytest.raises(NonInvertibleError):
-            fermat_inverse(fe(0))
+            inv_fermat_int(0, MOD256)
 
     def test_inverse_property(self, rng):
         for _ in range(100):
-            a = fe(rng.randrange(1, P256))
-            assert (a * a.inverse()).value == 1
+            a = rng.randrange(1, P256)
+            assert mul_int(a, inv_euclid_int(a, MOD256), MOD256) == 1
 
     def test_euclid_agrees_with_fermat(self, rng):
         for _ in range(100):
-            a = fe(rng.randrange(1, P256))
-            assert a.inverse() == fermat_inverse(a)
+            a = rng.randrange(1, P256)
+            assert inv_euclid_int(a, MOD256) == inv_fermat_int(a, MOD256)
 
     def test_fermat_mul_count(self):
         e = P256 - 2
         expected = (e.bit_length() - 1) + bin(e).count("1") - 1
         with counters.scope() as sc:
-            fermat_inverse(fe(0x1234567))
+            inv_fermat_int(0x1234567, MOD256)
         assert sc.counters["mod_mul"] == expected
         # square-and-multiply averages ~1.5 multiplications per exponent bit
         assert expected == pytest.approx(1.5 * 256, rel=0.08)
-
-
-class TestSerialization:
-    def test_round_trip(self, rng):
-        for _ in range(20):
-            a = fe(rng.randrange(P256))
-            assert FieldElement.from_bytes(a.to_bytes(), MOD256) == a
-
-    def test_rejects_value_at_or_above_p(self):
-        data = P256.to_bytes(32, "big")
-        with pytest.raises(FieldError):
-            FieldElement.from_bytes(data, MOD256)
-
-    def test_rejects_wrong_width(self):
-        with pytest.raises(FieldError):
-            FieldElement.from_bytes(b"\x01" * 31, MOD256)
-
-    def test_hex(self):
-        assert fe(1).hex() == "00" * 31 + "01"

@@ -5,8 +5,7 @@ import pytest
 from ecdtls.curve import AffinePoint
 from ecdtls.drbg import HmacDrbg
 from ecdtls.ecdsa import KeyPair
-from ecdtls.keyagree import (KeyAgreementError, ecdhe_shared, ecmqv_shared,
-                             schnorr_commit, schnorr_respond, schnorr_verify)
+from ecdtls.keyagree import KeyAgreementError, ecdhe_shared
 from ecdtls.scalarmult import CombCache, scalar_mul_unchecked
 
 # RFC 5903 section 8.1: ECDH P-256 known answer
@@ -30,7 +29,7 @@ class TestEcdhe:
         bob = KeyPair(RFC5903["r"], c, cache=cache)
         assert (bob.Q.x, bob.Q.y) == (RFC5903["grx"], RFC5903["gry"])
         shared = ecdhe_shared(alice, bob.Q, cache)
-        assert shared.value == RFC5903["girx"]
+        assert shared == RFC5903["girx"].to_bytes(32, "big")
 
     @pytest.mark.parametrize("name", ["secp160r1", "secp192r1", "secp224r1",
                                       "secp256r1"])
@@ -61,76 +60,20 @@ class TestEcdhe:
         a = KeyPair(d1, c)
         peer = scalar_mul_unchecked(d2, c.generator())
         want = scalar_mul_unchecked(d1, peer)
-        assert ecdhe_shared(a, peer).value == want.x
+        assert ecdhe_shared(a, peer) == want.x.to_bytes(32, "big")
 
-
-class TestEcmqv:
-    @pytest.mark.parametrize("name", ["secp192r1", "secp256r1"])
-    def test_both_parties_agree(self, curves, name):
-        c = curves[name]
-        drbg = HmacDrbg(b"mqv!" + name.encode())
-        cache = CombCache()
-        a_stat, a_eph = (KeyPair.generate(c, drbg, cache) for _ in range(2))
-        b_stat, b_eph = (KeyPair.generate(c, drbg, cache) for _ in range(2))
-        ka = ecmqv_shared(a_stat, a_eph, b_stat.Q, b_eph.Q, cache)
-        kb = ecmqv_shared(b_stat, b_eph, a_stat.Q, a_eph.Q, cache)
-        assert ka == kb
-
-    def test_differs_from_plain_ecdhe(self, curves):
-        c = curves["secp256r1"]
-        drbg = HmacDrbg(b"mqv-vs-dh" * 4)
-        a_stat, a_eph = (KeyPair.generate(c, drbg) for _ in range(2))
-        b_stat, b_eph = (KeyPair.generate(c, drbg) for _ in range(2))
-        mqv = ecmqv_shared(a_stat, a_eph, b_stat.Q, b_eph.Q)
-        dh = ecdhe_shared(a_eph, b_eph.Q)
-        assert mqv != dh
-
-    def test_static_key_binds_result(self, curves):
-        c = curves["secp192r1"]
-        drbg = HmacDrbg(b"binding" * 5)
-        a_stat, a_eph = (KeyPair.generate(c, drbg) for _ in range(2))
-        b_stat, b_eph = (KeyPair.generate(c, drbg) for _ in range(2))
-        other = KeyPair.generate(c, drbg)
-        base = ecmqv_shared(a_stat, a_eph, b_stat.Q, b_eph.Q)
-        swapped = ecmqv_shared(other, a_eph, b_stat.Q, b_eph.Q)
-        assert base != swapped
-
-    def test_symmetry_many_random_keysets(self, curves):
-        c = curves["secp160r1"]
-        drbg = HmacDrbg(b"many" * 8)
-        cache = CombCache()
-        for _ in range(25):
-            a_stat, a_eph = (KeyPair.generate(c, drbg, cache) for _ in range(2))
-            b_stat, b_eph = (KeyPair.generate(c, drbg, cache) for _ in range(2))
-            assert ecmqv_shared(a_stat, a_eph, b_stat.Q, b_eph.Q, cache) == \
-                ecmqv_shared(b_stat, b_eph, a_stat.Q, a_eph.Q, cache)
-
-
-class TestSchnorr:
-    def test_honest_transcript_accepts(self, curves, rng):
-        c = curves["secp256r1"]
-        drbg = HmacDrbg(b"schnorr" * 5)
-        key = KeyPair.generate(c, drbg)
-        T, r = schnorr_commit(key, drbg)
-        challenge = rng.randrange(c.n)
-        s = schnorr_respond(key, r, challenge)
-        assert schnorr_verify(key.Q, T, challenge, s)
-
-    def test_zero_challenge_degenerates(self, curves):
-        c = curves["secp256r1"]
-        drbg = HmacDrbg(b"zero" * 8)
-        key = KeyPair.generate(c, drbg)
-        T, r = schnorr_commit(key, drbg)
-        s = schnorr_respond(key, r, 0)
-        assert s == r
-        assert schnorr_verify(key.Q, T, 0, s)
-
-    def test_wrong_secret_rejected(self, curves, rng):
-        c = curves["secp192r1"]
-        drbg = HmacDrbg(b"soundness" * 3)
-        honest = KeyPair.generate(c, drbg)
-        liar = KeyPair.generate(c, drbg)
-        T, r = schnorr_commit(liar, drbg)
-        challenge = rng.randrange(1, c.n)
-        s = schnorr_respond(liar, r, challenge)
-        assert not schnorr_verify(honest.Q, T, challenge, s)
+    @pytest.mark.parametrize("name,d,width", [("secp160r1", 130, 20),
+                                              ("toy59", 17, 1)])
+    def test_secret_is_x_at_field_width(self, registry, name, d, width):
+        """The secret is x of d * peer, big-endian at the byte width of p.
+        On secp160r1, 130 * G has an x below 2^152, so a variable-width
+        encoding would drop the zero top byte."""
+        c = registry.get(name)
+        G = c.generator()
+        shared = ecdhe_shared(KeyPair(d, c), G)
+        want = scalar_mul_unchecked(d, G).x
+        assert len(shared) == width == c.mod.byte_len
+        assert shared == want.to_bytes(width, "big")
+        assert shared == ecdhe_shared(KeyPair(1, c), KeyPair(d, c).Q)
+        if name == "secp160r1":
+            assert shared[0] == 0

@@ -5,8 +5,8 @@ import pytest
 from ecdtls.aesgcm import AeadKey
 from ecdtls.record import (CONTENT_APPDATA, CONTENT_HANDSHAKE, DROP_AUTH_FAIL,
                            DROP_BAD_EPOCH, DROP_MALFORMED, DROP_OK,
-                           DROP_REPLAY, HEADER_LEN, RecordError, RecordHeader,
-                           RecordLayer, ReplayWindow)
+                           DROP_REPLAY, HEADER_LEN, MAX_SEQUENCE, RecordError,
+                           RecordHeader, RecordLayer, ReplayWindow)
 
 
 def paired_layers():
@@ -143,6 +143,32 @@ class TestReplayWindow:
             assert s not in delivered or win.top - s >= 64
             win.mark(s)
             delivered.add(s)
+
+    def test_jump_keeps_window_bounded(self):
+        # the bitmap after any jump equals the unclamped shift-and-mask, and
+        # never grows past the window
+        for jump in range(1, 200):
+            win = ReplayWindow()
+            for seq in (0, 3, 5):
+                win.mark(seq)
+            want = ((win.bits << jump) | 1) & ((1 << 64) - 1)
+            win.mark(5 + jump)
+            assert win.bits == want < 2 ** 64
+
+    def test_epoch0_sequence_jump_to_max(self):
+        """A far jump costs no memory: it empties the window instead of
+        shifting the bitmap by the jump."""
+        sender, receiver = RecordLayer(), RecordLayer()
+        first = sender.encode(CONTENT_HANDSHAKE, b"first")
+        far = RecordHeader(CONTENT_HANDSHAKE, 0, MAX_SEQUENCE, 3).pack() + \
+            b"far"
+        assert receiver.decode(first) == (DROP_OK, CONTENT_HANDSHAKE, b"first")
+        assert receiver.decode(far) == (DROP_OK, CONTENT_HANDSHAKE, b"far")
+        window = receiver.windows[0]
+        assert window.top == MAX_SEQUENCE
+        assert window.bits < 2 ** 64
+        assert receiver.decode(far)[0] == DROP_REPLAY
+        assert receiver.decode(first)[0] == DROP_REPLAY
 
 
 class TestNonceUniqueness:

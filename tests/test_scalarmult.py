@@ -5,15 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecdtls import counters
-from ecdtls.curve import AffinePoint, CurveError, CurveParams, point_add, \
-    point_double
-from ecdtls.field import FieldElement
-from ecdtls.scalarmult import (CombCache, LadderResultInfinite,
-                               ScalarRangeError, comb_digit_count,
+from ecdtls.curve import CurveError, point_add, point_double
+from ecdtls.scalarmult import (CombCache, ScalarRangeError, comb_digit_count,
                                comb_precompute, ecsm_comb,
                                ecsm_double_and_add, ecsm_jacobian,
-                               ecsm_montgomery, scalar_mul_unchecked,
-                               zsd_recode)
+                               scalar_mul_unchecked, zsd_recode)
 
 
 class TestZsdRecode:
@@ -232,57 +228,3 @@ class TestDoubleAndAdd:
         assert sc.counters["mod_inv_euclid"] == ops
         assert sc.counters["mod_inv_fermat"] == 0
 
-
-def _to_weierstrass(mont: CurveParams):
-    """Map B y^2 = x^3 + A x^2 + x to an isomorphic short Weierstrass curve
-    (B = 1): u = x + A/3, v = y."""
-    p = mont.p
-    A = mont.a
-    inv3 = pow(3, p - 2, p)
-    a = (3 - A * A) * pow(3, p - 2, p) % p
-    b = (2 * A ** 3 - 9 * A) * pow(27, p - 2, p) % p
-    shift = A * inv3 % p
-    wcurve = CurveParams("wmap-" + mont.id, "weierstrass", p, a, b,
-                         (mont.gx + shift) % p, mont.gy, mont.n, mont.h)
-    return wcurve, shift
-
-
-class TestMontgomeryLadder:
-    def test_identity_scalar(self, registry):
-        c = registry.get("curve25519")
-        x = FieldElement(9, c.mod)
-        assert ecsm_montgomery(1, x, c).value == 9
-
-    def test_matches_weierstrass_map(self, registry):
-        c = registry.get("curve25519")
-        assert c.b == 1
-        wcurve, shift = _to_weierstrass(c)
-        G = AffinePoint(wcurve, (c.gx + shift) % c.p, c.gy)
-        assert G.is_on_curve()
-        rng = random.Random(99)
-        for _ in range(3):
-            k = rng.randrange(1, c.n)
-            got = ecsm_montgomery(k, FieldElement(c.gx, c.mod), c)
-            want = scalar_mul_unchecked(k, G)
-            assert got.value == (want.x - shift) % c.p
-
-    def test_fixed_step_uniform_trace(self, registry):
-        c = registry.get("curve25519")
-        x = FieldElement(9, c.mod)
-        vectors = set()
-        for k in (1, 2, c.n - 1, 12345):
-            with counters.scope() as sc:
-                ecsm_montgomery(k, x, c)
-            vectors.add(sc.counters.uniform_vector())
-        assert len(vectors) == 1
-
-    def test_requires_montgomery_curve(self, curves):
-        c = curves["secp256r1"]
-        with pytest.raises(CurveError):
-            ecsm_montgomery(2, FieldElement(1, c.mod), c)
-
-    def test_infinite_result_rejected(self, registry):
-        c = registry.get("curve25519")
-        # x = 0 is the 2-torsion point: 2 * P is the identity, caught as Z = 0
-        with pytest.raises(LadderResultInfinite):
-            ecsm_montgomery(2, FieldElement(0, c.mod), c)
