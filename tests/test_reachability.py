@@ -3,13 +3,19 @@
 perfbench/README.md names the API the benchmark drives: `handshake`,
 `transport`, `credentials` and `energy`.  Walking the relative imports from
 those four modules must reach every module under src/ecdtls; a module that
-is left over is code nothing reaches."""
+is left over is code nothing reaches.
+
+`merkle` is the one known leftover, kept with its tests until its deletion
+lands on its own; the check requires the leftover set to be exactly that, so
+a newly unreached module fails it and so does deleting `merkle` without
+updating it."""
 
 import ast
 import pathlib
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "ecdtls"
 ROOTS = ("handshake", "transport", "credentials", "energy")
+UNREACHED_PENDING_DELETION = ["merkle"]
 
 
 def relative_imports(name: str) -> set:
@@ -37,4 +43,4 @@ def test_every_module_reached_from_public_api():
             continue
         reached.add(name)
         todo.extend(relative_imports(name) & modules)
-    assert sorted(modules - reached) == []
+    assert sorted(modules - reached) == UNREACHED_PENDING_DELETION
