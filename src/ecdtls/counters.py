@@ -9,7 +9,7 @@ is a no-op.
 from __future__ import annotations
 
 import threading
-from typing import Iterator, Optional
+from typing import Optional
 
 _local = threading.local()
 

@@ -3,14 +3,19 @@ curve registry.
 
 Group operations use affine coordinates throughout: one Euclid inversion plus
 a handful of multiplications per addition or doubling.
+
+A registry record carries everything a curve is: its parameters plus the TLS
+NamedCurve code point and the namedCurve OID that name it in handshakes and
+in certificates.  Every registered curve has cofactor 1.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, Iterable, List, Optional
+import re
+from typing import Dict, List, Optional
 
-from . import counters, wire
+from . import counters
 from .field import PrimeModulus, add_int, inv_euclid_int, mul_int, sub_int
 
 
@@ -25,11 +30,11 @@ class PointDecodeError(CurveError):
 class CurveParams:
     """One registered curve: y^2 = x^3 + ax + b over GF(p)."""
 
-    __slots__ = ("id", "mod", "a", "b", "gx", "gy", "n", "h",
+    __slots__ = ("id", "mod", "a", "b", "gx", "gy", "n", "tls_code", "oid",
                  "n_mod", "n_bits", "n_bytes")
 
     def __init__(self, id: str, p: int, a: int, b: int,
-                 gx: int, gy: int, n: int, h: int):
+                 gx: int, gy: int, n: int, tls_code: int, oid: str):
         self.id = id
         self.mod = PrimeModulus(p)
         self.a = a % p
@@ -37,7 +42,8 @@ class CurveParams:
         self.gx = gx % p
         self.gy = gy % p
         self.n = n
-        self.h = h
+        self.tls_code = tls_code
+        self.oid = oid
         self.n_mod = PrimeModulus(n)  # group order is prime; doubles as scalar field
         self.n_bits = n.bit_length()
         self.n_bytes = (self.n_bits + 7) // 8
@@ -179,19 +185,6 @@ def validate_point(P: AffinePoint) -> None:
         raise CurveError("point at infinity not acceptable here")
     if not P.is_on_curve():
         raise CurveError("point fails the curve equation")
-    if P.curve.h > 1:
-        T = P
-        h = P.curve.h
-        # h is tiny (<= 8 for registered curves): repeated doubling/addition
-        acc = None
-        while h:
-            if h & 1:
-                acc = T if acc is None else point_add(acc, T)
-            h >>= 1
-            if h:
-                T = point_double(T)
-        if acc is None or acc.at_infinity:
-            raise CurveError("point in the small cofactor subgroup")
 
 
 # ---------------------------------------------------------------------------
@@ -215,15 +208,25 @@ class CurveRegistry:
     def __contains__(self, name: str) -> bool:
         return name in self._curves
 
+    def by_oid(self, oid: str) -> CurveParams:
+        for params in self._curves.values():
+            if params.oid == oid:
+                return params
+        raise CurveError("no registered curve has OID %s" % oid)
+
     def register(self, params: CurveParams) -> CurveParams:
         """Validate params and add them, replacing a curve of the same id.
-        The handshake names a curve by its TLS code point, so no two
-        registered curves may share one."""
-        code = wire.tls_curve_id(params.id)
-        for other in self._curves:
-            if other != params.id and wire.tls_curve_id(other) == code:
+        The handshake names a curve by its TLS code point and a certificate
+        by its OID, so no two registered curves may share either."""
+        for other in self._curves.values():
+            if other.id == params.id:
+                continue
+            if other.tls_code == params.tls_code:
                 raise CurveError("TLS curve code 0x%04x of %r is taken by %r"
-                                 % (code, params.id, other))
+                                 % (params.tls_code, params.id, other.id))
+            if other.oid == params.oid:
+                raise CurveError("curve OID %s of %r is taken by %r"
+                                 % (params.oid, params.id, other.id))
         _validate_params(params)
         self._curves[params.id] = params
         return params
@@ -238,8 +241,6 @@ class CurveRegistry:
 
 
 def _validate_params(params: CurveParams) -> None:
-    if params.h < 1:
-        raise CurveError("cofactor must be positive")
     if not params.discriminant_ok():
         raise CurveError("singular curve (zero discriminant)")
     if not params.equation_holds(params.gx, params.gy):
@@ -251,10 +252,11 @@ def _validate_params(params: CurveParams) -> None:
 
 
 def parse_registry_text(text: str) -> List[CurveParams]:
-    """Parse the curve registry format: [name] blocks of hex key=value lines.
-    Each record names its curve form in `kind`; only `weierstrass` is
-    accepted, so a record written for another form is refused rather than
-    misread."""
+    """Parse the curve registry format: [name] blocks of key=value lines,
+    hex except the dotted-decimal `oid`.  Each record names its curve form in
+    `kind` and its cofactor in `h`; only `weierstrass` with h = 1 is
+    accepted, so a record for another form or a larger group is refused
+    rather than misread."""
     records: List[CurveParams] = []
     name = None
     fields: Dict[str, str] = {}
@@ -264,12 +266,20 @@ def parse_registry_text(text: str) -> List[CurveParams]:
             return
         try:
             kind = fields.pop("kind")
+            oid = fields.pop("oid")
             vals = {k: int(v, 16) for k, v in fields.items()}
             if kind != "weierstrass":
                 raise ValueError("unsupported curve kind %r" % kind)
+            if vals["h"] != 1:
+                raise ValueError("cofactor must be 1")
+            if not 0 <= vals["tls"] <= 0xFFFF:
+                raise ValueError("TLS code point outside 0..0xffff")
+            if not re.fullmatch(r"[0-2](\.(0|[1-9][0-9]*))+", oid):
+                raise ValueError("OID %r is not dotted decimal" % oid)
             records.append(CurveParams(
                 id=name, p=vals["p"], a=vals["a"], b=vals["b"],
-                gx=vals["gx"], gy=vals["gy"], n=vals["n"], h=vals["h"]))
+                gx=vals["gx"], gy=vals["gy"], n=vals["n"],
+                tls_code=vals["tls"], oid=oid))
         except (KeyError, ValueError) as exc:
             raise CurveError("bad registry record %r: %s" % (name, exc)) from None
 

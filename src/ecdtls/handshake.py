@@ -311,9 +311,9 @@ class HandshakeSession:
 
     # -- peer certificate ---------------------------------------------------------
 
-    def _check_peer_identity(self, curve_id: str, subject: bytes) -> None:
+    def _check_peer_identity(self, key: AffinePoint, subject: bytes) -> None:
         expected_cn = self.config.expected_peer_cn
-        if curve_id != self.config.curve.id or (
+        if key.curve.id != self.config.curve.id or (
                 expected_cn is not None and
                 _dn_common_name(subject) != expected_cn):
             raise _Abort("peer certificate rejected")
@@ -326,7 +326,7 @@ class HandshakeSession:
             cert = x509_parse(der, self.registry)
         except X509Error:
             raise _Abort("peer certificate rejected") from None
-        self._check_peer_identity(cert.curve_id, cert.subject)
+        self._check_peer_identity(cert.public_key, cert.subject)
         if cert.issuer != self.ca_subject:
             raise _Abort("peer certificate rejected")
         ok, reason = x509_verify(cert, self.ca_key, int(self.config.clock()),
@@ -340,7 +340,7 @@ class HandshakeSession:
     def _send_client_hello(self, pending: List[bytes]) -> List[bytes]:
         self.client_random = self.drbg.generate(32)
         hello = wire.build_client_hello(
-            self.client_random, b"", wire.tls_curve_id(self.config.curve.id))
+            self.client_random, b"", self.config.curve.tls_code)
         return [self._send_handshake(wire.HT_CLIENT_HELLO, hello,
                                      in_transcript=False)]
 
@@ -351,7 +351,7 @@ class HandshakeSession:
         except wire.WireError as exc:
             raise _Abort(str(exc)) from None
         hello = wire.build_client_hello(
-            self.client_random, cookie, wire.tls_curve_id(self.config.curve.id))
+            self.client_random, cookie, self.config.curve.tls_code)
         return [self._send_handshake(wire.HT_CLIENT_HELLO, hello)]
 
     def _on_server_flight(self, pending: List[bytes]) -> List[bytes]:
@@ -384,14 +384,14 @@ class HandshakeSession:
             entry = self.cert_cache.check(cert_ders[0], self.ca_key,
                                           int(self.config.clock()))
         if entry is not None:
-            self._check_peer_identity(entry.curve_id, entry.subject)
+            self._check_peer_identity(entry.public_key, entry.subject)
             self.peer_key = entry.public_key
         else:
             cert = self._verify_peer_certificate(cert_ders[0])
             self.cert_cache.insert(cert, self.ca_key)
             self.peer_key = cert.public_key
 
-        if ske.curve_code != wire.tls_curve_id(self.config.curve.id):
+        if ske.curve_code != self.config.curve.tls_code:
             raise _Abort("server negotiated a different curve")
         try:
             self.peer_eph = AffinePoint.decode(ske.point, self.config.curve)
@@ -445,7 +445,7 @@ class HandshakeSession:
             raise _Abort(str(exc)) from None
         if wire.CIPHER_ECDHE_ECDSA_AES128_GCM_SHA256 not in hello.cipher_suites:
             raise _Abort("client does not offer our cipher suite")
-        if wire.tls_curve_id(self.config.curve.id) not in hello.curve_codes:
+        if self.config.curve.tls_code not in hello.curve_codes:
             raise _Abort("client does not offer our curve")
         return raw, hello
 
@@ -467,7 +467,7 @@ class HandshakeSession:
         self.transcript.update(raw)
 
         self.server_random = self.drbg.generate(32)
-        curve_code = wire.tls_curve_id(self.config.curve.id)
+        curve_code = self.config.curve.tls_code
         out = [self._send_handshake(
             wire.HT_SERVER_HELLO,
             wire.build_server_hello(self.server_random, curve_code))]
@@ -476,17 +476,15 @@ class HandshakeSession:
             wire.build_certificate([self.config.own_cert_der])))
         self.eph_key = KeyPair.generate(self.config.curve, self.drbg,
                                         self.comb_cache)
-        point = self.eph_key.Q.encode()
-        params = bytes([wire.CURVE_TYPE_NAMED]) + \
-            curve_code.to_bytes(2, "big") + \
-            len(point).to_bytes(1, "big") + point
+        params = wire.build_server_ecdh_params(curve_code,
+                                               self.eph_key.Q.encode())
         signed = wire.server_key_exchange_signed_data(
             self.client_random, self.server_random, params)
         sig = ecdsa_sign(self.own_key, sha256(signed), self.drbg,
                          cache=self.comb_cache)
         out.append(self._send_handshake(
             wire.HT_SERVER_KEY_EXCHANGE,
-            wire.build_server_key_exchange(curve_code, point, sig.to_der())))
+            wire.build_server_key_exchange(params, sig.to_der())))
         out.append(self._send_handshake(wire.HT_CERTIFICATE_REQUEST,
                                         wire.build_certificate_request()))
         out.append(self._send_handshake(wire.HT_SERVER_HELLO_DONE, b""))

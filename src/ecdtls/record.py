@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from . import counters
 from .aesgcm import AeadError, AeadKey, AuthenticationError, aes_gcm_open, \
     aes_gcm_seal
 

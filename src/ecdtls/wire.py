@@ -3,6 +3,9 @@
 Handshake header: msg_type(1) length(3) message_seq(2) fragment_offset(3)
 fragment_length(3).  Fragmentation is never produced: offset 0, fragment
 length equal to length.
+
+A curve appears on the wire as the TLS NamedCurve code point its registry
+record carries (`CurveParams.tls_code`); this module only moves the number.
 """
 
 from __future__ import annotations
@@ -33,26 +36,9 @@ SIGALG_ECDSA_SHA256 = b"\x04\x03"  # hash sha256, signature ecdsa
 CURVE_TYPE_NAMED = 3
 POINT_FORMAT_UNCOMPRESSED = 0
 
-# RFC 4492 NamedCurve registry values
-STANDARD_TLS_CURVE_IDS = {
-    "secp160r1": 16,
-    "secp192r1": 19,
-    "secp224r1": 21,
-    "secp256r1": 23,
-}
-PRIVATE_TLS_CURVE_BASE = 0xFE00
-
 
 class WireError(Exception):
     """Malformed handshake message."""
-
-
-def tls_curve_id(curve_id: str) -> int:
-    std = STANDARD_TLS_CURVE_IDS.get(curve_id)
-    if std is not None:
-        return std
-    # deterministic private-use code point for locally registered curves
-    return PRIVATE_TLS_CURVE_BASE | (sum(curve_id.encode()) & 0xFF)
 
 
 # ---------------------------------------------------------------------------
@@ -219,10 +205,13 @@ def parse_certificate(body: bytes) -> List[bytes]:
     return certs
 
 
-def build_server_key_exchange(curve_code: int, point: bytes,
-                              signature_der: bytes) -> bytes:
-    params = bytes([CURVE_TYPE_NAMED]) + curve_code.to_bytes(2, "big") + \
+def build_server_ecdh_params(curve_code: int, point: bytes) -> bytes:
+    """ServerECDHParams: the bytes the server signs and then sends."""
+    return bytes([CURVE_TYPE_NAMED]) + curve_code.to_bytes(2, "big") + \
         _vec(point, 1)
+
+
+def build_server_key_exchange(params: bytes, signature_der: bytes) -> bytes:
     return params + SIGALG_ECDSA_SHA256 + _vec(signature_der, 2)
 
 

@@ -3,8 +3,10 @@ certificate builder, and the fingerprint cache behind cached-verification
 handshakes.
 
 Only ecdsa-with-SHA256 signatures and named-curve EC subject keys are
-supported; everything else is a typed error.  Signature checks always hash
-the exact TBSCertificate bytes as received.
+supported; everything else is a typed error.  A subject key's curve is the
+registered curve whose record carries the key's namedCurve OID
+(`CurveParams.oid`).  Signature checks always hash the exact TBSCertificate
+bytes as received.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import calendar
 from typing import Dict, Optional, Tuple
 
 from . import counters
-from .curve import AffinePoint, CurveParams, CurveRegistry, PointDecodeError
+from .curve import AffinePoint, CurveError, CurveRegistry, PointDecodeError
 from .der import (TAG_BIT_STRING, TAG_BOOLEAN, TAG_CTX0, TAG_CTX3,
                   TAG_INTEGER, TAG_OCTET_STRING, TAG_OID, TAG_PRINTABLE,
                   TAG_SEQUENCE, TAG_SET, TAG_UTCTIME, TAG_UTF8, DerCursor,
@@ -49,40 +51,6 @@ OID_ECDSA_SHA256 = "1.2.840.10045.4.3.2"
 OID_EC_PUBLIC_KEY = "1.2.840.10045.2.1"
 OID_COMMON_NAME = "2.5.4.3"
 OID_BASIC_CONSTRAINTS = "2.5.29.19"
-
-STANDARD_CURVE_OIDS = {
-    "secp160r1": "1.3.132.0.8",
-    "secp192r1": "1.2.840.10045.3.1.1",
-    "secp224r1": "1.3.132.0.33",
-    "secp256r1": "1.2.840.10045.3.1.7",
-}
-# curves without a standard assignment get a private arc with the name
-# encoded as trailing arcs
-PRIVATE_CURVE_ARC = "1.3.6.1.4.1.55555.1"
-
-
-def curve_oid(curve_id: str) -> str:
-    std = STANDARD_CURVE_OIDS.get(curve_id)
-    if std:
-        return std
-    return PRIVATE_CURVE_ARC + "." + ".".join(str(b) for b in curve_id.encode())
-
-
-def curve_from_oid(oid: str, registry: CurveRegistry) -> CurveParams:
-    for name, std in STANDARD_CURVE_OIDS.items():
-        if oid == std:
-            if name not in registry:
-                raise UnsupportedCurveError("curve %s not registered" % name)
-            return registry.get(name)
-    prefix = PRIVATE_CURVE_ARC + "."
-    if oid.startswith(prefix):
-        try:
-            name = bytes(int(a) for a in oid[len(prefix):].split(".")).decode()
-        except (ValueError, UnicodeDecodeError):
-            raise UnsupportedCurveError("bad private curve arc") from None
-        if name in registry:
-            return registry.get(name)
-    raise UnsupportedCurveError("unknown curve OID %s" % oid)
 
 
 # ---------------------------------------------------------------------------
@@ -155,11 +123,11 @@ class Certificate:
     """Parsed fields plus the exact TBS byte span used for signatures."""
 
     __slots__ = ("raw", "raw_tbs", "serial", "issuer", "subject",
-                 "not_before", "not_after", "public_key", "curve_id",
-                 "signature", "sig_alg", "is_ca")
+                 "not_before", "not_after", "public_key", "signature",
+                 "sig_alg", "is_ca")
 
     def __init__(self, raw, raw_tbs, serial, issuer, subject, not_before,
-                 not_after, public_key, curve_id, signature, sig_alg, is_ca):
+                 not_after, public_key, signature, sig_alg, is_ca):
         self.raw = raw
         self.raw_tbs = raw_tbs
         self.serial = serial
@@ -168,7 +136,6 @@ class Certificate:
         self.not_before = not_before
         self.not_after = not_after
         self.public_key = public_key
-        self.curve_id = curve_id
         self.signature = signature
         self.sig_alg = sig_alg
         self.is_ca = is_ca
@@ -271,8 +238,11 @@ def _parse_certificate(der: bytes, registry: CurveRegistry) -> Certificate:
     _, alg_oid_body, _, _ = spki_alg.read(TAG_OID)
     if decode_oid(alg_oid_body) != OID_EC_PUBLIC_KEY:
         raise UnsupportedAlgorithmError("subject key is not EC")
-    _, curve_oid_body, _, _ = spki_alg.read(TAG_OID)
-    curve = curve_from_oid(decode_oid(curve_oid_body), registry)
+    _, named_curve_body, _, _ = spki_alg.read(TAG_OID)
+    try:
+        curve = registry.by_oid(decode_oid(named_curve_body))
+    except CurveError as exc:
+        raise UnsupportedCurveError(str(exc)) from None
     _, point_body, _, _ = spki.read(TAG_BIT_STRING)
     if not point_body or point_body[0] != 0:
         raise MalformedDerError("bad BIT STRING padding on key")
@@ -316,8 +286,7 @@ def _parse_certificate(der: bytes, registry: CurveRegistry) -> Certificate:
 
     counters.record("x509_parse")
     return Certificate(der, raw_tbs, serial, issuer, subject, not_before,
-                       not_after, public_key, curve.id, signature,
-                       tbs_sig_alg, is_ca)
+                       not_after, public_key, signature, tbs_sig_alg, is_ca)
 
 
 REJECT_BAD_SIGNATURE = "bad_signature"
@@ -347,14 +316,12 @@ CERT_CACHE_CAPACITY = 4
 
 
 class CertCacheEntry:
-    __slots__ = ("subject", "public_key", "curve_id", "not_before",
-                 "not_after")
+    __slots__ = ("subject", "public_key", "not_before", "not_after")
 
-    def __init__(self, subject: bytes, public_key: AffinePoint, curve_id: str,
+    def __init__(self, subject: bytes, public_key: AffinePoint,
                  not_before: int, not_after: int):
         self.subject = subject
         self.public_key = public_key
-        self.curve_id = curve_id
         self.not_before = not_before
         self.not_after = not_after
 
@@ -389,8 +356,7 @@ class CertCache:
         key = anchor.encode() + cert.fingerprint()
         self._entries.pop(key, None)
         self._entries[key] = CertCacheEntry(cert.subject, cert.public_key,
-                                            cert.curve_id, cert.not_before,
-                                            cert.not_after)
+                                            cert.not_before, cert.not_after)
         while len(self._entries) > CERT_CACHE_CAPACITY:
             del self._entries[next(iter(self._entries))]
 
@@ -400,7 +366,7 @@ class CertCache:
         lines = []
         for key, e in self._entries.items():
             lines.append("%s %s %s %s %d %d" % (
-                key.hex(), e.curve_id, e.subject.hex(),
+                key.hex(), e.public_key.curve.id, e.subject.hex(),
                 e.public_key.encode().hex(), e.not_before, e.not_after))
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + ("\n" if lines else ""))
@@ -418,8 +384,8 @@ class CertCache:
             curve = registry.get(curve_id)
             point = AffinePoint.decode(bytes.fromhex(point_hex), curve)
             cache._entries[bytes.fromhex(key_hex)] = CertCacheEntry(
-                bytes.fromhex(subj_hex), point, curve_id,
-                int(not_before), int(not_after))
+                bytes.fromhex(subj_hex), point, int(not_before),
+                int(not_after))
         return cache
 
 
@@ -437,11 +403,10 @@ def make_certificate(subject_cn: str, issuer_cn: str, serial: int,
                      not_before: int, not_after: int,
                      ca: bool = False) -> bytes:
     """Build and sign a v3 certificate; deterministic for fixed inputs."""
-    curve_id = subject_key.curve.id
     spki = der_tlv(TAG_SEQUENCE,
                    der_tlv(TAG_SEQUENCE,
                            encode_oid(OID_EC_PUBLIC_KEY) +
-                           encode_oid(curve_oid(curve_id))) +
+                           encode_oid(subject_key.curve.oid)) +
                    der_tlv(TAG_BIT_STRING, b"\x00" + subject_key.encode()))
     sig_alg = der_tlv(TAG_SEQUENCE, encode_oid(OID_ECDSA_SHA256))
     tbs_fields = [

@@ -1,10 +1,25 @@
 import pytest
 
-from ecdtls import wire
 from ecdtls.curve import (AffinePoint, CurveError, CurveParams, CurveRegistry,
-                          PointDecodeError, builtin_registry, parse_registry_text,
-                          point_add, point_double, validate_point)
+                          PointDecodeError, parse_registry_text, point_add,
+                          point_double, validate_point)
 from ecdtls.scalarmult import scalar_mul_unchecked
+
+# TLS code point and OID for curves built in a test; no builtin curve has them
+PRIVATE_IDS = (0xFE01, "1.3.6.1.4.1.55555.2")
+
+TINY_RECORD = """[tiny]
+kind = weierstrass
+tls = fe01
+oid = 1.3.6.1.4.1.55555.2
+p = 3b
+a = 02
+b = 0b
+gx = 05
+gy = 15
+n = 35
+h = 01
+"""
 
 
 def test_builtin_registry_contents(registry):
@@ -14,9 +29,17 @@ def test_builtin_registry_contents(registry):
 
 
 def test_builtin_tls_codes_unchanged(registry):
-    assert {name: wire.tls_curve_id(name) for name in registry.names()} == {
+    assert {name: registry.get(name).tls_code
+            for name in registry.names()} == {
         "secp160r1": 0x10, "secp192r1": 0x13, "secp224r1": 0x15,
         "secp256r1": 0x17, "toy59": 0xFECA}
+
+
+def test_builtin_oids_unchanged(registry):
+    assert {name: registry.get(name).oid for name in registry.names()} == {
+        "secp160r1": "1.3.132.0.8", "secp192r1": "1.2.840.10045.3.1.1",
+        "secp224r1": "1.3.132.0.33", "secp256r1": "1.2.840.10045.3.1.7",
+        "toy59": "1.3.6.1.4.1.55555.1.116.111.121.53.57"}
 
 
 def test_registered_generators_on_curve(registry):
@@ -48,7 +71,7 @@ class TestGroupLaw:
 
     def test_double_two_torsion_point(self):
         # y^2 = x^3 - x over GF(59) has (0, 0) as a 2-torsion point
-        c = CurveParams("torsion59", 59, 58, 0, 3, 24, 53, 1)
+        c = CurveParams("torsion59", 59, 58, 0, 3, 24, 53, *PRIVATE_IDS)
         assert c.equation_holds(0, 0)
         P = AffinePoint(c, 0, 0)
         assert point_double(P).at_infinity
@@ -130,6 +153,8 @@ class TestRegistryParsing:
         # comment
         [tiny]
         kind = weierstrass
+        tls = fe01
+        oid = 1.3.6.1.4.1.55555.2
         p = 3b
         a = 02
         b = 0b
@@ -141,27 +166,28 @@ class TestRegistryParsing:
         (params,) = parse_registry_text(text)
         assert params.id == "tiny"
         assert params.p == 59 and params.n == 53
+        assert params.tls_code == 0xFE01
+        assert params.oid == "1.3.6.1.4.1.55555.2"
 
     def test_missing_field_rejected(self):
         with pytest.raises(CurveError):
             parse_registry_text("[x]\nkind = weierstrass\np = 3b\n")
 
     def test_register_rejects_bad_generator(self):
-        bad = CurveParams("bad59", 59, 2, 11, 5, 22, 53, 1)
+        bad = CurveParams("bad59", 59, 2, 11, 5, 22, 53, *PRIVATE_IDS)
         reg = CurveRegistry()
         with pytest.raises(CurveError):
             reg.register(bad)
 
     def test_register_rejects_wrong_order(self):
-        bad = CurveParams("bad59n", 59, 2, 11, 5, 21, 59, 1)
+        bad = CurveParams("bad59n", 59, 2, 11, 5, 21, 59, *PRIVATE_IDS)
         with pytest.raises(CurveError):
             CurveRegistry().register(bad)
 
     def test_register_rejects_colliding_tls_code(self, toy):
-        # an anagram has the same byte sum, so the same private code point
         anagram = CurveParams("yot59", toy.p, toy.a, toy.b,
-                              toy.gx, toy.gy, toy.n, toy.h)
-        assert wire.tls_curve_id("yot59") == wire.tls_curve_id("toy59")
+                              toy.gx, toy.gy, toy.n, toy.tls_code,
+                              PRIVATE_IDS[1])
         reg = CurveRegistry()
         reg.register(toy)
         with pytest.raises(CurveError, match="0xfeca"):
@@ -169,16 +195,39 @@ class TestRegistryParsing:
         assert reg.names() == ["toy59"]
         reg.register(toy)  # replacing a curve under its own id still works
 
+    def test_register_rejects_colliding_oid(self, toy):
+        twin = CurveParams("yot59", toy.p, toy.a, toy.b, toy.gx, toy.gy,
+                           toy.n, PRIVATE_IDS[0], toy.oid)
+        reg = CurveRegistry()
+        reg.register(toy)
+        with pytest.raises(CurveError, match="OID"):
+            reg.register(twin)
+        assert reg.names() == ["toy59"]
+
     def test_register_rejects_singular(self):
-        sing = CurveParams("sing", 59, 0, 0, 1, 1, 53, 1)
+        sing = CurveParams("sing", 59, 0, 0, 1, 1, 53, *PRIVATE_IDS)
         with pytest.raises(CurveError):
             CurveRegistry().register(sing)
 
     def test_other_curve_form_refused(self):
         # a Montgomery record reuses the same keys; it must not be read as
         # the Weierstrass curve those numbers would describe
-        text = "[tiny]\nkind = montgomery\np = 3b\na = 02\nb = 0b\n" \
-            "gx = 05\ngy = 15\nn = 35\nh = 01\n"
+        text = TINY_RECORD.replace("weierstrass", "montgomery")
         assert parse_registry_text(text.replace("montgomery", "weierstrass"))
         with pytest.raises(CurveError, match="montgomery"):
             parse_registry_text(text)
+
+    @pytest.mark.parametrize("line, replacement", [
+        ("tls = fe01\n", ""),
+        ("oid = 1.3.6.1.4.1.55555.2\n", ""),
+        ("tls = fe01\n", "tls = 10000\n"),
+        ("tls = fe01\n", "tls = -1\n"),
+        ("oid = 1.3.6.1.4.1.55555.2\n", "oid = 1.3.6.1.4.1.fe\n"),
+        ("oid = 1.3.6.1.4.1.55555.2\n", "oid = tiny\n"),
+        ("h = 01\n", "h = 02\n"),
+    ])
+    def test_bad_record_refused(self, line, replacement):
+        assert parse_registry_text(TINY_RECORD)
+        assert line in TINY_RECORD
+        with pytest.raises(CurveError):
+            parse_registry_text(TINY_RECORD.replace(line, replacement))

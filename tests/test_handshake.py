@@ -5,7 +5,6 @@ from ecdtls.credentials import NOT_AFTER, generate_pki
 from ecdtls.handshake import (MODE_CACHED, MODE_FULL, HandshakeError,
                               HandshakeSession, SessionConfig, State)
 from ecdtls.record import CONTENT_HANDSHAKE
-from ecdtls.scalarmult import CombCache
 from ecdtls.transport import exchange_app_data, run_loopback
 from ecdtls.x509 import CertCache
 
@@ -278,7 +277,7 @@ class TestStateMachine:
         digest = server.transcript.copy().digest()
 
         bad_hello = wire.build_client_hello(client.client_random, b"\x00" * 32,
-                                            wire.tls_curve_id(toy.id))
+                                            toy.tls_code)
         out = server.server_step([client.records.encode(
             CONTENT_HANDSHAKE,
             wire.pack_handshake(wire.HT_CLIENT_HELLO, 1, bad_hello))])

@@ -1,4 +1,5 @@
-"""Every module of the package is reached from its public API.
+"""Every module of the package is reached from its public API, and every
+name a module imports is read.
 
 perfbench/README.md names the API the benchmark drives: `handshake`,
 `transport`, `credentials` and `energy`.  Walking the relative imports from
@@ -8,12 +9,17 @@ is left over is code nothing reaches.
 `merkle` is the one known leftover, kept with its tests until its deletion
 lands on its own; the check requires the leftover set to be exactly that, so
 a newly unreached module fails it and so does deleting `merkle` without
-updating it."""
+updating it.
+
+The import check walks the package and the tests with `ast`, since no
+linter is installed.  A name bound by `import` or `from ... import` that the
+module never loads fails it; `__future__` imports are exempt."""
 
 import ast
 import pathlib
 
-PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "ecdtls"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "ecdtls"
 ROOTS = ("handshake", "transport", "credentials", "energy")
 UNREACHED_PENDING_DELETION = ["merkle"]
 
@@ -44,3 +50,28 @@ def test_every_module_reached_from_public_api():
         reached.add(name)
         todo.extend(relative_imports(name) & modules)
     assert sorted(modules - reached) == UNREACHED_PENDING_DELETION
+
+
+def unread_imports(path: pathlib.Path) -> list:
+    """Names the module at path imports but never loads."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((alias.asname or alias.name).split(".")[0]
+                            for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and \
+                node.module != "__future__":
+            imported.update(alias.asname or alias.name
+                            for alias in node.names)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(imported - read)
+
+
+def test_every_import_is_read():
+    paths = sorted(PACKAGE.glob("*.py")) + \
+        sorted((ROOT / "tests").glob("*.py"))
+    unread = {str(path.relative_to(ROOT)): names for path in paths
+              for names in [unread_imports(path)] if names}
+    assert unread == {}

@@ -181,6 +181,32 @@ class TestEcsmComb:
             vectors.add(sc.counters.uniform_vector())
         assert len(vectors) == 1
 
+    # The vectors at n-1, n-2 and n-4 differ from the fixed structure above.
+    # Making the comb uniform for every k in [1, n) will change these counts
+    # on purpose; until then they pin what the comb does near n.
+    @pytest.mark.parametrize("name, offset, adds, doubles, vector", [
+        ("secp160r1", 1, 39, 41, (164, 440, 281, 44960, 80, 12800, 0, 39, 41)),
+        ("secp160r1", 2, 39, 41, (164, 440, 281, 44960, 80, 12800, 0, 39, 41)),
+        ("secp160r1", 4, 40, 42, (168, 450, 288, 46080, 82, 13120, 0, 40, 42)),
+        ("secp256r1", 1, 63, 65,
+         (260, 704, 449, 114944, 128, 32768, 0, 63, 65)),
+        ("secp256r1", 2, 63, 65,
+         (260, 704, 449, 114944, 128, 32768, 0, 63, 65)),
+        ("secp256r1", 4, 64, 66,
+         (264, 714, 456, 116736, 130, 33280, 0, 64, 66)),
+    ])
+    def test_counts_near_order_pinned(self, curves, name, offset, adds,
+                                      doubles, vector):
+        c = curves[name]
+        G = c.generator()
+        cache = CombCache()
+        ecsm_comb(2, G, cache)  # warm
+        with counters.scope() as sc:
+            ecsm_comb(c.n - offset, G, cache)
+        assert sc.counters["point_add"] == adds
+        assert sc.counters["point_double"] == doubles
+        assert sc.counters.uniform_vector() == vector
+
     def test_uniform_trace_across_scalars(self, curves):
         c = curves["secp160r1"]
         G = c.generator()

@@ -4,8 +4,7 @@ import pytest
 
 from ecdtls.credentials import generate_pki
 from ecdtls.handshake import HandshakeSession, SessionConfig
-from ecdtls.transport import (UdpEndpoint, exchange_app_data, run_loopback,
-                              run_udp_handshake)
+from ecdtls.transport import UdpEndpoint, run_loopback, run_udp_handshake
 
 FIXED_CLOCK = lambda: 1754784000.0
 

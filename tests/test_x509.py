@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from ecdtls import counters
@@ -12,8 +10,7 @@ from ecdtls.x509 import (ACCEPTED, CERT_CACHE_CAPACITY, CertCache,
                          REJECT_EXPIRED, X509Error,
                          UnknownCriticalExtensionError,
                          UnsupportedAlgorithmError, UnsupportedCurveError,
-                         curve_from_oid, curve_oid, make_certificate,
-                         x509_parse, x509_verify)
+                         make_certificate, x509_parse, x509_verify)
 
 NOT_BEFORE = 1704067200   # 2024-01-01T00:00:00Z
 NOT_AFTER = 2335219200    # 2044-01-01T00:00:00Z
@@ -64,7 +61,7 @@ class TestParse:
         cert = x509_parse(fixture_pki["leaf_der"], registry)
         assert cert.serial == 2
         assert cert.subject_cn() == "server"
-        assert cert.curve_id == "secp256r1"
+        assert cert.public_key.curve.id == "secp256r1"
         assert cert.public_key == fixture_pki["leaf_key"].Q
         assert cert.not_before == NOT_BEFORE
         assert cert.not_after == NOT_AFTER
@@ -92,11 +89,22 @@ class TestParse:
         der = make_certificate("t", "t", 9, toy_key.Q, toy_key,
                                NOT_BEFORE, NOT_AFTER)
         # parses fine while toy59 is registered
-        assert x509_parse(der, registry).curve_id == "toy59"
+        assert x509_parse(der, registry).public_key.curve.id == "toy59"
         from ecdtls.curve import CurveRegistry
         empty = CurveRegistry()
         with pytest.raises(UnsupportedCurveError):
             x509_parse(der, empty)
+
+    def test_oid_of_no_registered_curve(self, registry, fixture_pki):
+        # prime239v3 (1.2.840.10045.3.1.6) is one arc away from secp256r1
+        # and is not registered
+        from ecdtls.x509 import encode_oid
+        der = fixture_pki["leaf_der"]
+        old = encode_oid(registry.get("secp256r1").oid)
+        new = encode_oid("1.2.840.10045.3.1.6")
+        assert len(old) == len(new) and old in der
+        with pytest.raises(UnsupportedCurveError):
+            x509_parse(der.replace(old, new), registry)
 
     def test_non_ecdsa_sha256_algorithm_rejected(self, registry, fixture_pki):
         # splice ecdsa-with-SHA384 over ecdsa-with-SHA256 (same length)
@@ -293,7 +301,7 @@ class TestCertCache:
 class TestOidHelpers:
     def test_standard_oids_round_trip(self, registry):
         for name in ("secp160r1", "secp192r1", "secp224r1", "secp256r1"):
-            assert curve_from_oid(curve_oid(name), registry).id == name
+            assert registry.by_oid(registry.get(name).oid).id == name
 
     def test_private_arc_round_trip(self, registry):
-        assert curve_from_oid(curve_oid("toy59"), registry).id == "toy59"
+        assert registry.by_oid(registry.get("toy59").oid).id == "toy59"
