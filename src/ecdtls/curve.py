@@ -12,10 +12,10 @@ in certificates.  Every registered curve has cofactor 1.
 from __future__ import annotations
 
 import os
-import re
 from typing import Dict, List, Optional
 
 from . import counters
+from .der import DerError, der_oid
 from .field import PrimeModulus, add_int, inv_euclid_int, mul_int, sub_int
 
 
@@ -253,10 +253,10 @@ def _validate_params(params: CurveParams) -> None:
 
 def parse_registry_text(text: str) -> List[CurveParams]:
     """Parse the curve registry format: [name] blocks of key=value lines,
-    hex except the dotted-decimal `oid`.  Each record names its curve form in
-    `kind` and its cofactor in `h`; only `weierstrass` with h = 1 is
-    accepted, so a record for another form or a larger group is refused
-    rather than misread."""
+    hex except the `oid`, which `der.der_oid` must accept.  Each record
+    names its curve form in `kind` and its cofactor in `h`; only
+    `weierstrass` with h = 1 is accepted, so a record for another form or a
+    larger group is refused rather than misread."""
     records: List[CurveParams] = []
     name = None
     fields: Dict[str, str] = {}
@@ -274,13 +274,12 @@ def parse_registry_text(text: str) -> List[CurveParams]:
                 raise ValueError("cofactor must be 1")
             if not 0 <= vals["tls"] <= 0xFFFF:
                 raise ValueError("TLS code point outside 0..0xffff")
-            if not re.fullmatch(r"[0-2](\.(0|[1-9][0-9]*))+", oid):
-                raise ValueError("OID %r is not dotted decimal" % oid)
+            der_oid(oid)
             records.append(CurveParams(
                 id=name, p=vals["p"], a=vals["a"], b=vals["b"],
                 gx=vals["gx"], gy=vals["gy"], n=vals["n"],
                 tls_code=vals["tls"], oid=oid))
-        except (KeyError, ValueError) as exc:
+        except (KeyError, ValueError, DerError) as exc:
             raise CurveError("bad registry record %r: %s" % (name, exc)) from None
 
     for line in text.splitlines():

@@ -51,14 +51,10 @@ class EcdsaSignature:
     def from_der(cls, data: bytes) -> "EcdsaSignature":
         """Strict DER: minimal lengths and minimal non-negative INTEGERs."""
         try:
-            top = DerCursor(data)
-            body = top.enter(TAG_SEQUENCE)
-            if not top.done():
-                raise DerError("trailing bytes after signature")
+            body = DerCursor.whole(data, TAG_SEQUENCE)
             r = body.read_uint()
             s = body.read_uint()
-            if not body.done():
-                raise DerError("trailing bytes inside signature")
+            body.expect_done()
         except DerError as exc:
             raise SignatureError("bad DER signature: %s" % exc) from None
         return cls(r, s)

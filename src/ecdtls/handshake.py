@@ -39,7 +39,7 @@ from .record import (CONTENT_ALERT, CONTENT_APPDATA, CONTENT_CCS,
 from .scalarmult import CombCache
 from .sha256 import Sha256, hmac_sha256, sha256
 from .x509 import CertCache, Certificate, X509Error, x509_parse, \
-    x509_verify, _dn_common_name
+    x509_verify
 
 VERIFY_DATA_LEN = 12
 MASTER_SECRET_LEN = 48
@@ -311,11 +311,11 @@ class HandshakeSession:
 
     # -- peer certificate ---------------------------------------------------------
 
-    def _check_peer_identity(self, key: AffinePoint, subject: bytes) -> None:
+    def _check_peer_identity(self, key: AffinePoint,
+                             subject_cn: Optional[str]) -> None:
         expected_cn = self.config.expected_peer_cn
         if key.curve.id != self.config.curve.id or (
-                expected_cn is not None and
-                _dn_common_name(subject) != expected_cn):
+                expected_cn is not None and subject_cn != expected_cn):
             raise _Abort("peer certificate rejected")
 
     def _verify_peer_certificate(self, der: bytes) -> Certificate:
@@ -326,7 +326,7 @@ class HandshakeSession:
             cert = x509_parse(der, self.registry)
         except X509Error:
             raise _Abort("peer certificate rejected") from None
-        self._check_peer_identity(cert.public_key, cert.subject)
+        self._check_peer_identity(cert.public_key, cert.subject_cn)
         if cert.issuer != self.ca_subject:
             raise _Abort("peer certificate rejected")
         ok, reason = x509_verify(cert, self.ca_key, int(self.config.clock()),
@@ -384,7 +384,7 @@ class HandshakeSession:
             entry = self.cert_cache.check(cert_ders[0], self.ca_key,
                                           int(self.config.clock()))
         if entry is not None:
-            self._check_peer_identity(entry.public_key, entry.subject)
+            self._check_peer_identity(entry.public_key, entry.subject_cn)
             self.peer_key = entry.public_key
         else:
             cert = self._verify_peer_certificate(cert_ders[0])
@@ -467,16 +467,14 @@ class HandshakeSession:
         self.transcript.update(raw)
 
         self.server_random = self.drbg.generate(32)
-        curve_code = self.config.curve.tls_code
         out = [self._send_handshake(
-            wire.HT_SERVER_HELLO,
-            wire.build_server_hello(self.server_random, curve_code))]
+            wire.HT_SERVER_HELLO, wire.build_server_hello(self.server_random))]
         out.append(self._send_handshake(
             wire.HT_CERTIFICATE,
             wire.build_certificate([self.config.own_cert_der])))
         self.eph_key = KeyPair.generate(self.config.curve, self.drbg,
                                         self.comb_cache)
-        params = wire.build_server_ecdh_params(curve_code,
+        params = wire.build_server_ecdh_params(self.config.curve.tls_code,
                                                self.eph_key.Q.encode())
         signed = wire.server_key_exchange_signed_data(
             self.client_random, self.server_random, params)

@@ -51,9 +51,6 @@ class Sha256:
         self._compress(2 if self._length % 64 >= 56 else 1)
         return self._h.digest()
 
-    def hexdigest(self) -> str:
-        return self.digest().hex()
-
 
 def sha256(data: bytes) -> bytes:
     return Sha256(data).digest()

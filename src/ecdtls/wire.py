@@ -161,7 +161,7 @@ def parse_hello_verify_request(body: bytes) -> bytes:
     return cookie
 
 
-def build_server_hello(random: bytes, curve_code: int) -> bytes:
+def build_server_hello(random: bytes) -> bytes:
     exts = EXT_EC_POINT_FORMATS.to_bytes(2, "big") + \
         _vec(_vec(bytes([POINT_FORMAT_UNCOMPRESSED]), 1), 2)
     return (b"\xfe\xfd" + random + _vec(b"", 1) +
@@ -184,6 +184,9 @@ def parse_server_hello(body: bytes) -> ServerHello:
     suite = r.int_(2)
     if r.int_(1) != COMPRESSION_NULL:
         raise WireError("unexpected compression method")
+    if not r.done():
+        r.vector(2)                  # extensions (none are acted on)
+    r.expect_done()
     return ServerHello(random, suite)
 
 

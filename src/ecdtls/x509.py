@@ -1,25 +1,25 @@
-"""Minimal X.509: strict-DER parsing of v3 ECDSA certificates, a fixture
-certificate builder, and the fingerprint cache behind cached-verification
-handshakes.
+"""Minimal X.509: the v3 ECDSA certificate schema over the `der` codec, a
+fixture certificate builder, and the fingerprint cache behind
+cached-verification handshakes.
 
-Only ecdsa-with-SHA256 signatures and named-curve EC subject keys are
-supported; everything else is a typed error.  A subject key's curve is the
-registered curve whose record carries the key's namedCurve OID
-(`CurveParams.oid`).  Signature checks always hash the exact TBSCertificate
-bytes as received.
+Parsing walks the certificate's fields in order with `der.DerCursor`; no
+byte-level code lives here.  Only ecdsa-with-SHA256 signatures and
+named-curve EC subject keys are supported; everything else is a typed error.
+A subject key's curve is the registered curve whose record carries the
+key's namedCurve OID (`CurveParams.oid`).  Signature checks always hash the
+exact TBSCertificate bytes as received.
 """
 
 from __future__ import annotations
 
-import calendar
 from typing import Dict, Optional, Tuple
 
 from . import counters
 from .curve import AffinePoint, CurveError, CurveRegistry, PointDecodeError
 from .der import (TAG_BIT_STRING, TAG_BOOLEAN, TAG_CTX0, TAG_CTX3,
-                  TAG_INTEGER, TAG_OCTET_STRING, TAG_OID, TAG_PRINTABLE,
-                  TAG_SEQUENCE, TAG_SET, TAG_UTCTIME, TAG_UTF8, DerCursor,
-                  DerError, der_integer, der_read_tlv, der_tlv)
+                  TAG_OCTET_STRING, TAG_PRINTABLE, TAG_SEQUENCE, TAG_SET,
+                  TAG_UTF8, DerCursor, DerError, der_integer, der_oid,
+                  der_tlv, der_utctime)
 from .ecdsa import EcdsaSignature, KeyPair, SignatureError, ecdsa_sign, \
     ecdsa_verify
 from .scalarmult import CombCache
@@ -54,239 +54,139 @@ OID_BASIC_CONSTRAINTS = "2.5.29.19"
 
 
 # ---------------------------------------------------------------------------
-# Object identifiers
-
-def decode_oid(contents: bytes) -> str:
-    if not contents:
-        raise MalformedDerError("empty OID")
-    arcs = [contents[0] // 40, contents[0] % 40]
-    val = 0
-    pending = False
-    for b in contents[1:]:
-        val = (val << 7) | (b & 0x7F)
-        pending = True
-        if not b & 0x80:
-            arcs.append(val)
-            val = 0
-            pending = False
-    if pending:
-        raise MalformedDerError("truncated OID arc")
-    return ".".join(str(a) for a in arcs)
-
-
-def encode_oid(oid: str) -> bytes:
-    arcs = [int(a) for a in oid.split(".")]
-    out = bytearray([arcs[0] * 40 + arcs[1]])
-    for arc in arcs[2:]:
-        chunk = [arc & 0x7F]
-        arc >>= 7
-        while arc:
-            chunk.append((arc & 0x7F) | 0x80)
-            arc >>= 7
-        out.extend(reversed(chunk))
-    return der_tlv(TAG_OID, bytes(out))
-
-
-def _parse_utctime(contents: bytes) -> int:
-    try:
-        text = contents.decode("ascii")
-    except UnicodeDecodeError:
-        raise MalformedDerError("bad time encoding") from None
-    if len(text) != 13 or not text.endswith("Z"):
-        raise MalformedDerError("expected YYMMDDHHMMSSZ UTCTime")
-    try:
-        yy = int(text[0:2])
-        mo, dd, hh, mi, ss = (int(text[i:i + 2]) for i in range(2, 12, 2))
-    except ValueError:
-        raise MalformedDerError("non-numeric time") from None
-    if not (1 <= mo <= 12 and 1 <= dd <= 31 and hh < 24 and mi < 60 and ss < 60):
-        raise MalformedDerError("impossible time value")
-    year = 2000 + yy if yy < 50 else 1900 + yy
-    return calendar.timegm((year, mo, dd, hh, mi, ss))
-
-
-def _encode_utctime(epoch: int) -> bytes:
-    import time
-    tm = time.gmtime(epoch)
-    if not 1950 <= tm.tm_year < 2050:
-        raise X509Error("UTCTime only covers 1950..2049")
-    text = "%02d%02d%02d%02d%02d%02dZ" % (tm.tm_year % 100, tm.tm_mon,
-                                          tm.tm_mday, tm.tm_hour, tm.tm_min,
-                                          tm.tm_sec)
-    return der_tlv(TAG_UTCTIME, text.encode())
-
-
-# ---------------------------------------------------------------------------
 # Certificate
 
 class Certificate:
-    """Parsed fields plus the exact TBS byte span used for signatures."""
+    """Parsed fields plus the exact TBS bytes used for signatures."""
 
     __slots__ = ("raw", "raw_tbs", "serial", "issuer", "subject",
-                 "not_before", "not_after", "public_key", "signature",
-                 "sig_alg", "is_ca")
+                 "subject_cn", "not_before", "not_after", "public_key",
+                 "signature", "is_ca")
 
-    def __init__(self, raw, raw_tbs, serial, issuer, subject, not_before,
-                 not_after, public_key, signature, sig_alg, is_ca):
+    def __init__(self, raw, raw_tbs, serial, issuer, subject, subject_cn,
+                 not_before, not_after, public_key, signature, is_ca):
         self.raw = raw
         self.raw_tbs = raw_tbs
         self.serial = serial
         self.issuer = issuer
         self.subject = subject
+        self.subject_cn = subject_cn
         self.not_before = not_before
         self.not_after = not_after
         self.public_key = public_key
         self.signature = signature
-        self.sig_alg = sig_alg
         self.is_ca = is_ca
 
     def fingerprint(self) -> bytes:
         return sha256(self.raw)
 
-    def subject_cn(self) -> Optional[str]:
-        return _dn_common_name(self.subject)
 
-
-def _dn_common_name(dn_der: bytes) -> Optional[str]:
-    try:
-        rdns = DerCursor(*_contents_of(dn_der, TAG_SEQUENCE))
-        while not rdns.done():
-            rdn = rdns.enter(TAG_SET)
+def _read_name(tbs: DerCursor) -> Tuple[bytes, Optional[str]]:
+    """A Name, SEQUENCE OF SET SIZE (1..MAX) OF {type OID, value}: its full
+    encoding and its first commonName, a non-empty UTF8String or
+    PrintableString."""
+    raw = tbs.read_raw(TAG_SEQUENCE)
+    rdns = DerCursor.whole(raw, TAG_SEQUENCE)
+    cn = None
+    while not rdns.done():
+        rdn = rdns.enter(TAG_SET)
+        if rdn.done():
+            raise MalformedDerError("empty RelativeDistinguishedName")
+        while not rdn.done():
             atv = rdn.enter(TAG_SEQUENCE)
-            _, oid_body, _, _ = atv.read(TAG_OID)
-            if decode_oid(oid_body) == OID_COMMON_NAME:
-                tag, value, _, _ = atv.read()
-                if tag in (TAG_UTF8, TAG_PRINTABLE):
-                    return value.decode("utf-8", "replace")
-    except (X509Error, DerError):
-        return None
-    return None
+            oid = atv.read_oid()
+            tag, value = atv.read()
+            atv.expect_done()
+            if oid == OID_COMMON_NAME:
+                if tag not in (TAG_UTF8, TAG_PRINTABLE) or not value:
+                    raise MalformedDerError("bad commonName value")
+                cn = cn or value.decode("utf-8")
+    return raw, cn
 
 
-def _contents_of(data: bytes, tag: int) -> Tuple[bytes, int]:
-    got, contents, coff, end = der_read_tlv(data, 0)
-    if got != tag or end != len(data):
-        raise MalformedDerError("unexpected outer element")
-    return contents, coff
-
-
-def _parse_algorithm(cur: DerCursor) -> str:
+def _read_ecdsa_sha256(cur: DerCursor) -> None:
+    """ecdsa-with-SHA256, with its parameters absent (RFC 5758 3.2)."""
     alg = cur.enter(TAG_SEQUENCE)
-    _, oid_body, _, _ = alg.read(TAG_OID)
-    return decode_oid(oid_body)
+    oid = alg.read_oid()
+    alg.expect_done()
+    if oid != OID_ECDSA_SHA256:
+        raise UnsupportedAlgorithmError("signature algorithm %s" % oid)
 
 
 def x509_parse(der: bytes, registry: CurveRegistry) -> Certificate:
     """Parse a DER v3 certificate; raises typed errors, never crashes."""
+    if not isinstance(der, (bytes, bytearray)):
+        raise MalformedDerError("certificate must be bytes")
     try:
-        return _parse_certificate(der, registry)
-    except DerError as exc:
+        return _parse_certificate(bytes(der), registry)
+    except (DerError, UnicodeDecodeError) as exc:
         raise MalformedDerError(str(exc)) from None
 
 
 def _parse_certificate(der: bytes, registry: CurveRegistry) -> Certificate:
-    if not isinstance(der, (bytes, bytearray)):
-        raise MalformedDerError("certificate must be bytes")
-    der = bytes(der)
-    tag, cert_body, coff, end = der_read_tlv(der, 0)
-    if tag != TAG_SEQUENCE:
-        raise MalformedDerError("certificate is not a SEQUENCE")
-    if end != len(der):
-        raise MalformedDerError("trailing bytes after certificate")
-    top = DerCursor(cert_body, coff)
+    top = DerCursor.whole(der, TAG_SEQUENCE)
+    raw_tbs = top.read_raw(TAG_SEQUENCE)
+    tbs = DerCursor.whole(raw_tbs, TAG_SEQUENCE)
 
-    # TBSCertificate: keep the exact span for signature hashing
-    tbs_tag = top.peek_tag()
-    if tbs_tag != TAG_SEQUENCE:
-        raise MalformedDerError("TBSCertificate is not a SEQUENCE")
-    _, tbs_body, tbs_span, tbs_base = top.read(TAG_SEQUENCE)
-    raw_tbs = der[tbs_span[0]:tbs_span[1]]
-    tbs = DerCursor(tbs_body, tbs_base)
-
-    # version [0] EXPLICIT INTEGER: require v3
-    if tbs.peek_tag() != TAG_CTX0:
-        raise MalformedDerError("missing v3 version element")
-    ver = tbs.enter(TAG_CTX0)
-    _, ver_body, _, _ = ver.read(TAG_INTEGER)
-    if ver_body != b"\x02":
+    # version [0] EXPLICIT INTEGER: require v3, whose value is 2
+    version = tbs.enter(TAG_CTX0)
+    if version.read_uint() != 2:
         raise UnsupportedAlgorithmError("only X.509 v3 is supported")
-
+    version.expect_done()
     serial = tbs.read_uint()
-
-    tbs_sig_alg = _parse_algorithm(tbs)
-    if tbs_sig_alg != OID_ECDSA_SHA256:
-        raise UnsupportedAlgorithmError("signature algorithm %s" % tbs_sig_alg)
-
-    _, _, issuer_span, _ = tbs.read(TAG_SEQUENCE)
-    issuer = der[issuer_span[0]:issuer_span[1]]
-
+    _read_ecdsa_sha256(tbs)
+    issuer, _ = _read_name(tbs)
     validity = tbs.enter(TAG_SEQUENCE)
-    vtag, nb_body, _, _ = validity.read()
-    if vtag != TAG_UTCTIME:
-        raise MalformedDerError("notBefore must be UTCTime")
-    not_before = _parse_utctime(nb_body)
-    vtag, na_body, _, _ = validity.read()
-    if vtag != TAG_UTCTIME:
-        raise MalformedDerError("notAfter must be UTCTime")
-    not_after = _parse_utctime(na_body)
-
-    _, _, subject_span, _ = tbs.read(TAG_SEQUENCE)
-    subject = der[subject_span[0]:subject_span[1]]
+    not_before = validity.read_utctime()
+    not_after = validity.read_utctime()
+    validity.expect_done()
+    subject, subject_cn = _read_name(tbs)
 
     spki = tbs.enter(TAG_SEQUENCE)
     spki_alg = spki.enter(TAG_SEQUENCE)
-    _, alg_oid_body, _, _ = spki_alg.read(TAG_OID)
-    if decode_oid(alg_oid_body) != OID_EC_PUBLIC_KEY:
+    if spki_alg.read_oid() != OID_EC_PUBLIC_KEY:
         raise UnsupportedAlgorithmError("subject key is not EC")
-    _, named_curve_body, _, _ = spki_alg.read(TAG_OID)
     try:
-        curve = registry.by_oid(decode_oid(named_curve_body))
+        curve = registry.by_oid(spki_alg.read_oid())
     except CurveError as exc:
         raise UnsupportedCurveError(str(exc)) from None
-    _, point_body, _, _ = spki.read(TAG_BIT_STRING)
-    if not point_body or point_body[0] != 0:
-        raise MalformedDerError("bad BIT STRING padding on key")
+    spki_alg.expect_done()
     try:
-        public_key = AffinePoint.decode(point_body[1:], curve)
+        public_key = AffinePoint.decode(spki.read_bit_string(), curve)
     except PointDecodeError as exc:
         raise MalformedDerError("bad subject point: %s" % exc) from None
+    spki.expect_done()
 
     is_ca = False
-    if not tbs.done() and tbs.peek_tag() == TAG_CTX3:
-        exts = tbs.enter(TAG_CTX3).enter(TAG_SEQUENCE)
+    if tbs.peek_tag() == TAG_CTX3:
+        exts = DerCursor.whole(tbs.read(TAG_CTX3)[1], TAG_SEQUENCE)
         while not exts.done():
             ext = exts.enter(TAG_SEQUENCE)
-            _, ext_oid_body, _, _ = ext.read(TAG_OID)
+            ext_oid = ext.read_oid()
             critical = ext.read_default_false()
-            _, ext_value, _, _ = ext.read(TAG_OCTET_STRING)
-            ext_oid = decode_oid(ext_oid_body)
+            ext_value = ext.read(TAG_OCTET_STRING)[1]
+            ext.expect_done()
             if ext_oid == OID_BASIC_CONSTRAINTS:
-                bc = DerCursor(*_contents_of(ext_value, TAG_SEQUENCE))
-                is_ca = bc.read_default_false()
+                is_ca = DerCursor.whole(ext_value, TAG_SEQUENCE) \
+                    .read_default_false()
             elif critical:
                 raise UnknownCriticalExtensionError(
                     "unknown critical extension %s" % ext_oid)
-    if not tbs.done():
-        raise MalformedDerError("unexpected data after TBS extensions")
+    tbs.expect_done()
 
-    outer_sig_alg = _parse_algorithm(top)
-    if outer_sig_alg != tbs_sig_alg:
-        raise MalformedDerError("signature algorithm mismatch")
-    _, sig_body, _, _ = top.read(TAG_BIT_STRING)
-    if not top.done():
-        raise MalformedDerError("trailing data after signature")
-    if not sig_body or sig_body[0] != 0:
-        raise MalformedDerError("bad BIT STRING padding on signature")
+    _read_ecdsa_sha256(top)
+    sig_bits = top.read_bit_string()
+    top.expect_done()
     try:
-        signature = EcdsaSignature.from_der(sig_body[1:])
+        signature = EcdsaSignature.from_der(sig_bits)
     except SignatureError as exc:
         raise MalformedDerError("bad signature encoding: %s" % exc) from None
     if not signature.in_range(curve.n):
         raise MalformedDerError("signature component out of range")
 
     counters.record("x509_parse")
-    return Certificate(der, raw_tbs, serial, issuer, subject, not_before,
-                       not_after, public_key, signature, tbs_sig_alg, is_ca)
+    return Certificate(der, raw_tbs, serial, issuer, subject, subject_cn,
+                       not_before, not_after, public_key, signature, is_ca)
 
 
 REJECT_BAD_SIGNATURE = "bad_signature"
@@ -316,11 +216,11 @@ CERT_CACHE_CAPACITY = 4
 
 
 class CertCacheEntry:
-    __slots__ = ("subject", "public_key", "not_before", "not_after")
+    __slots__ = ("subject_cn", "public_key", "not_before", "not_after")
 
-    def __init__(self, subject: bytes, public_key: AffinePoint,
+    def __init__(self, subject_cn: Optional[str], public_key: AffinePoint,
                  not_before: int, not_after: int):
-        self.subject = subject
+        self.subject_cn = subject_cn
         self.public_key = public_key
         self.not_before = not_before
         self.not_after = not_after
@@ -355,18 +255,20 @@ class CertCache:
         """Remember cert as verified under the trust anchor's key."""
         key = anchor.encode() + cert.fingerprint()
         self._entries.pop(key, None)
-        self._entries[key] = CertCacheEntry(cert.subject, cert.public_key,
+        self._entries[key] = CertCacheEntry(cert.subject_cn, cert.public_key,
                                             cert.not_before, cert.not_after)
         while len(self._entries) > CERT_CACHE_CAPACITY:
             del self._entries[next(iter(self._entries))]
 
     def save(self, path: str) -> None:
         """Persist as text, one entry per line: key (anchor || fingerprint),
-        curve, subject, point, notBefore, notAfter."""
+        curve, subject commonName as UTF-8 hex ("-" for none), point,
+        notBefore, notAfter."""
         lines = []
         for key, e in self._entries.items():
+            cn_hex = "-" if e.subject_cn is None else e.subject_cn.encode().hex()
             lines.append("%s %s %s %s %d %d" % (
-                key.hex(), e.public_key.curve.id, e.subject.hex(),
+                key.hex(), e.public_key.curve.id, cn_hex,
                 e.public_key.encode().hex(), e.not_before, e.not_after))
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + ("\n" if lines else ""))
@@ -379,13 +281,13 @@ class CertCache:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [line for line in fh if line.strip()]
         for line in lines[-CERT_CACHE_CAPACITY:]:
-            key_hex, curve_id, subj_hex, point_hex, not_before, \
+            key_hex, curve_id, cn_hex, point_hex, not_before, \
                 not_after = line.split()
             curve = registry.get(curve_id)
             point = AffinePoint.decode(bytes.fromhex(point_hex), curve)
+            cn = None if cn_hex == "-" else bytes.fromhex(cn_hex).decode()
             cache._entries[bytes.fromhex(key_hex)] = CertCacheEntry(
-                bytes.fromhex(subj_hex), point, int(not_before),
-                int(not_after))
+                cn, point, int(not_before), int(not_after))
         return cache
 
 
@@ -393,7 +295,7 @@ class CertCache:
 # Fixture certificate builder
 
 def _encode_name(cn: str) -> bytes:
-    atv = der_tlv(TAG_SEQUENCE, encode_oid(OID_COMMON_NAME) +
+    atv = der_tlv(TAG_SEQUENCE, der_oid(OID_COMMON_NAME) +
                   der_tlv(TAG_UTF8, cn.encode()))
     return der_tlv(TAG_SEQUENCE, der_tlv(TAG_SET, atv))
 
@@ -405,24 +307,24 @@ def make_certificate(subject_cn: str, issuer_cn: str, serial: int,
     """Build and sign a v3 certificate; deterministic for fixed inputs."""
     spki = der_tlv(TAG_SEQUENCE,
                    der_tlv(TAG_SEQUENCE,
-                           encode_oid(OID_EC_PUBLIC_KEY) +
-                           encode_oid(subject_key.curve.oid)) +
+                           der_oid(OID_EC_PUBLIC_KEY) +
+                           der_oid(subject_key.curve.oid)) +
                    der_tlv(TAG_BIT_STRING, b"\x00" + subject_key.encode()))
-    sig_alg = der_tlv(TAG_SEQUENCE, encode_oid(OID_ECDSA_SHA256))
+    sig_alg = der_tlv(TAG_SEQUENCE, der_oid(OID_ECDSA_SHA256))
     tbs_fields = [
         der_tlv(TAG_CTX0, der_integer(2)),
         der_integer(serial),
         sig_alg,
         _encode_name(issuer_cn),
         der_tlv(TAG_SEQUENCE,
-                _encode_utctime(not_before) + _encode_utctime(not_after)),
+                der_utctime(not_before) + der_utctime(not_after)),
         _encode_name(subject_cn),
         spki,
     ]
     if ca:
         bc_value = der_tlv(TAG_SEQUENCE, der_tlv(TAG_BOOLEAN, b"\xff"))
         ext = der_tlv(TAG_SEQUENCE,
-                      encode_oid(OID_BASIC_CONSTRAINTS) +
+                      der_oid(OID_BASIC_CONSTRAINTS) +
                       der_tlv(TAG_BOOLEAN, b"\xff") +
                       der_tlv(TAG_OCTET_STRING, bc_value))
         tbs_fields.append(der_tlv(TAG_CTX3, der_tlv(TAG_SEQUENCE, ext)))

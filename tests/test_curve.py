@@ -224,6 +224,7 @@ class TestRegistryParsing:
         ("tls = fe01\n", "tls = -1\n"),
         ("oid = 1.3.6.1.4.1.55555.2\n", "oid = 1.3.6.1.4.1.fe\n"),
         ("oid = 1.3.6.1.4.1.55555.2\n", "oid = tiny\n"),
+        ("oid = 1.3.6.1.4.1.55555.2\n", "oid = 1.45.1\n"),
         ("h = 01\n", "h = 02\n"),
     ])
     def test_bad_record_refused(self, line, replacement):

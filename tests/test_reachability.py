@@ -13,7 +13,11 @@ updating it.
 
 The import check walks the package and the tests with `ast`, since no
 linter is installed.  A name bound by `import` or `from ... import` that the
-module never loads fails it; `__future__` imports are exempt."""
+module never loads fails it; `__future__` imports are exempt.
+
+No module of the package imports an `_`-prefixed name from a sibling: what
+one module shares with another is public.  The tests are exempt, since they
+import private tables as oracles."""
 
 import ast
 import pathlib
@@ -75,3 +79,19 @@ def test_every_import_is_read():
     unread = {str(path.relative_to(ROOT)): names for path in paths
               for names in [unread_imports(path)] if names}
     assert unread == {}
+
+
+def private_sibling_imports(name: str) -> list:
+    """`_`-prefixed names the module imports from a sibling module."""
+    tree = ast.parse((PACKAGE / (name + ".py")).read_text())
+    return sorted(alias.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and (
+                      node.level == 1 or
+                      (node.module or "").split(".")[0] == "ecdtls")
+                  for alias in node.names if alias.name.startswith("_"))
+
+
+def test_no_private_sibling_imports():
+    found = {path.stem: names for path in sorted(PACKAGE.glob("*.py"))
+             for names in [private_sibling_imports(path.stem)] if names}
+    assert found == {}
