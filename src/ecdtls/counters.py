@@ -1,9 +1,9 @@
 """Operation counters: per-scope tallies of the primitive operations executed.
 
-Every counted primitive calls :func:`record`; a recorder collects tallies only
-while it sits on the active stack, so nested scopes sum into their parents
-naturally.  No process-global counter exists: with no scope active, recording
-is a no-op.
+Every counted primitive calls :func:`record`, or :func:`record_all` with the
+whole price of a formula; a recorder collects tallies only while it sits on
+the active stack, so nested scopes sum into their parents naturally.  No
+process-global counter exists: with no scope active, recording is a no-op.
 """
 
 from __future__ import annotations
@@ -107,16 +107,22 @@ def scope(label: str = "", trace: bool = False) -> Recorder:
 
 
 def record(kind: str, n: int = 1) -> None:
-    """Add n to kind in every active scope (hot path)."""
+    """Add n to kind in every active scope."""
+    record_all((((kind, n),), (kind,) if kind in TRACED_KINDS else ()))
+
+
+def record_all(cost: tuple) -> None:
+    """Add a `PrimeModulus.cost` price to every active scope (hot path)."""
     stack = getattr(_local, "stack", None)
     if not stack:
         return
-    traced = kind in TRACED_KINDS
+    items, traced = cost
     for rec in stack:
         c = rec.counters
-        c[kind] = c.get(kind, 0) + n
+        for kind, n in items:
+            c[kind] = c.get(kind, 0) + n
         if traced and rec.trace is not None:
-            rec.trace.append(kind)
+            rec.trace.extend(traced)
 
 
 class isolated:

@@ -1,8 +1,9 @@
 """Short Weierstrass prime curves, affine points, the group law, and the
 curve registry.
 
-Group operations use affine coordinates throughout: one Euclid inversion plus
-a handful of multiplications per addition or doubling.
+Group operations use affine coordinates throughout.  Each is computed
+natively and priced in one call as the paper's datapath runs it: one Euclid
+inversion plus a few multiplications, additions and subtractions.
 
 A registry record carries everything a curve is: its parameters plus the TLS
 NamedCurve code point and the namedCurve OID that name it in handshakes and
@@ -16,7 +17,7 @@ from typing import Dict, List, Optional
 
 from . import counters
 from .der import DerError, der_oid
-from .field import PrimeModulus, add_int, inv_euclid_int, mul_int, sub_int
+from .field import PrimeModulus
 
 
 class CurveError(Exception):
@@ -31,7 +32,7 @@ class CurveParams:
     """One registered curve: y^2 = x^3 + ax + b over GF(p)."""
 
     __slots__ = ("id", "mod", "a", "b", "gx", "gy", "n", "tls_code", "oid",
-                 "n_mod", "n_bits", "n_bytes")
+                 "n_mod", "n_bits", "n_bytes", "add_cost", "double_cost")
 
     def __init__(self, id: str, p: int, a: int, b: int,
                  gx: int, gy: int, n: int, tls_code: int, oid: str):
@@ -47,6 +48,9 @@ class CurveParams:
         self.n_mod = PrimeModulus(n)  # group order is prime; doubles as scalar field
         self.n_bits = n.bit_length()
         self.n_bytes = (self.n_bits + 7) // 8
+        # chord and tangent kernels in datapath order; 3 x^2 + a is 3 additions
+        self.add_cost = self.mod.cost("ssimmsssms", "point_add")
+        self.double_cost = self.mod.cost("maaaaimmsssms", "point_double")
 
     @property
     def p(self) -> int:
@@ -116,7 +120,8 @@ class AffinePoint:
     def negate(self) -> "AffinePoint":
         if self.at_infinity:
             return self
-        return AffinePoint(self.curve, self.x, sub_int(0, self.y, self.curve.mod))
+        counters.record("mod_sub")
+        return AffinePoint(self.curve, self.x, -self.y % self.curve.p)
 
     def encode(self) -> bytes:
         """Uncompressed SEC1 encoding: 0x04 || X || Y."""
@@ -148,17 +153,15 @@ def point_add(P: AffinePoint, Q: AffinePoint) -> AffinePoint:
         return Q
     if Q.at_infinity:
         return P
-    mod = P.curve.mod
     if P.x == Q.x:
         if P.y == Q.y:
             return point_double(P)
         return P.curve.infinity()  # P + (-P)
-    counters.record("point_add")
-    # lambda = (y2 - y1) / (x2 - x1); 1 inversion, 2 muls, 1 squaring
-    lam = mul_int(sub_int(Q.y, P.y, mod),
-                  inv_euclid_int(sub_int(Q.x, P.x, mod), mod), mod)
-    x3 = sub_int(sub_int(mul_int(lam, lam, mod), P.x, mod), Q.x, mod)
-    y3 = sub_int(mul_int(lam, sub_int(P.x, x3, mod), mod), P.y, mod)
+    counters.record_all(P.curve.add_cost)
+    p = P.curve.p
+    lam = (Q.y - P.y) * pow(Q.x - P.x, -1, p) % p
+    x3 = (lam * lam - P.x - Q.x) % p
+    y3 = (lam * (P.x - x3) - P.y) % p
     return AffinePoint(P.curve, x3, y3)
 
 
@@ -168,14 +171,11 @@ def point_double(P: AffinePoint) -> AffinePoint:
         return P
     if P.y == 0:
         return P.curve.infinity()
-    counters.record("point_double")
-    mod = P.curve.mod
-    # lambda = (3 x^2 + a) / (2 y); 1 inversion, 2 muls, 2 squarings
-    x2 = mul_int(P.x, P.x, mod)
-    num = add_int(add_int(x2, x2, mod), add_int(x2, P.curve.a, mod), mod)
-    lam = mul_int(num, inv_euclid_int(add_int(P.y, P.y, mod), mod), mod)
-    x3 = sub_int(sub_int(mul_int(lam, lam, mod), P.x, mod), P.x, mod)
-    y3 = sub_int(mul_int(lam, sub_int(P.x, x3, mod), mod), P.y, mod)
+    counters.record_all(P.curve.double_cost)
+    p = P.curve.p
+    lam = (3 * P.x * P.x + P.curve.a) * pow(2 * P.y, -1, p) % p
+    x3 = (lam * lam - 2 * P.x) % p
+    y3 = (lam * (P.x - x3) - P.y) % p
     return AffinePoint(P.curve, x3, y3)
 
 

@@ -1,7 +1,8 @@
 """Strict DER (X.690), the one codec for certificates and ECDSA signatures.
 
 Every element has a single-byte tag and a definite, minimal length.  The
-forms read are SEQUENCE and SET (entered as cursors), minimal non-negative
+forms read are SEQUENCE (entered as a cursor), SET OF with its elements in
+non-descending order of their encodings (X.690 11.6), minimal non-negative
 INTEGERs, BOOLEAN DEFAULT FALSE (absent, or TRUE as the single byte ff),
 OBJECT IDENTIFIERs (non-empty, complete, no subidentifier led by the padding
 byte 80, and a first subidentifier of 80 or more under arc 2; X.690 8.19),
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import calendar
 import time
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 TAG_BOOLEAN = 0x01
 TAG_INTEGER = 0x02
@@ -103,6 +104,19 @@ class DerCursor:
 
     def enter(self, tag: int) -> "DerCursor":
         return DerCursor(self.read(tag)[1])
+
+    def enter_set_of(self, tag: int) -> List["DerCursor"]:
+        """Cursors over the elements of a SET OF, each with the given tag.
+        DER sorts them by their encodings, the shorter one padded with zero
+        bytes (X.690 11.6), so elements out of that order are refused."""
+        body = self.enter(TAG_SET)
+        raws = []
+        while not body.done():
+            raws.append(body.read_raw(tag))
+        for a, b in zip(raws, raws[1:]):
+            if a.ljust(len(b), b"\0") > b.ljust(len(a), b"\0"):
+                raise DerError("SET OF elements out of DER order")
+        return [DerCursor.whole(raw, tag) for raw in raws]
 
     def read_uint(self) -> int:
         """A non-negative INTEGER from its minimal contents octets."""

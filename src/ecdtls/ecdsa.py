@@ -14,7 +14,7 @@ from .curve import AffinePoint, CurveError, CurveParams, point_add, \
     validate_point
 from .der import TAG_SEQUENCE, DerCursor, DerError, der_integer, der_tlv
 from .drbg import HmacDrbg
-from .field import NonInvertibleError, inv_euclid_int, mul_int
+from .field import inv_euclid_int, mul_int
 from .scalarmult import CombCache, ecsm_comb
 from .sha256 import hmac_sha256
 
@@ -182,17 +182,12 @@ def ecdsa_verify(pub: AffinePoint, digest: bytes, sig: EcdsaSignature,
     counters.record("ecdsa_verify")
     n_mod = curve.n_mod
     z = digest_to_scalar(digest, curve)
-    try:
-        sinv = inv_euclid_int(sig.s, n_mod)
-    except NonInvertibleError:
-        return False
+    sinv = inv_euclid_int(sig.s, n_mod)
     u1 = mul_int(z % n, sinv, n_mod)
     u2 = mul_int(sig.r % n, sinv, n_mod)
     G = curve.generator()
     if u1 == 0:
         R = ecsm_comb(u2, pub, cache)
-    elif u2 == 0:
-        R = ecsm_comb(u1, G, cache)
     else:
         R = point_add(ecsm_comb(u1, G, cache), ecsm_comb(u2, pub, cache))
     if R.at_infinity:

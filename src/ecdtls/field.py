@@ -1,16 +1,15 @@
 """Modular arithmetic over arbitrary odd primes up to 256 bits.
 
-Residues are plain ints in [0, p).  Each counted kernel below takes them with
-the `PrimeModulus` they belong to and returns the reduced result.
-
-The counters price the hardware algorithms the paper describes: a bit-serial
-interleaved multiplier that runs exactly bitlen(p) iterations per product
-whatever the operands, and binary extended Euclid inversion, priced at
-bitlen(p) units of work.  Execution is native: each result is computed with
-Python's own integer arithmetic, which is exact and far cheaper than a
-simulation of the hardware loop.  Fermat inversion (square-and-multiply) is
-kept as the comparison baseline and is priced through the multiplications it
-performs.
+Residues are plain ints in [0, p), and every result is computed natively
+with Python's own integer arithmetic: exact, and far cheaper than a
+simulation of the hardware loop.  The counters price the hardware algorithms
+the paper describes: a bit-serial interleaved multiplier that runs exactly
+bitlen(p) iterations per product whatever the operands, binary extended
+Euclid inversion priced at bitlen(p) units of work, and one count per modular
+addition or subtraction.  `PrimeModulus.cost` prices a whole formula from a
+string of kernel letters, for one `counters.record_all` call.  Fermat
+inversion is kept as the comparison baseline and is priced through the
+multiplications square-and-multiply performs.
 """
 
 from __future__ import annotations
@@ -31,6 +30,14 @@ class NonInvertibleError(FieldError):
 class NotPrimeError(FieldError):
     """Modulus failed validation."""
 
+
+# kernel letter -> its kind counted once per call, then any counted bitlen(p)
+_KERNELS = {
+    "m": ("mod_mul", "mul_iter"),          # interleaved product
+    "i": ("mod_inv_euclid", "inv_work"),   # binary Euclid inversion
+    "a": ("mod_add",),
+    "s": ("mod_sub",),
+}
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                  59, 61, 67, 71, 73, 79, 83, 89, 97)
@@ -81,60 +88,46 @@ class PrimeModulus:
         self.bitlen = p.bit_length()
         self.byte_len = (self.bitlen + 7) // 8
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PrimeModulus) and self.p == other.p
-
-    def __hash__(self) -> int:
-        return hash(self.p)
-
-    def __repr__(self) -> str:
-        return "PrimeModulus(0x%x)" % self.p
+    def cost(self, ops: str, head: str = "") -> tuple:
+        """(items, traced) of the kernel calls `ops` names, one letter each in
+        evaluation order, after one count of `head`: (kind, n) pairs in
+        first-appearance order, and the TRACED_KINDS in execution order."""
+        steps = [(head, 1)] if head else []
+        for op in ops:
+            kernel, *work = _KERNELS[op]
+            steps += [(kernel, 1)] + [(kind, self.bitlen) for kind in work]
+        items = {}
+        for kind, n in steps:
+            items[kind] = items.get(kind, 0) + n
+        traced = tuple(k for k, _ in steps if k in counters.TRACED_KINDS)
+        return tuple(items.items()), traced
 
 
 # ---------------------------------------------------------------------------
-# Counted integer kernels.  These operate on plain ints already reduced mod p;
-# every modular operation of the curve formulas routes through them, so each
-# is tallied exactly once.
+# Counted integer kernels.  These operate on plain ints already reduced mod p
+# and record their price through `PrimeModulus.cost`.
 
 def mul_int(x: int, y: int, mod: PrimeModulus) -> int:
     """x*y mod p, priced as one bit-serial interleaved product: one
     shift-accumulate-reduce iteration per bit of p."""
-    counters.record("mod_mul")
-    counters.record("mul_iter", mod.bitlen)
+    counters.record_all(mod.cost("m"))
     return x * y % mod.p
-
-
-def add_int(x: int, y: int, mod: PrimeModulus) -> int:
-    counters.record("mod_add")
-    s = x + y
-    return s - mod.p if s >= mod.p else s
-
-
-def sub_int(x: int, y: int, mod: PrimeModulus) -> int:
-    counters.record("mod_sub")
-    d = x - y
-    return d + mod.p if d < 0 else d
 
 
 def inv_euclid_int(x: int, mod: PrimeModulus) -> int:
     """x^-1 mod p, priced as one binary extended Euclid inversion."""
     if x % mod.p == 0:
         raise NonInvertibleError("inverse of zero")
-    counters.record("mod_inv_euclid")
-    counters.record("inv_work", mod.bitlen)
+    counters.record_all(mod.cost("i"))
     return pow(x, -1, mod.p)
 
 
 def inv_fermat_int(x: int, mod: PrimeModulus) -> int:
-    """x^(p-2) by square-and-multiply; each step is a counted mod_mul."""
+    """x^(p-2) mod p, priced as square-and-multiply: one mod_mul per
+    exponent bit below the top one and one per set bit below it."""
     if x % mod.p == 0:
         raise NonInvertibleError("inverse of zero")
-    counters.record("mod_inv_fermat")
     e = mod.p - 2
-    acc = x
-    for i in range(e.bit_length() - 2, -1, -1):
-        acc = mul_int(acc, acc, mod)
-        if (e >> i) & 1:
-            acc = mul_int(acc, x, mod)
-    return acc
-
+    counters.record_all(mod.cost(
+        "m" * (e.bit_length() - 2 + bin(e).count("1")), "mod_inv_fermat"))
+    return pow(x, e, mod.p)

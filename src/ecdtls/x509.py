@@ -82,18 +82,17 @@ class Certificate:
 
 
 def _read_name(tbs: DerCursor) -> Tuple[bytes, Optional[str]]:
-    """A Name, SEQUENCE OF SET SIZE (1..MAX) OF {type OID, value}: its full
-    encoding and its first commonName, a non-empty UTF8String or
-    PrintableString."""
+    """A Name, SEQUENCE OF SET SIZE (1..MAX) OF {type OID, value}, each SET
+    in DER order: its full encoding and its first commonName, a non-empty
+    UTF8String or PrintableString."""
     raw = tbs.read_raw(TAG_SEQUENCE)
     rdns = DerCursor.whole(raw, TAG_SEQUENCE)
     cn = None
     while not rdns.done():
-        rdn = rdns.enter(TAG_SET)
-        if rdn.done():
+        rdn = rdns.enter_set_of(TAG_SEQUENCE)
+        if not rdn:
             raise MalformedDerError("empty RelativeDistinguishedName")
-        while not rdn.done():
-            atv = rdn.enter(TAG_SEQUENCE)
+        for atv in rdn:
             oid = atv.read_oid()
             tag, value = atv.read()
             atv.expect_done()
@@ -158,6 +157,7 @@ def _parse_certificate(der: bytes, registry: CurveRegistry) -> Certificate:
     spki.expect_done()
 
     is_ca = False
+    seen = set()
     if tbs.peek_tag() == TAG_CTX3:
         exts = DerCursor.whole(tbs.read(TAG_CTX3)[1], TAG_SEQUENCE)
         while not exts.done():
@@ -166,9 +166,16 @@ def _parse_certificate(der: bytes, registry: CurveRegistry) -> Certificate:
             critical = ext.read_default_false()
             ext_value = ext.read(TAG_OCTET_STRING)[1]
             ext.expect_done()
+            if ext_oid in seen:  # RFC 5280 4.2: at most one instance each
+                raise MalformedDerError("repeated extension %s" % ext_oid)
+            seen.add(ext_oid)
             if ext_oid == OID_BASIC_CONSTRAINTS:
-                is_ca = DerCursor.whole(ext_value, TAG_SEQUENCE) \
-                    .read_default_false()
+                # cA, then at most a non-negative pathLenConstraint
+                constraints = DerCursor.whole(ext_value, TAG_SEQUENCE)
+                is_ca = constraints.read_default_false()
+                if not constraints.done():
+                    constraints.read_uint()
+                constraints.expect_done()
             elif critical:
                 raise UnknownCriticalExtensionError(
                     "unknown critical extension %s" % ext_oid)

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 from ecdtls.credentials import (CA_CN, NOT_AFTER, NOT_BEFORE, SERVER_CN,
                                 generate_pki)
 from ecdtls.curve import CurveParams, CurveRegistry
-from ecdtls.der import (TAG_BIT_STRING, TAG_INTEGER, TAG_OID, TAG_SEQUENCE,
+from ecdtls.der import (TAG_BIT_STRING, TAG_CTX3, TAG_INTEGER,
+                        TAG_OCTET_STRING, TAG_OID, TAG_PRINTABLE, TAG_SEQUENCE,
                         TAG_SET, TAG_UTCTIME, TAG_UTF8, DerCursor, DerError,
-                        der_oid, der_tlv, der_utctime)
+                        der_integer, der_oid, der_tlv, der_utctime)
 from ecdtls.drbg import HmacDrbg
 from ecdtls.ecdsa import EcdsaSignature, KeyPair, SignatureError
 from ecdtls.x509 import (CertCache, MalformedDerError, X509Error,
@@ -152,6 +153,31 @@ class TestCursor:
                  "read_bit_string")
 
 
+def _set_of_sequences(values):
+    """A SET OF SEQUENCE { INTEGER }, its elements in the order given."""
+    return der_tlv(TAG_SET, b"".join(der_tlv(TAG_SEQUENCE, der_integer(v))
+                                     for v in values))
+
+
+class TestSetOf:
+    @pytest.mark.parametrize("values", [[1], [1, 2], [1, 1], [2, 300]])
+    def test_der_order_read(self, values):
+        cur = DerCursor(_set_of_sequences(values))
+        assert [e.read_uint() for e in cur.enter_set_of(TAG_SEQUENCE)] == \
+            values
+        cur.expect_done()
+
+    @pytest.mark.parametrize("values", [[2, 1], [1, 3, 2], [300, 2]])
+    def test_out_of_order_refused(self, values):
+        with pytest.raises(DerError):
+            DerCursor(_set_of_sequences(values)).enter_set_of(TAG_SEQUENCE)
+
+    def test_element_tag_checked(self):
+        cur = DerCursor(der_tlv(TAG_SET, der_integer(1)))
+        with pytest.raises(DerError):
+            cur.enter_set_of(TAG_SEQUENCE)
+
+
 # ---------------------------------------------------------------------------
 # Mutated encodings raise only the parser's own error type
 
@@ -212,6 +238,20 @@ def _atv(value_tlv):
     return der_tlv(TAG_SEQUENCE, der_oid(OID_COMMON_NAME) + value_tlv)
 
 
+def with_tbs_field(cert_der, index, encoding):
+    """cert_der with field `index` of its TBSCertificate replaced by
+    encoding and every length around it re-encoded.  The signature no longer
+    matches, which parsing does not check."""
+    top = DerCursor.whole(cert_der, TAG_SEQUENCE)
+    tbs = DerCursor.whole(top.read_raw(TAG_SEQUENCE), TAG_SEQUENCE)
+    fields = []
+    while not tbs.done():
+        fields.append(tbs.read_raw(tbs.peek_tag()))
+    fields[index] = encoding
+    return der_tlv(TAG_SEQUENCE, der_tlv(TAG_SEQUENCE, b"".join(fields)) +
+                   top.data[top.pos:])
+
+
 class TestNames:
     @pytest.fixture(scope="class")
     def pki(self, registry):
@@ -249,6 +289,24 @@ class TestNames:
         assert cert.issuer == ca.subject == ca.issuer
         assert cert.subject in leaf and cert.subject[0] == TAG_SEQUENCE
 
+    def test_multi_valued_rdn_in_der_order(self, registry, leaf):
+        # X.690 11.6: a countryName "US" encodes shorter than commonName
+        # "server", so it sorts first within the SET
+        cn = _atv(der_tlv(TAG_UTF8, SERVER_CN.encode()))
+        country = der_tlv(TAG_SEQUENCE, der_oid("2.5.4.6") +
+                          der_tlv(TAG_PRINTABLE, b"US"))
+        assert country < cn
+
+        def subject(*atvs):
+            return der_tlv(TAG_SEQUENCE, der_tlv(TAG_SET, b"".join(atvs)))
+        assert with_tbs_field(leaf, SUBJECT, subject(cn)) == leaf
+        with pytest.raises(MalformedDerError):
+            x509_parse(with_tbs_field(leaf, SUBJECT, subject(cn, country)),
+                       registry)
+        cert = x509_parse(with_tbs_field(leaf, SUBJECT, subject(country, cn)),
+                          registry)
+        assert cert.subject_cn == SERVER_CN
+
     def test_cache_file_keeps_subject_cn(self, registry, pki, leaf,
                                          tmp_path):
         cn = der_oid(OID_COMMON_NAME) + der_tlv(TAG_UTF8, b"server")
@@ -267,6 +325,73 @@ class TestNames:
             entry = CertCache.load(path, registry).check(der, anchor,
                                                         NOT_BEFORE)
             assert entry.subject_cn == expected
+
+
+# TBSCertificate field positions: version, serial, signature, issuer,
+# validity, subject, subjectPublicKeyInfo, extensions
+SUBJECT = 5
+EXTENSIONS = 7
+BASIC_CONSTRAINTS = der_oid("2.5.29.19")
+CRITICAL = b"\x01\x01\xff"
+CA_TRUE = b"\x01\x01\xff"
+
+
+def _extensions(*exts):
+    return der_tlv(TAG_CTX3, der_tlv(TAG_SEQUENCE, b"".join(exts)))
+
+
+def _basic_constraints(contents, critical=CRITICAL):
+    return der_tlv(TAG_SEQUENCE, BASIC_CONSTRAINTS + critical + der_tlv(
+        TAG_OCTET_STRING, der_tlv(TAG_SEQUENCE, contents)))
+
+
+class TestExtensions:
+    @pytest.fixture(scope="class")
+    def ca(self, registry):
+        ca_der = generate_pki(registry.get("toy59"), b"der-exts" * 4).ca_der
+        assert with_tbs_field(ca_der, EXTENSIONS, _extensions(
+            _basic_constraints(CA_TRUE))) == ca_der
+        return ca_der
+
+    def parse(self, registry, ca, *exts):
+        return x509_parse(with_tbs_field(ca, EXTENSIONS, _extensions(*exts)),
+                          registry)
+
+    @pytest.mark.parametrize("path_len", [0, 1, 200])
+    def test_path_len_constraint_read(self, registry, ca, path_len):
+        cert = self.parse(registry, ca, _basic_constraints(
+            CA_TRUE + der_integer(path_len)))
+        assert cert.is_ca
+
+    @pytest.mark.parametrize("contents", [
+        pytest.param(bytes.fromhex("0101ff 04046a756e6b 0c0178"),
+                     id="octet-and-utf8-after-ca"),
+        pytest.param(CA_TRUE + bytes.fromhex("0201ff"), id="negative"),
+        pytest.param(CA_TRUE + bytes.fromhex("02020001"), id="non-minimal"),
+        pytest.param(CA_TRUE + der_integer(0) + der_integer(0),
+                     id="two-path-lens"),
+        pytest.param(CA_TRUE + der_integer(0) + b"\x05\x00",
+                     id="null-after-path-len"),
+        pytest.param(CA_TRUE + b"\x05\x00", id="null-for-path-len"),
+    ])
+    def test_anything_else_in_basic_constraints_refused(self, registry, ca,
+                                                        contents):
+        with pytest.raises(MalformedDerError):
+            self.parse(registry, ca, _basic_constraints(contents))
+
+    def test_repeated_extension_refused(self, registry, ca):
+        # RFC 5280 4.2: a second, empty basicConstraints after the critical
+        # cA TRUE one would otherwise override it
+        with pytest.raises(MalformedDerError):
+            self.parse(registry, ca, _basic_constraints(CA_TRUE),
+                       _basic_constraints(b"", critical=b""))
+        other = der_tlv(TAG_SEQUENCE, der_oid("2.5.29.99") + der_tlv(
+            TAG_OCTET_STRING, b""))
+        assert self.parse(registry, ca, _basic_constraints(CA_TRUE),
+                          other).is_ca
+        with pytest.raises(MalformedDerError):
+            self.parse(registry, ca, other, _basic_constraints(CA_TRUE),
+                       other)
 
 
 def test_curve_under_arc_2_round_trips(toy):

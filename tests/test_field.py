@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 from ecdtls import counters
 from ecdtls.curve import builtin_registry
 from ecdtls.field import (NonInvertibleError, NotPrimeError, PrimeModulus,
-                          add_int, inv_euclid_int, inv_fermat_int, mul_int,
-                          sub_int)
+                          inv_euclid_int, inv_fermat_int, mul_int)
 
 P256 = 0xFFFFFFFF00000001000000000000000000000000FFFFFFFFFFFFFFFFFFFFFFFF
 MOD256 = PrimeModulus(P256)
@@ -120,27 +119,6 @@ class TestPrimeModulus:
             PrimeModulus(2**257 + 2221)
 
 
-class TestAddSub:
-    def test_additive_identity(self):
-        b = 0x1234
-        assert add_int(0, b, MOD256) == b
-
-    def test_additive_inverse(self):
-        a = 0xABCDEF
-        assert add_int(a, P256 - 0xABCDEF, MOD256) == 0
-
-    def test_sub_self_and_zero(self):
-        a = 99
-        assert sub_int(a, a, MOD256) == 0
-        assert sub_int(0, 7, MOD256) == P256 - 7
-
-    def test_random_against_bigint_oracle(self, rng):
-        for _ in range(300):
-            a, b = rng.randrange(P256), rng.randrange(P256)
-            assert add_int(a, b, MOD256) == (a + b) % P256
-            assert sub_int(a, b, MOD256) == (a - b) % P256
-
-
 class TestMul:
     def test_zero_and_one(self):
         b = 0x55AA
@@ -179,17 +157,15 @@ class TestRingAxioms:
         rng = random.Random(1000 + bits)
         for _ in range(1000):
             a, b, c = (rng.randrange(p) for _ in range(3))
-            assert add_int(add_int(a, b, mod), c, mod) == \
-                add_int(a, add_int(b, c, mod), mod)
-            assert mul_int(a, add_int(b, c, mod), mod) == \
-                add_int(mul_int(a, b, mod), mul_int(a, c, mod), mod)
+            assert mul_int(mul_int(a, b, mod), c, mod) == \
+                mul_int(a, mul_int(b, c, mod), mod)
+            assert mul_int(a, (b + c) % p, mod) == \
+                (mul_int(a, b, mod) + mul_int(a, c, mod)) % p
 
     @given(st.integers(0, P256 - 1), st.integers(0, P256 - 1))
     @settings(max_examples=50, deadline=None)
     def test_closure_and_canonical(self, a, b):
-        for out in (add_int(a, b, MOD256), sub_int(a, b, MOD256),
-                    mul_int(a, b, MOD256)):
-            assert 0 <= out < P256
+        assert 0 <= mul_int(a, b, MOD256) < P256
 
 
 class TestInversion:

@@ -81,6 +81,23 @@ class TestLoopbackHandshake:
         payload = bytes(range(256)) * 4
         assert exchange_app_data(result, payload)
 
+    def test_app_data_exchange_through_interceptor(self, toy, toy_pki):
+        client, server = make_pair(toy, toy_pki)
+        result = run_loopback(client, server)
+        seen = []
+
+        def passing(role, datagrams):
+            seen.append(role)
+            return datagrams
+        assert exchange_app_data(result, b"echo", passing)
+        assert seen == ["client", "server"]
+        # a lost echo does not arrive, nor does one delivered twice: the
+        # copy is a replay, and the last datagram decides
+        lost = lambda role, d: d if role == "client" else []
+        doubled = lambda role, d: d if role == "client" else d * 2
+        assert not exchange_app_data(result, b"echo", lost)
+        assert not exchange_app_data(result, b"echo", doubled)
+
     def test_empty_app_payload_allowed(self, toy, toy_pki):
         client, server = make_pair(toy, toy_pki)
         result = run_loopback(client, server)
