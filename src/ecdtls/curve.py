@@ -1,9 +1,12 @@
 """Short Weierstrass prime curves, affine points, the group law, and the
 curve registry.
 
-Group operations use affine coordinates throughout.  Each is computed
-natively and priced in one call as the paper's datapath runs it: one Euclid
-inversion plus a few multiplications, additions and subtractions.
+The group law is priced in affine coordinates, as the paper's datapath runs
+it: one Euclid inversion plus a few multiplications, additions and
+subtractions per operation, recorded in one call.  `point_add` and
+`point_double` compute affine results natively; the scalar multiplications
+execute in Jacobian coordinates and record these same prices per operation
+(see `scalarmult`).
 
 A registry record carries everything a curve is: its parameters plus the TLS
 NamedCurve code point and the namedCurve OID that name it in handshakes and

@@ -13,7 +13,6 @@ The encoders write the same forms.
 
 from __future__ import annotations
 
-import calendar
 import time
 from typing import List, Optional, Tuple
 
@@ -173,10 +172,21 @@ class DerCursor:
             raise DerError("UTCTime must be YYMMDDHHMMSSZ")
         yy, *rest = (int(body[i:i + 2]) for i in range(0, 12, 2))
         fields = (yy + (1900 if yy >= 50 else 2000), *rest)
-        epoch = calendar.timegm(fields) if 1 <= rest[0] <= 12 else None
+        epoch = _timegm(*fields) if 1 <= rest[0] <= 12 else None
         if epoch is None or time.gmtime(epoch)[:6] != fields:
             raise DerError("UTCTime names no real second")
         return epoch
+
+
+def _timegm(y: int, mo: int, d: int, h: int, mi: int, s: int) -> int:
+    """calendar.timegm of a month 1..12: days from the civil date counted in
+    years that start in March, so leap days fall last.  Linear in d, h, mi
+    and s: Feb 31 reads as early March and hour 24 as the next day, which
+    the gmtime round trip then refuses."""
+    y -= mo <= 2
+    days = 365 * y + y // 4 - y // 100 + y // 400 + \
+        (153 * ((mo + 9) % 12) + 2) // 5 + d - 719469
+    return ((days * 24 + h) * 60 + mi) * 60 + s
 
 
 def der_tlv(tag: int, body: bytes) -> bytes:

@@ -5,6 +5,13 @@ recoding: every scalar of a given curve drives the identical sequence of
 point operations, and precomputed tables are held in a six-entry LRU cache.
 Double-and-add and Jacobian-plus-Fermat multipliers are kept as correctness
 oracles and cost baselines.
+
+Every engine executes in Jacobian coordinates (x = X/Z^2, y = Y/Z^3, Z = 0
+the identity) and turns its triples affine with one shared inversion
+(Montgomery's trick).  What a step records is a price, not a trace of the
+Python: the comb and double-and-add record the affine datapath's price per
+doubling and addition, exactly where the affine group law records it, and
+`ecsm_jacobian` records the projective datapath's.
 """
 
 from __future__ import annotations
@@ -12,8 +19,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from . import counters
-from .curve import AffinePoint, CurveError, CurveParams, point_add, \
-    point_double
+from .curve import AffinePoint, CurveError, CurveParams, point_double
 from .field import inv_fermat_int, mul_int
 
 DEFAULT_COMB_WIDTH = 4
@@ -28,6 +34,89 @@ class ScalarRangeError(CurveError):
 
 class CachePoisonedError(CurveError):
     """A cached table does not belong to the requested base point."""
+
+
+# ---------------------------------------------------------------------------
+# Jacobian formulas under a price
+#
+# A price is (double, add head, add tail), each a `PrimeModulus.cost`.  The
+# affine one is (curve.double_cost, None, curve.add_cost): recorded where
+# `point_double` and `point_add` record theirs, so an exceptional case that
+# the affine law prices at nothing records nothing here either.
+
+_IDENTITY = (1, 1, 0)
+
+
+def _affine_price(curve: CurveParams) -> tuple:
+    return curve.double_cost, None, curve.add_cost
+
+
+def _jdouble(curve: CurveParams, X: int, Y: int, Z: int,
+             price: tuple) -> tuple:
+    """2(X, Y, Z); the identity and a point with y = 0 double to the identity
+    unpriced."""
+    if Z == 0 or Y == 0:
+        return _IDENTITY
+    counters.record_all(price[0])
+    p = curve.mod.p
+    YY = Y * Y % p
+    S = 4 * X * YY % p
+    ZZ = Z * Z % p
+    M = (3 * X * X + curve.a * ZZ * ZZ) % p
+    X3 = (M * M - 2 * S) % p
+    return X3, (M * (S - X3) - 8 * YY * YY) % p, 2 * Y * Z % p
+
+
+def _jadd(curve: CurveParams, X: int, Y: int, Z: int, Q: AffinePoint,
+          price: tuple) -> tuple:
+    """(X, Y, Z) + Q for an affine Q.  An identity operand is unpriced; equal
+    x (H = 0) goes to the doubling when y is equal too (R = 0) and is the
+    identity, unpriced, otherwise."""
+    if Q.at_infinity:
+        return X, Y, Z
+    if Z == 0:
+        return Q.x, Q.y, 1
+    if price[1] is not None:
+        counters.record_all(price[1])
+    p = curve.mod.p
+    ZZ = Z * Z % p
+    H = (Q.x * ZZ - X) % p
+    R = (Q.y * ZZ * Z - Y) % p
+    if H == 0:
+        if R == 0:
+            return _jdouble(curve, X, Y, Z, price)
+        return _IDENTITY
+    counters.record_all(price[2])
+    HH = H * H % p
+    HHH = HH * H % p
+    V = X * HH % p
+    X3 = (R * R - HHH - 2 * V) % p
+    return X3, (R * (V - X3) - Y * HHH) % p, Z * H % p
+
+
+def _to_affine(curve: CurveParams, triples: list) -> list:
+    """The AffinePoints of Jacobian triples, by one inversion of the product
+    of their Z (a Z = 0 triple is the identity).  Unpriced: the affine
+    prices already include an inversion per operation."""
+    p = curve.mod.p
+    prefix = []
+    acc = 1
+    for _, _, Z in triples:
+        if Z:
+            acc = acc * Z % p
+        prefix.append(acc)
+    inv = pow(acc, -1, p)
+    out = [None] * len(triples)
+    for i in range(len(triples) - 1, -1, -1):
+        X, Y, Z = triples[i]
+        if Z == 0:
+            out[i] = curve.infinity()
+            continue
+        zinv = inv * prefix[i - 1] % p if i else inv
+        inv = inv * Z % p
+        zz = zinv * zinv % p
+        out[i] = AffinePoint(curve, X * zz % p, Y * zz * zinv % p)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -114,22 +203,26 @@ def comb_precompute(P: AffinePoint, w: int = DEFAULT_COMB_WIDTH,
         t = comb_digit_count(P.curve.n_bits, w)
     d = -(-t // w)
     counters.record("comb_precompute")
+    curve = P.curve
+    price = _affine_price(curve)
     # row bases: 2^(r*d) * P
-    rows = [P]
+    rows = [(P.x, P.y, 1)]
     for _ in range(w - 1):
         Q = rows[-1]
         for _ in range(d):
-            Q = point_double(Q)
+            Q = _jdouble(curve, *Q, price)
         rows.append(Q)
+    rows = _to_affine(curve, rows)
     top = rows[w - 1]
     entries = []
     for idx in range(1 << (w - 1)):
-        acc = top
+        acc = _jadd(curve, *_IDENTITY, top, price)
         for r in range(w - 2, -1, -1):
             term = rows[r] if (idx >> r) & 1 else rows[r].negate()
-            acc = point_add(acc, term)
+            acc = _jadd(curve, *acc, term, price)
         entries.append(acc)
-    return CombTable(point_identity(P), w, d, t, tuple(entries))
+    return CombTable(point_identity(P), w, d, t,
+                     tuple(_to_affine(curve, entries)))
 
 
 class CombCache:
@@ -201,7 +294,8 @@ def ecsm_comb(k: int, P: AffinePoint, cache: Optional[CombCache] = None,
     zsd = zsd_recode(k, t)
     digits = zsd.digits
     entries = table.entries
-    acc = None
+    price = _affine_price(curve)
+    acc = _IDENTITY  # doubling it and adding to it are unpriced
     for j in range(d - 1, -1, -1):
         top = digits[(w - 1) * d + j]
         idx = 0
@@ -211,14 +305,11 @@ def ecsm_comb(k: int, P: AffinePoint, cache: Optional[CombCache] = None,
         entry = entries[idx]
         neg = entry.negate()  # always executed: keeps the trace sign-blind
         term = entry if top == 1 else neg
-        if acc is None:
-            acc = term
-        else:
-            acc = point_add(point_double(acc), term)
+        acc = _jadd(curve, *_jdouble(curve, *acc, price), term, price)
     # parity correction: always one doubling and one addition
     dbl = point_double(P)
     corr = P if zsd.c == 1 else dbl
-    return point_add(acc, corr.negate())
+    return _to_affine(curve, [_jadd(curve, *acc, corr.negate(), price)])[0]
 
 
 def ecsm_double_and_add(k: int, P: AffinePoint) -> AffinePoint:
@@ -229,71 +320,41 @@ def ecsm_double_and_add(k: int, P: AffinePoint) -> AffinePoint:
 
 
 def scalar_mul_unchecked(k: int, P: AffinePoint) -> AffinePoint:
-    acc = P.curve.infinity()
+    """k*P for any k >= 0, left to right, at the affine prices."""
+    curve = P.curve
+    price = _affine_price(curve)
+    acc = _IDENTITY
     for i in range(k.bit_length() - 1, -1, -1):
-        acc = point_double(acc)
+        acc = _jdouble(curve, *acc, price)
         if (k >> i) & 1:
-            acc = point_add(acc, P)
-    return acc
+            acc = _jadd(curve, *acc, P, price)
+    return _to_affine(curve, [acc])[0]
 
 
 def ecsm_jacobian(k: int, P: AffinePoint) -> AffinePoint:
-    """Jacobian-coordinate double-and-add with one final Fermat inversion;
+    """Jacobian-coordinate double-and-add with one final Fermat inversion:
     the projective baseline whose inner loop avoids inversions entirely.
-    The closures compute natively and record one price each: a cost string
-    of the projective datapath's counted kernels in evaluation order."""
+    It runs the same formulas as the other engines, but prices them as the
+    projective datapath runs them: cost strings of its counted kernels in
+    evaluation order."""
     curve = P.curve
     _check_range(k, curve)
     counters.record("ecsm_jacobian")
     if P.at_infinity:
         return P
     mod = curve.mod
-    p = mod.p
-    a = curve.a
-    # 4 X YY, 3 XX + a Z^4 and 8 YY^2 as chains of additions
-    double_cost = mod.cost("mmaammmaamamasmaaasmsam", "point_double")
-    # U2, S2 and the H = 0 test, then the rest of the mixed addition
-    add_head_cost = mod.cost("mmmmss", "point_add")
-    add_tail_cost = mod.cost("mmmmsassmmsm")
-
-    def jdouble(X1, Y1, Z1):
-        if Z1 == 0 or Y1 == 0:
-            return (1, 1, 0)
-        counters.record_all(double_cost)
-        YY = Y1 * Y1 % p
-        S = 4 * X1 * YY % p
-        ZZ = Z1 * Z1 % p
-        M = (3 * X1 * X1 + a * ZZ * ZZ) % p
-        X3 = (M * M - 2 * S) % p
-        Y3 = (M * (S - X3) - 8 * YY * YY) % p
-        Z3 = 2 * Y1 * Z1 % p
-        return (X3, Y3, Z3)
-
-    def jadd_mixed(X1, Y1, Z1, x2, y2):
-        if Z1 == 0:
-            return (x2, y2, 1)
-        counters.record_all(add_head_cost)
-        ZZ = Z1 * Z1 % p
-        H = (x2 * ZZ - X1) % p
-        R = (y2 * ZZ * Z1 - Y1) % p
-        if H == 0:
-            if R == 0:
-                return jdouble(X1, Y1, Z1)
-            return (1, 1, 0)
-        counters.record_all(add_tail_cost)
-        HH = H * H % p
-        HHH = HH * H % p
-        V = X1 * HH % p
-        X3 = (R * R - HHH - 2 * V) % p
-        Y3 = (R * (V - X3) - Y1 * HHH) % p
-        Z3 = Z1 * H % p
-        return (X3, Y3, Z3)
-
-    X, Y, Z = 1, 1, 0
+    price = (
+        # 4 X YY, 3 XX + a Z^4 and 8 YY^2 as chains of additions
+        mod.cost("mmaammmaamamasmaaasmsam", "point_double"),
+        # U2, S2 and the H = 0 test, then the rest of the mixed addition
+        mod.cost("mmmmss", "point_add"),
+        mod.cost("mmmmsassmmsm"),
+    )
+    X, Y, Z = _IDENTITY
     for i in range(k.bit_length() - 1, -1, -1):
-        X, Y, Z = jdouble(X, Y, Z)
+        X, Y, Z = _jdouble(curve, X, Y, Z, price)
         if (k >> i) & 1:
-            X, Y, Z = jadd_mixed(X, Y, Z, P.x, P.y)
+            X, Y, Z = _jadd(curve, X, Y, Z, P, price)
     if Z == 0:
         return curve.infinity()
     zinv = inv_fermat_int(Z, mod)

@@ -9,7 +9,6 @@ as many datagrams as the session's flight table says its next flight holds
 
 from __future__ import annotations
 
-import socket
 from typing import Callable, List, Optional, Tuple
 
 from .handshake import HandshakeSession
@@ -101,6 +100,7 @@ class UdpEndpoint:
     def __init__(self, bind_addr: Tuple[str, int],
                  peer_addr: Optional[Tuple[str, int]] = None,
                  timeout: float = 10.0):
+        import socket  # here, so loopback users never load it
         self.sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self.sock.bind(bind_addr)
         self.sock.settimeout(timeout)

@@ -160,6 +160,8 @@ def _parse_certificate(der: bytes, registry: CurveRegistry) -> Certificate:
     seen = set()
     if tbs.peek_tag() == TAG_CTX3:
         exts = DerCursor.whole(tbs.read(TAG_CTX3)[1], TAG_SEQUENCE)
+        if exts.done():  # RFC 5280 4.1: SIZE (1..MAX), else omitted
+            raise MalformedDerError("empty extensions")
         while not exts.done():
             ext = exts.enter(TAG_SEQUENCE)
             ext_oid = ext.read_oid()
@@ -170,10 +172,11 @@ def _parse_certificate(der: bytes, registry: CurveRegistry) -> Certificate:
                 raise MalformedDerError("repeated extension %s" % ext_oid)
             seen.add(ext_oid)
             if ext_oid == OID_BASIC_CONSTRAINTS:
-                # cA, then at most a non-negative pathLenConstraint
+                # cA, then a non-negative pathLenConstraint only under cA
+                # TRUE (RFC 5280 4.2.1.9)
                 constraints = DerCursor.whole(ext_value, TAG_SEQUENCE)
                 is_ca = constraints.read_default_false()
-                if not constraints.done():
+                if is_ca and not constraints.done():
                     constraints.read_uint()
                 constraints.expect_done()
             elif critical:

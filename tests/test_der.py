@@ -10,7 +10,8 @@ from ecdtls.curve import CurveParams, CurveRegistry
 from ecdtls.der import (TAG_BIT_STRING, TAG_CTX3, TAG_INTEGER,
                         TAG_OCTET_STRING, TAG_OID, TAG_PRINTABLE, TAG_SEQUENCE,
                         TAG_SET, TAG_UTCTIME, TAG_UTF8, DerCursor, DerError,
-                        der_integer, der_oid, der_tlv, der_utctime)
+                        _timegm, der_integer, der_oid, der_tlv,
+                        der_utctime)
 from ecdtls.drbg import HmacDrbg
 from ecdtls.ecdsa import EcdsaSignature, KeyPair, SignatureError
 from ecdtls.x509 import (CertCache, MalformedDerError, X509Error,
@@ -107,6 +108,17 @@ class TestUtcTime:
                     "read_utctime") == UTC_FIRST
         assert read(der_tlv(TAG_UTCTIME, b"491231235959Z"),
                     "read_utctime") == UTC_LAST
+
+    def test_timegm_is_calendar_timegm(self):
+        # linear in the day and time fields past their ranges too, which is
+        # what lets the gmtime round trip refuse Feb 31 and hour 24
+        for year in range(1950, 2050):
+            for month in range(1, 13):
+                for day in (-1, 0, 1, 15, 28, 29, 30, 31, 32, 99):
+                    for hms in ((0, 0, 0), (23, 59, 59), (24, 0, 0),
+                                (99, 99, 99)):
+                        fields = (year, month, day, *hms)
+                        assert _timegm(*fields) == calendar.timegm(fields)
 
     @pytest.mark.parametrize("text", [
         b"240231000000Z",   # Feb 31
@@ -373,11 +385,19 @@ class TestExtensions:
         pytest.param(CA_TRUE + der_integer(0) + b"\x05\x00",
                      id="null-after-path-len"),
         pytest.param(CA_TRUE + b"\x05\x00", id="null-for-path-len"),
+        # RFC 5280 4.2.1.9: a pathLenConstraint only where cA is TRUE
+        pytest.param(der_integer(0), id="path-len-without-ca"),
     ])
     def test_anything_else_in_basic_constraints_refused(self, registry, ca,
                                                         contents):
         with pytest.raises(MalformedDerError):
             self.parse(registry, ca, _basic_constraints(contents))
+
+    def test_empty_extensions_refused(self, registry, ca):
+        # RFC 5280 4.1: Extensions is SEQUENCE SIZE (1..MAX); none is no field
+        assert _extensions() == bytes.fromhex("a302 3000")
+        with pytest.raises(MalformedDerError):
+            self.parse(registry, ca)
 
     def test_repeated_extension_refused(self, registry, ca):
         # RFC 5280 4.2: a second, empty basicConstraints after the critical

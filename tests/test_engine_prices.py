@@ -1,0 +1,167 @@
+"""The Jacobian scalar multiplications against the affine engines they
+replaced.
+
+`comb_precompute`, `ecsm_comb` and `scalar_mul_unchecked` execute in
+Jacobian coordinates and record the affine group law's price per doubling
+and addition.  The oracles below are those engines as they ran before, on
+`point_add` and `point_double` (themselves checked in
+`test_formula_prices`): one affine operation, one inversion, each.  Both
+must give the same result, the same counter items in the same order and the
+same trace, on every registered curve, with and without a comb cache, and on
+a point that doubles to the identity."""
+
+import random
+
+import pytest
+
+from ecdtls import counters, scalarmult
+from ecdtls.curve import CurveParams, builtin_registry, point_add, \
+    point_double
+from ecdtls.scalarmult import (DEFAULT_COMB_WIDTH, CombCache, CombTable,
+                               comb_digit_count, comb_precompute, ecsm_comb,
+                               point_identity, scalar_mul_unchecked,
+                               zsd_recode)
+from test_formula_prices import priced, same_price
+
+
+# ---------------------------------------------------------------------------
+# The affine engines, one inversion per point operation
+
+def oracle_precompute(P, w=DEFAULT_COMB_WIDTH, t=None):
+    if t is None:
+        t = comb_digit_count(P.curve.n_bits, w)
+    d = -(-t // w)
+    counters.record("comb_precompute")
+    rows = [P]
+    for _ in range(w - 1):
+        Q = rows[-1]
+        for _ in range(d):
+            Q = point_double(Q)
+        rows.append(Q)
+    top = rows[w - 1]
+    entries = []
+    for idx in range(1 << (w - 1)):
+        acc = top
+        for r in range(w - 2, -1, -1):
+            term = rows[r] if (idx >> r) & 1 else rows[r].negate()
+            acc = point_add(acc, term)
+        entries.append(acc)
+    return CombTable(point_identity(P), w, d, t, tuple(entries))
+
+
+def oracle_comb(k, P, cache=None, w=DEFAULT_COMB_WIDTH):
+    """ecsm_comb without its range check; a cache miss builds the table with
+    oracle_precompute."""
+    curve = P.curve
+    counters.record("ecsm_comb")
+    t = comb_digit_count(curve.n_bits, w)
+    if cache is not None:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scalarmult, "comb_precompute", oracle_precompute)
+            table = cache.get_or_build(P, w, t)
+    else:
+        table = oracle_precompute(P, w, t)
+    d = table.d
+    zsd = zsd_recode(k, t)
+    digits = zsd.digits
+    entries = table.entries
+    acc = None
+    for j in range(d - 1, -1, -1):
+        top = digits[(w - 1) * d + j]
+        idx = 0
+        for r in range(w - 1):
+            if digits[r * d + j] == top:
+                idx |= 1 << r
+        entry = entries[idx]
+        neg = entry.negate()
+        term = entry if top == 1 else neg
+        if acc is None:
+            acc = term
+        else:
+            acc = point_add(point_double(acc), term)
+    dbl = point_double(P)
+    corr = P if zsd.c == 1 else dbl
+    return point_add(acc, corr.negate())
+
+
+def oracle_unchecked(k, P):
+    acc = P.curve.infinity()
+    for i in range(k.bit_length() - 1, -1, -1):
+        acc = point_double(acc)
+        if (k >> i) & 1:
+            acc = point_add(acc, P)
+    return acc
+
+
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(params=builtin_registry().names())
+def curve(request):
+    return builtin_registry().get(request.param)
+
+
+def table_entries(P, w):
+    return comb_precompute(P, w).entries
+
+
+def oracle_table_entries(P, w):
+    return oracle_precompute(P, w).entries
+
+
+def other_base(curve):
+    """A fixed point of the curve that is not its generator."""
+    k = random.Random("other-base-" + curve.id).randrange(2, curve.n - 1)
+    return oracle_unchecked(k, curve.generator())
+
+
+def oracle_scalars(curve):
+    rng = random.Random("engine-prices-" + curve.id)
+    n = curve.n
+    edges = set(range(1, min(65, n))) | set(range(max(1, n - 64), n))
+    return sorted(edges) + [rng.randrange(1, n) for _ in range(40)]
+
+
+@pytest.mark.parametrize("base", ["generator", "other"])
+def test_comb_matches_affine_oracle(curve, base):
+    P = curve.generator() if base == "generator" else other_base(curve)
+    cache, oracle_cache = CombCache(), CombCache()
+    for i, k in enumerate(oracle_scalars(curve)):
+        # the first cached call misses, the rest hit
+        assert priced(ecsm_comb, k, P, cache) == \
+            priced(oracle_comb, k, P, oracle_cache)
+        # without a cache each call rebuilds the same table: every 8th will do
+        if i % 8 == 0:
+            assert same_price(ecsm_comb, oracle_comb, k, P) == \
+                oracle_unchecked(k, P)
+    assert cache.get_or_build(P).entries == \
+        oracle_cache.get_or_build(P).entries
+
+
+@pytest.mark.parametrize("w", range(1, 6))
+def test_table_entries_match_affine_oracle(curve, w):
+    for P in (curve.generator(), other_base(curve)):
+        same_price(table_entries, oracle_table_entries, P, w)
+
+
+def test_unchecked_matches_affine_oracle_past_the_order(toy):
+    for P in (toy.generator(), other_base(toy), toy.infinity()):
+        for k in range(3 * toy.n):
+            same_price(scalar_mul_unchecked, oracle_unchecked, k, P)
+
+
+def test_engines_match_affine_oracle_on_a_two_torsion_point():
+    # no registered curve has a point with y = 0: on y^2 = x^3 + x - 2 over
+    # GF(59), (1, 0) doubles to the identity, so the comb rows past the
+    # first and many entries are the identity, and the walk adds to it
+    curve = CurveParams("two-torsion", 59, 1, -2, 1, 0, 53, 0xFE03, "2.999.2")
+    T = curve.generator()
+    assert T.is_on_curve() and point_double(T).at_infinity
+    for w in range(1, 6):
+        same_price(table_entries, oracle_table_entries, T, w)
+    cache, oracle_cache = CombCache(), CombCache()
+    for k in range(1, curve.n):
+        assert same_price(ecsm_comb, oracle_comb, k, T) == \
+            (T if k % 2 else curve.infinity())
+        assert priced(ecsm_comb, k, T, cache) == \
+            priced(oracle_comb, k, T, oracle_cache)
+        same_price(scalar_mul_unchecked, oracle_unchecked, k, T)

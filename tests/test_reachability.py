@@ -21,6 +21,8 @@ import private tables as oracles."""
 
 import ast
 import pathlib
+import subprocess
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "ecdtls"
@@ -54,6 +56,18 @@ def test_every_module_reached_from_public_api():
         reached.add(name)
         todo.extend(relative_imports(name) & modules)
     assert sorted(modules - reached) == UNREACHED_PENDING_DELETION
+
+
+def test_public_api_loads_no_socket_or_calendar():
+    """Loopback users never open a socket, and UTCTime needs no calendar
+    (which loads datetime and locale): neither is imported."""
+    code = ("import sys; sys.path.insert(0, %r); "
+            "from ecdtls import %s; "
+            "print(sorted({'socket', 'calendar'} & set(sys.modules)))"
+            % (str(PACKAGE.parent), ", ".join(ROOTS)))
+    out = subprocess.run([sys.executable, "-I", "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def unread_imports(path: pathlib.Path) -> list:
