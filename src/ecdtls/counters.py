@@ -29,21 +29,6 @@ TRACED_KINDS = frozenset({
     "point_double",
 })
 
-# Kinds whose tallies must be independent of the scalar for a fixed curve and
-# comb geometry: the operation-count signature of one scalar multiplication.
-UNIFORM_KINDS = (
-    "mod_add",
-    "mod_sub",
-    "mod_mul",
-    "mul_iter",
-    "mod_inv_euclid",
-    "inv_work",
-    "mod_inv_fermat",
-    "point_add",
-    "point_double",
-)
-
-
 class OpCounters(dict):
     """Tally of operation kinds -> counts.  Plain dict with arithmetic helpers."""
 
@@ -66,10 +51,6 @@ class OpCounters(dict):
             if d:
                 out[k] = d
         return out
-
-    def uniform_vector(self) -> tuple:
-        """The scalar-independent operation-count signature."""
-        return tuple(self.get(k, 0) for k in UNIFORM_KINDS)
 
     def copy(self) -> "OpCounters":
         return OpCounters(self)

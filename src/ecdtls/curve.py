@@ -55,10 +55,6 @@ class CurveParams:
         self.add_cost = self.mod.cost("ssimmsssms", "point_add")
         self.double_cost = self.mod.cost("maaaaimmsssms", "point_double")
 
-    @property
-    def p(self) -> int:
-        return self.mod.p
-
     def generator(self) -> "AffinePoint":
         return AffinePoint(self, self.gx, self.gy)
 
@@ -95,7 +91,7 @@ class AffinePoint:
             self.x = None
             self.y = None
         else:
-            if not (0 <= x < curve.p and 0 <= y < curve.p):
+            if not (0 <= x < curve.mod.p and 0 <= y < curve.mod.p):
                 raise CurveError("coordinates out of field range")
             self.x = x
             self.y = y
@@ -124,7 +120,7 @@ class AffinePoint:
         if self.at_infinity:
             return self
         counters.record("mod_sub")
-        return AffinePoint(self.curve, self.x, -self.y % self.curve.p)
+        return AffinePoint(self.curve, self.x, -self.y % self.curve.mod.p)
 
     def encode(self) -> bytes:
         """Uncompressed SEC1 encoding: 0x04 || X || Y."""
@@ -140,7 +136,7 @@ class AffinePoint:
             raise PointDecodeError("not an uncompressed point of the right width")
         x = int.from_bytes(data[1:1 + w], "big")
         y = int.from_bytes(data[1 + w:], "big")
-        if x >= curve.p or y >= curve.p:
+        if x >= curve.mod.p or y >= curve.mod.p:
             raise PointDecodeError("coordinate not below the field modulus")
         pt = cls(curve, x, y)
         if not pt.is_on_curve():
@@ -161,7 +157,7 @@ def point_add(P: AffinePoint, Q: AffinePoint) -> AffinePoint:
             return point_double(P)
         return P.curve.infinity()  # P + (-P)
     counters.record_all(P.curve.add_cost)
-    p = P.curve.p
+    p = P.curve.mod.p
     lam = (Q.y - P.y) * pow(Q.x - P.x, -1, p) % p
     x3 = (lam * lam - P.x - Q.x) % p
     y3 = (lam * (P.x - x3) - P.y) % p
@@ -175,7 +171,7 @@ def point_double(P: AffinePoint) -> AffinePoint:
     if P.y == 0:
         return P.curve.infinity()
     counters.record_all(P.curve.double_cost)
-    p = P.curve.p
+    p = P.curve.mod.p
     lam = (3 * P.x * P.x + P.curve.a) * pow(2 * P.y, -1, p) % p
     x3 = (lam * lam - 2 * P.x) % p
     y3 = (lam * (P.x - x3) - P.y) % p
@@ -207,9 +203,6 @@ class CurveRegistry:
             return self._curves[name]
         except KeyError:
             raise CurveError("curve %r not registered" % name) from None
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._curves
 
     def by_oid(self, oid: str) -> CurveParams:
         for params in self._curves.values():

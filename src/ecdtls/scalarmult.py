@@ -1,17 +1,24 @@
 """Scalar multiplication engines.
 
-The production path is a fixed-base comb with zero-less signed-digit (ZSD)
-recoding: every scalar of a given curve drives the identical sequence of
-point operations, and precomputed tables are held in a six-entry LRU cache.
-Double-and-add and Jacobian-plus-Fermat multipliers are kept as correctness
-oracles and cost baselines.
+Three engines, one for each reader:
+
+- `ecsm_comb` is the production path: a fixed-base comb with zero-less
+  signed-digit (ZSD) recoding, so every scalar of a given curve drives the
+  identical sequence of point operations, with its precomputed tables held
+  in a six-entry LRU cache (`CombCache`).
+- `scalar_mul_unchecked` is plain double-and-add for any k >= 0.  The curve
+  registry checks n*G = O with it, a scalar the comb refuses.
+- `ecsm_jacobian` is the projective baseline of the energy model's fit,
+  which prices it at `energy.CAL_AFFINE_VS_JACOBIAN` times the comb.
 
 Every engine executes in Jacobian coordinates (x = X/Z^2, y = Y/Z^3, Z = 0
-the identity) and turns its triples affine with one shared inversion
-(Montgomery's trick).  What a step records is a price, not a trace of the
-Python: the comb and double-and-add record the affine datapath's price per
+the identity).  What a step records is a price, not a trace of the Python:
+the comb and `scalar_mul_unchecked` record the affine datapath's price per
 doubling and addition, exactly where the affine group law records it, and
-`ecsm_jacobian` records the projective datapath's.
+turn their triples affine with one shared, unpriced inversion (Montgomery's
+trick); `ecsm_jacobian` records the projective datapath's price and
+normalises with its own counted Fermat inversion.  The last two run one
+shared double-and-add loop.
 """
 
 from __future__ import annotations
@@ -125,19 +132,11 @@ def _to_affine(curve: CurveParams, triples: list) -> list:
 class ZsdScalar:
     """Digits in {-1,+1}, least significant first, summing to k + c."""
 
-    __slots__ = ("digits", "t", "c")
+    __slots__ = ("digits", "c")
 
-    def __init__(self, digits: Tuple[int, ...], t: int, c: int):
+    def __init__(self, digits: Tuple[int, ...], c: int):
         self.digits = digits
-        self.t = t
         self.c = c
-
-    def reconstruct(self) -> int:
-        """The scalar this recoding encodes: sum(d_i 2^i) - c."""
-        total = 0
-        for i, d in enumerate(self.digits):
-            total += d << i
-        return total - self.c
 
 
 def zsd_recode(k: int, t: int) -> ZsdScalar:
@@ -154,7 +153,7 @@ def zsd_recode(k: int, t: int) -> ZsdScalar:
     if t < kp.bit_length():
         raise ScalarRangeError("digit count %d too small for scalar" % t)
     digits = tuple(1 if (kp >> (i + 1)) & 1 else -1 for i in range(t - 1)) + (1,)
-    return ZsdScalar(digits, t, c)
+    return ZsdScalar(digits, c)
 
 
 def comb_digit_count(order_bits: int, w: int) -> int:
@@ -183,12 +182,6 @@ class CombTable:
         self.d = d
         self.t = t
         self.entries = entries
-
-    @property
-    def size_bytes(self) -> int:
-        """Modeled storage: 2^(w-1) points of two field elements each."""
-        width = self.entries[0].curve.mod.byte_len
-        return len(self.entries) * 2 * width
 
 
 def comb_precompute(P: AffinePoint, w: int = DEFAULT_COMB_WIDTH,
@@ -236,13 +229,6 @@ class CombCache:
 
     def __len__(self) -> int:
         return len(self._tables)
-
-    def __contains__(self, P: AffinePoint) -> bool:
-        return point_identity(P) in self._tables
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(t.size_bytes for t in self._tables.values())
 
     def get_or_build(self, P: AffinePoint, w: int = DEFAULT_COMB_WIDTH,
                      t: Optional[int] = None) -> CombTable:
@@ -312,23 +298,21 @@ def ecsm_comb(k: int, P: AffinePoint, cache: Optional[CombCache] = None,
     return _to_affine(curve, [_jadd(curve, *acc, corr.negate(), price)])[0]
 
 
-def ecsm_double_and_add(k: int, P: AffinePoint) -> AffinePoint:
-    """Left-to-right binary multiplication: the correctness/cost baseline."""
-    _check_range(k, P.curve)
-    counters.record("ecsm_double_and_add")
-    return scalar_mul_unchecked(k, P)
-
-
-def scalar_mul_unchecked(k: int, P: AffinePoint) -> AffinePoint:
-    """k*P for any k >= 0, left to right, at the affine prices."""
+def _double_and_add(k: int, P: AffinePoint, price: tuple) -> tuple:
+    """k*P as a Jacobian triple, left to right, under price."""
     curve = P.curve
-    price = _affine_price(curve)
     acc = _IDENTITY
     for i in range(k.bit_length() - 1, -1, -1):
         acc = _jdouble(curve, *acc, price)
         if (k >> i) & 1:
             acc = _jadd(curve, *acc, P, price)
-    return _to_affine(curve, [acc])[0]
+    return acc
+
+
+def scalar_mul_unchecked(k: int, P: AffinePoint) -> AffinePoint:
+    """k*P for any k >= 0 at the affine prices, normalised by `_to_affine`."""
+    triple = _double_and_add(k, P, _affine_price(P.curve))
+    return _to_affine(P.curve, [triple])[0]
 
 
 def ecsm_jacobian(k: int, P: AffinePoint) -> AffinePoint:
@@ -340,8 +324,6 @@ def ecsm_jacobian(k: int, P: AffinePoint) -> AffinePoint:
     curve = P.curve
     _check_range(k, curve)
     counters.record("ecsm_jacobian")
-    if P.at_infinity:
-        return P
     mod = curve.mod
     price = (
         # 4 X YY, 3 XX + a Z^4 and 8 YY^2 as chains of additions
@@ -350,11 +332,7 @@ def ecsm_jacobian(k: int, P: AffinePoint) -> AffinePoint:
         mod.cost("mmmmss", "point_add"),
         mod.cost("mmmmsassmmsm"),
     )
-    X, Y, Z = _IDENTITY
-    for i in range(k.bit_length() - 1, -1, -1):
-        X, Y, Z = _jdouble(curve, X, Y, Z, price)
-        if (k >> i) & 1:
-            X, Y, Z = _jadd(curve, X, Y, Z, P, price)
+    X, Y, Z = _double_and_add(k, P, price)
     if Z == 0:
         return curve.infinity()
     zinv = inv_fermat_int(Z, mod)

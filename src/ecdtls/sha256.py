@@ -18,9 +18,6 @@ from . import counters
 class Sha256:
     """Incremental hashing context: update/digest/copy."""
 
-    block_size = 64
-    digest_size = 32
-
     def __init__(self, data: bytes = b""):
         self._h = hashlib.sha256()
         self._length = 0

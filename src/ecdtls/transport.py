@@ -76,24 +76,6 @@ def run_loopback(client: HandshakeSession, server: HandshakeSession,
     return LoopbackResult(client, server, iterations)
 
 
-def exchange_app_data(result: LoopbackResult, payload: bytes,
-                      interceptor: Optional[Interceptor] = None) -> bool:
-    """Client sends payload; server echoes it back.  True iff both arrive."""
-    if not result.established:
-        return False
-    for sender, receiver, role in ((result.client, result.server, "client"),
-                                   (result.server, result.client, "server")):
-        datagrams = [sender.seal_app_data(payload)]
-        if interceptor is not None:
-            datagrams = interceptor(role, datagrams)
-        received = None
-        for d in datagrams:
-            received = receiver.open_app_data(d)
-        if received != payload:
-            return False
-    return True
-
-
 class UdpEndpoint:
     """Minimal datagram pipe to one peer over localhost UDP."""
 

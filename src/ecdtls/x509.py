@@ -270,36 +270,6 @@ class CertCache:
         while len(self._entries) > CERT_CACHE_CAPACITY:
             del self._entries[next(iter(self._entries))]
 
-    def save(self, path: str) -> None:
-        """Persist as text, one entry per line: key (anchor || fingerprint),
-        curve, subject commonName as UTF-8 hex ("-" for none), point,
-        notBefore, notAfter."""
-        lines = []
-        for key, e in self._entries.items():
-            cn_hex = "-" if e.subject_cn is None else e.subject_cn.encode().hex()
-            lines.append("%s %s %s %s %d %d" % (
-                key.hex(), e.public_key.curve.id, cn_hex,
-                e.public_key.encode().hex(), e.not_before, e.not_after))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + ("\n" if lines else ""))
-
-    @classmethod
-    def load(cls, path: str, registry: CurveRegistry) -> "CertCache":
-        """Read what save wrote.  Lines run oldest first, so only the last
-        CERT_CACHE_CAPACITY lines are kept."""
-        cache = cls()
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [line for line in fh if line.strip()]
-        for line in lines[-CERT_CACHE_CAPACITY:]:
-            key_hex, curve_id, cn_hex, point_hex, not_before, \
-                not_after = line.split()
-            curve = registry.get(curve_id)
-            point = AffinePoint.decode(bytes.fromhex(point_hex), curve)
-            cn = None if cn_hex == "-" else bytes.fromhex(cn_hex).decode()
-            cache._entries[bytes.fromhex(key_hex)] = CertCacheEntry(
-                cn, point, int(not_before), int(not_after))
-        return cache
-
 
 # ---------------------------------------------------------------------------
 # Fixture certificate builder

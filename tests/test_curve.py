@@ -78,7 +78,7 @@ class TestGroupLaw:
 
     def test_double_g_matches_independent_formula(self, curves):
         c = curves["secp192r1"]
-        p, a = c.p, c.a
+        p, a = c.mod.p, c.a
         lam = (3 * c.gx * c.gx + a) * pow(2 * c.gy, p - 2, p) % p
         x3 = (lam * lam - 2 * c.gx) % p
         y3 = (lam * (c.gx - x3) - c.gy) % p
@@ -122,7 +122,7 @@ class TestEncoding:
 
     def test_decode_rejects_oversize_coordinate(self, curves):
         c = curves["secp256r1"]
-        data = b"\x04" + c.p.to_bytes(32, "big") + c.gy.to_bytes(32, "big")
+        data = b"\x04" + c.mod.p.to_bytes(32, "big") + c.gy.to_bytes(32, "big")
         with pytest.raises(PointDecodeError):
             AffinePoint.decode(data, c)
 
@@ -138,7 +138,7 @@ class TestValidation:
 
     def test_validate_rejects_off_curve(self, curves):
         c = curves["secp256r1"]
-        P = AffinePoint(c, c.gx, (c.gy + 1) % c.p)
+        P = AffinePoint(c, c.gx, (c.gy + 1) % c.mod.p)
         with pytest.raises(CurveError):
             validate_point(P)
 
@@ -165,7 +165,7 @@ class TestRegistryParsing:
         """
         (params,) = parse_registry_text(text)
         assert params.id == "tiny"
-        assert params.p == 59 and params.n == 53
+        assert params.mod.p == 59 and params.n == 53
         assert params.tls_code == 0xFE01
         assert params.oid == "1.3.6.1.4.1.55555.2"
 
@@ -185,7 +185,7 @@ class TestRegistryParsing:
             CurveRegistry().register(bad)
 
     def test_register_rejects_colliding_tls_code(self, toy):
-        anagram = CurveParams("yot59", toy.p, toy.a, toy.b,
+        anagram = CurveParams("yot59", toy.mod.p, toy.a, toy.b,
                               toy.gx, toy.gy, toy.n, toy.tls_code,
                               PRIVATE_IDS[1])
         reg = CurveRegistry()
@@ -196,7 +196,7 @@ class TestRegistryParsing:
         reg.register(toy)  # replacing a curve under its own id still works
 
     def test_register_rejects_colliding_oid(self, toy):
-        twin = CurveParams("yot59", toy.p, toy.a, toy.b, toy.gx, toy.gy,
+        twin = CurveParams("yot59", toy.mod.p, toy.a, toy.b, toy.gx, toy.gy,
                            toy.n, PRIVATE_IDS[0], toy.oid)
         reg = CurveRegistry()
         reg.register(toy)

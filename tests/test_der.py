@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecdtls.credentials import (CA_CN, NOT_AFTER, NOT_BEFORE, SERVER_CN,
-                                generate_pki)
+from ecdtls.credentials import CA_CN, SERVER_CN, generate_pki
 from ecdtls.curve import CurveParams, CurveRegistry
 from ecdtls.der import (TAG_BIT_STRING, TAG_CTX3, TAG_INTEGER,
                         TAG_OCTET_STRING, TAG_OID, TAG_PRINTABLE, TAG_SEQUENCE,
@@ -14,8 +13,8 @@ from ecdtls.der import (TAG_BIT_STRING, TAG_CTX3, TAG_INTEGER,
                         der_utctime)
 from ecdtls.drbg import HmacDrbg
 from ecdtls.ecdsa import EcdsaSignature, KeyPair, SignatureError
-from ecdtls.x509 import (CertCache, MalformedDerError, X509Error,
-                         make_certificate, x509_parse)
+from ecdtls.x509 import (MalformedDerError, X509Error, make_certificate,
+                         x509_parse)
 
 HYPOTHESIS = settings(derandomize=True, deadline=None, max_examples=200)
 
@@ -319,25 +318,6 @@ class TestNames:
                           registry)
         assert cert.subject_cn == SERVER_CN
 
-    def test_cache_file_keeps_subject_cn(self, registry, pki, leaf,
-                                         tmp_path):
-        cn = der_oid(OID_COMMON_NAME) + der_tlv(TAG_UTF8, b"server")
-        surname = der_oid("2.5.4.4") + der_tlv(TAG_UTF8, b"server")
-        assert leaf.count(cn) == 1
-        unicode_cn = make_certificate("s\u00e9rveur \u2713", CA_CN, 9,
-                                      pki.server.key.Q, pki.ca_key,
-                                      NOT_BEFORE, NOT_AFTER)
-        anchor = pki.ca_key.Q
-        path = str(tmp_path / "cache.txt")
-        for der, expected in [(leaf.replace(cn, surname), None),
-                              (unicode_cn, "s\u00e9rveur \u2713")]:
-            cache = CertCache()
-            cache.insert(x509_parse(der, registry), anchor)
-            cache.save(path)
-            entry = CertCache.load(path, registry).check(der, anchor,
-                                                        NOT_BEFORE)
-            assert entry.subject_cn == expected
-
 
 # TBSCertificate field positions: version, serial, signature, issuer,
 # validity, subject, subjectPublicKeyInfo, extensions
@@ -415,8 +395,8 @@ class TestExtensions:
 
 
 def test_curve_under_arc_2_round_trips(toy):
-    twin = CurveParams("toy2999", toy.p, toy.a, toy.b, toy.gx, toy.gy, toy.n,
-                       0xFE02, "2.999.1")
+    twin = CurveParams("toy2999", toy.mod.p, toy.a, toy.b, toy.gx, toy.gy,
+                       toy.n, 0xFE02, "2.999.1")
     reg = CurveRegistry()
     reg.register(twin)
     key = KeyPair.generate(twin, HmacDrbg(b"arc-two" * 5))

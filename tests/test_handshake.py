@@ -5,7 +5,7 @@ from ecdtls.credentials import NOT_AFTER, generate_pki
 from ecdtls.handshake import (MODE_CACHED, MODE_FULL, HandshakeError,
                               HandshakeSession, SessionConfig, State)
 from ecdtls.record import CONTENT_HANDSHAKE
-from ecdtls.transport import exchange_app_data, run_loopback
+from ecdtls.transport import run_loopback
 from ecdtls.x509 import CertCache
 
 FIXED_CLOCK = lambda: 1754784000.0  # mid validity window
@@ -24,6 +24,23 @@ def make_pair(curve, pki, mode=MODE_FULL, client_entropy=b"C" * 32,
         own_key_d=pki.server.key.d, ca_der=pki.ca_der, mode=MODE_FULL,
         entropy=server_entropy, expected_peer_cn="client", clock=FIXED_CLOCK)
     return HandshakeSession(client_cfg), HandshakeSession(server_cfg)
+
+
+def exchange_app_data(result, payload: bytes, interceptor=None) -> bool:
+    """Client sends payload; server echoes it back.  True iff both arrive."""
+    if not result.established:
+        return False
+    for sender, receiver, role in ((result.client, result.server, "client"),
+                                   (result.server, result.client, "server")):
+        datagrams = [sender.seal_app_data(payload)]
+        if interceptor is not None:
+            datagrams = interceptor(role, datagrams)
+        received = None
+        for d in datagrams:
+            received = receiver.open_app_data(d)
+        if received != payload:
+            return False
+    return True
 
 
 @pytest.fixture(scope="module")

@@ -48,7 +48,7 @@ class TestEcdhe:
     def test_off_curve_peer_rejected(self, curves):
         c = curves["secp256r1"]
         a = KeyPair(7, c)
-        bogus = AffinePoint(c, c.gx, (c.gy + 1) % c.p)
+        bogus = AffinePoint(c, c.gx, (c.gy + 1) % c.mod.p)
         with pytest.raises(KeyAgreementError):
             ecdhe_shared(a, bogus)
 

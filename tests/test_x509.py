@@ -5,9 +5,8 @@ from ecdtls.der import (TAG_CTX3, TAG_OCTET_STRING, TAG_SEQUENCE, DerCursor,
                         der_read_tlv, der_tlv)
 from ecdtls.drbg import HmacDrbg
 from ecdtls.ecdsa import KeyPair
-from ecdtls.x509 import (ACCEPTED, CERT_CACHE_CAPACITY, CertCache,
-                         MalformedDerError, REJECT_BAD_SIGNATURE,
-                         REJECT_EXPIRED, X509Error,
+from ecdtls.x509 import (ACCEPTED, CertCache, MalformedDerError,
+                         REJECT_BAD_SIGNATURE, REJECT_EXPIRED, X509Error,
                          UnknownCriticalExtensionError,
                          UnsupportedAlgorithmError, UnsupportedCurveError,
                          make_certificate, x509_parse, x509_verify)
@@ -264,40 +263,6 @@ class TestCertCache:
         assert len(cache) == 4
         assert cache.check(ders[0], ca.Q, NOW) is None       # evicted
         assert cache.check(ders[1], ca.Q, NOW) is not None
-
-    def test_save_load_round_trip(self, registry, fixture_pki, tmp_path):
-        cache = CertCache()
-        der = fixture_pki["leaf_der"]
-        anchor = fixture_pki["ca_key"].Q
-        cache.insert(x509_parse(der, registry), anchor)
-        path = str(tmp_path / "cache.txt")
-        cache.save(path)
-        loaded = CertCache.load(path, registry)
-        entry = loaded.check(der, anchor, NOW)
-        assert entry is not None
-        assert entry.public_key == fixture_pki["leaf_key"].Q
-        # the anchor and the validity window survive the round trip
-        assert loaded.check(der, fixture_pki["leaf_key"].Q, NOW) is None
-        assert loaded.check(der, anchor, NOT_BEFORE - 1) is None
-        assert loaded.check(der, anchor, NOT_AFTER + 1) is None
-        assert loaded.check(der, anchor, NOT_AFTER) is not None
-
-    def test_load_keeps_the_newest_entries(self, registry, fixture_pki,
-                                           tmp_path):
-        cache = CertCache()
-        cache.insert(x509_parse(fixture_pki["leaf_der"], registry),
-                     fixture_pki["ca_key"].Q)
-        path = tmp_path / "cache.txt"
-        cache.save(str(path))
-        key_hex, rest = path.read_text().split(" ", 1)
-        # save writes oldest first: ten entries with distinct keys
-        keys = ["%02x%s" % (i, key_hex[2:]) for i in range(10)]
-        path.write_text("".join("%s %s" % (k, rest) for k in keys))
-        loaded = CertCache.load(str(path), registry)
-        assert len(loaded) == CERT_CACHE_CAPACITY == 4
-        loaded.save(str(path))
-        assert [line.split()[0] for line in
-                path.read_text().splitlines()] == keys[-4:]
 
 
 class TestOidHelpers:
