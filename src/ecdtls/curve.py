@@ -4,9 +4,9 @@ curve registry.
 The group law is priced in affine coordinates, as the paper's datapath runs
 it: one Euclid inversion plus a few multiplications, additions and
 subtractions per operation, recorded in one call.  `point_add` and
-`point_double` compute affine results natively; the scalar multiplications
-execute in Jacobian coordinates and record these same prices per operation
-(see `scalarmult`).
+`point_double` compute affine results natively.  `scalarmult.ecsm_comb`
+records these prices summed over its whole schedule in one call, and
+computes its result by other means.
 
 A registry record carries everything a curve is: its parameters plus the TLS
 NamedCurve code point and the namedCurve OID that name it in handshakes and

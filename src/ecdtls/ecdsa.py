@@ -2,7 +2,7 @@
 
 Nonces come either from a session DRBG (protocol mode) or from the RFC 6979
 HMAC construction (deterministic mode, used for reproducible fixtures).
-Verification runs two comb multiplications through the shared table cache.
+Verification prices two comb multiplications through the shared table cache.
 """
 
 from __future__ import annotations

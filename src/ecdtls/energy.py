@@ -96,7 +96,7 @@ def _measure_calibration_counts() -> Tuple[OpCounters, OpCounters]:
     k_cal = calibration_scalar(curve)
     with counters.isolated():
         cache = CombCache()
-        ecsm_comb(k_cal, G, cache)  # build the table outside the measurement
+        ecsm_comb(k_cal, G, cache)  # the miss stays outside the measurement
         with counters.scope() as hit:
             ecsm_comb(k_cal, G, cache)
         with counters.scope() as jac:

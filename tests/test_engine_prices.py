@@ -1,27 +1,50 @@
-"""The Jacobian scalar multiplications against the affine engines they
-replaced.
+"""The comb's scalar-derived price and the Jacobian engines against the
+affine engines they replaced.
 
-`comb_precompute`, `ecsm_comb` and `scalar_mul_unchecked` execute in
-Jacobian coordinates and record the affine group law's price per doubling
-and addition.  The oracles below are those engines as they ran before, on
-`point_add` and `point_double` (themselves checked in
-`test_formula_prices`): one affine operation, one inversion, each.  Both
-must give the same result, the same counter items in the same order and the
-same trace, on every registered curve, with and without a comb cache, and on
-a point that doubles to the identity."""
+`comb_precompute` and `ecsm_comb` compute their price from the scalar in
+integers, and `ecsm_comb` computes k*P by a fixed-base table of G or by
+wNAF, recording nothing; `scalar_mul_unchecked` executes in Jacobian
+coordinates and records the affine group law's price per doubling and
+addition.  The oracles below are those engines as they ran before, on
+`point_add` and `point_double` (themselves checked in `test_formula_prices`):
+one affine operation, one inversion, each, walked point by point.  Both must
+give the same result, the same counter items in the same order and the same
+trace, on every registered curve, at every comb width, with and without a
+comb cache.  On a point whose order is not the curve's n, only the results
+and `scalar_mul_unchecked`'s price are compared."""
 
 import random
+from collections import namedtuple
 
 import pytest
 
 from ecdtls import counters, scalarmult
 from ecdtls.curve import CurveParams, builtin_registry, point_add, \
     point_double
-from ecdtls.scalarmult import (DEFAULT_COMB_WIDTH, CombCache, CombTable,
-                               comb_digit_count, comb_precompute, ecsm_comb,
-                               point_identity, scalar_mul_unchecked,
-                               zsd_recode)
+from ecdtls.scalarmult import (DEFAULT_COMB_WIDTH, CombCache,
+                               ScalarRangeError, comb_digit_count,
+                               comb_precompute, ecsm_comb, point_identity,
+                               scalar_mul_unchecked)
 from test_formula_prices import priced, same_price
+
+# the oracle's table and recoding, which the library no longer builds: it
+# prices the table and reads the digits as bits of an integer
+CombTable = namedtuple("CombTable", "base_id w d t entries")
+ZsdScalar = namedtuple("ZsdScalar", "digits c")
+
+
+def zsd_recode(k, t):
+    """k as t zero-less signed digits in {-1, +1}, least significant first,
+    summing to k + c: c = 1 + (k mod 2) makes k' = k + c odd, and digit i is
+    2*bit_{i+1}(k') - 1 below a +1 top digit."""
+    if k < 1:
+        raise ScalarRangeError("scalar must be positive")
+    c = 1 + (k & 1)
+    kp = k + c
+    if t < kp.bit_length():
+        raise ScalarRangeError("digit count %d too small for scalar" % t)
+    digits = tuple(1 if (kp >> (i + 1)) & 1 else -1 for i in range(t - 1))
+    return ZsdScalar(digits + (1,), c)
 
 
 # ---------------------------------------------------------------------------
@@ -100,14 +123,6 @@ def curve(request):
     return builtin_registry().get(request.param)
 
 
-def table_entries(P, w):
-    return comb_precompute(P, w).entries
-
-
-def oracle_table_entries(P, w):
-    return oracle_precompute(P, w).entries
-
-
 def other_base(curve):
     """A fixed point of the curve that is not its generator."""
     k = random.Random("other-base-" + curve.id).randrange(2, curve.n - 1)
@@ -124,23 +139,33 @@ def oracle_scalars(curve):
 @pytest.mark.parametrize("base", ["generator", "other"])
 def test_comb_matches_affine_oracle(curve, base):
     P = curve.generator() if base == "generator" else other_base(curve)
-    cache, oracle_cache = CombCache(), CombCache()
-    for i, k in enumerate(oracle_scalars(curve)):
-        # the first cached call misses, the rest hit
-        assert priced(ecsm_comb, k, P, cache) == \
-            priced(oracle_comb, k, P, oracle_cache)
-        # without a cache each call rebuilds the same table: every 8th will do
-        if i % 8 == 0:
-            assert same_price(ecsm_comb, oracle_comb, k, P) == \
-                oracle_unchecked(k, P)
-    assert cache.get_or_build(P).entries == \
-        oracle_cache.get_or_build(P).entries
+    for w in range(1, 6):
+        scalars = oracle_scalars(curve)
+        if w != DEFAULT_COMB_WIDTH:
+            # the scalars off the regular schedule lie within 4 of n on the
+            # secp curves at every width: fewer will do away from the default
+            scalars = [k for k in scalars[:-40] if k <= 8 or k >= curve.n - 8] \
+                + scalars[-8:]
+        cache, oracle_cache = CombCache(), CombCache()
+        for i, k in enumerate(scalars):
+            # the first cached call misses, the rest hit
+            assert priced(ecsm_comb, k, P, cache, w) == \
+                priced(oracle_comb, k, P, oracle_cache, w)
+            # without a cache the table's price is the same: every 8th will do
+            if i % 8 == 0:
+                assert same_price(ecsm_comb, oracle_comb, k, P, None, w) == \
+                    oracle_unchecked(k, P)
 
 
 @pytest.mark.parametrize("w", range(1, 6))
 def test_table_entries_match_affine_oracle(curve, w):
+    # no entry is built: comb_precompute records what building them costs
     for P in (curve.generator(), other_base(curve)):
-        same_price(table_entries, oracle_table_entries, P, w)
+        got, want = priced(comb_precompute, P, w), \
+            priced(oracle_precompute, P, w)
+        assert got[1:] == want[1:]
+        table = got[0]
+        assert (table.base_id, table.w, table.d, table.t) == want[0][:4]
 
 
 def test_unchecked_matches_affine_oracle_past_the_order(toy):
@@ -151,17 +176,15 @@ def test_unchecked_matches_affine_oracle_past_the_order(toy):
 
 def test_engines_match_affine_oracle_on_a_two_torsion_point():
     # no registered curve has a point with y = 0: on y^2 = x^3 + x - 2 over
-    # GF(59), (1, 0) doubles to the identity, so the comb rows past the
-    # first and many entries are the identity, and the walk adds to it
+    # GF(59), (1, 0) doubles to the identity.  Its order is 2, not the n = 53
+    # the curve claims, so the comb's price, exact for points of order n, is
+    # not compared; its results are.
     curve = CurveParams("two-torsion", 59, 1, -2, 1, 0, 53, 0xFE03, "2.999.2")
     T = curve.generator()
     assert T.is_on_curve() and point_double(T).at_infinity
-    for w in range(1, 6):
-        same_price(table_entries, oracle_table_entries, T, w)
     cache, oracle_cache = CombCache(), CombCache()
     for k in range(1, curve.n):
-        assert same_price(ecsm_comb, oracle_comb, k, T) == \
+        assert ecsm_comb(k, T) == oracle_comb(k, T) == \
             (T if k % 2 else curve.infinity())
-        assert priced(ecsm_comb, k, T, cache) == \
-            priced(oracle_comb, k, T, oracle_cache)
+        assert ecsm_comb(k, T, cache) == oracle_comb(k, T, oracle_cache)
         same_price(scalar_mul_unchecked, oracle_unchecked, k, T)

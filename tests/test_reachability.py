@@ -57,6 +57,10 @@ ALLOWED_UNREAD = {
     "drbg.HmacDrbg.reseed":
         "part of the SP 800-90A interface, exercised by the reseed test "
         "vectors in test_drbg.py",
+    "curve.AffinePoint.negate":
+        "the affine group law's priced negation, which "
+        "test_formula_prices.py pins beside point_add and point_double; "
+        "the comb's price counts its mod_sub without calling it",
     "curve.CurveRegistry.names":
         "the tests parametrise over the registered curves with it",
     "energy.CAL_HANDSHAKE_J":

@@ -4,11 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecdtls import counters
-from ecdtls.curve import CurveError, point_add, point_double
+from ecdtls import counters, scalarmult
+from ecdtls.curve import AffinePoint, CurveError, builtin_registry, \
+    point_add, point_double
 from ecdtls.scalarmult import (CombCache, ScalarRangeError, comb_digit_count,
                                comb_precompute, ecsm_comb, ecsm_jacobian,
-                               scalar_mul_unchecked, zsd_recode)
+                               scalar_mul_unchecked)
+from test_engine_prices import zsd_recode
+from test_formula_prices import priced
 
 # Kinds whose tallies must be independent of the scalar for a fixed curve and
 # comb geometry: the operation-count signature of one scalar multiplication.
@@ -33,6 +36,7 @@ def lookup(cache: CombCache, P) -> str:
 
 
 class TestZsdRecode:
+    # the comb oracle's recoding, whose digits the comb's price reads as bits
     def test_hand_checked_even_scalar(self):
         z = zsd_recode(4, 3)
         assert z.c == 1
@@ -70,23 +74,42 @@ class TestZsdRecode:
 
 
 class TestCombPrecompute:
+    # comb_precompute records the price of the table and builds no point
+
     def test_width_one_degenerate(self, toy):
-        table = comb_precompute(toy.generator(), w=1)
-        assert len(table.entries) == 1
-        assert table.entries[0] == toy.generator()
+        # one row, and one entry that is the base itself: no point operation
+        with counters.scope() as sc:
+            table = comb_precompute(toy.generator(), w=1)
+        assert (table.w, table.d, table.t) == (1, 7, 7)
+        assert dict(sc.counters) == {"comb_precompute": 1}
 
     def test_width_two_matches_bruteforce(self, toy):
         G = toy.generator()
-        table = comb_precompute(G, w=2, t=2)
-        # d = 1: entries are s_0*P + 2^1... with t=2, d=1: rows P and 2^d P = 2P
-        twoG = point_double(G)
-        assert table.entries[0] == point_add(twoG, G.negate())
-        assert table.entries[1] == point_add(twoG, G)
+
+        def bruteforce():
+            # t = 2, d = 1: rows G and 2G, entries 2G - G and 2G + G
+            counters.record("comb_precompute")
+            twoG = point_double(G)
+            assert point_add(twoG, G.negate()) == G
+            point_add(twoG, G)
+
+        assert priced(comb_precompute, G, 2, 2)[1:] == priced(bruteforce)[1:]
 
     def test_entries_on_curve(self, curves):
-        table = comb_precompute(curves["secp192r1"].generator())
-        assert all(e.is_on_curve() for e in table.entries)
-        assert len(table.entries) == 8
+        # the 8 entries stand for sum(s_r 2^(49 r)) G, r < 4, top sign +1:
+        # points on the curve, none the identity, so every addition is priced
+        c = curves["secp192r1"]
+        G = c.generator()
+        with counters.scope() as sc:
+            table = comb_precompute(G)
+        assert (table.w, table.d, table.t) == (4, 49, 196)
+        for idx in range(8):
+            m = (1 << 147) + sum((1 if idx >> r & 1 else -1) << 49 * r
+                                 for r in range(3))
+            assert m % c.n and ecsm_comb(m % c.n, G).is_on_curve()
+        assert sc.counters["point_double"] == 3 * 49
+        assert sc.counters["point_add"] == 8 * 3
+        assert sc.counters["mod_inv_euclid"] == 3 * 49 + 8 * 3
 
     def test_infinity_rejected(self, toy):
         with pytest.raises(CurveError):
@@ -109,7 +132,8 @@ class TestCombCache:
         G = toy.generator()
         stored = cache.get_or_build(G)
         fresh = comb_precompute(G)
-        assert stored.entries == fresh.entries
+        assert (stored.base_id, stored.w, stored.d, stored.t) == \
+            (fresh.base_id, fresh.w, fresh.d, fresh.t)
         assert cache.get_or_build(G) is stored
 
     def test_lru_eviction_at_six(self, toy):
@@ -135,7 +159,7 @@ class TestCombCache:
         tables = [cache.get_or_build(P) for P in pts]
         assert len(cache) == 6
         # 2^(w-1) points of two 32-byte coordinates per table
-        assert sum(len(t.entries) * 2 * 32 for t in tables) <= 4096
+        assert sum((1 << t.w - 1) * 2 * 32 for t in tables) <= 4096
 
 
 class TestEcsmComb:
@@ -188,6 +212,7 @@ class TestEcsmComb:
         vectors = set()
         # n-1 and n-2 are excluded: there k + c = n, the pre-correction sum is
         # the identity, and the group law short-circuits two additions.
+        # test_off_schedule_scalars_near_order pins every such scalar.
         for k in (1, 2, 3, c.n - 3, c.n // 2, 0xDEADBEEF):
             with counters.scope() as sc:
                 ecsm_comb(k, G, cache)
@@ -269,3 +294,101 @@ class TestDoubleAndAdd:
         assert sc.counters["mod_inv_euclid"] == ops
         assert sc.counters["mod_inv_fermat"] == 0
 
+
+SECP_CURVES = ["secp160r1", "secp192r1", "secp224r1", "secp256r1"]
+
+
+def edge_scalars(curve) -> list:
+    n = curve.n
+    return sorted(set(range(1, min(65, n))) | set(range(max(1, n - 64), n)))
+
+
+class TestPrice:
+    @pytest.mark.parametrize("name", SECP_CURVES)
+    def test_off_schedule_scalars_near_order(self, curves, name):
+        # at width 4, the edge scalars whose price is not the regular
+        # schedule's are exactly those whose sum meets an exceptional branch
+        # of the affine law: n-1 and n-2 (the sum before the parity tail is
+        # the identity) and n-4 (the tail adds a point to itself)
+        c = curves[name]
+        G = c.generator()
+        cache = CombCache()
+        ecsm_comb(1, G, cache)
+        regular = priced(ecsm_comb, c.n // 2, G, cache)[1:]
+        off = {k for k in edge_scalars(c)
+               if priced(ecsm_comb, k, G, cache)[1:] != regular}
+        assert off == {c.n - 4, c.n - 2, c.n - 1}
+
+    def test_one_record_per_layer(self, curves, monkeypatch):
+        # the tick, the cache lookup, the table on a miss and the walk each
+        # record once; the executors record nothing
+        c = curves["secp256r1"]
+        G = c.generator()
+        Q = scalar_mul_unchecked(0xC0FFEE, G)
+        k = c.n * 2 // 3 | 1
+        calls = []
+        record_all = counters.record_all
+        monkeypatch.setattr(counters, "record_all",
+                            lambda cost: calls.append(cost) or record_all(cost))
+        for P in (G, Q):
+            cache = CombCache()
+            for cached in (cache, cache, None):      # miss, hit, no cache
+                del calls[:]
+                with counters.scope():
+                    ecsm_comb(k, P, cached)
+                assert len(calls) <= 4
+        del calls[:]
+        with counters.scope(trace=True) as sc:
+            scalarmult._fixed_base(c, k)
+            scalarmult._wnaf(c, k, Q.x, Q.y)
+        assert calls == [] and sc.counters == {} and sc.trace == []
+
+    def test_base_must_be_on_the_curve(self, toy):
+        off_curve = AffinePoint(toy, 1, 1)
+        assert not off_curve.is_on_curve()
+        for P in (off_curve, toy.infinity()):
+            with pytest.raises(CurveError):
+                ecsm_comb(3, P)
+            with pytest.raises(CurveError):
+                ecsm_comb(3, P, CombCache())
+
+
+class TestExecutors:
+    def test_every_toy_scalar_against_repeated_addition(self, toy,
+                                                        monkeypatch):
+        # k*G runs the fixed-base table, k*2G wNAF.  Below n an equal-x
+        # addition never comes up, so the executors also run k in [n, 3n),
+        # where both of its outcomes must be reached: else the H = 0 branch
+        # would be tested vacuously
+        outcomes = set()
+        jadd = scalarmult._jadd
+
+        def spy(curve, X, Y, Z, x, y, price=None):
+            p = curve.mod.p
+            ZZ = Z * Z % p
+            if Z and (x * ZZ - X) % p == 0:
+                outcomes.add((executor, "double" if (y * ZZ * Z - Y) % p == 0
+                              else "identity"))
+            return jadd(curve, X, Y, Z, x, y, price)
+
+        monkeypatch.setattr(scalarmult, "_jadd", spy)
+        G = toy.generator()
+        for executor, P in (("fixed", G), ("wnaf", point_double(G))):
+            expected = toy.infinity()
+            for k in range(1, 3 * toy.n):
+                expected = point_add(expected, P)
+                if k < toy.n:
+                    assert ecsm_comb(k, P) == expected
+                triple = scalarmult._fixed_base(toy, k) if P == G else \
+                    scalarmult._wnaf(toy, k, P.x, P.y)
+                assert scalarmult._point(toy, triple) == expected
+        assert outcomes == {(executor, outcome) for executor in ("fixed", "wnaf")
+                            for outcome in ("double", "identity")}
+
+    @pytest.mark.parametrize("name", builtin_registry().names())
+    def test_edge_scalars_against_double_and_add(self, registry, name):
+        c = registry.get(name)
+        G = c.generator()
+        for P in (G, scalar_mul_unchecked(c.n // 3, G)):
+            for k in edge_scalars(c):
+                assert ecsm_comb(k, P) == scalar_mul_unchecked(k, P)
