@@ -15,12 +15,15 @@ n-1 among k within 64 of 0 or n at width 4); the Python's own time varies
 with k and the base.
 
 Execution records nothing.  It runs in Jacobian coordinates (Z = 0 the
-identity), normalised by shared inversions: k*G sums signed radix-32 digits
-of k from a per-curve table of G's multiples, built on first use and never
-changed; any other base runs width-5 wNAF.  `scalar_mul_unchecked` (any
-k >= 0; the registry checks n*G = O with it) and `ecsm_jacobian` (the energy
-fit's projective baseline) share a double-and-add loop that records the
-affine or the projective prices step by step.
+identity), normalised by shared inversions.  k*P sums signed radix-32
+digits of k from rows of P's multiples (fixed-base windowing, HMV Guide to
+ECC 3.3.2): G's rows are built once per curve on first use and never
+changed, another base's when its resident comb table is first hit, and they
+go with the table when the cache evicts it.  A base without rows (a cache
+miss, no cache, a one-shot point) runs width-5 wNAF.  `scalar_mul_unchecked`
+(any k >= 0; the registry checks n*G = O with it) and `ecsm_jacobian` (the
+energy fit's projective baseline) share a double-and-add loop that records
+the affine or the projective prices step by step.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ DEFAULT_COMB_WIDTH = 4
 COMB_CACHE_CAPACITY = 6
 MIN_COMB_WIDTH = 1
 MAX_COMB_WIDTH = 8
-_RADIX_BITS = 5   # k*G: signed digits in [-15, 16]
-_WNAF_WIDTH = 5   # other bases: odd digits in [-15, 15]
+_RADIX_BITS = 5   # bases with rows: signed digits in [-15, 16]
+_WNAF_WIDTH = 5   # bases without: odd digits in [-15, 15]
 
 
 class ScalarRangeError(CurveError):
@@ -196,35 +199,67 @@ def _walk_events(curve: CurveParams, terms: list, c: int) -> list:
         _sum_price(curve, acc, -c)
 
 
-def _walk_price(curve: CurveParams, k: int, w: int, t: int) -> tuple:
-    """The columns and tail at k: the memoised regular schedule unless one
-    of them meets an exceptional branch.
+_WRAP_COLUMNS: Dict[tuple, int] = {}
+
+
+def _wrap_column(n: int, w: int, t: int) -> int:
+    """The highest column j < d-1 at which |2 acc| + |term(j)| can reach n,
+    or -1.  Both are at most mask*(2^(d-j) - 1) together, so every column
+    above it sums without a wrap, whatever k is."""
+    key = (n, w, t)
+    if key not in _WRAP_COLUMNS:
+        d = t // w
+        mask = sum(1 << r * d for r in range(w))
+        j = d - 2
+        while j >= 0 and mask * ((1 << d - j) - 1) < n:
+            j -= 1
+        _WRAP_COLUMNS[key] = j
+    return _WRAP_COLUMNS[key]
+
+
+def _walk_regular(n: int, k: int, w: int, t: int) -> bool:
+    """Whether no column and no tail of the walk at k meets an exceptional
+    branch of the affine law.
 
     The t zero-less signed digits of k sum to k + c, c = 1 + (k mod 2):
     digit i is +1 exactly when bit i+1 of K = (k + c) | 2^t is set.  So
     column j's term, sum(digit(r*d + j) 2^(r*d)), reads the bits j+1,
-    d+j+1, ... of K."""
-    n, d, c = curve.n, t // w, 1 + (k & 1)
+    d+j+1, ... of K, and the walk's sum over the columns above the first
+    that can wrap reads the bits above it in each row."""
+    d, c = t // w, 1 + (k & 1)
     mask = sum(1 << r * d for r in range(w))
     K = (k + c) | 1 << t
 
     def term(j):
         return 2 * (K >> j + 1 & mask) - mask
 
-    acc = term(d - 1)
-    regular = acc % n != 0
-    for j in range(d - 2, -1, -1):
+    if term(d - 1) % n == 0:
+        return False
+    top = _wrap_column(n, w, t)
+    ones = (1 << d - top - 1) - 1
+    acc = 2 * sum((K >> r * d + top + 2 & ones) << r * d
+                  for r in range(w)) - ones * mask
+    for j in range(top, -1, -1):
         m, dbl = term(j), 2 * acc
         # dbl = 0, m = 0 and dbl = +-m are the exceptions.  acc and m are
         # odd, so each needs a wrap mod n: |dbl| + |m| >= n.  n is prime.
-        if abs(dbl) + abs(m) >= n:
-            regular = regular and dbl * m * (dbl * dbl - m * m) % n != 0
+        if abs(dbl) + abs(m) >= n and dbl * m * (dbl * dbl - m * m) % n == 0:
+            return False
         acc = dbl + m
-    regular = regular and acc * (acc * acc - c * c) % n != 0
+    return acc * (acc * acc - c * c) % n != 0
+
+
+def _walk_price(curve: CurveParams, k: int, w: int, t: int) -> tuple:
+    """The columns and tail at k: the memoised regular schedule unless one
+    of them meets an exceptional branch."""
+    n, d = curve.n, t // w
+    regular = _walk_regular(n, k, w, t)
     key = ("walk", curve.mod.bitlen, n, w, t)
     if regular and key in _PRICES:
         return _PRICES[key]
-    terms = [term(j) for j in range(d - 1, -1, -1)]
+    c, mask = 1 + (k & 1), sum(1 << r * d for r in range(w))
+    K = (k + c) | 1 << t
+    terms = [2 * (K >> j + 1 & mask) - mask for j in range(d - 1, -1, -1)]
     price = _merge(_walk_events(curve, terms, c))
     if regular:
         _PRICES[key] = price
@@ -245,28 +280,41 @@ def _add_signed(curve: CurveParams, acc: tuple, point, digit: int) -> tuple:
     return _jadd(curve, *acc, x, y if digit > 0 else -y % curve.mod.p)
 
 
-def _fixed_base(curve: CurveParams, k: int) -> tuple:
-    """k*G for 0 <= k < 2^bitlen(n), one signed radix-32 digit in [-15, 16]
-    per row of j * 32^i * G, j = 1..16.  The table is built once per curve
-    (a racing second build makes an equal one); None is the identity."""
+def _rows(curve: CurveParams, x: int, y: int) -> list:
+    """The affine j * 32^i * (x, y), j = 1..16, row i after row i-1, enough
+    rows for any k < 2^bitlen(n); None is the identity.  Each row is made
+    affine with the next row's base by one inversion."""
     half = 1 << _RADIX_BITS - 1
+    base, rows = (x, y), []
+    for _ in range(-(-(curve.n_bits + 1) // _RADIX_BITS)):
+        acc, triples = _IDENTITY, []
+        for _ in range(half):
+            acc = _jadd(curve, *acc, *base) if base else _IDENTITY
+            triples.append(acc)
+        *row, base = _to_affine(curve, triples + [_jdouble(curve, *acc)])
+        rows += row
+    return rows
+
+
+def _generator_rows(curve: CurveParams) -> list:
+    """G's rows, built once per curve and never changed (a racing second
+    build makes an equal one)."""
     key = (curve.mod.p, curve.a, curve.gx, curve.gy, curve.n)
     if key not in _G_TABLES:
-        base, triples = (curve.gx, curve.gy), []
-        for _ in range(-(-(curve.n_bits + 1) // _RADIX_BITS)):
-            acc = _IDENTITY
-            for _ in range(half):
-                acc = _jadd(curve, *acc, *base) if base else _IDENTITY
-                triples.append(acc)
-            base = base and _to_affine(curve, [_jdouble(curve, *acc)])[0]
-        _G_TABLES[key] = _to_affine(curve, triples)
-    table = _G_TABLES[key]
+        _G_TABLES[key] = _rows(curve, curve.gx, curve.gy)
+    return _G_TABLES[key]
+
+
+def _fixed_base(curve: CurveParams, rows: list, k: int) -> tuple:
+    """k*P for 0 <= k < 2^bitlen(n) from P's rows, one signed radix-32
+    digit in [-15, 16] per row."""
+    half = 1 << _RADIX_BITS - 1
     acc, row = _IDENTITY, 0
     while k:
         digit = ((k + half - 1) & (2 * half - 1)) - half + 1
         k = (k - digit) >> _RADIX_BITS
         if digit:
-            acc = _add_signed(curve, acc, table[row + abs(digit) - 1], digit)
+            acc = _add_signed(curve, acc, rows[row + abs(digit) - 1], digit)
         row += half
     return acc
 
@@ -300,22 +348,26 @@ def point_identity(P: AffinePoint) -> bytes:
 
 
 class CombTable:
-    """The base and geometry of a comb table, whose points are not built."""
+    """The base and geometry of a comb table, whose points are not built,
+    and the execution rows of its base (`_rows`): G's shared ones from the
+    start, another base's from its first cache hit, None before."""
 
-    __slots__ = ("base_id", "w", "d", "t")
+    __slots__ = ("base_id", "w", "d", "t", "rows")
 
-    def __init__(self, base_id: bytes, w: int, d: int, t: int):
+    def __init__(self, base_id: bytes, w: int, d: int, t: int,
+                 rows: Optional[list]):
         self.base_id = base_id
         self.w = w
         self.d = d
         self.t = t
+        self.rows = rows
 
 
 def comb_precompute(P: AffinePoint, w: int = DEFAULT_COMB_WIDTH,
                     t: Optional[int] = None) -> CombTable:
     """Record the price of the comb table for base P, entry[j] = sum(s_i
     2^(i*d) P) over the sign pattern j (bit i set -> +1) with the top row
-    sign always +1, in one call."""
+    sign always +1, in one call.  The table carries G's rows if P is G."""
     validate_point(P)
     if not MIN_COMB_WIDTH <= w <= MAX_COMB_WIDTH:
         raise CurveError("comb width %d out of range" % w)
@@ -327,13 +379,15 @@ def comb_precompute(P: AffinePoint, w: int = DEFAULT_COMB_WIDTH,
     if key not in _PRICES:
         _PRICES[key] = _precompute_price(curve, w, d)
     counters.record_all(_PRICES[key])
-    return CombTable(point_identity(P), w, d, t)
+    return CombTable(point_identity(P), w, d, t, _generator_rows(curve) if (
+        P.x, P.y) == (curve.gx, curve.gy) else None)
 
 
 class CombCache:
     """Which bases have a resident comb table, LRU, at most six: a hit skips
-    the table's price.  Mutable; callers serialize access (one writer at a
-    time)."""
+    the table's price, and a base's first hit builds its execution rows,
+    which go when the table is evicted.  Mutable; callers serialize access
+    (one writer at a time)."""
 
     def __init__(self):
         self._tables: Dict[bytes, CombTable] = {}
@@ -343,8 +397,9 @@ class CombCache:
 
     def get_or_build(self, P: AffinePoint, w: int = DEFAULT_COMB_WIDTH,
                      t: Optional[int] = None) -> CombTable:
-        """Hit: return the stored table (LRU refresh, no point operations).
-        Miss: precompute, insert, evict the stalest entry beyond capacity."""
+        """Hit: return the stored table (LRU refresh, no priced point
+        operation), its rows built if this is its first.  Miss: precompute,
+        insert, evict the stalest entry beyond capacity."""
         if t is None:
             t = comb_digit_count(P.curve.n_bits, w)
         key = point_identity(P)
@@ -354,6 +409,8 @@ class CombCache:
                 raise CachePoisonedError("cached table base mismatch")
             counters.record("comb_cache_hit")
             self._tables[key] = self._tables.pop(key)  # refresh recency
+            if table.rows is None:
+                table.rows = _rows(P.curve, P.x, P.y)
             return table
         counters.record("comb_cache_miss")
         table = comb_precompute(P, w, t)
@@ -383,16 +440,14 @@ def ecsm_comb(k: int, P: AffinePoint, cache: Optional[CombCache] = None,
     CurveError."""
     curve = P.curve
     _check_range(k, curve)
-    counters.record("ecsm_comb")
     validate_point(P)
+    counters.record("ecsm_comb")
     t = comb_digit_count(curve.n_bits, w)
-    if cache is not None:
-        cache.get_or_build(P, w, t)
-    else:
+    table = cache.get_or_build(P, w, t) if cache is not None else \
         comb_precompute(P, w, t)
     counters.record_all(_walk_price(curve, k, w, t))
-    return _point(curve, _fixed_base(curve, k) if (P.x, P.y) == (
-        curve.gx, curve.gy) else _wnaf(curve, k, P.x, P.y))
+    return _point(curve, _fixed_base(curve, table.rows, k) if table.rows
+                  else _wnaf(curve, k, P.x, P.y))
 
 
 def _double_and_add(k: int, P: AffinePoint, price: tuple) -> tuple:

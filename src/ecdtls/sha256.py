@@ -53,6 +53,10 @@ def sha256(data: bytes) -> bytes:
     return Sha256(data).digest()
 
 
+_IPAD = bytes(b ^ 0x36 for b in range(256))
+_OPAD = bytes(b ^ 0x5C for b in range(256))
+
+
 class HmacKey:
     """HMAC-SHA256 key with the ipad/opad block states absorbed once, so
     repeated MACs under one key skip the two key-schedule compressions."""
@@ -63,8 +67,8 @@ class HmacKey:
         if len(key) > 64:
             key = sha256(key)
         key = key + b"\x00" * (64 - len(key))
-        self._inner = Sha256(bytes(k ^ 0x36 for k in key))
-        self._outer = Sha256(bytes(k ^ 0x5C for k in key))
+        self._inner = Sha256(key.translate(_IPAD))
+        self._outer = Sha256(key.translate(_OPAD))
 
     def mac(self, message: bytes) -> bytes:
         counters.record("hmac")

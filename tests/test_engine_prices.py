@@ -29,7 +29,10 @@ from test_formula_prices import priced, same_price
 
 # the oracle's table and recoding, which the library no longer builds: it
 # prices the table and reads the digits as bits of an integer
-CombTable = namedtuple("CombTable", "base_id w d t entries")
+class CombTable(namedtuple("CombTable", "base_id w d t entries")):
+    rows = None  # a CombCache sets the base's execution rows on a first hit
+
+
 ZsdScalar = namedtuple("ZsdScalar", "digits c")
 
 

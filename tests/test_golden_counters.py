@@ -7,7 +7,7 @@ bit-serial reference implementation; any drift in a handshake's counter
 vector, an ECSM snapshot, or the order of traced comb operations fails here.
 """
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import pytest
 
@@ -95,6 +95,30 @@ HANDSHAKE_COUNTERS = {
     },
 }
 
+# The 2nd and the 3rd of warm_handshakes("secp160r1", 3) read the same
+# vectors: only the peer's ephemeral point misses, and each long-lived base
+# (G, the CA key, the peer's key) hits its resident table.
+WARM_HANDSHAKE_COUNTERS = {
+    "client": {
+        "aes_block": 8, "cert_cache_hit": 1, "comb_cache_hit": 5,
+        "comb_cache_miss": 1, "comb_precompute": 1, "drbg_generate": 3,
+        "ecdsa_sign": 1, "ecdsa_verify": 1, "ecsm_comb": 6, "ghash_block": 8,
+        "hmac": 25, "inv_work": 102722, "mod_add": 1476,
+        "mod_inv_euclid": 642, "mod_mul": 2293, "mod_sub": 3366,
+        "mul_iter": 366884, "point_add": 271, "point_double": 369,
+        "sha_compress": 135, "sha_message": 55, "x509_parse": 1,
+    },
+    "server": {
+        "aes_block": 8, "comb_cache_hit": 7, "comb_cache_miss": 1,
+        "comb_precompute": 1, "drbg_generate": 3, "ecdsa_sign": 1,
+        "ecdsa_verify": 2, "ecsm_comb": 8, "ghash_block": 8, "hmac": 27,
+        "inv_work": 129283, "mod_add": 1804, "mod_inv_euclid": 808,
+        "mod_mul": 2872, "mod_sub": 4276, "mul_iter": 459526,
+        "point_add": 354, "point_double": 451, "sha_compress": 143,
+        "sha_message": 60, "x509_parse": 2,
+    },
+}
+
 ECSM_SECP160R1 = {
     "comb_hit": {
         "comb_cache_hit": 1, "ecsm_comb": 1, "inv_work": 13120, "mod_add": 164,
@@ -159,18 +183,20 @@ def ecsm_scenarios(curve_name: str) -> Dict[str, OpCounters]:
 
 
 def _session_pair(curve, pki, mode: str, cert_cache: Optional[CertCache],
-                  entropy_tag: bytes) -> Tuple[HandshakeSession,
-                                               HandshakeSession]:
+                  entropy_tag: bytes,
+                  combs: Tuple[Optional[CombCache], Optional[CombCache]] = (
+                      None, None)) -> Tuple[HandshakeSession,
+                                            HandshakeSession]:
     client = HandshakeSession(SessionConfig(
         role="client", curve=curve, own_cert_der=pki.client.cert_der,
         own_key_d=pki.client.key.d, ca_der=pki.ca_der, mode=mode,
         entropy=b"bench-client" + entropy_tag, expected_peer_cn="server",
-        cert_cache=cert_cache, clock=FIXED_CLOCK))
+        comb_cache=combs[0], cert_cache=cert_cache, clock=FIXED_CLOCK))
     server = HandshakeSession(SessionConfig(
         role="server", curve=curve, own_cert_der=pki.server.cert_der,
         own_key_d=pki.server.key.d, ca_der=pki.ca_der, mode=MODE_FULL,
         entropy=b"bench-server" + entropy_tag, expected_peer_cn="client",
-        clock=FIXED_CLOCK))
+        comb_cache=combs[1], clock=FIXED_CLOCK))
     return client, server
 
 
@@ -194,6 +220,25 @@ def handshake_scenario(curve_name: str, mode: str
     return client, server
 
 
+def warm_handshakes(curve_name: str, count: int
+                    ) -> List[Tuple[HandshakeSession, HandshakeSession]]:
+    """count established cached-mode loopback handshakes in a row, whose
+    client and server keep their comb caches, and the client its
+    certificate cache, from one to the next: the first misses, the second
+    hits each long-lived base for the first time, later ones hit again."""
+    curve = get_curve(curve_name)
+    with counters.isolated():
+        pki = generate_pki(curve, b"bench-pki" + b"bench")
+    combs, cert_cache = (CombCache(), CombCache()), CertCache()
+    pairs = []
+    for i in range(count):
+        client, server = _session_pair(curve, pki, MODE_CACHED, cert_cache,
+                                       b"warm-%d" % i, combs)
+        assert run_loopback(client, server).established
+        pairs.append((client, server))
+    return pairs
+
+
 @pytest.mark.parametrize("curve,mode", [("toy59", "full"),
                                         ("toy59", "cached"),
                                         ("secp160r1", "full"),
@@ -204,6 +249,14 @@ def test_handshake_counters(curve, mode):
         HANDSHAKE_COUNTERS[(curve, mode, "client")]
     assert dict(server.handshake_counters) == \
         HANDSHAKE_COUNTERS[(curve, mode, "server")]
+
+
+def test_warm_cache_handshake_counters():
+    for client, server in warm_handshakes("secp160r1", 3)[1:]:
+        assert dict(client.handshake_counters) == \
+            WARM_HANDSHAKE_COUNTERS["client"]
+        assert dict(server.handshake_counters) == \
+            WARM_HANDSHAKE_COUNTERS["server"]
 
 
 def test_ecsm_scenarios_secp160r1():

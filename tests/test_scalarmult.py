@@ -12,6 +12,7 @@ from ecdtls.scalarmult import (CombCache, ScalarRangeError, comb_digit_count,
                                scalar_mul_unchecked)
 from test_engine_prices import zsd_recode
 from test_formula_prices import priced
+from test_golden_counters import warm_handshakes
 
 # Kinds whose tallies must be independent of the scalar for a fixed curve and
 # comb geometry: the operation-count signature of one scalar multiplication.
@@ -332,57 +333,108 @@ class TestPrice:
                             lambda cost: calls.append(cost) or record_all(cost))
         for P in (G, Q):
             cache = CombCache()
-            for cached in (cache, cache, None):      # miss, hit, no cache
+            # miss, first hit, hit with rows, no cache
+            for cached in (cache, cache, cache, None):
                 del calls[:]
                 with counters.scope():
                     ecsm_comb(k, P, cached)
                 assert len(calls) <= 4
         del calls[:]
         with counters.scope(trace=True) as sc:
-            scalarmult._fixed_base(c, k)
+            rows = scalarmult._rows(c, Q.x, Q.y)
+            scalarmult._fixed_base(c, rows, k)
             scalarmult._wnaf(c, k, Q.x, Q.y)
         assert calls == [] and sc.counters == {} and sc.trace == []
 
     def test_base_must_be_on_the_curve(self, toy):
+        # a refused base is no multiplication: it records nothing
         off_curve = AffinePoint(toy, 1, 1)
         assert not off_curve.is_on_curve()
         for P in (off_curve, toy.infinity()):
-            with pytest.raises(CurveError):
-                ecsm_comb(3, P)
-            with pytest.raises(CurveError):
-                ecsm_comb(3, P, CombCache())
+            for cache in (None, CombCache()):
+                with counters.scope(trace=True) as sc:
+                    with pytest.raises(CurveError):
+                        ecsm_comb(3, P, cache)
+                assert sc.counters == {} and sc.trace == []
+
+    @staticmethod
+    def full_walk_regular(n, k, w, t):
+        """The regularity verdict as a walk over every column."""
+        d, c = t // w, 1 + (k & 1)
+        mask = sum(1 << r * d for r in range(w))
+        K = (k + c) | 1 << t
+
+        def term(j):
+            return 2 * (K >> j + 1 & mask) - mask
+
+        acc = term(d - 1)
+        regular = acc % n != 0
+        for j in range(d - 2, -1, -1):
+            m, dbl = term(j), 2 * acc
+            if abs(dbl) + abs(m) >= n:
+                regular = regular and dbl * m * (dbl * dbl - m * m) % n != 0
+            acc = dbl + m
+        return regular and acc * (acc * acc - c * c) % n != 0
+
+    @pytest.mark.parametrize("name", ["toy59", "secp160r1"])
+    def test_walk_verdict_matches_full_walk(self, registry, name):
+        # the verdict starts at the first column that can wrap mod n
+        c = registry.get(name)
+        rng = random.Random(name)
+        scalars = edge_scalars(c) + [rng.randrange(1, c.n) for _ in range(200)]
+        verdicts = set()
+        for w in range(1, 6):
+            t = comb_digit_count(c.n_bits, w)
+            for k in scalars:
+                want = self.full_walk_regular(c.n, k, w, t)
+                assert scalarmult._walk_regular(c.n, k, w, t) == want
+                verdicts.add(want)
+        assert verdicts == {True, False}
 
 
 class TestExecutors:
     def test_every_toy_scalar_against_repeated_addition(self, toy,
                                                         monkeypatch):
-        # k*G runs the fixed-base table, k*2G wNAF.  Below n an equal-x
-        # addition never comes up, so the executors also run k in [n, 3n),
-        # where both of its outcomes must be reached: else the H = 0 branch
-        # would be tested vacuously
+        # k*G runs G's table, k*2G 2G's rows once its table is resident and
+        # wNAF without.  Below n an equal-x addition never comes up, so the
+        # executors also run k in [n, 3n), where both of its outcomes must
+        # be reached: else the H = 0 branch would be tested vacuously
         outcomes = set()
+        executor = None
         jadd = scalarmult._jadd
 
         def spy(curve, X, Y, Z, x, y, price=None):
             p = curve.mod.p
             ZZ = Z * Z % p
-            if Z and (x * ZZ - X) % p == 0:
+            if executor and Z and (x * ZZ - X) % p == 0:
                 outcomes.add((executor, "double" if (y * ZZ * Z - Y) % p == 0
                               else "identity"))
             return jadd(curve, X, Y, Z, x, y, price)
 
         monkeypatch.setattr(scalarmult, "_jadd", spy)
         G = toy.generator()
-        for executor, P in (("fixed", G), ("wnaf", point_double(G))):
+        P = point_double(G)
+        cache = CombCache()
+        ecsm_comb(1, P, cache)
+        rows = {G: scalarmult._generator_rows(toy),
+                P: cache.get_or_build(P).rows}      # first hit
+        runs = {"fixed": (G, lambda k: scalarmult._fixed_base(
+                    toy, rows[G], k)),
+                "rows": (P, lambda k: scalarmult._fixed_base(
+                    toy, rows[P], k)),
+                "wnaf": (P, lambda k: scalarmult._wnaf(toy, k, P.x, P.y))}
+        for name, (base, run) in runs.items():
             expected = toy.infinity()
             for k in range(1, 3 * toy.n):
-                expected = point_add(expected, P)
+                expected = point_add(expected, base)
                 if k < toy.n:
-                    assert ecsm_comb(k, P) == expected
-                triple = scalarmult._fixed_base(toy, k) if P == G else \
-                    scalarmult._wnaf(toy, k, P.x, P.y)
+                    assert ecsm_comb(k, base) == expected
+                    assert ecsm_comb(k, base, cache) == expected
+                executor = name
+                triple = run(k)
+                executor = None
                 assert scalarmult._point(toy, triple) == expected
-        assert outcomes == {(executor, outcome) for executor in ("fixed", "wnaf")
+        assert outcomes == {(name, outcome) for name in runs
                             for outcome in ("double", "identity")}
 
     @pytest.mark.parametrize("name", builtin_registry().names())
@@ -392,3 +444,76 @@ class TestExecutors:
         for P in (G, scalar_mul_unchecked(c.n // 3, G)):
             for k in edge_scalars(c):
                 assert ecsm_comb(k, P) == scalar_mul_unchecked(k, P)
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The bases whose rows are built while the test runs."""
+    bases = []
+    rows = scalarmult._rows
+
+    def spy(curve, x, y):
+        bases.append((x, y))
+        return rows(curve, x, y)
+
+    monkeypatch.setattr(scalarmult, "_rows", spy)
+    return bases
+
+
+class TestResidentRows:
+    # a resident table's base runs from its rows from its first hit on
+
+    @pytest.mark.parametrize("name", builtin_registry().names())
+    def test_first_and_later_hits_on_edge_scalars(self, registry, name):
+        c = registry.get(name)
+        Q = scalar_mul_unchecked(c.n // 3, c.generator())
+        cache = CombCache()
+        assert ecsm_comb(c.n // 2, Q, cache) == \
+            scalar_mul_unchecked(c.n // 2, Q)                   # miss
+        for k in edge_scalars(c):                               # hits
+            assert ecsm_comb(k, Q, cache) == scalar_mul_unchecked(k, Q)
+
+    def test_rows_built_on_first_hit_only(self, curves, built):
+        c = curves["secp160r1"]
+        G = c.generator()
+        Q, *others = [scalar_mul_unchecked(k, G) for k in range(2, 9)]
+        cache = CombCache()
+        k = c.n // 5
+        want = scalar_mul_unchecked(k, Q)
+        assert ecsm_comb(k, Q, cache) == want           # miss
+        assert ecsm_comb(k, Q) == want                  # no cache
+        assert built == []
+        assert ecsm_comb(k, Q, cache) == want           # first hit
+        assert ecsm_comb(k, Q, cache) == want           # later hit
+        assert built == [(Q.x, Q.y)]
+        for P in others:                                # Q goes
+            ecsm_comb(k, P, cache)
+        assert lookup(cache, Q) == "miss"
+        assert built == [(Q.x, Q.y)]
+        assert ecsm_comb(k, Q, cache) == want           # first hit again
+        assert built == [(Q.x, Q.y)] * 2
+
+    def test_warm_handshakes_build_long_lived_bases_once(self, built):
+        # the CA key and the server's and client's keys, each on the side
+        # that hits it, on its first hit; no ephemeral point
+        pairs = warm_handshakes("toy59", 3)
+        client, server = pairs[0]
+        long_lived = {(P.x, P.y) for P in (client.ca_key, client.peer_key,
+                                           server.peer_key)}
+        assert len(built) == len(set(built)) == 3
+        assert set(built) == long_lived
+
+    def test_hits_record_the_same_price(self, curves):
+        c = curves["secp256r1"]
+        G = c.generator()
+        Q = scalar_mul_unchecked(0xC0FFEE, G)
+        k = c.n * 2 // 3 | 1
+        cache = CombCache()
+        ecsm_comb(k, Q, cache)
+        ecsm_comb(k, G, cache)
+        first = priced(ecsm_comb, k, Q, cache)
+        assert cache.get_or_build(Q).rows is not None
+        later = priced(ecsm_comb, k, Q, cache)
+        on_g = priced(ecsm_comb, k, G, cache)
+        assert first[0] == later[0] == scalar_mul_unchecked(k, Q)
+        assert first[1:] == later[1:] == on_g[1:]
