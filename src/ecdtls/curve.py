@@ -116,12 +116,6 @@ class AffinePoint:
     def is_on_curve(self) -> bool:
         return self.at_infinity or self.curve.equation_holds(self.x, self.y)
 
-    def negate(self) -> "AffinePoint":
-        if self.at_infinity:
-            return self
-        counters.record("mod_sub")
-        return AffinePoint(self.curve, self.x, -self.y % self.curve.mod.p)
-
     def encode(self) -> bytes:
         """Uncompressed SEC1 encoding: 0x04 || X || Y."""
         if self.at_infinity:

@@ -8,8 +8,8 @@ bitlen(p) iterations per product whatever the operands, binary extended
 Euclid inversion priced at bitlen(p) units of work, and one count per modular
 addition or subtraction.  `PrimeModulus.cost` prices a whole formula from a
 string of kernel letters, for one `counters.record_all` call.  Fermat
-inversion is kept as the comparison baseline and is priced through the
-multiplications square-and-multiply performs.
+inversion, the projective baseline's, is priced only as such a string: a
+`mod_inv_fermat` head and the products square-and-multiply performs.
 """
 
 from __future__ import annotations
@@ -121,13 +121,3 @@ def inv_euclid_int(x: int, mod: PrimeModulus) -> int:
     counters.record_all(mod.cost("i"))
     return pow(x, -1, mod.p)
 
-
-def inv_fermat_int(x: int, mod: PrimeModulus) -> int:
-    """x^(p-2) mod p, priced as square-and-multiply: one mod_mul per
-    exponent bit below the top one and one per set bit below it."""
-    if x % mod.p == 0:
-        raise NonInvertibleError("inverse of zero")
-    e = mod.p - 2
-    counters.record_all(mod.cost(
-        "m" * (e.bit_length() - 2 + bin(e).count("1")), "mod_inv_fermat"))
-    return pow(x, e, mod.p)

@@ -7,8 +7,9 @@ records in it, and the state reached when the handler returns.  A step runs
 the handler and sets the state once, afterwards.  A handler that runs out of
 datagrams leaves the state where it was, as does the server answering a bad
 cookie with a fresh HelloVerifyRequest; a protocol error moves the session to
-FAILED and answers with a fatal alert.  Nothing retransmits yet, so a lost
-record stalls the handshake without failing it.
+FAILED, zeroizes any derived keys and answers with a fatal alert (a fatal
+alert from the peer does the same, unanswered).  Nothing retransmits yet, so
+a lost record stalls the handshake without failing it.
 
 The fixed suite is ECDHE-ECDSA with AES-128-GCM and SHA-256 transcripts.
 Both roles check the peer certificate on one path.  A cached-mode client skips
@@ -88,7 +89,7 @@ class State(enum.Enum):
 
 
 class SecurityParams:
-    """Derived key material; zeroized on session teardown."""
+    """Derived key material; zeroized when the session fails or closes."""
 
     __slots__ = ("master_secret", "client_key", "server_key",
                  "client_salt", "server_salt", "cleared")
@@ -303,6 +304,7 @@ class HandshakeSession:
             except _Abort as abort:
                 self.failure_reason = abort.reason
                 self.state = State.FAILED
+                self.close()
                 out = []
                 if abort.send_alert:
                     out = [self.records.encode(

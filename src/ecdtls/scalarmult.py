@@ -1,38 +1,39 @@
 """Scalar multiplication: what the counters price, and how Python computes
 it.
 
-`ecsm_comb` is priced as the paper's fixed-base comb with zero-less
-signed-digit recoding on the affine group law: the table (`comb_precompute`)
-on a miss of the six-entry LRU `CombCache`, then a doubling and an addition
-per column and a parity-correction tail.  Each point that comb touches is
-m*P for an integer m.  A registered curve has cofactor 1 and odd prime
-order n, so each exceptional branch of the affine law is a test on m mod n
-(m = 0 is the identity, m1 = +-m2 is equal x).  So the price is computed
-in integers from schedules memoised per curve and geometry, and the table's
-and the columns' are each recorded in one call.  The columns' schedule is
-the same for every k except the few that meet such a branch (n-4, n-2 and
-n-1 among k within 64 of 0 or n at width 4); the Python's own time varies
-with k and the base.
+Every engine is priced from its scalar, in integers.  Each point it touches
+is m*P for an integer m, and a registered curve has cofactor 1 and odd
+prime order n, so each exceptional branch of the group law is a test on
+m mod n (m = 0 is the identity, m1 = +-m2 is equal x), and the prices are
+exact for a base of order n.  `ecsm_comb` is priced as the paper's
+fixed-base comb with zero-less signed-digit recoding on the affine law: the
+table (`comb_precompute`) on a miss of the six-entry LRU `CombCache`, then a
+doubling and an addition per column and a parity tail, from schedules
+memoised per curve and geometry.  The columns' schedule is the same for
+every k but those that meet an exceptional branch (n-4, n-2 and n-1 among k
+within 64 of 0 or n at width 4); the Python's own time varies with k and
+the base.  `scalar_mul_unchecked` (any k >= 0; the registry checks n*G = O
+with it inside `counters.isolated()`) is priced as double-and-add on the
+affine law, and `ecsm_jacobian` (the energy fit's projective baseline) as
+that loop on the projective datapath plus one Fermat inversion.  Each walk
+is recorded in one call.
 
 Execution records nothing.  It runs in Jacobian coordinates (Z = 0 the
-identity), normalised by shared inversions.  k*P sums signed radix-32
+identity), normalised by shared inversions.  The comb sums signed radix-32
 digits of k from rows of P's multiples (fixed-base windowing, HMV Guide to
 ECC 3.3.2): G's rows are built once per curve on first use and never
 changed, another base's when its resident comb table is first hit, and they
 go with the table when the cache evicts it.  A base without rows (a cache
-miss, no cache, a one-shot point) runs width-5 wNAF.  `scalar_mul_unchecked`
-(any k >= 0; the registry checks n*G = O with it) and `ecsm_jacobian` (the
-energy fit's projective baseline) share a double-and-add loop that records
-the affine or the projective prices step by step.
+miss, no cache, a one-shot point) runs width-5 wNAF.  The other two engines
+run plain double-and-add, an independent reference for the comb's results.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Iterable, Optional
 
 from . import counters
 from .curve import AffinePoint, CurveError, CurveParams, validate_point
-from .field import inv_fermat_int, mul_int
 
 DEFAULT_COMB_WIDTH = 4
 COMB_CACHE_CAPACITY = 6
@@ -51,24 +52,16 @@ class CachePoisonedError(CurveError):
 
 
 # ---------------------------------------------------------------------------
-# Jacobian formulas, unpriced or under a price
-#
-# A price is (double, add head, add tail), each a `PrimeModulus.cost`.  The
-# affine one is (curve.double_cost, None, curve.add_cost): recorded where
-# `point_double` and `point_add` record theirs, so an exceptional case that
-# the affine law prices at nothing records nothing here either.
+# Jacobian formulas
 
 _IDENTITY = (1, 1, 0)
 
 
-def _jdouble(curve: CurveParams, X: int, Y: int, Z: int,
-             price: Optional[tuple] = None) -> tuple:
-    """2(X, Y, Z); the identity and a point with y = 0 double to the identity
-    unpriced."""
+def _jdouble(curve: CurveParams, X: int, Y: int, Z: int) -> tuple:
+    """2(X, Y, Z); the identity and a point with y = 0 double to the
+    identity."""
     if Z == 0 or Y == 0:
         return _IDENTITY
-    if price:
-        counters.record_all(price[0])
     p, a = curve.mod.p, curve.a
     YY = Y * Y % p
     S = 4 * X * YY % p
@@ -79,25 +72,21 @@ def _jdouble(curve: CurveParams, X: int, Y: int, Z: int,
     return X3, (M * (S - X3) - 8 * YY * YY) % p, 2 * Y * Z % p
 
 
-def _jadd(curve: CurveParams, X: int, Y: int, Z: int, x: int, y: int,
-          price: Optional[tuple] = None) -> tuple:
-    """(X, Y, Z) + (x, y) for an affine (x, y) other than the identity.  An
-    identity accumulator is unpriced; equal x (H = 0) goes to the doubling
-    when y is equal too (R = 0) and is the identity, unpriced, otherwise."""
+def _jadd(curve: CurveParams, X: int, Y: int, Z: int, x: int, y: int
+          ) -> tuple:
+    """(X, Y, Z) + (x, y) for an affine (x, y) other than the identity.
+    Equal x (H = 0) goes to the doubling when y is equal too (R = 0) and is
+    the identity otherwise."""
     if Z == 0:
         return x, y, 1
-    if price and price[1]:
-        counters.record_all(price[1])
     p = curve.mod.p
     ZZ = Z * Z % p
     H = (x * ZZ - X) % p
     R = (y * ZZ * Z - Y) % p
     if H == 0:
         if R == 0:
-            return _jdouble(curve, X, Y, Z, price)
+            return _jdouble(curve, X, Y, Z)
         return _IDENTITY
-    if price:
-        counters.record_all(price[2])
     HH = H * H % p
     HHH = HH * H % p
     V = X * HH % p
@@ -134,7 +123,7 @@ def _point(curve: CurveParams, triple: tuple) -> AffinePoint:
 
 
 # ---------------------------------------------------------------------------
-# The comb's geometry and price: m stands for the point m*P, P of order n
+# Prices: m stands for the point m*P, P of order n
 
 def comb_digit_count(order_bits: int, w: int) -> int:
     """Digit count padded to a whole number of comb rows."""
@@ -157,13 +146,15 @@ def _merge(costs: list) -> tuple:
     return tuple(items.items()), tuple(traced)
 
 
-def _sum_price(curve: CurveParams, m1: int, m2: int) -> list:
-    """The affine law's price of m1 + m2: nothing with an identity operand or
-    sum, a doubling for equal operands (y = 0 would need an even n)."""
+def _sum_price(curve: CurveParams, m1: int, m2: int, law: tuple = ()) -> list:
+    """The price of m1 + m2 under the law (double, add), the affine one by
+    default: nothing with an identity operand or sum, the doubling for equal
+    operands (y = 0 would need an even n)."""
     n = curve.n
     if m1 % n == 0 or m2 % n == 0 or (m1 + m2) % n == 0:
         return []
-    return [curve.double_cost if (m1 - m2) % n == 0 else curve.add_cost]
+    double, add = law or (curve.double_cost, curve.add_cost)
+    return [double if (m1 - m2) % n == 0 else add]
 
 
 def _neg_price(curve: CurveParams, m: int) -> list:
@@ -186,17 +177,23 @@ def _precompute_price(curve: CurveParams, w: int, d: int) -> tuple:
     return _merge(events)
 
 
-def _walk_events(curve: CurveParams, terms: list, c: int) -> list:
-    """The column walk over the table terms, top column first, then the
-    parity tail.  Every column negates its entry; the first doubles and adds
-    to the identity, at no price."""
-    events, acc = _neg_price(curve, terms[0]), terms[0]
-    for m in terms[1:]:
-        events += _neg_price(curve, m) + _sum_price(curve, acc, acc) + \
-            _sum_price(curve, 2 * acc, m)
-        acc = 2 * acc + m
-    return events + _sum_price(curve, 1, 1) + _neg_price(curve, c) + \
-        _sum_price(curve, acc, -c)
+def _walk_events(curve: CurveParams, terms: Iterable[int], law: tuple = (),
+                 head: Optional[tuple] = None, negate: bool = False) -> list:
+    """acc = 2 acc + m for each term m in turn from acc = 0, under the law:
+    the doubling, then the addition, whose head (what precedes its H = 0
+    test; the affine law has none) is priced unless acc or m is the
+    identity.  The comb walks its table terms, negating each first."""
+    events, acc, n = [], 0, curve.n
+    for m in terms:
+        if negate:
+            events += _neg_price(curve, m)
+        events += _sum_price(curve, acc, acc, law)
+        acc *= 2
+        if head and acc % n and m % n:
+            events.append(head)
+        events += _sum_price(curve, acc, m, law)
+        acc += m
+    return events
 
 
 _WRAP_COLUMNS: Dict[tuple, int] = {}
@@ -250,8 +247,9 @@ def _walk_regular(n: int, k: int, w: int, t: int) -> bool:
 
 
 def _walk_price(curve: CurveParams, k: int, w: int, t: int) -> tuple:
-    """The columns and tail at k: the memoised regular schedule unless one
-    of them meets an exceptional branch."""
+    """The columns at k, top column first, then the parity tail, which
+    builds 2P and adds -c to the columns' sum k + c: the memoised regular
+    schedule unless one of them meets an exceptional branch."""
     n, d = curve.n, t // w
     regular = _walk_regular(n, k, w, t)
     key = ("walk", curve.mod.bitlen, n, w, t)
@@ -260,7 +258,9 @@ def _walk_price(curve: CurveParams, k: int, w: int, t: int) -> tuple:
     c, mask = 1 + (k & 1), sum(1 << r * d for r in range(w))
     K = (k + c) | 1 << t
     terms = [2 * (K >> j + 1 & mask) - mask for j in range(d - 1, -1, -1)]
-    price = _merge(_walk_events(curve, terms, c))
+    price = _merge(_walk_events(curve, terms, negate=True) +
+                   _sum_price(curve, 1, 1) + _neg_price(curve, c) +
+                   _sum_price(curve, k + c, -c))
     if regular:
         _PRICES[key] = price
     return price
@@ -434,10 +434,7 @@ def ecsm_comb(k: int, P: AffinePoint, cache: Optional[CombCache] = None,
               w: int = DEFAULT_COMB_WIDTH) -> AffinePoint:
     """k*P, priced as the ZSD comb: the table on a cache miss or with no
     cache, then one double and one add per column and a parity-correction
-    tail, the same for every scalar but the few near n above.  The price is
-    exact for a base of prime order n, which every on-curve point of a
-    registered curve is; the identity or a point off the curve raises
-    CurveError."""
+    tail.  The identity or a point off the curve raises CurveError."""
     curve = P.curve
     _check_range(k, curve)
     validate_point(P)
@@ -450,48 +447,44 @@ def ecsm_comb(k: int, P: AffinePoint, cache: Optional[CombCache] = None,
                   else _wnaf(curve, k, P.x, P.y))
 
 
-def _double_and_add(k: int, P: AffinePoint, price: tuple) -> tuple:
-    """k*P as a Jacobian triple, left to right, under price."""
-    curve = P.curve
+def _double_and_add(curve: CurveParams, k: int, x: int, y: int) -> tuple:
+    """k*(x, y) as a Jacobian triple, left to right."""
     acc = _IDENTITY
-    if P.at_infinity:
-        return acc
     for i in range(k.bit_length() - 1, -1, -1):
-        acc = _jdouble(curve, *acc, price)
+        acc = _jdouble(curve, *acc)
         if (k >> i) & 1:
-            acc = _jadd(curve, *acc, P.x, P.y, price)
+            acc = _jadd(curve, *acc, x, y)
     return acc
 
 
 def scalar_mul_unchecked(k: int, P: AffinePoint) -> AffinePoint:
-    """k*P for any k >= 0 at the affine prices."""
+    """k*P for any k >= 0, priced as double-and-add on the affine law."""
     curve = P.curve
-    return _point(curve, _double_and_add(
-        k, P, (curve.double_cost, None, curve.add_cost)))
+    if P.at_infinity:
+        return P
+    counters.record_all(_merge(_walk_events(curve, map(int, bin(k)[2:]))))
+    return _point(curve, _double_and_add(curve, k, P.x, P.y))
 
 
 def ecsm_jacobian(k: int, P: AffinePoint) -> AffinePoint:
-    """Jacobian-coordinate double-and-add with one final Fermat inversion:
-    the projective baseline whose inner loop avoids inversions entirely.
-    It runs the same formulas as the other engines, but prices them as the
-    projective datapath runs them: cost strings of its counted kernels in
-    evaluation order."""
+    """k*P, priced as the projective baseline: Jacobian double-and-add,
+    whose inner loop avoids inversions, and one final Fermat inversion, as
+    cost strings of their counted kernels in evaluation order."""
     curve = P.curve
     _check_range(k, curve)
     counters.record("ecsm_jacobian")
+    if P.at_infinity:
+        return P
     mod = curve.mod
-    price = (
-        # 4 X YY, 3 XX + a Z^4 and 8 YY^2 as chains of additions
+    # the doubling, with 4 X YY, 3 XX + a Z^4 and 8 YY^2 as chains of
+    # additions, and the mixed addition after U2, S2 and the H = 0 test
+    events = _walk_events(curve, map(int, bin(k)[2:]), (
         mod.cost("mmaammmaamamasmaaasmsam", "point_double"),
-        # U2, S2 and the H = 0 test, then the rest of the mixed addition
-        mod.cost("mmmmss", "point_add"),
-        mod.cost("mmmmsassmmsm"),
-    )
-    X, Y, Z = _double_and_add(k, P, price)
-    if Z == 0:
-        return curve.infinity()
-    zinv = inv_fermat_int(Z, mod)
-    zz = mul_int(zinv, zinv, mod)
-    x = mul_int(X, zz, mod)
-    y = mul_int(Y, mul_int(zz, zinv, mod), mod)
-    return AffinePoint(curve, x, y)
+        mod.cost("mmmmsassmmsm")), mod.cost("mmmmss", "point_add"))
+    if k % curve.n:
+        # x^(p-2) by square-and-multiply, then 4 products back to affine
+        e = mod.p - 2
+        events.append(mod.cost(
+            "m" * (e.bit_length() + 2 + bin(e).count("1")), "mod_inv_fermat"))
+    counters.record_all(_merge(events))
+    return _point(curve, _double_and_add(curve, k, P.x, P.y))

@@ -1,17 +1,17 @@
-"""The comb's scalar-derived price and the Jacobian engines against the
-affine engines they replaced.
+"""Each engine's scalar-derived price against the affine engines it
+replaced.
 
-`comb_precompute` and `ecsm_comb` compute their price from the scalar in
-integers, and `ecsm_comb` computes k*P by a fixed-base table of G or by
-wNAF, recording nothing; `scalar_mul_unchecked` executes in Jacobian
-coordinates and records the affine group law's price per doubling and
-addition.  The oracles below are those engines as they ran before, on
-`point_add` and `point_double` (themselves checked in `test_formula_prices`):
-one affine operation, one inversion, each, walked point by point.  Both must
+`comb_precompute`, `ecsm_comb` and `scalar_mul_unchecked` compute their
+price from the scalar in integers and record it in one call; their results
+come from executors that record nothing (`ecsm_comb`'s fixed-base table or
+wNAF, `scalar_mul_unchecked`'s double-and-add).  The oracles below are
+those engines as they ran before, on `point_add` and `point_double`
+(themselves checked in `test_formula_prices`) and `oracle_negate`: one
+affine operation, one inversion, each, walked point by point.  Both must
 give the same result, the same counter items in the same order and the same
 trace, on every registered curve, at every comb width, with and without a
-comb cache.  On a point whose order is not the curve's n, only the results
-and `scalar_mul_unchecked`'s price are compared."""
+comb cache.  The prices are exact for points of the curve's order n; on a
+point whose order is not n, only the results are compared."""
 
 import random
 from collections import namedtuple
@@ -25,7 +25,7 @@ from ecdtls.scalarmult import (DEFAULT_COMB_WIDTH, CombCache,
                                ScalarRangeError, comb_digit_count,
                                comb_precompute, ecsm_comb, point_identity,
                                scalar_mul_unchecked)
-from test_formula_prices import priced, same_price
+from test_formula_prices import oracle_negate, priced, same_price
 
 # the oracle's table and recoding, which the library no longer builds: it
 # prices the table and reads the digits as bits of an integer
@@ -69,7 +69,7 @@ def oracle_precompute(P, w=DEFAULT_COMB_WIDTH, t=None):
     for idx in range(1 << (w - 1)):
         acc = top
         for r in range(w - 2, -1, -1):
-            term = rows[r] if (idx >> r) & 1 else rows[r].negate()
+            term = rows[r] if (idx >> r) & 1 else oracle_negate(rows[r])
             acc = point_add(acc, term)
         entries.append(acc)
     return CombTable(point_identity(P), w, d, t, tuple(entries))
@@ -99,7 +99,7 @@ def oracle_comb(k, P, cache=None, w=DEFAULT_COMB_WIDTH):
             if digits[r * d + j] == top:
                 idx |= 1 << r
         entry = entries[idx]
-        neg = entry.negate()
+        neg = oracle_negate(entry)
         term = entry if top == 1 else neg
         if acc is None:
             acc = term
@@ -107,7 +107,7 @@ def oracle_comb(k, P, cache=None, w=DEFAULT_COMB_WIDTH):
             acc = point_add(point_double(acc), term)
     dbl = point_double(P)
     corr = P if zsd.c == 1 else dbl
-    return point_add(acc, corr.negate())
+    return point_add(acc, oracle_negate(corr))
 
 
 def oracle_unchecked(k, P):
@@ -171,17 +171,23 @@ def test_table_entries_match_affine_oracle(curve, w):
         assert (table.base_id, table.w, table.d, table.t) == want[0][:4]
 
 
-def test_unchecked_matches_affine_oracle_past_the_order(toy):
+def test_unchecked_matches_affine_oracle_past_the_order(toy, curves):
     for P in (toy.generator(), other_base(toy), toy.infinity()):
         for k in range(3 * toy.n):
             same_price(scalar_mul_unchecked, oracle_unchecked, k, P)
+    # k = n is the registry's own n*G check
+    for c in (curves["secp160r1"], curves["secp256r1"]):
+        n = c.n
+        for P in (c.generator(), other_base(c)):
+            for k in (0, 1, 2, n - 2, n - 1, n, n + 1, n + 2, 2 * n):
+                same_price(scalar_mul_unchecked, oracle_unchecked, k, P)
 
 
 def test_engines_match_affine_oracle_on_a_two_torsion_point():
     # no registered curve has a point with y = 0: on y^2 = x^3 + x - 2 over
     # GF(59), (1, 0) doubles to the identity.  Its order is 2, not the n = 53
-    # the curve claims, so the comb's price, exact for points of order n, is
-    # not compared; its results are.
+    # the curve claims, so no engine's price, exact for points of order n,
+    # is compared; the results are.
     curve = CurveParams("two-torsion", 59, 1, -2, 1, 0, 53, 0xFE03, "2.999.2")
     T = curve.generator()
     assert T.is_on_curve() and point_double(T).at_infinity
@@ -190,4 +196,4 @@ def test_engines_match_affine_oracle_on_a_two_torsion_point():
         assert ecsm_comb(k, T) == oracle_comb(k, T) == \
             (T if k % 2 else curve.infinity())
         assert ecsm_comb(k, T, cache) == oracle_comb(k, T, oracle_cache)
-        same_price(scalar_mul_unchecked, oracle_unchecked, k, T)
+        assert scalar_mul_unchecked(k, T) == oracle_unchecked(k, T)

@@ -244,6 +244,23 @@ class TestTampering:
         assert client.failed
         assert client.failure_reason is not None
 
+    def test_failure_zeroizes_both_ends_keys(self, toy, toy_pki):
+        # a forged CertificateVerify fails the server after it derived its
+        # keys, and the server's alert fails the client: both wipe them
+        def interceptor(sender, datagrams):
+            return [d[:-1] + bytes([d[-1] ^ 0x01])
+                    if sender == "client" and d[0] == CONTENT_HANDSHAKE
+                    and d[13] == wire.HT_CERTIFICATE_VERIFY else d
+                    for d in datagrams]
+
+        client, server = make_pair(toy, toy_pki)
+        run_loopback(client, server, interceptor=interceptor)
+        assert server.failure_reason == "CertificateVerify signature invalid"
+        assert client.failure_reason == "peer sent a fatal alert"
+        for end in (client, server):
+            assert end.failed and end.security.cleared
+            assert bytes(end.security.master_secret) == b"\x00" * 48
+
     def test_truncated_datagram_just_stalls_or_fails(self, toy, toy_pki):
         def interceptor(sender, datagrams):
             return [d[:10] for d in datagrams] if sender == "server" else datagrams

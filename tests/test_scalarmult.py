@@ -11,7 +11,7 @@ from ecdtls.scalarmult import (CombCache, ScalarRangeError, comb_digit_count,
                                comb_precompute, ecsm_comb, ecsm_jacobian,
                                scalar_mul_unchecked)
 from test_engine_prices import zsd_recode
-from test_formula_prices import priced
+from test_formula_prices import oracle_negate, priced
 from test_golden_counters import warm_handshakes
 
 # Kinds whose tallies must be independent of the scalar for a fixed curve and
@@ -91,7 +91,7 @@ class TestCombPrecompute:
             # t = 2, d = 1: rows G and 2G, entries 2G - G and 2G + G
             counters.record("comb_precompute")
             twoG = point_double(G)
-            assert point_add(twoG, G.negate()) == G
+            assert point_add(twoG, oracle_negate(G)) == G
             point_add(twoG, G)
 
         assert priced(comb_precompute, G, 2, 2)[1:] == priced(bruteforce)[1:]
@@ -173,7 +173,8 @@ class TestEcsmComb:
 
     def test_order_minus_one_negates(self, toy):
         G = toy.generator()
-        assert ecsm_comb(toy.n - 1, G) == G.negate()
+        assert ecsm_comb(toy.n - 1, G) == \
+            AffinePoint(toy, G.x, toy.mod.p - G.y)
 
     def test_out_of_range_rejected(self, toy):
         with pytest.raises(ScalarRangeError):
@@ -322,7 +323,8 @@ class TestPrice:
 
     def test_one_record_per_layer(self, curves, monkeypatch):
         # the tick, the cache lookup, the table on a miss and the walk each
-        # record once; the executors record nothing
+        # record once, and double-and-add's walk records once, after the
+        # Jacobian baseline's tick; the executors record nothing
         c = curves["secp256r1"]
         G = c.generator()
         Q = scalar_mul_unchecked(0xC0FFEE, G)
@@ -339,11 +341,23 @@ class TestPrice:
                 with counters.scope():
                     ecsm_comb(k, P, cached)
                 assert len(calls) <= 4
+        for P in (G, Q):
+            for m in (0, 1, 2, k, c.n - 1, c.n, c.n + 1, 2 * c.n + 1):
+                del calls[:]
+                with counters.scope():
+                    scalar_mul_unchecked(m, P)
+                assert len(calls) <= 1
+            for m in (1, 2, k, c.n - 1):
+                del calls[:]
+                with counters.scope():
+                    ecsm_jacobian(m, P)
+                assert len(calls) <= 3
         del calls[:]
         with counters.scope(trace=True) as sc:
             rows = scalarmult._rows(c, Q.x, Q.y)
             scalarmult._fixed_base(c, rows, k)
             scalarmult._wnaf(c, k, Q.x, Q.y)
+            scalarmult._double_and_add(c, k, Q.x, Q.y)
         assert calls == [] and sc.counters == {} and sc.trace == []
 
     def test_base_must_be_on_the_curve(self, toy):
@@ -403,13 +417,13 @@ class TestExecutors:
         executor = None
         jadd = scalarmult._jadd
 
-        def spy(curve, X, Y, Z, x, y, price=None):
+        def spy(curve, X, Y, Z, x, y):
             p = curve.mod.p
             ZZ = Z * Z % p
             if executor and Z and (x * ZZ - X) % p == 0:
                 outcomes.add((executor, "double" if (y * ZZ * Z - Y) % p == 0
                               else "identity"))
-            return jadd(curve, X, Y, Z, x, y, price)
+            return jadd(curve, X, Y, Z, x, y)
 
         monkeypatch.setattr(scalarmult, "_jadd", spy)
         G = toy.generator()
