@@ -87,6 +87,11 @@ def scope(label: str = "", trace: bool = False) -> Recorder:
     return Recorder(label, trace=trace)
 
 
+def active() -> bool:
+    """Whether any scope is open, so that a recorded price would count."""
+    return bool(getattr(_local, "stack", None))
+
+
 def record(kind: str, n: int = 1) -> None:
     """Add n to kind in every active scope."""
     record_all((((kind, n),), (kind,) if kind in TRACED_KINDS else ()))

@@ -12,6 +12,9 @@ alert from the peer does the same, unanswered).  Nothing retransmits yet, so
 a lost record stalls the handshake without failing it.
 
 The fixed suite is ECDHE-ECDSA with AES-128-GCM and SHA-256 transcripts.
+A session pins its trust anchor's key in `scalarmult` when it is
+configured, so certificate checks run their multiplication on it from
+process-wide fixed-base rows; that is execution only and prices nothing.
 Both roles check the peer certificate on one path.  A cached-mode client skips
 that check for a server certificate it verified earlier under the same trust
 anchor, while the certificate is inside its validity window.
@@ -37,7 +40,7 @@ from .keyagree import KeyAgreementError, ecdhe_shared
 from .prf import tls_prf_sha256
 from .record import (CONTENT_ALERT, CONTENT_APPDATA, CONTENT_CCS,
                      CONTENT_HANDSHAKE, DROP_OK, RecordLayer)
-from .scalarmult import CombCache
+from .scalarmult import CombCache, pin_trust_anchor
 from .sha256 import Sha256, hmac_sha256, sha256
 from .x509 import CertCache, Certificate, X509Error, x509_parse, \
     x509_verify
@@ -138,7 +141,11 @@ class SessionConfig:
 
 
 class HandshakeSession:
-    """One endpoint of a DTLS 1.2 handshake plus its application-data phase."""
+    """One endpoint of a DTLS 1.2 handshake plus its application-data phase.
+
+    A context manager: leaving the `with` block calls `close()`, which
+    bounds how long an ESTABLISHED session's keys live (a FAILED one has
+    zeroized them already)."""
 
     def __init__(self, config: SessionConfig):
         self.config = config
@@ -163,6 +170,7 @@ class HandshakeSession:
             ca = x509_parse(config.ca_der, self.registry)
             self.ca_subject = ca.subject
             self.ca_key = ca.public_key
+            pin_trust_anchor(self.ca_key)
             self.client_random: Optional[bytes] = None
             self.server_random: Optional[bytes] = None
             self.eph_key: Optional[KeyPair] = None
@@ -554,6 +562,12 @@ class HandshakeSession:
     def close(self) -> None:
         if self.security is not None:
             self.security.zeroize()
+
+    def __enter__(self) -> "HandshakeSession":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 class _Flight(NamedTuple):

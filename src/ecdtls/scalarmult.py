@@ -16,20 +16,25 @@ the base.  `scalar_mul_unchecked` (any k >= 0; the registry checks n*G = O
 with it inside `counters.isolated()`) is priced as double-and-add on the
 affine law, and `ecsm_jacobian` (the energy fit's projective baseline) as
 that loop on the projective datapath plus one Fermat inversion.  Each walk
-is recorded in one call.
+is computed only while a counter scope is open, and recorded in one call.
 
 Execution records nothing.  It runs in Jacobian coordinates (Z = 0 the
 identity), normalised by shared inversions.  The comb sums signed radix-32
 digits of k from rows of P's multiples (fixed-base windowing, HMV Guide to
-ECC 3.3.2): G's rows are built once per curve on first use and never
-changed, another base's when its resident comb table is first hit, and they
-go with the table when the cache evicts it.  A base without rows (a cache
-miss, no cache, a one-shot point) runs width-5 wNAF.  The other two engines
-run plain double-and-add, an independent reference for the comb's results.
+ECC 3.3.2).  A process-wide store holds the rows of the bases the process
+is configured with: each curve's G, built on first use and never evicted,
+and each trust anchor pinned by `pin_trust_anchor`, built when pinned, at
+most `COMB_CACHE_CAPACITY` of them, the least recently used evicted first.
+Any other base gets rows when its resident comb table is first hit, and
+they go with the table when the cache evicts it.  A base without rows (a
+cache miss, no cache, a one-shot point) runs width-5 wNAF.  The other two
+engines run plain double-and-add, an independent reference for the comb's
+results.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, Iterable, Optional
 
 from . import counters
@@ -269,9 +274,6 @@ def _walk_price(curve: CurveParams, k: int, w: int, t: int) -> tuple:
 # ---------------------------------------------------------------------------
 # Execution, unpriced
 
-_G_TABLES: Dict[tuple, list] = {}
-
-
 def _add_signed(curve: CurveParams, acc: tuple, point, digit: int) -> tuple:
     """acc + sign(digit) * point, for an affine point or None."""
     if point is None:
@@ -294,15 +296,6 @@ def _rows(curve: CurveParams, x: int, y: int) -> list:
         *row, base = _to_affine(curve, triples + [_jdouble(curve, *acc)])
         rows += row
     return rows
-
-
-def _generator_rows(curve: CurveParams) -> list:
-    """G's rows, built once per curve and never changed (a racing second
-    build makes an equal one)."""
-    key = (curve.mod.p, curve.a, curve.gx, curve.gy, curve.n)
-    if key not in _G_TABLES:
-        _G_TABLES[key] = _rows(curve, curve.gx, curve.gy)
-    return _G_TABLES[key]
 
 
 def _fixed_base(curve: CurveParams, rows: list, k: int) -> tuple:
@@ -340,17 +333,55 @@ def _wnaf(curve: CurveParams, k: int, x: int, y: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Comb residency and cache
+# Fixed-base rows, comb residency and cache
 
 def point_identity(P: AffinePoint) -> bytes:
     """Stable identity of a base point: curve name and serialized form."""
     return P.curve.id.encode() + b"|" + P.encode()
 
 
+_FIXED_LOCK = threading.Lock()
+_GENERATOR_ROWS: Dict[bytes, list] = {}   # never evicted
+_ANCHOR_ROWS: Dict[bytes, list] = {}      # least recently used first
+
+
+def _fixed_rows(P: AffinePoint, key: bytes, pin: bool = False
+                ) -> Optional[list]:
+    """The process-wide rows of P, whose `point_identity` is key, refreshing
+    an anchor's recency: G's built on first use, an anchor's when pinned,
+    None for any other base.  Rows are built outside the lock, so a racing
+    build makes equal rows, and the first stored is kept."""
+    with _FIXED_LOCK:
+        rows = _GENERATOR_ROWS.get(key)
+        if rows is None and key in _ANCHOR_ROWS:
+            rows = _ANCHOR_ROWS[key] = _ANCHOR_ROWS.pop(key)
+    curve = P.curve
+    generator = (P.x, P.y) == (curve.gx, curve.gy)
+    if rows is None and (pin or generator):
+        rows = _rows(curve, P.x, P.y)
+        with _FIXED_LOCK:
+            if generator:
+                return _GENERATOR_ROWS.setdefault(key, rows)
+            rows = _ANCHOR_ROWS[key] = _ANCHOR_ROWS.pop(key, rows)
+            while len(_ANCHOR_ROWS) > COMB_CACHE_CAPACITY:
+                del _ANCHOR_ROWS[next(iter(_ANCHOR_ROWS))]
+    return rows
+
+
+def pin_trust_anchor(Q: AffinePoint) -> None:
+    """Keep rows of a configured trust anchor's key for the process, so
+    every multiplication on it runs fixed-base, with or without a comb
+    cache.  Execution only: nothing is recorded.  Only keys the process is
+    configured with belong here, never a peer's."""
+    validate_point(Q)
+    _fixed_rows(Q, point_identity(Q), pin=True)
+
+
 class CombTable:
     """The base and geometry of a comb table, whose points are not built,
-    and the execution rows of its base (`_rows`): G's shared ones from the
-    start, another base's from its first cache hit, None before."""
+    and the execution rows of its base (`_rows`): the process-wide ones of
+    G or a pinned anchor from the start, another base's from its first
+    cache hit, None before."""
 
     __slots__ = ("base_id", "w", "d", "t", "rows")
 
@@ -367,7 +398,8 @@ def comb_precompute(P: AffinePoint, w: int = DEFAULT_COMB_WIDTH,
                     t: Optional[int] = None) -> CombTable:
     """Record the price of the comb table for base P, entry[j] = sum(s_i
     2^(i*d) P) over the sign pattern j (bit i set -> +1) with the top row
-    sign always +1, in one call.  The table carries G's rows if P is G."""
+    sign always +1, in one call.  The table carries P's process-wide rows
+    if P is G or a pinned anchor."""
     validate_point(P)
     if not MIN_COMB_WIDTH <= w <= MAX_COMB_WIDTH:
         raise CurveError("comb width %d out of range" % w)
@@ -379,8 +411,8 @@ def comb_precompute(P: AffinePoint, w: int = DEFAULT_COMB_WIDTH,
     if key not in _PRICES:
         _PRICES[key] = _precompute_price(curve, w, d)
     counters.record_all(_PRICES[key])
-    return CombTable(point_identity(P), w, d, t, _generator_rows(curve) if (
-        P.x, P.y) == (curve.gx, curve.gy) else None)
+    base_id = point_identity(P)
+    return CombTable(base_id, w, d, t, _fixed_rows(P, base_id))
 
 
 class CombCache:
@@ -462,7 +494,8 @@ def scalar_mul_unchecked(k: int, P: AffinePoint) -> AffinePoint:
     curve = P.curve
     if P.at_infinity:
         return P
-    counters.record_all(_merge(_walk_events(curve, map(int, bin(k)[2:]))))
+    if counters.active():
+        counters.record_all(_merge(_walk_events(curve, map(int, bin(k)[2:]))))
     return _point(curve, _double_and_add(curve, k, P.x, P.y))
 
 
@@ -475,16 +508,17 @@ def ecsm_jacobian(k: int, P: AffinePoint) -> AffinePoint:
     counters.record("ecsm_jacobian")
     if P.at_infinity:
         return P
-    mod = curve.mod
-    # the doubling, with 4 X YY, 3 XX + a Z^4 and 8 YY^2 as chains of
-    # additions, and the mixed addition after U2, S2 and the H = 0 test
-    events = _walk_events(curve, map(int, bin(k)[2:]), (
-        mod.cost("mmaammmaamamasmaaasmsam", "point_double"),
-        mod.cost("mmmmsassmmsm")), mod.cost("mmmmss", "point_add"))
-    if k % curve.n:
-        # x^(p-2) by square-and-multiply, then 4 products back to affine
-        e = mod.p - 2
-        events.append(mod.cost(
-            "m" * (e.bit_length() + 2 + bin(e).count("1")), "mod_inv_fermat"))
-    counters.record_all(_merge(events))
+    if counters.active():
+        mod = curve.mod
+        # the doubling, with 4 X YY, 3 XX + a Z^4 and 8 YY^2 as chains of
+        # additions, and the mixed addition after U2, S2 and the H = 0 test
+        events = _walk_events(curve, map(int, bin(k)[2:]), (
+            mod.cost("mmaammmaamamasmaaasmsam", "point_double"),
+            mod.cost("mmmmsassmmsm")), mod.cost("mmmmss", "point_add"))
+        if k % curve.n:
+            # x^(p-2) by square-and-multiply, then 4 products back to affine
+            e = mod.p - 2
+            events.append(mod.cost("m" * (
+                e.bit_length() + 2 + bin(e).count("1")), "mod_inv_fermat"))
+        counters.record_all(_merge(events))
     return _point(curve, _double_and_add(curve, k, P.x, P.y))

@@ -134,6 +134,21 @@ class TestLoopbackHandshake:
         assert bytes(client.security.master_secret) == b"\x00" * 48
 
 
+    def test_leaving_with_block_zeroizes_established_keys(self, toy,
+                                                          toy_pki):
+        client, server = make_pair(toy, toy_pki)
+        with client as c, server as s:
+            assert (c, s) == (client, server)
+            assert run_loopback(client, server).established
+            assert any(client.security.master_secret)
+        for end in (client, server):
+            sec = end.security
+            assert sec.cleared
+            for buf in (sec.master_secret, sec.client_key, sec.server_key,
+                        sec.client_salt, sec.server_salt):
+                assert buf and not any(buf)
+
+
 class TestCachedMode:
     def test_cached_skips_one_verify(self, toy, toy_pki):
         shared_cache = CertCache()

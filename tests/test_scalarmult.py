@@ -1,18 +1,25 @@
+import os
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecdtls import counters, scalarmult
-from ecdtls.curve import AffinePoint, CurveError, builtin_registry, \
-    point_add, point_double
+from ecdtls.credentials import generate_pki
+from ecdtls.curve import AffinePoint, CurveError, CurveRegistry, \
+    builtin_registry, point_add, point_double
+from ecdtls.handshake import MODE_FULL
 from ecdtls.scalarmult import (CombCache, ScalarRangeError, comb_digit_count,
                                comb_precompute, ecsm_comb, ecsm_jacobian,
+                               pin_trust_anchor, point_identity,
                                scalar_mul_unchecked)
-from test_engine_prices import zsd_recode
-from test_formula_prices import oracle_negate, priced
-from test_golden_counters import warm_handshakes
+from ecdtls.transport import run_loopback
+from test_engine_prices import oracle_unchecked, zsd_recode
+from test_formula_prices import oracle_negate, priced, same_price
+from test_golden_counters import _session_pair, warm_handshakes
 
 # Kinds whose tallies must be independent of the scalar for a fixed curve and
 # comb geometry: the operation-count signature of one scalar multiplication.
@@ -360,6 +367,31 @@ class TestPrice:
             scalarmult._double_and_add(c, k, Q.x, Q.y)
         assert calls == [] and sc.counters == {} and sc.trace == []
 
+    def test_no_walk_priced_without_a_scope(self, curves, monkeypatch):
+        # the registry's n*G checks run inside counters.isolated(), where no
+        # price would count, so none is computed; with a scope open the
+        # double-and-add engines price as before
+        c = curves["secp160r1"]
+        G = c.generator()
+        calls = []
+        walk = scalarmult._walk_events
+        monkeypatch.setattr(scalarmult, "_walk_events",
+                            lambda *a, **kw: calls.append(a) or walk(*a, **kw))
+        with counters.scope() as sc:
+            with counters.isolated():
+                assert not counters.active()
+                CurveRegistry().load_file(os.path.join(
+                    os.path.dirname(scalarmult.__file__), "data",
+                    "curves.txt"))
+                assert scalar_mul_unchecked(c.n, G).at_infinity
+                assert ecsm_jacobian(c.n - 1, G) == \
+                    scalar_mul_unchecked(c.n - 1, G)
+            assert counters.active()
+        assert sc.counters == {} and calls == []
+        k = 0xC0FFEE
+        same_price(scalar_mul_unchecked, oracle_unchecked, k, G)
+        assert len(calls) == 1
+
     def test_base_must_be_on_the_curve(self, toy):
         # a refused base is no multiplication: it records nothing
         off_curve = AffinePoint(toy, 1, 1)
@@ -430,7 +462,7 @@ class TestExecutors:
         P = point_double(G)
         cache = CombCache()
         ecsm_comb(1, P, cache)
-        rows = {G: scalarmult._generator_rows(toy),
+        rows = {G: comb_precompute(G).rows,
                 P: cache.get_or_build(P).rows}      # first hit
         runs = {"fixed": (G, lambda k: scalarmult._fixed_base(
                     toy, rows[G], k)),
@@ -461,8 +493,22 @@ class TestExecutors:
 
 
 @pytest.fixture
-def built(monkeypatch):
-    """The bases whose rows are built while the test runs."""
+def fresh_rows(monkeypatch, registry):
+    """A fresh process-wide store of rows for the test: every registered
+    curve's G rows, built once per process and never evicted, and no trust
+    anchor."""
+    generators = {}
+    for name in registry.names():
+        G = registry.get(name).generator()
+        generators[point_identity(G)] = comb_precompute(G).rows
+    monkeypatch.setattr(scalarmult, "_GENERATOR_ROWS", generators)
+    monkeypatch.setattr(scalarmult, "_ANCHOR_ROWS", {})
+
+
+@pytest.fixture
+def built(monkeypatch, fresh_rows):
+    """The bases whose rows are built while the test runs, from a fresh
+    store."""
     bases = []
     rows = scalarmult._rows
 
@@ -508,8 +554,9 @@ class TestResidentRows:
         assert built == [(Q.x, Q.y)] * 2
 
     def test_warm_handshakes_build_long_lived_bases_once(self, built):
-        # the CA key and the server's and client's keys, each on the side
-        # that hits it, on its first hit; no ephemeral point
+        # the CA key when the first session pins it, and the server's and
+        # client's keys, each on the side that hits it, on its first hit;
+        # no ephemeral point
         pairs = warm_handshakes("toy59", 3)
         client, server = pairs[0]
         long_lived = {(P.x, P.y) for P in (client.ca_key, client.peer_key,
@@ -531,3 +578,113 @@ class TestResidentRows:
         on_g = priced(ecsm_comb, k, G, cache)
         assert first[0] == later[0] == scalar_mul_unchecked(k, Q)
         assert first[1:] == later[1:] == on_g[1:]
+
+
+@pytest.fixture(scope="module")
+def p160_pki(curves):
+    return generate_pki(curves["secp160r1"], b"fixed-rows-pki")
+
+
+class TestFixedRows:
+    # G's rows and pinned trust anchors' rows are process-wide
+
+    def test_anchor_built_once_however_many_sessions(self, curves, p160_pki,
+                                                     built):
+        for i in range(3):
+            client, _ = _session_pair(curves["secp160r1"], p160_pki,
+                                      MODE_FULL, None, b"%d" % i)
+        assert built == [(client.ca_key.x, client.ca_key.y)]
+
+    def test_session_init_counters_independent_of_the_store(
+            self, curves, p160_pki, built):
+        cold, warm = [_session_pair(curves["secp160r1"], p160_pki, MODE_FULL,
+                                    None, b"init")[0].session_counters
+                      for _ in range(2)]
+        assert len(built) == 1                  # by the first session
+        assert cold and list(cold.items()) == list(warm.items())
+
+    def test_generator_rows_built_on_first_use_only(self, toy, built,
+                                                    monkeypatch):
+        monkeypatch.setattr(scalarmult, "_GENERATOR_ROWS", {})
+        G = toy.generator()
+        rows = comb_precompute(G).rows
+        assert ecsm_comb(5, G) == scalar_mul_unchecked(5, G)
+        assert comb_precompute(G).rows is rows
+        assert built == [(G.x, G.y)]
+
+    def test_lru_anchors_at_capacity_and_g_never_evicted(self, toy, built):
+        G = toy.generator()
+        g_rows = comb_precompute(G).rows
+        anchors = [scalar_mul_unchecked(k, G) for k in range(2, 10)]
+        two, three, four, five, six, seven, eight, nine = anchors
+        for Q in anchors[:scalarmult.COMB_CACHE_CAPACITY]:
+            pin_trust_anchor(Q)
+        assert comb_precompute(two).rows is not None    # used: refreshed
+        pin_trust_anchor(two)                           # resident: no build
+        pin_trust_anchor(eight)                         # evicts 3G
+        pin_trust_anchor(nine)                          # evicts 4G
+        assert list(scalarmult._ANCHOR_ROWS) == [
+            point_identity(Q) for Q in (five, six, seven, two, eight, nine)]
+        assert comb_precompute(three).rows is None
+        assert built == [(Q.x, Q.y) for Q in anchors]
+        assert comb_precompute(G).rows is g_rows
+
+    @pytest.mark.parametrize("name", builtin_registry().names())
+    def test_pinned_rows_on_edge_scalars(self, registry, name, fresh_rows,
+                                         monkeypatch):
+        c = registry.get(name)
+        Q = scalar_mul_unchecked(c.n // 3, c.generator())
+        pin_trust_anchor(Q)
+        monkeypatch.setattr(scalarmult, "_wnaf", None)  # a call would raise
+        for k in edge_scalars(c):
+            want = scalar_mul_unchecked(k, Q)
+            assert ecsm_comb(k, Q) == want
+            assert ecsm_comb(k, Q, CombCache()) == want
+
+    def test_cold_handshake_runs_wnaf_only_on_peer_points(
+            self, curves, p160_pki, fresh_rows, monkeypatch):
+        c = curves["secp160r1"]
+        seen = []
+        wnaf = scalarmult._wnaf
+
+        def spy(curve, k, x, y):
+            seen.append((x, y))
+            return wnaf(curve, k, x, y)
+
+        monkeypatch.setattr(scalarmult, "_wnaf", spy)
+        client, server = _session_pair(c, p160_pki, MODE_FULL, None, b"cold")
+        assert run_loopback(client, server).established
+        peer_points = [client.peer_key, client.peer_eph, server.peer_key,
+                       server.peer_eph]
+        assert sorted(seen) == sorted((P.x, P.y) for P in peer_points)
+        assert (client.ca_key.x, client.ca_key.y) not in seen
+
+    def test_threads_pin_and_read_two_anchors(self, curves, fresh_rows):
+        c = curves["secp160r1"]
+        G = c.generator()
+        anchors = [scalar_mul_unchecked(k, G) for k in (0xA11CE, 0xB0B)]
+        want = [scalarmult._rows(c, Q.x, Q.y) for Q in anchors]
+        got, errors = [], []
+
+        def worker():
+            try:
+                for _ in range(5):
+                    for Q in anchors:
+                        pin_trust_anchor(Q)
+                    got.append([comb_precompute(Q).rows for Q in anchors])
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(got) == 20 and all(rows == want for rows in got)

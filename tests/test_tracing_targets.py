@@ -1,6 +1,7 @@
 """The benchmark under perfbench/ drives the package through its public names.
-These checks fail in tier-1 when a change removes or unbinds one of them,
-instead of only when the benchmark itself is run.
+These checks fail in tier-1 when a change removes or unbinds one of them, or
+breaks a handshake or echo the way the benchmark runs them, instead of only
+when the benchmark itself is run.
 
 The span tracer (perfbench/tracing.py) swaps functions in and out through
 ``vars(owner)``.  Each name it targets must stay bound on that owner, or
@@ -13,6 +14,8 @@ import sys
 import types
 
 import pytest
+
+from ecdtls import energy
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 MODULES = ("pace", "tracing", "workloads", "run")
@@ -59,3 +62,17 @@ def test_benchmark_imports_and_package_attributes_resolve(name):
                     not hasattr(owner, node.attr):
                 missing.append("%s.%s" % (node.value.id, node.attr))
     assert missing == []
+
+
+@pytest.mark.parametrize("name", ["hs-full-cold", "hs-cached-warm"])
+def test_workload_fixture_handshakes_and_echoes(name):
+    """One handshake and one 64 B echo of a workload's fixture, on a small
+    curve, pass the benchmark's own correctness checks."""
+    workloads = load_perfbench("workloads")
+    fixture = workloads.Fixture(workloads.WORKLOADS[name], 7, "secp160r1",
+                                energy.default_model())
+    link = fixture.handshake()
+    assert link.ok, link.reason
+    tally = workloads.Tally()
+    workloads.echo(fixture, link, workloads.SMALL, tally, workloads.Pace())
+    assert (tally.records, tally.records_failed, tally.failures) == (2, 0, [])
