@@ -82,9 +82,9 @@ def _stack() -> list:
     return stack
 
 
-def scope(label: str = "", trace: bool = False) -> Recorder:
+def scope(trace: bool = False) -> Recorder:
     """Open a counting scope; use as a context manager."""
-    return Recorder(label, trace=trace)
+    return Recorder(trace=trace)
 
 
 def active() -> bool:

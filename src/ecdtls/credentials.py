@@ -6,12 +6,9 @@ scalars, deterministic ECDSA on the certificates, fixed validity window).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .curve import CurveParams
 from .drbg import HmacDrbg
 from .ecdsa import KeyPair
-from .scalarmult import CombCache
 from .x509 import make_certificate
 
 NOT_BEFORE = 1704067200   # 2024-01-01T00:00:00Z
@@ -40,12 +37,11 @@ class Pki:
         self.client = client
 
 
-def generate_pki(curve: CurveParams, entropy: bytes,
-                 cache: Optional[CombCache] = None) -> Pki:
+def generate_pki(curve: CurveParams, entropy: bytes) -> Pki:
     drbg = HmacDrbg(entropy, b"credential-fixture", curve.id.encode())
-    ca_key = KeyPair.generate(curve, drbg, cache)
-    server_key = KeyPair.generate(curve, drbg, cache)
-    client_key = KeyPair.generate(curve, drbg, cache)
+    ca_key = KeyPair.generate(curve, drbg)
+    server_key = KeyPair.generate(curve, drbg)
+    client_key = KeyPair.generate(curve, drbg)
     ca_der = make_certificate(CA_CN, CA_CN, 1, ca_key.Q, ca_key,
                               NOT_BEFORE, NOT_AFTER, ca=True)
     server_der = make_certificate(SERVER_CN, CA_CN, 2, server_key.Q, ca_key,

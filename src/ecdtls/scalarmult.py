@@ -6,13 +6,15 @@ is m*P for an integer m, and a registered curve has cofactor 1 and odd
 prime order n, so each exceptional branch of the group law is a test on
 m mod n (m = 0 is the identity, m1 = +-m2 is equal x), and the prices are
 exact for a base of order n.  `ecsm_comb` is priced as the paper's
-fixed-base comb with zero-less signed-digit recoding on the affine law: the
+fixed-base comb with zero-less signed-digit recoding on the affine law, at
+the one width `COMB_WIDTH` = 4 that the energy model is calibrated on: the
 table (`comb_precompute`) on a miss of the six-entry LRU `CombCache`, then a
 doubling and an addition per column and a parity tail, from schedules
-memoised per curve and geometry.  The columns' schedule is the same for
-every k but those that meet an exceptional branch (n-4, n-2 and n-1 among k
-within 64 of 0 or n at width 4); the Python's own time varies with k and
-the base.  `scalar_mul_unchecked` (any k >= 0; the registry checks n*G = O
+memoised per curve.  The columns' schedule is the same for every k but
+those that meet an exceptional branch (n-4, n-2 and n-1 among k within 64
+of 0 or n); the Python's own time varies with k and the base.  The price
+helpers take the comb's geometry, so the tests can check them at other
+widths.  `scalar_mul_unchecked` (any k >= 0; the registry checks n*G = O
 with it inside `counters.isolated()`) is priced as double-and-add on the
 affine law, and `ecsm_jacobian` (the energy fit's projective baseline) as
 that loop on the projective datapath plus one Fermat inversion.  Each walk
@@ -25,11 +27,11 @@ ECC 3.3.2).  A process-wide store holds the rows of the bases the process
 is configured with: each curve's G, built on first use and never evicted,
 and each trust anchor pinned by `pin_trust_anchor`, built when pinned, at
 most `COMB_CACHE_CAPACITY` of them, the least recently used evicted first.
-Any other base gets rows when its resident comb table is first hit, and
-they go with the table when the cache evicts it.  A base without rows (a
-cache miss, no cache, a one-shot point) runs width-5 wNAF.  The other two
-engines run plain double-and-add, an independent reference for the comb's
-results.
+A `CombCache` maps each resident base to its rows: the process-wide ones,
+or for any other base rows built on its first hit, which go when the cache
+evicts the base.  A base without rows (a cache miss, no cache, a one-shot
+point) runs width-5 wNAF.  The other two engines run plain double-and-add,
+an independent reference for the comb's results.
 """
 
 from __future__ import annotations
@@ -40,20 +42,14 @@ from typing import Dict, Iterable, Optional
 from . import counters
 from .curve import AffinePoint, CurveError, CurveParams, validate_point
 
-DEFAULT_COMB_WIDTH = 4
+COMB_WIDTH = 4   # the comb the energy model is calibrated on
 COMB_CACHE_CAPACITY = 6
-MIN_COMB_WIDTH = 1
-MAX_COMB_WIDTH = 8
 _RADIX_BITS = 5   # bases with rows: signed digits in [-15, 16]
 _WNAF_WIDTH = 5   # bases without: odd digits in [-15, 15]
 
 
 class ScalarRangeError(CurveError):
     """Scalar outside [1, n)."""
-
-
-class CachePoisonedError(CurveError):
-    """A cached table does not belong to the requested base point."""
 
 
 # ---------------------------------------------------------------------------
@@ -377,81 +373,52 @@ def pin_trust_anchor(Q: AffinePoint) -> None:
     _fixed_rows(Q, point_identity(Q), pin=True)
 
 
-class CombTable:
-    """The base and geometry of a comb table, whose points are not built,
-    and the execution rows of its base (`_rows`): the process-wide ones of
-    G or a pinned anchor from the start, another base's from its first
-    cache hit, None before."""
-
-    __slots__ = ("base_id", "w", "d", "t", "rows")
-
-    def __init__(self, base_id: bytes, w: int, d: int, t: int,
-                 rows: Optional[list]):
-        self.base_id = base_id
-        self.w = w
-        self.d = d
-        self.t = t
-        self.rows = rows
-
-
-def comb_precompute(P: AffinePoint, w: int = DEFAULT_COMB_WIDTH,
-                    t: Optional[int] = None) -> CombTable:
+def comb_precompute(P: AffinePoint) -> Optional[list]:
     """Record the price of the comb table for base P, entry[j] = sum(s_i
     2^(i*d) P) over the sign pattern j (bit i set -> +1) with the top row
-    sign always +1, in one call.  The table carries P's process-wide rows
-    if P is G or a pinned anchor."""
+    sign always +1, in one call.  Return P's process-wide rows if P is G or
+    a pinned anchor, else None."""
     validate_point(P)
-    if not MIN_COMB_WIDTH <= w <= MAX_COMB_WIDTH:
-        raise CurveError("comb width %d out of range" % w)
     curve = P.curve
-    if t is None:
-        t = comb_digit_count(curve.n_bits, w)
-    d = -(-t // w)
-    key = ("table", curve.mod.bitlen, curve.n, w, d)
+    key = ("table", curve.mod.bitlen, curve.n)
     if key not in _PRICES:
-        _PRICES[key] = _precompute_price(curve, w, d)
+        _PRICES[key] = _precompute_price(curve, COMB_WIDTH, comb_digit_count(
+            curve.n_bits, COMB_WIDTH) // COMB_WIDTH)
     counters.record_all(_PRICES[key])
-    base_id = point_identity(P)
-    return CombTable(base_id, w, d, t, _fixed_rows(P, base_id))
+    return _fixed_rows(P, point_identity(P))
 
 
 class CombCache:
-    """Which bases have a resident comb table, LRU, at most six: a hit skips
-    the table's price, and a base's first hit builds its execution rows,
-    which go when the table is evicted.  Mutable; callers serialize access
-    (one writer at a time)."""
+    """The bases with a resident comb table (of width `COMB_WIDTH`), LRU,
+    at most six, each mapped to its execution rows: a hit skips the table's
+    price, and a base's first hit builds its rows unless it holds G's or a
+    pinned anchor's already.  The rows go when the base is evicted.
+    Mutable; callers serialize access (one writer at a time)."""
 
     def __init__(self):
-        self._tables: Dict[bytes, CombTable] = {}
+        self._bases: Dict[bytes, Optional[list]] = {}
 
     def __len__(self) -> int:
-        return len(self._tables)
+        return len(self._bases)
 
-    def get_or_build(self, P: AffinePoint, w: int = DEFAULT_COMB_WIDTH,
-                     t: Optional[int] = None) -> CombTable:
-        """Hit: return the stored table (LRU refresh, no priced point
-        operation), its rows built if this is its first.  Miss: precompute,
-        insert, evict the stalest entry beyond capacity."""
-        if t is None:
-            t = comb_digit_count(P.curve.n_bits, w)
+    def get_or_build(self, P: AffinePoint) -> Optional[list]:
+        """Hit: return P's rows (LRU refresh, no priced point operation),
+        built if this is its first.  Miss: precompute, insert, evict the
+        stalest base beyond capacity, and return what the precompute
+        returned."""
         key = point_identity(P)
-        table = self._tables.get(key)
-        if table is not None and table.w == w and table.t == t:
-            if table.base_id != key:
-                raise CachePoisonedError("cached table base mismatch")
+        if key in self._bases:
             counters.record("comb_cache_hit")
-            self._tables[key] = self._tables.pop(key)  # refresh recency
-            if table.rows is None:
-                table.rows = _rows(P.curve, P.x, P.y)
-            return table
+            rows = self._bases.pop(key)
+            if rows is None:
+                rows = _rows(P.curve, P.x, P.y)
+            self._bases[key] = rows  # most recently used last
+            return rows
         counters.record("comb_cache_miss")
-        table = comb_precompute(P, w, t)
-        self._tables.pop(key, None)
-        self._tables[key] = table
-        while len(self._tables) > COMB_CACHE_CAPACITY:
-            oldest = next(iter(self._tables))
-            del self._tables[oldest]
-        return table
+        rows = self._bases[key] = comb_precompute(P)
+        while len(self._bases) > COMB_CACHE_CAPACITY:
+            del self._bases[next(iter(self._bases))]
+        return rows
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +429,8 @@ def _check_range(k: int, curve: CurveParams) -> None:
         raise ScalarRangeError("scalar out of [1, n)")
 
 
-def ecsm_comb(k: int, P: AffinePoint, cache: Optional[CombCache] = None,
-              w: int = DEFAULT_COMB_WIDTH) -> AffinePoint:
+def ecsm_comb(k: int, P: AffinePoint, cache: Optional[CombCache] = None
+              ) -> AffinePoint:
     """k*P, priced as the ZSD comb: the table on a cache miss or with no
     cache, then one double and one add per column and a parity-correction
     tail.  The identity or a point off the curve raises CurveError."""
@@ -471,11 +438,10 @@ def ecsm_comb(k: int, P: AffinePoint, cache: Optional[CombCache] = None,
     _check_range(k, curve)
     validate_point(P)
     counters.record("ecsm_comb")
-    t = comb_digit_count(curve.n_bits, w)
-    table = cache.get_or_build(P, w, t) if cache is not None else \
-        comb_precompute(P, w, t)
-    counters.record_all(_walk_price(curve, k, w, t))
-    return _point(curve, _fixed_base(curve, table.rows, k) if table.rows
+    rows = cache.get_or_build(P) if cache is not None else comb_precompute(P)
+    counters.record_all(_walk_price(curve, k, COMB_WIDTH, comb_digit_count(
+        curve.n_bits, COMB_WIDTH)))
+    return _point(curve, _fixed_base(curve, rows, k) if rows
                   else _wnaf(curve, k, P.x, P.y))
 
 

@@ -139,11 +139,16 @@ def parse_client_hello(body: bytes) -> ClientHello:
     if not r.done():
         exts = _Reader(r.vector(2))
         r.expect_done()
+        seen = set()
         while not exts.done():
             ext_type = exts.int_(2)
+            if ext_type in seen:  # at most one of each (RFC 5246 7.4.1.4)
+                raise WireError("repeated extension %d" % ext_type)
+            seen.add(ext_type)
             ext_body = _Reader(exts.vector(2))
             if ext_type == EXT_SUPPORTED_GROUPS:
                 groups = _Reader(ext_body.vector(2))
+                ext_body.expect_done()
                 while not groups.done():
                     curve_codes.append(groups.int_(2))
     return ClientHello(random, cookie, suites, curve_codes)

@@ -9,9 +9,10 @@ those engines as they ran before, on `point_add` and `point_double`
 (themselves checked in `test_formula_prices`) and `oracle_negate`: one
 affine operation, one inversion, each, walked point by point.  Both must
 give the same result, the same counter items in the same order and the same
-trace, on every registered curve, at every comb width, with and without a
-comb cache.  The prices are exact for points of the curve's order n; on a
-point whose order is not n, only the results are compared."""
+trace, on every registered curve, with and without a comb cache.  The
+table's price is also checked at other widths, through the price helper that
+takes the comb's geometry.  The prices are exact for points of the curve's
+order n; on a point whose order is not n, only the results are compared."""
 
 import random
 from collections import namedtuple
@@ -21,18 +22,13 @@ import pytest
 from ecdtls import counters, scalarmult
 from ecdtls.curve import CurveParams, builtin_registry, point_add, \
     point_double
-from ecdtls.scalarmult import (DEFAULT_COMB_WIDTH, CombCache,
-                               ScalarRangeError, comb_digit_count,
-                               comb_precompute, ecsm_comb, point_identity,
+from ecdtls.scalarmult import (COMB_WIDTH, CombCache, ScalarRangeError,
+                               comb_digit_count, comb_precompute, ecsm_comb,
                                scalar_mul_unchecked)
 from test_formula_prices import oracle_negate, priced, same_price
 
-# the oracle's table and recoding, which the library no longer builds: it
-# prices the table and reads the digits as bits of an integer
-class CombTable(namedtuple("CombTable", "base_id w d t entries")):
-    rows = None  # a CombCache sets the base's execution rows on a first hit
-
-
+# the oracle's recoding, which the library no longer builds: it reads the
+# digits as bits of an integer
 ZsdScalar = namedtuple("ZsdScalar", "digits c")
 
 
@@ -53,10 +49,9 @@ def zsd_recode(k, t):
 # ---------------------------------------------------------------------------
 # The affine engines, one inversion per point operation
 
-def oracle_precompute(P, w=DEFAULT_COMB_WIDTH, t=None):
-    if t is None:
-        t = comb_digit_count(P.curve.n_bits, w)
-    d = -(-t // w)
+def oracle_precompute(P, w=COMB_WIDTH):
+    """The table's entries, each built by affine operations."""
+    d = comb_digit_count(P.curve.n_bits, w) // w
     counters.record("comb_precompute")
     rows = [P]
     for _ in range(w - 1):
@@ -72,25 +67,25 @@ def oracle_precompute(P, w=DEFAULT_COMB_WIDTH, t=None):
             term = rows[r] if (idx >> r) & 1 else oracle_negate(rows[r])
             acc = point_add(acc, term)
         entries.append(acc)
-    return CombTable(point_identity(P), w, d, t, tuple(entries))
+    return tuple(entries)
 
 
-def oracle_comb(k, P, cache=None, w=DEFAULT_COMB_WIDTH):
+def oracle_comb(k, P, cache=None):
     """ecsm_comb without its range check; a cache miss builds the table with
-    oracle_precompute."""
+    oracle_precompute, and the cache keeps its entries in place of rows."""
     curve = P.curve
     counters.record("ecsm_comb")
+    w = COMB_WIDTH
     t = comb_digit_count(curve.n_bits, w)
+    d = t // w
     if cache is not None:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(scalarmult, "comb_precompute", oracle_precompute)
-            table = cache.get_or_build(P, w, t)
+            entries = cache.get_or_build(P)
     else:
-        table = oracle_precompute(P, w, t)
-    d = table.d
+        entries = oracle_precompute(P)
     zsd = zsd_recode(k, t)
     digits = zsd.digits
-    entries = table.entries
     acc = None
     for j in range(d - 1, -1, -1):
         top = digits[(w - 1) * d + j]
@@ -142,33 +137,33 @@ def oracle_scalars(curve):
 @pytest.mark.parametrize("base", ["generator", "other"])
 def test_comb_matches_affine_oracle(curve, base):
     P = curve.generator() if base == "generator" else other_base(curve)
-    for w in range(1, 6):
-        scalars = oracle_scalars(curve)
-        if w != DEFAULT_COMB_WIDTH:
-            # the scalars off the regular schedule lie within 4 of n on the
-            # secp curves at every width: fewer will do away from the default
-            scalars = [k for k in scalars[:-40] if k <= 8 or k >= curve.n - 8] \
-                + scalars[-8:]
-        cache, oracle_cache = CombCache(), CombCache()
-        for i, k in enumerate(scalars):
-            # the first cached call misses, the rest hit
-            assert priced(ecsm_comb, k, P, cache, w) == \
-                priced(oracle_comb, k, P, oracle_cache, w)
-            # without a cache the table's price is the same: every 8th will do
-            if i % 8 == 0:
-                assert same_price(ecsm_comb, oracle_comb, k, P, None, w) == \
-                    oracle_unchecked(k, P)
+    cache, oracle_cache = CombCache(), CombCache()
+    for i, k in enumerate(oracle_scalars(curve)):
+        # the first cached call misses, the rest hit
+        assert priced(ecsm_comb, k, P, cache) == \
+            priced(oracle_comb, k, P, oracle_cache)
+        # without a cache the table's price is the same: every 8th will do
+        if i % 8 == 0:
+            assert same_price(ecsm_comb, oracle_comb, k, P, None) == \
+                oracle_unchecked(k, P)
+
+
+def table_price(curve, w):
+    """Record the table's price at width w, as comb_precompute does at
+    COMB_WIDTH."""
+    counters.record_all(scalarmult._precompute_price(
+        curve, w, comb_digit_count(curve.n_bits, w) // w))
 
 
 @pytest.mark.parametrize("w", range(1, 6))
 def test_table_entries_match_affine_oracle(curve, w):
-    # no entry is built: comb_precompute records what building them costs
+    # no entry is built: the price helper records what building them costs,
+    # at every width it takes, and comb_precompute records it at COMB_WIDTH
     for P in (curve.generator(), other_base(curve)):
-        got, want = priced(comb_precompute, P, w), \
-            priced(oracle_precompute, P, w)
-        assert got[1:] == want[1:]
-        table = got[0]
-        assert (table.base_id, table.w, table.d, table.t) == want[0][:4]
+        want = priced(oracle_precompute, P, w)[1:]
+        assert priced(table_price, curve, w)[1:] == want
+        if w == COMB_WIDTH:
+            assert priced(comb_precompute, P)[1:] == want
 
 
 def test_unchecked_matches_affine_oracle_past_the_order(toy, curves):

@@ -5,12 +5,7 @@ the program.
 perfbench/README.md names the API the benchmark drives: `handshake`,
 `transport`, `credentials` and `energy`.  Walking the relative imports from
 those four modules must reach every module under src/ecdtls; a module that
-is left over is code nothing reaches.
-
-`merkle` is the one known leftover, kept with its tests until its deletion
-lands on its own; the check requires the leftover set to be exactly that, so
-a newly unreached module fails it and so does deleting `merkle` without
-updating it.
+is left over is code nothing reaches, and fails the check.
 
 The import check walks the package, perfbench/ and the tests with `ast`,
 since no linter is installed.  A name bound by `import` or
@@ -28,12 +23,27 @@ of an attribute of that name, or an imported name; under perfbench/ a string
 constant counts too, since perfbench/tracing.py names the functions it wraps
 as strings.  What only the tests read is dead code; a helper a test needs
 lives in the test.  Dunder methods are out of scope (the language calls
-them), and so are the modules in UNREACHED_PENDING_DELETION, both as
-definers and as readers.  The check goes by name alone, so a dead method
-that shares its name with an attribute read elsewhere still passes: a
-`CertCache.load` would pass against `json.load`.  ALLOWED_UNREAD names the
-exceptions, each with its reason, and each must still be a public name the
-scan would flag, so an entry does not outlive its name or its exemption."""
+them).  The check goes by name alone, so a dead method that shares its
+name with an attribute read elsewhere still passes: a `CertCache.load` would
+pass against `json.load`.  ALLOWED_UNREAD names the exceptions, each with
+its reason, and each must still be a public name the scan would flag, so an
+entry does not outlive its name or its exemption.
+
+For the knob check, each defaulted parameter of a public function, of a
+public method of a public class or of a public class's `__init__` must be
+passed, by position or by keyword, by some call under src/ecdtls or
+perfbench/.  A parameter no caller sets is a knob nobody turns: its default
+is the only value the program runs.  Calls match definitions by name alone,
+as in the public-name check, with the same blind spots:
+- a call `x.generate(...)` counts for every function or method named
+  `generate`;
+- a class's `__init__` is matched by calls of the class's name only, not by
+  `cls(...)` or `super().__init__(...)`;
+- a method's positional arguments bind after `self` or `cls`, so an unbound
+  `Class.method(obj, ...)` call is misread;
+- a call with `*args` or `**kwargs` passes every parameter.
+ALLOWED_UNPASSED names the exceptions, each with its reason, and each must
+still be flagged."""
 
 import ast
 import pathlib
@@ -44,7 +54,6 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "ecdtls"
 PERFBENCH = ROOT / "perfbench"
 ROOTS = ("handshake", "transport", "credentials", "energy")
-UNREACHED_PENDING_DELETION = ["merkle"]
 
 # Public names nothing under src/ecdtls or perfbench/ reads yet, and why
 # each stays.
@@ -66,6 +75,26 @@ ALLOWED_UNREAD = {
     "energy.CAL_APPDATA_J_PER_BYTE":
         "the paper's per-byte application-data anchor, which ROADMAP "
         "item 6 checks the model against",
+}
+
+# Defaulted parameters no call under src/ecdtls or perfbench/ passes yet,
+# and why each stays.
+ALLOWED_UNPASSED = {
+    "counters.scope.trace":
+        "the uniform-trace tests record the order of operations with it "
+        "(aim 3)",
+    "ecdsa.KeyPair.__init__.Q":
+        "the certificate's public point, which a prepared endpoint checks "
+        "own_key_d against once (ROADMAP item 10)",
+    "drbg.HmacDrbg.reseed.additional":
+        "part of the SP 800-90A interface, exercised by the reseed test "
+        "vectors in test_drbg.py",
+    "transport.UdpEndpoint.__init__.peer_addr":
+        "the UDP driver that OpenSSL interop and retransmission "
+        "(ROADMAP items 2 and 4) build on",
+    "transport.UdpEndpoint.__init__.timeout":
+        "the UDP driver that OpenSSL interop and retransmission "
+        "(ROADMAP items 2 and 4) build on",
 }
 
 
@@ -94,7 +123,7 @@ def test_every_module_reached_from_public_api():
             continue
         reached.add(name)
         todo.extend(relative_imports(name) & modules)
-    assert sorted(modules - reached) == UNREACHED_PENDING_DELETION
+    assert sorted(modules - reached) == []
 
 
 def test_public_api_loads_no_socket_or_calendar():
@@ -194,12 +223,10 @@ def names_read(path: pathlib.Path, strings: bool) -> set:
 
 
 def unread_public_names(package: pathlib.Path, readers: pathlib.Path,
-                        allowed=(), skipped=()) -> list:
+                        allowed=()) -> list:
     """Qualified public names of the modules in package that neither a
-    module of package nor one of readers reads, less the allowed ones.  The
-    skipped modules neither define nor read."""
-    sources = [path for path in sorted(package.glob("*.py"))
-               if path.stem not in skipped]
+    module of package nor one of readers reads, less the allowed ones."""
+    sources = sorted(package.glob("*.py"))
     read = set().union(
         *(names_read(path, strings=False) for path in sources),
         *(names_read(path, strings=True)
@@ -210,14 +237,11 @@ def unread_public_names(package: pathlib.Path, readers: pathlib.Path,
 
 
 def test_every_public_name_is_read():
-    assert unread_public_names(PACKAGE, PERFBENCH, ALLOWED_UNREAD,
-                               UNREACHED_PENDING_DELETION) == []
+    assert unread_public_names(PACKAGE, PERFBENCH, ALLOWED_UNREAD) == []
 
 
 def test_every_allowed_unread_name_is_defined_and_unread():
-    assert unread_public_names(PACKAGE, PERFBENCH, (),
-                               UNREACHED_PENDING_DELETION) == \
-        sorted(ALLOWED_UNREAD)
+    assert unread_public_names(PACKAGE, PERFBENCH) == sorted(ALLOWED_UNREAD)
 
 
 def test_public_name_scan_flags_exactly_the_unread(tmp_path):
@@ -229,6 +253,7 @@ def test_public_name_scan_flags_exactly_the_unread(tmp_path):
 UNREAD_CONSTANT = 1
 READ_CONSTANT = 2
 KEPT_ON_PURPOSE = 3
+IMPORTED_BY_SIBLING = 4
 _MESSAGE = "named_in_package_string"
 
 
@@ -265,12 +290,12 @@ class Thing:
     def _private_method(self):
         pass
 ''')
-    (package / "leftover.py").write_text('''
-from .mod import UNREAD_CONSTANT
+    (package / "sibling.py").write_text('''
+from .mod import IMPORTED_BY_SIBLING
 
 
-def leftover_function():
-    return UNREAD_CONSTANT
+def sibling_function():
+    return IMPORTED_BY_SIBLING
 ''')
     (bench / "run.py").write_text('''
 from package import mod
@@ -279,8 +304,144 @@ from package.mod import imported_by_bench
 TARGETS = ("named_in_bench_string",)
 print(mod.Thing, imported_by_bench, TARGETS)
 ''')
-    assert unread_public_names(package, bench, {"mod.KEPT_ON_PURPOSE"},
-                               ["leftover"]) == [
+    assert unread_public_names(package, bench, {"mod.KEPT_ON_PURPOSE"}) == [
         "mod.Thing.unread_attribute", "mod.Thing.unread_method",
         "mod.UNREAD_CONSTANT", "mod.named_in_package_string",
-        "mod.unread_function"]
+        "mod.unread_function", "sibling.sibling_function"]
+
+
+EVERY = "*"   # what a call with *args or **kwargs passes
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def defaulted_parameters(path: pathlib.Path) -> list:
+    """(qualified name, called name, parameter, position) of each defaulted
+    parameter of the module's public functions, and of the public methods
+    and the `__init__` of its public classes.  The called name is the class
+    name for an `__init__`; the position is the index of the positional
+    argument a call binds to the parameter, None if it is keyword-only."""
+    def params(fn, skip: int) -> list:
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        return [(arg.arg, i - skip) for i, arg in enumerate(positional)
+                if i >= first] + \
+            [(arg.arg, None) for arg, default in
+             zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+
+    found = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, _FUNCTIONS) and not node.name.startswith("_"):
+            found += [("%s.%s.%s" % (path.stem, node.name, param), node.name,
+                       param, position)
+                      for param, position in params(node, 0)]
+        elif isinstance(node, ast.ClassDef) and \
+                not node.name.startswith("_"):
+            for item in node.body:
+                if not isinstance(item, _FUNCTIONS) or (
+                        item.name.startswith("_") and
+                        item.name != "__init__"):
+                    continue
+                called = node.name if item.name == "__init__" else item.name
+                found += [("%s.%s.%s.%s" % (path.stem, node.name, item.name,
+                                            param), called, param, position)
+                          for param, position in params(item, 1)]
+    return found
+
+
+def passed_arguments(paths: list) -> dict:
+    """For each name that a call under paths calls, as a name or an
+    attribute, the positions and keywords its calls pass, and EVERY if one
+    of them passes *args or **kwargs."""
+    passed: dict = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else \
+                getattr(func, "attr", None)
+            got = passed.setdefault(name, set())
+            got.update(range(len(node.args)))
+            got.update(kw.arg or EVERY for kw in node.keywords)
+            if any(isinstance(arg, ast.Starred) for arg in node.args):
+                got.add(EVERY)
+    return passed
+
+
+def unpassed_parameters(package: pathlib.Path, readers: pathlib.Path,
+                        allowed=()) -> list:
+    """Qualified defaulted parameters of the modules in package that no
+    call in package or readers passes, less the allowed ones."""
+    sources = sorted(package.glob("*.py"))
+    passed = passed_arguments(sources + sorted(readers.glob("*.py")))
+    return sorted(qualified for path in sources
+                  for qualified, called, param, position in
+                  defaulted_parameters(path)
+                  if not {param, position, EVERY} & passed.get(called, set())
+                  and qualified not in allowed)
+
+
+def test_every_defaulted_parameter_is_passed():
+    assert unpassed_parameters(PACKAGE, PERFBENCH, ALLOWED_UNPASSED) == []
+
+
+def test_every_allowed_unpassed_parameter_is_flagged():
+    assert unpassed_parameters(PACKAGE, PERFBENCH) == sorted(ALLOWED_UNPASSED)
+
+
+def test_parameter_scan_flags_exactly_the_unpassed(tmp_path):
+    package = tmp_path / "package"
+    bench = tmp_path / "bench"
+    package.mkdir()
+    bench.mkdir()
+    (package / "mod.py").write_text('''
+LIMIT = 1
+
+
+def knob(a, b=1, c=2, *, d=3, e=4, f=5):
+    return a + b + c + d + e + f
+
+
+def spread(a=1, b=2):
+    return a + b
+
+
+def by_mapping(a=1):
+    return a
+
+
+def _private(a=1):
+    return a
+
+
+class Thing:
+    size = LIMIT
+
+    def __init__(self, a=1, b=2, c=3):
+        self.total = a + b + c
+
+    def method(self, a=1, b=2):
+        return knob(a, c=b)
+
+    def _private_method(self, a=1):
+        return a
+
+
+class _Hidden:
+    def __init__(self, a=1):
+        self.a = a
+
+
+def caller():
+    args, kwargs = (1, 2), {"a": 1}
+    return spread(*args), by_mapping(**kwargs), Thing(5).method(6), \\
+        knob(0, 1, d=2)
+''')
+    (bench / "run.py").write_text('''
+from package.mod import Thing
+
+print(Thing(b=3))
+''')
+    assert unpassed_parameters(package, bench, {"mod.knob.f"}) == [
+        "mod.Thing.__init__.c", "mod.Thing.method.b", "mod.knob.e"]

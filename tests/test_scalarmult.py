@@ -12,12 +12,12 @@ from ecdtls.credentials import generate_pki
 from ecdtls.curve import AffinePoint, CurveError, CurveRegistry, \
     builtin_registry, point_add, point_double
 from ecdtls.handshake import MODE_FULL
-from ecdtls.scalarmult import (CombCache, ScalarRangeError, comb_digit_count,
-                               comb_precompute, ecsm_comb, ecsm_jacobian,
-                               pin_trust_anchor, point_identity,
+from ecdtls.scalarmult import (COMB_WIDTH, CombCache, ScalarRangeError,
+                               comb_digit_count, comb_precompute, ecsm_comb,
+                               ecsm_jacobian, pin_trust_anchor, point_identity,
                                scalar_mul_unchecked)
 from ecdtls.transport import run_loopback
-from test_engine_prices import oracle_unchecked, zsd_recode
+from test_engine_prices import oracle_unchecked, table_price, zsd_recode
 from test_formula_prices import oracle_negate, priced, same_price
 from test_golden_counters import _session_pair, warm_handshakes
 
@@ -82,26 +82,32 @@ class TestZsdRecode:
 
 
 class TestCombPrecompute:
-    # comb_precompute records the price of the table and builds no point
+    # comb_precompute records the price of the table and builds no point;
+    # the price helper takes the comb's geometry, and is checked at other
+    # widths directly
 
     def test_width_one_degenerate(self, toy):
         # one row, and one entry that is the base itself: no point operation
+        assert comb_digit_count(toy.n_bits, 1) == 7
         with counters.scope() as sc:
-            table = comb_precompute(toy.generator(), w=1)
-        assert (table.w, table.d, table.t) == (1, 7, 7)
+            table_price(toy, 1)
         assert dict(sc.counters) == {"comb_precompute": 1}
 
     def test_width_two_matches_bruteforce(self, toy):
         G = toy.generator()
+        fifteenG = scalar_mul_unchecked(15, G)
 
         def bruteforce():
-            # t = 2, d = 1: rows G and 2G, entries 2G - G and 2G + G
+            # t = 8, d = 4: rows G and 16G, entries 16G - G and 16G + G
             counters.record("comb_precompute")
-            twoG = point_double(G)
-            assert point_add(twoG, oracle_negate(G)) == G
-            point_add(twoG, G)
+            sixteenG = G
+            for _ in range(4):
+                sixteenG = point_double(sixteenG)
+            assert point_add(sixteenG, oracle_negate(G)) == fifteenG
+            point_add(sixteenG, G)
 
-        assert priced(comb_precompute, G, 2, 2)[1:] == priced(bruteforce)[1:]
+        assert comb_digit_count(toy.n_bits, 2) == 8
+        assert priced(table_price, toy, 2)[1:] == priced(bruteforce)[1:]
 
     def test_entries_on_curve(self, curves):
         # the 8 entries stand for sum(s_r 2^(49 r)) G, r < 4, top sign +1:
@@ -109,8 +115,8 @@ class TestCombPrecompute:
         c = curves["secp192r1"]
         G = c.generator()
         with counters.scope() as sc:
-            table = comb_precompute(G)
-        assert (table.w, table.d, table.t) == (4, 49, 196)
+            comb_precompute(G)
+        assert COMB_WIDTH == 4 and comb_digit_count(c.n_bits, 4) == 196
         for idx in range(8):
             m = (1 << 147) + sum((1 if idx >> r & 1 else -1) << 49 * r
                                  for r in range(3))
@@ -135,14 +141,19 @@ class TestCombCache:
         assert sc.counters["point_double"] == 0
         assert sc.counters["comb_cache_hit"] == 1
 
-    def test_hit_table_bit_identical_to_fresh(self, toy):
+    def test_hit_table_bit_identical_to_fresh(self, toy, fresh_rows):
+        # G's rows are the process-wide ones, hit or miss; another base's
+        # are built on its first hit and kept for the later ones
         cache = CombCache()
         G = toy.generator()
         stored = cache.get_or_build(G)
-        fresh = comb_precompute(G)
-        assert (stored.base_id, stored.w, stored.d, stored.t) == \
-            (fresh.base_id, fresh.w, fresh.d, fresh.t)
+        assert stored is not None and stored is comb_precompute(G)
         assert cache.get_or_build(G) is stored
+        P = point_double(G)
+        assert cache.get_or_build(P) is None                    # miss
+        rows = cache.get_or_build(P)                            # first hit
+        assert rows == scalarmult._rows(toy, P.x, P.y)
+        assert cache.get_or_build(P) is rows
 
     def test_lru_eviction_at_six(self, toy):
         cache = CombCache()
@@ -164,10 +175,11 @@ class TestCombCache:
         pts = [G]
         for k in range(2, 7):
             pts.append(scalar_mul_unchecked(k, G))
-        tables = [cache.get_or_build(P) for P in pts]
+        for P in pts:
+            cache.get_or_build(P)
         assert len(cache) == 6
         # 2^(w-1) points of two 32-byte coordinates per table
-        assert sum((1 << t.w - 1) * 2 * 32 for t in tables) <= 4096
+        assert len(cache) * (1 << COMB_WIDTH - 1) * 2 * 32 <= 4096
 
 
 class TestEcsmComb:
@@ -462,8 +474,8 @@ class TestExecutors:
         P = point_double(G)
         cache = CombCache()
         ecsm_comb(1, P, cache)
-        rows = {G: comb_precompute(G).rows,
-                P: cache.get_or_build(P).rows}      # first hit
+        rows = {G: comb_precompute(G),
+                P: cache.get_or_build(P)}           # first hit
         runs = {"fixed": (G, lambda k: scalarmult._fixed_base(
                     toy, rows[G], k)),
                 "rows": (P, lambda k: scalarmult._fixed_base(
@@ -500,7 +512,7 @@ def fresh_rows(monkeypatch, registry):
     generators = {}
     for name in registry.names():
         G = registry.get(name).generator()
-        generators[point_identity(G)] = comb_precompute(G).rows
+        generators[point_identity(G)] = comb_precompute(G)
     monkeypatch.setattr(scalarmult, "_GENERATOR_ROWS", generators)
     monkeypatch.setattr(scalarmult, "_ANCHOR_ROWS", {})
 
@@ -573,7 +585,7 @@ class TestResidentRows:
         ecsm_comb(k, Q, cache)
         ecsm_comb(k, G, cache)
         first = priced(ecsm_comb, k, Q, cache)
-        assert cache.get_or_build(Q).rows is not None
+        assert cache.get_or_build(Q) is not None
         later = priced(ecsm_comb, k, Q, cache)
         on_g = priced(ecsm_comb, k, G, cache)
         assert first[0] == later[0] == scalar_mul_unchecked(k, Q)
@@ -607,27 +619,27 @@ class TestFixedRows:
                                                     monkeypatch):
         monkeypatch.setattr(scalarmult, "_GENERATOR_ROWS", {})
         G = toy.generator()
-        rows = comb_precompute(G).rows
+        rows = comb_precompute(G)
         assert ecsm_comb(5, G) == scalar_mul_unchecked(5, G)
-        assert comb_precompute(G).rows is rows
+        assert comb_precompute(G) is rows
         assert built == [(G.x, G.y)]
 
     def test_lru_anchors_at_capacity_and_g_never_evicted(self, toy, built):
         G = toy.generator()
-        g_rows = comb_precompute(G).rows
+        g_rows = comb_precompute(G)
         anchors = [scalar_mul_unchecked(k, G) for k in range(2, 10)]
         two, three, four, five, six, seven, eight, nine = anchors
         for Q in anchors[:scalarmult.COMB_CACHE_CAPACITY]:
             pin_trust_anchor(Q)
-        assert comb_precompute(two).rows is not None    # used: refreshed
+        assert comb_precompute(two) is not None    # used: refreshed
         pin_trust_anchor(two)                           # resident: no build
         pin_trust_anchor(eight)                         # evicts 3G
         pin_trust_anchor(nine)                          # evicts 4G
         assert list(scalarmult._ANCHOR_ROWS) == [
             point_identity(Q) for Q in (five, six, seven, two, eight, nine)]
-        assert comb_precompute(three).rows is None
+        assert comb_precompute(three) is None
         assert built == [(Q.x, Q.y) for Q in anchors]
-        assert comb_precompute(G).rows is g_rows
+        assert comb_precompute(G) is g_rows
 
     @pytest.mark.parametrize("name", builtin_registry().names())
     def test_pinned_rows_on_edge_scalars(self, registry, name, fresh_rows,
@@ -671,7 +683,7 @@ class TestFixedRows:
                 for _ in range(5):
                     for Q in anchors:
                         pin_trust_anchor(Q)
-                    got.append([comb_precompute(Q).rows for Q in anchors])
+                    got.append([comb_precompute(Q) for Q in anchors])
             except Exception as exc:  # reported below
                 errors.append(exc)
 

@@ -24,3 +24,46 @@ class TestServerHello:
         body = wire.build_server_hello(RANDOM)
         with pytest.raises(wire.WireError):
             wire.parse_server_hello(body + tail)
+
+
+
+def extension(ext_type: int, body: bytes) -> bytes:
+    return ext_type.to_bytes(2, "big") + len(body).to_bytes(2, "big") + body
+
+
+def groups(*codes: int, tail: bytes = b"") -> bytes:
+    """A supported_groups extension listing codes, then tail."""
+    listed = b"".join(code.to_bytes(2, "big") for code in codes)
+    return extension(wire.EXT_SUPPORTED_GROUPS,
+                     len(listed).to_bytes(2, "big") + listed + tail)
+
+
+def client_hello(*extensions: bytes) -> bytes:
+    """A ClientHello body with no cookie, the one suite, null compression
+    and the given extensions."""
+    exts = b"".join(extensions)
+    return (b"\xfe\xfd" + RANDOM + b"\x00" + b"\x00" + b"\x00\x02\xc0\x2b" +
+            b"\x01\x00" + len(exts).to_bytes(2, "big") + exts)
+
+
+class TestClientHello:
+    def test_round_trip(self):
+        body = wire.build_client_hello(RANDOM, b"", 23)
+        assert body.startswith(client_hello()[:-2])
+        hello = wire.parse_client_hello(body)
+        assert (hello.random, hello.cookie, hello.cipher_suites,
+                hello.curve_codes) == (
+            RANDOM, b"", [wire.CIPHER_ECDHE_ECDSA_AES128_GCM_SHA256], [23])
+        assert wire.parse_client_hello(client_hello(groups(23, 24))
+                                       ).curve_codes == [23, 24]
+
+    def test_bytes_after_the_group_list_refused(self):
+        with pytest.raises(wire.WireError):
+            wire.parse_client_hello(client_hello(groups(23, tail=b"\x00\x17")))
+
+    def test_repeated_extension_refused(self):
+        # RFC 5246 7.4.1.4: at most one extension of each type
+        formats = extension(wire.EXT_EC_POINT_FORMATS, b"\x01\x00")
+        for exts in ((groups(23), groups(23)), (formats, groups(23), formats)):
+            with pytest.raises(wire.WireError):
+                wire.parse_client_hello(client_hello(*exts))
