@@ -128,6 +128,8 @@ def parse_client_hello(body: bytes) -> ClientHello:
     r.vector(1)                      # session_id (ignored)
     cookie = r.vector(1)
     suites_raw = r.vector(2)
+    if not suites_raw:  # cipher_suites<2..2^16-2> (RFC 5246 7.4.1.2)
+        raise WireError("empty cipher_suites list")
     if len(suites_raw) % 2:
         raise WireError("odd cipher_suites length")
     suites = [int.from_bytes(suites_raw[i:i + 2], "big")
@@ -149,6 +151,9 @@ def parse_client_hello(body: bytes) -> ClientHello:
             if ext_type == EXT_SUPPORTED_GROUPS:
                 groups = _Reader(ext_body.vector(2))
                 ext_body.expect_done()
+                # elliptic_curve_list<1..2^16-1> (RFC 4492 5.1.1)
+                if groups.done():
+                    raise WireError("empty supported_groups list")
                 while not groups.done():
                     curve_codes.append(groups.int_(2))
     return ClientHello(random, cookie, suites, curve_codes)

@@ -1,11 +1,12 @@
+import hashlib
 import random
 
 import pytest
 
 from ecdtls import counters
-from ecdtls.aesgcm import (_RCON, _SBOX, _XTIME, AeadError, AeadKey, Aes128,
-                           AuthenticationError, GcmContext, _GhashKey,
-                           aes_gcm_open, aes_gcm_seal)
+from ecdtls.aesgcm import (_RCON, _SBOX, _SLICED_MIN_BLOCKS, _XTIME,
+                           AeadError, AeadKey, Aes128, AuthenticationError,
+                           GcmContext, _GhashKey, aes_gcm_open, aes_gcm_seal)
 
 # McGrew-Viega AES-128-GCM test cases (SP 800-38D validation set)
 GCM_K3 = bytes.fromhex("feffe9928665731c6d6a8f9467308308")
@@ -203,6 +204,32 @@ class TestKernelsAgainstOracles:
             aes.encrypt_int(0)
         assert not sc.counters
 
+    @pytest.mark.parametrize("low", [0x00000002, 0xFFFFFFFA])
+    @pytest.mark.parametrize("blocks", [7, 8, 9, 1025])
+    def test_sliced_keystream_matches_bytewise_rounds(self, blocks, low):
+        # low = 0xFFFFFFFA wraps the 32-bit counter inside the run (inc32)
+        key = bytes(range(0x40, 0x50))
+        prefix = int.from_bytes(GCM_IV3, "big") << 32
+        want = b"".join(
+            bytewise_encrypt_block(
+                key, (prefix | (low + i) & 0xFFFFFFFF).to_bytes(16, "big"))
+            for i in range(1, blocks + 1))
+        assert Aes128(key).sliced_keystream(prefix | low, blocks) == want
+
+    def test_ctr_takes_the_sliced_path_from_the_threshold(self, monkeypatch):
+        calls = []
+        sliced = Aes128.sliced_keystream
+
+        def spy(aes, j0, blocks):
+            calls.append(blocks)
+            return sliced(aes, j0, blocks)
+
+        monkeypatch.setattr(Aes128, "sliced_keystream", spy)
+        ctx = GcmContext(GCM_K3)
+        for blocks in (1, _SLICED_MIN_BLOCKS - 1, _SLICED_MIN_BLOCKS, 1025):
+            ctx.seal(GCM_IV3, b"", bytes(16 * blocks))
+        assert calls == [_SLICED_MIN_BLOCKS, 1025]
+
     def test_ghash_mul_matches_bit_serial(self):
         rng = random.Random(0x6C)
         edges = [0, 1, 1 << 127, (1 << 128) - 1]
@@ -211,6 +238,37 @@ class TestKernelsAgainstOracles:
             gh = _GhashKey(h)
             for y in edges + [rng.getrandbits(128) for _ in range(16)]:
                 assert gh.mul(y) == bit_serial_gf_mul(h, y)
+
+
+# (plaintext length, AAD length) -> SHA-256 of the sealed output under key
+# 000102...0f and nonce GCM_IV3, with plaintext byte i = 7i mod 256 and the
+# AAD bytes d0 d1 ... dc.  Computed once, offline, with the `cryptography`
+# package's AESGCM.  112 B is 7 CTR blocks, below _SLICED_MIN_BLOCKS (8);
+# 113 and 128 B are 8 blocks, 129 B is 9 and 16384 B is 1024.
+SEAL_SHA256 = {
+    (0, 0): "bc182de37d27c4aaab5c70d1b402fa85c25799a696644d8c8d2a4543b8209f7b",
+    (0, 13): "4b03fadd77ed5c06f7b7720acbdb866a571cbe568c7c866d75c6572da823a84a",
+    (112, 0): "806fcab4939c4c4f84ce8a51bc423ae0841f29bf177f9abab261584f4d0b3bac",
+    (112, 13): "4576b330e14ddc5c118b41b040bc0f48666e6f258ee251e8a1599e6a5e6b9d21",
+    (113, 0): "720787ac1dd47c0cb843c8ac2ecc05ab214a4609590a23f8fd6f761c92a53a8c",
+    (113, 13): "999392d1dc4d095fc4032b0b30b25c6a7af79cc41f049e32ed0c891538855554",
+    (128, 0): "fa3eb6cba8ad3e6fd32982488c858839197670991f6c7c31f7680a7092f8a1f1",
+    (128, 13): "e894e96f0eb6928271acda123d62e932e6967d7af3620478688e7df852467261",
+    (129, 0): "b5996a89217c958c2d571aabb72ef50a2b990e31bf9d916bc82e002f27832498",
+    (129, 13): "ee826a8fc28e48257e438ccf99b4e9fe0bbe66d2966d43a57fd75eaf7015f347",
+    (16384, 0): "414a55a392513bb64d17d4f2c8a4fcbfcd6ef4988aa8d90cbebc69bc2b2797e3",
+    (16384, 13): "0a5e614e8ccafe9e8bc9ec9e6bad7540f575846638edcfd895880d8acf4de0ce",
+}
+
+
+@pytest.mark.parametrize("n,aad_len", sorted(SEAL_SHA256))
+def test_seal_known_answers_across_the_sliced_threshold(n, aad_len):
+    ctx = GcmContext(bytes(range(16)))
+    pt = bytes(i * 7 & 0xFF for i in range(n))
+    aad = bytes(range(0xD0, 0xD0 + aad_len))
+    sealed = ctx.seal(GCM_IV3, aad, pt)
+    assert hashlib.sha256(sealed).hexdigest() == SEAL_SHA256[(n, aad_len)]
+    assert ctx.open(GCM_IV3, aad, sealed) == pt
 
 
 # (plaintext length, AAD length) -> counter items of seal, then of open, in

@@ -38,11 +38,12 @@ def groups(*codes: int, tail: bytes = b"") -> bytes:
                      len(listed).to_bytes(2, "big") + listed + tail)
 
 
-def client_hello(*extensions: bytes) -> bytes:
-    """A ClientHello body with no cookie, the one suite, null compression
-    and the given extensions."""
+def client_hello(*extensions: bytes, suites: bytes = b"\xc0\x2b") -> bytes:
+    """A ClientHello body with no cookie, the given suites (by default the
+    one this library offers), null compression and the given extensions."""
     exts = b"".join(extensions)
-    return (b"\xfe\xfd" + RANDOM + b"\x00" + b"\x00" + b"\x00\x02\xc0\x2b" +
+    return (b"\xfe\xfd" + RANDOM + b"\x00" + b"\x00" +
+            len(suites).to_bytes(2, "big") + suites +
             b"\x01\x00" + len(exts).to_bytes(2, "big") + exts)
 
 
@@ -60,6 +61,18 @@ class TestClientHello:
     def test_bytes_after_the_group_list_refused(self):
         with pytest.raises(wire.WireError):
             wire.parse_client_hello(client_hello(groups(23, tail=b"\x00\x17")))
+
+    def test_empty_cipher_suites_refused(self):
+        # cipher_suites<2..2^16-2> (RFC 5246 7.4.1.2)
+        with pytest.raises(wire.WireError, match="empty cipher_suites"):
+            wire.parse_client_hello(client_hello(groups(23), suites=b""))
+
+    def test_empty_group_list_refused(self):
+        # elliptic_curve_list<1..2^16-1> (RFC 4492 5.1.1); leaving the
+        # extension out altogether is still allowed
+        with pytest.raises(wire.WireError, match="empty supported_groups"):
+            wire.parse_client_hello(client_hello(groups()))
+        assert wire.parse_client_hello(client_hello()).curve_codes == []
 
     def test_repeated_extension_refused(self):
         # RFC 5246 7.4.1.4: at most one extension of each type
