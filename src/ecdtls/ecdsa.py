@@ -1,7 +1,7 @@
 """ECDSA (X9.62 semantics, SHA-256 digests) over any registered curve.
 
-Nonces come either from a session DRBG (protocol mode) or from the RFC 6979
-HMAC construction (deterministic mode, used for reproducible fixtures).
+Nonces come from a session DRBG when one is given, and otherwise from the
+RFC 6979 HMAC construction (reproducible fixtures and test vectors).
 Verification prices two comb multiplications through the shared table cache.
 """
 
@@ -139,11 +139,9 @@ def rfc6979_nonce(d: int, digest: bytes, curve: CurveParams,
 
 
 def ecdsa_sign(key: KeyPair, digest: bytes, drbg: Optional[HmacDrbg] = None,
-               deterministic: bool = False,
                cache: Optional[CombCache] = None) -> EcdsaSignature:
-    """Sign a digest; retries on the degenerate r = 0 / s = 0 cases."""
-    if drbg is None and not deterministic:
-        raise SignatureError("need a DRBG or deterministic mode")
+    """Sign a digest, with RFC 6979 nonces when no DRBG is given; retries on
+    the degenerate r = 0 / s = 0 cases."""
     counters.record("ecdsa_sign")
     curve = key.curve
     n = curve.n
@@ -151,7 +149,7 @@ def ecdsa_sign(key: KeyPair, digest: bytes, drbg: Optional[HmacDrbg] = None,
     z = digest_to_scalar(digest, curve)
     G = curve.generator()
     for attempt in range(MAX_SIGN_RETRIES):
-        if deterministic:
+        if drbg is None:
             k = rfc6979_nonce(key.d, digest, curve, retry=attempt)
         else:
             k = _scalar_from_drbg(curve, drbg)

@@ -3,13 +3,20 @@
 Between step calls a session rests in a `State`.  `_FLIGHTS` maps each
 (role, resting state) to the flight awaited there (RFC 6347 §4.2.4 flights):
 the handler that consumes it and sends the reply, the number of inbound
-records in it, and the state reached when the handler returns.  A step runs
-the handler and sets the state once, afterwards.  A handler that runs out of
-datagrams leaves the state where it was, as does the server answering a bad
-cookie with a fresh HelloVerifyRequest; a protocol error moves the session to
-FAILED, zeroizes any derived keys and answers with a fatal alert (a fatal
-alert from the peer does the same, unanswered).  Nothing retransmits yet, so
-a lost record stalls the handshake without failing it.
+records in it, and the state reached when the handler returns.  The session
+owns the flight boundary: a step adds its datagrams to an inbox kept across
+steps, and runs the handler only once the inbox holds the whole flight or an
+alert; what the handler leaves unread waits for the next flight.  Handlers
+read every message through `_read`, which frames it, checks its type and
+parses it, so a malformed message aborts in one place.  The state is set
+once, after the handler returns.  A handler that runs out of records (some
+were dropped) leaves the state where it was, as does the server answering a
+bad cookie with a fresh HelloVerifyRequest; a protocol error moves the
+session to FAILED, zeroizes any derived keys and answers with a fatal alert
+(a fatal alert from the peer does the same, unanswered).  Nothing
+retransmits yet, so a lost record stalls the handshake without failing it.
+Each datagram is taken as one whole record: packed datagrams, fragments and
+`message_seq` are not read yet.
 
 The fixed suite is ECDHE-ECDSA with AES-128-GCM and SHA-256 transcripts.
 A session pins its trust anchor's key in `scalarmult` when it is
@@ -28,7 +35,7 @@ from __future__ import annotations
 import enum
 import os
 import time
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import counters, wire
 from .aesgcm import AeadKey
@@ -154,6 +161,7 @@ class HandshakeSession:
         self.state = State.INIT
         self.failure_reason: Optional[str] = None
         self.records = RecordLayer()
+        self._inbox: List[bytes] = []  # datagrams not read yet
         self.transcript = Sha256()
         self._recorder = counters.Recorder(label="%s-session" % self.role)
         self._next_send_seq = 0
@@ -189,20 +197,13 @@ class HandshakeSession:
     def failed(self) -> bool:
         return self.state is State.FAILED
 
-    @property
-    def awaited_records(self) -> int:
-        """Inbound records in the flight the next step consumes; 0 when that
-        step only sends, and once the handshake has ended."""
-        flight = _FLIGHTS.get((self.role, self.state))
-        return flight.records if flight is not None else 0
-
     # -- record intake ---------------------------------------------------------
 
-    def _pull(self, pending: List[bytes]) -> Tuple[str, bytes]:
-        """Decode datagrams until one yields a record; drops and unknown
-        content types are skipped silently."""
-        while pending:
-            outcome, ctype, payload = self.records.decode(pending.pop(0))
+    def _pull(self) -> Tuple[str, bytes]:
+        """Decode inbox datagrams until one yields a record; drops and
+        unknown content types are skipped silently."""
+        while self._inbox:
+            outcome, ctype, payload = self.records.decode(self._inbox.pop(0))
             kind = _RECORD_KINDS.get(ctype) if outcome == DROP_OK else None
             if kind == "alert":
                 raise _Abort("peer sent a fatal alert", send_alert=False)
@@ -210,19 +211,32 @@ class HandshakeSession:
                 return kind, payload
         raise _Stay()
 
-    def _expect_handshake(self, pending: List[bytes],
-                          expected_type: int) -> Tuple[bytes, bytes]:
-        kind, payload = self._pull(pending)
+    def _read(self, msg_type: int, parse: Callable[[bytes], Any] = bytes
+              ) -> Tuple[bytes, Any]:
+        """The next record, which must be a handshake message of msg_type:
+        its raw bytes and its body run through parse.  Every malformed
+        message aborts here."""
+        kind, raw = self._pull()
         if kind != "handshake":
             raise _Abort("unexpected %s record mid-flight" % kind)
         try:
-            msg_type, _seq, body = wire.parse_handshake(payload)
+            got, _seq, body = wire.parse_handshake(raw)
         except wire.WireError as exc:
             raise _Abort("bad handshake framing: %s" % exc) from None
-        if msg_type != expected_type:
+        if got != msg_type:
             raise _Abort("expected handshake type %d, got %d"
-                         % (expected_type, msg_type))
-        return payload, body
+                         % (msg_type, got))
+        try:
+            return raw, parse(body)
+        except (wire.WireError, SignatureError) as exc:
+            raise _Abort(str(exc)) from None
+
+    def _read_hashed(self, msg_type: int,
+                     parse: Callable[[bytes], Any] = bytes) -> Any:
+        """`_read`, then the raw message into the transcript."""
+        raw, msg = self._read(msg_type, parse)
+        self.transcript.update(raw)
+        return msg
 
     # -- transcript and messages ------------------------------------------------
 
@@ -271,16 +285,14 @@ class HandshakeSession:
         verify_data = self._verify_data(label, self.transcript.copy().digest())
         return [ccs, self._send_handshake(wire.HT_FINISHED, verify_data)]
 
-    def _read_peer_finished(self, pending: List[bytes], read_key: AeadKey,
-                            label: bytes) -> None:
+    def _read_peer_finished(self, read_key: AeadKey, label: bytes) -> None:
         """The peer's ChangeCipherSpec, then its Finished under the new read
         epoch, checked against the transcript so far."""
-        kind, _payload = self._pull(pending)
-        if kind != "ccs":
+        if self._pull() != ("ccs", b"\x01"):  # RFC 5246 §7.1
             raise _Abort("expected ChangeCipherSpec before %s"
                          % label.decode())
         self.records.start_read_epoch(read_key)
-        raw, body = self._expect_handshake(pending, wire.HT_FINISHED)
+        raw, body = self._read(wire.HT_FINISHED)
         if body != self._verify_data(label, self.transcript.copy().digest()):
             raise _Abort("%s verification failed" % label.decode())
         self.transcript.update(raw)
@@ -301,9 +313,13 @@ class HandshakeSession:
         flight = _FLIGHTS.get((self.role, self.state))
         if flight is None:  # ESTABLISHED or FAILED
             return []
+        self._inbox.extend(datagrams)
+        if len(self._inbox) < flight.records and \
+                CONTENT_ALERT not in (d[0] for d in self._inbox if d):
+            return []  # wait for the rest of the flight
         with self._recorder:
             try:
-                out = flight.handler(self, list(datagrams))
+                out = flight.handler(self)
                 self.state = flight.reached
                 if self.established:
                     self.handshake_counters = self._recorder.counters.copy()
@@ -347,59 +363,45 @@ class HandshakeSession:
 
     # -- client flights -------------------------------------------------------
 
-    def _send_client_hello(self, pending: List[bytes]) -> List[bytes]:
+    def _send_client_hello(self) -> List[bytes]:
         self.client_random = self.drbg.generate(32)
         hello = wire.build_client_hello(
             self.client_random, b"", self.config.curve.tls_code)
         return [self._send_handshake(wire.HT_CLIENT_HELLO, hello,
                                      in_transcript=False)]
 
-    def _on_hello_verify_request(self, pending: List[bytes]) -> List[bytes]:
-        _, body = self._expect_handshake(pending, wire.HT_HELLO_VERIFY_REQUEST)
-        try:
-            cookie = wire.parse_hello_verify_request(body)
-        except wire.WireError as exc:
-            raise _Abort(str(exc)) from None
+    def _on_hello_verify_request(self) -> List[bytes]:
+        _, cookie = self._read(wire.HT_HELLO_VERIFY_REQUEST,
+                               wire.parse_hello_verify_request)
         hello = wire.build_client_hello(
             self.client_random, cookie, self.config.curve.tls_code)
         return [self._send_handshake(wire.HT_CLIENT_HELLO, hello)]
 
-    def _on_server_flight(self, pending: List[bytes]) -> List[bytes]:
-        flight = {}
-        for expected in (wire.HT_SERVER_HELLO, wire.HT_CERTIFICATE,
-                         wire.HT_SERVER_KEY_EXCHANGE,
-                         wire.HT_CERTIFICATE_REQUEST,
-                         wire.HT_SERVER_HELLO_DONE):
-            raw, body = self._expect_handshake(pending, expected)
-            self.transcript.update(raw)
-            flight[expected] = body
-
-        try:
-            sh = wire.parse_server_hello(flight[wire.HT_SERVER_HELLO])
-            cert_ders = wire.parse_certificate(flight[wire.HT_CERTIFICATE])
-            ske = wire.parse_server_key_exchange(
-                flight[wire.HT_SERVER_KEY_EXCHANGE])
-            wire.parse_certificate_request(flight[wire.HT_CERTIFICATE_REQUEST])
-        except wire.WireError as exc:
-            raise _Abort(str(exc)) from None
+    def _on_server_flight(self) -> List[bytes]:
+        sh = self._read_hashed(wire.HT_SERVER_HELLO, wire.parse_server_hello)
+        cert_ders = self._read_hashed(wire.HT_CERTIFICATE,
+                                      wire.parse_certificate)
+        ske = self._read_hashed(wire.HT_SERVER_KEY_EXCHANGE,
+                                wire.parse_server_key_exchange)
+        self._read_hashed(wire.HT_CERTIFICATE_REQUEST,
+                          wire.parse_certificate_request)
+        if self._read_hashed(wire.HT_SERVER_HELLO_DONE) != b"":
+            raise _Abort("non-empty ServerHelloDone")
         if sh.cipher_suite != wire.CIPHER_ECDHE_ECDSA_AES128_GCM_SHA256:
             raise _Abort("server chose an unknown cipher suite")
         self.server_random = sh.random
-        if flight[wire.HT_SERVER_HELLO_DONE] != b"":
-            raise _Abort("non-empty ServerHelloDone")
         if len(cert_ders) != 1:
             raise _Abort("expected exactly the server leaf certificate")
-        entry = None
+        cert = None
         if self.config.mode == MODE_CACHED:
-            entry = self.cert_cache.check(cert_ders[0], self.ca_key,
-                                          int(self.config.clock()))
-        if entry is not None:
-            self._check_peer_identity(entry.public_key, entry.subject_cn)
-            self.peer_key = entry.public_key
+            cert = self.cert_cache.check(cert_ders[0], self.ca_key,
+                                         int(self.config.clock()))
+        if cert is not None:
+            self._check_peer_identity(cert.public_key, cert.subject_cn)
         else:
             cert = self._verify_peer_certificate(cert_ders[0])
             self.cert_cache.insert(cert, self.ca_key)
-            self.peer_key = cert.public_key
+        self.peer_key = cert.public_key
 
         if ske.curve_code != self.config.curve.tls_code:
             raise _Abort("server negotiated a different curve")
@@ -439,20 +441,14 @@ class HandshakeSession:
         return out + self._change_cipher_and_finish(self._client_write_key(),
                                                     b"client finished")
 
-    def _on_server_finished(self, pending: List[bytes]) -> List[bytes]:
-        self._read_peer_finished(pending, self._server_write_key(),
-                                 b"server finished")
+    def _on_server_finished(self) -> List[bytes]:
+        self._read_peer_finished(self._server_write_key(), b"server finished")
         return []
 
     # -- server flights -------------------------------------------------------
 
-    def _read_client_hello(self, pending: List[bytes]
-                           ) -> Tuple[bytes, wire.ClientHello]:
-        raw, body = self._expect_handshake(pending, wire.HT_CLIENT_HELLO)
-        try:
-            hello = wire.parse_client_hello(body)
-        except wire.WireError as exc:
-            raise _Abort(str(exc)) from None
+    def _read_client_hello(self) -> Tuple[bytes, wire.ClientHello]:
+        raw, hello = self._read(wire.HT_CLIENT_HELLO, wire.parse_client_hello)
         if wire.CIPHER_ECDHE_ECDSA_AES128_GCM_SHA256 not in hello.cipher_suites:
             raise _Abort("client does not offer our cipher suite")
         if self.config.curve.tls_code not in hello.curve_codes:
@@ -464,12 +460,12 @@ class HandshakeSession:
                                     wire.build_hello_verify_request(cookie),
                                     in_transcript=False)
 
-    def _on_client_hello(self, pending: List[bytes]) -> List[bytes]:
-        _, hello = self._read_client_hello(pending)
+    def _on_client_hello(self) -> List[bytes]:
+        _, hello = self._read_client_hello()
         return [self._hello_verify_request(self._cookie_for(hello.random))]
 
-    def _on_cookie_hello(self, pending: List[bytes]) -> List[bytes]:
-        raw, hello = self._read_client_hello(pending)
+    def _on_cookie_hello(self) -> List[bytes]:
+        raw, hello = self._read_client_hello()
         cookie = self._cookie_for(hello.random)
         if hello.cookie != cookie:
             raise _Stay([self._hello_verify_request(cookie)])
@@ -498,39 +494,31 @@ class HandshakeSession:
         out.append(self._send_handshake(wire.HT_SERVER_HELLO_DONE, b""))
         return out
 
-    def _on_client_flight(self, pending: List[bytes]) -> List[bytes]:
-        raw, body = self._expect_handshake(pending, wire.HT_CERTIFICATE)
-        self.transcript.update(raw)
-        try:
-            cert_ders = wire.parse_certificate(body)
-        except wire.WireError as exc:
-            raise _Abort(str(exc)) from None
+    def _on_client_flight(self) -> List[bytes]:
+        cert_ders = self._read_hashed(wire.HT_CERTIFICATE,
+                                      wire.parse_certificate)
         if len(cert_ders) != 1:
             raise _Abort("expected exactly the client leaf certificate")
         self.peer_key = self._verify_peer_certificate(cert_ders[0]).public_key
 
-        raw, body = self._expect_handshake(pending, wire.HT_CLIENT_KEY_EXCHANGE)
-        self.transcript.update(raw)
+        point = self._read_hashed(wire.HT_CLIENT_KEY_EXCHANGE,
+                                  wire.parse_client_key_exchange)
         try:
-            point = wire.parse_client_key_exchange(body)
             self.peer_eph = AffinePoint.decode(point, self.config.curve)
             shared = ecdhe_shared(self.eph_key, self.peer_eph, self.comb_cache)
-        except (wire.WireError, CurveError, KeyAgreementError) as exc:
+        except (CurveError, KeyAgreementError) as exc:
             raise _Abort("key agreement failed: %s" % exc) from None
         cv_digest = self.transcript.copy().digest()
         self._derive_keys(shared)
 
-        raw, body = self._expect_handshake(pending, wire.HT_CERTIFICATE_VERIFY)
-        try:
-            sig = EcdsaSignature.from_der(wire.parse_certificate_verify(body))
-        except (wire.WireError, SignatureError) as exc:
-            raise _Abort("bad CertificateVerify: %s" % exc) from None
+        raw, sig = self._read(wire.HT_CERTIFICATE_VERIFY,
+                              lambda body: EcdsaSignature.from_der(
+                                  wire.parse_certificate_verify(body)))
         if not ecdsa_verify(self.peer_key, cv_digest, sig, self.comb_cache):
             raise _Abort("CertificateVerify signature invalid")
         self.transcript.update(raw)
 
-        self._read_peer_finished(pending, self._client_write_key(),
-                                 b"client finished")
+        self._read_peer_finished(self._client_write_key(), b"client finished")
         return self._change_cipher_and_finish(self._server_write_key(),
                                               b"server finished")
 
@@ -571,8 +559,8 @@ class HandshakeSession:
 
 
 class _Flight(NamedTuple):
-    handler: Callable[[HandshakeSession, List[bytes]], List[bytes]]
-    records: int    # inbound records in the awaited flight
+    handler: Callable[[HandshakeSession], List[bytes]]
+    records: int    # inbound records (one per datagram) in the flight
     reached: State  # resting state once the handler returns
 
 

@@ -1,10 +1,11 @@
 """Transport bindings: an in-memory loopback driver and a UDP endpoint.
 
 Loopback runs both state machines in one thread of control, stepping them
-alternately; an optional interceptor sees every flight and may tamper with
-or drop datagrams (the adversarial-harness hook).  The UDP driver blocks for
-as many datagrams as the session's flight table says its next flight holds
-(`HandshakeSession.awaited_records`), one record per datagram.
+alternately and handing each the peer's whole last flight; an optional
+interceptor sees every flight and may tamper with or drop datagrams (the
+adversarial-harness hook).  The UDP driver steps its session once per
+datagram received: the session buffers a flight until it is whole, so
+neither driver counts records.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from .handshake import HandshakeSession
 Interceptor = Callable[[str, List[bytes]], List[bytes]]
 
 MAX_LOOPBACK_ITERATIONS = 16
+MAX_UDP_DATAGRAMS = 16  # a handshake reads 8 at most; the rest is for strays
 
 
 class LoopbackResult:
@@ -96,15 +98,12 @@ class UdpEndpoint:
         for d in datagrams:
             self.sock.sendto(d, self.peer_addr)
 
-    def receive(self, expected: int = 1) -> List[bytes]:
-        """Block until a whole flight (expected datagrams) has arrived."""
-        out: List[bytes] = []
-        while len(out) < expected:
-            data, addr = self.sock.recvfrom(65535)
-            if self.peer_addr is None:
-                self.peer_addr = addr
-            out.append(data)
-        return out
+    def receive(self) -> bytes:
+        """Block for the next datagram."""
+        data, addr = self.sock.recvfrom(65535)
+        if self.peer_addr is None:
+            self.peer_addr = addr
+        return data
 
     def close(self) -> None:
         self.sock.close()
@@ -112,13 +111,13 @@ class UdpEndpoint:
 
 def run_udp_handshake(session: HandshakeSession,
                       endpoint: UdpEndpoint) -> bool:
-    """Drive one role of the handshake over UDP until it terminates."""
+    """Drive one role of the handshake over UDP until it terminates, or
+    until it has read MAX_UDP_DATAGRAMS datagrams."""
     step = session.client_step if session.role == "client" else \
         session.server_step
-    for _ in range(MAX_LOOPBACK_ITERATIONS):
+    endpoint.send(step([]))
+    for _ in range(MAX_UDP_DATAGRAMS):
         if session.established or session.failed:
             break
-        out = step(endpoint.receive(session.awaited_records))
-        if out:
-            endpoint.send(out)
+        endpoint.send(step([endpoint.receive()]))
     return session.established

@@ -125,7 +125,8 @@ def parse_client_hello(body: bytes) -> ClientHello:
     if r.take(2) != b"\xfe\xfd":
         raise WireError("unsupported client_version")
     random = r.take(32)
-    r.vector(1)                      # session_id (ignored)
+    if len(r.vector(1)) > 32:  # SessionID<0..32> (RFC 5246 7.4.1.2)
+        raise WireError("session_id longer than 32 bytes")
     cookie = r.vector(1)
     suites_raw = r.vector(2)
     if not suites_raw:  # cipher_suites<2..2^16-2> (RFC 5246 7.4.1.2)
@@ -190,7 +191,8 @@ def parse_server_hello(body: bytes) -> ServerHello:
     if r.take(2) != b"\xfe\xfd":
         raise WireError("unsupported server_version")
     random = r.take(32)
-    r.vector(1)
+    if len(r.vector(1)) > 32:  # SessionID<0..32> (RFC 5246 7.4.1.2)
+        raise WireError("session_id longer than 32 bytes")
     suite = r.int_(2)
     if r.int_(1) != COMPRESSION_NULL:
         raise WireError("unexpected compression method")

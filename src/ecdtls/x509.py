@@ -220,20 +220,9 @@ def x509_verify(cert: Certificate, issuer_key: AffinePoint, now: int,
 
 
 # ---------------------------------------------------------------------------
-# Certificate cache ((trust anchor, fingerprint) -> verified subject key)
+# Certificate cache ((trust anchor, fingerprint) -> verified certificate)
 
 CERT_CACHE_CAPACITY = 4
-
-
-class CertCacheEntry:
-    __slots__ = ("subject_cn", "public_key", "not_before", "not_after")
-
-    def __init__(self, subject_cn: Optional[str], public_key: AffinePoint,
-                 not_before: int, not_after: int):
-        self.subject_cn = subject_cn
-        self.public_key = public_key
-        self.not_before = not_before
-        self.not_after = not_after
 
 
 class CertCache:
@@ -242,15 +231,15 @@ class CertCache:
     what the full path would reject under the same anchor and clock."""
 
     def __init__(self):
-        self._entries: Dict[bytes, CertCacheEntry] = {}
+        self._entries: Dict[bytes, Certificate] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def check(self, der: bytes, anchor: AffinePoint,
-              now: int) -> Optional[CertCacheEntry]:
-        """A hit returns the stored key with no parsing or signature check.
-        An entry outside its validity window at now counts as a miss."""
+              now: int) -> Optional[Certificate]:
+        """A hit returns the stored certificate with no parse or signature
+        check.  An entry outside its validity window at now is a miss."""
         key = anchor.encode() + sha256(der)
         entry = self._entries.get(key)
         if entry is None or not entry.not_before <= now <= entry.not_after:
@@ -265,8 +254,7 @@ class CertCache:
         """Remember cert as verified under the trust anchor's key."""
         key = anchor.encode() + cert.fingerprint()
         self._entries.pop(key, None)
-        self._entries[key] = CertCacheEntry(cert.subject_cn, cert.public_key,
-                                            cert.not_before, cert.not_after)
+        self._entries[key] = cert
         while len(self._entries) > CERT_CACHE_CAPACITY:
             del self._entries[next(iter(self._entries))]
 
@@ -310,6 +298,6 @@ def make_certificate(subject_cn: str, issuer_cn: str, serial: int,
         tbs_fields.append(der_tlv(TAG_CTX3, der_tlv(TAG_SEQUENCE, ext)))
     tbs = der_tlv(TAG_SEQUENCE, b"".join(tbs_fields))
     digest = sha256(tbs)
-    signature = ecdsa_sign(issuer_keypair, digest, deterministic=True)
+    signature = ecdsa_sign(issuer_keypair, digest)  # RFC 6979 nonce
     sig_bits = der_tlv(TAG_BIT_STRING, b"\x00" + signature.to_der())
     return der_tlv(TAG_SEQUENCE, tbs + sig_alg + sig_bits)

@@ -48,14 +48,14 @@ class TestRfc6979Deterministic:
         assert digest == hashlib.sha256(msg).digest()
         assert rfc6979_nonce(RFC6979_KEY, digest, c) == vec["k"]
         key = KeyPair(RFC6979_KEY, c)
-        sig = ecdsa_sign(key, digest, deterministic=True)
+        sig = ecdsa_sign(key, digest)
         assert (sig.r, sig.s) == (vec["r"], vec["s"])
 
     def test_deterministic_signatures_repeat(self, curves):
         key = KeyPair(1234567, curves["secp224r1"])
         digest = sha256(b"fixed message")
-        a = ecdsa_sign(key, digest, deterministic=True)
-        b = ecdsa_sign(key, digest, deterministic=True)
+        a = ecdsa_sign(key, digest)
+        b = ecdsa_sign(key, digest)
         assert a == b
 
 

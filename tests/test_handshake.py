@@ -4,7 +4,8 @@ from ecdtls import wire
 from ecdtls.credentials import NOT_AFTER, generate_pki
 from ecdtls.handshake import (MODE_CACHED, MODE_FULL, HandshakeError,
                               HandshakeSession, SessionConfig, State)
-from ecdtls.record import CONTENT_HANDSHAKE
+from ecdtls.record import (CONTENT_ALERT, CONTENT_CCS, CONTENT_HANDSHAKE,
+                           RecordHeader)
 from ecdtls.transport import run_loopback
 from ecdtls.x509 import CertCache
 
@@ -276,6 +277,18 @@ class TestTampering:
             assert end.failed and end.security.cleared
             assert bytes(end.security.master_secret) == b"\x00" * 48
 
+    def test_change_cipher_spec_body_must_be_one(self, toy, toy_pki):
+        # RFC 5246 §7.1: the ChangeCipherSpec body is the single byte 1
+        def interceptor(sender, datagrams):
+            return [d[:11] + b"\x00\x03\x07\x07\x07"
+                    if d[0] == CONTENT_CCS else d for d in datagrams]
+
+        client, server = make_pair(toy, toy_pki)
+        result = run_loopback(client, server, interceptor=interceptor)
+        assert not result.established
+        assert server.failure_reason == \
+            "expected ChangeCipherSpec before client finished"
+
     def test_truncated_datagram_just_stalls_or_fails(self, toy, toy_pki):
         def interceptor(sender, datagrams):
             return [d[:10] for d in datagrams] if sender == "server" else datagrams
@@ -287,13 +300,14 @@ class TestTampering:
 
 class TestStateMachine:
     def test_flight_table_drives_loopback(self, toy, toy_pki):
+        # each step sees the resting state it leaves and the peer's whole
+        # last flight, one record per datagram
         client, server = make_pair(toy, toy_pki)
         steps = {"client": [], "server": []}
 
         def recording(session, step):
             def wrapped(datagrams):
-                steps[session.role].append(
-                    (session.state, session.awaited_records, len(datagrams)))
+                steps[session.role].append((session.state, len(datagrams)))
                 return step(datagrams)
             return wrapped
 
@@ -301,18 +315,44 @@ class TestStateMachine:
         server.server_step = recording(server, server.server_step)
         assert run_loopback(client, server).established
 
-        expected = {
-            "client": [State.INIT, State.HELLO_SENT, State.COOKIE_WAIT,
-                       State.FINISHED_WAIT, State.ESTABLISHED],
-            "server": [State.INIT, State.COOKIE_WAIT, State.HELLO_EXCHANGED,
-                       State.ESTABLISHED],
+        assert steps == {
+            "client": [(State.INIT, 0), (State.HELLO_SENT, 1),
+                       (State.COOKIE_WAIT, 5), (State.FINISHED_WAIT, 2)],
+            "server": [(State.INIT, 1), (State.COOKIE_WAIT, 1),
+                       (State.HELLO_EXCHANGED, 5)],
         }
-        for session in (client, server):
-            seen = steps[session.role]
-            assert [s for s, _, _ in seen] + [session.state] == \
-                expected[session.role]
-            assert [awaited for _, awaited, _ in seen] == \
-                [delivered for _, _, delivered in seen]
+
+    def test_flights_split_one_datagram_per_step_establish(self, curves,
+                                                           p160_pki):
+        # a flight is one unit (RFC 6347 §4.2.4): each end buffers the
+        # datagrams of a flight across steps until it is whole
+        client, server = make_pair(curves["secp160r1"], p160_pki)
+        steps = {"client": client.client_step, "server": server.server_step}
+        peer = {"client": "server", "server": "client"}
+        queue = [("server", d) for d in client.client_step([])]
+        delivered = {"client": 0, "server": 0}
+        while queue:
+            role, datagram = queue.pop(0)
+            delivered[role] += 1
+            queue += [(peer[role], d) for d in steps[role]([datagram])]
+        assert client.established and server.established
+        assert delivered == {"client": 8, "server": 7}
+        assert bytes(client.security.master_secret) == \
+            bytes(server.security.master_secret)
+        assert client.transcript.digest() == server.transcript.digest()
+
+    def test_off_path_alert_ends_a_waiting_session(self, toy, toy_pki):
+        client, server = make_pair(toy, toy_pki)
+        hello_verify = server.server_step(client.client_step([]))
+        flight = server.server_step(client.client_step(hello_verify))
+        assert len(flight) == 5
+        assert client.client_step(flight[:2]) == []  # waits for the rest
+        assert client.state is State.COOKIE_WAIT
+        forged = RecordHeader(CONTENT_ALERT, 0, 1 << 20, 2).pack() + \
+            bytes([2, 40])
+        assert client.client_step([forged]) == []  # an alert gets no answer
+        assert client.failed
+        assert client.failure_reason == "peer sent a fatal alert"
 
     def test_steps_after_terminal_state_are_noops(self, toy, toy_pki):
         client, server = make_pair(toy, toy_pki)

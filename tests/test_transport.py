@@ -3,8 +3,9 @@ import threading
 import pytest
 
 from ecdtls.credentials import generate_pki
-from ecdtls.handshake import HandshakeSession, SessionConfig
-from ecdtls.transport import UdpEndpoint, run_loopback, run_udp_handshake
+from ecdtls.handshake import HandshakeSession, SessionConfig, State
+from ecdtls.transport import (MAX_UDP_DATAGRAMS, UdpEndpoint, run_loopback,
+                              run_udp_handshake)
 
 FIXED_CLOCK = lambda: 1754784000.0
 
@@ -61,11 +62,9 @@ def test_udp_app_data(toy, toy_pki):
 
     def serve():
         if run_udp_handshake(us, server_ep):
-            datagrams = server_ep.receive()
-            for d in datagrams:
-                payload = us.open_app_data(d)
-                if payload is not None:
-                    server_ep.send([us.seal_app_data(payload)])
+            payload = us.open_app_data(server_ep.receive())
+            if payload is not None:
+                server_ep.send([us.seal_app_data(payload)])
 
     thread = threading.Thread(target=serve)
     thread.start()
@@ -76,4 +75,20 @@ def test_udp_app_data(toy, toy_pki):
     thread.join(timeout=30)
     server_ep.close()
     client_ep.close()
-    assert any(uc.open_app_data(d) == b"over the wire" for d in back)
+    assert uc.open_app_data(back) == b"over the wire"
+
+
+def test_udp_handshake_gives_up_on_a_junk_peer(toy, toy_pki):
+    # a peer that sends only junk ends the handshake after a bounded number
+    # of datagrams; the short timeout turns a hang into a failure
+    _, server = session_pair(toy, toy_pki)
+    server_ep = UdpEndpoint(("127.0.0.1", 0), timeout=2.0)
+    junk_ep = UdpEndpoint(("127.0.0.1", 0), server_ep.address)
+    try:
+        junk_ep.send([b"junk %d" % i for i in range(2 * MAX_UDP_DATAGRAMS)])
+        assert not run_udp_handshake(server, server_ep)
+    finally:
+        server_ep.close()
+        junk_ep.close()
+    assert server.state is State.INIT
+    assert server.records.drop_counts == {"malformed": MAX_UDP_DATAGRAMS}

@@ -47,6 +47,25 @@ def client_hello(*extensions: bytes, suites: bytes = b"\xc0\x2b") -> bytes:
             b"\x01\x00" + len(exts).to_bytes(2, "big") + exts)
 
 
+def with_session_id(body: bytes, length: int) -> bytes:
+    """A ClientHello or ServerHello body with an empty session_id, given a
+    session_id of length bytes instead."""
+    assert body[34] == 0
+    return body[:34] + bytes([length]) + b"\x5a" * length + body[35:]
+
+
+@pytest.mark.parametrize("length", [33, 200])
+@pytest.mark.parametrize("parse,body", [
+    (wire.parse_client_hello, wire.build_client_hello(RANDOM, b"", 23)),
+    (wire.parse_server_hello, wire.build_server_hello(RANDOM)),
+], ids=["client_hello", "server_hello"])
+def test_session_id_longer_than_32_bytes_refused(parse, body, length):
+    # SessionID<0..32> (RFC 5246 7.4.1.2)
+    assert parse(with_session_id(body, 32)).random == RANDOM
+    with pytest.raises(wire.WireError, match="session_id"):
+        parse(with_session_id(body, length))
+
+
 class TestClientHello:
     def test_round_trip(self):
         body = wire.build_client_hello(RANDOM, b"", 23)
