@@ -19,9 +19,25 @@ encrypts:
   under CPython 3.11 on a Xeon VM, the sliced form is 1.3-1.6x faster at
   8 blocks and 6-8x at 1025 (a 16 KiB record).
 
-GHASH multiplies by the hash subkey H one byte at a time (Shoup's method):
-one 256-entry table of H times every byte value per key, plus one 256-entry
-reduction table shared by all keys.
+GHASH also runs in one of two forms, chosen by how many blocks a call
+absorbs:
+
+- Horner's rule, one block at a time, multiplying by the hash subkey H one
+  byte at a time (Shoup's method): one 256-entry table of H times every
+  byte value per key, plus one 256-entry reduction table shared by all
+  keys.  Runs shorter than `_LANE_MIN_BLOCKS` blocks take this form, so
+  every 64 B record and Finished record runs it, as does the tag's
+  length block.
+- Lane-parallel, for a longer run (the aggregated Horner form of
+  Gueron-Kounavis, Intel's CLMUL/GCM white paper, 2010).  `_LANES` lanes
+  of 256-bit slots sit on one big int; each step xors in the next
+  `_LANES` blocks and multiplies every lane by the constant H^`_LANES`
+  with one shift and one xor per non-zero 4-bit window of that constant,
+  then reduces every slot with two folds.  The only state kept per key is
+  that window list.  The steps quantise the run to whole groups of lanes,
+  so the two forms cross at 14-20 blocks, and from 24 blocks up the lane
+  form wins at every length.  Measured under CPython 3.11 on a Xeon VM,
+  it is 1.4x faster at 24 blocks and 2.6x at 1025 (a 16 KiB record).
 
 Counters price the algorithm, not this code: `aes_block` per block
 encryption, `ghash_block` per 16-byte GHASH block, recorded per call in the
@@ -236,11 +252,45 @@ def _mul_x8_reductions():
 _R8 = _mul_x8_reductions()
 
 
+# A GHASH run of at least this many blocks takes the lane form
+# (`_GhashKey._absorb_lanes`); shorter ones are cheaper one byte-wise
+# Horner step per block.
+_LANE_MIN_BLOCKS = 24
+_LANES = 8
+# The lane vector is _LANES slots of 256 bits on one int, lane 0 on top.
+# A lane's value sits in the top 128 bits of its slot, so a product by a
+# 128-bit element fits in the slot and its terms of degree 128 and up fall
+# into the slot's low 128 bits.
+_SLOT_LOW = sum(((1 << 128) - 1) << (256 * j) for j in range(_LANES))
+_SLOT_HIGH = _SLOT_LOW << 128
+
+
+def _mul_lanes(v: int, windows: tuple) -> int:
+    """Every lane of v times the constant whose non-zero 4-bit windows are
+    `windows`, reduced mod x^128 + x^7 + x^2 + x + 1."""
+    v1, v2, v3 = v >> 1, v >> 2, v >> 3
+    v12, v13, v23 = v1 ^ v2, v1 ^ v3, v2 ^ v3
+    v123 = v12 ^ v3
+    # multiples[d]: v times the window value d, whose bit 3 is the
+    # coefficient of x^0 and bit 0 that of x^3
+    multiples = (0, v3, v2, v23, v1, v13, v12, v123, v, v ^ v3, v ^ v2,
+                 v ^ v23, v ^ v1, v ^ v13, v ^ v12, v ^ v123)
+    z = 0
+    for d, shift in windows:
+        z ^= multiples[d] >> shift
+    # two folds of x^128 = 1 + x + x^2 + x^7: the first leaves terms of
+    # degree 128 to 134, the second none of degree 128 or more
+    for _ in range(2):
+        t = (z & _SLOT_LOW) << 128
+        z = (z & _SLOT_HIGH) ^ t ^ t >> 1 ^ t >> 2 ^ t >> 7
+    return z
+
+
 class _GhashKey:
     """Multiplication by the hash subkey H, one byte of the multiplier at a
     time, from a table of H times every byte value."""
 
-    __slots__ = ("table",)
+    __slots__ = ("table", "_lane_windows")
 
     def __init__(self, h: int):
         # the byte b in the top byte of an element is a polynomial of degree
@@ -253,6 +303,7 @@ class _GhashKey:
             for low in range(1, bit):
                 table[bit | low] = table[bit] ^ table[low]
         self.table = table
+        self._lane_windows = None
 
     def mul(self, y: int) -> int:
         """y * H by Horner's rule over the bytes of y, highest degree first."""
@@ -265,12 +316,56 @@ class _GhashKey:
     def absorb(self, y: int, data: bytes) -> int:
         """Fold each 16-byte block of data, the last zero-padded, into the
         GHASH state y: y = (y ^ block) * H."""
-        mul = self.mul
         if len(data) % 16:
             data = data + bytes(16 - len(data) % 16)
+        if len(data) >= 16 * _LANE_MIN_BLOCKS:
+            return self._absorb_lanes(y, data)
+        mul = self.mul
         for off in range(0, len(data), 16):
             y = mul(y ^ int.from_bytes(data[off:off + 16], "big"))
         return y
+
+    def _absorb_lanes(self, y: int, data: bytes) -> int:
+        """absorb by the aggregated Horner form: with y xored into block 1,
+        the result is the sum of block i (from 1) times H^(n + 1 - i).  Lane
+        j (from 0) takes blocks j + 1, j + 1 + L, ... (L = _LANES); each
+        step xors the next L blocks into the lanes and multiplies every
+        lane by H^L, the last step only xors.  Lane j then still owes
+        H^(L - j), which a Horner pass over the lanes pays with L
+        multiplications by H.  Leading zero blocks pad n to a multiple of
+        L without changing the sum."""
+        n = len(data) // 16
+        pad = -n % _LANES
+        # block i (from 0) in the top half of 32-byte slot pad + i
+        slots = bytearray(32 * (n + pad))
+        for b in range(16):
+            slots[32 * pad + b::32] = data[b::16]
+        windows = self._windows()
+        step = 32 * _LANES
+        acc = y << (128 + 256 * (_LANES - 1 - pad))
+        for off in range(0, len(slots) - step, step):
+            acc = _mul_lanes(
+                acc ^ int.from_bytes(slots[off:off + step], "big"), windows)
+        lanes = (acc ^ int.from_bytes(slots[-step:], "big")).to_bytes(
+            step, "big")
+        mul = self.mul
+        y = 0
+        for off in range(0, step, 32):
+            y = mul(y ^ int.from_bytes(lanes[off:off + 16], "big"))
+        return y
+
+    def _windows(self) -> tuple:
+        """The non-zero 4-bit windows of H^_LANES as (value, shift) pairs,
+        computed on first use: H^_LANES is the sum of value * x^shift, with
+        bit 3 of value the coefficient of x^0 and bit 0 that of x^3."""
+        if self._lane_windows is None:
+            c = self.table[0x80]  # H times x^0
+            for _ in range(_LANES - 1):
+                c = self.mul(c)
+            self._lane_windows = tuple(
+                (c >> 124 - shift & 15, shift)
+                for shift in range(0, 128, 4) if c >> 124 - shift & 15)
+        return self._lane_windows
 
 
 class GcmContext:

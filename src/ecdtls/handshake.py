@@ -328,11 +328,13 @@ class HandshakeSession:
             except _Abort as abort:
                 self.failure_reason = abort.reason
                 self.state = State.FAILED
-                self.close()
                 out = []
+                # encoded before close(): a client that fails on the
+                # server's Finished writes this alert at epoch 1
                 if abort.send_alert:
                     out = [self.records.encode(
                         CONTENT_ALERT, bytes([2, ALERT_HANDSHAKE_FAILURE]))]
+                self.close()
             return out
 
     # -- peer certificate ---------------------------------------------------------
@@ -524,16 +526,20 @@ class HandshakeSession:
 
     # -- application data --------------------------------------------------------
 
-    def seal_app_data(self, payload: bytes) -> bytes:
+    def _require_keys(self) -> None:
         if not self.established:
             raise HandshakeError("session not established")
+        if self.records.write_key is None:
+            raise HandshakeError("session closed")
+
+    def seal_app_data(self, payload: bytes) -> bytes:
+        self._require_keys()
         with self._recorder:
             counters.record("bytes_sealed", len(payload))
             return self.records.encode(CONTENT_APPDATA, payload)
 
     def open_app_data(self, datagram: bytes) -> Optional[bytes]:
-        if not self.established:
-            raise HandshakeError("session not established")
+        self._require_keys()
         with self._recorder:
             outcome, ctype, payload = self.records.decode(datagram)
             if outcome != DROP_OK or ctype != CONTENT_APPDATA:
@@ -548,8 +554,14 @@ class HandshakeSession:
         return self._recorder.counters.copy()
 
     def close(self) -> None:
+        """Zeroize the derived key material and drop both record keys, so
+        that seal_app_data and open_app_data raise HandshakeError from here
+        on.  The dropped keys hold their key bytes, AES round keys and
+        GHASH tables as bytes and ints, which Python cannot wipe in place:
+        dropping the references to them is the guarantee given."""
         if self.security is not None:
             self.security.zeroize()
+        self.records.write_key = self.records.read_key = None
 
     def __enter__(self) -> "HandshakeSession":
         return self

@@ -4,9 +4,10 @@ import random
 import pytest
 
 from ecdtls import counters
-from ecdtls.aesgcm import (_RCON, _SBOX, _SLICED_MIN_BLOCKS, _XTIME,
-                           AeadError, AeadKey, Aes128, AuthenticationError,
-                           GcmContext, _GhashKey, aes_gcm_open, aes_gcm_seal)
+from ecdtls.aesgcm import (_LANE_MIN_BLOCKS, _LANES, _RCON, _SBOX,
+                           _SLICED_MIN_BLOCKS, _XTIME, AeadError, AeadKey,
+                           Aes128, AuthenticationError, GcmContext, _GhashKey,
+                           aes_gcm_open, aes_gcm_seal)
 
 # McGrew-Viega AES-128-GCM test cases (SP 800-38D validation set)
 GCM_K3 = bytes.fromhex("feffe9928665731c6d6a8f9467308308")
@@ -185,6 +186,15 @@ def bit_serial_gf_mul(h, y):
     return acc
 
 
+def horner_absorb(gh, y, data):
+    """GHASH of data from state y one block at a time, the last block
+    zero-padded: y = (y ^ block) * H."""
+    data += bytes(-len(data) % 16)
+    for off in range(0, len(data), 16):
+        y = gh.mul(y ^ int.from_bytes(data[off:off + 16], "big"))
+    return y
+
+
 class TestKernelsAgainstOracles:
     def test_aes_matches_bytewise_rounds(self):
         rng = random.Random(0xAE5)
@@ -230,6 +240,34 @@ class TestKernelsAgainstOracles:
             ctx.seal(GCM_IV3, b"", bytes(16 * blocks))
         assert calls == [_SLICED_MIN_BLOCKS, 1025]
 
+    @pytest.mark.parametrize("blocks", sorted({
+        _LANE_MIN_BLOCKS - 1, _LANE_MIN_BLOCKS, _LANE_MIN_BLOCKS + 1,
+        3 * _LANES - 1, 5 * _LANES + 3, 1025, 1026}))
+    def test_absorb_matches_horner(self, blocks):
+        rng = random.Random(blocks)
+        for h in ((1 << 128) - 1, rng.getrandbits(128)):
+            gh = _GhashKey(h)
+            for tail in (0, 5):  # whole blocks, or a zero-padded last one
+                data = rng.randbytes(16 * blocks - tail)
+                y = rng.getrandbits(128)
+                assert gh.absorb(y, data) == horner_absorb(gh, y, data)
+
+    def test_ghash_takes_the_lane_path_from_the_threshold(self, monkeypatch):
+        calls = []
+        lanes = _GhashKey._absorb_lanes
+
+        def spy(gh, y, data):
+            calls.append(len(data) // 16)
+            return lanes(gh, y, data)
+
+        monkeypatch.setattr(_GhashKey, "_absorb_lanes", spy)
+        ctx = GcmContext(GCM_K3)
+        for blocks in (1, _LANE_MIN_BLOCKS - 1, _LANE_MIN_BLOCKS, 1025):
+            ctx.seal(GCM_IV3, b"", bytes(16 * blocks))
+            ctx.seal(GCM_IV3, bytes(16 * blocks), b"")
+        # the ciphertext's run, then the AAD's
+        assert calls == [_LANE_MIN_BLOCKS] * 2 + [1025] * 2
+
     def test_ghash_mul_matches_bit_serial(self):
         rng = random.Random(0x6C)
         edges = [0, 1, 1 << 127, (1 << 128) - 1]
@@ -241,10 +279,11 @@ class TestKernelsAgainstOracles:
 
 
 # (plaintext length, AAD length) -> SHA-256 of the sealed output under key
-# 000102...0f and nonce GCM_IV3, with plaintext byte i = 7i mod 256 and the
-# AAD bytes d0 d1 ... dc.  Computed once, offline, with the `cryptography`
+# 000102...0f and nonce GCM_IV3, with plaintext byte i = 7i mod 256 and AAD
+# byte i = d0 + i mod 256.  Computed once, offline, with the `cryptography`
 # package's AESGCM.  112 B is 7 CTR blocks, below _SLICED_MIN_BLOCKS (8);
-# 113 and 128 B are 8 blocks, 129 B is 9 and 16384 B is 1024.
+# 113 and 128 B are 8 blocks, 129 B is 9 and 16384 B is 1024.  An AAD of
+# 368 B is 23 GHASH blocks, below _LANE_MIN_BLOCKS (24); 369 B is 24.
 SEAL_SHA256 = {
     (0, 0): "bc182de37d27c4aaab5c70d1b402fa85c25799a696644d8c8d2a4543b8209f7b",
     (0, 13): "4b03fadd77ed5c06f7b7720acbdb866a571cbe568c7c866d75c6572da823a84a",
@@ -258,6 +297,10 @@ SEAL_SHA256 = {
     (129, 13): "ee826a8fc28e48257e438ccf99b4e9fe0bbe66d2966d43a57fd75eaf7015f347",
     (16384, 0): "414a55a392513bb64d17d4f2c8a4fcbfcd6ef4988aa8d90cbebc69bc2b2797e3",
     (16384, 13): "0a5e614e8ccafe9e8bc9ec9e6bad7540f575846638edcfd895880d8acf4de0ce",
+    (0, 368): "fb5dcdfac426f5bc61baffaa99e5dd865df0ee07428221446871ae59c2bcb4a1",
+    (0, 369): "98849b68b8edcd6f319af2acd0eb3465032a841b213eddb8c05931b673692d06",
+    (129, 1000): "6598e4dbec7edadb8d2825eccd72a26a9f4013e3b2b5c8feaf16e9e08c08d9b7",
+    (16384, 16384): "27f04169cf279865a5b19e4b49b104b7b8ec0c5ea73605e399fc059c1f90f9b2",
 }
 
 
@@ -265,7 +308,7 @@ SEAL_SHA256 = {
 def test_seal_known_answers_across_the_sliced_threshold(n, aad_len):
     ctx = GcmContext(bytes(range(16)))
     pt = bytes(i * 7 & 0xFF for i in range(n))
-    aad = bytes(range(0xD0, 0xD0 + aad_len))
+    aad = bytes(0xD0 + i & 0xFF for i in range(aad_len))
     sealed = ctx.seal(GCM_IV3, aad, pt)
     assert hashlib.sha256(sealed).hexdigest() == SEAL_SHA256[(n, aad_len)]
     assert ctx.open(GCM_IV3, aad, sealed) == pt

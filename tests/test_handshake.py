@@ -134,6 +134,19 @@ class TestLoopbackHandshake:
         assert client.security.cleared
         assert bytes(client.security.master_secret) == b"\x00" * 48
 
+    def test_closed_session_seals_and_opens_nothing(self, toy, toy_pki):
+        client, server = make_pair(toy, toy_pki)
+        run_loopback(client, server)
+        sealed = client.seal_app_data(b"before close")
+        client.close()
+        server.close()
+        for end in (client, server):
+            assert end.records.write_key is None
+            assert end.records.read_key is None
+            with pytest.raises(HandshakeError):
+                end.seal_app_data(b"after close")
+        with pytest.raises(HandshakeError):
+            server.open_app_data(sealed)
 
     def test_leaving_with_block_zeroizes_established_keys(self, toy,
                                                           toy_pki):
@@ -276,6 +289,28 @@ class TestTampering:
         for end in (client, server):
             assert end.failed and end.security.cleared
             assert bytes(end.security.master_secret) == b"\x00" * 48
+
+    def test_client_failing_on_server_finished_alerts_at_epoch_1(self, toy,
+                                                                toy_pki):
+        # a bad server ChangeCipherSpec fails the client after it sent its
+        # own Finished, so its alert is sealed under the client write key,
+        # which failing then drops
+        sent = []
+
+        def interceptor(sender, datagrams):
+            if sender == "client":
+                sent.extend(datagrams)
+                return datagrams
+            return [d[:11] + b"\x00\x03\x07\x07\x07"
+                    if d[0] == CONTENT_CCS else d for d in datagrams]
+
+        client, server = make_pair(toy, toy_pki)
+        run_loopback(client, server, interceptor=interceptor)
+        assert client.failure_reason == \
+            "expected ChangeCipherSpec before server finished"
+        assert client.records.write_key is None
+        alert = RecordHeader.parse(sent[-1])
+        assert (alert.content_type, alert.epoch) == (CONTENT_ALERT, 1)
 
     def test_change_cipher_spec_body_must_be_one(self, toy, toy_pki):
         # RFC 5246 §7.1: the ChangeCipherSpec body is the single byte 1
