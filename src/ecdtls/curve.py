@@ -20,7 +20,7 @@ from typing import Dict, List, Optional
 
 from . import counters
 from .der import DerError, der_oid
-from .field import PrimeModulus
+from .field import NotPrimeError, PrimeModulus
 
 
 class CurveError(Exception):
@@ -269,7 +269,7 @@ def parse_registry_text(text: str) -> List[CurveParams]:
                 id=name, p=vals["p"], a=vals["a"], b=vals["b"],
                 gx=vals["gx"], gy=vals["gy"], n=vals["n"],
                 tls_code=vals["tls"], oid=oid))
-        except (KeyError, ValueError, DerError) as exc:
+        except (KeyError, ValueError, DerError, NotPrimeError) as exc:
             raise CurveError("bad registry record %r: %s" % (name, exc)) from None
 
     for line in text.splitlines():

@@ -13,8 +13,9 @@ once, after the handler returns.  A handler that runs out of records (some
 were dropped) leaves the state where it was, as does the server answering a
 bad cookie with a fresh HelloVerifyRequest; a protocol error moves the
 session to FAILED, zeroizes any derived keys and answers with a fatal alert
-(a fatal alert from the peer does the same, unanswered).  Nothing
-retransmits yet, so a lost record stalls the handshake without failing it.
+(a fatal alert from the peer does the same, unanswered).  `close()` drops
+the keys and moves any state but FAILED to CLOSED.  Nothing retransmits
+yet, so a lost record stalls the handshake without failing it.
 Each datagram is taken as one whole record: packed datagrams, fragments and
 `message_seq` are not read yet.
 
@@ -96,6 +97,7 @@ class State(enum.Enum):
     FINISHED_WAIT = "FINISHED_WAIT"
     ESTABLISHED = "ESTABLISHED"
     FAILED = "FAILED"
+    CLOSED = "CLOSED"
 
 
 class SecurityParams:
@@ -311,7 +313,7 @@ class HandshakeSession:
 
     def _step(self, datagrams: List[bytes]) -> List[bytes]:
         flight = _FLIGHTS.get((self.role, self.state))
-        if flight is None:  # ESTABLISHED or FAILED
+        if flight is None:  # ESTABLISHED, FAILED or CLOSED
             return []
         self._inbox.extend(datagrams)
         if len(self._inbox) < flight.records and \
@@ -528,9 +530,8 @@ class HandshakeSession:
 
     def _require_keys(self) -> None:
         if not self.established:
-            raise HandshakeError("session not established")
-        if self.records.write_key is None:
-            raise HandshakeError("session closed")
+            raise HandshakeError("session %s" % (
+                "closed" if self.state is State.CLOSED else "not established"))
 
     def seal_app_data(self, payload: bytes) -> bytes:
         self._require_keys()
@@ -554,14 +555,17 @@ class HandshakeSession:
         return self._recorder.counters.copy()
 
     def close(self) -> None:
-        """Zeroize the derived key material and drop both record keys, so
-        that seal_app_data and open_app_data raise HandshakeError from here
-        on.  The dropped keys hold their key bytes, AES round keys and
+        """Zeroize the derived key material, drop both record keys and move
+        to CLOSED (a FAILED session stays FAILED), so that seal_app_data
+        and open_app_data raise HandshakeError and steps do nothing from
+        here on.  The dropped keys hold their key bytes, AES round keys and
         GHASH tables as bytes and ints, which Python cannot wipe in place:
         dropping the references to them is the guarantee given."""
         if self.security is not None:
             self.security.zeroize()
         self.records.write_key = self.records.read_key = None
+        if self.state is not State.FAILED:
+            self.state = State.CLOSED
 
     def __enter__(self) -> "HandshakeSession":
         return self
@@ -576,8 +580,8 @@ class _Flight(NamedTuple):
     reached: State  # resting state once the handler returns
 
 
-# (role, resting state) -> the flight awaited there.  ESTABLISHED and FAILED
-# have no entry, so steps in them do nothing.
+# (role, resting state) -> the flight awaited there.  ESTABLISHED, FAILED
+# and CLOSED have no entry, so steps in them do nothing.
 _FLIGHTS: Dict[Tuple[str, State], _Flight] = {
     ("client", State.INIT): _Flight(
         HandshakeSession._send_client_hello, 0, State.HELLO_SENT),

@@ -227,9 +227,11 @@ class TestRegistryParsing:
         ("oid = 1.3.6.1.4.1.55555.2\n", "oid = tiny\n"),
         ("oid = 1.3.6.1.4.1.55555.2\n", "oid = 1.45.1\n"),
         ("h = 01\n", "h = 02\n"),
+        ("p = 3b\n", "p = 231\n"),  # 561 = 3 * 11 * 17
+        ("n = 35\n", "n = 231\n"),
     ])
     def test_bad_record_refused(self, line, replacement):
         assert parse_registry_text(TINY_RECORD)
         assert line in TINY_RECORD
-        with pytest.raises(CurveError):
-            parse_registry_text(TINY_RECORD.replace(line, replacement))
+        with pytest.raises(CurveError, match="bad registry record 'tiny'"):
+            CurveRegistry().load_text(TINY_RECORD.replace(line, replacement))

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -6,8 +7,9 @@ from hypothesis import strategies as st
 
 from ecdtls import counters
 from ecdtls.curve import builtin_registry
-from ecdtls.field import (NonInvertibleError, NotPrimeError, PrimeModulus,
-                          inv_euclid_int, mul_int)
+from ecdtls.field import (_SMALL_PRIMES, NonInvertibleError, NotPrimeError,
+                          PrimeModulus, _is_probable_prime, _strong_base2,
+                          _strong_lucas, inv_euclid_int, mul_int)
 from ecdtls.scalarmult import ecsm_jacobian
 
 P256 = 0xFFFFFFFF00000001000000000000000000000000FFFFFFFFFFFFFFFFFFFFFFFF
@@ -116,6 +118,102 @@ class TestPrimeModulus:
     def test_rejects_wide(self):
         with pytest.raises(NotPrimeError):
             PrimeModulus(2**257 + 2221)
+
+
+# Composites that fool one half of Baillie-PSW or a weaker check; the whole
+# check refuses every one.  3825123056546413051 is strong to every prime
+# base up to 31, 318665857834031151167461 up to 37, and
+# 3317044064679887385961981 up to 41.
+STRONG_BASE2_PSEUDOPRIMES = (2047, 3277, 4033, 3215031751,
+                             3825123056546413051, 318665857834031151167461,
+                             3317044064679887385961981)
+# squares of the Wieferich primes 1093 and 3511 are strong base-2
+# pseudoprimes, so they reach the Lucas test's square guard
+WIEFERICH_SQUARES = (1093 ** 2, 3511 ** 2)
+STRONG_LUCAS_PSEUDOPRIMES = (5459, 5777, 10877, 16109, 18971)
+CARMICHAEL_NUMBERS = (561, 41041, 825265)
+PSEUDOPRIMES = (STRONG_BASE2_PSEUDOPRIMES + WIEFERICH_SQUARES
+                + STRONG_LUCAS_PSEUDOPRIMES + CARMICHAEL_NUMBERS
+                + ((2 ** 127 - 1) ** 2, (2 ** 61 - 1) * (2 ** 89 - 1)))
+
+
+def miller_rabin_oracle(n):
+    """The check Baillie-PSW replaced: Miller-Rabin with 64 bases drawn
+    from random.Random(n)."""
+    if n < 2:
+        return False
+    for q in _SMALL_PRIMES:
+        if n % q == 0:
+            return n == q
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    rng = random.Random(n)
+    for _ in range(64):
+        x = pow(rng.randrange(2, n - 1), d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def seeded_odd_numbers(seed, count):
+    """`count` odd numbers of 16 to 256 bits, top bit set."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        bits = rng.randrange(16, 257)
+        yield rng.getrandbits(bits) | 1 | 1 << (bits - 1)
+
+
+class TestBailliePsw:
+    @pytest.mark.parametrize("n", PSEUDOPRIMES)
+    def test_refuses_pseudoprime(self, n):
+        assert not _is_probable_prime(n)
+        with pytest.raises(NotPrimeError):
+            PrimeModulus(n)
+
+    @pytest.mark.parametrize("n", STRONG_BASE2_PSEUDOPRIMES
+                             + WIEFERICH_SQUARES)
+    def test_lucas_refuses_strong_base2_pseudoprime(self, n):
+        assert _strong_base2(n)
+        assert not _strong_lucas(n)
+
+    def test_lucas_refuses_a_large_square_at_once(self):
+        # a square has no D with (D/n) = -1, so without the square guard
+        # the search for D would run until |D| met a factor of n, here
+        # 2^127 - 1
+        assert not _strong_lucas((2 ** 127 - 1) ** 2)
+
+    @pytest.mark.parametrize("n", STRONG_LUCAS_PSEUDOPRIMES)
+    def test_base2_refuses_strong_lucas_pseudoprime(self, n):
+        # these are the first strong Lucas pseudoprimes under Method A, so
+        # passing them pins the parameter choice as well as the test
+        assert _strong_lucas(n)
+        assert not _strong_base2(n)
+
+    def test_accepts_every_registered_modulus(self, registry):
+        for name in registry.names():
+            curve = registry.get(name)
+            assert _is_probable_prime(curve.mod.p)
+            assert _is_probable_prime(curve.n)
+
+    def test_agrees_with_miller_rabin(self):
+        verdicts = []
+        for n in seeded_odd_numbers(20, 3000):
+            verdicts.append(_is_probable_prime(n))
+            assert verdicts[-1] == miller_rabin_oracle(n), n
+        assert 50 < sum(verdicts) < 3000 - 50
+
+    def test_agrees_with_trial_division_below_2_to_14(self):
+        for n in range(2 ** 14):
+            assert _is_probable_prime(n) == \
+                (n > 1 and all(n % q for q in range(2, math.isqrt(n) + 1))), n
 
 
 class TestMul:

@@ -148,6 +148,24 @@ class TestLoopbackHandshake:
         with pytest.raises(HandshakeError):
             server.open_app_data(sealed)
 
+    def test_close_moves_to_closed_and_failed_stays_failed(self, toy,
+                                                           toy_pki):
+        client, server = make_pair(toy, toy_pki)
+        run_loopback(client, server)
+        stray = server.seal_app_data(b"after close")
+        client.close()
+        assert client.state is State.CLOSED
+        assert not client.established and not client.failed
+        assert client.client_step([stray]) == []
+        with pytest.raises(HandshakeError, match="session closed"):
+            client.open_app_data(stray)
+
+        client, server = make_pair(toy, toy_pki,
+                                   client_clock=lambda: NOT_AFTER + 1.0)
+        assert not run_loopback(client, server).established
+        client.close()
+        assert client.state is State.FAILED and client.failed
+
     def test_leaving_with_block_zeroizes_established_keys(self, toy,
                                                           toy_pki):
         client, server = make_pair(toy, toy_pki)
