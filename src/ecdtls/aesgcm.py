@@ -1,25 +1,18 @@
 """AES-128 (FIPS 197) and GCM (SP 800-38D), built from the block cipher up.
 
 Only the forward cipher exists: GCM's CTR mode and tag path never decrypt a
-block.  AES runs in one of two forms, chosen by how many blocks a call
-encrypts:
+block.  AES runs in one form, byte-sliced (Kasper-Schwabe's bitslicing,
+CHES 2009, done with bytes): `Aes128.keystream` encrypts a run of n counter
+blocks together, laid out as 16 slices of n bytes, one per state position,
+so each AES step is a few operations over the whole run.  SubBytes and
+xtime are `bytes.translate`, ShiftRows and MixColumns' row rotations are
+slicing and big-int shifts.  Each record makes one call, whose first block
+E(J0) masks the tag and whose rest is the CTR keystream; the hash subkey H
+is a one-block call.  Measured under CPython 3.11 on a Xeon VM, a call
+costs about 38 us for one block, 49 us for the 5 blocks of a 64 B record
+and 1.5 ms for the 1026 of a 16 KiB one.
 
-- One block at a time.  Rounds 1-9 use four 256-entry T-tables (S-box,
-  ShiftRows and MixColumns folded into one lookup per state byte), so each
-  output column is four lookups and xors; the last round is S-box only.
-  The tag's E(J0) and every CTR run shorter than `_SLICED_MIN_BLOCKS`
-  blocks take this form.
-- Byte-sliced, for the CTR keystream of a longer run (Kasper-Schwabe's
-  bitslicing, CHES 2009, done with bytes).  The n counter blocks are laid
-  out as 16 slices of n bytes, one per state position, so each AES step is
-  a few operations over the whole run: SubBytes and xtime are
-  `bytes.translate`, ShiftRows and MixColumns' row rotations are slicing
-  and big-int shifts.  Its fixed cost per call is about that of 4-5
-  T-table blocks, so the two forms cross at about 5 blocks.  Measured
-  under CPython 3.11 on a Xeon VM, the sliced form is 1.3-1.6x faster at
-  8 blocks and 6-8x at 1025 (a 16 KiB record).
-
-GHASH also runs in one of two forms, chosen by how many blocks a call
+GHASH runs in one of two forms, chosen by how many blocks a call
 absorbs:
 
 - Horner's rule, one block at a time, multiplying by the hash subkey H one
@@ -40,8 +33,11 @@ absorbs:
   it is 1.4x faster at 24 blocks and 2.6x at 1025 (a 16 KiB record).
 
 Counters price the algorithm, not this code: `aes_block` per block
-encryption, `ghash_block` per 16-byte GHASH block, recorded per call in the
-order the blocks run, whichever form of AES computes them.
+encryption, `ghash_block` per 16-byte GHASH block, recorded in the order
+GCM uses the blocks.  `open` computes its whole keystream before it
+compares tags, so a refused record has run its CTR blocks through AES; the
+counters record those blocks only after a match, so that work is unpriced
+(no benchmark workload forges a record longer than 64 B).
 
 Nothing here is constant-time: table indices and `translate` lookups depend
 on the key and the data, as the S-box lookups of any byte-wise pure-Python
@@ -93,19 +89,6 @@ _XTIME = bytes(((v << 1) ^ 0x1B) & 0xFF if v & 0x80 else (v << 1) for v in range
 _RCON = (0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36)
 _WORD = 0xFFFFFFFF
 
-# _TE0[a] is the column that MixColumns makes of S(a) in row 0: rows
-# (2, 1, 1, 3) * S(a), row 0 in the top byte.  _TE1.._TE3 serve rows 1-3 and
-# are _TE0 rotated right by 8, 16 and 24 bits.
-_TE0 = tuple((_XTIME[s] << 24) | (s << 16) | (s << 8) | (_XTIME[s] ^ s)
-             for s in _SBOX)
-_TE1 = tuple((t >> 8) | (t << 24) & _WORD for t in _TE0)
-_TE2 = tuple((t >> 16) | (t << 16) & _WORD for t in _TE0)
-_TE3 = tuple((t >> 24) | (t << 8) & _WORD for t in _TE0)
-
-# A CTR run of at least this many blocks takes the byte-sliced keystream;
-# shorter ones are cheaper one T-table block at a time.
-_SLICED_MIN_BLOCKS = 8
-
 # The sliced state of n blocks is 16 slices of n bytes in row-major order:
 # slice 4r + c holds the byte at row r, column c of every block, which is
 # block byte _SLICE_BYTES[4r + c] = 4c + r.  As one big-endian int, row r
@@ -155,44 +138,16 @@ class Aes128:
             w[i] << 96 | w[i + 1] << 64 | w[i + 2] << 32 | w[i + 3]
             for i in range(0, 44, 4))
 
-    def encrypt_block(self, block: bytes) -> bytes:
-        if len(block) != 16:
-            raise AeadError("block must be 16 bytes")
-        counters.record("aes_block")
-        return self.encrypt_int(int.from_bytes(block, "big")).to_bytes(16, "big")
-
-    def encrypt_int(self, x: int) -> int:
-        """The 128-bit block x (big-endian) encrypted.  Records nothing: the
-        caller records one `aes_block` per block it encrypts."""
-        te0, te1, te2, te3 = _TE0, _TE1, _TE2, _TE3
-        rk = self._round_keys
-        x ^= rk[0]
-        for k in rk[1:10]:
-            # state byte (row r, column c) is b[4c + r]; output column c
-            # takes row r from column c + r (ShiftRows)
-            (b0, b1, b2, b3, b4, b5, b6, b7,
-             b8, b9, b10, b11, b12, b13, b14, b15) = x.to_bytes(16, "big")
-            x = ((te0[b0] ^ te1[b5] ^ te2[b10] ^ te3[b15]) << 96 |
-                 (te0[b4] ^ te1[b9] ^ te2[b14] ^ te3[b3]) << 64 |
-                 (te0[b8] ^ te1[b13] ^ te2[b2] ^ te3[b7]) << 32 |
-                 te0[b12] ^ te1[b1] ^ te2[b6] ^ te3[b11]) ^ k
-        (b0, b1, b2, b3, b4, b5, b6, b7,
-         b8, b9, b10, b11, b12, b13, b14, b15) = x.to_bytes(16, "big")
-        sb = _SBOX
-        return int.from_bytes(bytes((
-            sb[b0], sb[b5], sb[b10], sb[b15], sb[b4], sb[b9], sb[b14], sb[b3],
-            sb[b8], sb[b13], sb[b2], sb[b7], sb[b12], sb[b1], sb[b6], sb[b11],
-        )), "big") ^ rk[10]
-
-    def sliced_keystream(self, j0: int, blocks: int) -> bytearray:
-        """E(J0 + 1) || ... || E(J0 + blocks), whose counter is the low 32
-        bits of the block and wraps mod 2^32 (inc32), all blocks computed
-        together on a byte-sliced state.  Records nothing."""
+    def keystream(self, j0: int, blocks: int) -> bytearray:
+        """E(J0) || E(J0 + 1) || ... || E(J0 + blocks - 1), whose counter is
+        the low 32 bits of the block and wraps mod 2^32 (inc32), all blocks
+        computed together on a byte-sliced state.  Records nothing: the
+        caller records one `aes_block` per block it prices."""
         n = blocks
         size = 16 * n
         pattern = b"".join(bytes((i,)) * n for i in _SLICE_BYTES)
         rk = self._round_keys
-        first = (j0 & _WORD) + 1
+        first = j0 & _WORD
         wrapped = max(0, first + n - 1 - _WORD)
         ctr = struct.pack(">%dI" % n, *range(first, first + n - wrapped),
                           *range(wrapped))
@@ -373,71 +328,64 @@ class GcmContext:
 
     def __init__(self, key: bytes):
         self._aes = Aes128(key)
-        h = int.from_bytes(self._aes.encrypt_block(b"\x00" * 16), "big")
+        counters.record("aes_block")
+        h = int.from_bytes(self._aes.keystream(0, 1), "big")
         self._ghash_key = _GhashKey(h)
 
-    def _tag(self, j0: int, aad: bytes, ciphertext: bytes) -> bytes:
+    def _keystream(self, nonce: bytes, n: int) -> bytearray:
+        """E(J0) || the CTR keystream of an n-byte record."""
+        if len(nonce) != 12:
+            raise AeadError("GCM nonce must be 96 bits")
+        j0 = int.from_bytes(nonce, "big") << 32 | 1
+        return self._aes.keystream(j0, (n + 15) // 16 + 1)
+
+    def _tag(self, keystream: bytearray, aad: bytes,
+             ciphertext: bytes) -> bytes:
         """GHASH over aad, ciphertext and their bit lengths, masked with
-        the encrypted pre-counter block J0."""
+        E(J0), the keystream's first block."""
         counters.record("ghash_block", (len(aad) + 15) // 16 +
                         (len(ciphertext) + 15) // 16 + 1)
         gh = self._ghash_key
         y = gh.absorb(gh.absorb(0, aad), ciphertext)
         s = gh.mul(y ^ (len(aad) * 8 << 64 | len(ciphertext) * 8))
         counters.record("aes_block")
-        return (self._aes.encrypt_int(j0) ^ s).to_bytes(16, "big")
+        return (int.from_bytes(keystream[:16], "big") ^ s).to_bytes(16, "big")
 
-    def _ctr(self, j0: int, data: bytes) -> bytes:
-        """data xor the keystream E(J0 + 1), E(J0 + 2), ... whose counter is
-        the low 32 bits of the block."""
+    @staticmethod
+    def _ctr(keystream: bytearray, data: bytes) -> bytes:
+        """data xor the keystream after E(J0): E(J0 + 1), E(J0 + 2), ..."""
         n = len(data)
         if not n:
             return b""
-        blocks = (n + 15) // 16
-        counters.record("aes_block", blocks)
-        if blocks >= _SLICED_MIN_BLOCKS:
-            keystream = self._aes.sliced_keystream(j0, blocks)
-        else:
-            encrypt = self._aes.encrypt_int
-            prefix, counter = j0 & ~_WORD, j0 & _WORD
-            keystream = bytearray()
-            for i in range(1, blocks + 1):
-                keystream += encrypt(
-                    prefix | (counter + i) & _WORD).to_bytes(16, "big")
-        del keystream[n:]
+        counters.record("aes_block", (n + 15) // 16)
         return (int.from_bytes(data, "big") ^
-                int.from_bytes(keystream, "big")).to_bytes(n, "big")
+                int.from_bytes(keystream[16:16 + n], "big")).to_bytes(n, "big")
 
     def seal(self, nonce: bytes, aad: bytes, plaintext: bytes) -> bytes:
-        if len(nonce) != 12:
-            raise AeadError("GCM nonce must be 96 bits")
-        j0 = int.from_bytes(nonce, "big") << 32 | 1
-        ciphertext = self._ctr(j0, plaintext)
-        return ciphertext + self._tag(j0, aad, ciphertext)
+        keystream = self._keystream(nonce, len(plaintext))
+        ciphertext = self._ctr(keystream, plaintext)
+        return ciphertext + self._tag(keystream, aad, ciphertext)
 
     def open(self, nonce: bytes, aad: bytes, sealed: bytes) -> bytes:
-        if len(nonce) != 12:
-            raise AeadError("GCM nonce must be 96 bits")
         if len(sealed) < 16:
             raise AeadError("input shorter than the tag")
         ciphertext, tag = sealed[:-16], sealed[-16:]
-        j0 = int.from_bytes(nonce, "big") << 32 | 1
+        keystream = self._keystream(nonce, len(ciphertext))
         # full 16-byte comparison, in time independent of where the tags
         # differ, before any plaintext is produced
-        if not hmac.compare_digest(self._tag(j0, aad, ciphertext), tag):
+        if not hmac.compare_digest(self._tag(keystream, aad, ciphertext), tag):
             raise AuthenticationError("GCM tag mismatch")
-        return self._ctr(j0, ciphertext)
+        return self._ctr(keystream, ciphertext)
 
 
 class AeadKey:
     """AES-128-GCM key with the 4-byte implicit nonce salt."""
 
-    __slots__ = ("key", "implicit_salt", "_ctx")
+    __slots__ = ("implicit_salt", "_ctx")
 
     def __init__(self, key: bytes, implicit_salt: bytes):
         if len(key) != 16 or len(implicit_salt) != 4:
             raise AeadError("need a 16-byte key and 4-byte salt")
-        self.key = key
         self.implicit_salt = implicit_salt
         self._ctx = GcmContext(key)
 

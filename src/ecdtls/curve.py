@@ -217,13 +217,23 @@ class CurveRegistry:
             if other.oid == params.oid:
                 raise CurveError("curve OID %s of %r is taken by %r"
                                  % (params.oid, params.id, other.id))
-        _validate_params(params)
+        try:
+            _validate_params(params)
+        except CurveError as exc:
+            raise CurveError("bad registry record %r: %s"
+                             % (params.id, exc)) from None
         self._curves[params.id] = params
         return params
 
     def load_text(self, text: str) -> None:
+        """Register every record of text or none: each is parsed, then
+        checked against the registry and the records before it, before the
+        first is registered."""
+        staged = CurveRegistry()
+        staged._curves = dict(self._curves)
         for params in parse_registry_text(text):
-            self.register(params)
+            staged.register(params)
+        self._curves = staged._curves
 
     def load_file(self, path: str) -> None:
         with open(path, "r", encoding="utf-8") as fh:
@@ -241,12 +251,17 @@ def _validate_params(params: CurveParams) -> None:
             raise CurveError("n * G is not the identity")
 
 
+_RECORD_KEYS = frozenset(("kind", "tls", "oid", "p", "a", "b", "gx", "gy", "n",
+                          "h"))
+
+
 def parse_registry_text(text: str) -> List[CurveParams]:
     """Parse the curve registry format: [name] blocks of key=value lines,
     hex except the `oid`, which `der.der_oid` must accept.  Each record
     names its curve form in `kind` and its cofactor in `h`; only
     `weierstrass` with h = 1 is accepted, so a record for another form or a
-    larger group is refused rather than misread."""
+    larger group is refused rather than misread.  A name may head one
+    block, and a block must give each of `_RECORD_KEYS` exactly once."""
     records: List[CurveParams] = []
     name = None
     fields: Dict[str, str] = {}
@@ -279,10 +294,16 @@ def parse_registry_text(text: str) -> List[CurveParams]:
         if line.startswith("[") and line.endswith("]"):
             flush()
             name = line[1:-1].strip()
+            if any(params.id == name for params in records):
+                raise CurveError("duplicate registry record %r" % name)
             fields = {}
         elif "=" in line and name is not None:
             key, _, value = line.partition("=")
-            fields[key.strip().lower()] = value.strip()
+            key = key.strip().lower()
+            if key not in _RECORD_KEYS or key in fields:
+                raise CurveError("bad registry record %r: %s key %r" % (
+                    name, "repeated" if key in fields else "unknown", key))
+            fields[key] = value.strip()
         else:
             raise CurveError("unparseable registry line: %r" % line)
     flush()

@@ -4,10 +4,9 @@ import random
 import pytest
 
 from ecdtls import counters
-from ecdtls.aesgcm import (_LANE_MIN_BLOCKS, _LANES, _RCON, _SBOX,
-                           _SLICED_MIN_BLOCKS, _XTIME, AeadError, AeadKey,
-                           Aes128, AuthenticationError, GcmContext, _GhashKey,
-                           aes_gcm_open, aes_gcm_seal)
+from ecdtls.aesgcm import (_LANE_MIN_BLOCKS, _LANES, _RCON, _SBOX, _XTIME,
+                           AeadError, AeadKey, Aes128, AuthenticationError,
+                           GcmContext, _GhashKey, aes_gcm_open, aes_gcm_seal)
 
 # McGrew-Viega AES-128-GCM test cases (SP 800-38D validation set)
 GCM_K3 = bytes.fromhex("feffe9928665731c6d6a8f9467308308")
@@ -23,10 +22,15 @@ GCM_A4 = bytes.fromhex("feedfacedeadbeeffeedfacedeadbeefabaddad2")
 GCM_T4 = bytes.fromhex("5bc94fbc3221a5db94fae95ae7121a47")
 
 
+def encrypt(aes, block):
+    """One block through the keystream: E(block) is its one-block run."""
+    return bytes(aes.keystream(int.from_bytes(block, "big"), 1))
+
+
 class TestAesCore:
     def test_fips197_appendix_c_vector(self):
         aes = Aes128(bytes.fromhex("000102030405060708090a0b0c0d0e0f"))
-        got = aes.encrypt_block(bytes.fromhex("00112233445566778899aabbccddeeff"))
+        got = encrypt(aes, bytes.fromhex("00112233445566778899aabbccddeeff"))
         assert got.hex() == "69c4e0d86a7b0430d8cdb78070b4c55a"
 
     def test_sp800_38a_ecb_vectors(self):
@@ -38,13 +42,13 @@ class TestAesCore:
             ("f69f2445df4f9b17ad2b417be66c3710", "7b0c785e27e8ad3f8223207104725dd4"),
         ]
         for pt, ct in pairs:
-            assert aes.encrypt_block(bytes.fromhex(pt)).hex() == ct
+            assert encrypt(aes, bytes.fromhex(pt)).hex() == ct
 
     def test_block_counter(self):
-        aes = Aes128(b"\x00" * 16)
+        # the hash subkey H = E(0) is the one block a key costs up front
         with counters.scope() as sc:
-            aes.encrypt_block(b"\x00" * 16)
-        assert sc.counters["aes_block"] == 1
+            GcmContext(b"\x00" * 16)
+        assert dict(sc.counters) == {"aes_block": 1}
 
     def test_bad_key_length(self):
         with pytest.raises(AeadError):
@@ -124,8 +128,9 @@ class TestGcmBehaviour:
 
 # ---------------------------------------------------------------------------
 # Byte-wise and bit-serial reference algorithms.  The counters price one AES
-# block and one GHASH block; the library computes them with T-tables and an
-# 8-bit multiplication table, and these oracles check that the two agree.
+# block and one GHASH block; the library computes AES byte-sliced over a
+# whole run and GHASH with an 8-bit multiplication table or in lanes, and
+# these oracles check that the two agree.
 
 def bytewise_round_keys(key):
     words = [list(key[i:i + 4]) for i in range(0, 16, 4)]
@@ -203,42 +208,55 @@ class TestKernelsAgainstOracles:
             aes = Aes128(key)
             for _ in range(4):
                 block = bytes(rng.randrange(256) for _ in range(16))
-                want = bytewise_encrypt_block(key, block)
-                assert aes.encrypt_block(block) == want
-                assert aes.encrypt_int(int.from_bytes(block, "big")) == \
-                    int.from_bytes(want, "big")
+                assert encrypt(aes, block) == bytewise_encrypt_block(key, block)
 
-    def test_int_path_records_nothing(self):
+    def test_keystream_records_nothing(self):
         aes = Aes128(b"\x00" * 16)
         with counters.scope() as sc:
-            aes.encrypt_int(0)
+            aes.keystream(0, 5)
         assert not sc.counters
 
     @pytest.mark.parametrize("low", [0x00000002, 0xFFFFFFFA])
-    @pytest.mark.parametrize("blocks", [7, 8, 9, 1025])
+    @pytest.mark.parametrize("blocks", [*range(1, 10), 1025, 1026])
     def test_sliced_keystream_matches_bytewise_rounds(self, blocks, low):
-        # low = 0xFFFFFFFA wraps the 32-bit counter inside the run (inc32)
+        # low = 0xFFFFFFFA wraps the 32-bit counter inside a run of 7 or
+        # more blocks (inc32)
         key = bytes(range(0x40, 0x50))
         prefix = int.from_bytes(GCM_IV3, "big") << 32
         want = b"".join(
             bytewise_encrypt_block(
                 key, (prefix | (low + i) & 0xFFFFFFFF).to_bytes(16, "big"))
-            for i in range(1, blocks + 1))
-        assert Aes128(key).sliced_keystream(prefix | low, blocks) == want
+            for i in range(blocks))
+        assert Aes128(key).keystream(prefix | low, blocks) == want
 
-    def test_ctr_takes_the_sliced_path_from_the_threshold(self, monkeypatch):
+    def test_each_record_makes_one_keystream_call(self, monkeypatch):
         calls = []
-        sliced = Aes128.sliced_keystream
+        keystream = Aes128.keystream
 
         def spy(aes, j0, blocks):
             calls.append(blocks)
-            return sliced(aes, j0, blocks)
+            return keystream(aes, j0, blocks)
 
-        monkeypatch.setattr(Aes128, "sliced_keystream", spy)
         ctx = GcmContext(GCM_K3)
-        for blocks in (1, _SLICED_MIN_BLOCKS - 1, _SLICED_MIN_BLOCKS, 1025):
-            ctx.seal(GCM_IV3, b"", bytes(16 * blocks))
-        assert calls == [_SLICED_MIN_BLOCKS, 1025]
+        monkeypatch.setattr(Aes128, "keystream", spy)
+        for blocks in (0, 1, 4, 5, 1025):
+            sealed = ctx.seal(GCM_IV3, b"ad", bytes(16 * blocks))
+            ctx.open(GCM_IV3, b"ad", sealed)
+            # E(J0) for the tag, then the CTR blocks, once each way
+            assert calls == [blocks + 1] * 2
+            calls.clear()
+
+    @pytest.mark.parametrize("blocks", [0, 4, 1025])
+    def test_refused_open_counts_ghash_and_the_tag_block(self, blocks):
+        ctx = GcmContext(GCM_K3)
+        sealed = bytearray(ctx.seal(GCM_IV3, b"ad", bytes(16 * blocks)))
+        sealed[-1] ^= 1
+        with counters.scope() as sc:
+            with pytest.raises(AuthenticationError):
+                ctx.open(GCM_IV3, b"ad", bytes(sealed))
+        # the CTR blocks are priced only after the tags match
+        assert list(sc.counters.items()) == [
+            ("ghash_block", blocks + 2), ("aes_block", 1)]
 
     @pytest.mark.parametrize("blocks", sorted({
         _LANE_MIN_BLOCKS - 1, _LANE_MIN_BLOCKS, _LANE_MIN_BLOCKS + 1,
@@ -281,9 +299,9 @@ class TestKernelsAgainstOracles:
 # (plaintext length, AAD length) -> SHA-256 of the sealed output under key
 # 000102...0f and nonce GCM_IV3, with plaintext byte i = 7i mod 256 and AAD
 # byte i = d0 + i mod 256.  Computed once, offline, with the `cryptography`
-# package's AESGCM.  112 B is 7 CTR blocks, below _SLICED_MIN_BLOCKS (8);
-# 113 and 128 B are 8 blocks, 129 B is 9 and 16384 B is 1024.  An AAD of
-# 368 B is 23 GHASH blocks, below _LANE_MIN_BLOCKS (24); 369 B is 24.
+# package's AESGCM.  112 B is 7 CTR blocks, 113 and 128 B are 8, 129 B is 9
+# and 16384 B is 1024.  An AAD of 368 B is 23 GHASH blocks, below
+# _LANE_MIN_BLOCKS (24); 369 B is 24.
 SEAL_SHA256 = {
     (0, 0): "bc182de37d27c4aaab5c70d1b402fa85c25799a696644d8c8d2a4543b8209f7b",
     (0, 13): "4b03fadd77ed5c06f7b7720acbdb866a571cbe568c7c866d75c6572da823a84a",

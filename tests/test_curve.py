@@ -235,3 +235,36 @@ class TestRegistryParsing:
         assert line in TINY_RECORD
         with pytest.raises(CurveError, match="bad registry record 'tiny'"):
             CurveRegistry().load_text(TINY_RECORD.replace(line, replacement))
+
+    # a second record that parses, with its own code point and OID, but
+    # whose generator (5, 22) is off the curve
+    OFF_CURVE = (TINY_RECORD.replace("[tiny]", "[tiny2]")
+                 .replace("fe01", "fe02").replace("55555.2", "55555.3")
+                 .replace("gy = 15", "gy = 16"))
+
+    def test_failed_load_registers_nothing(self, toy):
+        reg = CurveRegistry()
+        reg.register(toy)
+        with pytest.raises(CurveError):
+            reg.load_text(TINY_RECORD + self.OFF_CURVE)
+        assert reg.names() == ["toy59"]
+        reg.load_text(TINY_RECORD)
+        assert reg.names() == ["toy59", "tiny"]
+
+    def test_validation_error_names_its_record(self):
+        with pytest.raises(CurveError, match="bad registry record 'tiny2': "
+                                             "generator not on curve"):
+            CurveRegistry().load_text(TINY_RECORD + self.OFF_CURVE)
+
+    def test_duplicate_record_refused(self):
+        twin = TINY_RECORD.replace("fe01", "fe02").replace("55555.2", "55555.3")
+        with pytest.raises(CurveError, match="duplicate registry record 'tiny'"):
+            parse_registry_text(TINY_RECORD + twin)
+
+    def test_repeated_key_refused(self):
+        with pytest.raises(CurveError, match="repeated key 'gy'"):
+            parse_registry_text(TINY_RECORD + "gy = 15\n")
+
+    def test_unknown_key_refused(self):
+        with pytest.raises(CurveError, match="unknown key 'q'"):
+            parse_registry_text(TINY_RECORD + "q = 05\n")

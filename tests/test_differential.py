@@ -44,11 +44,11 @@ SEEDS = range(24)
 
 
 def draw(seed):
-    """key, nonce, aad, plaintext.  Odd seeds draw lengths up to 16 KiB (the
-    byte-sliced keystream and the lane GHASH); even ones up to 512 B,
-    across the 8-block CTR threshold and the 24-block GHASH one.  Every
-    third seed draws an AAD of up to 1 KiB, which takes the lane GHASH
-    from 24 blocks (384 B); the others one under 64 B."""
+    """key, nonce, aad, plaintext.  Odd seeds draw lengths up to 16 KiB
+    (long keystream runs and the lane GHASH); even ones up to 512 B,
+    across the 24-block GHASH threshold.  Every third seed draws an AAD of
+    up to 1 KiB, which takes the lane GHASH from 24 blocks (384 B); the
+    others one under 64 B."""
     rng = random.Random(seed)
     n = rng.randrange(16385 if seed % 2 else 513)
     aad_len = rng.randrange(1025 if seed % 3 == 0 else 64)
