@@ -1,23 +1,25 @@
 """DTLS 1.2 mutual-authentication handshake driven by one flight table.
 
 Between step calls a session rests in a `State`.  `_FLIGHTS` maps each
-(role, resting state) to the flight awaited there (RFC 6347 §4.2.4 flights):
-the handler that consumes it and sends the reply, the number of inbound
-records in it, and the state reached when the handler returns.  The session
-owns the flight boundary: a step adds its datagrams to an inbox kept across
-steps, and runs the handler only once the inbox holds the whole flight or an
-alert; what the handler leaves unread waits for the next flight.  Handlers
-read every message through `_read`, which frames it, checks its type and
-parses it, so a malformed message aborts in one place.  The state is set
-once, after the handler returns.  A handler that runs out of records (some
-were dropped) leaves the state where it was, as does the server answering a
-bad cookie with a fresh HelloVerifyRequest; a protocol error moves the
-session to FAILED, zeroizes any derived keys and answers with a fatal alert
-(a fatal alert from the peer does the same, unanswered).  `close()` drops
-the keys and moves any state but FAILED to CLOSED.  Nothing retransmits
-yet, so a lost record stalls the handshake without failing it.
-Each datagram is taken as one whole record: packed datagrams, fragments and
-`message_seq` are not read yet.
+(role, resting state) to the flight awaited there (RFC 6347 §4.2.4): its
+handler, its number of handshake messages, and the state the handler
+reaches.  Both roles await the peer's ChangeCipherSpec and Finished in
+FINISHED_WAIT, under keys already derived.
+
+A step cuts each datagram into records (RFC 6347 §4.1.1).  It files each
+handshake message under its `message_seq` (§4.2.2), the first copy only and
+none below `next_receive_seq`, keeps the ChangeCipherSpec body, holds epoch-1
+records until that read epoch starts, drops an epoch-0 record that does not
+parse (§4.1.2.7), and aborts at once, unanswered, on a fatal alert.  It then
+runs each flight whose messages are all filed; the handler reads them in
+order through `_read`, which checks each type and parses it, and the state
+is set once it returns.  The Finished handler waits for the ChangeCipherSpec,
+starts the read epoch once, and waits on until a Finished opens.  A bad
+cookie is answered with a fresh HelloVerifyRequest; a protocol error moves
+the session to FAILED, zeroizes any derived keys and answers with a fatal
+alert.  `close()` drops the keys and moves any state but FAILED to CLOSED.
+Nothing retransmits yet and fragments are refused, so a lost record stalls
+the handshake without failing it.
 
 The fixed suite is ECDHE-ECDSA with AES-128-GCM and SHA-256 transcripts.
 A session pins its trust anchor's key in `scalarmult` when it is
@@ -26,9 +28,6 @@ process-wide fixed-base rows; that is execution only and prices nothing.
 Both roles check the peer certificate on one path.  A cached-mode client skips
 that check for a server certificate it verified earlier under the same trust
 anchor, while the certificate is inside its validity window.
-
-Records are decoded lazily, one datagram at a time, so a ChangeCipherSpec can
-switch the read epoch before the Finished record behind it is opened.
 """
 
 from __future__ import annotations
@@ -47,7 +46,8 @@ from .ecdsa import EcdsaSignature, KeyPair, SignatureError, ecdsa_sign, \
 from .keyagree import KeyAgreementError, ecdhe_shared
 from .prf import tls_prf_sha256
 from .record import (CONTENT_ALERT, CONTENT_APPDATA, CONTENT_CCS,
-                     CONTENT_HANDSHAKE, DROP_OK, RecordLayer)
+                     CONTENT_HANDSHAKE, DROP_OK, HEADER_LEN, RecordHeader,
+                     RecordLayer)
 from .scalarmult import CombCache, pin_trust_anchor
 from .sha256 import Sha256, hmac_sha256, sha256
 from .x509 import CertCache, Certificate, X509Error, x509_parse, \
@@ -61,9 +61,6 @@ ALERT_HANDSHAKE_FAILURE = 40
 
 MODE_FULL = "full"
 MODE_CACHED = "cached"
-
-_RECORD_KINDS = {CONTENT_HANDSHAKE: "handshake", CONTENT_CCS: "ccs",
-                 CONTENT_ALERT: "alert", CONTENT_APPDATA: "app"}
 
 
 class HandshakeError(Exception):
@@ -80,9 +77,9 @@ class _Abort(Exception):
 
 
 class _Stay(Exception):
-    """Internal: keep the resting state and send `out`.  Raised when a
-    record is missing (datagram loss is not a protocol failure) and when a
-    bad cookie is answered with a fresh HelloVerifyRequest."""
+    """Internal: keep the resting state and send `out`.  Raised while the
+    peer's ChangeCipherSpec or Finished is missing and when a bad cookie is
+    answered with a fresh HelloVerifyRequest."""
 
     def __init__(self, out: Optional[List[bytes]] = None):
         super().__init__()
@@ -163,7 +160,10 @@ class HandshakeSession:
         self.state = State.INIT
         self.failure_reason: Optional[str] = None
         self.records = RecordLayer()
-        self._inbox: List[bytes] = []  # datagrams not read yet
+        self._messages: Dict[int, bytes] = {}  # message_seq -> message
+        self._next_receive_seq = 0
+        self._ccs: Optional[bytes] = None  # the peer's ChangeCipherSpec body
+        self._held: List[bytes] = []  # records of the next read epoch
         self.transcript = Sha256()
         self._recorder = counters.Recorder(label="%s-session" % self.role)
         self._next_send_seq = 0
@@ -201,30 +201,41 @@ class HandshakeSession:
 
     # -- record intake ---------------------------------------------------------
 
-    def _pull(self) -> Tuple[str, bytes]:
-        """Decode inbox datagrams until one yields a record; drops and
-        unknown content types are skipped silently."""
-        while self._inbox:
-            outcome, ctype, payload = self.records.decode(self._inbox.pop(0))
-            kind = _RECORD_KINDS.get(ctype) if outcome == DROP_OK else None
-            if kind == "alert":
+    def _file(self, datagram: bytes) -> None:
+        """File each record of a datagram where the handlers look for it."""
+        while datagram:
+            header = RecordHeader.parse(datagram)
+            size = HEADER_LEN + header.length if header else len(datagram)
+            record, datagram = datagram[:size], datagram[size:]
+            if header and header.epoch == 1 and not self.records.read_epoch:
+                self._held.append(record)  # waits for the epoch-1 keys
+                continue
+            outcome, ctype, payload = self.records.decode(record)
+            if outcome != DROP_OK:
+                continue
+            if ctype == CONTENT_ALERT:
                 raise _Abort("peer sent a fatal alert", send_alert=False)
-            if kind is not None:
-                return kind, payload
-        raise _Stay()
+            if ctype == CONTENT_CCS and self._ccs is None:
+                self._ccs = payload
+            elif ctype == CONTENT_HANDSHAKE:
+                try:
+                    seq = wire.parse_handshake(payload)[1]
+                except wire.WireError as exc:
+                    if not self.records.read_epoch:
+                        continue  # not authenticated, so only dropped
+                    raise _Abort("bad handshake framing: %s" % exc) from None
+                if seq >= self._next_receive_seq:
+                    self._messages.setdefault(seq, payload)
 
     def _read(self, msg_type: int, parse: Callable[[bytes], Any] = bytes
               ) -> Tuple[bytes, Any]:
-        """The next record, which must be a handshake message of msg_type:
-        its raw bytes and its body run through parse.  Every malformed
-        message aborts here."""
-        kind, raw = self._pull()
-        if kind != "handshake":
-            raise _Abort("unexpected %s record mid-flight" % kind)
-        try:
-            got, _seq, body = wire.parse_handshake(raw)
-        except wire.WireError as exc:
-            raise _Abort("bad handshake framing: %s" % exc) from None
+        """The next message, which must be of msg_type: its raw bytes and
+        its body run through parse.  A malformed body aborts here."""
+        raw = self._messages.pop(self._next_receive_seq, None)
+        if raw is None:  # only a Finished can be missing here
+            raise _Stay()
+        self._next_receive_seq += 1
+        got, _seq, body = wire.parse_handshake(raw)
         if got != msg_type:
             raise _Abort("expected handshake type %d, got %d"
                          % (msg_type, got))
@@ -287,13 +298,21 @@ class HandshakeSession:
         verify_data = self._verify_data(label, self.transcript.copy().digest())
         return [ccs, self._send_handshake(wire.HT_FINISHED, verify_data)]
 
-    def _read_peer_finished(self, read_key: AeadKey, label: bytes) -> None:
+    def _read_peer_finished(self, read_key: Callable[[], AeadKey],
+                            label: bytes) -> None:
         """The peer's ChangeCipherSpec, then its Finished under the new read
-        epoch, checked against the transcript so far."""
-        if self._pull() != ("ccs", b"\x01"):  # RFC 5246 §7.1
+        epoch (started once), checked against the transcript so far."""
+        if self._ccs is None:
+            raise _Stay()
+        if self._ccs != b"\x01":  # RFC 5246 §7.1
             raise _Abort("expected ChangeCipherSpec before %s"
                          % label.decode())
-        self.records.start_read_epoch(read_key)
+        if not self.records.read_epoch:
+            self.records.start_read_epoch(read_key())
+            self._messages.clear()  # filed unauthenticated: no Finished
+            held, self._held = self._held, []
+            for record in held:
+                self._file(record)
         raw, body = self._read(wire.HT_FINISHED)
         if body != self._verify_data(label, self.transcript.copy().digest()):
             raise _Abort("%s verification failed" % label.decode())
@@ -315,18 +334,23 @@ class HandshakeSession:
         flight = _FLIGHTS.get((self.role, self.state))
         if flight is None:  # ESTABLISHED, FAILED or CLOSED
             return []
-        self._inbox.extend(datagrams)
-        if len(self._inbox) < flight.records and \
-                CONTENT_ALERT not in (d[0] for d in self._inbox if d):
-            return []  # wait for the rest of the flight
+        out: List[bytes] = []
         with self._recorder:
             try:
-                out = flight.handler(self)
-                self.state = flight.reached
+                for datagram in datagrams:
+                    self._file(datagram)
+                while flight is not None and self._messages.keys() >= set(
+                        range(self._next_receive_seq,
+                              self._next_receive_seq + flight.messages)):
+                    seqs = self._next_receive_seq, self._next_send_seq
+                    out += flight.handler(self)
+                    self.state = flight.reached
+                    flight = _FLIGHTS.get((self.role, self.state))
                 if self.established:
                     self.handshake_counters = self._recorder.counters.copy()
-            except _Stay as stay:
-                out = stay.out
+            except _Stay as stay:  # only a handler raises it, after seqs
+                self._next_receive_seq, self._next_send_seq = seqs
+                out += stay.out
             except _Abort as abort:
                 self.failure_reason = abort.reason
                 self.state = State.FAILED
@@ -446,7 +470,7 @@ class HandshakeSession:
                                                     b"client finished")
 
     def _on_server_finished(self) -> List[bytes]:
-        self._read_peer_finished(self._server_write_key(), b"server finished")
+        self._read_peer_finished(self._server_write_key, b"server finished")
         return []
 
     # -- server flights -------------------------------------------------------
@@ -521,8 +545,10 @@ class HandshakeSession:
         if not ecdsa_verify(self.peer_key, cv_digest, sig, self.comb_cache):
             raise _Abort("CertificateVerify signature invalid")
         self.transcript.update(raw)
+        return []
 
-        self._read_peer_finished(self._client_write_key(), b"client finished")
+    def _on_client_finished(self) -> List[bytes]:
+        self._read_peer_finished(self._client_write_key, b"client finished")
         return self._change_cipher_and_finish(self._server_write_key(),
                                               b"server finished")
 
@@ -576,7 +602,7 @@ class HandshakeSession:
 
 class _Flight(NamedTuple):
     handler: Callable[[HandshakeSession], List[bytes]]
-    records: int    # inbound records (one per datagram) in the flight
+    messages: int   # handshake messages filed before the handler runs
     reached: State  # resting state once the handler returns
 
 
@@ -590,11 +616,13 @@ _FLIGHTS: Dict[Tuple[str, State], _Flight] = {
     ("client", State.COOKIE_WAIT): _Flight(  # SH, Cert, SKE, CertReq, SHDone
         HandshakeSession._on_server_flight, 5, State.FINISHED_WAIT),
     ("client", State.FINISHED_WAIT): _Flight(  # CCS, Finished
-        HandshakeSession._on_server_finished, 2, State.ESTABLISHED),
+        HandshakeSession._on_server_finished, 0, State.ESTABLISHED),
     ("server", State.INIT): _Flight(  # ClientHello
         HandshakeSession._on_client_hello, 1, State.COOKIE_WAIT),
     ("server", State.COOKIE_WAIT): _Flight(  # ClientHello with cookie
         HandshakeSession._on_cookie_hello, 1, State.HELLO_EXCHANGED),
-    ("server", State.HELLO_EXCHANGED): _Flight(  # Cert, CKE, CV, CCS, Finished
-        HandshakeSession._on_client_flight, 5, State.ESTABLISHED),
+    ("server", State.HELLO_EXCHANGED): _Flight(  # Cert, CKE, CV
+        HandshakeSession._on_client_flight, 3, State.FINISHED_WAIT),
+    ("server", State.FINISHED_WAIT): _Flight(  # CCS, Finished
+        HandshakeSession._on_client_finished, 0, State.ESTABLISHED),
 }

@@ -2,7 +2,10 @@
 per-epoch sequence numbers, and a 64-entry sliding replay window.
 
 Decoding is datagram-tolerant: anything malformed, replayed, or unauthentic
-is reported as a drop, never an exception.
+is reported as a drop, never an exception.  Epoch 0 keeps no replay window:
+its records carry no MAC, so one forged at a far sequence number would shadow
+every genuine one; `message_seq` guards it instead (RFC 6347 §4.2.2).  It
+also takes record version fe ff, which a first hello may carry (§4.2.1).
 """
 
 from __future__ import annotations
@@ -55,10 +58,10 @@ class RecordHeader:
     def parse(cls, data: bytes) -> Optional["RecordHeader"]:
         if len(data) < HEADER_LEN:
             return None
-        if data[1:3] != DTLS12_VERSION:
+        epoch = int.from_bytes(data[3:5], "big")
+        if data[1:3] != DTLS12_VERSION and (epoch or data[1:3] != b"\xfe\xff"):
             return None
-        return cls(data[0], int.from_bytes(data[3:5], "big"),
-                   int.from_bytes(data[5:11], "big"),
+        return cls(data[0], epoch, int.from_bytes(data[5:11], "big"),
                    int.from_bytes(data[11:13], "big"))
 
 
@@ -98,8 +101,8 @@ class ReplayWindow:
 
 
 class RecordLayer:
-    """One endpoint's record state: write epoch/sequences, read keys and
-    replay windows.  Epoch 0 is plaintext; epoch 1 is AES-GCM."""
+    """One endpoint's record state: write epoch/sequences, read key and its
+    replay window.  Epoch 0 is plaintext; epoch 1 is AES-GCM."""
 
     def __init__(self):
         self.write_epoch = 0
@@ -107,7 +110,7 @@ class RecordLayer:
         self.write_key: Optional[AeadKey] = None
         self.read_epoch = 0
         self.read_key: Optional[AeadKey] = None
-        self.windows: Dict[int, ReplayWindow] = {0: ReplayWindow()}
+        self.window = ReplayWindow()  # unused at epoch 0
         self.drop_counts: Dict[str, int] = {}
 
     # -- sending ------------------------------------------------------------
@@ -120,7 +123,7 @@ class RecordLayer:
     def start_read_epoch(self, key: AeadKey) -> None:
         self.read_epoch += 1
         self.read_key = key
-        self.windows[self.read_epoch] = ReplayWindow()
+        self.window = ReplayWindow()
 
     def encode(self, content_type: int, payload: bytes) -> bytes:
         if len(payload) > MAX_PLAINTEXT:
@@ -158,12 +161,10 @@ class RecordLayer:
             return self._drop(DROP_MALFORMED)
         if header.epoch != self.read_epoch:
             return self._drop(DROP_BAD_EPOCH)
-        window = self.windows[self.read_epoch]
-        if window.seen(header.sequence):
-            return self._drop(DROP_REPLAY)
         if header.epoch == 0:
-            window.mark(header.sequence)
             return DROP_OK, header.content_type, body
+        if self.window.seen(header.sequence):
+            return self._drop(DROP_REPLAY)
         if len(body) < 8 + 16:
             return self._drop(DROP_MALFORMED)
         explicit, sealed = body[:8], body[8:]
@@ -177,5 +178,5 @@ class RecordLayer:
         except AeadError:
             return self._drop(DROP_MALFORMED)
         # advance the window only after successful authentication
-        window.mark(header.sequence)
+        self.window.mark(header.sequence)
         return DROP_OK, header.content_type, payload

@@ -1,16 +1,15 @@
 """Transport bindings: an in-memory loopback driver and a UDP endpoint.
 
-Loopback runs both state machines in one thread of control, stepping them
-alternately and handing each the peer's whole last flight; an optional
-interceptor sees every flight and may tamper with or drop datagrams (the
-adversarial-harness hook).  The UDP driver steps its session once per
-datagram received: the session buffers a flight until it is whole, so
-neither driver counts records.
+Both drivers only move datagrams; each session buffers messages until its
+flight is whole.  Loopback steps the two sessions in turn until no datagram
+is in flight; an optional interceptor sees each step's output and may
+tamper with, drop, reorder or repack datagrams (the adversarial-harness
+hook).  The UDP driver steps its session once per datagram received.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .handshake import HandshakeSession
 
@@ -35,46 +34,25 @@ class LoopbackResult:
 def run_loopback(client: HandshakeSession, server: HandshakeSession,
                  interceptor: Optional[Interceptor] = None
                  ) -> LoopbackResult:
-    """Alternate client/server steps until both establish, either fails, or
-    progress stalls."""
-    to_server: List[bytes] = []
-    to_client: List[bytes] = []
+    """The client opens; then each round steps each end that has datagrams
+    waiting, until none has or MAX_LOOPBACK_ITERATIONS rounds have run."""
+    steps = {"client": client.client_step, "server": server.server_step}
+    waiting: Dict[str, List[bytes]] = {"client": [], "server": []}
+
+    def step(role: str, datagrams: List[bytes]) -> None:
+        out = steps[role](datagrams)
+        if out and interceptor is not None:
+            out = interceptor(role, out)
+        waiting["server" if role == "client" else "client"] += out
+
+    step("client", [])
     iterations = 0
-    while iterations < MAX_LOOPBACK_ITERATIONS:
+    while any(waiting.values()) and iterations < MAX_LOOPBACK_ITERATIONS:
         iterations += 1
-        progressed = False
-
-        if not (client.established or client.failed) or to_client:
-            out = client.client_step(to_client)
-            to_client = []
-            if out:
-                progressed = True
-                if interceptor is not None:
-                    out = interceptor("client", out)
-                to_server.extend(out)
-
-        if not (server.established or server.failed) or to_server:
-            out = server.server_step(to_server)
-            to_server = []
-            if out:
-                progressed = True
-                if interceptor is not None:
-                    out = interceptor("server", out)
-                to_client.extend(out)
-
-        if client.established and server.established:
-            break
-        if client.failed or server.failed:
-            # one more half-step lets a pending alert reach the peer
-            if to_client:
-                client.client_step(to_client)
-                to_client = []
-            if to_server:
-                server.server_step(to_server)
-                to_server = []
-            break
-        if not progressed:
-            break
+        for role in ("client", "server"):
+            if waiting[role]:
+                datagrams, waiting[role] = waiting[role], []
+                step(role, datagrams)
     return LoopbackResult(client, server, iterations)
 
 

@@ -1,11 +1,13 @@
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ecdtls import wire
 from ecdtls.credentials import NOT_AFTER, generate_pki
 from ecdtls.handshake import (MODE_CACHED, MODE_FULL, HandshakeError,
                               HandshakeSession, SessionConfig, State)
 from ecdtls.record import (CONTENT_ALERT, CONTENT_CCS, CONTENT_HANDSHAKE,
-                           RecordHeader)
+                           DROP_MALFORMED, RecordHeader)
 from ecdtls.transport import run_loopback
 from ecdtls.x509 import CertCache
 
@@ -485,3 +487,223 @@ class TestReplayAcrossHandshake:
         after = server.session_counters.get("ecdsa_verify", 0)
         assert server.established
         assert after == before
+
+
+# Datagrams that must leave a handshake untouched: too short for a record
+# header, an epoch-0 record of unknown content type at a far sequence number
+# (probe B), an epoch-0 handshake record whose header does not parse
+# (probe A), and a bare epoch-1 handshake header, held until the keys exist.
+JUNK = [b"junk",
+        RecordHeader(99, 0, 1 << 40, 1).pack() + b"?",
+        RecordHeader(CONTENT_HANDSHAKE, 0, 0, 2).pack() + b"\x01\x00",
+        RecordHeader(CONTENT_HANDSHAKE, 1, 0, 0).pack()]
+
+
+def step_of(session):
+    return session.client_step if session.role == "client" else \
+        session.server_step
+
+
+class TestMessageLayer:
+    """The session reads whole messages by message_seq, so neither the
+    grouping of records into datagrams, nor their order within a flight,
+    nor strays beside them change what a handshake does."""
+
+    @pytest.fixture(scope="class", params=["toy59", "secp160r1"])
+    def reference(self, request, toy, toy_pki, curves, p160_pki):
+        """A curve, its PKI and an in-order loopback pair on it."""
+        curve, pki = (toy, toy_pki) if request.param == "toy59" else \
+            (curves["secp160r1"], p160_pki)
+        client, server = make_pair(curve, pki)
+        assert run_loopback(client, server).established
+        return curve, pki, client, server
+
+    @staticmethod
+    def assert_same_handshake(reference, client, server):
+        _, _, ref_client, ref_server = reference
+        assert client.established and server.established
+        for end, ref in ((client, ref_client), (server, ref_server)):
+            assert bytes(end.security.master_secret) == \
+                bytes(ref.security.master_secret)
+            assert end.transcript.digest() == ref.transcript.digest()
+            assert end.handshake_counters == ref.handshake_counters
+
+    @staticmethod
+    def assert_agree(client, server):
+        assert client.established and server.established
+        assert bytes(client.security.master_secret) == \
+            bytes(server.security.master_secret)
+        assert client.transcript.digest() == server.transcript.digest()
+
+    def test_each_flight_packed_into_one_datagram_establishes(self,
+                                                              reference):
+        # probe (C): RFC 6347 §4.1.1 lets a flight share one datagram
+        curve, pki, _, _ = reference
+        client, server = make_pair(curve, pki)
+        result = run_loopback(client, server,
+                              lambda role, datagrams: [b"".join(datagrams)])
+        self.assert_same_handshake(reference, client, server)
+        assert result.iterations == 4
+
+    @pytest.mark.parametrize("order", ["swapped", "reversed"])
+    def test_flights_out_of_order_establish(self, reference, order):
+        # probe (D): the first two records of every flight swapped, or
+        # every flight reversed
+        curve, pki, _, _ = reference
+        client, server = make_pair(curve, pki)
+        if order == "swapped":
+            reorder = lambda role, datagrams: datagrams[1::-1] + datagrams[2:]
+        else:
+            reorder = lambda role, datagrams: datagrams[::-1]
+        run_loopback(client, server, reorder)
+        self.assert_same_handshake(reference, client, server)
+
+    def test_stray_datagram_does_not_complete_a_flight(self, reference):
+        # junk plus four of the five server records used to run the
+        # client's handler one record short, which then stalled for good
+        curve, pki, _, _ = reference
+        client, server = make_pair(curve, pki)
+        hello_verify = server.server_step(client.client_step([]))
+        flight = server.server_step(client.client_step(hello_verify))
+        assert client.client_step([b"junk"] + flight[:4]) == []
+        assert client.state is State.COOKIE_WAIT
+        finished = server.server_step(client.client_step(flight[4:]))
+        assert client.client_step(finished) == []
+        self.assert_same_handshake(reference, client, server)
+
+    def test_app_data_ahead_of_the_server_finished_is_dropped(self,
+                                                              reference):
+        # the server's first app record overtakes its Finished: the client
+        # starts read epoch 1 on it, finds no Finished, and reads the
+        # Finished that comes next under that epoch
+        curve, pki, _, _ = reference
+        client, server = make_pair(curve, pki)
+        hello_verify = server.server_step(client.client_step([]))
+        flight = server.server_step(client.client_step(hello_verify))
+        ccs, finished = server.server_step(client.client_step(flight))
+        for datagram in (ccs, server.seal_app_data(b"early"), finished):
+            assert client.client_step([datagram]) == []
+        self.assert_agree(client, server)
+        assert client.open_app_data(server.seal_app_data(b"next")) == b"next"
+
+    @pytest.mark.parametrize("stray", ["header", "forged", "corrupt",
+                                       "epoch0"])
+    def test_stray_ahead_of_the_client_finished(self, reference, stray):
+        # an off-path epoch-1 record, the client's Finished with its last
+        # byte flipped, or an off-path epoch-0 Finished reaches the server
+        # before the genuine Finished
+        curve, pki, _, _ = reference
+        client, server = make_pair(curve, pki)
+        hello_verify = server.server_step(client.client_step([]))
+        flight = client.client_step(server.server_step(
+            client.client_step(hello_verify)))
+        finished = flight.pop()
+        fake = wire.pack_handshake(wire.HT_FINISHED, 5, bytes(12))
+        flight.append({"header": JUNK[3],
+                       "forged": RecordHeader(CONTENT_HANDSHAKE, 1, 0, 48
+                                              ).pack() + bytes(48),
+                       "corrupt": finished[:-1] + bytes([finished[-1] ^ 1]),
+                       "epoch0": RecordHeader(CONTENT_HANDSHAKE, 0, 9, 24
+                                              ).pack() + fake,
+                       }[stray])
+        assert server.server_step(flight) == []
+        assert server.state is State.FINISHED_WAIT
+        client.client_step(server.server_step([finished]))
+        self.assert_agree(client, server)
+
+    @settings(derandomize=True, deadline=None, max_examples=40,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_any_grouping_order_and_stray_establishes(self, reference, data):
+        """Each flight's records are permuted, cut into datagrams, and
+        handed over one or more datagrams per step, with at most one extra:
+        a junk datagram, a stale datagram from an earlier flight of the same
+        sender, or a duplicated record."""
+        curve, pki, _, _ = reference
+        client, server = make_pair(curve, pki)
+        sent = {"client": [], "server": []}
+        sender, receiver, records = client, server, client.client_step([])
+        while records:
+            records = data.draw(st.permutations(records))
+            extra = data.draw(st.sampled_from(
+                ["none", "junk", "stale", "duplicate"]))
+            if extra == "duplicate":
+                records.insert(data.draw(st.integers(0, len(records))),
+                               data.draw(st.sampled_from(records)))
+            cuts = sorted(data.draw(st.sets(st.integers(
+                1, len(records) - 1)))) if len(records) > 1 else []
+            datagrams = [b"".join(records[i:j]) for i, j in
+                         zip([0] + cuts, cuts + [len(records)])]
+            if extra == "junk" or extra == "stale" and sent[sender.role]:
+                datagrams.insert(
+                    data.draw(st.integers(0, len(datagrams))),
+                    data.draw(st.sampled_from(
+                        JUNK if extra == "junk" else sent[sender.role])))
+            sent[sender.role] += records
+            reply = []
+            while datagrams:
+                n = data.draw(st.integers(1, len(datagrams)))
+                reply += step_of(receiver)(datagrams[:n])
+                datagrams = datagrams[n:]
+            sender, receiver, records = receiver, sender, reply
+        self.assert_same_handshake(reference, client, server)
+
+    def test_unparsable_handshake_record_drops_at_epoch_0_aborts_at_1(
+            self, toy, toy_pki):
+        # probe (A): RFC 6347 §4.1.2.7 discards an invalid record; only an
+        # authenticated one can end the session
+        client, server = make_pair(toy, toy_pki)
+        assert server.server_step([JUNK[2]]) == []
+        assert server.state is State.INIT
+        assert run_loopback(client, server).established
+
+        def bad_finished(role, datagrams):
+            if role == "client" and len(datagrams) == 5:
+                datagrams[4] = client.records.encode(CONTENT_HANDSHAKE,
+                                                     b"\x01\x00")
+            return datagrams
+
+        client, server = make_pair(toy, toy_pki)
+        run_loopback(client, server, bad_finished)
+        assert server.failed
+        assert server.failure_reason == \
+            "bad handshake framing: handshake header truncated"
+
+    def test_off_path_records_do_not_shadow_a_client_hello(self, toy,
+                                                           toy_pki):
+        # probe (B): epoch 0 keeps no replay window (RFC 6347 §4.2.2)
+        client, server = make_pair(toy, toy_pki)
+        assert server.server_step([JUNK[1]]) == []
+        hello_verify = server.server_step(client.client_step([]))
+        assert len(hello_verify) == 1
+        assert wire.parse_handshake(hello_verify[0][13:])[0] == \
+            wire.HT_HELLO_VERIFY_REQUEST
+        # a forged hello with a bad cookie is answered, and does not use up
+        # the message_seq of the genuine one
+        forged = wire.pack_handshake(wire.HT_CLIENT_HELLO, 1,
+                                     wire.build_client_hello(
+                                         client.client_random, b"\x00" * 32,
+                                         toy.tls_code))
+        assert len(server.server_step([RecordHeader(
+            CONTENT_HANDSHAKE, 0, 9, len(forged)).pack() + forged])) == 1
+        flight = server.server_step(client.client_step(hello_verify))
+        client.client_step(server.server_step(client.client_step(flight)))
+        assert client.established and server.established
+
+    def test_record_version_fe_ff_accepted_at_epoch_0_only(self, toy,
+                                                           toy_pki):
+        # RFC 6347 §4.2.1: a first ClientHello may carry version fe ff
+        client, server = make_pair(toy, toy_pki)
+        hello = client.client_step([])[0]
+        out = server.server_step([hello[:1] + b"\xfe\xff" + hello[3:]])
+        assert len(out) == 1
+        assert wire.parse_handshake(out[0][13:])[0] == \
+            wire.HT_HELLO_VERIFY_REQUEST
+
+        client, server = make_pair(toy, toy_pki)
+        assert run_loopback(client, server).established
+        sealed = client.seal_app_data(b"data")
+        assert server.open_app_data(sealed[:1] + b"\xfe\xff" +
+                                    sealed[3:]) is None
+        assert server.records.drop_counts == {DROP_MALFORMED: 1}
+        assert server.open_app_data(sealed) == b"data"

@@ -55,6 +55,36 @@ def test_udp_handshake_matches_loopback_transcript(toy, toy_pki):
     assert bytes(uc.security.master_secret) == bytes(lc.security.master_secret)
 
 
+class PackingEndpoint(UdpEndpoint):
+    """Sends each flight packed into one datagram, as OpenSSL does."""
+
+    def send(self, datagrams):
+        super().send([b"".join(datagrams)] if datagrams else [])
+
+
+def test_udp_handshake_with_packed_server_flights(toy, toy_pki):
+    lc, ls = session_pair(toy, toy_pki)
+    assert run_loopback(lc, ls).established
+
+    uc, us = session_pair(toy, toy_pki)
+    server_ep = PackingEndpoint(("127.0.0.1", 0), timeout=5.0)
+    client_ep = UdpEndpoint(("127.0.0.1", 0), server_ep.address, timeout=5.0)
+    server_ok = []
+    thread = threading.Thread(
+        target=lambda: server_ok.append(run_udp_handshake(us, server_ep)))
+    thread.start()
+    try:
+        client_ok = run_udp_handshake(uc, client_ep)
+    finally:
+        thread.join(timeout=30)
+        server_ep.close()
+        client_ep.close()
+
+    assert client_ok and server_ok == [True]
+    assert uc.transcript.digest() == lc.transcript.digest()
+    assert bytes(uc.security.master_secret) == bytes(lc.security.master_secret)
+
+
 def test_udp_app_data(toy, toy_pki):
     uc, us = session_pair(toy, toy_pki)
     server_ep = UdpEndpoint(("127.0.0.1", 0))
