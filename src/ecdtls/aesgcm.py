@@ -5,12 +5,21 @@ block.  AES runs in one form, byte-sliced (Kasper-Schwabe's bitslicing,
 CHES 2009, done with bytes): `Aes128.keystream` encrypts a run of n counter
 blocks together, laid out as 16 slices of n bytes, one per state position,
 so each AES step is a few operations over the whole run.  SubBytes and
-xtime are `bytes.translate`, ShiftRows and MixColumns' row rotations are
-slicing and big-int shifts.  Each record makes one call, whose first block
-E(J0) masks the tag and whose rest is the CTR keystream; the hash subkey H
-is a one-block call.  Measured under CPython 3.11 on a Xeon VM, a call
-costs about 38 us for one block, 49 us for the 5 blocks of a 64 B record
-and 1.5 ms for the 1026 of a 16 KiB one.
+xtime are `bytes.translate`, ShiftRows is slicing, MixColumns takes two
+row rotations (big-int shifts), and the last round's ShiftRows is folded
+into the unslicing.  Each record makes one call, whose first block E(J0)
+masks the tag and whose rest is the CTR keystream; the hash subkey H is a
+one-block call.
+
+A call of up to `_NARROW` = 8 blocks runs 8 blocks wide, on round keys
+spread over that width once per key (key-only work moved to key setup, as
+table-driven AES does with its tables: Bernstein-Schwabe, INDOCRYPT 2008),
+and drops the blocks past its own; a longer call spreads the round keys
+over its own width.  8 is the
+widest of the short calls: H is 1 block, a Finished record 3 and a 64 B
+record 5, E(J0) included.  Measured under CPython 3.11 on a Xeon VM (best
+of many runs), a call costs about 30 us for 1 block, 31 us for 3, 32 us
+for 5 or 8, 45 us for 9 and 1.3 ms for the 1026 of a 16 KiB record.
 
 GHASH runs in one of two forms, chosen by how many blocks a call
 absorbs:
@@ -37,7 +46,9 @@ encryption, `ghash_block` per 16-byte GHASH block, recorded in the order
 GCM uses the blocks.  `open` computes its whole keystream before it
 compares tags, so a refused record has run its CTR blocks through AES; the
 counters record those blocks only after a match, so that work is unpriced
-(no benchmark workload forges a record longer than 64 B).
+(no benchmark workload forges a record longer than 64 B).  So are the
+blocks a short call computes past its own and drops: the algorithm never
+uses them.
 
 Nothing here is constant-time: table indices and `translate` lookups depend
 on the key and the data, as the S-box lookups of any byte-wise pure-Python
@@ -91,35 +102,39 @@ _WORD = 0xFFFFFFFF
 
 # The sliced state of n blocks is 16 slices of n bytes in row-major order:
 # slice 4r + c holds the byte at row r, column c of every block, which is
-# block byte _SLICE_BYTES[4r + c] = 4c + r.  As one big-endian int, row r
-# is the r-th quarter from the top.
-_SLICE_BYTES = tuple(4 * c + r for r in range(4) for c in range(4))
+# block byte 4c + r.  As one big-endian int, row r is the r-th quarter from
+# the top.
+
+# The last round's (block byte, slice) pairs, ShiftRows folded in: it moves
+# row r left by r columns, so block byte 4c + r comes from slice
+# 4r + (c + r) % 4 of the SubBytes output.
+_UNSLICE = tuple((4 * c + r, 4 * r + (c + r) % 4)
+                 for r in range(4) for c in range(4))
 _TABLE_PAD = bytes(240)
+# the width of a short call (module docstring)
+_NARROW = 8
 
 
-def _spread(pattern: bytes, block: int) -> int:
-    """The 128-bit block laid out as a sliced state, every block equal to
-    it.  pattern is each slice's block-byte index repeated n times."""
-    return int.from_bytes(
-        pattern.translate(block.to_bytes(16, "big") + _TABLE_PAD), "big")
+def _pattern(n: int) -> bytes:
+    """Each slice number repeated n times: translating 16 bytes in slice
+    order (padded to 256) through it spreads them over 16 slices of n."""
+    return b"".join(bytes((p,)) * n for p in range(16))
 
 
-def _sub_shift(x: int, n: int) -> bytes:
-    """SubBytes then ShiftRows of the sliced state x: row r of the result
-    is row r of S(x) rotated left by r slices."""
-    s = x.to_bytes(16 * n, "big").translate(_SBOX)
-    row = 4 * n
-    return b"".join((
-        s[:row],
-        s[row + n:2 * row], s[row:row + n],
-        s[2 * row + 2 * n:3 * row], s[2 * row:2 * row + 2 * n],
-        s[3 * row + 3 * n:], s[3 * row:3 * row + 3 * n]))
+def _by_slice(block: bytes) -> bytes:
+    """The 16 bytes of a block in slice order, row by row, padded to a
+    translate table."""
+    return block[::4] + block[1::4] + block[2::4] + block[3::4] + _TABLE_PAD
+
+
+_NARROW_PATTERN = _pattern(_NARROW)
 
 
 class Aes128:
-    """AES-128 forward cipher with expanded round keys."""
+    """AES-128 forward cipher: round keys 0-9 spread over a sliced state of
+    `_NARROW` blocks, and the last round key in block order."""
 
-    __slots__ = ("_round_keys",)
+    __slots__ = ("_narrow_keys", "_last_key")
 
     def __init__(self, key: bytes):
         if len(key) != 16:
@@ -133,50 +148,70 @@ class Aes128:
                 t = ((sb[t >> 16 & 255] ^ _RCON[i // 4 - 1]) << 24 |
                      sb[t >> 8 & 255] << 16 | sb[t & 255] << 8 | sb[t >> 24])
             w.append(w[i - 4] ^ t)
-        # the four column words of each round joined into one 128-bit int
-        self._round_keys = tuple(
-            w[i] << 96 | w[i + 1] << 64 | w[i + 2] << 32 | w[i + 3]
-            for i in range(0, 44, 4))
+        # the four column words of each round, as 16 block-order bytes
+        keys = [struct.pack(">4I", *w[i:i + 4]) for i in range(0, 44, 4)]
+        self._narrow_keys = tuple(
+            int.from_bytes(_NARROW_PATTERN.translate(_by_slice(k)), "big")
+            for k in keys[:10])
+        self._last_key = keys[10]
 
-    def keystream(self, j0: int, blocks: int) -> bytearray:
+    def keystream(self, j0: int, blocks: int) -> bytes:
         """E(J0) || E(J0 + 1) || ... || E(J0 + blocks - 1), whose counter is
         the low 32 bits of the block and wraps mod 2^32 (inc32), all blocks
-        computed together on a byte-sliced state.  Records nothing: the
-        caller records one `aes_block` per block it prices."""
-        n = blocks
+        computed together on a byte-sliced state.  A call of fewer than
+        `_NARROW` blocks computes `_NARROW` and drops the rest.  Records
+        nothing: the caller records one `aes_block` per block it prices, so
+        the dropped blocks are never priced."""
+        n = max(blocks, _NARROW)
         size = 16 * n
-        pattern = b"".join(bytes((i,)) * n for i in _SLICE_BYTES)
-        rk = self._round_keys
+        if n == _NARROW:
+            pattern, keys = _NARROW_PATTERN, self._narrow_keys
+        else:
+            pattern, keys = _pattern(n), []
+            for k in self._narrow_keys:
+                # slice p of a narrow key is its byte p, _NARROW times
+                table = k.to_bytes(16 * _NARROW, "big")[::_NARROW] + _TABLE_PAD
+                keys.append(int.from_bytes(pattern.translate(table), "big"))
         first = j0 & _WORD
         wrapped = max(0, first + n - 1 - _WORD)
         ctr = struct.pack(">%dI" % n, *range(first, first + n - wrapped),
                           *range(wrapped))
         state = bytearray(
-            pattern.translate(j0.to_bytes(16, "big") + _TABLE_PAD))
+            pattern.translate(_by_slice(j0.to_bytes(16, "big"))))
         for r in range(4):
             # the counter is column 3: row r is its byte r (big-endian)
             state[(4 * r + 3) * n:(4 * r + 4) * n] = ctr[r::4]
-        x = int.from_bytes(state, "big") ^ _spread(pattern, rk[0])
-        # rotating the state left by one, two or three rows as a big int
+        x = int.from_bytes(state, "big") ^ keys[0]
+        # rotating the state up by one or two rows as a big int
         s1, s2, s3 = 32 * n, 64 * n, 96 * n
-        m1, m2, m3 = (1 << s3) - 1, (1 << s2) - 1, (1 << s1) - 1
-        xt = _XTIME
-        for k in rk[1:10]:
-            a = int.from_bytes(_sub_shift(x, n), "big")
+        m1, m2 = (1 << s3) - 1, (1 << s2) - 1
+        # the byte offsets of row r (r_r) and of its slice r (c_r)
+        r1, r2, r3 = 4 * n, 8 * n, 12 * n
+        c1, c2, c3 = r1 + n, r2 + 2 * n, r3 + 3 * n
+        sb, xt = _SBOX, _XTIME
+        for k in keys[1:]:
+            # SubBytes, then ShiftRows: row r rotated left by r slices
+            s = x.to_bytes(size, "big").translate(sb)
+            a = int.from_bytes(b"".join((
+                s[:r1], s[c1:r2], s[r1:c1], s[c2:r3], s[r2:c2], s[c3:],
+                s[r3:c3])), "big")
             # MixColumns, row r of the output:
-            # xtime(a_r ^ a_{r+1}) ^ a_{r+1} ^ a_{r+2} ^ a_{r+3}
+            # xtime(a_r ^ a_{r+1}) ^ a_{r+1} ^ a_{r+2} ^ a_{r+3}; with b the
+            # state a rotated up one row and f = a ^ b, that is
+            # xtime(f) ^ b ^ f rotated up two rows
             b = (a & m1) << s1 | a >> s3
-            c = (a & m2) << s2 | a >> s2
-            d = (a & m3) << s3 | a >> s1
-            t = int.from_bytes(
-                (a ^ b).to_bytes(size, "big").translate(xt), "big")
-            x = t ^ b ^ c ^ d ^ _spread(pattern, k)
-        s = (int.from_bytes(_sub_shift(x, n), "big") ^
-             _spread(pattern, rk[10])).to_bytes(size, "big")
-        keystream = bytearray(size)
-        for p, i in enumerate(_SLICE_BYTES):
-            keystream[i::16] = s[p * n:(p + 1) * n]
-        return keystream
+            f = a ^ b
+            x = (int.from_bytes(f.to_bytes(size, "big").translate(xt), "big")
+                 ^ b ^ ((f & m2) << s2 | f >> s2) ^ k)
+        # the last round: SubBytes, ShiftRows in the unslicing, then the last
+        # round key in block order
+        s = x.to_bytes(size, "big").translate(sb)
+        out = bytearray(16 * blocks)
+        for i, p in _UNSLICE:
+            out[i::16] = s[p * n:p * n + blocks]
+        return (int.from_bytes(out, "big") ^
+                int.from_bytes(self._last_key * blocks, "big")
+                ).to_bytes(16 * blocks, "big")
 
 
 # ---------------------------------------------------------------------------
@@ -332,14 +367,14 @@ class GcmContext:
         h = int.from_bytes(self._aes.keystream(0, 1), "big")
         self._ghash_key = _GhashKey(h)
 
-    def _keystream(self, nonce: bytes, n: int) -> bytearray:
+    def _keystream(self, nonce: bytes, n: int) -> bytes:
         """E(J0) || the CTR keystream of an n-byte record."""
         if len(nonce) != 12:
             raise AeadError("GCM nonce must be 96 bits")
         j0 = int.from_bytes(nonce, "big") << 32 | 1
         return self._aes.keystream(j0, (n + 15) // 16 + 1)
 
-    def _tag(self, keystream: bytearray, aad: bytes,
+    def _tag(self, keystream: bytes, aad: bytes,
              ciphertext: bytes) -> bytes:
         """GHASH over aad, ciphertext and their bit lengths, masked with
         E(J0), the keystream's first block."""
@@ -352,7 +387,7 @@ class GcmContext:
         return (int.from_bytes(keystream[:16], "big") ^ s).to_bytes(16, "big")
 
     @staticmethod
-    def _ctr(keystream: bytearray, data: bytes) -> bytes:
+    def _ctr(keystream: bytes, data: bytes) -> bytes:
         """data xor the keystream after E(J0): E(J0 + 1), E(J0 + 2), ..."""
         n = len(data)
         if not n:

@@ -202,7 +202,13 @@ class HandshakeSession:
     # -- record intake ---------------------------------------------------------
 
     def _file(self, datagram: bytes) -> None:
-        """File each record of a datagram where the handlers look for it."""
+        """File each record of a datagram where the handlers look for it.
+        A handshake message is filed only if its message_seq lies in the
+        flight awaited now (one message at least: a flight of CCS and
+        Finished counts none), so strays cannot fill `_messages`."""
+        awaited = _FLIGHTS[(self.role, self.state)].messages
+        seqs = range(self._next_receive_seq,
+                     self._next_receive_seq + max(awaited, 1))
         while datagram:
             header = RecordHeader.parse(datagram)
             size = HEADER_LEN + header.length if header else len(datagram)
@@ -224,7 +230,7 @@ class HandshakeSession:
                     if not self.records.read_epoch:
                         continue  # not authenticated, so only dropped
                     raise _Abort("bad handshake framing: %s" % exc) from None
-                if seq >= self._next_receive_seq:
+                if seq in seqs:
                     self._messages.setdefault(seq, payload)
 
     def _read(self, msg_type: int, parse: Callable[[bytes], Any] = bytes

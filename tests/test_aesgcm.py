@@ -4,9 +4,10 @@ import random
 import pytest
 
 from ecdtls import counters
-from ecdtls.aesgcm import (_LANE_MIN_BLOCKS, _LANES, _RCON, _SBOX, _XTIME,
-                           AeadError, AeadKey, Aes128, AuthenticationError,
-                           GcmContext, _GhashKey, aes_gcm_open, aes_gcm_seal)
+from ecdtls.aesgcm import (_LANE_MIN_BLOCKS, _LANES, _NARROW, _RCON, _SBOX,
+                           _XTIME, AeadError, AeadKey, Aes128,
+                           AuthenticationError, GcmContext, _GhashKey,
+                           aes_gcm_open, aes_gcm_seal)
 
 # McGrew-Viega AES-128-GCM test cases (SP 800-38D validation set)
 GCM_K3 = bytes.fromhex("feffe9928665731c6d6a8f9467308308")
@@ -217,10 +218,12 @@ class TestKernelsAgainstOracles:
         assert not sc.counters
 
     @pytest.mark.parametrize("low", [0x00000002, 0xFFFFFFFA])
-    @pytest.mark.parametrize("blocks", [*range(1, 10), 1025, 1026])
+    @pytest.mark.parametrize("blocks", sorted({
+        *range(1, 10), _NARROW - 1, _NARROW, _NARROW + 1, 1025, 1026}))
     def test_sliced_keystream_matches_bytewise_rounds(self, blocks, low):
         # low = 0xFFFFFFFA wraps the 32-bit counter inside a run of 7 or
-        # more blocks (inc32)
+        # more blocks (inc32); a run of up to 6 blocks is computed _NARROW
+        # wide, so it wraps inc32 inside the discarded blocks
         key = bytes(range(0x40, 0x50))
         prefix = int.from_bytes(GCM_IV3, "big") << 32
         want = b"".join(
@@ -228,6 +231,17 @@ class TestKernelsAgainstOracles:
                 key, (prefix | (low + i) & 0xFFFFFFFF).to_bytes(16, "big"))
             for i in range(blocks))
         assert Aes128(key).keystream(prefix | low, blocks) == want
+
+    def test_one_key_answers_interleaved_widths_as_fresh_ones(self):
+        # narrow calls run on the key's spread round keys, wide ones spread
+        # their own: neither may leave state that changes the next call
+        key = bytes(range(0x40, 0x50))
+        aes = Aes128(key)
+        j0 = int.from_bytes(GCM_IV3, "big") << 32 | 0xFFFFFFF0
+        for blocks in (1, 5, 9, 1026, 1, 9, 5, 1026, 1):
+            assert aes.keystream(j0, blocks) == \
+                Aes128(key).keystream(j0, blocks)
+            j0 += 1
 
     def test_each_record_makes_one_keystream_call(self, monkeypatch):
         calls = []

@@ -2,7 +2,8 @@
 (OpenSSL underneath).
 
 - AES-GCM: seeded random keys, nonces, AAD and plaintexts, sealed here and
-  opened there, the reverse, and a one-bit forgery both sides must refuse.
+  opened there, the reverse, and a one-bit forgery both sides must refuse;
+  and every record length around the narrow keystream width.
 - ECDSA and ECDH on secp192r1, secp224r1 and secp256r1 (`cryptography`
   cannot load secp160r1), with Hypothesis drawing keys and messages,
   bounded and derandomized: signed here and verified there, the reverse,
@@ -22,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecdtls.aesgcm import AuthenticationError, GcmContext
+from ecdtls.aesgcm import _NARROW, AuthenticationError, GcmContext
 from ecdtls.credentials import (CA_CN, NOT_AFTER, NOT_BEFORE, SERVER_CN,
                                 generate_pki)
 from ecdtls.der import DerCursor
@@ -83,6 +84,22 @@ def test_both_refuse_a_flipped_bit(seed):
         AESGCM(key).decrypt(nonce, bytes(sealed), bytes(aad))
     with pytest.raises(AuthenticationError):
         GcmContext(key).open(nonce, bytes(aad), bytes(sealed))
+
+
+def test_every_length_around_the_narrow_width_both_ways():
+    """Each plaintext length from 0 to 16 * _NARROW + 16 bytes, with a
+    13-byte AAD like a DTLS record's.  Up to 16 * (_NARROW - 1) bytes, a
+    record's keystream, E(J0) included, runs _NARROW blocks wide; past
+    that it runs at its own width."""
+    rng = random.Random(0x13)
+    key = rng.randbytes(16)
+    here, there = GcmContext(key), AESGCM(key)
+    for n in range(16 * _NARROW + 17):
+        nonce, aad = rng.randbytes(12), rng.randbytes(13)
+        pt = rng.randbytes(n)
+        sealed = here.seal(nonce, aad, pt)
+        assert there.decrypt(nonce, sealed, aad) == pt
+        assert here.open(nonce, aad, there.encrypt(nonce, pt, aad)) == pt
 
 
 # ---------------------------------------------------------------------------

@@ -611,6 +611,31 @@ class TestMessageLayer:
         client.client_step(server.server_step([finished]))
         self.assert_agree(client, server)
 
+    @staticmethod
+    def off_path_finished(message_seq):
+        """An epoch-0 record holding a Finished numbered message_seq."""
+        fake = wire.pack_handshake(wire.HT_FINISHED, message_seq, bytes(12))
+        return RecordHeader(CONTENT_HANDSHAKE, 0, 0, len(fake)).pack() + fake
+
+    def test_message_ahead_of_the_awaited_flight_is_not_filed(self,
+                                                              reference):
+        # numbered 1, it took the place of the cookie hello, and the pair
+        # failed on "expected handshake type 1, got 20"
+        curve, pki, _, _ = reference
+        client, server = make_pair(curve, pki)
+        assert server.server_step([self.off_path_finished(1)]) == []
+        run_loopback(client, server)
+        self.assert_same_handshake(reference, client, server)
+
+    def test_off_path_messages_leave_nothing_filed(self, toy, toy_pki):
+        # only the awaited flight's message_seq range is filed, so strays
+        # numbered past it cost a fresh server no memory
+        client, server = make_pair(toy, toy_pki)
+        strays = [self.off_path_finished(seq) for seq in range(1, 1001)]
+        assert server.server_step(strays) == []
+        assert server._messages == {}
+        assert run_loopback(client, server).established
+
     @settings(derandomize=True, deadline=None, max_examples=40,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
