@@ -2,24 +2,23 @@
 
 Between step calls a session rests in a `State`.  `_FLIGHTS` maps each
 (role, resting state) to the flight awaited there (RFC 6347 §4.2.4): its
-handler, its number of handshake messages, and the state the handler
-reaches.  Both roles await the peer's ChangeCipherSpec and Finished in
-FINISHED_WAIT, under keys already derived.
+handler, its handshake types in `message_seq` order, and the state the
+handler reaches.  Both roles await the peer's Finished in FINISHED_WAIT.
 
-A step cuts each datagram into records (RFC 6347 §4.1.1).  It files each
-handshake message under its `message_seq` (§4.2.2), the first copy only and
-none below `next_receive_seq`, keeps the ChangeCipherSpec body, holds epoch-1
-records until that read epoch starts, drops an epoch-0 record that does not
-parse (§4.1.2.7), and aborts at once, unanswered, on a fatal alert.  It then
-runs each flight whose messages are all filed; the handler reads them in
-order through `_read`, which checks each type and parses it, and the state
-is set once it returns.  The Finished handler waits for the ChangeCipherSpec,
-starts the read epoch once, and waits on until a Finished opens.  A bad
-cookie is answered with a fresh HelloVerifyRequest; a protocol error moves
-the session to FAILED, zeroizes any derived keys and answers with a fatal
-alert.  `close()` drops the keys and moves any state but FAILED to CLOSED.
-Nothing retransmits yet and fragments are refused, so a lost record stalls
-the handshake without failing it.
+A step cuts each datagram into records (RFC 6347 §4.1.1).  It files a
+handshake message (§4.2.2), the first copy only, if its `message_seq` lies
+in the awaited flight, its type is the one the table names there, and its
+record's epoch is the flight's: 0 until this end has keys, then 1.  Read
+epoch 1 starts once the keys and a ChangeCipherSpec with body 01 are both
+in; until then the latest `_MAX_HELD` epoch-1 records are held.  An invalid
+epoch-0 record, a ChangeCipherSpec with another body among them, is dropped
+(§4.1.2.7); a fatal alert aborts at once, unanswered.  A flight runs once its messages are all filed: the
+handler reads them in order through `_read`, and the state is set once it
+returns.  A bad cookie is answered with a fresh HelloVerifyRequest; a
+protocol error moves the session to FAILED, zeroizes any derived keys and
+answers with a fatal alert.  `close()` drops the keys and moves any state
+but FAILED to CLOSED.  Nothing retransmits yet and fragments are refused, so
+a lost record stalls the handshake without failing it.
 
 The fixed suite is ECDHE-ECDSA with AES-128-GCM and SHA-256 transcripts.
 A session pins its trust anchor's key in `scalarmult` when it is
@@ -58,6 +57,7 @@ MASTER_SECRET_LEN = 48
 KEY_BLOCK_LEN = 40  # 16 + 16 + 4 + 4 for AES-128-GCM
 
 ALERT_HANDSHAKE_FAILURE = 40
+_MAX_HELD = 4  # epoch-1 records kept until that read epoch starts
 
 MODE_FULL = "full"
 MODE_CACHED = "cached"
@@ -77,13 +77,12 @@ class _Abort(Exception):
 
 
 class _Stay(Exception):
-    """Internal: keep the resting state and send `out`.  Raised while the
-    peer's ChangeCipherSpec or Finished is missing and when a bad cookie is
-    answered with a fresh HelloVerifyRequest."""
+    """Internal: keep the resting state and send `out`, the fresh
+    HelloVerifyRequest that answers a bad cookie."""
 
-    def __init__(self, out: Optional[List[bytes]] = None):
+    def __init__(self, out: List[bytes]):
         super().__init__()
-        self.out = out or []
+        self.out = out
 
 
 class State(enum.Enum):
@@ -162,8 +161,8 @@ class HandshakeSession:
         self.records = RecordLayer()
         self._messages: Dict[int, bytes] = {}  # message_seq -> message
         self._next_receive_seq = 0
-        self._ccs: Optional[bytes] = None  # the peer's ChangeCipherSpec body
-        self._held: List[bytes] = []  # records of the next read epoch
+        self._ccs = False  # the peer's ChangeCipherSpec is in
+        self._held: List[bytes] = []  # the latest records of read epoch 1
         self.transcript = Sha256()
         self._recorder = counters.Recorder(label="%s-session" % self.role)
         self._next_send_seq = 0
@@ -203,57 +202,65 @@ class HandshakeSession:
 
     def _file(self, datagram: bytes) -> None:
         """File each record of a datagram where the handlers look for it.
-        A handshake message is filed only if its message_seq lies in the
-        flight awaited now (one message at least: a flight of CCS and
-        Finished counts none), so strays cannot fill `_messages`."""
-        awaited = _FLIGHTS[(self.role, self.state)].messages
-        seqs = range(self._next_receive_seq,
-                     self._next_receive_seq + max(awaited, 1))
+        A handshake message is filed only under a message_seq of the flight
+        awaited now, with the type the flight names there, and from epoch 0
+        until this end has keys, then from epoch 1 only, so a stray can
+        neither fill `_messages` nor abort a read."""
+        awaited = dict(enumerate(_FLIGHTS[(self.role, self.state)].types,
+                                 self._next_receive_seq))
+        epoch = int(self.security is not None)
         while datagram:
             header = RecordHeader.parse(datagram)
             size = HEADER_LEN + header.length if header else len(datagram)
             record, datagram = datagram[:size], datagram[size:]
             if header and header.epoch == 1 and not self.records.read_epoch:
                 self._held.append(record)  # waits for the epoch-1 keys
+                del self._held[:-_MAX_HELD]
                 continue
             outcome, ctype, payload = self.records.decode(record)
             if outcome != DROP_OK:
                 continue
             if ctype == CONTENT_ALERT:
                 raise _Abort("peer sent a fatal alert", send_alert=False)
-            if ctype == CONTENT_CCS and self._ccs is None:
-                self._ccs = payload
+            if ctype == CONTENT_CCS and payload == b"\x01":  # RFC 5246 §7.1
+                self._ccs = True
+                self._open_read_epoch()
             elif ctype == CONTENT_HANDSHAKE:
                 try:
-                    seq = wire.parse_handshake(payload)[1]
+                    got, seq = wire.parse_handshake(payload)[:2]
                 except wire.WireError as exc:
                     if not self.records.read_epoch:
                         continue  # not authenticated, so only dropped
                     raise _Abort("bad handshake framing: %s" % exc) from None
-                if seq in seqs:
+                if (header.epoch, awaited.get(seq)) == (epoch, got):
                     self._messages.setdefault(seq, payload)
 
-    def _read(self, msg_type: int, parse: Callable[[bytes], Any] = bytes
+    def _open_read_epoch(self) -> None:
+        """Start read epoch 1 once the keys and the peer's ChangeCipherSpec
+        are both in, then file the records held for it."""
+        if self._ccs and self.security is not None and \
+                not self.records.read_epoch:
+            self.records.start_read_epoch(
+                self._server_write_key() if self.role == "client"
+                else self._client_write_key())
+            held, self._held = self._held, []
+            for record in held:
+                self._file(record)
+
+    def _read(self, parse: Callable[[bytes], Any] = bytes
               ) -> Tuple[bytes, Any]:
-        """The next message, which must be of msg_type: its raw bytes and
-        its body run through parse.  A malformed body aborts here."""
-        raw = self._messages.pop(self._next_receive_seq, None)
-        if raw is None:  # only a Finished can be missing here
-            raise _Stay()
+        """The next message, of the type the flight table names: its raw
+        bytes and its body run through parse.  A malformed body aborts."""
+        raw = self._messages.pop(self._next_receive_seq)
         self._next_receive_seq += 1
-        got, _seq, body = wire.parse_handshake(raw)
-        if got != msg_type:
-            raise _Abort("expected handshake type %d, got %d"
-                         % (msg_type, got))
         try:
-            return raw, parse(body)
+            return raw, parse(wire.parse_handshake(raw)[2])
         except (wire.WireError, SignatureError) as exc:
             raise _Abort(str(exc)) from None
 
-    def _read_hashed(self, msg_type: int,
-                     parse: Callable[[bytes], Any] = bytes) -> Any:
+    def _read_hashed(self, parse: Callable[[bytes], Any] = bytes) -> Any:
         """`_read`, then the raw message into the transcript."""
-        raw, msg = self._read(msg_type, parse)
+        raw, msg = self._read(parse)
         self.transcript.update(raw)
         return msg
 
@@ -304,22 +311,10 @@ class HandshakeSession:
         verify_data = self._verify_data(label, self.transcript.copy().digest())
         return [ccs, self._send_handshake(wire.HT_FINISHED, verify_data)]
 
-    def _read_peer_finished(self, read_key: Callable[[], AeadKey],
-                            label: bytes) -> None:
-        """The peer's ChangeCipherSpec, then its Finished under the new read
-        epoch (started once), checked against the transcript so far."""
-        if self._ccs is None:
-            raise _Stay()
-        if self._ccs != b"\x01":  # RFC 5246 §7.1
-            raise _Abort("expected ChangeCipherSpec before %s"
-                         % label.decode())
-        if not self.records.read_epoch:
-            self.records.start_read_epoch(read_key())
-            self._messages.clear()  # filed unauthenticated: no Finished
-            held, self._held = self._held, []
-            for record in held:
-                self._file(record)
-        raw, body = self._read(wire.HT_FINISHED)
+    def _read_peer_finished(self, label: bytes) -> None:
+        """The peer's Finished, filed at read epoch 1 only, checked against
+        the transcript so far."""
+        raw, body = self._read()
         if body != self._verify_data(label, self.transcript.copy().digest()):
             raise _Abort("%s verification failed" % label.decode())
         self.transcript.update(raw)
@@ -347,14 +342,15 @@ class HandshakeSession:
                     self._file(datagram)
                 while flight is not None and self._messages.keys() >= set(
                         range(self._next_receive_seq,
-                              self._next_receive_seq + flight.messages)):
+                              self._next_receive_seq + len(flight.types))):
                     seqs = self._next_receive_seq, self._next_send_seq
                     out += flight.handler(self)
                     self.state = flight.reached
+                    self._open_read_epoch()
                     flight = _FLIGHTS.get((self.role, self.state))
                 if self.established:
                     self.handshake_counters = self._recorder.counters.copy()
-            except _Stay as stay:  # only a handler raises it, after seqs
+            except _Stay as stay:  # only _on_cookie_hello raises it
                 self._next_receive_seq, self._next_send_seq = seqs
                 out += stay.out
             except _Abort as abort:
@@ -405,21 +401,17 @@ class HandshakeSession:
                                      in_transcript=False)]
 
     def _on_hello_verify_request(self) -> List[bytes]:
-        _, cookie = self._read(wire.HT_HELLO_VERIFY_REQUEST,
-                               wire.parse_hello_verify_request)
+        _, cookie = self._read(wire.parse_hello_verify_request)
         hello = wire.build_client_hello(
             self.client_random, cookie, self.config.curve.tls_code)
         return [self._send_handshake(wire.HT_CLIENT_HELLO, hello)]
 
     def _on_server_flight(self) -> List[bytes]:
-        sh = self._read_hashed(wire.HT_SERVER_HELLO, wire.parse_server_hello)
-        cert_ders = self._read_hashed(wire.HT_CERTIFICATE,
-                                      wire.parse_certificate)
-        ske = self._read_hashed(wire.HT_SERVER_KEY_EXCHANGE,
-                                wire.parse_server_key_exchange)
-        self._read_hashed(wire.HT_CERTIFICATE_REQUEST,
-                          wire.parse_certificate_request)
-        if self._read_hashed(wire.HT_SERVER_HELLO_DONE) != b"":
+        sh = self._read_hashed(wire.parse_server_hello)
+        cert_ders = self._read_hashed(wire.parse_certificate)
+        ske = self._read_hashed(wire.parse_server_key_exchange)
+        self._read_hashed(wire.parse_certificate_request)
+        if self._read_hashed() != b"":
             raise _Abort("non-empty ServerHelloDone")
         if sh.cipher_suite != wire.CIPHER_ECDHE_ECDSA_AES128_GCM_SHA256:
             raise _Abort("server chose an unknown cipher suite")
@@ -476,13 +468,13 @@ class HandshakeSession:
                                                     b"client finished")
 
     def _on_server_finished(self) -> List[bytes]:
-        self._read_peer_finished(self._server_write_key, b"server finished")
+        self._read_peer_finished(b"server finished")
         return []
 
     # -- server flights -------------------------------------------------------
 
     def _read_client_hello(self) -> Tuple[bytes, wire.ClientHello]:
-        raw, hello = self._read(wire.HT_CLIENT_HELLO, wire.parse_client_hello)
+        raw, hello = self._read(wire.parse_client_hello)
         if wire.CIPHER_ECDHE_ECDSA_AES128_GCM_SHA256 not in hello.cipher_suites:
             raise _Abort("client does not offer our cipher suite")
         if self.config.curve.tls_code not in hello.curve_codes:
@@ -529,14 +521,12 @@ class HandshakeSession:
         return out
 
     def _on_client_flight(self) -> List[bytes]:
-        cert_ders = self._read_hashed(wire.HT_CERTIFICATE,
-                                      wire.parse_certificate)
+        cert_ders = self._read_hashed(wire.parse_certificate)
         if len(cert_ders) != 1:
             raise _Abort("expected exactly the client leaf certificate")
         self.peer_key = self._verify_peer_certificate(cert_ders[0]).public_key
 
-        point = self._read_hashed(wire.HT_CLIENT_KEY_EXCHANGE,
-                                  wire.parse_client_key_exchange)
+        point = self._read_hashed(wire.parse_client_key_exchange)
         try:
             self.peer_eph = AffinePoint.decode(point, self.config.curve)
             shared = ecdhe_shared(self.eph_key, self.peer_eph, self.comb_cache)
@@ -545,16 +535,15 @@ class HandshakeSession:
         cv_digest = self.transcript.copy().digest()
         self._derive_keys(shared)
 
-        raw, sig = self._read(wire.HT_CERTIFICATE_VERIFY,
-                              lambda body: EcdsaSignature.from_der(
-                                  wire.parse_certificate_verify(body)))
+        raw, sig = self._read(lambda body: EcdsaSignature.from_der(
+            wire.parse_certificate_verify(body)))
         if not ecdsa_verify(self.peer_key, cv_digest, sig, self.comb_cache):
             raise _Abort("CertificateVerify signature invalid")
         self.transcript.update(raw)
         return []
 
     def _on_client_finished(self) -> List[bytes]:
-        self._read_peer_finished(self._client_write_key, b"client finished")
+        self._read_peer_finished(b"client finished")
         return self._change_cipher_and_finish(self._server_write_key(),
                                               b"server finished")
 
@@ -608,27 +597,39 @@ class HandshakeSession:
 
 class _Flight(NamedTuple):
     handler: Callable[[HandshakeSession], List[bytes]]
-    messages: int   # handshake messages filed before the handler runs
+    types: Tuple[int, ...]  # handshake types filed, in message_seq order
     reached: State  # resting state once the handler returns
 
 
-# (role, resting state) -> the flight awaited there.  ESTABLISHED, FAILED
-# and CLOSED have no entry, so steps in them do nothing.
+# (role, resting state) -> the flight awaited there.  A Finished flight names
+# only its Finished: the ChangeCipherSpec opens read epoch 1, the only epoch
+# a Finished is filed from.  ESTABLISHED, FAILED and CLOSED have no entry,
+# so steps in them do nothing.
 _FLIGHTS: Dict[Tuple[str, State], _Flight] = {
     ("client", State.INIT): _Flight(
-        HandshakeSession._send_client_hello, 0, State.HELLO_SENT),
-    ("client", State.HELLO_SENT): _Flight(  # HelloVerifyRequest
-        HandshakeSession._on_hello_verify_request, 1, State.COOKIE_WAIT),
-    ("client", State.COOKIE_WAIT): _Flight(  # SH, Cert, SKE, CertReq, SHDone
-        HandshakeSession._on_server_flight, 5, State.FINISHED_WAIT),
-    ("client", State.FINISHED_WAIT): _Flight(  # CCS, Finished
-        HandshakeSession._on_server_finished, 0, State.ESTABLISHED),
-    ("server", State.INIT): _Flight(  # ClientHello
-        HandshakeSession._on_client_hello, 1, State.COOKIE_WAIT),
+        HandshakeSession._send_client_hello, (), State.HELLO_SENT),
+    ("client", State.HELLO_SENT): _Flight(
+        HandshakeSession._on_hello_verify_request,
+        (wire.HT_HELLO_VERIFY_REQUEST,), State.COOKIE_WAIT),
+    ("client", State.COOKIE_WAIT): _Flight(
+        HandshakeSession._on_server_flight,
+        (wire.HT_SERVER_HELLO, wire.HT_CERTIFICATE,
+         wire.HT_SERVER_KEY_EXCHANGE, wire.HT_CERTIFICATE_REQUEST,
+         wire.HT_SERVER_HELLO_DONE), State.FINISHED_WAIT),
+    ("client", State.FINISHED_WAIT): _Flight(
+        HandshakeSession._on_server_finished, (wire.HT_FINISHED,),
+        State.ESTABLISHED),
+    ("server", State.INIT): _Flight(
+        HandshakeSession._on_client_hello, (wire.HT_CLIENT_HELLO,),
+        State.COOKIE_WAIT),
     ("server", State.COOKIE_WAIT): _Flight(  # ClientHello with cookie
-        HandshakeSession._on_cookie_hello, 1, State.HELLO_EXCHANGED),
-    ("server", State.HELLO_EXCHANGED): _Flight(  # Cert, CKE, CV
-        HandshakeSession._on_client_flight, 3, State.FINISHED_WAIT),
-    ("server", State.FINISHED_WAIT): _Flight(  # CCS, Finished
-        HandshakeSession._on_client_finished, 0, State.ESTABLISHED),
+        HandshakeSession._on_cookie_hello, (wire.HT_CLIENT_HELLO,),
+        State.HELLO_EXCHANGED),
+    ("server", State.HELLO_EXCHANGED): _Flight(
+        HandshakeSession._on_client_flight,
+        (wire.HT_CERTIFICATE, wire.HT_CLIENT_KEY_EXCHANGE,
+         wire.HT_CERTIFICATE_VERIFY), State.FINISHED_WAIT),
+    ("server", State.FINISHED_WAIT): _Flight(
+        HandshakeSession._on_client_finished, (wire.HT_FINISHED,),
+        State.ESTABLISHED),
 }

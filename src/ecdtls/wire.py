@@ -166,7 +166,8 @@ def build_hello_verify_request(cookie: bytes) -> bytes:
 
 def parse_hello_verify_request(body: bytes) -> bytes:
     r = _Reader(body)
-    r.take(2)
+    if r.take(2) not in (b"\xfe\xff", b"\xfe\xfd"):  # RFC 6347 4.2.1
+        raise WireError("unsupported server_version")
     cookie = r.vector(1)
     r.expect_done()
     return cookie
@@ -263,7 +264,13 @@ def parse_certificate_request(body: bytes) -> None:
     cert_types = r.vector(1)
     if 64 not in cert_types:
         raise WireError("server does not accept ECDSA client certs")
-    r.vector(2)
+    algs = r.vector(2)
+    # supported_signature_algorithms<2..2^16-2> (RFC 5246 7.4.4)
+    if not algs or len(algs) % 2:
+        raise WireError("bad supported_signature_algorithms length")
+    if SIGALG_ECDSA_SHA256 not in [algs[i:i + 2]
+                                   for i in range(0, len(algs), 2)]:
+        raise WireError("server does not accept ECDSA-SHA256 signatures")
     r.vector(2)
     r.expect_done()
 

@@ -312,37 +312,44 @@ class TestTampering:
 
     def test_client_failing_on_server_finished_alerts_at_epoch_1(self, toy,
                                                                 toy_pki):
-        # a bad server ChangeCipherSpec fails the client after it sent its
-        # own Finished, so its alert is sealed under the client write key,
-        # which failing then drops
+        # a server Finished that opens but does not verify fails the client
+        # after it sent its own Finished, so its alert is sealed under the
+        # client write key, which failing then drops
         sent = []
 
         def interceptor(sender, datagrams):
             if sender == "client":
                 sent.extend(datagrams)
                 return datagrams
-            return [d[:11] + b"\x00\x03\x07\x07\x07"
-                    if d[0] == CONTENT_CCS else d for d in datagrams]
+            forged = wire.pack_handshake(wire.HT_FINISHED, 6, bytes(12))
+            return [server.records.encode(CONTENT_HANDSHAKE, forged)
+                    if RecordHeader.parse(d).epoch == 1 else d
+                    for d in datagrams]
 
         client, server = make_pair(toy, toy_pki)
         run_loopback(client, server, interceptor=interceptor)
-        assert client.failure_reason == \
-            "expected ChangeCipherSpec before server finished"
+        assert client.failure_reason == "server finished verification failed"
         assert client.records.write_key is None
         alert = RecordHeader.parse(sent[-1])
         assert (alert.content_type, alert.epoch) == (CONTENT_ALERT, 1)
 
     def test_change_cipher_spec_body_must_be_one(self, toy, toy_pki):
-        # RFC 5246 §7.1: the ChangeCipherSpec body is the single byte 1
+        # RFC 5246 §7.1: the ChangeCipherSpec body is the single byte 1;
+        # any other is an invalid epoch-0 record, dropped (RFC 6347 §4.1.2.7)
+        genuine = []
+
         def interceptor(sender, datagrams):
+            genuine.extend(d for d in datagrams if d[0] == CONTENT_CCS)
             return [d[:11] + b"\x00\x03\x07\x07\x07"
                     if d[0] == CONTENT_CCS else d for d in datagrams]
 
         client, server = make_pair(toy, toy_pki)
         result = run_loopback(client, server, interceptor=interceptor)
-        assert not result.established
-        assert server.failure_reason == \
-            "expected ChangeCipherSpec before client finished"
+        assert not result.established and not server.failed
+        assert server.state is State.FINISHED_WAIT
+        assert server.records.read_epoch == 0
+        client.client_step(server.server_step(genuine))
+        assert client.established and server.established
 
     def test_truncated_datagram_just_stalls_or_fails(self, toy, toy_pki):
         def interceptor(sender, datagrams):
@@ -416,13 +423,15 @@ class TestStateMachine:
         assert client.client_step([]) == []
         assert server.server_step([]) == []
 
-        failed, _ = make_pair(toy, toy_pki)
-        hello = failed.client_step([])
-        # a ClientHello where a HelloVerifyRequest belongs: abort with alert
-        assert len(failed.client_step(hello)) == 1
+        failed, server = make_pair(toy, toy_pki)
+        failed.client_step([])
+        # a HelloVerifyRequest with a truncated body: abort with alert
+        bad = [server.records.encode(CONTENT_HANDSHAKE, wire.pack_handshake(
+            wire.HT_HELLO_VERIFY_REQUEST, 0, b"\xfe"))]
+        assert len(failed.client_step(bad)) == 1
         assert failed.failed
         reason = failed.failure_reason
-        assert failed.client_step(hello) == []
+        assert failed.client_step(bad) == []
         assert failed.client_step([]) == []
         assert failed.failed and failed.failure_reason == reason
 
@@ -629,12 +638,31 @@ class TestMessageLayer:
 
     def test_off_path_messages_leave_nothing_filed(self, toy, toy_pki):
         # only the awaited flight's message_seq range is filed, so strays
-        # numbered past it cost a fresh server no memory
+        # numbered past it cost a fresh server no memory; only the latest
+        # _MAX_HELD epoch-1 records wait for the keys, so junk sent ahead
+        # of a flight can neither grow `_held` nor lock out its Finished
         client, server = make_pair(toy, toy_pki)
         strays = [self.off_path_finished(seq) for seq in range(1, 1001)]
+        strays += [RecordHeader(CONTENT_HANDSHAKE, 1, seq, 0).pack()
+                   for seq in range(1000)]
         assert server.server_step(strays) == []
         assert server._messages == {}
+        assert len(server._held) == 4
         assert run_loopback(client, server).established
+
+    def test_epoch_0_finished_is_never_filed(self, reference):
+        # a Finished flight runs as soon as its message is filed, so a
+        # forged epoch-0 Finished under the right message_seq must not be
+        curve, pki, _, _ = reference
+        client, server = make_pair(curve, pki)
+        hello_verify = server.server_step(client.client_step([]))
+        flight = server.server_step(client.client_step(hello_verify))
+        finished = server.server_step(client.client_step(flight))
+        assert client.state is State.FINISHED_WAIT
+        assert client.client_step([self.off_path_finished(6)]) == []
+        assert client.state is State.FINISHED_WAIT
+        client.client_step(finished)
+        self.assert_same_handshake(reference, client, server)
 
     @settings(derandomize=True, deadline=None, max_examples=40,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -696,9 +724,13 @@ class TestMessageLayer:
 
     def test_off_path_records_do_not_shadow_a_client_hello(self, toy,
                                                            toy_pki):
-        # probe (B): epoch 0 keeps no replay window (RFC 6347 §4.2.2)
+        # probe (B): epoch 0 keeps no replay window (RFC 6347 §4.2.2).  An
+        # off-path Finished numbered 0 must not take the hello's place, nor
+        # a ChangeCipherSpec with body 07 the genuine one's: both are dropped
         client, server = make_pair(toy, toy_pki)
-        assert server.server_step([JUNK[1]]) == []
+        bad_ccs = RecordHeader(CONTENT_CCS, 0, 7, 1).pack() + b"\x07"
+        assert server.server_step([JUNK[1], self.off_path_finished(0),
+                                   bad_ccs]) == []
         hello_verify = server.server_step(client.client_step([]))
         assert len(hello_verify) == 1
         assert wire.parse_handshake(hello_verify[0][13:])[0] == \

@@ -99,3 +99,44 @@ class TestClientHello:
         for exts in ((groups(23), groups(23)), (formats, groups(23), formats)):
             with pytest.raises(wire.WireError):
                 wire.parse_client_hello(client_hello(*exts))
+
+
+class TestHelloVerifyRequest:
+    @pytest.mark.parametrize("version", [b"\xfe\xff", b"\xfe\xfd"],
+                             ids=["fe_ff", "fe_fd"])
+    def test_either_dtls_version_accepted(self, version):
+        # RFC 6347 4.2.1: a HelloVerifyRequest may carry fe ff or fe fd
+        body = version + wire.build_hello_verify_request(b"cookie")[2:]
+        assert wire.parse_hello_verify_request(body) == b"cookie"
+
+    @pytest.mark.parametrize("version", [b"\x03\x03", b"\xfe\xfc",
+                                         b"\x00\x00"],
+                             ids=["tls_1_2", "fe_fc", "zero"])
+    def test_other_server_version_refused(self, version):
+        body = version + wire.build_hello_verify_request(b"cookie")[2:]
+        with pytest.raises(wire.WireError, match="server_version"):
+            wire.parse_hello_verify_request(body)
+
+
+def certificate_request(algs: bytes) -> bytes:
+    """A CertificateRequest body for ECDSA client certificates with the
+    given supported_signature_algorithms and no CA names."""
+    return b"\x01\x40" + len(algs).to_bytes(2, "big") + algs + b"\x00\x00"
+
+
+class TestCertificateRequest:
+    def test_round_trip(self):
+        assert wire.build_certificate_request() == \
+            certificate_request(wire.SIGALG_ECDSA_SHA256)
+        wire.parse_certificate_request(wire.build_certificate_request())
+        wire.parse_certificate_request(certificate_request(
+            b"\x05\x03" + wire.SIGALG_ECDSA_SHA256))
+
+    @pytest.mark.parametrize("algs", [
+        b"", b"\x04\x03\x05", b"\x05\x03", b"\x03\x04\x03\x05"],
+        ids=["empty", "odd", "without_04_03", "04_03_straddling_pairs"])
+    def test_bad_signature_algorithms_refused(self, algs):
+        # RFC 5246 7.4.4: the client signs its CertificateVerify with an
+        # algorithm from this list, and it signs only with ECDSA-SHA256
+        with pytest.raises(wire.WireError):
+            wire.parse_certificate_request(certificate_request(algs))
