@@ -24,9 +24,13 @@ The fixed suite is ECDHE-ECDSA with AES-128-GCM and SHA-256 transcripts.
 A session pins its trust anchor's key in `scalarmult` when it is
 configured, so certificate checks run their multiplication on it from
 process-wide fixed-base rows; that is execution only and prices nothing.
-Both roles check the peer certificate on one path.  A cached-mode client skips
-that check for a server certificate it verified earlier under the same trust
-anchor, while the certificate is inside its validity window.
+Both roles authenticate the peer through three shared helpers.
+`_peer_certificate` checks the leaf, the first certificate of the peer's
+chain (RFC 5246 §7.4.2), `_check_signature` a ServerKeyExchange or
+CertificateVerify signature by it, and `_agree` runs ECDHE and the key
+schedule.  A cached-mode client, never a server, skips the leaf check for a
+certificate it verified earlier under the same anchor, inside its validity
+window.
 """
 
 from __future__ import annotations
@@ -49,8 +53,7 @@ from .record import (CONTENT_ALERT, CONTENT_APPDATA, CONTENT_CCS,
                      RecordLayer)
 from .scalarmult import CombCache, pin_trust_anchor
 from .sha256 import Sha256, hmac_sha256, sha256
-from .x509 import CertCache, Certificate, X509Error, x509_parse, \
-    x509_verify
+from .x509 import CertCache, X509Error, x509_parse, x509_verify
 
 VERIFY_DATA_LEN = 12
 MASTER_SECRET_LEN = 48
@@ -132,6 +135,8 @@ class SessionConfig:
             raise HandshakeError("role must be client or server")
         if mode not in (MODE_FULL, MODE_CACHED):
             raise HandshakeError("mode must be full or cached")
+        if (role, mode) == ("server", MODE_CACHED):  # only a client caches
+            raise HandshakeError("a server runs in full mode only")
         self.role = role
         self.curve = curve
         self.mode = mode
@@ -255,7 +260,7 @@ class HandshakeSession:
         self._next_receive_seq += 1
         try:
             return raw, parse(wire.parse_handshake(raw)[2])
-        except (wire.WireError, SignatureError) as exc:
+        except wire.WireError as exc:
             raise _Abort(str(exc)) from None
 
     def _read_hashed(self, parse: Callable[[bytes], Any] = bytes) -> Any:
@@ -365,31 +370,55 @@ class HandshakeSession:
                 self.close()
             return out
 
-    # -- peer certificate ---------------------------------------------------------
+    # -- peer authentication -----------------------------------------------------
 
-    def _check_peer_identity(self, key: AffinePoint,
-                             subject_cn: Optional[str]) -> None:
+    def _peer_certificate(self, cert_ders: List[bytes]) -> None:
+        """Set `peer_key` from the leaf, the first certificate; the rest of
+        the chain is not read.  Unless a cached-mode client finds it in its
+        cache, the leaf is parsed and checked: curve and expected common
+        name, issued by the trust anchor, then signature and validity window
+        under the session clock.  A client caches the leaf it verified."""
+        if not cert_ders:
+            raise _Abort("peer sent no certificate")
+        now = int(self.config.clock())
+        cert = self.cert_cache.check(cert_ders[0], self.ca_key, now) \
+            if self.config.mode == MODE_CACHED else None
+        fresh = cert is None
+        if fresh:
+            try:
+                cert = x509_parse(cert_ders[0], self.registry)
+            except X509Error:
+                raise _Abort("peer certificate rejected") from None
         expected_cn = self.config.expected_peer_cn
-        if key.curve.id != self.config.curve.id or (
-                expected_cn is not None and subject_cn != expected_cn):
+        if cert.public_key.curve.id != self.config.curve.id or (
+                expected_cn is not None and cert.subject_cn != expected_cn) \
+                or (fresh and cert.issuer != self.ca_subject):
             raise _Abort("peer certificate rejected")
+        if fresh:
+            ok, reason = x509_verify(cert, self.ca_key, now, self.comb_cache)
+            if not ok:
+                raise _Abort("peer certificate rejected: %s" % reason)
+            if self.role == "client":
+                self.cert_cache.insert(cert, self.ca_key)
+        self.peer_key = cert.public_key
 
-    def _verify_peer_certificate(self, der: bytes) -> Certificate:
-        """The full check of the peer's leaf certificate: parse, curve and
-        expected common name, issued by the trust anchor, then signature and
-        validity window under the session clock."""
+    def _check_signature(self, der: bytes, digest: bytes, what: str) -> None:
+        """The peer's DER signature over digest, under `peer_key`."""
         try:
-            cert = x509_parse(der, self.registry)
-        except X509Error:
-            raise _Abort("peer certificate rejected") from None
-        self._check_peer_identity(cert.public_key, cert.subject_cn)
-        if cert.issuer != self.ca_subject:
-            raise _Abort("peer certificate rejected")
-        ok, reason = x509_verify(cert, self.ca_key, int(self.config.clock()),
-                                 self.comb_cache)
-        if not ok:
-            raise _Abort("peer certificate rejected: %s" % reason)
-        return cert
+            sig = EcdsaSignature.from_der(der)
+        except SignatureError:
+            raise _Abort("undecodable %s signature" % what) from None
+        if not ecdsa_verify(self.peer_key, digest, sig, self.comb_cache):
+            raise _Abort("%s signature invalid" % what)
+
+    def _agree(self, point: bytes) -> None:
+        """ECDHE with the peer's ephemeral point, then the key schedule."""
+        try:
+            self.peer_eph = AffinePoint.decode(point, self.config.curve)
+            shared = ecdhe_shared(self.eph_key, self.peer_eph, self.comb_cache)
+        except (CurveError, KeyAgreementError) as exc:
+            raise _Abort("key agreement failed: %s" % exc) from None
+        self._derive_keys(shared)
 
     # -- client flights -------------------------------------------------------
 
@@ -416,42 +445,16 @@ class HandshakeSession:
         if sh.cipher_suite != wire.CIPHER_ECDHE_ECDSA_AES128_GCM_SHA256:
             raise _Abort("server chose an unknown cipher suite")
         self.server_random = sh.random
-        if len(cert_ders) != 1:
-            raise _Abort("expected exactly the server leaf certificate")
-        cert = None
-        if self.config.mode == MODE_CACHED:
-            cert = self.cert_cache.check(cert_ders[0], self.ca_key,
-                                         int(self.config.clock()))
-        if cert is not None:
-            self._check_peer_identity(cert.public_key, cert.subject_cn)
-        else:
-            cert = self._verify_peer_certificate(cert_ders[0])
-            self.cert_cache.insert(cert, self.ca_key)
-        self.peer_key = cert.public_key
-
+        self._peer_certificate(cert_ders)
         if ske.curve_code != self.config.curve.tls_code:
             raise _Abort("server negotiated a different curve")
-        try:
-            self.peer_eph = AffinePoint.decode(ske.point, self.config.curve)
-        except CurveError as exc:
-            raise _Abort("bad server ephemeral: %s" % exc) from None
         signed = wire.server_key_exchange_signed_data(
             self.client_random, self.server_random, ske.signed_params)
-        try:
-            sig = EcdsaSignature.from_der(ske.signature_der)
-        except SignatureError:
-            raise _Abort("undecodable ServerKeyExchange signature") from None
-        if not ecdsa_verify(self.peer_key, sha256(signed), sig,
-                            self.comb_cache):
-            raise _Abort("ServerKeyExchange signature invalid")
-
-        try:
-            self.eph_key = KeyPair.generate(self.config.curve, self.drbg,
-                                            self.comb_cache)
-            shared = ecdhe_shared(self.eph_key, self.peer_eph, self.comb_cache)
-        except (KeyAgreementError, CurveError) as exc:
-            raise _Abort("key agreement failed: %s" % exc) from None
-        self._derive_keys(shared)
+        self._check_signature(ske.signature_der, sha256(signed),
+                              "ServerKeyExchange")
+        self.eph_key = KeyPair.generate(self.config.curve, self.drbg,
+                                        self.comb_cache)
+        self._agree(ske.point)
 
         out = [self._send_handshake(
             wire.HT_CERTIFICATE,
@@ -521,24 +524,11 @@ class HandshakeSession:
         return out
 
     def _on_client_flight(self) -> List[bytes]:
-        cert_ders = self._read_hashed(wire.parse_certificate)
-        if len(cert_ders) != 1:
-            raise _Abort("expected exactly the client leaf certificate")
-        self.peer_key = self._verify_peer_certificate(cert_ders[0]).public_key
-
-        point = self._read_hashed(wire.parse_client_key_exchange)
-        try:
-            self.peer_eph = AffinePoint.decode(point, self.config.curve)
-            shared = ecdhe_shared(self.eph_key, self.peer_eph, self.comb_cache)
-        except (CurveError, KeyAgreementError) as exc:
-            raise _Abort("key agreement failed: %s" % exc) from None
-        cv_digest = self.transcript.copy().digest()
-        self._derive_keys(shared)
-
-        raw, sig = self._read(lambda body: EcdsaSignature.from_der(
-            wire.parse_certificate_verify(body)))
-        if not ecdsa_verify(self.peer_key, cv_digest, sig, self.comb_cache):
-            raise _Abort("CertificateVerify signature invalid")
+        self._peer_certificate(self._read_hashed(wire.parse_certificate))
+        self._agree(self._read_hashed(wire.parse_client_key_exchange))
+        raw, der = self._read(wire.parse_certificate_verify)
+        self._check_signature(der, self.transcript.copy().digest(),
+                              "CertificateVerify")
         self.transcript.update(raw)
         return []
 

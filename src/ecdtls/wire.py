@@ -10,7 +10,7 @@ record carries (`CurveParams.tls_code`); this module only moves the number.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 HT_CLIENT_HELLO = 1
 HT_SERVER_HELLO = 2
@@ -98,6 +98,21 @@ def _vec(data: bytes, length_width: int) -> bytes:
 # ---------------------------------------------------------------------------
 # ClientHello / ServerHello / HelloVerifyRequest
 
+def _extensions(r: _Reader) -> Dict[int, bytes]:
+    """The optional extensions vector ending a hello, as type -> body.  A
+    repeated type (RFC 5246 7.4.1.4) or a byte after the vector is refused."""
+    found: Dict[int, bytes] = {}
+    if not r.done():
+        exts = _Reader(r.vector(2))
+        while not exts.done():
+            ext_type = exts.int_(2)
+            if ext_type in found:
+                raise WireError("repeated extension %d" % ext_type)
+            found[ext_type] = exts.vector(2)
+    r.expect_done()
+    return found
+
+
 def build_client_hello(random: bytes, cookie: bytes, curve_code: int) -> bytes:
     exts = b""
     exts += EXT_SUPPORTED_GROUPS.to_bytes(2, "big") + \
@@ -139,24 +154,16 @@ def parse_client_hello(body: bytes) -> ClientHello:
     if COMPRESSION_NULL not in compression:
         raise WireError("null compression not offered")
     curve_codes: List[int] = []
-    if not r.done():
-        exts = _Reader(r.vector(2))
-        r.expect_done()
-        seen = set()
-        while not exts.done():
-            ext_type = exts.int_(2)
-            if ext_type in seen:  # at most one of each (RFC 5246 7.4.1.4)
-                raise WireError("repeated extension %d" % ext_type)
-            seen.add(ext_type)
-            ext_body = _Reader(exts.vector(2))
-            if ext_type == EXT_SUPPORTED_GROUPS:
-                groups = _Reader(ext_body.vector(2))
-                ext_body.expect_done()
-                # elliptic_curve_list<1..2^16-1> (RFC 4492 5.1.1)
-                if groups.done():
-                    raise WireError("empty supported_groups list")
-                while not groups.done():
-                    curve_codes.append(groups.int_(2))
+    groups_body = _extensions(r).get(EXT_SUPPORTED_GROUPS)
+    if groups_body is not None:
+        ext_body = _Reader(groups_body)
+        groups = _Reader(ext_body.vector(2))
+        ext_body.expect_done()
+        # elliptic_curve_list<1..2^16-1> (RFC 4492 5.1.1)
+        if groups.done():
+            raise WireError("empty supported_groups list")
+        while not groups.done():
+            curve_codes.append(groups.int_(2))
     return ClientHello(random, cookie, suites, curve_codes)
 
 
@@ -197,9 +204,7 @@ def parse_server_hello(body: bytes) -> ServerHello:
     suite = r.int_(2)
     if r.int_(1) != COMPRESSION_NULL:
         raise WireError("unexpected compression method")
-    if not r.done():
-        r.vector(2)                  # extensions (none are acted on)
-    r.expect_done()
+    _extensions(r)  # none are acted on
     return ServerHello(random, suite)
 
 
@@ -218,6 +223,8 @@ def parse_certificate(body: bytes) -> List[bytes]:
     certs = []
     while not chain.done():
         certs.append(chain.vector(3))
+        if not certs[-1]:  # ASN.1Cert<1..2^24-1> (RFC 5246 7.4.2)
+            raise WireError("empty certificate entry")
     return certs
 
 

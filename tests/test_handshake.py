@@ -3,13 +3,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ecdtls import wire
-from ecdtls.credentials import NOT_AFTER, generate_pki
+from ecdtls.credentials import (CA_CN, CLIENT_CN, NOT_AFTER, NOT_BEFORE,
+                                SERVER_CN, generate_pki)
 from ecdtls.handshake import (MODE_CACHED, MODE_FULL, HandshakeError,
                               HandshakeSession, SessionConfig, State)
 from ecdtls.record import (CONTENT_ALERT, CONTENT_CCS, CONTENT_HANDSHAKE,
                            DROP_MALFORMED, RecordHeader)
 from ecdtls.transport import run_loopback
-from ecdtls.x509 import CertCache
+from ecdtls.x509 import CertCache, make_certificate
 
 FIXED_CLOCK = lambda: 1754784000.0  # mid validity window
 
@@ -225,6 +226,15 @@ class TestCachedMode:
         assert client.session_counters["cert_cache_hit"] == 0
         assert client.session_counters["cert_cache_miss"] == 1
 
+    def test_server_has_no_cached_mode(self, toy, toy_pki):
+        # only a client caches the peer's certificate, so a cached server
+        # would only look its peer up in a cache nothing fills
+        with pytest.raises(HandshakeError, match="full mode only"):
+            SessionConfig(role="server", curve=toy,
+                          own_cert_der=toy_pki.server.cert_der,
+                          own_key_d=toy_pki.server.key.d,
+                          ca_der=toy_pki.ca_der, mode=MODE_CACHED)
+
     def test_cached_entry_bound_to_its_trust_anchor(self, curves, p160_pki):
         # the client keeps its credentials but trusts another CA, whose
         # certificate carries the same subject name as the real one
@@ -272,26 +282,19 @@ class TestTampering:
 
     def test_tampered_server_key_exchange_fails_before_flight5(self, toy,
                                                                toy_pki):
-        # flip a byte inside the SKE signature; client must abort its flight 5
-        state = {"count": 0}
-
+        # flip the last bit of s in the SKE signature; the client must abort
+        # before its flight 5
         def interceptor(sender, datagrams):
-            out = []
-            for d in datagrams:
-                if sender == "server":
-                    state["count"] += 1
-                    if state["count"] == 3:  # SH, Cert, SKE order
-                        d = bytearray(d)
-                        d[-2] ^= 0x40
-                        d = bytes(d)
-                out.append(d)
-            return out
+            return [d[:-1] + bytes([d[-1] ^ 0x01])
+                    if d[0] == CONTENT_HANDSHAKE
+                    and d[13] == wire.HT_SERVER_KEY_EXCHANGE else d
+                    for d in datagrams]
 
         client, server = make_pair(toy, toy_pki)
         result = run_loopback(client, server, interceptor=interceptor)
         assert not result.established
         assert client.failed
-        assert client.failure_reason is not None
+        assert client.failure_reason == "ServerKeyExchange signature invalid"
 
     def test_failure_zeroizes_both_ends_keys(self, toy, toy_pki):
         # a forged CertificateVerify fails the server after it derived its
@@ -358,6 +361,102 @@ class TestTampering:
         client, server = make_pair(toy, toy_pki)
         result = run_loopback(client, server, interceptor=interceptor)
         assert not result.established
+
+
+PEER_OF = {"client": "server", "server": "client"}
+ROLE_CN = {"server": SERVER_CN, "client": CLIENT_CN}
+
+
+def sends(monkeypatch, name, rewrite, only=lambda *args: True):
+    """Patch wire.<name>, which the handshake builds its messages with, so
+    that a call for which only(*args) holds returns rewrite(real, *args)."""
+    real = getattr(wire, name)
+    monkeypatch.setattr(wire, name, lambda *args: rewrite(real, *args)
+                        if only(*args) else real(*args))
+
+
+def sends_chain(monkeypatch, pki, peer, chain):
+    """The peer (a role) sends chain as its Certificate message."""
+    own = [getattr(pki, peer).cert_der]
+    sends(monkeypatch, "build_certificate", lambda real, ders: real(chain),
+          only=lambda ders: ders == own)
+
+
+# what the peer sends -> the failure_reason of the end that checks it
+REFUSALS = {
+    "empty_certificate": "peer sent no certificate",
+    "ca_first": "peer certificate rejected",
+    "wrong_cn": "peer certificate rejected",
+    "other_ca": "peer certificate rejected",
+    "expired": "peer certificate rejected: expired",
+    "undecodable_signature": "undecodable %s signature",
+    "off_curve_point": "key agreement failed: point not on curve",
+}
+
+
+def off_curve(point: bytes) -> bytes:
+    return point[:-1] + bytes([point[-1] ^ 0x01])
+
+
+class TestPeerAuthentication:
+    """Both roles check the peer's leaf, its signature and its ephemeral
+    point on one path, so each refusal reads the same from either role."""
+
+    @pytest.mark.parametrize("peer", ["server", "client"])
+    def test_leaf_then_ca_establishes(self, toy, toy_pki, monkeypatch, peer):
+        # RFC 5246 §7.4.2: the sender's own certificate comes first, and
+        # the certificates that certify it may follow
+        sends_chain(monkeypatch, toy_pki, peer,
+                    [getattr(toy_pki, peer).cert_der, toy_pki.ca_der])
+        client, server = make_pair(toy, toy_pki)
+        assert run_loopback(client, server).established
+        checker = {"client": client, "server": server}[PEER_OF[peer]]
+        assert checker.peer_key == getattr(toy_pki, peer).key.Q
+
+    @pytest.mark.parametrize("peer", ["server", "client"])
+    @pytest.mark.parametrize("trigger", list(REFUSALS))
+    def test_refusal_reasons(self, toy, toy_pki, monkeypatch, peer, trigger):
+        # a signature that decodes but does not verify is pinned by
+        # test_tampered_server_key_exchange_fails_before_flight5 and
+        # test_failure_zeroizes_both_ends_keys
+        reason = REFUSALS[trigger]
+        cred = getattr(toy_pki, peer)
+
+        def leaf(cn=ROLE_CN[peer], issuer_cn=CA_CN, issuer=toy_pki.ca_key,
+                 not_after=NOT_AFTER):
+            return make_certificate(cn, issuer_cn, 9, cred.key.Q, issuer,
+                                    NOT_BEFORE, not_after)
+
+        chains = {
+            "empty_certificate": lambda: [],
+            "ca_first": lambda: [toy_pki.ca_der, cred.cert_der],
+            "wrong_cn": lambda: [leaf(cn="intruder")],
+            "other_ca": lambda: [leaf(
+                issuer_cn="another test ca",
+                issuer=generate_pki(toy, b"other-anchor" * 3).ca_key)],
+            "expired": lambda: [leaf(not_after=NOT_BEFORE + 1)],
+        }
+        signed = {"server": ("build_server_key_exchange", "ServerKeyExchange"),
+                  "client": ("build_certificate_verify", "CertificateVerify")}
+        if trigger in chains:
+            sends_chain(monkeypatch, toy_pki, peer, chains[trigger]())
+        elif trigger == "undecodable_signature":
+            name, what = signed[peer]
+            reason %= what
+            # a DER SEQUENCE holding neither r nor s
+            sends(monkeypatch, name,
+                  lambda real, *args: real(*args[:-1], b"\x30\x00"))
+        elif peer == "server":  # the point is signed, so the signature holds
+            sends(monkeypatch, "build_server_ecdh_params",
+                  lambda real, code, point: real(code, off_curve(point)))
+        else:
+            sends(monkeypatch, "build_client_key_exchange",
+                  lambda real, point: real(off_curve(point)))
+
+        client, server = make_pair(toy, toy_pki)
+        assert not run_loopback(client, server).established
+        checker = {"client": client, "server": server}[PEER_OF[peer]]
+        assert checker.failed and checker.failure_reason == reason
 
 
 class TestStateMachine:

@@ -25,10 +25,29 @@ class TestServerHello:
         with pytest.raises(wire.WireError):
             wire.parse_server_hello(body + tail)
 
+    def test_extensions_walked_like_the_client_hellos(self):
+        # the ServerHello's extensions are framed as the ClientHello's
+        # (RFC 5246 7.4.1.4): each a type and a length-prefixed body, at
+        # most one of each type, and nothing else inside the vector
+        formats = extension(wire.EXT_EC_POINT_FORMATS, b"\x01\x00")
+        assert wire.parse_server_hello(server_hello(formats)).random == RANDOM
+        assert wire.parse_server_hello(server_hello()).random == RANDOM
+        for exts in (formats + formats, b"\xde", formats + b"\x00\x0b",
+                     formats[:-1]):
+            with pytest.raises(wire.WireError):
+                wire.parse_server_hello(server_hello(exts))
+
 
 
 def extension(ext_type: int, body: bytes) -> bytes:
     return ext_type.to_bytes(2, "big") + len(body).to_bytes(2, "big") + body
+
+
+def server_hello(*extensions: bytes) -> bytes:
+    """A ServerHello body carrying the given bytes as its extensions."""
+    exts = b"".join(extensions)
+    bare = wire.build_server_hello(RANDOM)[:2 + 32 + 1 + 2 + 1]
+    return bare + len(exts).to_bytes(2, "big") + exts
 
 
 def groups(*codes: int, tail: bytes = b"") -> bytes:
@@ -140,3 +159,19 @@ class TestCertificateRequest:
         # algorithm from this list, and it signs only with ECDSA-SHA256
         with pytest.raises(wire.WireError):
             wire.parse_certificate_request(certificate_request(algs))
+
+
+class TestCertificate:
+    def test_chain_round_trip(self):
+        chain = [b"\x30\x01\x00", b"\x30\x02\x00\x00", b"\x30\x00"]
+        body = wire.build_certificate(chain)
+        assert wire.parse_certificate(body) == chain
+        assert wire.parse_certificate(wire.build_certificate([])) == []
+
+    @pytest.mark.parametrize("chain", [[b""], [b"\x30\x00", b""],
+                                       [b"", b"\x30\x00"]],
+                             ids=["only", "last", "first"])
+    def test_empty_entry_refused(self, chain):
+        # ASN.1Cert<1..2^24-1> (RFC 5246 7.4.2): no entry is empty
+        with pytest.raises(wire.WireError, match="empty certificate entry"):
+            wire.parse_certificate(wire.build_certificate(chain))
