@@ -12,13 +12,19 @@ record's epoch is the flight's: 0 until this end has keys, then 1.  Read
 epoch 1 starts once the keys and a ChangeCipherSpec with body 01 are both
 in; until then the latest `_MAX_HELD` epoch-1 records are held.  An invalid
 epoch-0 record, a ChangeCipherSpec with another body among them, is dropped
-(§4.1.2.7); a fatal alert aborts at once, unanswered.  A flight runs once its messages are all filed: the
-handler reads them in order through `_read`, and the state is set once it
-returns.  A bad cookie is answered with a fresh HelloVerifyRequest; a
-protocol error moves the session to FAILED, zeroizes any derived keys and
+(§4.1.2.7).  Only a fatal alert, two bytes with level 2, aborts, at once
+and unanswered; any other alert is dropped at either epoch (RFC 5246 §7.2).
+
+A server in INIT keeps no state for an unverified ClientHello (§4.2.1): it
+files a hello only if its cookie verifies, and answers any other at once
+with a HelloVerifyRequest, changing nothing.  So a forged hello neither
+moves nor fails it, and a re-sent one is answered again.  A flight runs
+once its messages are all filed; its handler reads them through `_read`.
+A protocol error moves the session to FAILED, zeroizes any derived keys and
 answers with a fatal alert.  `close()` drops the keys and moves any state
-but FAILED to CLOSED.  Nothing retransmits yet and fragments are refused, so
-a lost record stalls the handshake without failing it.
+but FAILED to CLOSED.  Nothing retransmits yet and fragments are refused,
+so a lost record stalls the handshake; a lost HelloVerifyRequest needs
+only a client that re-sends its hello.
 
 The fixed suite is ECDHE-ECDSA with AES-128-GCM and SHA-256 transcripts.
 A session pins its trust anchor's key in `scalarmult` when it is
@@ -49,8 +55,8 @@ from .ecdsa import EcdsaSignature, KeyPair, SignatureError, ecdsa_sign, \
 from .keyagree import KeyAgreementError, ecdhe_shared
 from .prf import tls_prf_sha256
 from .record import (CONTENT_ALERT, CONTENT_APPDATA, CONTENT_CCS,
-                     CONTENT_HANDSHAKE, DROP_OK, HEADER_LEN, RecordHeader,
-                     RecordLayer)
+                     CONTENT_HANDSHAKE, DROP_OK, HEADER_LEN, MAX_SEQUENCE,
+                     RecordHeader, RecordLayer)
 from .scalarmult import CombCache, pin_trust_anchor
 from .sha256 import Sha256, hmac_sha256, sha256
 from .x509 import CertCache, X509Error, x509_parse, x509_verify
@@ -77,15 +83,6 @@ class _Abort(Exception):
         super().__init__(reason)
         self.reason = reason
         self.send_alert = send_alert
-
-
-class _Stay(Exception):
-    """Internal: keep the resting state and send `out`, the fresh
-    HelloVerifyRequest that answers a bad cookie."""
-
-    def __init__(self, out: List[bytes]):
-        super().__init__()
-        self.out = out
 
 
 class State(enum.Enum):
@@ -205,15 +202,18 @@ class HandshakeSession:
 
     # -- record intake ---------------------------------------------------------
 
-    def _file(self, datagram: bytes) -> None:
+    def _file(self, datagram: bytes) -> List[bytes]:
         """File each record of a datagram where the handlers look for it.
         A handshake message is filed only under a message_seq of the flight
         awaited now, with the type the flight names there, and from epoch 0
         until this end has keys, then from epoch 1 only, so a stray can
-        neither fill `_messages` nor abort a read."""
+        neither fill `_messages` nor abort a read.  A server in INIT hands
+        each ClientHello to `_check_cookie` instead and returns its answers."""
         awaited = dict(enumerate(_FLIGHTS[(self.role, self.state)].types,
                                  self._next_receive_seq))
+        stateless = (self.role, self.state) == ("server", State.INIT)
         epoch = int(self.security is not None)
+        out: List[bytes] = []
         while datagram:
             header = RecordHeader.parse(datagram)
             size = HEADER_LEN + header.length if header else len(datagram)
@@ -225,7 +225,7 @@ class HandshakeSession:
             outcome, ctype, payload = self.records.decode(record)
             if outcome != DROP_OK:
                 continue
-            if ctype == CONTENT_ALERT:
+            if ctype == CONTENT_ALERT and len(payload) == 2 == payload[0]:
                 raise _Abort("peer sent a fatal alert", send_alert=False)
             if ctype == CONTENT_CCS and payload == b"\x01":  # RFC 5246 §7.1
                 self._ccs = True
@@ -233,12 +233,39 @@ class HandshakeSession:
             elif ctype == CONTENT_HANDSHAKE:
                 try:
                     got, seq = wire.parse_handshake(payload)[:2]
+                    if stateless and got == wire.HT_CLIENT_HELLO:
+                        out += self._check_cookie(header, seq, payload)
+                        continue
                 except wire.WireError as exc:
                     if not self.records.read_epoch:
                         continue  # not authenticated, so only dropped
                     raise _Abort("bad handshake framing: %s" % exc) from None
                 if (header.epoch, awaited.get(seq)) == (epoch, got):
                     self._messages.setdefault(seq, payload)
+        return out
+
+    def _check_cookie(self, header: RecordHeader, seq: int,
+                      msg: bytes) -> List[bytes]:
+        """RFC 6347 §4.2.1: until a ClientHello's cookie verifies, answer
+        each from it and the cookie secret alone, at message_seq 0 and its
+        record sequence number.  File the first that verifies, and number
+        this end's messages and epoch-0 records on from it."""
+        if self._messages:  # the verified hello is in; this step leaves INIT
+            return []
+        hello = wire.parse_client_hello(wire.parse_handshake(msg)[2])
+        cookie = hmac_sha256(self.cookie_secret, b"client" + hello.random)
+        if hello.cookie != cookie:
+            answer = wire.pack_handshake(
+                wire.HT_HELLO_VERIFY_REQUEST, 0,
+                wire.build_hello_verify_request(cookie))
+            return [RecordHeader(CONTENT_HANDSHAKE, 0, header.sequence,
+                                 len(answer)).pack() + answer]
+        if seq > 0xFFFF - 8 or header.sequence > MAX_SEQUENCE - 8:
+            return []  # no room left to number this end's flights from it
+        self._messages[seq] = msg
+        self._next_receive_seq = self._next_send_seq = seq
+        self.records.write_seq[0] = header.sequence
+        return []
 
     def _open_read_epoch(self) -> None:
         """Start read epoch 1 once the keys and the peer's ChangeCipherSpec
@@ -278,9 +305,6 @@ class HandshakeSession:
         if in_transcript:
             self.transcript.update(msg)
         return self.records.encode(CONTENT_HANDSHAKE, msg)
-
-    def _cookie_for(self, client_random: bytes) -> bytes:
-        return hmac_sha256(self.cookie_secret, b"client" + client_random)
 
     # -- key schedule -----------------------------------------------------------
 
@@ -344,20 +368,16 @@ class HandshakeSession:
         with self._recorder:
             try:
                 for datagram in datagrams:
-                    self._file(datagram)
+                    out += self._file(datagram)
                 while flight is not None and self._messages.keys() >= set(
                         range(self._next_receive_seq,
                               self._next_receive_seq + len(flight.types))):
-                    seqs = self._next_receive_seq, self._next_send_seq
                     out += flight.handler(self)
                     self.state = flight.reached
                     self._open_read_epoch()
                     flight = _FLIGHTS.get((self.role, self.state))
                 if self.established:
                     self.handshake_counters = self._recorder.counters.copy()
-            except _Stay as stay:  # only _on_cookie_hello raises it
-                self._next_receive_seq, self._next_send_seq = seqs
-                out += stay.out
             except _Abort as abort:
                 self.failure_reason = abort.reason
                 self.state = State.FAILED
@@ -476,31 +496,13 @@ class HandshakeSession:
 
     # -- server flights -------------------------------------------------------
 
-    def _read_client_hello(self) -> Tuple[bytes, wire.ClientHello]:
-        raw, hello = self._read(wire.parse_client_hello)
+    def _on_cookie_hello(self) -> List[bytes]:
+        hello = self._read_hashed(wire.parse_client_hello)
         if wire.CIPHER_ECDHE_ECDSA_AES128_GCM_SHA256 not in hello.cipher_suites:
             raise _Abort("client does not offer our cipher suite")
         if self.config.curve.tls_code not in hello.curve_codes:
             raise _Abort("client does not offer our curve")
-        return raw, hello
-
-    def _hello_verify_request(self, cookie: bytes) -> bytes:
-        return self._send_handshake(wire.HT_HELLO_VERIFY_REQUEST,
-                                    wire.build_hello_verify_request(cookie),
-                                    in_transcript=False)
-
-    def _on_client_hello(self) -> List[bytes]:
-        _, hello = self._read_client_hello()
-        return [self._hello_verify_request(self._cookie_for(hello.random))]
-
-    def _on_cookie_hello(self) -> List[bytes]:
-        raw, hello = self._read_client_hello()
-        cookie = self._cookie_for(hello.random)
-        if hello.cookie != cookie:
-            raise _Stay([self._hello_verify_request(cookie)])
         self.client_random = hello.random
-        self.transcript.update(raw)
-
         self.server_random = self.drbg.generate(32)
         out = [self._send_handshake(
             wire.HT_SERVER_HELLO, wire.build_server_hello(self.server_random))]
@@ -609,10 +611,7 @@ _FLIGHTS: Dict[Tuple[str, State], _Flight] = {
     ("client", State.FINISHED_WAIT): _Flight(
         HandshakeSession._on_server_finished, (wire.HT_FINISHED,),
         State.ESTABLISHED),
-    ("server", State.INIT): _Flight(
-        HandshakeSession._on_client_hello, (wire.HT_CLIENT_HELLO,),
-        State.COOKIE_WAIT),
-    ("server", State.COOKIE_WAIT): _Flight(  # ClientHello with cookie
+    ("server", State.INIT): _Flight(  # a ClientHello whose cookie verifies
         HandshakeSession._on_cookie_hello, (wire.HT_CLIENT_HELLO,),
         State.HELLO_EXCHANGED),
     ("server", State.HELLO_EXCHANGED): _Flight(

@@ -2,13 +2,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ecdtls import wire
+from ecdtls import counters, wire
 from ecdtls.credentials import (CA_CN, CLIENT_CN, NOT_AFTER, NOT_BEFORE,
                                 SERVER_CN, generate_pki)
 from ecdtls.handshake import (MODE_CACHED, MODE_FULL, HandshakeError,
                               HandshakeSession, SessionConfig, State)
 from ecdtls.record import (CONTENT_ALERT, CONTENT_CCS, CONTENT_HANDSHAKE,
                            DROP_MALFORMED, RecordHeader)
+from ecdtls.sha256 import hmac_sha256
 from ecdtls.transport import run_loopback
 from ecdtls.x509 import CertCache, make_certificate
 
@@ -479,7 +480,7 @@ class TestStateMachine:
         assert steps == {
             "client": [(State.INIT, 0), (State.HELLO_SENT, 1),
                        (State.COOKIE_WAIT, 5), (State.FINISHED_WAIT, 2)],
-            "server": [(State.INIT, 1), (State.COOKIE_WAIT, 1),
+            "server": [(State.INIT, 1), (State.INIT, 1),
                        (State.HELLO_EXCHANGED, 5)],
         }
 
@@ -542,23 +543,62 @@ class TestStateMachine:
     def test_bad_cookie_gets_fresh_hello_verify_request(self, toy, toy_pki):
         client, server = make_pair(toy, toy_pki)
         server.server_step(client.client_step([]))
-        assert server.state is State.COOKIE_WAIT
+        assert server.state is State.INIT
         digest = server.transcript.copy().digest()
 
-        bad_hello = wire.build_client_hello(client.client_random, b"\x00" * 32,
-                                            toy.tls_code)
-        out = server.server_step([client.records.encode(
-            CONTENT_HANDSHAKE,
-            wire.pack_handshake(wire.HT_CLIENT_HELLO, 1, bad_hello))])
+        bad_hello = client.records.encode(
+            CONTENT_HANDSHAKE, wire.pack_handshake(
+                wire.HT_CLIENT_HELLO, 1, wire.build_client_hello(
+                    client.client_random, b"\x00" * 32, toy.tls_code)))
+        out = server.server_step([bad_hello])
 
-        assert server.state is State.COOKIE_WAIT
+        assert server.state is State.INIT
         assert server.transcript.copy().digest() == digest
         assert len(out) == 1
+        # RFC 6347 §4.2.1: the answer carries the hello's record sequence
+        assert RecordHeader.parse(out[0]).sequence == \
+            RecordHeader.parse(bad_hello).sequence == 1
         _outcome, ctype, payload = client.records.decode(out[0])
         assert ctype == CONTENT_HANDSHAKE
-        msg_type, _seq, body = wire.parse_handshake(payload)
-        assert msg_type == wire.HT_HELLO_VERIFY_REQUEST
+        msg_type, seq, body = wire.parse_handshake(payload)
+        assert (msg_type, seq) == (wire.HT_HELLO_VERIFY_REQUEST, 0)
         assert wire.parse_hello_verify_request(body) != b"\x00" * 32
+
+    @pytest.mark.parametrize("offer", ["curve", "suite"])
+    def test_verified_hello_without_our_offer_fails(self, toy, toy_pki,
+                                                    curves, offer):
+        # the cookie holds, so the suite and curve are checked, and a hello
+        # that lacks ours ends the handshake
+        _, server = make_pair(toy, toy_pki)
+        random = bytes(range(32))
+        cookie = wire.parse_hello_verify_request(wire.parse_handshake(
+            server.server_step([epoch_0_hello(random, toy.tls_code)]
+                               )[0][13:])[2])
+        hello = {"curve": epoch_0_hello(random, curves["secp256r1"].tls_code,
+                                        cookie, seq=1),
+                 "suite": epoch_0_hello(random, toy.tls_code, cookie, seq=1,
+                                        suite=0xC02C)}[offer]
+        assert len(server.server_step([hello])) == 1  # the fatal alert
+        assert server.failed
+        assert server.failure_reason == {
+            "curve": "client does not offer our curve",
+            "suite": "client does not offer our cipher suite"}[offer]
+
+
+def epoch_0_hello(random, curve_code, cookie=b"", seq=0,
+                  suite=wire.CIPHER_ECDHE_ECDSA_AES128_GCM_SHA256):
+    """An epoch-0 record holding a ClientHello numbered seq, offering one
+    curve and one cipher suite."""
+    body = wire.build_client_hello(random, cookie, curve_code)
+    at = 2 + 32 + 1 + 1 + len(cookie) + 2  # the cipher_suites list
+    body = body[:at] + suite.to_bytes(2, "big") + body[at + 2:]
+    msg = wire.pack_handshake(wire.HT_CLIENT_HELLO, seq, body)
+    return RecordHeader(CONTENT_HANDSHAKE, 0, 0, len(msg)).pack() + msg
+
+
+def at_record_seq(record, sequence):
+    """The record, with its header's sequence number replaced."""
+    return record[:5] + sequence.to_bytes(6, "big") + record[11:]
 
 
 class TestLoss:
@@ -600,11 +640,14 @@ class TestReplayAcrossHandshake:
 # Datagrams that must leave a handshake untouched: too short for a record
 # header, an epoch-0 record of unknown content type at a far sequence number
 # (probe B), an epoch-0 handshake record whose header does not parse
-# (probe A), and a bare epoch-1 handshake header, held until the keys exist.
+# (probe A), a bare epoch-1 handshake header, held until the keys exist, and
+# an epoch-0 ClientHello whose body does not parse.
 JUNK = [b"junk",
         RecordHeader(99, 0, 1 << 40, 1).pack() + b"?",
         RecordHeader(CONTENT_HANDSHAKE, 0, 0, 2).pack() + b"\x01\x00",
-        RecordHeader(CONTENT_HANDSHAKE, 1, 0, 0).pack()]
+        RecordHeader(CONTENT_HANDSHAKE, 1, 0, 0).pack(),
+        RecordHeader(CONTENT_HANDSHAKE, 0, 0, 14).pack() +
+        wire.pack_handshake(wire.HT_CLIENT_HELLO, 0, b"\xfe\xfd")]
 
 
 def step_of(session):
@@ -627,14 +670,30 @@ class TestMessageLayer:
         return curve, pki, client, server
 
     @staticmethod
-    def assert_same_handshake(reference, client, server):
+    def assert_same_handshake(reference, client, server, hello_verifies=1):
+        """The pair established as the reference pair did.  The server's
+        counters add one cookie HMAC per HelloVerifyRequest beyond the
+        reference's one."""
         _, _, ref_client, ref_server = reference
         assert client.established and server.established
         for end, ref in ((client, ref_client), (server, ref_server)):
             assert bytes(end.security.master_secret) == \
                 bytes(ref.security.master_secret)
             assert end.transcript.digest() == ref.transcript.digest()
-            assert end.handshake_counters == ref.handshake_counters
+        assert client.handshake_counters == ref_client.handshake_counters
+        expected = ref_server.handshake_counters
+        with counters.scope() as cookie_price:
+            hmac_sha256(server.cookie_secret, b"client" + client.client_random)
+        for _ in range(hello_verifies - 1):
+            expected = expected + cookie_price.counters
+        assert server.handshake_counters == expected
+
+    @staticmethod
+    def play(client, server, datagrams):
+        """Step the pair in turn, from datagrams bound for the client, until
+        none is in flight."""
+        while datagrams:
+            datagrams = server.server_step(client.client_step(datagrams))
 
     @staticmethod
     def assert_agree(client, server):
@@ -774,6 +833,7 @@ class TestMessageLayer:
         curve, pki, _, _ = reference
         client, server = make_pair(curve, pki)
         sent = {"client": [], "server": []}
+        hello_verifies = 0  # a stale first hello gets one more
         sender, receiver, records = client, server, client.client_step([])
         while records:
             records = data.draw(st.permutations(records))
@@ -797,15 +857,19 @@ class TestMessageLayer:
                 n = data.draw(st.integers(1, len(datagrams)))
                 reply += step_of(receiver)(datagrams[:n])
                 datagrams = datagrams[n:]
+            if receiver is server:  # byte 13 is 0 in an epoch-1 record
+                hello_verifies += sum(
+                    r[0] == CONTENT_HANDSHAKE and
+                    r[13] == wire.HT_HELLO_VERIFY_REQUEST for r in reply)
             sender, receiver, records = receiver, sender, reply
-        self.assert_same_handshake(reference, client, server)
+        self.assert_same_handshake(reference, client, server, hello_verifies)
 
     def test_unparsable_handshake_record_drops_at_epoch_0_aborts_at_1(
             self, toy, toy_pki):
         # probe (A): RFC 6347 §4.1.2.7 discards an invalid record; only an
         # authenticated one can end the session
         client, server = make_pair(toy, toy_pki)
-        assert server.server_step([JUNK[2]]) == []
+        assert server.server_step([JUNK[2], JUNK[4]]) == []
         assert server.state is State.INIT
         assert run_loopback(client, server).established
 
@@ -845,6 +909,103 @@ class TestMessageLayer:
         flight = server.server_step(client.client_step(hello_verify))
         client.client_step(server.server_step(client.client_step(flight)))
         assert client.established and server.established
+
+    @staticmethod
+    def hello_verify(record):
+        """The (record seq, message_seq) of a HelloVerifyRequest record."""
+        msg_type, seq, _ = wire.parse_handshake(record[13:])
+        assert msg_type == wire.HT_HELLO_VERIFY_REQUEST
+        return RecordHeader.parse(record).sequence, seq
+
+    @pytest.mark.parametrize("offer", ["ours", "other_curve"])
+    def test_forged_hello_leaves_a_fresh_server_in_init(self, reference,
+                                                        curves, offer):
+        # probe (H): a cookieless hello numbered 0 with another random used
+        # to move the server to COOKIE_WAIT, and the genuine hello then fell
+        # below the awaited range; offering another curve, it failed the
+        # server with "client does not offer our curve"
+        curve, pki, _, _ = reference
+        client, server = make_pair(curve, pki)
+        code = curve.tls_code if offer == "ours" else \
+            curves["secp256r1"].tls_code
+        out = server.server_step([epoch_0_hello(b"F" * 32, code)])
+        assert [self.hello_verify(d) for d in out] == [(0, 0)]
+        assert server.state is State.INIT and not server.failed
+        assert server._messages == {}
+        assert run_loopback(client, server).established
+        self.assert_same_handshake(reference, client, server, 2)
+
+    def test_re_sent_first_hello_is_answered_again(self, reference):
+        # the HelloVerifyRequest is lost, and the client sends its hello
+        # again: the server answers it as it did the first
+        curve, pki, _, _ = reference
+        client, server = make_pair(curve, pki)
+        hello = client.client_step([])
+        lost = server.server_step(hello)
+        again = server.server_step(hello)
+        assert again == lost and len(again) == 1
+        assert server.state is State.INIT
+        self.play(client, server, again)
+        self.assert_same_handshake(reference, client, server, 2)
+
+    def test_server_numbers_its_records_from_the_hello(self, reference):
+        # RFC 6347 §4.2.1: the HelloVerifyRequest carries the hello's record
+        # sequence number, and the server's flight goes on from the verified
+        # hello's record sequence number and message_seq
+        curve, pki, _, _ = reference
+        client, server = make_pair(curve, pki)
+        hello = client.client_step([])[0]
+        hello_verify = server.server_step([at_record_seq(hello, 7)])
+        assert [self.hello_verify(d) for d in hello_verify] == [(7, 0)]
+        cookie_hello = client.client_step(hello_verify)[0]
+        flight = server.server_step([at_record_seq(cookie_hello, 9)])
+        assert [(RecordHeader.parse(d).sequence,
+                 wire.parse_handshake(d[13:])[:2]) for d in flight[:2]] == \
+            [(9, (wire.HT_SERVER_HELLO, 1)), (10, (wire.HT_CERTIFICATE, 2))]
+        self.play(client, server, flight)
+        self.assert_agree(client, server)
+
+    @pytest.mark.parametrize("number", ["message_seq", "record_seq"])
+    def test_verified_hello_without_room_to_number_is_dropped(self, toy,
+                                                              toy_pki, number):
+        # the server's flight, numbered on from this hello, would overflow
+        # the 16-bit message_seq or the 48-bit record sequence number
+        client, server = make_pair(toy, toy_pki)
+        hello_verify = server.server_step(client.client_step([]))
+        cookie_hello = client.client_step(hello_verify)[0]
+        if number == "message_seq":
+            msg_type, _, body = wire.parse_handshake(cookie_hello[13:])
+            forged = cookie_hello[:13] + \
+                wire.pack_handshake(msg_type, 0xFFFF, body)
+        else:
+            forged = at_record_seq(cookie_hello, (1 << 48) - 2)
+        assert server.server_step([forged]) == []
+        assert server.state is State.INIT and server._messages == {}
+        self.play(client, server, server.server_step([cookie_hello]))
+        self.assert_agree(client, server)
+
+    @pytest.mark.parametrize("body", [b"\x01\x00", b"\x02", b"\x02\x28\x00"],
+                             ids=["warning", "short", "long"])
+    def test_only_a_fatal_alert_ends_a_session(self, reference, body):
+        # probe (G): RFC 5246 §7.2, a warning (here close_notify) or a
+        # malformed alert is dropped, at a fresh server or at a client
+        # waiting for the server's flight; a fatal one is pinned by
+        # test_off_path_alert_ends_a_waiting_session
+        curve, pki, _, _ = reference
+        alert = RecordHeader(CONTENT_ALERT, 0, 1 << 20, len(body)).pack() + \
+            body
+        client, server = make_pair(curve, pki)
+        assert server.server_step([alert]) == []
+        assert server.state is State.INIT
+        assert run_loopback(client, server).established
+
+        client, server = make_pair(curve, pki)
+        flight = server.server_step(client.client_step(
+            server.server_step(client.client_step([]))))
+        assert client.client_step(flight[:2] + [alert]) == []
+        assert client.state is State.COOKIE_WAIT
+        self.play(client, server, flight[2:])
+        self.assert_same_handshake(reference, client, server)
 
     def test_record_version_fe_ff_accepted_at_epoch_0_only(self, toy,
                                                            toy_pki):
