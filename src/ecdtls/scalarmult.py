@@ -21,17 +21,26 @@ that loop on the projective datapath plus one Fermat inversion.  Each walk
 is computed only while a counter scope is open, and recorded in one call.
 
 Execution records nothing.  It runs in Jacobian coordinates (Z = 0 the
-identity), normalised by shared inversions.  The comb sums signed radix-32
-digits of k from rows of P's multiples (fixed-base windowing, HMV Guide to
-ECC 3.3.2).  A process-wide store holds the rows of the bases the process
-is configured with: each curve's G, built on first use and never evicted,
-and each trust anchor pinned by `pin_trust_anchor`, built when pinned, at
-most `COMB_CACHE_CAPACITY` of them, the least recently used evicted first.
-A `CombCache` maps each resident base to its rows: the process-wide ones,
-or for any other base rows built on its first hit, which go when the cache
-evicts the base.  A base without rows (a cache miss, no cache, a one-shot
-point) runs width-5 wNAF.  The other two engines run plain double-and-add,
-an independent reference for the comb's results.
+identity), normalised by shared inversions, and the fast paths share one
+kernel, `_execute`: a schedule of steps, each a doubling of the accumulator
+and then mixed additions of affine points.  A base with rows (the comb's
+tables of its multiples) runs a Lim-Lee comb (Lim and Lee, CRYPTO 1994; HMV
+Guide to ECC 3.3.2) of 8 teeth of d bits, d the fewest that cover n rounded
+up to a multiple of 4, in 4 blocks of e = d/4: e steps of at most 4
+additions from 4 tables of 255 tooth sums (on secp256r1, 7 doublings and at
+most 32 additions from 1,020 points).  A process-wide store holds the rows
+of the bases the process is configured with: each curve's G, built on first
+use and never evicted, and each trust anchor pinned by `pin_trust_anchor`,
+built when pinned, at most `COMB_CACHE_CAPACITY` of them, the least
+recently used evicted first.  A `CombCache` maps each resident base to its
+rows: the process-wide ones, or for any other base rows built on its first
+hit, which go when the cache evicts the base.  A base without rows (a cache
+miss, no cache, a one-shot point) runs width-5 wNAF, one step per digit.
+The other two engines run plain double-and-add on `_jdouble` and `_jadd`,
+which the kernel inlines (the a = -3 doubling and the addition; only an
+addition at equal x, and a doubling on another a, go to them), so the
+double-and-add results are an independent reference for the kernel's
+formulas.
 """
 
 from __future__ import annotations
@@ -44,7 +53,7 @@ from .curve import AffinePoint, CurveError, CurveParams, validate_point
 
 COMB_WIDTH = 4   # the comb the energy model is calibrated on
 COMB_CACHE_CAPACITY = 6
-_RADIX_BITS = 5   # bases with rows: signed digits in [-15, 16]
+_TEETH, _BLOCKS = 8, 4   # bases with rows: the comb's geometry
 _WNAF_WIDTH = 5   # bases without: odd digits in [-15, 15]
 
 
@@ -270,62 +279,151 @@ def _walk_price(curve: CurveParams, k: int, w: int, t: int) -> tuple:
 # ---------------------------------------------------------------------------
 # Execution, unpriced
 
-def _add_signed(curve: CurveParams, acc: tuple, point, digit: int) -> tuple:
-    """acc + sign(digit) * point, for an affine point or None."""
-    if point is None:
-        return acc
-    x, y = point
-    return _jadd(curve, *acc, x, y if digit > 0 else -y % curve.mod.p)
+def _execute(curve: CurveParams, steps: Iterable) -> tuple:
+    """The Jacobian result of a schedule: from the identity, for each step,
+    double the accumulator, then add each affine point of the step.  The
+    a = -3 doubling (any other a goes to `_jdouble`) and the mixed addition
+    are inline; an addition at equal x (H = 0) goes to `_jadd`."""
+    p = curve.mod.p
+    a_is_minus_3 = curve.a == p - 3
+    X, Y, Z = _IDENTITY
+    for step in steps:
+        if Z and a_is_minus_3:
+            YY = Y * Y % p
+            ZZ = Z * Z % p
+            S = 4 * X * YY % p
+            M = 3 * (X - ZZ) * (X + ZZ) % p
+            X = (M * M - 2 * S) % p
+            Z = 2 * Y * Z % p
+            Y = (M * (S - X) - 8 * YY * YY) % p
+        elif Z:
+            X, Y, Z = _jdouble(curve, X, Y, Z)
+        for x, y in step:
+            if Z == 0:
+                X, Y, Z = x, y, 1
+                continue
+            ZZ = Z * Z % p
+            H = (x * ZZ - X) % p
+            R = (y * ZZ * Z - Y) % p
+            if H == 0:
+                X, Y, Z = _jadd(curve, X, Y, Z, x, y)
+                continue
+            HH = H * H % p
+            HHH = HH * H % p
+            V = X * HH % p
+            X = (R * R - HHH - 2 * V) % p
+            Y = (R * (V - X) - Y * HHH) % p
+            Z = Z * H % p
+    return X, Y, Z
+
+
+def _comb_geometry(curve: CurveParams) -> tuple:
+    """(d, e): each of the comb's `_TEETH` teeth spans d bits, d the
+    fewest that cover n, rounded up to whole blocks of e bits."""
+    d = -(-curve.n_bits // _TEETH)
+    d += -d % _BLOCKS
+    return d, d // _BLOCKS
+
+
+def _plus(curve: CurveParams, points: list, Q: tuple) -> list:
+    """The affine P + Q for each affine P of points, None the identity,
+    for an affine Q other than the identity, by one shared inversion."""
+    p = curve.mod.p
+    qx, qy = Q
+    prefix, acc = [], 1
+    for P in points:
+        if P is not None and P[0] != qx:
+            acc = acc * (P[0] - qx) % p
+        prefix.append(acc)
+    inv = pow(acc, -1, p)
+    out = [None] * len(points)
+    for i in range(len(points) - 1, -1, -1):
+        P = points[i]
+        if P is None:
+            out[i] = Q
+        elif P[0] == qx:
+            # P = Q doubles; P = -Q sums to the identity
+            out[i] = _to_affine(curve, [_jdouble(curve, qx, qy, 1)])[0] \
+                if P[1] == qy else None
+        else:
+            x, y = P
+            slope = (y - qy) * (inv * prefix[i - 1] % p if i else inv) % p
+            inv = inv * (x - qx) % p
+            x3 = (slope * slope - x - qx) % p
+            out[i] = (x3, (slope * (qx - x3) - qy) % p)
+    return out
 
 
 def _rows(curve: CurveParams, x: int, y: int) -> list:
-    """The affine j * 32^i * (x, y), j = 1..16, row i after row i-1, enough
-    rows for any k < 2^bitlen(n); None is the identity.  Each row is made
-    affine with the next row's base by one inversion."""
-    half = 1 << _RADIX_BITS - 1
-    base, rows = (x, y), []
-    for _ in range(-(-(curve.n_bits + 1) // _RADIX_BITS)):
-        acc, triples = _IDENTITY, []
-        for _ in range(half):
-            acc = _jadd(curve, *acc, *base) if base else _IDENTITY
-            triples.append(acc)
-        *row, base = _to_affine(curve, triples + [_jdouble(curve, *acc)])
-        rows += row
-    return rows
+    """The comb's tables of (x, y) = P (Lim-Lee, HMV Guide to ECC 3.3.2):
+    table b holds sum(bit_i(j) 2^(i*d + b*e) P) at j - 1 for j = 1..255,
+    None the identity.  Each table is summed one tooth at a time, the
+    entries of a tooth made affine by one shared inversion."""
+    d, e = _comb_geometry(curve)
+    acc = (x, y, 1)
+    triples = [acc]
+    for _ in range(_TEETH * _BLOCKS - 1):
+        for _ in range(e):
+            acc = _jdouble(curve, *acc)
+        triples.append(acc)
+    bases = _to_affine(curve, triples)   # 2^(m*e) P, m = 4i + b, or None
+    tables = []
+    for b in range(_BLOCKS):
+        table = [None]
+        for base in bases[b::_BLOCKS]:
+            table += _plus(curve, table, base) if base else table
+        tables.append(table[1:])
+    return tables
+
+
+_BIT = bytes.maketrans(b"01", b"\0\1")
 
 
 def _fixed_base(curve: CurveParams, rows: list, k: int) -> tuple:
-    """k*P for 0 <= k < 2^bitlen(n) from P's rows, one signed radix-32
-    digit in [-15, 16] per row."""
-    half = 1 << _RADIX_BITS - 1
-    acc, row = _IDENTITY, 0
-    while k:
-        digit = ((k + half - 1) & (2 * half - 1)) - half + 1
-        k = (k - digit) >> _RADIX_BITS
-        if digit:
-            acc = _add_signed(curve, acc, rows[row + abs(digit) - 1], digit)
-        row += half
-    return acc
+    """k*P for 0 <= k < 2^(8d) from P's comb tables: e steps, each of a
+    doubling and an addition per block whose column is not 0.  Tooth i
+    reads bits i*d .. i*d + d - 1 of k, and the column at bit c of block b
+    gathers bit b*e + c of every tooth."""
+    d, e = _comb_geometry(curve)
+    # byte q of bits holds bit q of k; byte q of columns the bits q of the
+    # teeth, tooth i at bit i
+    bits = int.from_bytes(
+        format(k, "0%db" % (_TEETH * d)).encode().translate(_BIT), "big")
+    mask = (1 << 8 * d) - 1
+    columns = sum((bits >> 8 * i * d & mask) << i for i in range(_TEETH)
+                  ).to_bytes(d, "little")
+    steps = []
+    for c in range(e - 1, -1, -1):
+        step = []
+        for b in range(_BLOCKS):
+            j = columns[b * e + c]
+            if j and rows[b][j - 1]:
+                step.append(rows[b][j - 1])
+        steps.append(step)
+    return _execute(curve, steps)
 
 
 def _wnaf(curve: CurveParams, k: int, x: int, y: int) -> tuple:
-    """k*(x, y) by width-5 NAF over the odd multiples 1, 3, ..., 15 of the
-    base, made affine by one shared inversion."""
+    """k*(x, y) by width-5 NAF, one step per digit, over the odd multiples
+    +-1, +-3, ..., +-15 of the base, made affine by one shared inversion."""
+    p = curve.mod.p
     two = _to_affine(curve, [_jdouble(curve, x, y, 1)])[0]
     odd = [(x, y, 1)]
     for _ in range((1 << _WNAF_WIDTH - 2) - 1):
         odd.append(_jadd(curve, *odd[-1], *two) if two else odd[-1])
-    odd = _to_affine(curve, odd)
-    half, digits = 1 << _WNAF_WIDTH - 1, []
+    # digit j's point at index j, and so -j's at index -j
+    signed = [()] * (1 << _WNAF_WIDTH)
+    for j, xy in zip(range(1, 1 << _WNAF_WIDTH - 1, 2),
+                     _to_affine(curve, odd)):
+        if xy:
+            signed[j], signed[-j] = (xy,), ((xy[0], -xy[1] % p),)
+    half, steps = 1 << _WNAF_WIDTH - 1, []
     while k:
-        digits.append(((k + half) & (2 * half - 1)) - half if k & 1 else 0)
-        k = (k - digits[-1]) >> 1
-    acc = _IDENTITY
-    for digit in reversed(digits):
-        acc = _jdouble(curve, *acc)
-        if digit:
-            acc = _add_signed(curve, acc, odd[abs(digit) >> 1], digit)
-    return acc
+        digit = ((k + half) & (2 * half - 1)) - half if k & 1 else 0
+        k = (k - digit) >> 1
+        steps.append(signed[digit])
+    steps.reverse()
+    return _execute(curve, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +490,10 @@ class CombCache:
     """The bases with a resident comb table (of width `COMB_WIDTH`), LRU,
     at most six, each mapped to its execution rows: a hit skips the table's
     price, and a base's first hit builds its rows unless it holds G's or a
-    pinned anchor's already.  The rows go when the base is evicted.
+    pinned anchor's already.  The rows go when the base is evicted.  On
+    secp256r1 the build takes about 5.4 ms and each later hit saves about
+    1.3 ms against wNAF, so a base pays back its build after about 4 hits
+    (medians scaled to the benchmark's nominal pace, a 2.1 GHz Xeon vCPU).
     Mutable; callers serialize access (one writer at a time)."""
 
     def __init__(self):

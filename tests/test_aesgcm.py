@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -242,6 +243,21 @@ class TestKernelsAgainstOracles:
             assert aes.keystream(j0, blocks) == \
                 Aes128(key).keystream(j0, blocks)
             j0 += 1
+
+    def test_wide_call_keeps_one_spread_key_alive(self):
+        # a 16 KiB record's keystream peaks at about 227 KiB when each wide
+        # round key is spread just before its round; spreading all ten first
+        # peaks at about 381 KiB, enough to push a large echo into the
+        # allocator's heap trim-and-regrow cycle
+        aes = Aes128(bytes(range(16)))
+        aes.keystream(5, 1026)
+        tracemalloc.start()
+        try:
+            aes.keystream(5, 1026)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 300 * 1024
 
     def test_each_record_makes_one_keystream_call(self, monkeypatch):
         calls = []
