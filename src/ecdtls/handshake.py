@@ -5,15 +5,16 @@ Between step calls a session rests in a `State`.  `_FLIGHTS` maps each
 handler, its handshake types in `message_seq` order, and the state the
 handler reaches.  Both roles await the peer's Finished in FINISHED_WAIT.
 
-A step cuts each datagram into records (RFC 6347 §4.1.1).  It files a
-handshake message (§4.2.2), the first copy only, if its `message_seq` lies
-in the awaited flight, its type is the one the table names there, and its
-record's epoch is the flight's: 0 until this end has keys, then 1.  Read
-epoch 1 starts once the keys and a ChangeCipherSpec with body 01 are both
-in; until then the latest `_MAX_HELD` epoch-1 records are held.  An invalid
+A step takes each datagram's records from `RecordLayer.read`.  It files a
+handshake message (RFC 6347 §4.2.2), the first copy only, if its
+`message_seq` lies in the awaited flight, its type is the one the table
+names there, and its record's epoch is the flight's: 0 until this end has
+keys, then 1.  Read epoch 1 starts, and the records held for it are filed,
+once the keys and a ChangeCipherSpec with body 01 are both in.  An invalid
 epoch-0 record, a ChangeCipherSpec with another body among them, is dropped
 (§4.1.2.7).  Only a fatal alert, two bytes with level 2, aborts, at once
 and unanswered; any other alert is dropped at either epoch (RFC 5246 §7.2).
+A step returns every record it sends in one list.
 
 A server in INIT keeps no state for an unverified ClientHello (§4.2.1): it
 files a hello only if its cookie verifies, and answers any other at once
@@ -55,8 +56,7 @@ from .ecdsa import EcdsaSignature, KeyPair, SignatureError, ecdsa_sign, \
 from .keyagree import KeyAgreementError, ecdhe_shared
 from .prf import tls_prf_sha256
 from .record import (CONTENT_ALERT, CONTENT_APPDATA, CONTENT_CCS,
-                     CONTENT_HANDSHAKE, DROP_OK, HEADER_LEN, MAX_SEQUENCE,
-                     RecordHeader, RecordLayer)
+                     CONTENT_HANDSHAKE, DROP_OK, MAX_SEQUENCE, RecordLayer)
 from .scalarmult import CombCache, pin_trust_anchor
 from .sha256 import Sha256, hmac_sha256, sha256
 from .x509 import CertCache, X509Error, x509_parse, x509_verify
@@ -66,7 +66,6 @@ MASTER_SECRET_LEN = 48
 KEY_BLOCK_LEN = 40  # 16 + 16 + 4 + 4 for AES-128-GCM
 
 ALERT_HANDSHAKE_FAILURE = 40
-_MAX_HELD = 4  # epoch-1 records kept until that read epoch starts
 
 MODE_FULL = "full"
 MODE_CACHED = "cached"
@@ -158,13 +157,14 @@ class HandshakeSession:
         self.config = config
         self.registry = builtin_registry()
         self.role = config.role
+        self._peer = "server" if self.role == "client" else "client"
         self.state = State.INIT
         self.failure_reason: Optional[str] = None
         self.records = RecordLayer()
         self._messages: Dict[int, bytes] = {}  # message_seq -> message
         self._next_receive_seq = 0
         self._ccs = False  # the peer's ChangeCipherSpec is in
-        self._held: List[bytes] = []  # the latest records of read epoch 1
+        self._out: List[bytes] = []  # the records this step sends
         self.transcript = Sha256()
         self._recorder = counters.Recorder(label="%s-session" % self.role)
         self._next_send_seq = 0
@@ -202,29 +202,18 @@ class HandshakeSession:
 
     # -- record intake ---------------------------------------------------------
 
-    def _file(self, datagram: bytes) -> List[bytes]:
+    def _file(self, datagram: bytes) -> None:
         """File each record of a datagram where the handlers look for it.
         A handshake message is filed only under a message_seq of the flight
         awaited now, with the type the flight names there, and from epoch 0
         until this end has keys, then from epoch 1 only, so a stray can
         neither fill `_messages` nor abort a read.  A server in INIT hands
-        each ClientHello to `_check_cookie` instead and returns its answers."""
+        each ClientHello to `_check_cookie` instead."""
         awaited = dict(enumerate(_FLIGHTS[(self.role, self.state)].types,
                                  self._next_receive_seq))
         stateless = (self.role, self.state) == ("server", State.INIT)
         epoch = int(self.security is not None)
-        out: List[bytes] = []
-        while datagram:
-            header = RecordHeader.parse(datagram)
-            size = HEADER_LEN + header.length if header else len(datagram)
-            record, datagram = datagram[:size], datagram[size:]
-            if header and header.epoch == 1 and not self.records.read_epoch:
-                self._held.append(record)  # waits for the epoch-1 keys
-                del self._held[:-_MAX_HELD]
-                continue
-            outcome, ctype, payload = self.records.decode(record)
-            if outcome != DROP_OK:
-                continue
+        for header, ctype, payload in self.records.read(datagram):
             if ctype == CONTENT_ALERT and len(payload) == 2 == payload[0]:
                 raise _Abort("peer sent a fatal alert", send_alert=False)
             if ctype == CONTENT_CCS and payload == b"\x01":  # RFC 5246 §7.1
@@ -234,7 +223,7 @@ class HandshakeSession:
                 try:
                     got, seq = wire.parse_handshake(payload)[:2]
                     if stateless and got == wire.HT_CLIENT_HELLO:
-                        out += self._check_cookie(header, seq, payload)
+                        self._check_cookie(header.sequence, seq, payload)
                         continue
                 except wire.WireError as exc:
                     if not self.records.read_epoch:
@@ -242,41 +231,37 @@ class HandshakeSession:
                     raise _Abort("bad handshake framing: %s" % exc) from None
                 if (header.epoch, awaited.get(seq)) == (epoch, got):
                     self._messages.setdefault(seq, payload)
-        return out
 
-    def _check_cookie(self, header: RecordHeader, seq: int,
-                      msg: bytes) -> List[bytes]:
+    def _check_cookie(self, record_seq: int, seq: int, msg: bytes) -> None:
         """RFC 6347 §4.2.1: until a ClientHello's cookie verifies, answer
         each from it and the cookie secret alone, at message_seq 0 and its
-        record sequence number.  File the first that verifies, and number
-        this end's messages and epoch-0 records on from it."""
+        record sequence number.  File the first that verifies at
+        message_seq 1, the client's second message (§4.2.2), and number
+        this end's messages and epoch-0 records on from it.  The cookie
+        covers only the client random, so one exchange always suffices: a
+        client never sends a verified hello at another message_seq."""
         if self._messages:  # the verified hello is in; this step leaves INIT
-            return []
+            return
         hello = wire.parse_client_hello(wire.parse_handshake(msg)[2])
         cookie = hmac_sha256(self.cookie_secret, b"client" + hello.random)
         if hello.cookie != cookie:
             answer = wire.pack_handshake(
                 wire.HT_HELLO_VERIFY_REQUEST, 0,
                 wire.build_hello_verify_request(cookie))
-            return [RecordHeader(CONTENT_HANDSHAKE, 0, header.sequence,
-                                 len(answer)).pack() + answer]
-        if seq > 0xFFFF - 8 or header.sequence > MAX_SEQUENCE - 8:
-            return []  # no room left to number this end's flights from it
-        self._messages[seq] = msg
-        self._next_receive_seq = self._next_send_seq = seq
-        self.records.write_seq[0] = header.sequence
-        return []
+            self._out.append(self.records.plaintext(CONTENT_HANDSHAKE,
+                                                    record_seq, answer))
+        elif seq == 1 and record_seq <= MAX_SEQUENCE - 8:  # room to number on
+            self._messages[seq] = msg
+            self._next_receive_seq = self._next_send_seq = seq
+            self.records.write_seq[0] = record_seq
 
     def _open_read_epoch(self) -> None:
         """Start read epoch 1 once the keys and the peer's ChangeCipherSpec
         are both in, then file the records held for it."""
         if self._ccs and self.security is not None and \
                 not self.records.read_epoch:
-            self.records.start_read_epoch(
-                self._server_write_key() if self.role == "client"
-                else self._client_write_key())
-            held, self._held = self._held, []
-            for record in held:
+            for record in self.records.start_read_epoch(
+                    self._write_key(self._peer)):
                 self._file(record)
 
     def _read(self, parse: Callable[[bytes], Any] = bytes
@@ -299,12 +284,12 @@ class HandshakeSession:
     # -- transcript and messages ------------------------------------------------
 
     def _send_handshake(self, msg_type: int, body: bytes,
-                        in_transcript: bool = True) -> bytes:
+                        in_transcript: bool = True) -> None:
         msg = wire.pack_handshake(msg_type, self._next_send_seq, body)
         self._next_send_seq += 1
         if in_transcript:
             self.transcript.update(msg)
-        return self.records.encode(CONTENT_HANDSHAKE, msg)
+        self._out.append(self.records.encode(CONTENT_HANDSHAKE, msg))
 
     # -- key schedule -----------------------------------------------------------
 
@@ -320,32 +305,28 @@ class HandshakeSession:
         for i in range(len(buf)):
             buf[i] = 0
 
-    def _client_write_key(self) -> AeadKey:
-        return AeadKey(bytes(self.security.client_key),
-                       bytes(self.security.client_salt))
+    def _write_key(self, role: str) -> AeadKey:
+        return AeadKey(bytes(getattr(self.security, role + "_key")),
+                       bytes(getattr(self.security, role + "_salt")))
 
-    def _server_write_key(self) -> AeadKey:
-        return AeadKey(bytes(self.security.server_key),
-                       bytes(self.security.server_salt))
+    def _verify_data(self, role: str) -> bytes:
+        """The verify_data of role's Finished over the transcript so far."""
+        return tls_prf_sha256(bytes(self.security.master_secret),
+                              role.encode() + b" finished",
+                              self.transcript.copy().digest(), VERIFY_DATA_LEN)
 
-    def _verify_data(self, label: bytes, digest: bytes) -> bytes:
-        return tls_prf_sha256(bytes(self.security.master_secret), label,
-                              digest, VERIFY_DATA_LEN)
-
-    def _change_cipher_and_finish(self, write_key: AeadKey,
-                                  label: bytes) -> List[bytes]:
+    def _change_cipher_and_finish(self) -> None:
         """ChangeCipherSpec, then Finished under the new write epoch."""
-        ccs = self.records.encode(CONTENT_CCS, b"\x01")
-        self.records.start_write_epoch(write_key)
-        verify_data = self._verify_data(label, self.transcript.copy().digest())
-        return [ccs, self._send_handshake(wire.HT_FINISHED, verify_data)]
+        self._out.append(self.records.encode(CONTENT_CCS, b"\x01"))
+        self.records.start_write_epoch(self._write_key(self.role))
+        self._send_handshake(wire.HT_FINISHED, self._verify_data(self.role))
 
-    def _read_peer_finished(self, label: bytes) -> None:
+    def _read_peer_finished(self) -> None:
         """The peer's Finished, filed at read epoch 1 only, checked against
         the transcript so far."""
         raw, body = self._read()
-        if body != self._verify_data(label, self.transcript.copy().digest()):
-            raise _Abort("%s verification failed" % label.decode())
+        if body != self._verify_data(self._peer):
+            raise _Abort("%s finished verification failed" % self._peer)
         self.transcript.update(raw)
 
     # -- step drivers -------------------------------------------------------------
@@ -364,15 +345,15 @@ class HandshakeSession:
         flight = _FLIGHTS.get((self.role, self.state))
         if flight is None:  # ESTABLISHED, FAILED or CLOSED
             return []
-        out: List[bytes] = []
+        out = self._out = []
         with self._recorder:
             try:
                 for datagram in datagrams:
-                    out += self._file(datagram)
+                    self._file(datagram)
                 while flight is not None and self._messages.keys() >= set(
                         range(self._next_receive_seq,
                               self._next_receive_seq + len(flight.types))):
-                    out += flight.handler(self)
+                    flight.handler(self)
                     self.state = flight.reached
                     self._open_read_epoch()
                     flight = _FLIGHTS.get((self.role, self.state))
@@ -381,12 +362,12 @@ class HandshakeSession:
             except _Abort as abort:
                 self.failure_reason = abort.reason
                 self.state = State.FAILED
-                out = []
+                out.clear()
                 # encoded before close(): a client that fails on the
                 # server's Finished writes this alert at epoch 1
                 if abort.send_alert:
-                    out = [self.records.encode(
-                        CONTENT_ALERT, bytes([2, ALERT_HANDSHAKE_FAILURE]))]
+                    out.append(self.records.encode(
+                        CONTENT_ALERT, bytes([2, ALERT_HANDSHAKE_FAILURE])))
                 self.close()
             return out
 
@@ -442,20 +423,19 @@ class HandshakeSession:
 
     # -- client flights -------------------------------------------------------
 
-    def _send_client_hello(self) -> List[bytes]:
+    def _send_client_hello(self) -> None:
         self.client_random = self.drbg.generate(32)
         hello = wire.build_client_hello(
             self.client_random, b"", self.config.curve.tls_code)
-        return [self._send_handshake(wire.HT_CLIENT_HELLO, hello,
-                                     in_transcript=False)]
+        self._send_handshake(wire.HT_CLIENT_HELLO, hello, in_transcript=False)
 
-    def _on_hello_verify_request(self) -> List[bytes]:
+    def _on_hello_verify_request(self) -> None:
         _, cookie = self._read(wire.parse_hello_verify_request)
         hello = wire.build_client_hello(
             self.client_random, cookie, self.config.curve.tls_code)
-        return [self._send_handshake(wire.HT_CLIENT_HELLO, hello)]
+        self._send_handshake(wire.HT_CLIENT_HELLO, hello)
 
-    def _on_server_flight(self) -> List[bytes]:
+    def _on_server_flight(self) -> None:
         sh = self._read_hashed(wire.parse_server_hello)
         cert_ders = self._read_hashed(wire.parse_certificate)
         ske = self._read_hashed(wire.parse_server_key_exchange)
@@ -476,27 +456,21 @@ class HandshakeSession:
                                         self.comb_cache)
         self._agree(ske.point)
 
-        out = [self._send_handshake(
+        self._send_handshake(
             wire.HT_CERTIFICATE,
-            wire.build_certificate([self.config.own_cert_der]))]
-        out.append(self._send_handshake(
+            wire.build_certificate([self.config.own_cert_der]))
+        self._send_handshake(
             wire.HT_CLIENT_KEY_EXCHANGE,
-            wire.build_client_key_exchange(self.eph_key.Q.encode())))
+            wire.build_client_key_exchange(self.eph_key.Q.encode()))
         cv_sig = ecdsa_sign(self.own_key, self.transcript.copy().digest(),
                             self.drbg, cache=self.comb_cache)
-        out.append(self._send_handshake(
-            wire.HT_CERTIFICATE_VERIFY,
-            wire.build_certificate_verify(cv_sig.to_der())))
-        return out + self._change_cipher_and_finish(self._client_write_key(),
-                                                    b"client finished")
-
-    def _on_server_finished(self) -> List[bytes]:
-        self._read_peer_finished(b"server finished")
-        return []
+        self._send_handshake(wire.HT_CERTIFICATE_VERIFY,
+                             wire.build_certificate_verify(cv_sig.to_der()))
+        self._change_cipher_and_finish()
 
     # -- server flights -------------------------------------------------------
 
-    def _on_cookie_hello(self) -> List[bytes]:
+    def _on_cookie_hello(self) -> None:
         hello = self._read_hashed(wire.parse_client_hello)
         if wire.CIPHER_ECDHE_ECDSA_AES128_GCM_SHA256 not in hello.cipher_suites:
             raise _Abort("client does not offer our cipher suite")
@@ -504,11 +478,11 @@ class HandshakeSession:
             raise _Abort("client does not offer our curve")
         self.client_random = hello.random
         self.server_random = self.drbg.generate(32)
-        out = [self._send_handshake(
-            wire.HT_SERVER_HELLO, wire.build_server_hello(self.server_random))]
-        out.append(self._send_handshake(
+        self._send_handshake(wire.HT_SERVER_HELLO,
+                             wire.build_server_hello(self.server_random))
+        self._send_handshake(
             wire.HT_CERTIFICATE,
-            wire.build_certificate([self.config.own_cert_der])))
+            wire.build_certificate([self.config.own_cert_der]))
         self.eph_key = KeyPair.generate(self.config.curve, self.drbg,
                                         self.comb_cache)
         params = wire.build_server_ecdh_params(self.config.curve.tls_code,
@@ -517,27 +491,24 @@ class HandshakeSession:
             self.client_random, self.server_random, params)
         sig = ecdsa_sign(self.own_key, sha256(signed), self.drbg,
                          cache=self.comb_cache)
-        out.append(self._send_handshake(
+        self._send_handshake(
             wire.HT_SERVER_KEY_EXCHANGE,
-            wire.build_server_key_exchange(params, sig.to_der())))
-        out.append(self._send_handshake(wire.HT_CERTIFICATE_REQUEST,
-                                        wire.build_certificate_request()))
-        out.append(self._send_handshake(wire.HT_SERVER_HELLO_DONE, b""))
-        return out
+            wire.build_server_key_exchange(params, sig.to_der()))
+        self._send_handshake(wire.HT_CERTIFICATE_REQUEST,
+                             wire.build_certificate_request())
+        self._send_handshake(wire.HT_SERVER_HELLO_DONE, b"")
 
-    def _on_client_flight(self) -> List[bytes]:
+    def _on_client_flight(self) -> None:
         self._peer_certificate(self._read_hashed(wire.parse_certificate))
         self._agree(self._read_hashed(wire.parse_client_key_exchange))
         raw, der = self._read(wire.parse_certificate_verify)
         self._check_signature(der, self.transcript.copy().digest(),
                               "CertificateVerify")
         self.transcript.update(raw)
-        return []
 
-    def _on_client_finished(self) -> List[bytes]:
-        self._read_peer_finished(b"client finished")
-        return self._change_cipher_and_finish(self._server_write_key(),
-                                              b"server finished")
+    def _on_client_finished(self) -> None:
+        self._read_peer_finished()
+        self._change_cipher_and_finish()
 
     # -- application data --------------------------------------------------------
 
@@ -588,7 +559,7 @@ class HandshakeSession:
 
 
 class _Flight(NamedTuple):
-    handler: Callable[[HandshakeSession], List[bytes]]
+    handler: Callable[[HandshakeSession], None]
     types: Tuple[int, ...]  # handshake types filed, in message_seq order
     reached: State  # resting state once the handler returns
 
@@ -609,7 +580,7 @@ _FLIGHTS: Dict[Tuple[str, State], _Flight] = {
          wire.HT_SERVER_KEY_EXCHANGE, wire.HT_CERTIFICATE_REQUEST,
          wire.HT_SERVER_HELLO_DONE), State.FINISHED_WAIT),
     ("client", State.FINISHED_WAIT): _Flight(
-        HandshakeSession._on_server_finished, (wire.HT_FINISHED,),
+        HandshakeSession._read_peer_finished, (wire.HT_FINISHED,),
         State.ESTABLISHED),
     ("server", State.INIT): _Flight(  # a ClientHello whose cookie verifies
         HandshakeSession._on_cookie_hello, (wire.HT_CLIENT_HELLO,),

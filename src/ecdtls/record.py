@@ -2,7 +2,11 @@
 per-epoch sequence numbers, and a 64-entry sliding replay window.
 
 Decoding is datagram-tolerant: anything malformed, replayed, or unauthentic
-is reported as a drop, never an exception.  Epoch 0 keeps no replay window:
+is reported as a drop, never an exception.  `read` cuts a datagram into
+records (RFC 6347 §4.1.1), decoding each only when asked for it, so a
+ChangeCipherSpec can start read epoch 1 before the next is decoded; until
+then the latest `_MAX_HELD` epoch-1 records are held, and an older one is
+dropped as an overflow.  Epoch 0 keeps no replay window:
 its records carry no MAC, so one forged at a far sequence number would shadow
 every genuine one; `message_seq` guards it instead (RFC 6347 §4.2.2).  It
 also takes record version fe ff, which a first hello may carry (§4.2.1).
@@ -10,7 +14,7 @@ also takes record version fe ff, which a first hello may carry (§4.2.1).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .aesgcm import AeadError, AeadKey, AuthenticationError, aes_gcm_open, \
     aes_gcm_seal
@@ -26,12 +30,14 @@ MAX_PLAINTEXT = 1 << 14
 MAX_RECORD_PAYLOAD = MAX_PLAINTEXT + 256
 MAX_SEQUENCE = (1 << 48) - 1
 REPLAY_WINDOW = 64
+_MAX_HELD = 4  # epoch-1 records kept until that read epoch starts
 
 DROP_OK = "ok"
 DROP_MALFORMED = "malformed"
 DROP_REPLAY = "replay"
 DROP_BAD_EPOCH = "bad_epoch"
 DROP_AUTH_FAIL = "auth_fail"
+DROP_OVERFLOW = "overflow"
 
 
 class RecordError(Exception):
@@ -112,6 +118,7 @@ class RecordLayer:
         self.read_key: Optional[AeadKey] = None
         self.window = ReplayWindow()  # unused at epoch 0
         self.drop_counts: Dict[str, int] = {}
+        self._held: List[bytes] = []  # the latest records of read epoch 1
 
     # -- sending ------------------------------------------------------------
 
@@ -120,10 +127,19 @@ class RecordLayer:
         self.write_seq[self.write_epoch] = 0
         self.write_key = key
 
-    def start_read_epoch(self, key: AeadKey) -> None:
+    def start_read_epoch(self, key: AeadKey) -> List[bytes]:
+        """Read the next epoch under key; returns the records held for it."""
         self.read_epoch += 1
         self.read_key = key
         self.window = ReplayWindow()
+        held, self._held = self._held, []
+        return held
+
+    @staticmethod
+    def plaintext(content_type: int, sequence: int, payload: bytes) -> bytes:
+        """The epoch-0 record of payload at sequence; no write state moves."""
+        return RecordHeader(content_type, 0, sequence, len(payload)).pack() \
+            + payload
 
     def encode(self, content_type: int, payload: bytes) -> bytes:
         if len(payload) > MAX_PLAINTEXT:
@@ -134,8 +150,7 @@ class RecordLayer:
             raise RecordError("write sequence space exhausted")
         self.write_seq[epoch] = seq + 1
         if epoch == 0:
-            header = RecordHeader(content_type, 0, seq, len(payload))
-            return header.pack() + payload
+            return self.plaintext(content_type, seq, payload)
         explicit = seq_number_bytes(epoch, seq)
         aad = explicit + bytes([content_type]) + DTLS12_VERSION + \
             len(payload).to_bytes(2, "big")
@@ -149,6 +164,24 @@ class RecordLayer:
     def _drop(self, reason: str) -> Tuple[str, None, None]:
         self.drop_counts[reason] = self.drop_counts.get(reason, 0) + 1
         return reason, None, None
+
+    def read(self, data: bytes) -> Iterator[Tuple[RecordHeader, int, bytes]]:
+        """(header, content type, payload) of each record of data that
+        `decode` passes, each decoded only once the previous one is taken.
+        A tail without a parsable header is one malformed record."""
+        while data:
+            header = RecordHeader.parse(data)
+            size = HEADER_LEN + header.length if header else len(data)
+            record, data = data[:size], data[size:]
+            if header and header.epoch == 1 and not self.read_epoch:
+                self._held.append(record)  # waits for the epoch-1 key
+                if len(self._held) > _MAX_HELD:
+                    del self._held[0]
+                    self._drop(DROP_OVERFLOW)
+                continue
+            outcome, ctype, payload = self.decode(record)
+            if outcome == DROP_OK:
+                yield header, ctype, payload
 
     def decode(self, datagram: bytes) -> Tuple[str, Optional[int],
                                                Optional[bytes]]:

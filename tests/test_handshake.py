@@ -8,7 +8,8 @@ from ecdtls.credentials import (CA_CN, CLIENT_CN, NOT_AFTER, NOT_BEFORE,
 from ecdtls.handshake import (MODE_CACHED, MODE_FULL, HandshakeError,
                               HandshakeSession, SessionConfig, State)
 from ecdtls.record import (CONTENT_ALERT, CONTENT_CCS, CONTENT_HANDSHAKE,
-                           DROP_MALFORMED, RecordHeader)
+                           DROP_BAD_EPOCH, DROP_MALFORMED, DROP_OVERFLOW,
+                           RecordHeader)
 from ecdtls.sha256 import hmac_sha256
 from ecdtls.transport import run_loopback
 from ecdtls.x509 import CertCache, make_certificate
@@ -796,16 +797,18 @@ class TestMessageLayer:
 
     def test_off_path_messages_leave_nothing_filed(self, toy, toy_pki):
         # only the awaited flight's message_seq range is filed, so strays
-        # numbered past it cost a fresh server no memory; only the latest
-        # _MAX_HELD epoch-1 records wait for the keys, so junk sent ahead
-        # of a flight can neither grow `_held` nor lock out its Finished
+        # numbered past it cost a fresh server no memory; the record layer
+        # holds only the latest four epoch-1 records for the keys and counts
+        # each older one as a drop, so junk sent ahead of a flight can
+        # neither grow what is held nor lock out its Finished
         client, server = make_pair(toy, toy_pki)
         strays = [self.off_path_finished(seq) for seq in range(1, 1001)]
         strays += [RecordHeader(CONTENT_HANDSHAKE, 1, seq, 0).pack()
                    for seq in range(1000)]
         assert server.server_step(strays) == []
         assert server._messages == {}
-        assert len(server._held) == 4
+        assert len(server.records._held) == 4
+        assert server.records.drop_counts == {DROP_OVERFLOW: 996}
         assert run_loopback(client, server).established
 
     def test_epoch_0_finished_is_never_filed(self, reference):
@@ -963,6 +966,39 @@ class TestMessageLayer:
                  wire.parse_handshake(d[13:])[:2]) for d in flight[:2]] == \
             [(9, (wire.HT_SERVER_HELLO, 1)), (10, (wire.HT_CERTIFICATE, 2))]
         self.play(client, server, flight)
+        self.assert_agree(client, server)
+
+    def test_verified_hello_at_another_message_seq_is_dropped(self,
+                                                              reference):
+        # a copy of the cookie hello renumbered to 3 and delivered first
+        # used to make the server number its flight from 3, which the
+        # client, awaiting 1, dropped; the server's counters add the copy's
+        # cookie check
+        curve, pki, _, _ = reference
+        client, server = make_pair(curve, pki)
+        cookie_hello = client.client_step(server.server_step(
+            client.client_step([])))[0]
+        msg_type, _, body = wire.parse_handshake(cookie_hello[13:])
+        renumbered = cookie_hello[:13] + wire.pack_handshake(msg_type, 3, body)
+        assert server.server_step([renumbered]) == []
+        assert server.state is State.INIT and server._messages == {}
+        self.play(client, server, server.server_step([cookie_hello]))
+        self.assert_same_handshake(reference, client, server, 2)
+
+    def test_change_cipher_spec_opens_epoch_1_for_the_rest_of_its_datagram(
+            self, toy, toy_pki):
+        # a copy of the client's epoch-0 Certificate packed after its
+        # ChangeCipherSpec is decoded at read epoch 1, so dropped there
+        client, server = make_pair(toy, toy_pki)
+        flight = server.server_step(client.client_step(server.server_step(
+            client.client_step([]))))
+        certificate, exchange, verify, ccs, finished = \
+            client.client_step(flight)
+        assert server.server_step([certificate, exchange, verify]) == []
+        assert server.server_step([ccs + certificate]) == []
+        assert server.records.read_epoch == 1
+        assert server.records.drop_counts == {DROP_BAD_EPOCH: 1}
+        client.client_step(server.server_step([finished]))
         self.assert_agree(client, server)
 
     @pytest.mark.parametrize("number", ["message_seq", "record_seq"])

@@ -179,6 +179,17 @@ def test_no_private_sibling_imports():
     assert found == {}
 
 
+def test_only_the_record_layer_reads_record_framing():
+    """No module of the package but record.py reads the record header or
+    its length: the others deal in payloads.  perfbench/ and the tests are
+    exempt."""
+    framing = {"RecordHeader", "HEADER_LEN"}
+    found = {path.stem: names for path in sorted(PACKAGE.glob("*.py"))
+             for names in [sorted(framing & names_read(path, strings=False))]
+             if names and path.stem != "record"}
+    assert found == {}
+
+
 def public_definitions(path: pathlib.Path) -> list:
     """(qualified name, name) of each public function, class and constant
     of the module at path, and of each public method and class attribute of

@@ -1,10 +1,11 @@
 import pytest
 
 from ecdtls.aesgcm import AeadKey
-from ecdtls.record import (CONTENT_APPDATA, CONTENT_HANDSHAKE, DROP_AUTH_FAIL,
-                           DROP_BAD_EPOCH, DROP_MALFORMED, DROP_OK,
-                           DROP_REPLAY, HEADER_LEN, MAX_SEQUENCE, RecordError,
-                           RecordHeader, RecordLayer, ReplayWindow)
+from ecdtls.record import (CONTENT_APPDATA, CONTENT_CCS, CONTENT_HANDSHAKE,
+                           DROP_AUTH_FAIL, DROP_BAD_EPOCH, DROP_MALFORMED,
+                           DROP_OK, DROP_OVERFLOW, DROP_REPLAY, HEADER_LEN,
+                           MAX_SEQUENCE, RecordError, RecordHeader,
+                           RecordLayer, ReplayWindow)
 
 
 def paired_layers():
@@ -98,6 +99,59 @@ class TestAeadRecords:
         a, b = paired_layers()
         record = a.encode(CONTENT_APPDATA, b"plenty of payload bytes")
         assert b.decode(record[:-4])[0] == DROP_MALFORMED
+
+
+class TestRead:
+    """`read` cuts a datagram into records (RFC 6347 §4.1.1)."""
+
+    @staticmethod
+    def payloads(layer, datagram):
+        return [(header.epoch, ctype, payload)
+                for header, ctype, payload in layer.read(datagram)]
+
+    def test_records_packed_in_one_datagram_are_each_read(self):
+        sender = RecordLayer()
+        datagram = sender.encode(CONTENT_HANDSHAKE, b"first") + \
+            sender.encode(CONTENT_CCS, b"\x01")
+        receiver = RecordLayer()
+        assert self.payloads(receiver, datagram) == [
+            (0, CONTENT_HANDSHAKE, b"first"), (0, CONTENT_CCS, b"\x01")]
+        assert receiver.drop_counts == {}
+
+    def test_tail_without_a_header_is_one_malformed_record(self):
+        record = RecordLayer().encode(CONTENT_HANDSHAKE, b"whole")
+        receiver = RecordLayer()
+        assert self.payloads(receiver, record + record[:HEADER_LEN - 1]) == \
+            [(0, CONTENT_HANDSHAKE, b"whole")]
+        assert receiver.drop_counts == {DROP_MALFORMED: 1}
+
+    def test_epoch_1_records_wait_for_the_read_epoch(self):
+        # the latest four are held, an older one counted as it is pushed out
+        sender, _ = paired_layers()
+        records = [sender.encode(CONTENT_APPDATA, bytes([i]))
+                   for i in range(6)]
+        receiver = RecordLayer()
+        assert self.payloads(receiver, b"".join(records)) == []
+        assert receiver.drop_counts == {DROP_OVERFLOW: 2}
+        held = receiver.start_read_epoch(sender.write_key)
+        assert held == records[2:]
+        assert [self.payloads(receiver, r) for r in held] == \
+            [[(1, CONTENT_APPDATA, bytes([i]))] for i in range(2, 6)]
+        assert receiver.start_read_epoch(sender.write_key) == []
+
+    def test_a_record_is_decoded_only_once_asked_for(self):
+        # a ChangeCipherSpec starts the read epoch that the next record of
+        # its datagram is decoded under
+        sender = RecordLayer()
+        ccs = sender.encode(CONTENT_CCS, b"\x01")
+        key = AeadKey(b"K" * 16, b"salt")
+        sender.start_write_epoch(key)
+        receiver = RecordLayer()
+        records = receiver.read(ccs + sender.encode(CONTENT_HANDSHAKE, b"fin"))
+        assert next(records)[1:] == (CONTENT_CCS, b"\x01")
+        assert receiver.start_read_epoch(key) == []
+        assert next(records)[1:] == (CONTENT_HANDSHAKE, b"fin")
+        assert next(records, None) is None and receiver.drop_counts == {}
 
 
 class TestReplayWindow:
