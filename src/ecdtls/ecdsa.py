@@ -2,7 +2,8 @@
 
 Nonces come from a session DRBG when one is given, and otherwise from the
 RFC 6979 HMAC construction (reproducible fixtures and test vectors).
-Verification prices two comb multiplications through the shared table cache.
+Verification prices two comb multiplications through the shared table cache
+and their affine sum, and compares x projectively, with no inversion.
 """
 
 from __future__ import annotations
@@ -10,12 +11,11 @@ from __future__ import annotations
 from typing import Optional
 
 from . import counters
-from .curve import AffinePoint, CurveError, CurveParams, point_add, \
-    validate_point
+from .curve import AffinePoint, CurveError, CurveParams, validate_point
 from .der import TAG_SEQUENCE, DerCursor, DerError, der_integer, der_tlv
 from .drbg import HmacDrbg
 from .field import inv_euclid_int, mul_int
-from .scalarmult import CombCache, ecsm_comb
+from .scalarmult import CombCache, comb_sum_x_matches, ecsm_comb
 from .sha256 import hmac_sha256
 
 MAX_SIGN_RETRIES = 8
@@ -183,11 +183,4 @@ def ecdsa_verify(pub: AffinePoint, digest: bytes, sig: EcdsaSignature,
     sinv = inv_euclid_int(sig.s, n_mod)
     u1 = mul_int(z % n, sinv, n_mod)
     u2 = mul_int(sig.r % n, sinv, n_mod)
-    G = curve.generator()
-    if u1 == 0:
-        R = ecsm_comb(u2, pub, cache)
-    else:
-        R = point_add(ecsm_comb(u1, G, cache), ecsm_comb(u2, pub, cache))
-    if R.at_infinity:
-        return False
-    return R.x % n == sig.r
+    return comb_sum_x_matches(u1, curve.generator(), u2, pub, sig.r, cache)

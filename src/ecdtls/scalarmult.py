@@ -14,14 +14,18 @@ memoised per curve.  The columns' schedule is the same for every k but
 those that meet an exceptional branch (n-4, n-2 and n-1 among k within 64
 of 0 or n); the Python's own time varies with k and the base.  The price
 helpers take the comb's geometry, so the tests can check them at other
-widths.  `scalar_mul_unchecked` (any k >= 0; the registry checks n*G = O
-with it inside `counters.isolated()`) is priced as double-and-add on the
-affine law, and `ecsm_jacobian` (the energy fit's projective baseline) as
-that loop on the projective datapath plus one Fermat inversion.  Each walk
-is computed only while a counter scope is open, and recorded in one call.
+widths.  `comb_sum_x_matches`, ECDSA's verification equation, is priced as
+its two comb multiplications and `point_add` of their results, on the
+branch that their Jacobian sum takes.  `scalar_mul_unchecked` (any k >= 0;
+the registry checks n*G = O with it inside `counters.isolated()`) is
+priced as double-and-add on the affine law, and `ecsm_jacobian` (the energy
+fit's projective baseline) as that loop on the projective datapath plus one
+Fermat inversion.  Each walk is computed only while a counter scope is
+open, and recorded in one call.
 
 Execution records nothing.  It runs in Jacobian coordinates (Z = 0 the
-identity), normalised by shared inversions, and the fast paths share one
+identity), normalised by shared inversions (the verification equation
+compares x projectively and inverts nothing), and the fast paths share one
 kernel, `_execute`: a schedule of steps, each a doubling of the accumulator
 and then mixed additions of affine points.  A base with rows (the comb's
 tables of its multiples) runs a Lim-Lee comb (Lim and Lee, CRYPTO 1994; HMV
@@ -206,22 +210,24 @@ def _walk_events(curve: CurveParams, terms: Iterable[int], law: tuple = (),
     return events
 
 
-_WRAP_COLUMNS: Dict[tuple, int] = {}
+_WALK_CONSTANTS: Dict[tuple, tuple] = {}
 
 
-def _wrap_column(n: int, w: int, t: int) -> int:
-    """The highest column j < d-1 at which |2 acc| + |term(j)| can reach n,
-    or -1.  Both are at most mask*(2^(d-j) - 1) together, so every column
-    above it sums without a wrap, whatever k is."""
+def _walk_constants(n: int, w: int, t: int) -> tuple:
+    """(d, mask, top, gather) of the walk of t digits in w rows of d: mask
+    holds each row's bit 0; top is the highest column j < d-1 at which
+    |2 acc| + |term(j)| can reach n, or -1, where both are at most
+    mask*(2^(d-j) - 1) together, so every column above it sums without a
+    wrap, whatever k is; gather holds bits 0 .. d-top-2 of each row."""
     key = (n, w, t)
-    if key not in _WRAP_COLUMNS:
+    if key not in _WALK_CONSTANTS:
         d = t // w
         mask = sum(1 << r * d for r in range(w))
-        j = d - 2
-        while j >= 0 and mask * ((1 << d - j) - 1) < n:
-            j -= 1
-        _WRAP_COLUMNS[key] = j
-    return _WRAP_COLUMNS[key]
+        top = d - 2
+        while top >= 0 and mask * ((1 << d - top) - 1) < n:
+            top -= 1
+        _WALK_CONSTANTS[key] = d, mask, top, ((1 << d - top - 1) - 1) * mask
+    return _WALK_CONSTANTS[key]
 
 
 def _walk_regular(n: int, k: int, w: int, t: int) -> bool:
@@ -230,24 +236,17 @@ def _walk_regular(n: int, k: int, w: int, t: int) -> bool:
 
     The t zero-less signed digits of k sum to k + c, c = 1 + (k mod 2):
     digit i is +1 exactly when bit i+1 of K = (k + c) | 2^t is set.  So
-    column j's term, sum(digit(r*d + j) 2^(r*d)), reads the bits j+1,
-    d+j+1, ... of K, and the walk's sum over the columns above the first
-    that can wrap reads the bits above it in each row."""
-    d, c = t // w, 1 + (k & 1)
-    mask = sum(1 << r * d for r in range(w))
+    column j's term, sum(digit(r*d + j) 2^(r*d)), is 2 (K >> j+1 & mask) -
+    mask, and the walk's sum over the columns above the first that can
+    wrap reads the bits above it in each row, which one shift gathers."""
+    d, mask, top, gather = _walk_constants(n, w, t)
+    c = 1 + (k & 1)
     K = (k + c) | 1 << t
-
-    def term(j):
-        return 2 * (K >> j + 1 & mask) - mask
-
-    if term(d - 1) % n == 0:
+    if (2 * (K >> d & mask) - mask) % n == 0:
         return False
-    top = _wrap_column(n, w, t)
-    ones = (1 << d - top - 1) - 1
-    acc = 2 * sum((K >> r * d + top + 2 & ones) << r * d
-                  for r in range(w)) - ones * mask
+    acc = 2 * (K >> top + 2 & gather) - gather
     for j in range(top, -1, -1):
-        m, dbl = term(j), 2 * acc
+        m, dbl = 2 * (K >> j + 1 & mask) - mask, 2 * acc
         # dbl = 0, m = 0 and dbl = +-m are the exceptions.  acc and m are
         # odd, so each needs a wrap mod n: |dbl| + |m| >= n.  n is prime.
         if abs(dbl) + abs(m) >= n and dbl * m * (dbl * dbl - m * m) % n == 0:
@@ -260,12 +259,13 @@ def _walk_price(curve: CurveParams, k: int, w: int, t: int) -> tuple:
     """The columns at k, top column first, then the parity tail, which
     builds 2P and adds -c to the columns' sum k + c: the memoised regular
     schedule unless one of them meets an exceptional branch."""
-    n, d = curve.n, t // w
+    n = curve.n
     regular = _walk_regular(n, k, w, t)
     key = ("walk", curve.mod.bitlen, n, w, t)
     if regular and key in _PRICES:
         return _PRICES[key]
-    c, mask = 1 + (k & 1), sum(1 << r * d for r in range(w))
+    d, mask = _walk_constants(n, w, t)[:2]
+    c = 1 + (k & 1)
     K = (k + c) | 1 << t
     terms = [2 * (K >> j + 1 & mask) - mask for j in range(d - 1, -1, -1)]
     price = _merge(_walk_events(curve, terms, negate=True) +
@@ -530,11 +530,8 @@ def _check_range(k: int, curve: CurveParams) -> None:
         raise ScalarRangeError("scalar out of [1, n)")
 
 
-def ecsm_comb(k: int, P: AffinePoint, cache: Optional[CombCache] = None
-              ) -> AffinePoint:
-    """k*P, priced as the ZSD comb: the table on a cache miss or with no
-    cache, then one double and one add per column and a parity-correction
-    tail.  The identity or a point off the curve raises CurveError."""
+def _comb(k: int, P: AffinePoint, cache: Optional[CombCache]) -> tuple:
+    """k*P as a Jacobian triple, priced as `ecsm_comb`."""
     curve = P.curve
     _check_range(k, curve)
     validate_point(P)
@@ -542,8 +539,61 @@ def ecsm_comb(k: int, P: AffinePoint, cache: Optional[CombCache] = None
     rows = cache.get_or_build(P) if cache is not None else comb_precompute(P)
     counters.record_all(_walk_price(curve, k, COMB_WIDTH, comb_digit_count(
         curve.n_bits, COMB_WIDTH)))
-    return _point(curve, _fixed_base(curve, rows, k) if rows
-                  else _wnaf(curve, k, P.x, P.y))
+    return _fixed_base(curve, rows, k) if rows else _wnaf(curve, k, P.x, P.y)
+
+
+def ecsm_comb(k: int, P: AffinePoint, cache: Optional[CombCache] = None
+              ) -> AffinePoint:
+    """k*P, priced as the ZSD comb: the table on a cache miss or with no
+    cache, then one double and one add per column and a parity-correction
+    tail.  The identity or a point off the curve raises CurveError."""
+    return _point(P.curve, _comb(k, P, cache))
+
+
+def _jsum(curve: CurveParams, A: tuple, B: tuple) -> tuple:
+    """(A + B, its price) for Jacobian A and B, priced as `point_add` of
+    their affine forms: nothing with an identity operand or sum, the
+    doubling at A = B, the addition otherwise."""
+    X1, Y1, Z1 = A
+    X2, Y2, Z2 = B
+    if Z1 == 0 or Z2 == 0:
+        return (B if Z1 == 0 else A), None
+    p = curve.mod.p
+    Z1Z1, Z2Z2 = Z1 * Z1 % p, Z2 * Z2 % p
+    U1 = X1 * Z2Z2 % p
+    S1 = Y1 * Z2 * Z2Z2 % p
+    H = (X2 * Z1Z1 - U1) % p
+    R = (Y2 * Z1 * Z1Z1 - S1) % p
+    if H == 0:
+        if R == 0:
+            return _jdouble(curve, X1, Y1, Z1), curve.double_cost
+        return _IDENTITY, None
+    HH = H * H % p
+    HHH = HH * H % p
+    V = U1 * HH % p
+    X3 = (R * R - HHH - 2 * V) % p
+    return (X3, (R * (V - X3) - S1 * HHH) % p, Z1 * Z2 * H % p), \
+        curve.add_cost
+
+
+def comb_sum_x_matches(u1: int, P: AffinePoint, u2: int, Q: AffinePoint,
+                       r: int, cache: Optional[CombCache] = None) -> bool:
+    """Whether u1*P + u2*Q, for u1 in [0, n) and u2 in [1, n), is not the
+    identity and has an x of r mod n: the ECDSA verification equation.
+    Priced as `ecsm_comb` of each term with a nonzero scalar in turn, then
+    `point_add` of the two.  The sum stays Jacobian, and its x is compared
+    projectively, X = x Z^2 for each x = r mod n below p, so nothing is
+    inverted."""
+    curve = Q.curve
+    A = _comb(u1, P, cache) if u1 else _IDENTITY
+    (X, _, Z), price = _jsum(curve, A, _comb(u2, Q, cache))
+    if price:
+        counters.record_all(price)
+    if Z == 0:
+        return False
+    p = curve.mod.p
+    ZZ = Z * Z % p
+    return any(X == x * ZZ % p for x in range(r, p, curve.n))
 
 
 def _double_and_add(curve: CurveParams, k: int, x: int, y: int) -> tuple:

@@ -6,11 +6,19 @@ digest.  Execution is native (`hashlib`).  FIPS 180-4 padding is
 deterministic, so the block count follows from byte lengths alone: every whole
 block absorbed by `update`, plus one final block in `digest`, or two when the
 0x80 byte and the 8-byte length no longer fit after the last partial block.
+
+`HmacKey` is priced as that algorithm run block by block: the key absorbs its
+ipad and opad blocks once (2 compressions, after hashing a key longer than a
+block), and each MAC finishes an inner and an outer digest.  It executes each
+MAC as one `hmac.digest` and records each price in one call, its kinds in the
+order the block-by-block run first reaches them.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import hmac
 
 from . import counters
 
@@ -53,27 +61,44 @@ def sha256(data: bytes) -> bytes:
     return Sha256(data).digest()
 
 
-_IPAD = bytes(b ^ 0x36 for b in range(256))
-_OPAD = bytes(b ^ 0x5C for b in range(256))
+def _blocks(length: int) -> int:
+    """Compressions of a padded message of length bytes."""
+    return (length + 8) // 64 + 1
+
+
+_SHORT_KEY_PRICE = ((("sha_compress", 2),), ())
+
+
+@functools.lru_cache(maxsize=128)
+def _mac_price(length: int) -> tuple:
+    """The price of a MAC of a length-byte message: the inner digest
+    absorbs the message's whole blocks before it finalizes, then the outer
+    one finalizes in one block."""
+    compress, message = ("sha_compress", _blocks(64 + length)), \
+        ("sha_message", 2)
+    return (("hmac", 1),) + ((compress, message) if length >= 64
+                             else (message, compress)), ()
 
 
 class HmacKey:
-    """HMAC-SHA256 key with the ipad/opad block states absorbed once, so
-    repeated MACs under one key skip the two key-schedule compressions."""
+    """HMAC-SHA256 key, priced with the ipad/opad block states absorbed
+    once, so repeated MACs under one key skip the two key-schedule
+    compressions."""
 
-    __slots__ = ("_inner", "_outer")
+    __slots__ = ("_key",)
 
     def __init__(self, key: bytes):
         if len(key) > 64:
-            key = sha256(key)
-        key = key + b"\x00" * (64 - len(key))
-        self._inner = Sha256(key.translate(_IPAD))
-        self._outer = Sha256(key.translate(_OPAD))
+            counters.record_all(((("sha_compress", _blocks(len(key)) + 2),
+                                  ("sha_message", 1)), ()))
+            key = hashlib.sha256(key).digest()
+        else:
+            counters.record_all(_SHORT_KEY_PRICE)
+        self._key = key
 
     def mac(self, message: bytes) -> bytes:
-        counters.record("hmac")
-        inner = self._inner.copy().update(message).digest()
-        return self._outer.copy().update(inner).digest()
+        counters.record_all(_mac_price(len(message)))
+        return hmac.digest(self._key, message, "sha256")
 
 
 def hmac_sha256(key: bytes, message: bytes) -> bytes:

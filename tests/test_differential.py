@@ -7,7 +7,8 @@
 - ECDSA and ECDH on secp192r1, secp224r1 and secp256r1 (`cryptography`
   cannot load secp160r1), with Hypothesis drawing keys and messages,
   bounded and derandomized: signed here and verified there, the reverse,
-  and equal ECDH shared secrets.
+  equal verdicts on signatures with one mutation each, and equal ECDH
+  shared secrets.
 - X.509: fixture leaves and fixed variants of them, parsed and verified on
   both sides, with every verdict that differs pinned in DIVERGENCES.
 
@@ -147,6 +148,41 @@ def test_ecdsa_signed_there_verifies_here(curves, name, k, message):
         there.sign(digest, PREHASHED)))
     assert ecdsa_verify(here.Q, digest, sig)
     assert not ecdsa_verify(here.Q, hashlib.sha256(digest).digest(), sig)
+
+
+def verifies_there(there, digest, r, s):
+    try:
+        there.public_key().verify(dss.encode_dss_signature(r, s), digest,
+                                  PREHASHED)
+    except InvalidSignature:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("name", sorted(ECC_CURVES))
+@given(k=scalars, other=scalars, message=st.binary(max_size=64),
+       bit=st.integers(0, 255))
+@ECC_DRAWS
+def test_ecdsa_mutated_signature_verdicts_agree(curves, name, k, other,
+                                                message, bit):
+    # one mutation per verify: r +- 1, s +- 1, s -> n - s, a flipped
+    # digest bit or another key; r +- 1 may leave [1, n)
+    n = curves[name].n
+    here, there = key_pair(curves[name], k)
+    digest = hashlib.sha256(message).digest()
+    sig = ecdsa_sign(here, digest)
+    r, s = sig.r, sig.s
+    flipped = (int.from_bytes(digest, "big") ^ 1 << bit).to_bytes(32, "big")
+    cases = [(here, there, digest, r, s)] + \
+        [(here, there, digest, r + d, s) for d in (-1, 1)] + \
+        [(here, there, digest, r, s2) for s2 in (s - 1, s + 1, n - s)] + \
+        [(here, there, flipped, r, s),
+         key_pair(curves[name], other) + (digest, r, s)]
+    ours = [ecdsa_verify(h.Q, d, EcdsaSignature(r2, s2))
+            for h, _, d, r2, s2 in cases]
+    theirs = [verifies_there(t, d, r2, s2) for _, t, d, r2, s2 in cases]
+    assert ours == theirs
+    assert ours[0] and ours[-3]   # the signature and its n - s twin
 
 
 @pytest.mark.parametrize("name", sorted(ECC_CURVES))

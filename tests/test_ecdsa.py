@@ -2,12 +2,14 @@ import hashlib
 
 import pytest
 
-from ecdtls import counters
-from ecdtls.curve import CurveError
+from ecdtls import counters, scalarmult
+from ecdtls.curve import CurveError, point_add, validate_point
 from ecdtls.drbg import HmacDrbg
-from ecdtls.ecdsa import (EcdsaSignature, KeyPair, SignatureError, ecdsa_sign,
-                          ecdsa_verify, rfc6979_nonce)
-from ecdtls.scalarmult import CombCache
+from ecdtls.ecdsa import (EcdsaSignature, KeyPair, SignatureError,
+                          digest_to_scalar, ecdsa_sign, ecdsa_verify,
+                          rfc6979_nonce)
+from ecdtls.field import inv_euclid_int, mul_int
+from ecdtls.scalarmult import CombCache, ecsm_comb
 from ecdtls.sha256 import sha256
 
 # RFC 6979 A.2.5, P-256 with SHA-256, message "sample"
@@ -190,3 +192,87 @@ class TestStrictDerSignature:
         for cut in range(len(der)):
             with pytest.raises(SignatureError):
                 EcdsaSignature.from_der(der[:cut])
+
+
+def affine_verify(pub, digest, sig, cache=None, seen=None):
+    """The verify as it was before the projective x comparison: both
+    products made affine and summed by `point_add`.  Adds to seen the
+    branch the sum took, and whether an accepted x was r + n."""
+    curve = pub.curve
+    n = curve.n
+    if not sig.in_range(n):
+        return False
+    try:
+        validate_point(pub)
+    except CurveError:
+        return False
+    counters.record("ecdsa_verify")
+    n_mod = curve.n_mod
+    z = digest_to_scalar(digest, curve)
+    sinv = inv_euclid_int(sig.s, n_mod)
+    u1 = mul_int(z % n, sinv, n_mod)
+    u2 = mul_int(sig.r % n, sinv, n_mod)
+    if u1 == 0:
+        branch = "u1 = 0"
+        R = ecsm_comb(u2, pub, cache)
+    else:
+        A, B = ecsm_comb(u1, curve.generator(), cache), \
+            ecsm_comb(u2, pub, cache)
+        branch = "add" if A.x != B.x else "double" if A == B else "cancel"
+        R = point_add(A, B)
+    if seen is not None:
+        seen.add(branch)
+    if R.at_infinity:
+        return False
+    if seen is not None and R.x == sig.r + n:
+        seen.add("x = r + n")
+    return R.x % n == sig.r
+
+
+def scalar_digest(z, curve):
+    """A SHA-256-sized digest whose scalar is z."""
+    return (z << 256 - curve.n_bits).to_bytes(32, "big")
+
+
+class TestProjectiveVerify:
+    # toy59 has p = 59 > n = 53, so an x in [53, 59) reduces to r = x - 53
+    @pytest.mark.parametrize("q,cached", [(7, False), (52, True)])
+    def test_every_signature_against_affine_oracle(self, toy, q, cached):
+        # for every r and s: a plain digest, the digests that make
+        # u1*G = +-u2*Q (z = +-q*r) and the one that makes u1 = 0
+        n = toy.n
+        Q = KeyPair(q, toy).Q
+        caches = (CombCache(), CombCache()) if cached else (None, None)
+        seen = set()
+        for r in range(1, n):
+            for z in (q + 5, q * r % n, -q * r % n, 0):
+                digest = scalar_digest(z, toy)
+                for s in range(1, n):
+                    sig = EcdsaSignature(r, s)
+                    with counters.scope(trace=True) as want:
+                        accept = affine_verify(Q, digest, sig, caches[0],
+                                               seen)
+                    with counters.scope(trace=True) as got:
+                        assert ecdsa_verify(Q, digest, sig, caches[1]) \
+                            == accept
+                    assert list(got.counters.items()) == \
+                        list(want.counters.items())
+                    assert got.trace == want.trace
+        assert seen == {"add", "double", "cancel", "u1 = 0", "x = r + n"}
+
+    def test_resident_bases_make_nothing_affine(self, curves, monkeypatch):
+        c = curves["secp160r1"]
+        key = KeyPair(0xC0FFEE, c)
+        digest = sha256(b"resident")
+        sig = ecdsa_sign(key, digest)
+        cache = CombCache()
+        for _ in range(2):   # a miss, then the first hit builds Q's rows
+            ecdsa_verify(key.Q, digest, sig, cache)
+        calls = []
+        to_affine = scalarmult._to_affine
+        monkeypatch.setattr(scalarmult, "_to_affine",
+                            lambda *a: calls.append(a) or to_affine(*a))
+        with counters.scope() as sc:
+            assert ecdsa_verify(key.Q, digest, sig, cache)
+        assert sc.counters["comb_cache_hit"] == 2
+        assert calls == []

@@ -324,6 +324,33 @@ def edge_scalars(curve) -> list:
     return sorted(set(range(1, min(65, n))) | set(range(max(1, n - 64), n)))
 
 
+def slow_walk_regular(n, k, w, t):
+    """The regularity verdict with every constant derived per call and
+    each row's bits above the first column that can wrap gathered one row
+    at a time."""
+    d, c = t // w, 1 + (k & 1)
+    mask = sum(1 << r * d for r in range(w))
+    K = (k + c) | 1 << t
+
+    def term(j):
+        return 2 * (K >> j + 1 & mask) - mask
+
+    if term(d - 1) % n == 0:
+        return False
+    top = d - 2
+    while top >= 0 and mask * ((1 << d - top) - 1) < n:
+        top -= 1
+    ones = (1 << d - top - 1) - 1
+    acc = 2 * sum((K >> r * d + top + 2 & ones) << r * d
+                  for r in range(w)) - ones * mask
+    for j in range(top, -1, -1):
+        m, dbl = term(j), 2 * acc
+        if abs(dbl) + abs(m) >= n and dbl * m * (dbl * dbl - m * m) % n == 0:
+            return False
+        acc = dbl + m
+    return acc * (acc * acc - c * c) % n != 0
+
+
 class TestPrice:
     @pytest.mark.parametrize("name", SECP_CURVES)
     def test_off_schedule_scalars_near_order(self, curves, name):
@@ -448,6 +475,18 @@ class TestPrice:
                 assert scalarmult._walk_regular(c.n, k, w, t) == want
                 verdicts.add(want)
         assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("name", builtin_registry().names())
+    def test_walk_verdict_matches_slow_oracle(self, registry, name):
+        # the memoised constants and the one-shift gather decide as the
+        # per-call derivation does, at every width the price tests use
+        c = registry.get(name)
+        rng = random.Random(name)
+        scalars = edge_scalars(c) + [rng.randrange(1, c.n) for _ in range(200)]
+        for w in sorted({COMB_WIDTH, *range(1, 6)}):
+            t = comb_digit_count(c.n_bits, w)
+            assert [scalarmult._walk_regular(c.n, k, w, t) for k in scalars] \
+                == [slow_walk_regular(c.n, k, w, t) for k in scalars]
 
 
 class TestExecutors:

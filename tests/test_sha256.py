@@ -148,3 +148,32 @@ class TestHmacSha256:
             msg = bytes(rng.randrange(256) for _ in range(rng.randrange(200)))
             assert hmac_sha256(key, msg) == \
                 stdlib_hmac.new(key, msg, hashlib.sha256).digest()
+
+    @pytest.mark.parametrize("key_len", sorted(HMAC_KEY_TICKS))
+    def test_price_order_matches_block_by_block(self, key_len):
+        # a fresh scope lists kinds in the order the block-by-block run
+        # first reaches them: the key's compressions (and the digest of a
+        # long key), then the MAC's hmac tick and its two digests
+        key = b"k" * key_len
+        short = key_len <= 64
+        for msg_len, compress in HMAC_MAC_TICKS.items():
+            msg = b"m" * msg_len
+            with counters.scope() as sc:
+                got = hmac_sha256(key, msg)
+            assert got == stdlib_hmac.new(key, msg, hashlib.sha256).digest()
+            ticks = HMAC_KEY_TICKS[key_len]
+            kinds = ["sha_compress", "hmac", "sha_message"] if short else \
+                ["sha_compress", "sha_message", "hmac"]
+            assert list(sc.counters.items()) == [(kind, {
+                "hmac": 1,
+                "sha_compress": ticks["sha_compress"] + compress,
+                "sha_message": ticks.get("sha_message", 0) + 2}[kind])
+                for kind in kinds]
+            # under a built key, the inner digest absorbs a whole block of
+            # the message before either digest finalizes
+            hkey = HmacKey(key)
+            with counters.scope() as sc:
+                hkey.mac(msg)
+            assert list(sc.counters) == ["hmac"] + (
+                ["sha_compress", "sha_message"] if msg_len >= 64 else
+                ["sha_message", "sha_compress"])
