@@ -1,12 +1,11 @@
-"""Short Weierstrass prime curves, affine points, the group law, and the
-curve registry.
+"""Short Weierstrass prime curves, affine points, the group law's prices,
+and the curve registry.
 
 The group law is priced in affine coordinates, as the paper's datapath runs
 it: one Euclid inversion plus a few multiplications, additions and
-subtractions per operation, recorded in one call.  `point_add` and
-`point_double` compute affine results natively.  `scalarmult.ecsm_comb`
-records these prices summed over its whole schedule in one call, and
-computes its result by other means.
+subtractions per operation.  `CurveParams.add_cost` and `double_cost` hold
+those prices; `scalarmult` records them summed over a whole schedule in one
+call, and computes its results in Jacobian coordinates.
 
 A registry record carries everything a curve is: its parameters plus the TLS
 NamedCurve code point and the namedCurve OID that name it in handshakes and
@@ -136,40 +135,6 @@ class AffinePoint:
         if not pt.is_on_curve():
             raise PointDecodeError("point not on curve")
         return pt
-
-
-def point_add(P: AffinePoint, Q: AffinePoint) -> AffinePoint:
-    """Affine chord addition; dispatches to point_double when P == Q."""
-    if P.curve != Q.curve:
-        raise CurveError("points on different curves")
-    if P.at_infinity:
-        return Q
-    if Q.at_infinity:
-        return P
-    if P.x == Q.x:
-        if P.y == Q.y:
-            return point_double(P)
-        return P.curve.infinity()  # P + (-P)
-    counters.record_all(P.curve.add_cost)
-    p = P.curve.mod.p
-    lam = (Q.y - P.y) * pow(Q.x - P.x, -1, p) % p
-    x3 = (lam * lam - P.x - Q.x) % p
-    y3 = (lam * (P.x - x3) - P.y) % p
-    return AffinePoint(P.curve, x3, y3)
-
-
-def point_double(P: AffinePoint) -> AffinePoint:
-    """Affine tangent doubling; 2P of a 2-torsion point is infinity."""
-    if P.at_infinity:
-        return P
-    if P.y == 0:
-        return P.curve.infinity()
-    counters.record_all(P.curve.double_cost)
-    p = P.curve.mod.p
-    lam = (3 * P.x * P.x + P.curve.a) * pow(2 * P.y, -1, p) % p
-    x3 = (lam * lam - 2 * P.x) % p
-    y3 = (lam * (P.x - x3) - P.y) % p
-    return AffinePoint(P.curve, x3, y3)
 
 
 def validate_point(P: AffinePoint) -> None:

@@ -43,6 +43,7 @@ window.
 from __future__ import annotations
 
 import enum
+import hmac
 import os
 import time
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
@@ -244,7 +245,7 @@ class HandshakeSession:
             return
         hello = wire.parse_client_hello(wire.parse_handshake(msg)[2])
         cookie = hmac_sha256(self.cookie_secret, b"client" + hello.random)
-        if hello.cookie != cookie:
+        if not hmac.compare_digest(hello.cookie, cookie):
             answer = wire.pack_handshake(
                 wire.HT_HELLO_VERIFY_REQUEST, 0,
                 wire.build_hello_verify_request(cookie))
@@ -325,7 +326,7 @@ class HandshakeSession:
         """The peer's Finished, filed at read epoch 1 only, checked against
         the transcript so far."""
         raw, body = self._read()
-        if body != self._verify_data(self._peer):
+        if not hmac.compare_digest(body, self._verify_data(self._peer)):
             raise _Abort("%s finished verification failed" % self._peer)
         self.transcript.update(raw)
 

@@ -15,8 +15,8 @@ those that meet an exceptional branch (n-4, n-2 and n-1 among k within 64
 of 0 or n); the Python's own time varies with k and the base.  The price
 helpers take the comb's geometry, so the tests can check them at other
 widths.  `comb_sum_x_matches`, ECDSA's verification equation, is priced as
-its two comb multiplications and `point_add` of their results, on the
-branch that their Jacobian sum takes.  `scalar_mul_unchecked` (any k >= 0;
+its two comb multiplications and the affine addition of their results, on
+the branch that their Jacobian sum takes.  `scalar_mul_unchecked` (any k >= 0;
 the registry checks n*G = O with it inside `counters.isolated()`) is
 priced as double-and-add on the affine law, and `ecsm_jacobian` (the energy
 fit's projective baseline) as that loop on the projective datapath plus one
@@ -551,9 +551,9 @@ def ecsm_comb(k: int, P: AffinePoint, cache: Optional[CombCache] = None
 
 
 def _jsum(curve: CurveParams, A: tuple, B: tuple) -> tuple:
-    """(A + B, its price) for Jacobian A and B, priced as `point_add` of
-    their affine forms: nothing with an identity operand or sum, the
-    doubling at A = B, the addition otherwise."""
+    """(A + B, its price) for Jacobian A and B, priced as `curve.add_cost`,
+    or `double_cost` at A = B, and nothing with an identity operand or
+    sum."""
     X1, Y1, Z1 = A
     X2, Y2, Z2 = B
     if Z1 == 0 or Z2 == 0:
@@ -581,9 +581,9 @@ def comb_sum_x_matches(u1: int, P: AffinePoint, u2: int, Q: AffinePoint,
     """Whether u1*P + u2*Q, for u1 in [0, n) and u2 in [1, n), is not the
     identity and has an x of r mod n: the ECDSA verification equation.
     Priced as `ecsm_comb` of each term with a nonzero scalar in turn, then
-    `point_add` of the two.  The sum stays Jacobian, and its x is compared
-    projectively, X = x Z^2 for each x = r mod n below p, so nothing is
-    inverted."""
+    the affine addition of the two.  The sum stays Jacobian, and its x is
+    compared projectively, X = x Z^2 for each x = r mod n below p, so
+    nothing is inverted."""
     curve = Q.curve
     A = _comb(u1, P, cache) if u1 else _IDENTITY
     (X, _, Z), price = _jsum(curve, A, _comb(u2, Q, cache))

@@ -7,7 +7,9 @@ byte-level code lives here.  Only ecdsa-with-SHA256 signatures and
 named-curve EC subject keys are supported; everything else is a typed error.
 A subject key's curve is the registered curve whose record carries the
 key's namedCurve OID (`CurveParams.oid`).  Signature checks always hash the
-exact TBSCertificate bytes as received.
+exact TBSCertificate bytes as received.  A signature's r and s are checked
+only by `ecdsa_verify`, against the order of the issuer's curve, which need
+not be the subject's.
 """
 
 from __future__ import annotations
@@ -76,9 +78,6 @@ class Certificate:
         self.public_key = public_key
         self.signature = signature
         self.is_ca = is_ca
-
-    def fingerprint(self) -> bytes:
-        return sha256(self.raw)
 
 
 def _read_name(tbs: DerCursor) -> Tuple[bytes, Optional[str]]:
@@ -191,8 +190,6 @@ def _parse_certificate(der: bytes, registry: CurveRegistry) -> Certificate:
         signature = EcdsaSignature.from_der(sig_bits)
     except SignatureError as exc:
         raise MalformedDerError("bad signature encoding: %s" % exc) from None
-    if not signature.in_range(curve.n):
-        raise MalformedDerError("signature component out of range")
 
     counters.record("x509_parse")
     return Certificate(der, raw_tbs, serial, issuer, subject, subject_cn,
@@ -225,6 +222,10 @@ def x509_verify(cert: Certificate, issuer_key: AffinePoint, now: int,
 CERT_CACHE_CAPACITY = 4
 
 
+def _cache_key(der: bytes, anchor: AffinePoint) -> bytes:
+    return anchor.encode() + sha256(der)
+
+
 class CertCache:
     """Bounded LRU of verified certificates keyed by the encoded trust-anchor
     key plus the certificate's SHA-256 fingerprint, so a hit never accepts
@@ -240,7 +241,7 @@ class CertCache:
               now: int) -> Optional[Certificate]:
         """A hit returns the stored certificate with no parse or signature
         check.  An entry outside its validity window at now is a miss."""
-        key = anchor.encode() + sha256(der)
+        key = _cache_key(der, anchor)
         entry = self._entries.get(key)
         if entry is None or not entry.not_before <= now <= entry.not_after:
             counters.record("cert_cache_miss")
@@ -252,7 +253,7 @@ class CertCache:
 
     def insert(self, cert: Certificate, anchor: AffinePoint) -> None:
         """Remember cert as verified under the trust anchor's key."""
-        key = anchor.encode() + cert.fingerprint()
+        key = _cache_key(cert.raw, anchor)
         self._entries.pop(key, None)
         self._entries[key] = cert
         while len(self._entries) > CERT_CACHE_CAPACITY:

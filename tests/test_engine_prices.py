@@ -5,9 +5,9 @@ replaced.
 price from the scalar in integers and record it in one call; their results
 come from executors that record nothing (`ecsm_comb`'s fixed-base table or
 wNAF, `scalar_mul_unchecked`'s double-and-add).  The oracles below are
-those engines as they ran before, on `point_add` and `point_double`
-(themselves checked in `test_formula_prices`) and `oracle_negate`: one
-affine operation, one inversion, each, walked point by point.  Both must
+those engines as they ran before, on the counted affine formulas
+`oracle_add`, `oracle_double` and `oracle_negate` of `test_formula_prices`:
+one affine operation, one inversion, each, walked point by point.  Both must
 give the same result, the same counter items in the same order and the same
 trace, on every registered curve, with and without a comb cache.  The
 table's price is also checked at other widths, through the price helper that
@@ -20,12 +20,12 @@ from collections import namedtuple
 import pytest
 
 from ecdtls import counters, scalarmult
-from ecdtls.curve import CurveParams, builtin_registry, point_add, \
-    point_double
+from ecdtls.curve import CurveParams, builtin_registry
 from ecdtls.scalarmult import (COMB_WIDTH, CombCache, ScalarRangeError,
                                comb_digit_count, comb_precompute, ecsm_comb,
                                scalar_mul_unchecked)
-from test_formula_prices import oracle_negate, priced, same_price
+from test_formula_prices import oracle_add, oracle_double, oracle_negate, \
+    priced, same_price
 
 # the oracle's recoding, which the library no longer builds: it reads the
 # digits as bits of an integer
@@ -57,7 +57,7 @@ def oracle_precompute(P, w=COMB_WIDTH):
     for _ in range(w - 1):
         Q = rows[-1]
         for _ in range(d):
-            Q = point_double(Q)
+            Q = oracle_double(Q)
         rows.append(Q)
     top = rows[w - 1]
     entries = []
@@ -65,7 +65,7 @@ def oracle_precompute(P, w=COMB_WIDTH):
         acc = top
         for r in range(w - 2, -1, -1):
             term = rows[r] if (idx >> r) & 1 else oracle_negate(rows[r])
-            acc = point_add(acc, term)
+            acc = oracle_add(acc, term)
         entries.append(acc)
     return tuple(entries)
 
@@ -99,18 +99,18 @@ def oracle_comb(k, P, cache=None):
         if acc is None:
             acc = term
         else:
-            acc = point_add(point_double(acc), term)
-    dbl = point_double(P)
+            acc = oracle_add(oracle_double(acc), term)
+    dbl = oracle_double(P)
     corr = P if zsd.c == 1 else dbl
-    return point_add(acc, oracle_negate(corr))
+    return oracle_add(acc, oracle_negate(corr))
 
 
 def oracle_unchecked(k, P):
     acc = P.curve.infinity()
     for i in range(k.bit_length() - 1, -1, -1):
-        acc = point_double(acc)
+        acc = oracle_double(acc)
         if (k >> i) & 1:
-            acc = point_add(acc, P)
+            acc = oracle_add(acc, P)
     return acc
 
 
@@ -185,7 +185,7 @@ def test_engines_match_affine_oracle_on_a_two_torsion_point():
     # is compared; the results are.
     curve = CurveParams("two-torsion", 59, 1, -2, 1, 0, 53, 0xFE03, "2.999.2")
     T = curve.generator()
-    assert T.is_on_curve() and point_double(T).at_infinity
+    assert T.is_on_curve() and oracle_double(T).at_infinity
     cache, oracle_cache = CombCache(), CombCache()
     for k in range(1, curve.n):
         assert ecsm_comb(k, T) == oracle_comb(k, T) == \

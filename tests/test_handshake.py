@@ -1,10 +1,15 @@
+import hmac
+import sys
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ecdtls import counters, wire
 from ecdtls.credentials import (CA_CN, CLIENT_CN, NOT_AFTER, NOT_BEFORE,
-                                SERVER_CN, generate_pki)
+                                SERVER_CN, CredentialSet, Pki, generate_pki)
+from ecdtls.drbg import HmacDrbg
+from ecdtls.ecdsa import KeyPair
 from ecdtls.handshake import (MODE_CACHED, MODE_FULL, HandshakeError,
                               HandshakeSession, SessionConfig, State)
 from ecdtls.record import (CONTENT_ALERT, CONTENT_CCS, CONTENT_HANDSHAKE,
@@ -13,6 +18,7 @@ from ecdtls.record import (CONTENT_ALERT, CONTENT_CCS, CONTENT_HANDSHAKE,
 from ecdtls.sha256 import hmac_sha256
 from ecdtls.transport import run_loopback
 from ecdtls.x509 import CertCache, make_certificate
+from test_x509 import with_raised
 
 FIXED_CLOCK = lambda: 1754784000.0  # mid validity window
 
@@ -62,6 +68,22 @@ def p160_pki(curves):
 @pytest.fixture(scope="module")
 def p256_pki(curves):
     return generate_pki(curves["secp256r1"], b"p256-pki-entropy" * 2)
+
+
+@pytest.fixture(scope="module")
+def cross_curve_pki(curves):
+    """secp160r1 leaves under a secp256r1 CA."""
+    drbg = HmacDrbg(b"cross-curve-pki" * 2)
+    ca_key = KeyPair.generate(curves["secp256r1"], drbg)
+    ca_der = make_certificate(CA_CN, CA_CN, 1, ca_key.Q, ca_key, NOT_BEFORE,
+                              NOT_AFTER, ca=True)
+
+    def party(cn, serial):
+        key = KeyPair.generate(curves["secp160r1"], drbg)
+        return CredentialSet(ca_der, make_certificate(
+            cn, CA_CN, serial, key.Q, ca_key, NOT_BEFORE, NOT_AFTER), key)
+
+    return Pki(ca_der, ca_key, party(SERVER_CN, 2), party(CLIENT_CN, 3))
 
 
 class TestLoopbackHandshake:
@@ -460,6 +482,39 @@ class TestPeerAuthentication:
         checker = {"client": client, "server": server}[PEER_OF[peer]]
         assert checker.failed and checker.failure_reason == reason
 
+    def test_signature_past_the_issuer_order_refused_uncached(
+            self, toy, toy_pki, registry, monkeypatch):
+        # the leaf parses, and only ecdsa_verify's range check refuses it:
+        # this signature's x is r + n, below p
+        sends_chain(monkeypatch, toy_pki, "server", [with_raised(
+            toy_pki.server.cert_der, registry, "r", toy.n)])
+        cache = CertCache()
+        client, server = make_pair(toy, toy_pki, mode=MODE_CACHED,
+                                   cert_cache=cache)
+        assert not run_loopback(client, server).established
+        assert client.failure_reason == \
+            "peer certificate rejected: bad_signature"
+        assert len(cache) == 0
+
+
+class TestChainAcrossCurves:
+    """Each signature is checked under its issuer's key, on the issuer's
+    curve (RFC 5280 §6.1.3), so a leaf on one registered curve establishes
+    under a CA on another."""
+
+    def test_full_and_cached_establish(self, curves, cross_curve_pki):
+        curve = curves["secp160r1"]
+        cache = CertCache()
+        for mode, lookup in ((MODE_FULL, None), (MODE_CACHED, "miss"),
+                             (MODE_CACHED, "hit")):
+            client, server = make_pair(curve, cross_curve_pki, mode=mode,
+                                       cert_cache=cache if lookup else None)
+            assert run_loopback(client, server).established
+            assert bytes(client.security.master_secret) == \
+                bytes(server.security.master_secret)
+            if lookup:
+                assert client.handshake_counters["cert_cache_" + lookup] == 1
+
 
 class TestStateMachine:
     def test_flight_table_drives_loopback(self, toy, toy_pki):
@@ -564,6 +619,36 @@ class TestStateMachine:
         msg_type, seq, body = wire.parse_handshake(payload)
         assert (msg_type, seq) == (wire.HT_HELLO_VERIFY_REQUEST, 0)
         assert wire.parse_hello_verify_request(body) != b"\x00" * 32
+
+    def test_cookie_and_finished_compared_in_constant_time(self, toy,
+                                                           toy_pki,
+                                                           monkeypatch):
+        # (role, checking method, received, expected) per comparison made
+        # by a session; the record layer's tag checks are left out
+        seen = []
+        real = hmac.compare_digest
+
+        def spy(a, b):
+            caller = sys._getframe(1)
+            owner = caller.f_locals.get("self")
+            if isinstance(owner, HandshakeSession):
+                seen.append((owner.role, caller.f_code.co_name, bytes(a),
+                             bytes(b)))
+            return real(a, b)
+
+        monkeypatch.setattr(hmac, "compare_digest", spy)
+        client, server = make_pair(toy, toy_pki)
+        assert run_loopback(client, server).established
+        cookie = hmac_sha256(server.cookie_secret,
+                             b"client" + client.client_random)
+        assert len(cookie) == 32
+        assert ("server", "_check_cookie", cookie, cookie) in seen
+        for role in ("client", "server"):
+            finished = [(got, want) for who, name, got, want in seen
+                        if (who, name) == (role, "_read_peer_finished")]
+            assert len(finished) == 1
+            got, want = finished[0]
+            assert got == want and len(got) == 12
 
     @pytest.mark.parametrize("offer", ["curve", "suite"])
     def test_verified_hello_without_our_offer_fails(self, toy, toy_pki,

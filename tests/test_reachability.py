@@ -19,15 +19,16 @@ import private tables as oracles.
 For the public-name check, a public function, class or constant of a module,
 or a public method or class attribute of one of its classes, must be read by
 some module under src/ecdtls or perfbench/.  A read is a load of the name or
-of an attribute of that name, or an imported name; under perfbench/ a string
-constant counts too, since perfbench/tracing.py names the functions it wraps
-as strings.  What only the tests read is dead code; a helper a test needs
-lives in the test.  Dunder methods are out of scope (the language calls
-them).  The check goes by name alone, so a dead method that shares its
-name with an attribute read elsewhere still passes: a `CertCache.load` would
-pass against `json.load`.  ALLOWED_UNREAD names the exceptions, each with
-its reason, and each must still be a public name the scan would flag, so an
-entry does not outlive its name or its exemption.
+of an attribute of that name, or an imported name.  A string constant is not
+a read, even where perfbench/tracing.py names the functions it wraps: a
+function only a tracer wraps is one nothing calls.  What only the tests read
+is dead code; a helper a test needs lives in the test.  Dunder methods are
+out of scope (the language calls them).  The check goes by name alone, so a
+dead method that shares its name with an attribute read elsewhere still
+passes: a `CertCache.load` would pass against `json.load`.  ALLOWED_UNREAD
+names the exceptions, each with its reason, and each must still be a public
+name the scan would flag, so an entry does not outlive its name or its
+exemption.
 
 For the knob check, each defaulted parameter of a public function, of a
 public method of a public class or of a public class's `__init__` must be
@@ -185,7 +186,7 @@ def test_only_the_record_layer_reads_record_framing():
     exempt."""
     framing = {"RecordHeader", "HEADER_LEN"}
     found = {path.stem: names for path in sorted(PACKAGE.glob("*.py"))
-             for names in [sorted(framing & names_read(path, strings=False))]
+             for names in [sorted(framing & names_read(path))]
              if names and path.stem != "record"}
     assert found == {}
 
@@ -215,9 +216,9 @@ def public_definitions(path: pathlib.Path) -> list:
             if not name.startswith("_")]
 
 
-def names_read(path: pathlib.Path, strings: bool) -> set:
+def names_read(path: pathlib.Path) -> set:
     """Names the module at path loads, as a name or an attribute, or
-    imports; with strings, also its string constants."""
+    imports."""
     read = set()
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -227,9 +228,6 @@ def names_read(path: pathlib.Path, strings: bool) -> set:
             read.add(node.attr)
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             read.update(alias.name for alias in node.names)
-        elif strings and isinstance(node, ast.Constant) and \
-                isinstance(node.value, str):
-            read.add(node.value)
     return read
 
 
@@ -238,10 +236,8 @@ def unread_public_names(package: pathlib.Path, readers: pathlib.Path,
     """Qualified public names of the modules in package that neither a
     module of package nor one of readers reads, less the allowed ones."""
     sources = sorted(package.glob("*.py"))
-    read = set().union(
-        *(names_read(path, strings=False) for path in sources),
-        *(names_read(path, strings=True)
-          for path in sorted(readers.glob("*.py"))))
+    read = set().union(*(names_read(path) for path in
+                         sources + sorted(readers.glob("*.py"))))
     return sorted(qualified for path in sources
                   for qualified, name in public_definitions(path)
                   if name not in read and qualified not in allowed)
@@ -317,8 +313,9 @@ print(mod.Thing, imported_by_bench, TARGETS)
 ''')
     assert unread_public_names(package, bench, {"mod.KEPT_ON_PURPOSE"}) == [
         "mod.Thing.unread_attribute", "mod.Thing.unread_method",
-        "mod.UNREAD_CONSTANT", "mod.named_in_package_string",
-        "mod.unread_function", "sibling.sibling_function"]
+        "mod.UNREAD_CONSTANT", "mod.named_in_bench_string",
+        "mod.named_in_package_string", "mod.unread_function",
+        "sibling.sibling_function"]
 
 
 EVERY = "*"   # what a call with *args or **kwargs passes

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from ecdtls import counters, scalarmult
 from ecdtls.credentials import generate_pki
 from ecdtls.curve import AffinePoint, CurveError, CurveRegistry, \
-    builtin_registry, point_add, point_double
+    builtin_registry
 from ecdtls.handshake import MODE_FULL
 from ecdtls.scalarmult import (COMB_WIDTH, CombCache, ScalarRangeError,
                                comb_digit_count, comb_precompute, ecsm_comb,
@@ -18,7 +18,8 @@ from ecdtls.scalarmult import (COMB_WIDTH, CombCache, ScalarRangeError,
                                scalar_mul_unchecked)
 from ecdtls.transport import run_loopback
 from test_engine_prices import oracle_unchecked, table_price, zsd_recode
-from test_formula_prices import oracle_negate, priced, same_price
+from test_formula_prices import oracle_add, oracle_double, oracle_negate, \
+    priced, same_price
 from test_golden_counters import _session_pair, warm_handshakes
 
 # Kinds whose tallies must be independent of the scalar for a fixed curve and
@@ -102,9 +103,9 @@ class TestCombPrecompute:
             counters.record("comb_precompute")
             sixteenG = G
             for _ in range(4):
-                sixteenG = point_double(sixteenG)
-            assert point_add(sixteenG, oracle_negate(G)) == fifteenG
-            point_add(sixteenG, G)
+                sixteenG = oracle_double(sixteenG)
+            assert oracle_add(sixteenG, oracle_negate(G)) == fifteenG
+            oracle_add(sixteenG, G)
 
         assert comb_digit_count(toy.n_bits, 2) == 8
         assert priced(table_price, toy, 2)[1:] == priced(bruteforce)[1:]
@@ -149,7 +150,7 @@ class TestCombCache:
         stored = cache.get_or_build(G)
         assert stored is not None and stored is comb_precompute(G)
         assert cache.get_or_build(G) is stored
-        P = point_double(G)
+        P = oracle_double(G)
         assert cache.get_or_build(P) is None                    # miss
         rows = cache.get_or_build(P)                            # first hit
         assert rows == scalarmult._rows(toy, P.x, P.y)
@@ -188,7 +189,7 @@ class TestEcsmComb:
         G = c.generator()
         cache = CombCache()
         assert ecsm_comb(1, G, cache) == G
-        assert ecsm_comb(2, G, cache) == point_double(G)
+        assert ecsm_comb(2, G, cache) == oracle_double(G)
 
     def test_order_minus_one_negates(self, toy):
         G = toy.generator()
@@ -206,7 +207,7 @@ class TestEcsmComb:
         cache = CombCache()
         expected = toy.infinity()
         for k in range(1, toy.n):
-            expected = point_add(expected, G)  # k*G by repeated addition
+            expected = oracle_add(expected, G)  # k*G by repeated addition
             assert ecsm_comb(k, G, cache) == expected
             assert scalar_mul_unchecked(k, G) == expected
             assert ecsm_jacobian(k, G) == expected
@@ -304,7 +305,7 @@ class TestJacobian:
 class TestDoubleAndAdd:
     def test_expansion_of_five(self, curves):
         G = curves["secp192r1"].generator()
-        want = point_add(point_double(point_double(G)), G)
+        want = oracle_add(oracle_double(oracle_double(G)), G)
         assert scalar_mul_unchecked(5, G) == want
 
     def test_affine_cost_shape(self, curves):
@@ -510,7 +511,7 @@ class TestExecutors:
 
         monkeypatch.setattr(scalarmult, "_jadd", spy)
         G = toy.generator()
-        P = point_double(G)
+        P = oracle_double(G)
         cache = CombCache()
         ecsm_comb(1, P, cache)
         rows = {G: comb_precompute(G),
@@ -523,7 +524,7 @@ class TestExecutors:
         for name, (base, run) in runs.items():
             expected = toy.infinity()
             for k in range(1, 3 * toy.n):
-                expected = point_add(expected, base)
+                expected = oracle_add(expected, base)
                 if k < toy.n:
                     assert ecsm_comb(k, base) == expected
                     assert ecsm_comb(k, base, cache) == expected

@@ -1,12 +1,14 @@
 import pytest
 
 from ecdtls import counters
-from ecdtls.der import (TAG_CTX3, TAG_OCTET_STRING, TAG_SEQUENCE, DerCursor,
-                        der_read_tlv, der_tlv)
+from ecdtls.der import (TAG_BIT_STRING, TAG_CTX3, TAG_OCTET_STRING,
+                        TAG_SEQUENCE, DerCursor, der_oid, der_read_tlv,
+                        der_tlv)
 from ecdtls.drbg import HmacDrbg
-from ecdtls.ecdsa import KeyPair
-from ecdtls.x509 import (ACCEPTED, CertCache, MalformedDerError,
-                         REJECT_BAD_SIGNATURE, REJECT_EXPIRED, X509Error,
+from ecdtls.ecdsa import EcdsaSignature, KeyPair
+from ecdtls.x509 import (ACCEPTED, OID_ECDSA_SHA256, CertCache,
+                         MalformedDerError, REJECT_BAD_SIGNATURE,
+                         REJECT_EXPIRED, X509Error,
                          UnknownCriticalExtensionError,
                          UnsupportedAlgorithmError, UnsupportedCurveError,
                          make_certificate, x509_parse, x509_verify)
@@ -41,6 +43,17 @@ def with_extension(ca_der, oid=BASIC_CONSTRAINTS_OID, critical=DER_TRUE,
     new_tbs = der_tlv(TAG_SEQUENCE, tbs_body[:tbs.pos] + der_tlv(
         TAG_CTX3, der_tlv(TAG_SEQUENCE, ext)))
     return der_tlv(TAG_SEQUENCE, new_tbs + body[tbs_end:])
+
+
+def with_raised(der, registry, part, n):
+    """der with its signature's r or s, as part names, raised by n, which
+    leaves it the same mod n, and the signature re-encoded."""
+    cert = x509_parse(der, registry)
+    r, s = cert.signature.r, cert.signature.s
+    sig = EcdsaSignature(r + n, s) if part == "r" else EcdsaSignature(r, s + n)
+    return der_tlv(TAG_SEQUENCE, cert.raw_tbs +
+                   der_tlv(TAG_SEQUENCE, der_oid(OID_ECDSA_SHA256)) +
+                   der_tlv(TAG_BIT_STRING, b"\x00" + sig.to_der()))
 
 
 @pytest.fixture(scope="module")
@@ -213,6 +226,30 @@ class TestVerify:
         cert = x509_parse(fixture_pki["leaf_der"], registry)
         ok, reason = x509_verify(cert, fixture_pki["leaf_key"].Q, NOW)
         assert not ok and reason == REJECT_BAD_SIGNATURE
+
+    def test_issuer_on_another_curve(self, registry):
+        # RFC 5280 §6.1.3 checks a signature under its issuer's key, and
+        # nothing ties the issuer's curve to the subject's
+        drbg = HmacDrbg(b"cross-curve" * 3)
+        ca = KeyPair.generate(registry.get("secp256r1"), drbg)
+        key = KeyPair.generate(registry.get("secp160r1"), drbg)
+        cert = x509_parse(make_certificate("server", "test ca", 2, key.Q, ca,
+                                           NOT_BEFORE, NOT_AFTER), registry)
+        assert cert.public_key == key.Q
+        assert not cert.signature.in_range(key.curve.n)
+        assert x509_verify(cert, ca.Q, NOW) == (True, ACCEPTED)
+
+    @pytest.mark.parametrize("part", ["r", "s"])
+    def test_signature_past_the_issuer_order_parses_and_rejects(
+            self, registry, fixture_pki, part):
+        # only the range check, in ecdsa_verify, refuses s + n, which has
+        # the s mod n of a good signature
+        n = fixture_pki["ca_key"].curve.n
+        cert = x509_parse(with_raised(fixture_pki["leaf_der"], registry,
+                                      part, n), registry)
+        assert getattr(cert.signature, part) >= n
+        assert x509_verify(cert, fixture_pki["ca_key"].Q, NOW) == \
+            (False, REJECT_BAD_SIGNATURE)
 
 
 class TestCertCache:
