@@ -78,11 +78,11 @@ class KeyPair:
         self.Q = computed
         validate_point(self.Q)
 
-    @classmethod
-    def generate(cls, curve: CurveParams, drbg: HmacDrbg,
+    @staticmethod
+    def generate(curve: CurveParams, drbg: HmacDrbg,
                  cache: Optional[CombCache] = None) -> "KeyPair":
         d = _scalar_from_drbg(curve, drbg)
-        return cls(d, curve, cache=cache)
+        return KeyPair(d, curve, cache=cache)
 
 
 def _scalar_from_drbg(curve: CurveParams, drbg: HmacDrbg) -> int:

@@ -28,9 +28,23 @@ so a lost record stalls the handshake; a lost HelloVerifyRequest needs
 only a client that re-sends its hello.
 
 The fixed suite is ECDHE-ECDSA with AES-128-GCM and SHA-256 transcripts.
-A session pins its trust anchor's key in `scalarmult` when it is
-configured, so certificate checks run their multiplication on it from
-process-wide fixed-base rows; that is execution only and prices nothing.
+A `SessionConfig` takes its endpoint from a process-wide store, or prepares
+it once per credential: it parses the own certificate, computes Q = d*G and
+refuses a key that does not match the certificate's, and parses the trust
+anchor.  That runs inside `counters.isolated()`, and each session still
+records what it cost before the store existed, in the same order: the own
+key's `ecsm_comb` through its own comb cache (`comb_price`, so the cache's
+hit/miss bookkeeping is unchanged) and one `x509_parse` for the anchor.  So
+a session's counters never depend on whether the store hit; ROADMAP item
+10, step 2 stops pricing this work per session.  The store holds at most
+`ENDPOINT_CAPACITY` endpoints, the least recently used evicted first, and
+each resident endpoint's `KeyPair`, its private scalar included, until it
+is evicted.  Its key is a SHA-256 digest of the curve, scalar and both
+certificates, so no secret is a dict key and no entry serves a config that
+differs in any of them.  Each session pins its anchor's key in
+`scalarmult`, refreshing its recency, so certificate checks run their
+multiplication on it from process-wide fixed-base rows; that is execution
+only and prices nothing.
 Both roles authenticate the peer through three shared helpers.
 `_peer_certificate` checks the leaf, the first certificate of the peer's
 chain (RFC 5246 §7.4.2), `_check_signature` a ServerKeyExchange or
@@ -43,8 +57,10 @@ window.
 from __future__ import annotations
 
 import enum
+import hashlib
 import hmac
 import os
+import threading
 import time
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
@@ -58,7 +74,7 @@ from .keyagree import KeyAgreementError, ecdhe_shared
 from .prf import tls_prf_sha256
 from .record import (CONTENT_ALERT, CONTENT_APPDATA, CONTENT_CCS,
                      CONTENT_HANDSHAKE, DROP_OK, MAX_SEQUENCE, RecordLayer)
-from .scalarmult import CombCache, pin_trust_anchor
+from .scalarmult import CombCache, comb_price, pin_trust_anchor
 from .sha256 import Sha256, hmac_sha256, sha256
 from .x509 import CertCache, X509Error, x509_parse, x509_verify
 
@@ -70,6 +86,8 @@ ALERT_HANDSHAKE_FAILURE = 40
 
 MODE_FULL = "full"
 MODE_CACHED = "cached"
+
+ENDPOINT_CAPACITY = 8
 
 
 class HandshakeError(Exception):
@@ -118,8 +136,55 @@ class SecurityParams:
         self.cleared = True
 
 
+class _Endpoint(NamedTuple):
+    """What a session needs of its credential, prepared once."""
+    own_key: KeyPair
+    ca_subject: bytes
+    ca_key: AffinePoint
+
+
+_ENDPOINT_LOCK = threading.Lock()
+_ENDPOINTS: Dict[bytes, _Endpoint] = {}  # least recently used first
+
+
+def _endpoint(curve: CurveParams, own_key_d: int, own_cert_der: bytes,
+              ca_der: bytes) -> _Endpoint:
+    """The stored endpoint of a credential, refreshing its recency, or one
+    prepared now and stored, evicting the stalest beyond capacity.  It is
+    prepared outside the lock, so a racing build makes an equal endpoint,
+    and the first stored is kept."""
+    digest = hashlib.sha256()
+    for field in (curve.id.encode(), b"%d" % own_key_d, own_cert_der,
+                  ca_der):
+        digest.update(len(field).to_bytes(4, "big") + field)
+    key = digest.digest()
+    with _ENDPOINT_LOCK:
+        if key in _ENDPOINTS:
+            endpoint = _ENDPOINTS[key] = _ENDPOINTS.pop(key)
+            return endpoint
+    registry = builtin_registry()
+    with counters.isolated():
+        try:
+            cert = x509_parse(own_cert_der, registry)
+            own_key = KeyPair(own_key_d, curve, Q=cert.public_key)
+            ca = x509_parse(ca_der, registry)
+        except (X509Error, CurveError) as exc:
+            raise HandshakeError("credential refused: %s" % exc) from None
+    with _ENDPOINT_LOCK:
+        endpoint = _ENDPOINTS[key] = _ENDPOINTS.pop(
+            key, _Endpoint(own_key, ca.subject, ca.public_key))
+        while len(_ENDPOINTS) > ENDPOINT_CAPACITY:
+            del _ENDPOINTS[next(iter(_ENDPOINTS))]
+    return endpoint
+
+
 class SessionConfig:
-    """Everything one endpoint needs: role, curve, credentials, mode, seed."""
+    """Everything one endpoint needs: role, curve, credentials, mode, seed.
+
+    The credential is prepared once per process (see the module docstring):
+    a certificate or trust anchor that does not parse, or a key that does
+    not match the certificate's, curve included, raises HandshakeError
+    here."""
 
     def __init__(self, role: str, curve: CurveParams, own_cert_der: bytes,
                  own_key_d: int, ca_der: bytes, mode: str = MODE_FULL,
@@ -145,6 +210,7 @@ class SessionConfig:
         self.comb_cache = comb_cache if comb_cache is not None else CombCache()
         self.cert_cache = cert_cache if cert_cache is not None else CertCache()
         self.clock = clock
+        self.endpoint = _endpoint(curve, own_key_d, own_cert_der, ca_der)
 
 
 class HandshakeSession:
@@ -177,11 +243,11 @@ class HandshakeSession:
                                  b"dtls-engine " + self.role.encode())
             self.comb_cache = config.comb_cache
             self.cert_cache = config.cert_cache
-            self.own_key = KeyPair(config.own_key_d, config.curve,
-                                   cache=self.comb_cache)
-            ca = x509_parse(config.ca_der, self.registry)
-            self.ca_subject = ca.subject
-            self.ca_key = ca.public_key
+            # priced as when each session computed them (item 10, step 2)
+            self.own_key, self.ca_subject, self.ca_key = config.endpoint
+            comb_price(self.own_key.d, config.curve.generator(),
+                       self.comb_cache)
+            counters.record("x509_parse")
             pin_trust_anchor(self.ca_key)
             self.client_random: Optional[bytes] = None
             self.server_random: Optional[bytes] = None

@@ -10,18 +10,21 @@ fixed-base comb with zero-less signed-digit recoding on the affine law, at
 the one width `COMB_WIDTH` = 4 that the energy model is calibrated on: the
 table (`comb_precompute`) on a miss of the six-entry LRU `CombCache`, then a
 doubling and an addition per column and a parity tail, from schedules
-memoised per curve.  The columns' schedule is the same for every k but
-those that meet an exceptional branch (n-4, n-2 and n-1 among k within 64
-of 0 or n); the Python's own time varies with k and the base.  The price
-helpers take the comb's geometry, so the tests can check them at other
-widths.  `comb_sum_x_matches`, ECDSA's verification equation, is priced as
-its two comb multiplications and the affine addition of their results, on
-the branch that their Jacobian sum takes.  `scalar_mul_unchecked` (any k >= 0;
-the registry checks n*G = O with it inside `counters.isolated()`) is
-priced as double-and-add on the affine law, and `ecsm_jacobian` (the energy
-fit's projective baseline) as that loop on the projective datapath plus one
-Fermat inversion.  Each walk is computed only while a counter scope is
-open, and recorded in one call.
+memoised per curve.  `comb_price` records that price and computes nothing;
+`_comb`, behind every comb multiplication, calls it and then executes, and
+a caller that already holds k*P (a session's own Q = d*G) calls it alone,
+so each comb price takes one path.  The columns' schedule is the same for
+every k but those that meet an exceptional branch (n-4, n-2 and n-1 among k
+within 64 of 0 or n); the Python's own time varies with k and the base.
+The price helpers take the comb's geometry, so the tests can check them at
+other widths.  `comb_sum_x_matches`, ECDSA's verification equation, is
+priced as its two comb multiplications and the affine addition of their
+results, on the branch that their Jacobian sum takes.
+`scalar_mul_unchecked` (any k >= 0; the registry checks n*G = O with it
+inside `counters.isolated()`) is priced as double-and-add on the affine
+law, and `ecsm_jacobian` (the energy fit's projective baseline) as that
+loop on the projective datapath plus one Fermat inversion.  Each walk is
+computed only while a counter scope is open, and recorded in one call.
 
 Execution records nothing.  It runs in Jacobian coordinates (Z = 0 the
 identity), normalised by shared inversions (the verification equation
@@ -530,8 +533,15 @@ def _check_range(k: int, curve: CurveParams) -> None:
         raise ScalarRangeError("scalar out of [1, n)")
 
 
-def _comb(k: int, P: AffinePoint, cache: Optional[CombCache]) -> tuple:
-    """k*P as a Jacobian triple, priced as `ecsm_comb`."""
+def comb_price(k: int, P: AffinePoint, cache: Optional[CombCache]
+               ) -> Optional[list]:
+    """Record the price of k*P as `ecsm_comb` without computing k*P: check
+    k in [1, n) and P, count the multiplication, take P's table through the
+    cache (a hit refreshes P's recency and builds its rows on P's first
+    hit; a miss, or no cache, prices the precompute), then price the walk
+    at k.  Return P's rows, None for a base without them.  Every comb
+    multiplication is priced here, and so is a product its caller already
+    holds."""
     curve = P.curve
     _check_range(k, curve)
     validate_point(P)
@@ -539,6 +549,13 @@ def _comb(k: int, P: AffinePoint, cache: Optional[CombCache]) -> tuple:
     rows = cache.get_or_build(P) if cache is not None else comb_precompute(P)
     counters.record_all(_walk_price(curve, k, COMB_WIDTH, comb_digit_count(
         curve.n_bits, COMB_WIDTH)))
+    return rows
+
+
+def _comb(k: int, P: AffinePoint, cache: Optional[CombCache]) -> tuple:
+    """k*P as a Jacobian triple, priced by `comb_price`."""
+    rows = comb_price(k, P, cache)
+    curve = P.curve
     return _fixed_base(curve, rows, k) if rows else _wnaf(curve, k, P.x, P.y)
 
 

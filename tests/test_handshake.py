@@ -1,17 +1,19 @@
 import hmac
 import sys
+import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ecdtls import counters, wire
+from ecdtls import counters, handshake, scalarmult, wire
 from ecdtls.credentials import (CA_CN, CLIENT_CN, NOT_AFTER, NOT_BEFORE,
                                 SERVER_CN, CredentialSet, Pki, generate_pki)
 from ecdtls.drbg import HmacDrbg
 from ecdtls.ecdsa import KeyPair
-from ecdtls.handshake import (MODE_CACHED, MODE_FULL, HandshakeError,
-                              HandshakeSession, SessionConfig, State)
+from ecdtls.handshake import (ENDPOINT_CAPACITY, MODE_CACHED, MODE_FULL,
+                              HandshakeError, HandshakeSession, SessionConfig,
+                              State)
 from ecdtls.record import (CONTENT_ALERT, CONTENT_CCS, CONTENT_HANDSHAKE,
                            DROP_BAD_EPOCH, DROP_MALFORMED, DROP_OVERFLOW,
                            RecordHeader)
@@ -277,6 +279,150 @@ class TestCachedMode:
         assert client.failure_reason == \
             "peer certificate rejected: bad_signature"
         assert client.session_counters["cert_cache_hit"] == 0
+
+
+@pytest.fixture
+def endpoints(monkeypatch):
+    """An empty process-wide endpoint store for the test."""
+    store = {}
+    monkeypatch.setattr(handshake, "_ENDPOINTS", store)
+    return store
+
+
+def client_config(curve, pki, **change):
+    return SessionConfig(**dict(
+        dict(role="client", curve=curve, own_cert_der=pki.client.cert_der,
+             own_key_d=pki.client.key.d, ca_der=pki.ca_der), **change))
+
+
+class TestPreparedEndpoint:
+    def test_key_of_another_certificate_refused(self, toy, toy_pki,
+                                                endpoints):
+        # before, this constructed, and its handshake failed at the server
+        # with "CertificateVerify signature invalid"
+        with pytest.raises(HandshakeError, match="does not match"):
+            client_config(toy, toy_pki, own_key_d=toy_pki.server.key.d)
+        assert endpoints == {}
+
+    def test_certificate_on_another_curve_refused(self, curves, toy_pki,
+                                                  endpoints):
+        with pytest.raises(HandshakeError, match="does not match"):
+            client_config(curves["secp160r1"], toy_pki)
+        assert endpoints == {}
+
+    @pytest.mark.parametrize("mode", [MODE_FULL, MODE_CACHED])
+    @pytest.mark.parametrize("curve_name", ["toy59", "secp160r1"])
+    def test_counters_equal_on_a_store_miss_and_hit(
+            self, registry, toy_pki, p160_pki, endpoints, curve_name, mode):
+        curve = registry.get(curve_name)
+        pki = toy_pki if curve_name == "toy59" else p160_pki
+        runs, outer = [], []
+        # the first run prepares both endpoints; the second hits them
+        for _ in range(2):
+            with counters.scope() as scope:  # preparing records nothing here
+                client, server = make_pair(curve, pki, mode=mode,
+                                           cert_cache=CertCache())
+                assert run_loopback(client, server).established
+            outer.append(list(scope.counters.items()))
+            runs.append([(end.config.endpoint,
+                          list(end.handshake_counters.items()))
+                         for end in (client, server)])
+        assert len(endpoints) == 2 and outer[0] == outer[1]
+        for (first, vector), (again, same) in zip(*runs):
+            assert again is first and same == vector
+
+    @pytest.mark.parametrize("mode", [MODE_FULL, MODE_CACHED])
+    @pytest.mark.parametrize("curve_name", ["toy59", "secp160r1"])
+    def test_a_hit_executes_no_multiplication(self, registry, toy_pki,
+                                              p160_pki, endpoints,
+                                              monkeypatch, curve_name, mode):
+        curve = registry.get(curve_name)
+        pki = toy_pki if curve_name == "toy59" else p160_pki
+        calls = []
+        execute = scalarmult._execute
+
+        def spy(curve, steps):
+            calls.append(curve.id)
+            return execute(curve, steps)
+
+        monkeypatch.setattr(scalarmult, "_execute", spy)
+        make_pair(curve, pki, mode=mode)
+        assert calls == [curve.id] * 2  # each end's Q = d*G, once
+        calls.clear()
+        make_pair(curve, pki, mode=mode)
+        assert calls == []
+
+    def test_store_holds_at_most_its_capacity(self, toy, toy_pki, endpoints):
+        key = toy_pki.client.key
+
+        def config(serial):
+            der = make_certificate(CLIENT_CN, CA_CN, 100 + serial, key.Q,
+                                   toy_pki.ca_key, NOT_BEFORE, NOT_AFTER)
+            return client_config(toy, toy_pki, own_cert_der=der)
+
+        made = []
+        for serial in range(ENDPOINT_CAPACITY):
+            made.append(config(serial).endpoint)
+            assert len(endpoints) == serial + 1
+        assert config(0).endpoint is made[0]  # a hit, now the most recent
+        config(ENDPOINT_CAPACITY)  # evicts the stalest, serial 1
+        assert len(endpoints) == ENDPOINT_CAPACITY
+        assert config(0).endpoint is made[0]
+        assert config(1).endpoint is not made[1]
+        assert len(endpoints) == ENDPOINT_CAPACITY
+
+    def test_each_field_selects_its_own_endpoint(self, curves, toy, toy_pki,
+                                                 endpoints):
+        key = toy_pki.client.key
+        first = client_config(toy, toy_pki).endpoint
+        assert (first.own_key.d, first.own_key.Q) == (key.d, key.Q)
+        assert first.ca_key == toy_pki.ca_key.Q
+        # the same key certified again, and another trust anchor
+        reissued = make_certificate(CLIENT_CN, CA_CN, 99, key.Q,
+                                    toy_pki.ca_key, NOT_BEFORE, NOT_AFTER)
+        other = generate_pki(toy, b"other-endpoint-entropy" * 2)
+        endpoint = client_config(toy, toy_pki, own_cert_der=reissued).endpoint
+        assert endpoint is not first and endpoint.own_key.Q == key.Q
+        endpoint = client_config(toy, toy_pki, ca_der=other.ca_der).endpoint
+        assert endpoint is not first and endpoint.ca_key == other.ca_key.Q
+        # another scalar or curve no longer matches the certificate
+        for curve, d in ((toy, toy_pki.server.key.d),
+                         (curves["secp160r1"], key.d)):
+            with pytest.raises(HandshakeError, match="does not match"):
+                client_config(curve, toy_pki, own_key_d=d)
+        assert len(endpoints) == 3
+
+    def test_threads_share_a_bounded_store(self, toy, toy_pki, endpoints):
+        key = toy_pki.client.key
+        ders = [make_certificate(CLIENT_CN, CA_CN, 200 + serial, key.Q,
+                                 toy_pki.ca_key, NOT_BEFORE, NOT_AFTER)
+                for serial in range(2 * ENDPOINT_CAPACITY)]
+        got, errors = [], []
+
+        def worker(offset):
+            try:
+                for i in range(3 * len(ders)):
+                    der = ders[(offset + i) % len(ders)]
+                    got.append(client_config(toy, toy_pki, own_cert_der=der
+                                             ).endpoint.own_key.Q)
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(offset,))
+                       for offset in range(0, 16, 4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(got) == 4 * 3 * len(ders) and set(got) == {key.Q}
+        assert len(endpoints) == ENDPOINT_CAPACITY
 
 
 class TestTampering:

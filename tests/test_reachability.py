@@ -84,9 +84,6 @@ ALLOWED_UNPASSED = {
     "counters.scope.trace":
         "the uniform-trace tests record the order of operations with it "
         "(aim 3)",
-    "ecdsa.KeyPair.__init__.Q":
-        "the certificate's public point, which a prepared endpoint checks "
-        "own_key_d against once (ROADMAP item 10)",
     "drbg.HmacDrbg.reseed.additional":
         "part of the SP 800-90A interface, exercised by the reseed test "
         "vectors in test_drbg.py",
