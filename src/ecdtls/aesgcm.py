@@ -11,17 +11,31 @@ into the unslicing.  Each record makes one call, whose first block E(J0)
 masks the tag and whose rest is the CTR keystream; the hash subkey H is a
 one-block call.
 
-A call of up to `_NARROW` = 8 blocks runs 8 blocks wide, on round keys
-spread over that width once per key (key-only work moved to key setup, as
-table-driven AES does with its tables: Bernstein-Schwabe, INDOCRYPT 2008),
-and drops the blocks past its own; a longer call spreads each round key
-over its own width just before its round, so one wide key is alive at a
-time (a 16 KiB record's transient peak is 227 KiB, against 381 KiB with all
-ten spread first).  8 is the
-widest of the short calls: H is 1 block, a Finished record 3 and a 64 B
-record 5, E(J0) included.  Measured under CPython 3.11 on a Xeon VM (best
-of many runs), a call costs about 30 us for 1 block, 31 us for 3, 32 us
-for 5 or 8, 45 us for 9 and 1.3 ms for the 1026 of a 16 KiB record.
+A call takes one of three forms by its width, all on this layout:
+
+- Up to `_NARROW` = 8 blocks, it runs 8 blocks wide on round keys spread
+  over that width once per key (key-only work moved to key setup, as
+  table-driven AES does with its tables: Bernstein-Schwabe, INDOCRYPT
+  2008), and drops the blocks past its own.  8 is the widest of the short
+  calls: H is 1 block, a Finished record 3 and a 64 B record 5, E(J0)
+  included.
+- From 9 blocks, it spreads each round key over its own width just before
+  its round.
+- From `_FOLD_MIN_BLOCKS` = 64 blocks, it spreads no key.  Every byte of
+  slice p meets the same byte k of a round key, so AddRoundKey and the
+  next SubBytes are one translate of the slice through S_k[v] = S[v ^ k].
+  `_SK` holds all 256 such tables (64 KiB, about 0.4 ms at import).  A
+  round translates its 16 slices in ShiftRows order and joins them once;
+  the last round's slices go straight to the unslicing, and only the last
+  round key is added in block order.  The 16 translates cost a few us a
+  round at any width, so they pay only on long runs: in interleaved runs
+  against spreading, the fold took 1.4x as long at 9 blocks and 1.1x at
+  32, about as long at 56-64, and 0.79x at the 1026 blocks of a 16 KiB
+  record, whose transient peak it also cuts from 227 KiB to 164 KiB.
+
+Measured under CPython 3.11 on a Xeon VM (best of 301 interleaved runs), a
+call costs about 35 us for 1 to 8 blocks, 51 us for 9, 0.14 ms for 64 and
+1.1 ms for the 1026 of a 16 KiB record (1.4 ms with the keys spread).
 
 GHASH runs in one of two forms, chosen by how many blocks a call
 absorbs:
@@ -29,19 +43,24 @@ absorbs:
 - Horner's rule, one block at a time, multiplying by the hash subkey H one
   byte at a time (Shoup's method): one 256-entry table of H times every
   byte value per key, plus one 256-entry reduction table shared by all
-  keys.  Runs shorter than `_LANE_MIN_BLOCKS` blocks take this form, so
-  every 64 B record and Finished record runs it, as does the tag's
+  keys.  Runs shorter than `_LANE_MIN_BLOCKS` = 16 blocks take this form,
+  so every 64 B record and Finished record runs it, as does the tag's
   length block.
 - Lane-parallel, for a longer run (the aggregated Horner form of
-  Gueron-Kounavis, Intel's CLMUL/GCM white paper, 2010).  `_LANES` lanes
-  of 256-bit slots sit on one big int; each step xors in the next
-  `_LANES` blocks and multiplies every lane by the constant H^`_LANES`
-  with one shift and one xor per non-zero 4-bit window of that constant,
-  then reduces every slot with two folds.  The only state kept per key is
-  that window list.  The steps quantise the run to whole groups of lanes,
-  so the two forms cross at 14-20 blocks, and from 24 blocks up the lane
-  form wins at every length.  Measured under CPython 3.11 on a Xeon VM,
-  it is 1.4x faster at 24 blocks and 2.6x at 1025 (a 16 KiB record).
+  Gueron-Kounavis, Intel's CLMUL/GCM white paper, 2010).  `_LANES` = 64
+  lanes of 256-bit slots sit on one big int; each step xors in the next
+  64 blocks and multiplies every lane by the constant H^64 with one shift
+  and one xor per non-zero 4-bit window of that constant, then reduces
+  every slot with two folds.  Lane j is then owed H^(64 - j), which six
+  halvings pay: each multiplies the top half of the lanes by H^32, H^16,
+  ..., H and xors it into the bottom half, and one multiplication by H is
+  left.  The only state kept per key is the window lists of H, H^2, H^4,
+  ..., H^64, built by squaring on first use (about 0.15 ms).  The steps
+  quantise the run to whole groups of lanes, and the two forms cross at
+  15-16 blocks.  Measured under CPython 3.11 on a Xeon VM in interleaved
+  runs, 64 lanes beat 8 by 1.44x at 1025 blocks (a 16 KiB record) and
+  tie them at 24-32; 128 lanes beat 64 by 1.1x at 1025 but lose to them
+  by 1.1x at 24.
 
 Counters price the algorithm, not this code: `aes_block` per block
 encryption, `ghash_block` per 16-byte GHASH block, recorded in the order
@@ -60,6 +79,7 @@ AES do.
 from __future__ import annotations
 
 import hmac
+import operator
 import struct
 
 from . import counters
@@ -98,6 +118,18 @@ def _build_sbox():
 
 
 _SBOX = _build_sbox()
+
+
+def _keyed_sboxes():
+    """_SK[k][v] = S[v ^ k]: AddRoundKey with the key byte k, then SubBytes,
+    as one translate table."""
+    identity = int.from_bytes(bytes(range(256)), "big")
+    ones = int.from_bytes(b"\x01" * 256, "big")
+    return tuple((identity ^ k * ones).to_bytes(256, "big").translate(_SBOX)
+                 for k in range(256))
+
+
+_SK = _keyed_sboxes()
 _XTIME = bytes(((v << 1) ^ 0x1B) & 0xFF if v & 0x80 else (v << 1) for v in range(256))
 _RCON = (0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36)
 _WORD = 0xFFFFFFFF
@@ -112,9 +144,16 @@ _WORD = 0xFFFFFFFF
 # 4r + (c + r) % 4 of the SubBytes output.
 _UNSLICE = tuple((4 * c + r, 4 * r + (c + r) % 4)
                  for r in range(4) for c in range(4))
+# A folded round's (slice, key byte) pairs in ShiftRows order: slice 4r + c
+# of its output comes from slice p = 4r + (c + r) % 4 of its input, whose
+# round key byte is block byte 4 * (p % 4) + p // 4.
+_SHIFTED = tuple((p, 4 * (p % 4) + p // 4) for _, p in _UNSLICE)
+_SHIFTED_KEY = operator.itemgetter(*(i for _, i in _SHIFTED))
 _TABLE_PAD = bytes(240)
-# the width of a short call (module docstring)
+# the width of a short call, and the narrowest call whose round keys are
+# folded into SubBytes (module docstring)
 _NARROW = 8
+_FOLD_MIN_BLOCKS = 64
 
 
 def _pattern(n: int) -> bytes:
@@ -134,9 +173,9 @@ _NARROW_PATTERN = _pattern(_NARROW)
 
 class Aes128:
     """AES-128 forward cipher: round keys 0-9 spread over a sliced state of
-    `_NARROW` blocks, and the last round key in block order."""
+    `_NARROW` blocks, and all eleven in block order."""
 
-    __slots__ = ("_narrow_keys", "_last_key")
+    __slots__ = ("_narrow_keys", "_keys")
 
     def __init__(self, key: bytes):
         if len(key) != 16:
@@ -155,7 +194,7 @@ class Aes128:
         self._narrow_keys = tuple(
             int.from_bytes(_NARROW_PATTERN.translate(_by_slice(k)), "big")
             for k in keys[:10])
-        self._last_key = keys[10]
+        self._keys = tuple(keys)
 
     def keystream(self, j0: int, blocks: int) -> bytes:
         """E(J0) || E(J0 + 1) || ... || E(J0 + blocks - 1), whose counter is
@@ -166,8 +205,14 @@ class Aes128:
         the dropped blocks are never priced."""
         n = max(blocks, _NARROW)
         size = 16 * n
+        first = j0 & _WORD
+        wrapped = max(0, first + n - 1 - _WORD)
+        ctr = struct.pack(">%dI" % n, *range(first, first + n - wrapped),
+                          *range(wrapped))
         if n == _NARROW:
             pattern, keys = _NARROW_PATTERN, iter(self._narrow_keys)
+        elif n >= _FOLD_MIN_BLOCKS:
+            return self._folded_keystream(j0, ctr, n)
         else:
             # spread just before each round (module docstring); slice p of
             # a narrow key is its byte p, _NARROW times
@@ -175,10 +220,6 @@ class Aes128:
             keys = (int.from_bytes(pattern.translate(
                 k.to_bytes(16 * _NARROW, "big")[::_NARROW] + _TABLE_PAD),
                 "big") for k in self._narrow_keys)
-        first = j0 & _WORD
-        wrapped = max(0, first + n - 1 - _WORD)
-        ctr = struct.pack(">%dI" % n, *range(first, first + n - wrapped),
-                          *range(wrapped))
         state = bytearray(
             pattern.translate(_by_slice(j0.to_bytes(16, "big"))))
         for r in range(4):
@@ -213,8 +254,40 @@ class Aes128:
         for i, p in _UNSLICE:
             out[i::16] = s[p * n:p * n + blocks]
         return (int.from_bytes(out, "big") ^
-                int.from_bytes(self._last_key * blocks, "big")
+                int.from_bytes(self._keys[10] * blocks, "big")
                 ).to_bytes(16 * blocks, "big")
+
+    def _folded_keystream(self, j0: int, ctr: bytes, n: int) -> bytes:
+        """keystream for n >= `_FOLD_MIN_BLOCKS` blocks, ctr their packed
+        counters: round key i - 1 is folded into round i's SubBytes, slice
+        by slice (module docstring)."""
+        size = 16 * n
+        sk, xt, keys = _SK, _XTIME, self._keys
+        # round 1's slices are J0's bytes, n times, except column 3, the
+        # counter
+        block, k = j0.to_bytes(16, "big"), keys[0]
+        parts = [ctr[p // 4::4].translate(sk[k[i]]) if p % 4 == 3
+                 else bytes((sk[k[i]][block[i]],)) * n
+                 for p, i in _SHIFTED]
+        cuts = [slice(p * n, p * n + n) for p, _ in _SHIFTED]
+        s1, s2, s3 = 32 * n, 64 * n, 96 * n
+        m1, m2 = (1 << s3) - 1, (1 << s2) - 1
+        for k in keys[1:10]:
+            # MixColumns, as in keystream
+            a = int.from_bytes(b"".join(parts), "big")
+            b = (a & m1) << s1 | a >> s3
+            f = a ^ b
+            s = (int.from_bytes(f.to_bytes(size, "big").translate(xt), "big")
+                 ^ b ^ ((f & m2) << s2 | f >> s2)).to_bytes(size, "big")
+            parts = map(bytes.translate, map(s.__getitem__, cuts),
+                        map(sk.__getitem__, _SHIFTED_KEY(k)))
+        # the last round's SubBytes and ShiftRows are done: unslice, then add
+        # the last round key in block order
+        out = bytearray(size)
+        for (i, _), part in zip(_UNSLICE, parts):
+            out[i::16] = part
+        return (int.from_bytes(out, "big") ^
+                int.from_bytes(keys[10] * n, "big")).to_bytes(size, "big")
 
 
 # ---------------------------------------------------------------------------
@@ -248,14 +321,23 @@ _R8 = _mul_x8_reductions()
 # A GHASH run of at least this many blocks takes the lane form
 # (`_GhashKey._absorb_lanes`); shorter ones are cheaper one byte-wise
 # Horner step per block.
-_LANE_MIN_BLOCKS = 24
-_LANES = 8
+_LANE_MIN_BLOCKS = 16
+# a power of two, for the halving in `_GhashKey._absorb_lanes`
+_LANES = 64
 # The lane vector is _LANES slots of 256 bits on one int, lane 0 on top.
 # A lane's value sits in the top 128 bits of its slot, so a product by a
 # 128-bit element fits in the slot and its terms of degree 128 and up fall
 # into the slot's low 128 bits.
 _SLOT_LOW = sum(((1 << 128) - 1) << (256 * j) for j in range(_LANES))
 _SLOT_HIGH = _SLOT_LOW << 128
+
+
+def _windows_of(c: int) -> tuple:
+    """The non-zero 4-bit windows of the element c as (value, shift) pairs:
+    c is the sum of value * x^shift, with bit 3 of value the coefficient of
+    x^0 and bit 0 that of x^3."""
+    return tuple((c >> 124 - shift & 15, shift)
+                 for shift in range(0, 128, 4) if c >> 124 - shift & 15)
 
 
 def _mul_lanes(v: int, windows: tuple) -> int:
@@ -324,9 +406,11 @@ class _GhashKey:
         j (from 0) takes blocks j + 1, j + 1 + L, ... (L = _LANES); each
         step xors the next L blocks into the lanes and multiplies every
         lane by H^L, the last step only xors.  Lane j then still owes
-        H^(L - j), which a Horner pass over the lanes pays with L
-        multiplications by H.  Leading zero blocks pad n to a multiple of
-        L without changing the sum."""
+        H^(L - j).  Halving the lanes pays it in log2 L steps: the top half
+        owes H^(L/2) times what the bottom half owes, so it is multiplied by
+        H^(L/2) and xored into the bottom half, until one lane owing H is
+        left.  Leading zero blocks pad n to a multiple of L without changing
+        the sum."""
         n = len(data) // 16
         pad = -n % _LANES
         # block i (from 0) in the top half of 32-byte slot pad + i
@@ -338,26 +422,25 @@ class _GhashKey:
         acc = y << (128 + 256 * (_LANES - 1 - pad))
         for off in range(0, len(slots) - step, step):
             acc = _mul_lanes(
-                acc ^ int.from_bytes(slots[off:off + step], "big"), windows)
-        lanes = (acc ^ int.from_bytes(slots[-step:], "big")).to_bytes(
-            step, "big")
-        mul = self.mul
-        y = 0
-        for off in range(0, step, 32):
-            y = mul(y ^ int.from_bytes(lanes[off:off + 16], "big"))
-        return y
+                acc ^ int.from_bytes(slots[off:off + step], "big"),
+                windows[-1])
+        acc ^= int.from_bytes(slots[-step:], "big")
+        for i in reversed(range(len(windows) - 1)):
+            # 2^i lanes in each half
+            bits = 256 << i
+            acc = _mul_lanes(acc >> bits, windows[i]) ^ acc & (1 << bits) - 1
+        return self.mul(acc >> 128)
 
     def _windows(self) -> tuple:
-        """The non-zero 4-bit windows of H^_LANES as (value, shift) pairs,
-        computed on first use: H^_LANES is the sum of value * x^shift, with
-        bit 3 of value the coefficient of x^0 and bit 0 that of x^3."""
+        """The window lists of H^1, H^2, H^4, ..., H^_LANES, computed on
+        first use by squaring through `_mul_lanes`."""
         if self._lane_windows is None:
             c = self.table[0x80]  # H times x^0
-            for _ in range(_LANES - 1):
-                c = self.mul(c)
-            self._lane_windows = tuple(
-                (c >> 124 - shift & 15, shift)
-                for shift in range(0, 128, 4) if c >> 124 - shift & 15)
+            chain = [_windows_of(c)]
+            for _ in range(_LANES.bit_length() - 1):
+                c = _mul_lanes(c << 128, chain[-1]) >> 128
+                chain.append(_windows_of(c))
+            self._lane_windows = tuple(chain)
         return self._lane_windows
 
 

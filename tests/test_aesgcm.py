@@ -5,9 +5,9 @@ import tracemalloc
 import pytest
 
 from ecdtls import counters
-from ecdtls.aesgcm import (_LANE_MIN_BLOCKS, _LANES, _NARROW, _RCON, _SBOX,
-                           _XTIME, AeadError, AeadKey, Aes128,
-                           AuthenticationError, GcmContext, _GhashKey,
+from ecdtls.aesgcm import (_FOLD_MIN_BLOCKS, _LANE_MIN_BLOCKS, _LANES,
+                           _NARROW, _RCON, _SBOX, _XTIME, AeadError, AeadKey,
+                           Aes128, AuthenticationError, GcmContext, _GhashKey,
                            aes_gcm_open, aes_gcm_seal)
 
 # McGrew-Viega AES-128-GCM test cases (SP 800-38D validation set)
@@ -212,6 +212,23 @@ class TestKernelsAgainstOracles:
                 block = bytes(rng.randrange(256) for _ in range(16))
                 assert encrypt(aes, block) == bytewise_encrypt_block(key, block)
 
+    def test_folded_keystream_matches_bytewise_rounds(self):
+        # the wide form translates each slice through the S-box table of
+        # its round key byte: 64 keys reach every one of the 256 tables
+        rng = random.Random(0xF01D)
+        table_keys = set()
+        for _ in range(64):
+            key = rng.randbytes(16)
+            table_keys.update(*bytewise_round_keys(key)[:10])
+            j0 = rng.getrandbits(128)
+            want = b"".join(
+                bytewise_encrypt_block(key, (
+                    j0 & ~0xFFFFFFFF | (j0 + i) & 0xFFFFFFFF).to_bytes(
+                        16, "big"))
+                for i in range(_FOLD_MIN_BLOCKS))
+            assert Aes128(key).keystream(j0, _FOLD_MIN_BLOCKS) == want
+        assert len(table_keys) == 256
+
     def test_keystream_records_nothing(self):
         aes = Aes128(b"\x00" * 16)
         with counters.scope() as sc:
@@ -220,7 +237,9 @@ class TestKernelsAgainstOracles:
 
     @pytest.mark.parametrize("low", [0x00000002, 0xFFFFFFFA])
     @pytest.mark.parametrize("blocks", sorted({
-        *range(1, 10), _NARROW - 1, _NARROW, _NARROW + 1, 1025, 1026}))
+        *range(1, 10), _NARROW - 1, _NARROW, _NARROW + 1, 24,
+        _FOLD_MIN_BLOCKS - 1, _FOLD_MIN_BLOCKS, _FOLD_MIN_BLOCKS + 1, 257,
+        1025, 1026}))
     def test_sliced_keystream_matches_bytewise_rounds(self, blocks, low):
         # low = 0xFFFFFFFA wraps the 32-bit counter inside a run of 7 or
         # more blocks (inc32); a run of up to 6 blocks is computed _NARROW
@@ -234,30 +253,44 @@ class TestKernelsAgainstOracles:
         assert Aes128(key).keystream(prefix | low, blocks) == want
 
     def test_one_key_answers_interleaved_widths_as_fresh_ones(self):
-        # narrow calls run on the key's spread round keys, wide ones spread
-        # their own: neither may leave state that changes the next call
+        # narrow calls run on the key's spread round keys, mid-width ones
+        # spread their own and wide ones fold them into SubBytes: none may
+        # leave state that changes the next call
         key = bytes(range(0x40, 0x50))
         aes = Aes128(key)
         j0 = int.from_bytes(GCM_IV3, "big") << 32 | 0xFFFFFFF0
-        for blocks in (1, 5, 9, 1026, 1, 9, 5, 1026, 1):
+        for blocks in (1, 5, 9, 1026, 1, 9, 5, 1026, 65, 1):
             assert aes.keystream(j0, blocks) == \
                 Aes128(key).keystream(j0, blocks)
             j0 += 1
 
-    def test_wide_call_keeps_one_spread_key_alive(self):
-        # a 16 KiB record's keystream peaks at about 227 KiB when each wide
-        # round key is spread just before its round; spreading all ten first
-        # peaks at about 381 KiB, enough to push a large echo into the
-        # allocator's heap trim-and-regrow cycle
+    def test_large_record_transient_peaks(self):
+        # a 16 KiB record's keystream, and so its seal, peaks at about
+        # 164 KiB under CPython 3.11 with the round keys folded into
+        # SubBytes (227 KiB with each spread over the state), and its open,
+        # which also holds the sealed input, at about 180 KiB; a peak much
+        # past these pushes a large echo into the allocator's heap
+        # trim-and-regrow cycle
         aes = Aes128(bytes(range(16)))
+        ctx = GcmContext(bytes(range(16)))
+        plaintext = bytes(16384)
+        sealed = ctx.seal(GCM_IV3, b"ad", plaintext)
         aes.keystream(5, 1026)
+        ctx.open(GCM_IV3, b"ad", sealed)
+        peaks = []
         tracemalloc.start()
         try:
-            aes.keystream(5, 1026)
-            peak = tracemalloc.get_traced_memory()[1]
+            for run in (lambda: aes.keystream(5, 1026),
+                        lambda: ctx.seal(GCM_IV3, b"ad", plaintext),
+                        lambda: ctx.open(GCM_IV3, b"ad", sealed)):
+                tracemalloc.reset_peak()
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert peak <= 300 * 1024
+        assert peaks[0] <= 200 * 1024
+        assert peaks[1] <= 180 * 1024
+        assert peaks[2] <= 200 * 1024
 
     def test_each_record_makes_one_keystream_call(self, monkeypatch):
         calls = []
@@ -288,8 +321,11 @@ class TestKernelsAgainstOracles:
         assert list(sc.counters.items()) == [
             ("ghash_block", blocks + 2), ("aes_block", 1)]
 
+    # 23-25 and 43 fill some of the lanes, with a different number of
+    # leading zero blocks each
     @pytest.mark.parametrize("blocks", sorted({
         _LANE_MIN_BLOCKS - 1, _LANE_MIN_BLOCKS, _LANE_MIN_BLOCKS + 1,
+        23, 24, 25, 43, _LANES - 1, _LANES, _LANES + 1, 2 * _LANES + 1,
         3 * _LANES - 1, 5 * _LANES + 3, 1025, 1026}))
     def test_absorb_matches_horner(self, blocks):
         rng = random.Random(blocks)
@@ -299,6 +335,23 @@ class TestKernelsAgainstOracles:
                 data = rng.randbytes(16 * blocks - tail)
                 y = rng.getrandbits(128)
                 assert gh.absorb(y, data) == horner_absorb(gh, y, data)
+
+    def test_lane_windows_are_the_powers_of_h(self):
+        # window i is H^(2^i), built by squaring; each is checked against
+        # the power by repeated multiplication, for every 2^i up to _LANES
+        rng = random.Random(0x5C)
+        for h in (1 << 127, (1 << 128) - 1, rng.getrandbits(128)):
+            gh = _GhashKey(h)
+            windows = gh._windows()
+            assert len(windows) == _LANES.bit_length()
+            power = h
+            for i in range(_LANES.bit_length()):
+                assert windows[i] == tuple(
+                    (power >> 124 - shift & 15, shift)
+                    for shift in range(0, 128, 4)
+                    if power >> 124 - shift & 15)
+                for _ in range(1 << i):
+                    power = gh.mul(power)
 
     def test_ghash_takes_the_lane_path_from_the_threshold(self, monkeypatch):
         calls = []
@@ -330,8 +383,8 @@ class TestKernelsAgainstOracles:
 # 000102...0f and nonce GCM_IV3, with plaintext byte i = 7i mod 256 and AAD
 # byte i = d0 + i mod 256.  Computed once, offline, with the `cryptography`
 # package's AESGCM.  112 B is 7 CTR blocks, 113 and 128 B are 8, 129 B is 9
-# and 16384 B is 1024.  An AAD of 368 B is 23 GHASH blocks, below
-# _LANE_MIN_BLOCKS (24); 369 B is 24.
+# and 16384 B is 1024.  An AAD of 368 B is 23 GHASH blocks and 369 B is 24,
+# both in the lane form (from _LANE_MIN_BLOCKS = 16 blocks).
 SEAL_SHA256 = {
     (0, 0): "bc182de37d27c4aaab5c70d1b402fa85c25799a696644d8c8d2a4543b8209f7b",
     (0, 13): "4b03fadd77ed5c06f7b7720acbdb866a571cbe568c7c866d75c6572da823a84a",
