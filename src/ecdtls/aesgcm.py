@@ -11,7 +11,7 @@ into the unslicing.  Each record makes one call, whose first block E(J0)
 masks the tag and whose rest is the CTR keystream; the hash subkey H is a
 one-block call.
 
-A call takes one of three forms by its width, all on this layout:
+A call takes one of two forms by its width, both on this layout:
 
 - Up to `_NARROW` = 8 blocks, it runs 8 blocks wide on round keys spread
   over that width once per key (key-only work moved to key setup, as
@@ -19,23 +19,22 @@ A call takes one of three forms by its width, all on this layout:
   2008), and drops the blocks past its own.  8 is the widest of the short
   calls: H is 1 block, a Finished record 3 and a 64 B record 5, E(J0)
   included.
-- From 9 blocks, it spreads each round key over its own width just before
-  its round.
-- From `_FOLD_MIN_BLOCKS` = 64 blocks, it spreads no key.  Every byte of
-  slice p meets the same byte k of a round key, so AddRoundKey and the
-  next SubBytes are one translate of the slice through S_k[v] = S[v ^ k].
-  `_SK` holds all 256 such tables (64 KiB, about 0.4 ms at import).  A
-  round translates its 16 slices in ShiftRows order and joins them once;
-  the last round's slices go straight to the unslicing, and only the last
-  round key is added in block order.  The 16 translates cost a few us a
-  round at any width, so they pay only on long runs: in interleaved runs
-  against spreading, the fold took 1.4x as long at 9 blocks and 1.1x at
-  32, about as long at 56-64, and 0.79x at the 1026 blocks of a 16 KiB
-  record, whose transient peak it also cuts from 227 KiB to 164 KiB.
+- Wider, it spreads no key.  Every byte of slice p meets the same byte k
+  of a round key, so AddRoundKey and the next SubBytes are one translate
+  of the slice through S_k[v] = S[v ^ k].  `_SK` holds all 256 such tables
+  (64 KiB, about 0.4 ms at import).  A round translates its 16 slices in
+  ShiftRows order and joins them once; the last round's slices go straight
+  to the unslicing, and only the last round key is added in block order.
+  The 16 translates cost a few us a round at any width, so the fold pays
+  on long runs: against spreading each key over the width before its
+  round, it took 1.4x as long at 9 blocks, 1.13x at 32, as long at 63-64
+  and 0.78x at the 1026 blocks of a 16 KiB record, whose transient peak
+  it also cuts from 227 KiB to 164 KiB.  No record the handshake or the
+  benchmark sends falls between 9 and 63 blocks.
 
-Measured under CPython 3.11 on a Xeon VM (best of 301 interleaved runs), a
-call costs about 35 us for 1 to 8 blocks, 51 us for 9, 0.14 ms for 64 and
-1.1 ms for the 1026 of a 16 KiB record (1.4 ms with the keys spread).
+Measured under CPython 3.11 on a Xeon VM (best of 301 runs, five rounds),
+a call costs about 34 us for 1 to 8 blocks, 72 us for 9, 0.14 ms for 64
+and 1.1 ms for the 1026 of a 16 KiB record (1.4 ms with the keys spread).
 
 GHASH runs in one of two forms, chosen by how many blocks a call
 absorbs:
@@ -150,25 +149,17 @@ _UNSLICE = tuple((4 * c + r, 4 * r + (c + r) % 4)
 _SHIFTED = tuple((p, 4 * (p % 4) + p // 4) for _, p in _UNSLICE)
 _SHIFTED_KEY = operator.itemgetter(*(i for _, i in _SHIFTED))
 _TABLE_PAD = bytes(240)
-# the width of a short call, and the narrowest call whose round keys are
-# folded into SubBytes (module docstring)
+# the width of a short call (module docstring)
 _NARROW = 8
-_FOLD_MIN_BLOCKS = 64
-
-
-def _pattern(n: int) -> bytes:
-    """Each slice number repeated n times: translating 16 bytes in slice
-    order (padded to 256) through it spreads them over 16 slices of n."""
-    return b"".join(bytes((p,)) * n for p in range(16))
+# Each slice number repeated _NARROW times: translating 16 bytes in slice
+# order (padded to 256) through it spreads them over 16 slices of _NARROW.
+_NARROW_PATTERN = bytes(p for p in range(16) for _ in range(_NARROW))
 
 
 def _by_slice(block: bytes) -> bytes:
     """The 16 bytes of a block in slice order, row by row, padded to a
     translate table."""
     return block[::4] + block[1::4] + block[2::4] + block[3::4] + _TABLE_PAD
-
-
-_NARROW_PATTERN = _pattern(_NARROW)
 
 
 class Aes128:
@@ -204,24 +195,16 @@ class Aes128:
         nothing: the caller records one `aes_block` per block it prices, so
         the dropped blocks are never priced."""
         n = max(blocks, _NARROW)
-        size = 16 * n
         first = j0 & _WORD
         wrapped = max(0, first + n - 1 - _WORD)
         ctr = struct.pack(">%dI" % n, *range(first, first + n - wrapped),
                           *range(wrapped))
-        if n == _NARROW:
-            pattern, keys = _NARROW_PATTERN, iter(self._narrow_keys)
-        elif n >= _FOLD_MIN_BLOCKS:
+        if n > _NARROW:
             return self._folded_keystream(j0, ctr, n)
-        else:
-            # spread just before each round (module docstring); slice p of
-            # a narrow key is its byte p, _NARROW times
-            pattern = _pattern(n)
-            keys = (int.from_bytes(pattern.translate(
-                k.to_bytes(16 * _NARROW, "big")[::_NARROW] + _TABLE_PAD),
-                "big") for k in self._narrow_keys)
+        size = 16 * n
+        keys = iter(self._narrow_keys)
         state = bytearray(
-            pattern.translate(_by_slice(j0.to_bytes(16, "big"))))
+            _NARROW_PATTERN.translate(_by_slice(j0.to_bytes(16, "big"))))
         for r in range(4):
             # the counter is column 3: row r is its byte r (big-endian)
             state[(4 * r + 3) * n:(4 * r + 4) * n] = ctr[r::4]
@@ -258,7 +241,7 @@ class Aes128:
                 ).to_bytes(16 * blocks, "big")
 
     def _folded_keystream(self, j0: int, ctr: bytes, n: int) -> bytes:
-        """keystream for n >= `_FOLD_MIN_BLOCKS` blocks, ctr their packed
+        """keystream for n > `_NARROW` blocks, ctr their packed
         counters: round key i - 1 is folded into round i's SubBytes, slice
         by slice (module docstring)."""
         size = 16 * n
