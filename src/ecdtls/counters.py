@@ -87,11 +87,6 @@ def scope(trace: bool = False) -> Recorder:
     return Recorder(trace=trace)
 
 
-def active() -> bool:
-    """Whether any scope is open, so that a recorded price would count."""
-    return bool(getattr(_local, "stack", None))
-
-
 def record(kind: str, n: int = 1) -> None:
     """Add n to kind in every active scope."""
     record_all((((kind, n),), (kind,) if kind in TRACED_KINDS else ()))
@@ -112,8 +107,9 @@ def record_all(cost: tuple) -> None:
 
 
 class isolated:
-    """Temporarily detach all active scopes (calibration runs must not leak
-    their operation counts into whatever scope happens to be open)."""
+    """Temporarily detach all active scopes, so that work done on the side
+    (the energy fit's calibration prices, a credential's preparation) leaks
+    no operation counts into whatever scope happens to be open."""
 
     def __enter__(self) -> None:
         self._saved = getattr(_local, "stack", [])

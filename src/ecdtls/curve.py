@@ -17,7 +17,6 @@ from __future__ import annotations
 import os
 from typing import Dict, List, Optional
 
-from . import counters
 from .der import DerError, der_oid
 from .field import NotPrimeError, PrimeModulus
 
@@ -210,10 +209,9 @@ def _validate_params(params: CurveParams) -> None:
         raise CurveError("singular curve (zero discriminant)")
     if not params.equation_holds(params.gx, params.gy):
         raise CurveError("generator not on curve")
-    from .scalarmult import scalar_mul_unchecked
-    with counters.isolated():
-        if not scalar_mul_unchecked(params.n, params.generator()).at_infinity:
-            raise CurveError("n * G is not the identity")
+    from .scalarmult import order_annihilates_generator
+    if not order_annihilates_generator(params):
+        raise CurveError("n * G is not the identity")
 
 
 _RECORD_KEYS = frozenset(("kind", "tls", "oid", "p", "a", "b", "gx", "gy", "n",

@@ -7,7 +7,8 @@ Euclid-inversion bit, with the two weights fitted once so that a default
 energy and the Jacobian-plus-Fermat baseline lands at the reference
 affine-versus-projective ratio.  Symmetric primitives are priced per block
 from their reference energies.  Everything is a model over counted
-operations, not a measurement.
+operations, not a measurement.  The fit prices its two calibration
+multiplications from the calibration scalar and executes neither.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Dict, NamedTuple, Optional, Tuple
 from . import counters
 from .counters import OpCounters
 from .curve import CurveParams, get_curve
-from .scalarmult import CombCache, ecsm_comb, ecsm_jacobian
+from .scalarmult import comb_walk_price, jacobian_price
 
 # Reference calibration anchors (all energies in joules)
 CAL_ECSM_256B_J = 6.34e-6        # one 256-bit scalar multiplication
@@ -86,21 +87,24 @@ _FIT_CURVE = "secp256r1"
 
 
 def calibration_scalar(curve: CurveParams) -> int:
-    """The fixed odd scalar, about 2n/3, that the fit multiplies by."""
+    """The fixed odd scalar, about 2n/3, that the fit prices k*G at."""
     return (curve.n * 2 // 3) | 1
 
 
 def _measure_calibration_counts() -> Tuple[OpCounters, OpCounters]:
+    """The counts of k*G at the calibration scalar, priced from the scalar
+    alone: `ecsm_comb` on a comb cache hit, and the Jacobian baseline.
+    Nothing is executed, and no open scope sees the prices."""
     curve = get_curve(_FIT_CURVE)
-    G = curve.generator()
     k_cal = calibration_scalar(curve)
     with counters.isolated():
-        cache = CombCache()
-        ecsm_comb(k_cal, G, cache)  # the miss stays outside the measurement
         with counters.scope() as hit:
-            ecsm_comb(k_cal, G, cache)
+            counters.record("ecsm_comb")
+            counters.record("comb_cache_hit")
+            counters.record_all(comb_walk_price(curve, k_cal))
         with counters.scope() as jac:
-            ecsm_jacobian(k_cal, G)
+            counters.record("ecsm_jacobian")
+            counters.record_all(jacobian_price(curve, k_cal))
     return hit.counters, jac.counters
 
 

@@ -20,11 +20,13 @@ The price helpers take the comb's geometry, so the tests can check them at
 other widths.  `comb_sum_x_matches`, ECDSA's verification equation, is
 priced as its two comb multiplications and the affine addition of their
 results, on the branch that their Jacobian sum takes.
-`scalar_mul_unchecked` (any k >= 0; the registry checks n*G = O with it
-inside `counters.isolated()`) is priced as double-and-add on the affine
-law, and `ecsm_jacobian` (the energy fit's projective baseline) as that
-loop on the projective datapath plus one Fermat inversion.  Each walk is
-computed only while a counter scope is open, and recorded in one call.
+The energy fit reads two prices and runs no multiplication:
+`comb_walk_price`, the comb's walk (a cache hit's price less its
+`ecsm_comb` and `comb_cache_hit` counts), and `jacobian_price`, the
+projective baseline: double-and-add on the projective datapath plus one
+Fermat inversion.  The tests' engines in
+tests/reference_engines.py record `jacobian_price`, and the same walk on
+the affine law for any k >= 0.
 
 Execution records nothing.  It runs in Jacobian coordinates (Z = 0 the
 identity), normalised by shared inversions (the verification equation
@@ -42,12 +44,13 @@ built when pinned, at most `COMB_CACHE_CAPACITY` of them, the least
 recently used evicted first.  A `CombCache` maps each resident base to its
 rows: the process-wide ones, or for any other base rows built on its first
 hit, which go when the cache evicts the base.  A base without rows (a cache
-miss, no cache, a one-shot point) runs width-5 wNAF, one step per digit.
-The other two engines run plain double-and-add on `_jdouble` and `_jadd`,
-which the kernel inlines (the a = -3 doubling and the addition; only an
-addition at equal x, and a doubling on another a, go to them), so the
-double-and-add results are an independent reference for the kernel's
-formulas.
+miss, no cache, a one-shot point) runs width-5 wNAF, one step per digit,
+and so does the registry's check of n*G = O, `order_annihilates_generator`,
+which prices nothing.  The kernel inlines the a = -3 doubling and the
+addition; only an addition at equal x, and a doubling on another a, go to
+`_jdouble` and `_jadd`.  The tests' double-and-add engines
+(tests/reference_engines.py) run on those two alone, so their results are
+an independent reference for the kernel's formulas.
 """
 
 from __future__ import annotations
@@ -279,6 +282,32 @@ def _walk_price(curve: CurveParams, k: int, w: int, t: int) -> tuple:
     return price
 
 
+def comb_walk_price(curve: CurveParams, k: int) -> tuple:
+    """The price of the walk at k of the comb of width `COMB_WIDTH`: what
+    `comb_price` records past the table, and the energy fit's anchor."""
+    return _walk_price(curve, k, COMB_WIDTH, comb_digit_count(
+        curve.n_bits, COMB_WIDTH))
+
+
+def jacobian_price(curve: CurveParams, k: int) -> tuple:
+    """The price of k*P, P of order n, on the projective baseline that the
+    energy fit reads: Jacobian double-and-add, whose inner loop avoids
+    inversions, and one final Fermat inversion, as cost strings of their
+    counted kernels in evaluation order."""
+    mod = curve.mod
+    # the doubling, with 4 X YY, 3 XX + a Z^4 and 8 YY^2 as chains of
+    # additions, and the mixed addition after U2, S2 and the H = 0 test
+    events = _walk_events(curve, map(int, bin(k)[2:]), (
+        mod.cost("mmaammmaamamasmaaasmsam", "point_double"),
+        mod.cost("mmmmsassmmsm")), mod.cost("mmmmss", "point_add"))
+    if k % curve.n:
+        # x^(p-2) by square-and-multiply, then 4 products back to affine
+        e = mod.p - 2
+        events.append(mod.cost("m" * (
+            e.bit_length() + 2 + bin(e).count("1")), "mod_inv_fermat"))
+    return _merge(events)
+
+
 # ---------------------------------------------------------------------------
 # Execution, unpriced
 
@@ -429,6 +458,12 @@ def _wnaf(curve: CurveParams, k: int, x: int, y: int) -> tuple:
     return _execute(curve, steps)
 
 
+def order_annihilates_generator(curve: CurveParams) -> bool:
+    """Whether n*G is the identity, by wNAF: the registry's check of a
+    record, which prices nothing."""
+    return _wnaf(curve, curve.n, curve.gx, curve.gy)[2] == 0
+
+
 # ---------------------------------------------------------------------------
 # Fixed-base rows, comb residency and cache
 
@@ -547,8 +582,7 @@ def comb_price(k: int, P: AffinePoint, cache: Optional[CombCache]
     validate_point(P)
     counters.record("ecsm_comb")
     rows = cache.get_or_build(P) if cache is not None else comb_precompute(P)
-    counters.record_all(_walk_price(curve, k, COMB_WIDTH, comb_digit_count(
-        curve.n_bits, COMB_WIDTH)))
+    counters.record_all(comb_walk_price(curve, k))
     return rows
 
 
@@ -611,48 +645,3 @@ def comb_sum_x_matches(u1: int, P: AffinePoint, u2: int, Q: AffinePoint,
     p = curve.mod.p
     ZZ = Z * Z % p
     return any(X == x * ZZ % p for x in range(r, p, curve.n))
-
-
-def _double_and_add(curve: CurveParams, k: int, x: int, y: int) -> tuple:
-    """k*(x, y) as a Jacobian triple, left to right."""
-    acc = _IDENTITY
-    for i in range(k.bit_length() - 1, -1, -1):
-        acc = _jdouble(curve, *acc)
-        if (k >> i) & 1:
-            acc = _jadd(curve, *acc, x, y)
-    return acc
-
-
-def scalar_mul_unchecked(k: int, P: AffinePoint) -> AffinePoint:
-    """k*P for any k >= 0, priced as double-and-add on the affine law."""
-    curve = P.curve
-    if P.at_infinity:
-        return P
-    if counters.active():
-        counters.record_all(_merge(_walk_events(curve, map(int, bin(k)[2:]))))
-    return _point(curve, _double_and_add(curve, k, P.x, P.y))
-
-
-def ecsm_jacobian(k: int, P: AffinePoint) -> AffinePoint:
-    """k*P, priced as the projective baseline: Jacobian double-and-add,
-    whose inner loop avoids inversions, and one final Fermat inversion, as
-    cost strings of their counted kernels in evaluation order."""
-    curve = P.curve
-    _check_range(k, curve)
-    counters.record("ecsm_jacobian")
-    if P.at_infinity:
-        return P
-    if counters.active():
-        mod = curve.mod
-        # the doubling, with 4 X YY, 3 XX + a Z^4 and 8 YY^2 as chains of
-        # additions, and the mixed addition after U2, S2 and the H = 0 test
-        events = _walk_events(curve, map(int, bin(k)[2:]), (
-            mod.cost("mmaammmaamamasmaaasmsam", "point_double"),
-            mod.cost("mmmmsassmmsm")), mod.cost("mmmmss", "point_add"))
-        if k % curve.n:
-            # x^(p-2) by square-and-multiply, then 4 products back to affine
-            e = mod.p - 2
-            events.append(mod.cost("m" * (
-                e.bit_length() + 2 + bin(e).count("1")), "mod_inv_fermat"))
-        counters.record_all(_merge(events))
-    return _point(curve, _double_and_add(curve, k, P.x, P.y))

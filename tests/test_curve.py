@@ -1,9 +1,13 @@
+import os
+
 import pytest
 
+from ecdtls import counters
 from ecdtls.curve import (AffinePoint, CurveError, CurveParams, CurveRegistry,
                           PointDecodeError, parse_registry_text,
                           validate_point)
-from ecdtls.scalarmult import scalar_mul_unchecked
+from ecdtls.scalarmult import order_annihilates_generator
+from reference_engines import scalar_mul_unchecked
 from test_formula_prices import oracle_add, oracle_double
 
 # TLS code point and OID for curves built in a test; no builtin curve has them
@@ -100,6 +104,7 @@ class TestGroupLaw:
         for name in ("secp160r1", "secp192r1", "secp224r1", "secp256r1", "toy59"):
             c = registry.get(name)
             assert scalar_mul_unchecked(c.n, c.generator()).at_infinity
+            assert order_annihilates_generator(c)
 
 
 class TestEncoding:
@@ -178,9 +183,29 @@ class TestRegistryParsing:
             reg.register(bad)
 
     def test_register_rejects_wrong_order(self):
+        # a = 2, so the kernel doubles through _jdouble
         bad = CurveParams("bad59n", 59, 2, 11, 5, 21, 59, *PRIVATE_IDS)
-        with pytest.raises(CurveError):
+        with pytest.raises(CurveError, match="n \\* G is not the identity"):
             CurveRegistry().register(bad)
+
+    def test_register_rejects_wrong_order_on_a_minus_3(self, curves):
+        # secp160r1 with n the next prime above its order: a = -3, so the
+        # kernel's inline doubling is what refuses it
+        c = curves["secp160r1"]
+        n = 0x0100000000000000000001F4C8F927AED3CA752397
+        assert n.bit_length() == c.n_bits and n != c.n
+        bad = CurveParams("bad160n", c.mod.p, c.a, c.b, c.gx, c.gy, n,
+                          *PRIVATE_IDS)
+        assert not order_annihilates_generator(bad)
+        with pytest.raises(CurveError, match="n \\* G is not the identity"):
+            CurveRegistry().register(bad)
+
+    def test_registry_load_records_nothing(self):
+        path = os.path.join(os.path.dirname(counters.__file__), "data",
+                            "curves.txt")
+        with counters.scope(trace=True) as sc:
+            CurveRegistry().load_file(path)
+        assert sc.counters == {} and sc.trace == []
 
     def test_register_rejects_colliding_tls_code(self, toy):
         anagram = CurveParams("yot59", toy.mod.p, toy.a, toy.b,

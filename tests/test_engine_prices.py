@@ -1,10 +1,11 @@
 """Each engine's scalar-derived price against the affine engines it
 replaced.
 
-`comb_precompute`, `ecsm_comb` and `scalar_mul_unchecked` compute their
-price from the scalar in integers and record it in one call; their results
-come from executors that record nothing (`ecsm_comb`'s fixed-base table or
-wNAF, `scalar_mul_unchecked`'s double-and-add).  The oracles below are
+`comb_precompute`, `ecsm_comb` and `scalar_mul_unchecked` (the tests'
+engine in `reference_engines`) compute their price from the scalar in
+integers and record it in one call; their results come from executors that
+record nothing (`ecsm_comb`'s fixed-base table or wNAF,
+`scalar_mul_unchecked`'s double-and-add).  The oracles below are
 those engines as they ran before, on the counted affine formulas
 `oracle_add`, `oracle_double` and `oracle_negate` of `test_formula_prices`:
 one affine operation, one inversion, each, walked point by point.  Both must
@@ -22,8 +23,8 @@ import pytest
 from ecdtls import counters, scalarmult
 from ecdtls.curve import CurveParams, builtin_registry
 from ecdtls.scalarmult import (COMB_WIDTH, CombCache, ScalarRangeError,
-                               comb_digit_count, comb_precompute, ecsm_comb,
-                               scalar_mul_unchecked)
+                               comb_digit_count, comb_precompute, ecsm_comb)
+from reference_engines import scalar_mul_unchecked
 from test_formula_prices import oracle_add, oracle_double, oracle_negate, \
     priced, same_price
 

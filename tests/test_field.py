@@ -10,7 +10,7 @@ from ecdtls.curve import builtin_registry
 from ecdtls.field import (_SMALL_PRIMES, NonInvertibleError, NotPrimeError,
                           PrimeModulus, _is_probable_prime, _strong_base2,
                           _strong_lucas, inv_euclid_int, mul_int)
-from ecdtls.scalarmult import ecsm_jacobian
+from reference_engines import ecsm_jacobian
 
 P256 = 0xFFFFFFFF00000001000000000000000000000000FFFFFFFFFFFFFFFFFFFFFFFF
 MOD256 = PrimeModulus(P256)

@@ -2,9 +2,10 @@
 
 `CurveParams.add_cost` and `double_cost` are the affine chord and tangent
 prices, which `scalarmult` records summed over its schedules;
-`ecsm_jacobian` records the price of its projective formulas and its
-Fermat inversion, computed from its scalar, in one call.  The oracles below
-are those formulas as they ran before: every modular operation a counted
+`scalarmult.jacobian_price` is the price of the projective formulas and
+the Fermat inversion, computed from the scalar, which the tests'
+`ecsm_jacobian` (in `reference_engines`) records in one call.  The oracles
+below are those formulas as they ran before: every modular operation a counted
 kernel call, so the nesting of the calls fixed the price.  Each price must
 give the same counter items in the same order and the same trace as its
 oracle on every registered curve, and `ecsm_jacobian` the same result on
@@ -19,7 +20,7 @@ import pytest
 
 from ecdtls import counters, scalarmult
 from ecdtls.curve import AffinePoint, builtin_registry
-from ecdtls.scalarmult import ecsm_jacobian, scalar_mul_unchecked
+from reference_engines import ecsm_jacobian, scalar_mul_unchecked
 
 CURVES = builtin_registry().names()
 

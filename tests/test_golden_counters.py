@@ -18,10 +18,10 @@ from ecdtls.curve import get_curve
 from ecdtls.energy import calibration_scalar
 from ecdtls.handshake import MODE_CACHED, MODE_FULL, HandshakeSession, \
     SessionConfig
-from ecdtls.scalarmult import CombCache, ecsm_comb, ecsm_jacobian, \
-    scalar_mul_unchecked
+from ecdtls.scalarmult import CombCache, ecsm_comb
 from ecdtls.transport import run_loopback
 from ecdtls.x509 import CertCache
+from reference_engines import ecsm_jacobian, scalar_mul_unchecked
 
 HANDSHAKE_COUNTERS = {
     ("secp160r1", "cached", "client"): {

@@ -4,7 +4,8 @@ from ecdtls.curve import AffinePoint
 from ecdtls.drbg import HmacDrbg
 from ecdtls.ecdsa import KeyPair
 from ecdtls.keyagree import KeyAgreementError, ecdhe_shared
-from ecdtls.scalarmult import CombCache, scalar_mul_unchecked
+from ecdtls.scalarmult import CombCache
+from reference_engines import scalar_mul_unchecked
 
 # RFC 5903 section 8.1: ECDH P-256 known answer
 RFC5903 = dict(

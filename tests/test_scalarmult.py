@@ -14,9 +14,10 @@ from ecdtls.curve import AffinePoint, CurveError, CurveRegistry, \
 from ecdtls.handshake import MODE_FULL
 from ecdtls.scalarmult import (COMB_WIDTH, CombCache, ScalarRangeError,
                                comb_digit_count, comb_precompute, ecsm_comb,
-                               ecsm_jacobian, pin_trust_anchor, point_identity,
-                               scalar_mul_unchecked)
+                               pin_trust_anchor, point_identity)
 from ecdtls.transport import run_loopback
+from reference_engines import (double_and_add, ecsm_jacobian,
+                               scalar_mul_unchecked)
 from test_engine_prices import oracle_unchecked, table_price, zsd_recode
 from test_formula_prices import oracle_add, oracle_double, oracle_negate, \
     priced, same_price
@@ -404,13 +405,14 @@ class TestPrice:
             rows = scalarmult._rows(c, Q.x, Q.y)
             scalarmult._fixed_base(c, rows, k)
             scalarmult._wnaf(c, k, Q.x, Q.y)
-            scalarmult._double_and_add(c, k, Q.x, Q.y)
+            double_and_add(c, k, Q.x, Q.y)
         assert calls == [] and sc.counters == {} and sc.trace == []
 
     def test_no_walk_priced_without_a_scope(self, curves, monkeypatch):
-        # the registry's n*G checks run inside counters.isolated(), where no
-        # price would count, so none is computed; with a scope open the
-        # double-and-add engines price as before
+        # a registry load prices no walk (its n*G checks run wNAF,
+        # unpriced), and the double-and-add engines compute none while no
+        # scope is open, as inside counters.isolated(); with a scope open
+        # they price as before
         c = curves["secp160r1"]
         G = c.generator()
         calls = []
@@ -419,14 +421,14 @@ class TestPrice:
                             lambda *a, **kw: calls.append(a) or walk(*a, **kw))
         with counters.scope() as sc:
             with counters.isolated():
-                assert not counters.active()
+                assert not counters._stack()
                 CurveRegistry().load_file(os.path.join(
                     os.path.dirname(scalarmult.__file__), "data",
                     "curves.txt"))
                 assert scalar_mul_unchecked(c.n, G).at_infinity
                 assert ecsm_jacobian(c.n - 1, G) == \
                     scalar_mul_unchecked(c.n - 1, G)
-            assert counters.active()
+            assert counters._stack()
         assert sc.counters == {} and calls == []
         k = 0xC0FFEE
         same_price(scalar_mul_unchecked, oracle_unchecked, k, G)
