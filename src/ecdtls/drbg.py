@@ -34,22 +34,16 @@ class HmacDrbg:
             self.K = hmac_sha256(self.K, self.V + b"\x01" + data)
             self.V = hmac_sha256(self.K, self.V)
 
-    def reseed(self, entropy: bytes, additional: bytes = b"") -> None:
-        self._update(entropy + additional)
-        self.reseed_counter = 1
-
-    def generate(self, n: int, additional: bytes = b"") -> bytes:
+    def generate(self, n: int) -> bytes:
         if n > MAX_REQUEST_BYTES:
             raise DrbgError("at most %d bytes per request" % MAX_REQUEST_BYTES)
         if self.reseed_counter > RESEED_INTERVAL:
             raise ReseedRequiredError("reseed interval exceeded")
         counters.record("drbg_generate")
-        if additional:
-            self._update(additional)
         out = b""
         while len(out) < n:
             self.V = hmac_sha256(self.K, self.V)
             out += self.V
-        self._update(additional)
+        self._update(b"")
         self.reseed_counter += 1
         return out[:n]

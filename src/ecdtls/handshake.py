@@ -14,7 +14,9 @@ once the keys and a ChangeCipherSpec with body 01 are both in.  An invalid
 epoch-0 record, a ChangeCipherSpec with another body among them, is dropped
 (§4.1.2.7).  Only a fatal alert, two bytes with level 2, aborts, at once
 and unanswered; any other alert is dropped at either epoch (RFC 5246 §7.2).
-A step returns every record it sends in one list.
+A handler encodes nothing: it queues (epoch, content type, payload), and
+the step encodes the queue in one loop at its end, after any abort, then
+snapshots `handshake_counters`, so a server's own Finished seal is counted.
 
 A server in INIT keeps no state for an unverified ClientHello (§4.2.1): it
 files a hello only if its cookie verifies, and answers any other at once
@@ -231,7 +233,7 @@ class HandshakeSession:
         self._messages: Dict[int, bytes] = {}  # message_seq -> message
         self._next_receive_seq = 0
         self._ccs = False  # the peer's ChangeCipherSpec is in
-        self._out: List[bytes] = []  # the records this step sends
+        self._out: List[tuple] = []  # (epoch, type, payload) this step sends
         self.transcript = Sha256()
         self._recorder = counters.Recorder(label="%s-session" % self.role)
         self._next_send_seq = 0
@@ -315,8 +317,7 @@ class HandshakeSession:
             answer = wire.pack_handshake(
                 wire.HT_HELLO_VERIFY_REQUEST, 0,
                 wire.build_hello_verify_request(cookie))
-            self._out.append(self.records.plaintext(CONTENT_HANDSHAKE,
-                                                    record_seq, answer))
+            self._out.append((0, CONTENT_HANDSHAKE, answer, record_seq))
         elif seq == 1 and record_seq <= MAX_SEQUENCE - 8:  # room to number on
             self._messages[seq] = msg
             self._next_receive_seq = self._next_send_seq = seq
@@ -350,13 +351,13 @@ class HandshakeSession:
 
     # -- transcript and messages ------------------------------------------------
 
-    def _send_handshake(self, msg_type: int, body: bytes,
+    def _send_handshake(self, msg_type: int, body: bytes, epoch: int = 0,
                         in_transcript: bool = True) -> None:
         msg = wire.pack_handshake(msg_type, self._next_send_seq, body)
         self._next_send_seq += 1
         if in_transcript:
             self.transcript.update(msg)
-        self._out.append(self.records.encode(CONTENT_HANDSHAKE, msg))
+        self._out.append((epoch, CONTENT_HANDSHAKE, msg))
 
     # -- key schedule -----------------------------------------------------------
 
@@ -383,10 +384,10 @@ class HandshakeSession:
                               self.transcript.copy().digest(), VERIFY_DATA_LEN)
 
     def _change_cipher_and_finish(self) -> None:
-        """ChangeCipherSpec, then Finished under the new write epoch."""
-        self._out.append(self.records.encode(CONTENT_CCS, b"\x01"))
-        self.records.start_write_epoch(self._write_key(self.role))
-        self._send_handshake(wire.HT_FINISHED, self._verify_data(self.role))
+        """ChangeCipherSpec, then Finished at epoch 1 under the write key."""
+        self._out.append((0, CONTENT_CCS, b"\x01"))
+        self.records.write_key = self._write_key(self.role)
+        self._send_handshake(wire.HT_FINISHED, self._verify_data(self.role), 1)
 
     def _read_peer_finished(self) -> None:
         """The peer's Finished, filed at read epoch 1 only, checked against
@@ -412,7 +413,7 @@ class HandshakeSession:
         flight = _FLIGHTS.get((self.role, self.state))
         if flight is None:  # ESTABLISHED, FAILED or CLOSED
             return []
-        out = self._out = []
+        self._out = []
         with self._recorder:
             try:
                 for datagram in datagrams:
@@ -424,17 +425,17 @@ class HandshakeSession:
                     self.state = flight.reached
                     self._open_read_epoch()
                     flight = _FLIGHTS.get((self.role, self.state))
-                if self.established:
-                    self.handshake_counters = self._recorder.counters.copy()
             except _Abort as abort:
                 self.failure_reason = abort.reason
                 self.state = State.FAILED
-                out.clear()
-                # encoded before close(): a client that fails on the
-                # server's Finished writes this alert at epoch 1
-                if abort.send_alert:
-                    out.append(self.records.encode(
-                        CONTENT_ALERT, bytes([2, ALERT_HANDSHAKE_FAILURE])))
+                # at epoch 1 once this end has sent its ChangeCipherSpec
+                alert = bytes([2, ALERT_HANDSHAKE_FAILURE])
+                self._out = [(int(self.records.write_key is not None),
+                              CONTENT_ALERT, alert)] * abort.send_alert
+            out = [self.records.encode(*entry) for entry in self._out]
+            if self.established:
+                self.handshake_counters = self._recorder.counters.copy()
+            elif self.failed:
                 self.close()
             return out
 
@@ -588,7 +589,7 @@ class HandshakeSession:
         self._require_keys()
         with self._recorder:
             counters.record("bytes_sealed", len(payload))
-            return self.records.encode(CONTENT_APPDATA, payload)
+            return self.records.encode(1, CONTENT_APPDATA, payload)
 
     def open_app_data(self, datagram: bytes) -> Optional[bytes]:
         self._require_keys()

@@ -1,5 +1,6 @@
 """DTLS 1.2 record layer: 13-byte headers, AEAD protection from epoch 1,
-per-epoch sequence numbers, and a 64-entry sliding replay window.
+per-epoch sequence numbers, and a 64-entry sliding replay window.  Each
+record names its epoch (RFC 6347 §4.1): `encode` takes it as an argument.
 
 Decoding is datagram-tolerant: anything malformed, replayed, or unauthentic
 is reported as a drop, never an exception.  `read` cuts a datagram into
@@ -38,6 +39,7 @@ DROP_REPLAY = "replay"
 DROP_BAD_EPOCH = "bad_epoch"
 DROP_AUTH_FAIL = "auth_fail"
 DROP_OVERFLOW = "overflow"
+DROP_PACKED = "packed"
 
 
 class RecordError(Exception):
@@ -107,12 +109,11 @@ class ReplayWindow:
 
 
 class RecordLayer:
-    """One endpoint's record state: write epoch/sequences, read key and its
-    replay window.  Epoch 0 is plaintext; epoch 1 is AES-GCM."""
+    """One endpoint's record state: write key and per-epoch sequences, read
+    key and its replay window.  Epoch 0 is plaintext; epoch 1 is AES-GCM."""
 
     def __init__(self):
-        self.write_epoch = 0
-        self.write_seq: Dict[int, int] = {0: 0}
+        self.write_seq = [0, 0]  # the next sequence number of epochs 0, 1
         self.write_key: Optional[AeadKey] = None
         self.read_epoch = 0
         self.read_key: Optional[AeadKey] = None
@@ -122,11 +123,6 @@ class RecordLayer:
 
     # -- sending ------------------------------------------------------------
 
-    def start_write_epoch(self, key: AeadKey) -> None:
-        self.write_epoch += 1
-        self.write_seq[self.write_epoch] = 0
-        self.write_key = key
-
     def start_read_epoch(self, key: AeadKey) -> List[bytes]:
         """Read the next epoch under key; returns the records held for it."""
         self.read_epoch += 1
@@ -135,29 +131,27 @@ class RecordLayer:
         held, self._held = self._held, []
         return held
 
-    @staticmethod
-    def plaintext(content_type: int, sequence: int, payload: bytes) -> bytes:
-        """The epoch-0 record of payload at sequence; no write state moves."""
-        return RecordHeader(content_type, 0, sequence, len(payload)).pack() \
-            + payload
-
-    def encode(self, content_type: int, payload: bytes) -> bytes:
+    def encode(self, epoch: int, content_type: int, payload: bytes,
+               sequence: Optional[int] = None) -> bytes:
+        """The record of payload at epoch, numbered on from that epoch's last,
+        or at sequence, which moves no write state (RFC 6347 §4.2.1)."""
         if len(payload) > MAX_PLAINTEXT:
             raise RecordError("payload above the 2^14 plaintext bound")
-        epoch = self.write_epoch
-        seq = self.write_seq[epoch]
+        if epoch > (self.write_key is not None):  # 0, or 1 with the key
+            raise RecordError("no write key for epoch %d" % epoch)
+        seq = self.write_seq[epoch] if sequence is None else sequence
         if seq > MAX_SEQUENCE:
             raise RecordError("write sequence space exhausted")
-        self.write_seq[epoch] = seq + 1
-        if epoch == 0:
-            return self.plaintext(content_type, seq, payload)
-        explicit = seq_number_bytes(epoch, seq)
-        aad = explicit + bytes([content_type]) + DTLS12_VERSION + \
-            len(payload).to_bytes(2, "big")
-        sealed = aes_gcm_seal(self.write_key, explicit, aad, payload)
-        body = explicit + sealed
-        header = RecordHeader(content_type, epoch, seq, len(body))
-        return header.pack() + body
+        if sequence is None:
+            self.write_seq[epoch] = seq + 1
+        body = payload
+        if epoch:
+            explicit = seq_number_bytes(epoch, seq)
+            aad = explicit + bytes([content_type]) + DTLS12_VERSION + \
+                len(payload).to_bytes(2, "big")
+            body = explicit + aes_gcm_seal(self.write_key, explicit, aad,
+                                           payload)
+        return RecordHeader(content_type, epoch, seq, len(body)).pack() + body
 
     # -- receiving ----------------------------------------------------------
 
@@ -185,13 +179,17 @@ class RecordLayer:
 
     def decode(self, datagram: bytes) -> Tuple[str, Optional[int],
                                                Optional[bytes]]:
-        """Returns (DROP_OK, content_type, payload) or (reason, None, None)."""
+        """Returns (DROP_OK, content_type, payload) or (reason, None, None)
+        for the first record of datagram; whatever follows it is one packed
+        drop, as delivering it waits for ROADMAP item 2."""
         header = RecordHeader.parse(datagram)
         if header is None:
             return self._drop(DROP_MALFORMED)
         body = datagram[HEADER_LEN:HEADER_LEN + header.length]
         if len(body) != header.length or header.length > MAX_RECORD_PAYLOAD:
             return self._drop(DROP_MALFORMED)
+        if len(datagram) > HEADER_LEN + header.length:
+            self._drop(DROP_PACKED)
         if header.epoch != self.read_epoch:
             return self._drop(DROP_BAD_EPOCH)
         if header.epoch == 0:

@@ -16,7 +16,7 @@ from ecdtls.handshake import (ENDPOINT_CAPACITY, MODE_CACHED, MODE_FULL,
                               State)
 from ecdtls.record import (CONTENT_ALERT, CONTENT_CCS, CONTENT_HANDSHAKE,
                            DROP_BAD_EPOCH, DROP_MALFORMED, DROP_OVERFLOW,
-                           RecordHeader)
+                           DROP_PACKED, RecordHeader)
 from ecdtls.sha256 import hmac_sha256
 from ecdtls.transport import run_loopback
 from ecdtls.x509 import CertCache, make_certificate
@@ -150,6 +150,16 @@ class TestLoopbackHandshake:
         result = run_loopback(client, server)
         datagram = client.seal_app_data(b"")
         assert server.open_app_data(datagram) == b""
+
+    def test_records_packed_after_the_first_are_counted(self, toy, toy_pki):
+        # RFC 6347 §4.1.1 lets a peer pack records; only the first is
+        # delivered (the rest waits for ROADMAP item 2), and the rest is
+        # one packed drop
+        client, server = make_pair(toy, toy_pki)
+        run_loopback(client, server)
+        datagram = client.seal_app_data(b"one") + client.seal_app_data(b"two")
+        assert server.open_app_data(datagram) == b"one"
+        assert server.records.drop_counts == {DROP_PACKED: 1}
 
     def test_app_data_before_established_rejected(self, toy, toy_pki):
         client, _ = make_pair(toy, toy_pki)
@@ -495,7 +505,7 @@ class TestTampering:
                 sent.extend(datagrams)
                 return datagrams
             forged = wire.pack_handshake(wire.HT_FINISHED, 6, bytes(12))
-            return [server.records.encode(CONTENT_HANDSHAKE, forged)
+            return [server.records.encode(1, CONTENT_HANDSHAKE, forged)
                     if RecordHeader.parse(d).epoch == 1 else d
                     for d in datagrams]
 
@@ -505,6 +515,29 @@ class TestTampering:
         assert client.records.write_key is None
         alert = RecordHeader.parse(sent[-1])
         assert (alert.content_type, alert.epoch) == (CONTENT_ALERT, 1)
+
+    def test_server_failing_on_client_finished_alerts_at_epoch_0(self, toy,
+                                                                 toy_pki):
+        # a client Finished that opens but does not verify fails the server
+        # before it sent its ChangeCipherSpec, so its alert is plaintext
+        sent = []
+
+        def interceptor(sender, datagrams):
+            if sender == "server":
+                sent.extend(datagrams)
+                return datagrams
+            forged = wire.pack_handshake(wire.HT_FINISHED, 5, bytes(12))
+            return [client.records.encode(1, CONTENT_HANDSHAKE, forged)
+                    if RecordHeader.parse(d).epoch == 1 else d
+                    for d in datagrams]
+
+        client, server = make_pair(toy, toy_pki)
+        run_loopback(client, server, interceptor=interceptor)
+        assert server.failure_reason == "client finished verification failed"
+        assert server.records.write_key is None
+        alert = RecordHeader.parse(sent[-1])
+        assert (alert.content_type, alert.epoch) == (CONTENT_ALERT, 0)
+        assert not any(RecordHeader.parse(d).epoch for d in sent)
 
     def test_change_cipher_spec_body_must_be_one(self, toy, toy_pki):
         # RFC 5246 §7.1: the ChangeCipherSpec body is the single byte 1;
@@ -728,7 +761,7 @@ class TestStateMachine:
         failed, server = make_pair(toy, toy_pki)
         failed.client_step([])
         # a HelloVerifyRequest with a truncated body: abort with alert
-        bad = [server.records.encode(CONTENT_HANDSHAKE, wire.pack_handshake(
+        bad = [server.records.encode(0, CONTENT_HANDSHAKE, wire.pack_handshake(
             wire.HT_HELLO_VERIFY_REQUEST, 0, b"\xfe"))]
         assert len(failed.client_step(bad)) == 1
         assert failed.failed
@@ -749,7 +782,7 @@ class TestStateMachine:
         digest = server.transcript.copy().digest()
 
         bad_hello = client.records.encode(
-            CONTENT_HANDSHAKE, wire.pack_handshake(
+            0, CONTENT_HANDSHAKE, wire.pack_handshake(
                 wire.HT_CLIENT_HELLO, 1, wire.build_client_hello(
                     client.client_random, b"\x00" * 32, toy.tls_code)))
         out = server.server_step([bad_hello])
@@ -1109,7 +1142,7 @@ class TestMessageLayer:
 
         def bad_finished(role, datagrams):
             if role == "client" and len(datagrams) == 5:
-                datagrams[4] = client.records.encode(CONTENT_HANDSHAKE,
+                datagrams[4] = client.records.encode(1, CONTENT_HANDSHAKE,
                                                      b"\x01\x00")
             return datagrams
 

@@ -35,12 +35,15 @@ public method of a public class or of a public class's `__init__` must be
 passed, by position or by keyword, by some call under src/ecdtls or
 perfbench/.  A parameter no caller sets is a knob nobody turns: its default
 is the only value the program runs.  Calls match definitions by name alone,
-as in the public-name check, with the same blind spots:
-- a call `x.generate(...)` counts for every function or method named
-  `generate`;
+as in the public-name check, but for a call through a class's name: there
+`KeyPair.generate(...)` counts only for `KeyPair`'s own `generate`.  The
+blind spots that remain:
+- a call `x.generate(...)` on anything but a class name counts for every
+  function or method named `generate`;
 - a class's `__init__` is matched by calls of the class's name only, not by
   `cls(...)` or `super().__init__(...)`;
-- a method's positional arguments bind after `self` or `cls`, so an unbound
+- a method's positional arguments bind after `self` or `cls`, a
+  `@staticmethod`'s from its first parameter, so an unbound
   `Class.method(obj, ...)` call is misread;
 - a call with `*args` or `**kwargs` passes every parameter.
 ALLOWED_UNPASSED names the exceptions, each with its reason, and each must
@@ -65,9 +68,6 @@ ALLOWED_UNREAD = {
     "transport.UdpEndpoint.address":
         "the bound port, which a peer needs when binding to port 0 "
         "(ROADMAP items 2 and 4)",
-    "drbg.HmacDrbg.reseed":
-        "part of the SP 800-90A interface, exercised by the reseed test "
-        "vectors in test_drbg.py",
     "curve.CurveRegistry.names":
         "the tests parametrise over the registered curves with it",
     "energy.CAL_HANDSHAKE_J":
@@ -84,9 +84,6 @@ ALLOWED_UNPASSED = {
     "counters.scope.trace":
         "the uniform-trace tests record the order of operations with it "
         "(aim 3)",
-    "drbg.HmacDrbg.reseed.additional":
-        "part of the SP 800-90A interface, exercised by the reseed test "
-        "vectors in test_drbg.py",
     "transport.UdpEndpoint.__init__.peer_addr":
         "the UDP driver that OpenSSL interop and retransmission "
         "(ROADMAP items 2 and 4) build on",
@@ -320,11 +317,13 @@ _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def defaulted_parameters(path: pathlib.Path) -> list:
-    """(qualified name, called name, parameter, position) of each defaulted
+    """(qualified name, called names, parameter, position) of each defaulted
     parameter of the module's public functions, and of the public methods
-    and the `__init__` of its public classes.  The called name is the class
-    name for an `__init__`; the position is the index of the positional
-    argument a call binds to the parameter, None if it is keyword-only."""
+    and the `__init__` of its public classes.  The called names are the
+    keys of `passed_arguments` whose calls reach the definition: the class
+    name for an `__init__`, the method name and (class, method) for another
+    method.  The position is the index of the positional argument a call
+    binds to the parameter, None if it is keyword-only."""
     def params(fn, skip: int) -> list:
         args = fn.args
         positional = args.posonlyargs + args.args
@@ -337,8 +336,8 @@ def defaulted_parameters(path: pathlib.Path) -> list:
     found = []
     for node in ast.parse(path.read_text()).body:
         if isinstance(node, _FUNCTIONS) and not node.name.startswith("_"):
-            found += [("%s.%s.%s" % (path.stem, node.name, param), node.name,
-                       param, position)
+            found += [("%s.%s.%s" % (path.stem, node.name, param),
+                       (node.name,), param, position)
                       for param, position in params(node, 0)]
         elif isinstance(node, ast.ClassDef) and \
                 not node.name.startswith("_"):
@@ -347,25 +346,37 @@ def defaulted_parameters(path: pathlib.Path) -> list:
                         item.name.startswith("_") and
                         item.name != "__init__"):
                     continue
-                called = node.name if item.name == "__init__" else item.name
+                called = (node.name,) if item.name == "__init__" else \
+                    (item.name, (node.name, item.name))
+                static = any(getattr(d, "id", None) == "staticmethod"
+                             for d in item.decorator_list)
                 found += [("%s.%s.%s.%s" % (path.stem, node.name, item.name,
                                             param), called, param, position)
-                          for param, position in params(item, 1)]
+                          for param, position in params(item, 1 - static)]
     return found
 
 
 def passed_arguments(paths: list) -> dict:
     """For each name that a call under paths calls, as a name or an
     attribute, the positions and keywords its calls pass, and EVERY if one
-    of them passes *args or **kwargs."""
+    of them passes *args or **kwargs.  A call through the name of a class
+    defined under paths, `C.m(...)` or `mod.C.m(...)`, is filed under
+    (C, m), not m."""
+    trees = [ast.parse(path.read_text()) for path in paths]
+    classes = {node.name for tree in trees for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)}
     passed: dict = {}
-    for path in paths:
-        for node in ast.walk(ast.parse(path.read_text())):
+    for tree in trees:
+        for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
             name = func.id if isinstance(func, ast.Name) else \
                 getattr(func, "attr", None)
+            owner = getattr(func, "value", None)
+            owner = getattr(owner, "id", getattr(owner, "attr", None))
+            if owner in classes:
+                name = (owner, name)
             got = passed.setdefault(name, set())
             got.update(range(len(node.args)))
             got.update(kw.arg or EVERY for kw in node.keywords)
@@ -383,7 +394,8 @@ def unpassed_parameters(package: pathlib.Path, readers: pathlib.Path,
     return sorted(qualified for path in sources
                   for qualified, called, param, position in
                   defaulted_parameters(path)
-                  if not {param, position, EVERY} & passed.get(called, set())
+                  if not {param, position, EVERY} & set().union(
+                      *(passed.get(name, ()) for name in called))
                   and qualified not in allowed)
 
 
@@ -438,15 +450,29 @@ class _Hidden:
         self.a = a
 
 
+class Pair:
+    @staticmethod
+    def build(a, b=1, c=2):
+        return a + b + c
+
+
+class Stream:
+    def build(self, n, extra=b""):
+        return n + len(extra)
+
+
 def caller():
     args, kwargs = (1, 2), {"a": 1}
     return spread(*args), by_mapping(**kwargs), Thing(5).method(6), \\
-        knob(0, 1, d=2)
+        knob(0, 1, d=2), Pair.build(1, 2)
 ''')
     (bench / "run.py").write_text('''
 from package.mod import Thing
 
 print(Thing(b=3))
 ''')
+    # Pair.build(1, 2) binds a and b, not c, and passes nothing to
+    # Stream.build, though that method shares the name
     assert unpassed_parameters(package, bench, {"mod.knob.f"}) == [
-        "mod.Thing.__init__.c", "mod.Thing.method.b", "mod.knob.e"]
+        "mod.Pair.build.c", "mod.Stream.build.extra", "mod.Thing.__init__.c",
+        "mod.Thing.method.b", "mod.knob.e"]
