@@ -4,12 +4,15 @@ Only the forward cipher exists: GCM's CTR mode and tag path never decrypt a
 block.  AES runs in one form, byte-sliced (Kasper-Schwabe's bitslicing,
 CHES 2009, done with bytes): `Aes128.keystream` encrypts a run of n counter
 blocks together, laid out as 16 slices of n bytes, one per state position,
-so each AES step is a few operations over the whole run.  SubBytes and
-xtime are `bytes.translate`, ShiftRows is slicing, MixColumns takes two
-row rotations (big-int shifts), and the last round's ShiftRows is folded
-into the unslicing.  Each record makes one call, whose first block E(J0)
-masks the tag and whose rest is the CTR keystream; the hash subkey H is a
-one-block call.
+so each AES step is a few operations over the whole run.  SubBytes is
+`bytes.translate`, ShiftRows is slicing, and MixColumns runs on the state
+as one big int: its two row rotations are shifts, and its xtime doubles
+every byte at once, with each byte's top bit masked off and reduced back
+in as 0x1B (the SWAR xtime of table-free AES: Bernstein-Schwabe,
+INDOCRYPT 2008, and Kasper-Schwabe).  The last round's ShiftRows is
+folded into the unslicing.  Each record makes one call, whose first block
+E(J0) masks the tag and whose rest is the CTR keystream; the hash subkey H
+is a one-block call.
 
 A call takes one of two forms by its width, both on this layout:
 
@@ -22,19 +25,23 @@ A call takes one of two forms by its width, both on this layout:
 - Wider, it spreads no key.  Every byte of slice p meets the same byte k
   of a round key, so AddRoundKey and the next SubBytes are one translate
   of the slice through S_k[v] = S[v ^ k].  `_SK` holds all 256 such tables
-  (64 KiB, about 0.4 ms at import).  A round translates its 16 slices in
-  ShiftRows order and joins them once; the last round's slices go straight
-  to the unslicing, and only the last round key is added in block order.
-  The 16 translates cost a few us a round at any width, so the fold pays
-  on long runs: against spreading each key over the width before its
-  round, it took 1.4x as long at 9 blocks, 1.13x at 32, as long at 63-64
-  and 0.78x at the 1026 blocks of a 16 KiB record, whose transient peak
-  it also cuts from 227 KiB to 164 KiB.  No record the handshake or the
-  benchmark sends falls between 9 and 63 blocks.
+  (64 KiB, about 0.4 ms at import).  A round joins its input slices into
+  one int for MixColumns, drops them, and translates the 16 slices of the
+  result in ShiftRows order; the last round's slices go straight to the
+  unslicing, and only the last round key is added in block order.  The 16
+  translates cost a few us a round at any width, so the fold pays on long
+  runs: against spreading each key over the width before its round, it
+  took 1.4x as long at 9 blocks, 1.13x at 32, as long at 63-64 and 0.78x
+  at the 1026 blocks of a 16 KiB record (both with xtime by table), whose
+  transient peak it also cut from 227 KiB to 164 KiB.  xtime on the int,
+  which makes no byte copy of the state, and a round that drops its input
+  bytes once they are joined bring that peak to 148 KiB.  No record the
+  handshake or the benchmark sends falls between 9 and 63 blocks.
 
 Measured under CPython 3.11 on a Xeon VM (best of 301 runs, five rounds),
-a call costs about 34 us for 1 to 8 blocks, 72 us for 9, 0.14 ms for 64
-and 1.1 ms for the 1026 of a 16 KiB record (1.4 ms with the keys spread).
+a call costs about 33 us for 1 to 8 blocks, 70 us for 9, 0.12 ms for 64
+and 0.86 ms for the 1026 of a 16 KiB record; with xtime through a
+256-byte table, in the same runs, 35 us, 72 us, 0.14 ms and 1.08 ms.
 
 GHASH runs in one of two forms, chosen by how many blocks a call
 absorbs:
@@ -129,7 +136,6 @@ def _keyed_sboxes():
 
 
 _SK = _keyed_sboxes()
-_XTIME = bytes(((v << 1) ^ 0x1B) & 0xFF if v & 0x80 else (v << 1) for v in range(256))
 _RCON = (0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36)
 _WORD = 0xFFFFFFFF
 
@@ -154,6 +160,8 @@ _NARROW = 8
 # Each slice number repeated _NARROW times: translating 16 bytes in slice
 # order (padded to 256) through it spreads them over 16 slices of _NARROW.
 _NARROW_PATTERN = bytes(p for p in range(16) for _ in range(_NARROW))
+# the low bit of every byte of a narrow state, for xtime on the int
+_NARROW_ONES = int.from_bytes(b"\x01" * 16 * _NARROW, "big")
 
 
 def _by_slice(block: bytes) -> bytes:
@@ -215,7 +223,7 @@ class Aes128:
         # the byte offsets of row r (r_r) and of its slice r (c_r)
         r1, r2, r3 = 4 * n, 8 * n, 12 * n
         c1, c2, c3 = r1 + n, r2 + 2 * n, r3 + 3 * n
-        sb, xt = _SBOX, _XTIME
+        sb, ones = _SBOX, _NARROW_ONES
         for k in keys:
             # SubBytes, then ShiftRows: row r rotated left by r slices
             s = x.to_bytes(size, "big").translate(sb)
@@ -224,12 +232,16 @@ class Aes128:
                 s[r3:c3])), "big")
             # MixColumns, row r of the output:
             # xtime(a_r ^ a_{r+1}) ^ a_{r+1} ^ a_{r+2} ^ a_{r+3}; with b the
-            # state a rotated up one row and f = a ^ b, that is
-            # xtime(f) ^ b ^ f rotated up two rows
+            # state a rotated up one row and f = a ^ b (kept in a), that is
+            # xtime(f) ^ b ^ f rotated up two rows.  xtime works on every
+            # byte of the int at once: hi holds each byte's top bit moved to
+            # its bit 0; the byte less that bit is doubled and, where hi is
+            # set, reduced by 0x1B.  No bit crosses into the next byte.
             b = (a & m1) << s1 | a >> s3
-            f = a ^ b
-            x = (int.from_bytes(f.to_bytes(size, "big").translate(xt), "big")
-                 ^ b ^ ((f & m2) << s2 | f >> s2) ^ k)
+            a ^= b
+            b ^= (a & m2) << s2 | a >> s2
+            hi = a >> 7 & ones
+            x = ((a ^ hi << 7) << 1) ^ hi * 0x1B ^ b ^ k
         # the last round: SubBytes, ShiftRows in the unslicing, then the last
         # round key in block order
         s = x.to_bytes(size, "big").translate(sb)
@@ -245,7 +257,7 @@ class Aes128:
         counters: round key i - 1 is folded into round i's SubBytes, slice
         by slice (module docstring)."""
         size = 16 * n
-        sk, xt, keys = _SK, _XTIME, self._keys
+        sk, keys = _SK, self._keys
         # round 1's slices are J0's bytes, n times, except column 3, the
         # counter
         block, k = j0.to_bytes(16, "big"), keys[0]
@@ -255,15 +267,22 @@ class Aes128:
         cuts = [slice(p * n, p * n + n) for p, _ in _SHIFTED]
         s1, s2, s3 = 32 * n, 64 * n, 96 * n
         m1, m2 = (1 << s3) - 1, (1 << s2) - 1
+        ones = int.from_bytes(b"\x01" * size, "big")
         for k in keys[1:10]:
-            # MixColumns, as in keystream
+            # MixColumns, as in keystream; the previous round's bytes are
+            # dropped once joined, which keeps the transient peak down
             a = int.from_bytes(b"".join(parts), "big")
+            s = parts = None
             b = (a & m1) << s1 | a >> s3
-            f = a ^ b
-            s = (int.from_bytes(f.to_bytes(size, "big").translate(xt), "big")
-                 ^ b ^ ((f & m2) << s2 | f >> s2)).to_bytes(size, "big")
+            a ^= b
+            b ^= (a & m2) << s2 | a >> s2
+            hi = a >> 7 & ones
+            s = (((a ^ hi << 7) << 1) ^ hi * 0x1B ^ b).to_bytes(size, "big")
             parts = map(bytes.translate, map(s.__getitem__, cuts),
                         map(sk.__getitem__, _SHIFTED_KEY(k)))
+        # the unslicing needs none of the round's ints; kept alive, they
+        # would raise the transient peak by about 33 KiB
+        del a, b, hi, m1, m2, ones
         # the last round's SubBytes and ShiftRows are done: unslice, then add
         # the last round key in block order
         out = bytearray(size)

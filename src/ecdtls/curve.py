@@ -153,9 +153,6 @@ class CurveRegistry:
     def __init__(self):
         self._curves: Dict[str, CurveParams] = {}
 
-    def names(self) -> List[str]:
-        return list(self._curves)
-
     def get(self, name: str) -> CurveParams:
         try:
             return self._curves[name]

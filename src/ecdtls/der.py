@@ -29,6 +29,10 @@ TAG_SET = 0x31
 TAG_CTX0 = 0xA0
 TAG_CTX3 = 0xA3
 
+# the characters a PrintableString may hold (X.680 41.4)
+PRINTABLE_CHARACTERS = (b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+                        b"0123456789 '()+,-./:=?")
+
 
 class DerError(Exception):
     """Input is not strict DER or not the expected structure."""

@@ -18,10 +18,10 @@ from typing import Dict, Optional, Tuple
 
 from . import counters
 from .curve import AffinePoint, CurveError, CurveRegistry, PointDecodeError
-from .der import (TAG_BIT_STRING, TAG_BOOLEAN, TAG_CTX0, TAG_CTX3,
-                  TAG_OCTET_STRING, TAG_PRINTABLE, TAG_SEQUENCE, TAG_SET,
-                  TAG_UTF8, DerCursor, DerError, der_integer, der_oid,
-                  der_tlv, der_utctime)
+from .der import (PRINTABLE_CHARACTERS, TAG_BIT_STRING, TAG_BOOLEAN,
+                  TAG_CTX0, TAG_CTX3, TAG_OCTET_STRING, TAG_PRINTABLE,
+                  TAG_SEQUENCE, TAG_SET, TAG_UTF8, DerCursor, DerError,
+                  der_integer, der_oid, der_tlv, der_utctime)
 from .ecdsa import EcdsaSignature, KeyPair, SignatureError, ecdsa_sign, \
     ecdsa_verify
 from .scalarmult import CombCache
@@ -82,8 +82,9 @@ class Certificate:
 
 def _read_name(tbs: DerCursor) -> Tuple[bytes, Optional[str]]:
     """A Name, SEQUENCE OF SET SIZE (1..MAX) OF {type OID, value}, each SET
-    in DER order: its full encoding and its first commonName, a non-empty
-    UTF8String or PrintableString."""
+    in DER order and each PrintableString value within its character set:
+    its full encoding and its first commonName, a non-empty UTF8String or
+    PrintableString."""
     raw = tbs.read_raw(TAG_SEQUENCE)
     rdns = DerCursor.whole(raw, TAG_SEQUENCE)
     cn = None
@@ -95,6 +96,10 @@ def _read_name(tbs: DerCursor) -> Tuple[bytes, Optional[str]]:
             oid = atv.read_oid()
             tag, value = atv.read()
             atv.expect_done()
+            if (tag == TAG_PRINTABLE and
+                    value.translate(None, PRINTABLE_CHARACTERS)):
+                raise MalformedDerError(
+                    "PrintableString holds a character outside its set")
             if oid == OID_COMMON_NAME:
                 if tag not in (TAG_UTF8, TAG_PRINTABLE) or not value:
                     raise MalformedDerError("bad commonName value")

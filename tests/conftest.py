@@ -7,6 +7,13 @@ from ecdtls.curve import builtin_registry
 CURVE_NAMES = ["secp160r1", "secp192r1", "secp224r1", "secp256r1"]
 
 
+def registered_names(registry):
+    """The ids of every curve registry holds, in registration order, for
+    tests that run over all of them; the package looks curves up one at a
+    time."""
+    return list(registry._curves)
+
+
 @pytest.fixture(scope="session")
 def registry():
     return builtin_registry()

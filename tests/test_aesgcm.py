@@ -6,9 +6,8 @@ import pytest
 
 from ecdtls import counters
 from ecdtls.aesgcm import (_LANE_MIN_BLOCKS, _LANES, _NARROW, _RCON, _SBOX,
-                           _XTIME, AeadError, AeadKey, Aes128,
-                           AuthenticationError, GcmContext, _GhashKey,
-                           aes_gcm_open, aes_gcm_seal)
+                           AeadError, AeadKey, Aes128, AuthenticationError,
+                           GcmContext, _GhashKey, aes_gcm_open, aes_gcm_seal)
 
 # McGrew-Viega AES-128-GCM test cases (SP 800-38D validation set)
 GCM_K3 = bytes.fromhex("feffe9928665731c6d6a8f9467308308")
@@ -154,15 +153,20 @@ def shift_rows(s):
             s[12], s[1], s[6], s[11]]
 
 
+def xtime(v):
+    # v times x in GF(2^8) mod x^8 + x^4 + x^3 + x + 1
+    return (v << 1 ^ 0x11B) if v & 0x80 else v << 1
+
+
 def mix_columns(s):
     out = []
     for c in range(0, 16, 4):
         a0, a1, a2, a3 = s[c], s[c + 1], s[c + 2], s[c + 3]
         out.extend((
-            _XTIME[a0] ^ (_XTIME[a1] ^ a1) ^ a2 ^ a3,
-            a0 ^ _XTIME[a1] ^ (_XTIME[a2] ^ a2) ^ a3,
-            a0 ^ a1 ^ _XTIME[a2] ^ (_XTIME[a3] ^ a3),
-            (_XTIME[a0] ^ a0) ^ a1 ^ a2 ^ _XTIME[a3],
+            xtime(a0) ^ (xtime(a1) ^ a1) ^ a2 ^ a3,
+            a0 ^ xtime(a1) ^ (xtime(a2) ^ a2) ^ a3,
+            a0 ^ a1 ^ xtime(a2) ^ (xtime(a3) ^ a3),
+            (xtime(a0) ^ a0) ^ a1 ^ a2 ^ xtime(a3),
         ))
     return out
 
@@ -267,10 +271,11 @@ class TestKernelsAgainstOracles:
 
     def test_large_record_transient_peaks(self):
         # a 16 KiB record's keystream, and so its seal, peaks at about
-        # 164 KiB under CPython 3.11 with the round keys folded into
-        # SubBytes (227 KiB with each spread over the state), and its open,
-        # which also holds the sealed input, at about 180 KiB; a peak much
-        # past these pushes a large echo into the allocator's heap
+        # 148 KiB under CPython 3.11 with the round keys folded into
+        # SubBytes and xtime on the int (164 KiB with xtime by table, 227
+        # KiB with each key spread over the state), and its open, which
+        # also holds the sealed input, at about 164 KiB; a peak much past
+        # these pushes a large echo into the allocator's heap
         # trim-and-regrow cycle
         aes = Aes128(bytes(range(16)))
         ctx = GcmContext(bytes(range(16)))

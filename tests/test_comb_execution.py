@@ -10,6 +10,7 @@ import pytest
 from ecdtls import counters, scalarmult
 from ecdtls.curve import builtin_registry
 from ecdtls.scalarmult import CombCache, comb_precompute, pin_trust_anchor
+from conftest import registered_names
 from reference_engines import double_and_add, scalar_mul_unchecked
 
 
@@ -71,7 +72,7 @@ def no_anchors(monkeypatch):
     monkeypatch.setattr(scalarmult, "_ANCHOR_ROWS", {})
 
 
-@pytest.mark.parametrize("name", builtin_registry().names())
+@pytest.mark.parametrize("name", registered_names(builtin_registry()))
 def test_executors_agree_with_double_and_add(registry, name, no_anchors):
     # G's tables, a pinned anchor's, and those of a base built on its first
     # cache hit, each on seeded scalars and on the largest the comb takes

@@ -7,6 +7,7 @@ from ecdtls.curve import (AffinePoint, CurveError, CurveParams, CurveRegistry,
                           PointDecodeError, parse_registry_text,
                           validate_point)
 from ecdtls.scalarmult import order_annihilates_generator
+from conftest import registered_names
 from reference_engines import scalar_mul_unchecked
 from test_formula_prices import oracle_add, oracle_double
 
@@ -28,27 +29,28 @@ h = 01
 
 
 def test_builtin_registry_contents(registry):
-    names = set(registry.names())
+    names = set(registered_names(registry))
     assert {"secp160r1", "secp192r1", "secp224r1", "secp256r1",
             "toy59"} <= names
 
 
 def test_builtin_tls_codes_unchanged(registry):
     assert {name: registry.get(name).tls_code
-            for name in registry.names()} == {
+            for name in registered_names(registry)} == {
         "secp160r1": 0x10, "secp192r1": 0x13, "secp224r1": 0x15,
         "secp256r1": 0x17, "toy59": 0xFECA}
 
 
 def test_builtin_oids_unchanged(registry):
-    assert {name: registry.get(name).oid for name in registry.names()} == {
+    assert {name: registry.get(name).oid
+            for name in registered_names(registry)} == {
         "secp160r1": "1.3.132.0.8", "secp192r1": "1.2.840.10045.3.1.1",
         "secp224r1": "1.3.132.0.33", "secp256r1": "1.2.840.10045.3.1.7",
         "toy59": "1.3.6.1.4.1.55555.1.116.111.121.53.57"}
 
 
 def test_registered_generators_on_curve(registry):
-    for name in registry.names():
+    for name in registered_names(registry):
         c = registry.get(name)
         assert c.equation_holds(c.gx, c.gy)
         assert c.discriminant_ok()
@@ -146,7 +148,7 @@ class TestValidation:
             validate_point(P)
 
     def test_validate_accepts_generator(self, registry):
-        for name in registry.names():
+        for name in registered_names(registry):
             validate_point(registry.get(name).generator())
 
 
@@ -215,7 +217,7 @@ class TestRegistryParsing:
         reg.register(toy)
         with pytest.raises(CurveError, match="0xfeca"):
             reg.register(anagram)
-        assert reg.names() == ["toy59"]
+        assert registered_names(reg) == ["toy59"]
         reg.register(toy)  # replacing a curve under its own id still works
 
     def test_register_rejects_colliding_oid(self, toy):
@@ -225,7 +227,7 @@ class TestRegistryParsing:
         reg.register(toy)
         with pytest.raises(CurveError, match="OID"):
             reg.register(twin)
-        assert reg.names() == ["toy59"]
+        assert registered_names(reg) == ["toy59"]
 
     def test_register_rejects_singular(self):
         sing = CurveParams("sing", 59, 0, 0, 1, 1, 53, *PRIVATE_IDS)
@@ -269,9 +271,9 @@ class TestRegistryParsing:
         reg.register(toy)
         with pytest.raises(CurveError):
             reg.load_text(TINY_RECORD + self.OFF_CURVE)
-        assert reg.names() == ["toy59"]
+        assert registered_names(reg) == ["toy59"]
         reg.load_text(TINY_RECORD)
-        assert reg.names() == ["toy59", "tiny"]
+        assert registered_names(reg) == ["toy59", "tiny"]
 
     def test_validation_error_names_its_record(self):
         with pytest.raises(CurveError, match="bad registry record 'tiny2': "

@@ -1,10 +1,11 @@
 import calendar
+import string
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecdtls.credentials import CA_CN, SERVER_CN, generate_pki
+from ecdtls.credentials import CA_CN, NOT_BEFORE, SERVER_CN, generate_pki
 from ecdtls.curve import CurveParams, CurveRegistry
 from ecdtls.der import (TAG_BIT_STRING, TAG_CTX3, TAG_INTEGER,
                         TAG_OCTET_STRING, TAG_OID, TAG_PRINTABLE, TAG_SEQUENCE,
@@ -12,9 +13,10 @@ from ecdtls.der import (TAG_BIT_STRING, TAG_CTX3, TAG_INTEGER,
                         _timegm, der_integer, der_oid, der_tlv,
                         der_utctime)
 from ecdtls.drbg import HmacDrbg
-from ecdtls.ecdsa import EcdsaSignature, KeyPair, SignatureError
-from ecdtls.x509 import (MalformedDerError, X509Error, make_certificate,
-                         x509_parse)
+from ecdtls.ecdsa import EcdsaSignature, KeyPair, SignatureError, ecdsa_sign
+from ecdtls.sha256 import sha256
+from ecdtls.x509 import (ACCEPTED, OID_ECDSA_SHA256, MalformedDerError,
+                         X509Error, make_certificate, x509_parse, x509_verify)
 
 HYPOTHESIS = settings(derandomize=True, deadline=None, max_examples=200)
 
@@ -292,6 +294,46 @@ class TestNames:
         assert leaf.count(atv) == 1 and len(value) == 2 + len(SERVER_CN)
         with pytest.raises(MalformedDerError):
             x509_parse(leaf.replace(atv, _atv(value)), registry)
+
+    def test_printable_string_holds_only_its_characters(self, registry,
+                                                        leaf):
+        # X.680 41.4: letters, digits, space and ' ( ) + , - . / : = ?
+        allowed = (string.ascii_letters + string.digits +
+                   " '()+,-./:=?").encode()
+        atv = _atv(der_tlv(TAG_UTF8, SERVER_CN.encode()))
+        assert leaf.count(atv) == 1
+        for byte in range(256):
+            value = b"serv" + bytes((byte,)) + b"r"
+            cert = leaf.replace(atv, _atv(der_tlv(TAG_PRINTABLE, value)))
+            if byte in allowed:
+                assert x509_parse(cert, registry).subject_cn == value.decode()
+            else:
+                with pytest.raises(MalformedDerError):
+                    x509_parse(cert, registry)
+
+    @pytest.mark.parametrize("cn", [b"server", b"serv*r"])
+    def test_resigned_printable_common_name(self, registry, cn):
+        # the secp160r1 server leaf with its commonName re-encoded as a
+        # PrintableString and re-signed by the CA, so the only fault of
+        # serv*r is the asterisk, which PrintableString does not hold
+        pki = generate_pki(registry.get("secp160r1"), b"der-printable" * 3)
+        top = DerCursor.whole(pki.server.cert_der, TAG_SEQUENCE)
+        atv = _atv(der_tlv(TAG_UTF8, SERVER_CN.encode()))
+        tbs = top.read_raw(TAG_SEQUENCE)
+        assert tbs.count(atv) == 1
+        tbs = tbs.replace(atv, _atv(der_tlv(TAG_PRINTABLE, cn)))
+        sig = ecdsa_sign(pki.ca_key, sha256(tbs))
+        der = der_tlv(TAG_SEQUENCE, tbs +
+                      der_tlv(TAG_SEQUENCE, der_oid(OID_ECDSA_SHA256)) +
+                      der_tlv(TAG_BIT_STRING, b"\x00" + sig.to_der()))
+        if cn == b"server":
+            cert = x509_parse(der, registry)
+            assert cert.subject_cn == "server"
+            assert x509_verify(cert, pki.ca_key.Q, NOT_BEFORE) == \
+                (True, ACCEPTED)
+        else:
+            with pytest.raises(MalformedDerError, match="PrintableString"):
+                x509_parse(der, registry)
 
     def test_names_read(self, registry, pki, leaf):
         cert = x509_parse(leaf, registry)

@@ -24,6 +24,7 @@ from ecdtls import counters, scalarmult
 from ecdtls.curve import CurveParams, builtin_registry
 from ecdtls.scalarmult import (COMB_WIDTH, CombCache, ScalarRangeError,
                                comb_digit_count, comb_precompute, ecsm_comb)
+from conftest import registered_names
 from reference_engines import scalar_mul_unchecked
 from test_formula_prices import oracle_add, oracle_double, oracle_negate, \
     priced, same_price
@@ -117,7 +118,7 @@ def oracle_unchecked(k, P):
 
 # ---------------------------------------------------------------------------
 
-@pytest.fixture(params=builtin_registry().names())
+@pytest.fixture(params=registered_names(builtin_registry()))
 def curve(request):
     return builtin_registry().get(request.param)
 

@@ -20,9 +20,10 @@ import pytest
 
 from ecdtls import counters, scalarmult
 from ecdtls.curve import AffinePoint, builtin_registry
+from conftest import registered_names
 from reference_engines import ecsm_jacobian, scalar_mul_unchecked
 
-CURVES = builtin_registry().names()
+CURVES = registered_names(builtin_registry())
 
 
 # ---------------------------------------------------------------------------

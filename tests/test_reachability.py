@@ -68,8 +68,6 @@ ALLOWED_UNREAD = {
     "transport.UdpEndpoint.address":
         "the bound port, which a peer needs when binding to port 0 "
         "(ROADMAP items 2 and 4)",
-    "curve.CurveRegistry.names":
-        "the tests parametrise over the registered curves with it",
     "energy.CAL_HANDSHAKE_J":
         "the paper's whole-handshake anchor, which ROADMAP item 6 checks "
         "the model against",

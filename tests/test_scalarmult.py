@@ -16,6 +16,7 @@ from ecdtls.scalarmult import (COMB_WIDTH, CombCache, ScalarRangeError,
                                comb_digit_count, comb_precompute, ecsm_comb,
                                pin_trust_anchor, point_identity)
 from ecdtls.transport import run_loopback
+from conftest import registered_names
 from reference_engines import (double_and_add, ecsm_jacobian,
                                scalar_mul_unchecked)
 from test_engine_prices import oracle_unchecked, table_price, zsd_recode
@@ -479,7 +480,7 @@ class TestPrice:
                 verdicts.add(want)
         assert verdicts == {True, False}
 
-    @pytest.mark.parametrize("name", builtin_registry().names())
+    @pytest.mark.parametrize("name", registered_names(builtin_registry()))
     def test_walk_verdict_matches_slow_oracle(self, registry, name):
         # the memoised constants and the one-shift gather decide as the
         # per-call derivation does, at every width the price tests use
@@ -537,7 +538,7 @@ class TestExecutors:
         assert outcomes == {(name, outcome) for name in runs
                             for outcome in ("double", "identity")}
 
-    @pytest.mark.parametrize("name", builtin_registry().names())
+    @pytest.mark.parametrize("name", registered_names(builtin_registry()))
     def test_edge_scalars_against_double_and_add(self, registry, name):
         c = registry.get(name)
         G = c.generator()
@@ -552,7 +553,7 @@ def fresh_rows(monkeypatch, registry):
     curve's G rows, built once per process and never evicted, and no trust
     anchor."""
     generators = {}
-    for name in registry.names():
+    for name in registered_names(registry):
         G = registry.get(name).generator()
         generators[point_identity(G)] = comb_precompute(G)
     monkeypatch.setattr(scalarmult, "_GENERATOR_ROWS", generators)
@@ -577,7 +578,7 @@ def built(monkeypatch, fresh_rows):
 class TestResidentRows:
     # a resident table's base runs from its rows from its first hit on
 
-    @pytest.mark.parametrize("name", builtin_registry().names())
+    @pytest.mark.parametrize("name", registered_names(builtin_registry()))
     def test_first_and_later_hits_on_edge_scalars(self, registry, name):
         c = registry.get(name)
         Q = scalar_mul_unchecked(c.n // 3, c.generator())
@@ -683,7 +684,7 @@ class TestFixedRows:
         assert built == [(Q.x, Q.y) for Q in anchors]
         assert comb_precompute(G) is g_rows
 
-    @pytest.mark.parametrize("name", builtin_registry().names())
+    @pytest.mark.parametrize("name", registered_names(builtin_registry()))
     def test_pinned_rows_on_edge_scalars(self, registry, name, fresh_rows,
                                          monkeypatch):
         c = registry.get(name)
