@@ -205,8 +205,6 @@ class SessionConfig:
         self.curve = curve
         self.mode = mode
         self.own_cert_der = own_cert_der
-        self.own_key_d = own_key_d
-        self.ca_der = ca_der
         self.entropy = entropy if entropy is not None else os.urandom(32)
         self.expected_peer_cn = expected_peer_cn
         self.comb_cache = comb_cache if comb_cache is not None else CombCache()

@@ -82,9 +82,9 @@ class Certificate:
 
 def _read_name(tbs: DerCursor) -> Tuple[bytes, Optional[str]]:
     """A Name, SEQUENCE OF SET SIZE (1..MAX) OF {type OID, value}, each SET
-    in DER order and each PrintableString value within its character set:
-    its full encoding and its first commonName, a non-empty UTF8String or
-    PrintableString."""
+    in DER order and each value a UTF8String or a PrintableString within its
+    character set (RFC 5280 4.1.2.4): its full encoding and its first
+    commonName, non-empty."""
     raw = tbs.read_raw(TAG_SEQUENCE)
     rdns = DerCursor.whole(raw, TAG_SEQUENCE)
     cn = None
@@ -96,14 +96,18 @@ def _read_name(tbs: DerCursor) -> Tuple[bytes, Optional[str]]:
             oid = atv.read_oid()
             tag, value = atv.read()
             atv.expect_done()
-            if (tag == TAG_PRINTABLE and
-                    value.translate(None, PRINTABLE_CHARACTERS)):
+            if tag == TAG_PRINTABLE:
+                if value.translate(None, PRINTABLE_CHARACTERS):
+                    raise MalformedDerError(
+                        "PrintableString holds a character outside its set")
+            elif tag != TAG_UTF8:
                 raise MalformedDerError(
-                    "PrintableString holds a character outside its set")
+                    "Name value is neither UTF8String nor PrintableString")
+            text = value.decode("utf-8")
             if oid == OID_COMMON_NAME:
-                if tag not in (TAG_UTF8, TAG_PRINTABLE) or not value:
-                    raise MalformedDerError("bad commonName value")
-                cn = cn or value.decode("utf-8")
+                if not text:
+                    raise MalformedDerError("empty commonName")
+                cn = cn or text
     return raw, cn
 
 

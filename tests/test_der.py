@@ -311,28 +311,60 @@ class TestNames:
                 with pytest.raises(MalformedDerError):
                     x509_parse(cert, registry)
 
-    @pytest.mark.parametrize("cn", [b"server", b"serv*r"])
-    def test_resigned_printable_common_name(self, registry, cn):
-        # the secp160r1 server leaf with its commonName re-encoded as a
-        # PrintableString and re-signed by the CA, so the only fault of
-        # serv*r is the asterisk, which PrintableString does not hold
-        pki = generate_pki(registry.get("secp160r1"), b"der-printable" * 3)
-        top = DerCursor.whole(pki.server.cert_der, TAG_SEQUENCE)
-        atv = _atv(der_tlv(TAG_UTF8, SERVER_CN.encode()))
+    @pytest.fixture(scope="class")
+    def p160_pki(self, registry):
+        return generate_pki(registry.get("secp160r1"), b"der-printable" * 3)
+
+    @staticmethod
+    def resigned_leaf(pki, *atvs):
+        """The server leaf with a subject of one RDN per AttributeTypeAndValue
+        in atvs, re-signed by the CA, so a fault in atvs is its only one."""
+        subject = der_tlv(TAG_SEQUENCE,
+                          b"".join(der_tlv(TAG_SET, atv) for atv in atvs))
+        top = DerCursor.whole(with_tbs_field(pki.server.cert_der, SUBJECT,
+                                             subject), TAG_SEQUENCE)
         tbs = top.read_raw(TAG_SEQUENCE)
-        assert tbs.count(atv) == 1
-        tbs = tbs.replace(atv, _atv(der_tlv(TAG_PRINTABLE, cn)))
         sig = ecdsa_sign(pki.ca_key, sha256(tbs))
-        der = der_tlv(TAG_SEQUENCE, tbs +
-                      der_tlv(TAG_SEQUENCE, der_oid(OID_ECDSA_SHA256)) +
-                      der_tlv(TAG_BIT_STRING, b"\x00" + sig.to_der()))
+        return der_tlv(TAG_SEQUENCE, tbs +
+                       der_tlv(TAG_SEQUENCE, der_oid(OID_ECDSA_SHA256)) +
+                       der_tlv(TAG_BIT_STRING, b"\x00" + sig.to_der()))
+
+    @pytest.mark.parametrize("cn", [b"server", b"serv*r"])
+    def test_resigned_printable_common_name(self, registry, p160_pki, cn):
+        # the secp160r1 server leaf with its commonName re-encoded as a
+        # PrintableString, so the only fault of serv*r is the asterisk,
+        # which PrintableString does not hold
+        der = self.resigned_leaf(p160_pki, _atv(der_tlv(TAG_PRINTABLE, cn)))
         if cn == b"server":
             cert = x509_parse(der, registry)
             assert cert.subject_cn == "server"
-            assert x509_verify(cert, pki.ca_key.Q, NOT_BEFORE) == \
+            assert x509_verify(cert, p160_pki.ca_key.Q, NOT_BEFORE) == \
                 (True, ACCEPTED)
         else:
             with pytest.raises(MalformedDerError, match="PrintableString"):
+                x509_parse(der, registry)
+
+    @pytest.mark.parametrize("oid, value, accepted", [
+        ("2.5.4.6", der_tlv(TAG_PRINTABLE, b"US"), True),
+        ("2.5.4.6", der_tlv(TAG_INTEGER, b"\x01"), False),
+        ("2.5.4.10", der_tlv(TAG_UTF8, b"edge"), True),
+        ("2.5.4.10", der_tlv(TAG_UTF8, b"\xff\xfe"), False),
+    ], ids=["country-printable", "country-integer", "organization-utf8",
+            "organization-not-utf8"])
+    def test_resigned_name_attribute(self, registry, p160_pki, oid, value,
+                                     accepted):
+        # every attribute of a Name, not only its commonName, holds a
+        # UTF8String or a PrintableString, as cryptography requires
+        der = self.resigned_leaf(
+            p160_pki, der_tlv(TAG_SEQUENCE, der_oid(oid) + value),
+            _atv(der_tlv(TAG_UTF8, SERVER_CN.encode())))
+        if accepted:
+            cert = x509_parse(der, registry)
+            assert cert.subject_cn == SERVER_CN
+            assert x509_verify(cert, p160_pki.ca_key.Q, NOT_BEFORE) == \
+                (True, ACCEPTED)
+        else:
+            with pytest.raises(MalformedDerError):
                 x509_parse(der, registry)
 
     def test_names_read(self, registry, pki, leaf):

@@ -18,7 +18,7 @@ from ecdtls.record import (CONTENT_ALERT, CONTENT_CCS, CONTENT_HANDSHAKE,
                            DROP_BAD_EPOCH, DROP_MALFORMED, DROP_OVERFLOW,
                            DROP_PACKED, RecordHeader)
 from ecdtls.sha256 import hmac_sha256
-from ecdtls.transport import run_loopback
+from ecdtls.transport import MAX_LOOPBACK_ITERATIONS, run_loopback
 from ecdtls.x509 import CertCache, make_certificate
 from test_x509 import with_raised
 
@@ -719,6 +719,18 @@ class TestStateMachine:
                        (State.HELLO_EXCHANGED, 5)],
         }
 
+    def test_loopback_stops_after_its_round_bound(self, toy, toy_pki):
+        # a client that only ever re-sends its first ClientHello gets a
+        # HelloVerifyRequest from the INIT server every round, so only the
+        # bound ends the exchange
+        client, server = make_pair(toy, toy_pki)
+        hello = client.client_step([])
+        client.client_step = lambda datagrams: hello
+        result = run_loopback(client, server)
+        assert result.iterations == MAX_LOOPBACK_ITERATIONS
+        assert not client.established and not server.established
+        assert server.state is State.INIT
+
     def test_flights_split_one_datagram_per_step_establish(self, curves,
                                                            p160_pki):
         # a flight is one unit (RFC 6347 §4.2.4): each end buffers the
@@ -1134,10 +1146,14 @@ class TestMessageLayer:
     def test_unparsable_handshake_record_drops_at_epoch_0_aborts_at_1(
             self, toy, toy_pki):
         # probe (A): RFC 6347 §4.1.2.7 discards an invalid record; only an
-        # authenticated one can end the session
+        # authenticated one can end the session.  A server fed only junk,
+        # one datagram per step, answers none of it and counts each
+        # datagram too short for a record header as malformed
         client, server = make_pair(toy, toy_pki)
-        assert server.server_step([JUNK[2], JUNK[4]]) == []
+        for datagram in (JUNK[0], JUNK[2], JUNK[0], JUNK[4]):
+            assert server.server_step([datagram]) == []
         assert server.state is State.INIT
+        assert server.records.drop_counts == {DROP_MALFORMED: 2}
         assert run_loopback(client, server).established
 
         def bad_finished(role, datagrams):

@@ -47,6 +47,15 @@ blind spots that remain:
   `Class.method(obj, ...)` call is misread;
 - a call with `*args` or `**kwargs` passes every parameter.
 ALLOWED_UNPASSED names the exceptions, each with its reason, and each must
+still be flagged.
+
+For the attribute-store check, each attribute a method of a class under
+src/ecdtls stores on `self` must be loaded, as `.<name>`, by some module
+under src/ecdtls or perfbench/.  A store nothing loads is a copy nobody
+reads.  It matches by name alone, as the other checks do, so a store whose
+name is loaded from some other object passes: a `SessionConfig.ca_der`
+nothing reads would pass, since other modules load `pki.ca_der`.
+ALLOWED_UNLOADED names the exceptions, each with its reason, and each must
 still be flagged."""
 
 import ast
@@ -62,12 +71,6 @@ ROOTS = ("handshake", "transport", "credentials", "energy")
 # Public names nothing under src/ecdtls or perfbench/ reads yet, and why
 # each stays.
 ALLOWED_UNREAD = {
-    "transport.run_udp_handshake":
-        "the UDP driver that OpenSSL interop and retransmission "
-        "(ROADMAP items 2 and 4) build on",
-    "transport.UdpEndpoint.address":
-        "the bound port, which a peer needs when binding to port 0 "
-        "(ROADMAP items 2 and 4)",
     "energy.CAL_HANDSHAKE_J":
         "the paper's whole-handshake anchor, which ROADMAP item 6 checks "
         "the model against",
@@ -82,12 +85,17 @@ ALLOWED_UNPASSED = {
     "counters.scope.trace":
         "the uniform-trace tests record the order of operations with it "
         "(aim 3)",
-    "transport.UdpEndpoint.__init__.peer_addr":
-        "the UDP driver that OpenSSL interop and retransmission "
-        "(ROADMAP items 2 and 4) build on",
-    "transport.UdpEndpoint.__init__.timeout":
-        "the UDP driver that OpenSSL interop and retransmission "
-        "(ROADMAP items 2 and 4) build on",
+}
+
+# Attributes stored on self that nothing under src/ecdtls or perfbench/
+# loads yet, and why each stays.
+ALLOWED_UNLOADED = {
+    "handshake.SecurityParams.cleared":
+        "the tests observe zeroization through it",
+    "x509.Certificate.serial":
+        "a parse result the X.509 tests check",
+    "x509.Certificate.is_ca":
+        "a parse result the X.509 tests check",
 }
 
 
@@ -120,7 +128,7 @@ def test_every_module_reached_from_public_api():
 
 
 def test_public_api_loads_no_socket_or_calendar():
-    """Loopback users never open a socket, and UTCTime needs no calendar
+    """The public API opens no socket, and UTCTime needs no calendar
     (which loads datetime and locale): neither is imported."""
     code = ("import sys; sys.path.insert(0, %r); "
             "from ecdtls import %s; "
@@ -474,3 +482,66 @@ print(Thing(b=3))
     assert unpassed_parameters(package, bench, {"mod.knob.f"}) == [
         "mod.Pair.build.c", "mod.Stream.build.extra", "mod.Thing.__init__.c",
         "mod.Thing.method.b", "mod.knob.e"]
+
+
+def attribute_stores(path: pathlib.Path) -> list:
+    """(qualified name, name) of each attribute that code inside a class of
+    the module at path stores on `self`."""
+    found = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.ClassDef):
+            found += [("%s.%s.%s" % (path.stem, node.name, sub.attr),
+                       sub.attr) for sub in ast.walk(node)
+                      if isinstance(sub, ast.Attribute) and
+                      isinstance(sub.ctx, ast.Store) and
+                      getattr(sub.value, "id", None) == "self"]
+    return found
+
+
+def unloaded_attributes(package: pathlib.Path, readers: pathlib.Path,
+                        allowed=()) -> list:
+    """Qualified attributes stored on self in the modules of package that
+    no module of package or readers loads, less the allowed ones."""
+    sources = sorted(package.glob("*.py"))
+    loaded = {node.attr for path in sources + sorted(readers.glob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.Attribute) and
+              isinstance(node.ctx, ast.Load)}
+    return sorted({qualified for path in sources
+                   for qualified, name in attribute_stores(path)
+                   if name not in loaded and qualified not in allowed})
+
+
+def test_every_stored_attribute_is_loaded():
+    assert unloaded_attributes(PACKAGE, PERFBENCH, ALLOWED_UNLOADED) == []
+
+
+def test_every_allowed_unloaded_attribute_is_flagged():
+    assert unloaded_attributes(PACKAGE, PERFBENCH) == sorted(ALLOWED_UNLOADED)
+
+
+def test_attribute_scan_flags_exactly_the_unloaded(tmp_path):
+    package = tmp_path / "package"
+    bench = tmp_path / "bench"
+    package.mkdir()
+    bench.mkdir()
+    (package / "mod.py").write_text('''
+class Config:
+    def __init__(self, key, anchor, name):
+        self.key = key
+        self.anchor = anchor
+        self.name = self.label = name
+        self.kept = True
+        self.first, self.second = key
+
+    def describe(self):
+        return self.name, self.first
+''')
+    (bench / "run.py").write_text('''
+from package.mod import Config
+
+print(Config(1, 2, 3).anchor, {"label": 1}["label"])
+''')
+    # a subscript or a string is not a load of the attribute
+    assert unloaded_attributes(package, bench, {"mod.Config.kept"}) == [
+        "mod.Config.key", "mod.Config.label", "mod.Config.second"]
