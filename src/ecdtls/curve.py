@@ -9,12 +9,17 @@ call, and computes its results in Jacobian coordinates.
 
 A registry record carries everything a curve is: its parameters plus the TLS
 NamedCurve code point and the namedCurve OID that name it in handshakes and
-in certificates.  Every registered curve has cofactor 1.
+in certificates.  Every registered curve has cofactor 1, as the registry
+proves: n is prime and n*G = O, so n divides the point count; both lie in
+the Hasse interval, (p + 1 - n)^2 <= 4p, whose width n exceeds, n^2 > 16p,
+so the count is n.  An `AffinePoint` is a finite curve point, checked when
+made, so on a registered curve it has order n and no caller re-checks it.
 """
 
 from __future__ import annotations
 
 import os
+import re
 from typing import Dict, List, Optional
 
 from .der import DerError, der_oid
@@ -56,9 +61,6 @@ class CurveParams:
     def generator(self) -> "AffinePoint":
         return AffinePoint(self, self.gx, self.gy)
 
-    def infinity(self) -> "AffinePoint":
-        return AffinePoint(self, None, None, at_infinity=True)
-
     def equation_holds(self, x: int, y: int) -> bool:
         return (y * y - (x * x * x + self.a * x + self.b)) % self.mod.p == 0
 
@@ -77,47 +79,29 @@ class CurveParams:
 
 
 class AffinePoint:
-    """A point on a registered curve, or the point at infinity."""
+    """A finite curve point: range and equation checked when made."""
 
-    __slots__ = ("curve", "x", "y", "at_infinity")
+    __slots__ = ("curve", "x", "y")
 
-    def __init__(self, curve: CurveParams, x: Optional[int], y: Optional[int],
-                 at_infinity: bool = False):
-        self.curve = curve
-        self.at_infinity = at_infinity
-        if at_infinity:
-            self.x = None
-            self.y = None
-        else:
-            if not (0 <= x < curve.mod.p and 0 <= y < curve.mod.p):
-                raise CurveError("coordinates out of field range")
-            self.x = x
-            self.y = y
+    def __init__(self, curve: CurveParams, x: int, y: int):
+        if not (0 <= x < curve.mod.p and 0 <= y < curve.mod.p):
+            raise CurveError("coordinates out of field range")
+        if not curve.equation_holds(x, y):
+            raise CurveError("point not on curve")
+        self.curve, self.x, self.y = curve, x, y
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, AffinePoint):
-            return False
-        if self.curve != other.curve:
-            return False
-        if self.at_infinity or other.at_infinity:
-            return self.at_infinity and other.at_infinity
-        return self.x == other.x and self.y == other.y
+        return isinstance(other, AffinePoint) and self.curve == other.curve \
+            and self.x == other.x and self.y == other.y
 
     def __hash__(self) -> int:
-        return hash((self.curve.id, self.x, self.y, self.at_infinity))
+        return hash((self.curve.id, self.x, self.y))
 
     def __repr__(self) -> str:
-        if self.at_infinity:
-            return "AffinePoint(%s, infinity)" % self.curve.id
         return "AffinePoint(%s, 0x%x, 0x%x)" % (self.curve.id, self.x, self.y)
-
-    def is_on_curve(self) -> bool:
-        return self.at_infinity or self.curve.equation_holds(self.x, self.y)
 
     def encode(self) -> bytes:
         """Uncompressed SEC1 encoding: 0x04 || X || Y."""
-        if self.at_infinity:
-            raise CurveError("cannot encode the point at infinity")
         w = self.curve.mod.byte_len
         return b"\x04" + self.x.to_bytes(w, "big") + self.y.to_bytes(w, "big")
 
@@ -126,22 +110,11 @@ class AffinePoint:
         w = curve.mod.byte_len
         if len(data) != 1 + 2 * w or data[0] != 0x04:
             raise PointDecodeError("not an uncompressed point of the right width")
-        x = int.from_bytes(data[1:1 + w], "big")
-        y = int.from_bytes(data[1 + w:], "big")
-        if x >= curve.mod.p or y >= curve.mod.p:
-            raise PointDecodeError("coordinate not below the field modulus")
-        pt = cls(curve, x, y)
-        if not pt.is_on_curve():
-            raise PointDecodeError("point not on curve")
-        return pt
-
-
-def validate_point(P: AffinePoint) -> None:
-    """Checks applied to every externally supplied point."""
-    if P.at_infinity:
-        raise CurveError("point at infinity not acceptable here")
-    if not P.is_on_curve():
-        raise CurveError("point fails the curve equation")
+        try:
+            return cls(curve, int.from_bytes(data[1:1 + w], "big"),
+                       int.from_bytes(data[1 + w:], "big"))
+        except CurveError as exc:
+            raise PointDecodeError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +182,9 @@ def _validate_params(params: CurveParams) -> None:
     from .scalarmult import order_annihilates_generator
     if not order_annihilates_generator(params):
         raise CurveError("n * G is not the identity")
+    p, n = params.mod.p, params.n
+    if (p + 1 - n) ** 2 > 4 * p or n * n <= 16 * p:
+        raise CurveError("n does not prove cofactor 1 (Hasse bound)")
 
 
 _RECORD_KEYS = frozenset(("kind", "tls", "oid", "p", "a", "b", "gx", "gy", "n",
@@ -217,7 +193,8 @@ _RECORD_KEYS = frozenset(("kind", "tls", "oid", "p", "a", "b", "gx", "gy", "n",
 
 def parse_registry_text(text: str) -> List[CurveParams]:
     """Parse the curve registry format: [name] blocks of key=value lines,
-    hex except the `oid`, which `der.der_oid` must accept.  Each record
+    plain hex digits, a, b, gx and gy below p, except the `oid`, which
+    `der.der_oid` must accept.  Each record
     names its curve form in `kind` and its cofactor in `h`; only
     `weierstrass` with h = 1 is accepted, so a record for another form or a
     larger group is refused rather than misread.  A name may head one
@@ -232,13 +209,18 @@ def parse_registry_text(text: str) -> List[CurveParams]:
         try:
             kind = fields.pop("kind")
             oid = fields.pop("oid")
+            if not all(re.fullmatch("[0-9a-fA-F]+", v)
+                       for v in fields.values()):
+                raise ValueError("a value is not plain hex digits")
             vals = {k: int(v, 16) for k, v in fields.items()}
             if kind != "weierstrass":
                 raise ValueError("unsupported curve kind %r" % kind)
             if vals["h"] != 1:
                 raise ValueError("cofactor must be 1")
-            if not 0 <= vals["tls"] <= 0xFFFF:
+            if vals["tls"] > 0xFFFF:
                 raise ValueError("TLS code point outside 0..0xffff")
+            if max(vals["a"], vals["b"], vals["gx"], vals["gy"]) >= vals["p"]:
+                raise ValueError("a, b, gx and gy must be below p")
             der_oid(oid)
             records.append(CurveParams(
                 id=name, p=vals["p"], a=vals["a"], b=vals["b"],

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Optional
 
 from . import counters
-from .curve import AffinePoint, CurveError, CurveParams, validate_point
+from .curve import AffinePoint, CurveError, CurveParams
 from .der import TAG_SEQUENCE, DerCursor, DerError, der_integer, der_tlv
 from .drbg import HmacDrbg
 from .field import inv_euclid_int, mul_int
@@ -68,15 +68,11 @@ class KeyPair:
     def __init__(self, d: int, curve: CurveParams,
                  Q: Optional[AffinePoint] = None,
                  cache: Optional[CombCache] = None):
-        if not 1 <= d < curve.n:
-            raise CurveError("private scalar out of range")
         self.d = d
         self.curve = curve
-        computed = ecsm_comb(d, curve.generator(), cache)
-        if Q is not None and Q != computed:
+        self.Q = ecsm_comb(d, curve.generator(), cache)
+        if Q is not None and Q != self.Q:
             raise CurveError("public point does not match private scalar")
-        self.Q = computed
-        validate_point(self.Q)
 
     @staticmethod
     def generate(curve: CurveParams, drbg: HmacDrbg,
@@ -172,10 +168,6 @@ def ecdsa_verify(pub: AffinePoint, digest: bytes, sig: EcdsaSignature,
     curve = pub.curve
     n = curve.n
     if not sig.in_range(n):
-        return False
-    try:
-        validate_point(pub)
-    except CurveError:
         return False
     counters.record("ecdsa_verify")
     n_mod = curve.n_mod

@@ -360,16 +360,13 @@ class HandshakeSession:
     # -- key schedule -----------------------------------------------------------
 
     def _derive_keys(self, premaster: bytes) -> None:
-        buf = bytearray(premaster)
-        master = tls_prf_sha256(bytes(buf), b"master secret",
+        master = tls_prf_sha256(premaster, b"master secret",
                                 self.client_random + self.server_random,
                                 MASTER_SECRET_LEN)
         key_block = tls_prf_sha256(master, b"key expansion",
                                    self.server_random + self.client_random,
                                    KEY_BLOCK_LEN)
         self.security = SecurityParams(master, key_block)
-        for i in range(len(buf)):
-            buf[i] = 0
 
     def _write_key(self, role: str) -> AeadKey:
         return AeadKey(bytes(getattr(self.security, role + "_key")),
@@ -610,7 +607,9 @@ class HandshakeSession:
         and open_app_data raise HandshakeError and steps do nothing from
         here on.  The dropped keys hold their key bytes, AES round keys and
         GHASH tables as bytes and ints, which Python cannot wipe in place:
-        dropping the references to them is the guarantee given."""
+        dropping the references to them is the guarantee given.  The ECDHE
+        premaster, immutable bytes like them, is dropped once the master
+        secret is derived, not wiped."""
         if self.security is not None:
             self.security.zeroize()
         self.records.write_key = self.records.read_key = None

@@ -59,7 +59,7 @@ import threading
 from typing import Dict, Iterable, Optional
 
 from . import counters
-from .curve import AffinePoint, CurveError, CurveParams, validate_point
+from .curve import AffinePoint, CurveError, CurveParams
 
 COMB_WIDTH = 4   # the comb the energy model is calibrated on
 COMB_CACHE_CAPACITY = 6
@@ -138,8 +138,11 @@ def _to_affine(curve: CurveParams, triples: list) -> list:
 
 
 def _point(curve: CurveParams, triple: tuple) -> AffinePoint:
+    """The point of a triple; k*P, k in [1, n), is never the identity."""
     xy = _to_affine(curve, [triple])[0]
-    return curve.infinity() if xy is None else AffinePoint(curve, *xy)
+    if xy is None:
+        raise CurveError("the product is the identity")
+    return AffinePoint(curve, *xy)
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +508,6 @@ def pin_trust_anchor(Q: AffinePoint) -> None:
     every multiplication on it runs fixed-base, with or without a comb
     cache.  Execution only: nothing is recorded.  Only keys the process is
     configured with belong here, never a peer's."""
-    validate_point(Q)
     _fixed_rows(Q, point_identity(Q), pin=True)
 
 
@@ -514,7 +516,6 @@ def comb_precompute(P: AffinePoint) -> Optional[list]:
     2^(i*d) P) over the sign pattern j (bit i set -> +1) with the top row
     sign always +1, in one call.  Return P's process-wide rows if P is G or
     a pinned anchor, else None."""
-    validate_point(P)
     curve = P.curve
     key = ("table", curve.mod.bitlen, curve.n)
     if key not in _PRICES:
@@ -571,7 +572,7 @@ def _check_range(k: int, curve: CurveParams) -> None:
 def comb_price(k: int, P: AffinePoint, cache: Optional[CombCache]
                ) -> Optional[list]:
     """Record the price of k*P as `ecsm_comb` without computing k*P: check
-    k in [1, n) and P, count the multiplication, take P's table through the
+    k in [1, n), count the multiplication, take P's table through the
     cache (a hit refreshes P's recency and builds its rows on P's first
     hit; a miss, or no cache, prices the precompute), then price the walk
     at k.  Return P's rows, None for a base without them.  Every comb
@@ -579,7 +580,6 @@ def comb_price(k: int, P: AffinePoint, cache: Optional[CombCache]
     holds."""
     curve = P.curve
     _check_range(k, curve)
-    validate_point(P)
     counters.record("ecsm_comb")
     rows = cache.get_or_build(P) if cache is not None else comb_precompute(P)
     counters.record_all(comb_walk_price(curve, k))
@@ -597,7 +597,7 @@ def ecsm_comb(k: int, P: AffinePoint, cache: Optional[CombCache] = None
               ) -> AffinePoint:
     """k*P, priced as the ZSD comb: the table on a cache miss or with no
     cache, then one double and one add per column and a parity-correction
-    tail.  The identity or a point off the curve raises CurveError."""
+    tail.  k outside [1, n) raises `ScalarRangeError`."""
     return _point(P.curve, _comb(k, P, cache))
 
 

@@ -52,6 +52,7 @@ class UnknownCriticalExtensionError(X509Error):
 OID_ECDSA_SHA256 = "1.2.840.10045.4.3.2"
 OID_EC_PUBLIC_KEY = "1.2.840.10045.2.1"
 OID_COMMON_NAME = "2.5.4.3"
+OID_COUNTRY_NAME = "2.5.4.6"
 OID_BASIC_CONSTRAINTS = "2.5.29.19"
 
 
@@ -83,7 +84,8 @@ class Certificate:
 def _read_name(tbs: DerCursor) -> Tuple[bytes, Optional[str]]:
     """A Name, SEQUENCE OF SET SIZE (1..MAX) OF {type OID, value}, each SET
     in DER order and each value a UTF8String or a PrintableString within its
-    character set (RFC 5280 4.1.2.4): its full encoding and its first
+    character set (RFC 5280 4.1.2.4), a countryName a PrintableString of
+    two characters (RFC 5280 Appendix A): its full encoding and its first
     commonName, non-empty."""
     raw = tbs.read_raw(TAG_SEQUENCE)
     rdns = DerCursor.whole(raw, TAG_SEQUENCE)
@@ -96,6 +98,10 @@ def _read_name(tbs: DerCursor) -> Tuple[bytes, Optional[str]]:
             oid = atv.read_oid()
             tag, value = atv.read()
             atv.expect_done()
+            if oid == OID_COUNTRY_NAME and (tag != TAG_PRINTABLE or
+                                            len(value) != 2):
+                raise MalformedDerError(
+                    "countryName is not a two-character PrintableString")
             if tag == TAG_PRINTABLE:
                 if value.translate(None, PRINTABLE_CHARACTERS):
                     raise MalformedDerError(

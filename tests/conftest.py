@@ -1,8 +1,15 @@
 import random
 
 import pytest
+from hypothesis import settings
 
 from ecdtls.curve import builtin_registry
+
+# every property draws the same examples on every run, with no example
+# database and no per-example deadline
+settings.register_profile("tier1", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("tier1")
 
 CURVE_NAMES = ["secp160r1", "secp192r1", "secp224r1", "secp256r1"]
 

@@ -8,7 +8,8 @@ independent reference for the kernel's inline formulas.  Each is priced as
 the package once priced it: `scalar_mul_unchecked` as double-and-add on the
 affine law, and `ecsm_jacobian` as `scalarmult.jacobian_price`, the energy
 fit's projective baseline.  Each walk is computed only while a counter
-scope is open, and recorded in one call.
+scope is open, and recorded in one call.  No `AffinePoint` is the identity,
+so these engines return None for it, as the tests' affine oracles do.
 
 The package's private helpers are read through the module at call time, so
 a test that patches one of them patches these engines too.
@@ -28,24 +29,28 @@ def double_and_add(curve, k: int, x: int, y: int) -> tuple:
     return acc
 
 
-def scalar_mul_unchecked(k: int, P: AffinePoint) -> AffinePoint:
-    """k*P for any k >= 0, priced as double-and-add on the affine law."""
+def affine(curve, triple: tuple):
+    """The AffinePoint of a Jacobian triple, None for the identity."""
+    xy = scalarmult._to_affine(curve, [triple])[0]
+    return None if xy is None else AffinePoint(curve, *xy)
+
+
+def scalar_mul_unchecked(k: int, P: AffinePoint):
+    """k*P for any k >= 0, None for the identity, priced as double-and-add
+    on the affine law."""
     curve = P.curve
-    if P.at_infinity:
-        return P
     if counters._stack():   # a scope is open, so the price counts
         counters.record_all(scalarmult._merge(scalarmult._walk_events(
             curve, map(int, bin(k)[2:]))))
-    return scalarmult._point(curve, double_and_add(curve, k, P.x, P.y))
+    return affine(curve, double_and_add(curve, k, P.x, P.y))
 
 
-def ecsm_jacobian(k: int, P: AffinePoint) -> AffinePoint:
-    """k*P for k in [1, n), priced as the projective baseline."""
+def ecsm_jacobian(k: int, P: AffinePoint):
+    """k*P for k in [1, n), None for the identity, priced as the
+    projective baseline."""
     curve = P.curve
     scalarmult._check_range(k, curve)
     counters.record("ecsm_jacobian")
-    if P.at_infinity:
-        return P
     if counters._stack():   # a scope is open, so the price counts
         counters.record_all(scalarmult.jacobian_price(curve, k))
-    return scalarmult._point(curve, double_and_add(curve, k, P.x, P.y))
+    return affine(curve, double_and_add(curve, k, P.x, P.y))

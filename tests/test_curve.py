@@ -1,12 +1,14 @@
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecdtls import counters
 from ecdtls.curve import (AffinePoint, CurveError, CurveParams, CurveRegistry,
-                          PointDecodeError, parse_registry_text,
-                          validate_point)
-from ecdtls.scalarmult import order_annihilates_generator
+                          PointDecodeError, builtin_registry,
+                          parse_registry_text)
+from ecdtls.scalarmult import ecsm_comb, order_annihilates_generator
 from conftest import registered_names
 from reference_engines import scalar_mul_unchecked
 from test_formula_prices import oracle_add, oracle_double
@@ -58,31 +60,31 @@ def test_registered_generators_on_curve(registry):
 
 
 class TestGroupLaw:
+    # the oracles stand for the identity by None, which no AffinePoint is
     def test_identity(self, curves):
         c = curves["secp256r1"]
         G = c.generator()
-        assert oracle_add(G, c.infinity()) == G
-        assert oracle_add(c.infinity(), G) == G
+        assert oracle_add(G, None) == G
+        assert oracle_add(None, G) == G
 
     def test_inverse(self, curves):
         c = curves["secp256r1"]
         G = c.generator()
-        assert oracle_add(G, AffinePoint(c, G.x, c.mod.p - G.y)).at_infinity
+        assert oracle_add(G, AffinePoint(c, G.x, c.mod.p - G.y)) is None
 
     def test_add_equal_points_dispatches_to_double(self, curves):
         G = curves["secp256r1"].generator()
         assert oracle_add(G, G) == oracle_double(G)
 
-    def test_double_infinity(self, curves):
-        inf = curves["secp192r1"].infinity()
-        assert oracle_double(inf).at_infinity
+    def test_double_infinity(self):
+        assert oracle_double(None) is None
 
     def test_double_two_torsion_point(self):
         # y^2 = x^3 - x over GF(59) has (0, 0) as a 2-torsion point
         c = CurveParams("torsion59", 59, 58, 0, 3, 24, 53, *PRIVATE_IDS)
         assert c.equation_holds(0, 0)
         P = AffinePoint(c, 0, 0)
-        assert oracle_double(P).at_infinity
+        assert oracle_double(P) is None
 
     def test_double_g_matches_independent_formula(self, curves):
         c = curves["secp192r1"]
@@ -105,7 +107,7 @@ class TestGroupLaw:
     def test_order_annihilates_generator(self, registry):
         for name in ("secp160r1", "secp192r1", "secp224r1", "secp256r1", "toy59"):
             c = registry.get(name)
-            assert scalar_mul_unchecked(c.n, c.generator()).at_infinity
+            assert scalar_mul_unchecked(c.n, c.generator()) is None
             assert order_annihilates_generator(c)
 
 
@@ -132,24 +134,75 @@ class TestEncoding:
             AffinePoint.decode(data, c)
 
     def test_infinity_not_encodable(self, curves):
-        with pytest.raises(CurveError):
-            curves["secp256r1"].infinity().encode()
+        # SEC1 encodes the identity as the single byte 00; no point is the
+        # identity, so no point decodes from it
+        c = curves["secp256r1"]
+        for data in (b"\x00", b"\x04" + bytes(2 * c.mod.byte_len)):
+            with pytest.raises(PointDecodeError):
+                AffinePoint.decode(data, c)
+
+
+def decodes_to_its_input_or_refuses(data: bytes, curve: CurveParams) -> None:
+    """decode either returns a point that encodes back to data or raises
+    PointDecodeError; any other exception escapes and fails the test."""
+    try:
+        P = AffinePoint.decode(data, curve)
+    except PointDecodeError:
+        return
+    assert P.encode() == data
+
+
+@pytest.mark.parametrize("name", registered_names(builtin_registry()))
+class TestDecodeProperty:
+    # the one place a point comes from outside: what a peer or a
+    # certificate sends reaches AffinePoint only through decode
+    @given(data=st.data())
+    @settings(max_examples=100)
+    def test_arbitrary_bytes_of_the_point_width(self, name, data):
+        curve = builtin_registry().get(name)
+        width = 1 + 2 * curve.mod.byte_len
+        # half of the draws lead with the uncompressed tag, so that the
+        # coordinates' checks are reached
+        decodes_to_its_input_or_refuses(data.draw(st.one_of(
+            st.binary(min_size=width, max_size=width),
+            st.binary(min_size=width - 1, max_size=width - 1).map(
+                lambda rest: b"\x04" + rest))), curve)
+
+    @given(k=st.integers(1), at=st.integers(0), byte=st.integers(0, 255))
+    @settings(max_examples=100)
+    def test_one_byte_mutations_of_valid_encodings(self, name, k, at, byte):
+        curve = builtin_registry().get(name)
+        data = bytearray(ecsm_comb(k % (curve.n - 1) + 1,
+                                   curve.generator()).encode())
+        data[at % len(data)] = byte
+        decodes_to_its_input_or_refuses(bytes(data), curve)
 
 
 class TestValidation:
+    # a point is checked once, when it is made
     def test_validate_rejects_infinity(self, curves):
-        with pytest.raises(CurveError):
-            validate_point(curves["secp256r1"].infinity())
+        # the identity has no affine coordinates, and (0, 0), which some
+        # libraries use for it, is off every curve with b != 0
+        for c in curves.values():
+            with pytest.raises(CurveError, match="point not on curve"):
+                AffinePoint(c, 0, 0)
 
     def test_validate_rejects_off_curve(self, curves):
         c = curves["secp256r1"]
-        P = AffinePoint(c, c.gx, (c.gy + 1) % c.mod.p)
-        with pytest.raises(CurveError):
-            validate_point(P)
+        with pytest.raises(CurveError, match="point not on curve"):
+            AffinePoint(c, c.gx, (c.gy + 1) % c.mod.p)
+
+    def test_out_of_range_point_cannot_be_made(self, curves):
+        c = curves["secp256r1"]
+        for x, y in ((c.gx + c.mod.p, c.gy), (c.gx, c.gy - c.mod.p)):
+            with pytest.raises(CurveError, match="field range"):
+                AffinePoint(c, x, y)
 
     def test_validate_accepts_generator(self, registry):
         for name in registered_names(registry):
-            validate_point(registry.get(name).generator())
+            c = registry.get(name)
+            G = c.generator()
+            assert (G.x, G.y) == (c.gx, c.gy)
 
 
 class TestRegistryParsing:
@@ -202,6 +255,22 @@ class TestRegistryParsing:
         with pytest.raises(CurveError, match="n \\* G is not the identity"):
             CurveRegistry().register(bad)
 
+    def test_cofactor_above_one_refused(self):
+        # y^2 = x^3 + 2x + 7 over GF(101) has 106 = 2 * 53 points.  G has
+        # the prime order 53, so n*G = O holds, but the record's h = 1 is
+        # false: its point (0x45, 0) has order 2, and d*(0x45, 0) would
+        # leak d mod 2 (Lim and Lee, CRYPTO 1997).  53 is outside the Hasse
+        # interval of p = 101, so the record is refused.
+        text = (TINY_RECORD.replace("p = 3b", "p = 65")
+                .replace("b = 0b", "b = 07").replace("gx = 05", "gx = 49")
+                .replace("gy = 15", "gy = 2c"))
+        (params,) = parse_registry_text(text)
+        assert params.equation_holds(0x45, 0)
+        assert order_annihilates_generator(params)
+        with pytest.raises(CurveError, match="bad registry record 'tiny': "
+                                             "n does not prove cofactor 1"):
+            CurveRegistry().load_text(text)
+
     def test_registry_load_records_nothing(self):
         path = os.path.join(os.path.dirname(counters.__file__), "data",
                             "curves.txt")
@@ -253,6 +322,14 @@ class TestRegistryParsing:
         ("h = 01\n", "h = 02\n"),
         ("p = 3b\n", "p = 231\n"),  # 561 = 3 * 11 * 17
         ("n = 35\n", "n = 231\n"),
+        # plain hex digits only, and a, b, gx and gy below p
+        ("a = 02\n", "a = 0x02\n"),
+        ("a = 02\n", "a = +02\n"),
+        ("a = 02\n", "a = 0_2\n"),
+        ("a = 02\n", "a = -3\n"),
+        ("a = 02\n", "a = 3d\n"),   # 61 = 2 + 59
+        ("gx = 05\n", "gx = 40\n"),  # 64 = 5 + 59
+        ("gy = 15\n", "gy = 50\n"),  # 80 = 21 + 59
     ])
     def test_bad_record_refused(self, line, replacement):
         assert parse_registry_text(TINY_RECORD)

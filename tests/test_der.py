@@ -18,7 +18,7 @@ from ecdtls.sha256 import sha256
 from ecdtls.x509 import (ACCEPTED, OID_ECDSA_SHA256, MalformedDerError,
                          X509Error, make_certificate, x509_parse, x509_verify)
 
-HYPOTHESIS = settings(derandomize=True, deadline=None, max_examples=200)
+HYPOTHESIS = settings(max_examples=200)
 
 UTC_FIRST = calendar.timegm((1950, 1, 1, 0, 0, 0))
 UTC_LAST = calendar.timegm((2049, 12, 31, 23, 59, 59))
@@ -347,14 +347,17 @@ class TestNames:
     @pytest.mark.parametrize("oid, value, accepted", [
         ("2.5.4.6", der_tlv(TAG_PRINTABLE, b"US"), True),
         ("2.5.4.6", der_tlv(TAG_INTEGER, b"\x01"), False),
+        ("2.5.4.6", der_tlv(TAG_PRINTABLE, b"USA"), False),
+        ("2.5.4.6", der_tlv(TAG_UTF8, b"US"), False),
         ("2.5.4.10", der_tlv(TAG_UTF8, b"edge"), True),
         ("2.5.4.10", der_tlv(TAG_UTF8, b"\xff\xfe"), False),
-    ], ids=["country-printable", "country-integer", "organization-utf8",
-            "organization-not-utf8"])
+    ], ids=["country-printable", "country-integer", "country-three-chars",
+            "country-utf8", "organization-utf8", "organization-not-utf8"])
     def test_resigned_name_attribute(self, registry, p160_pki, oid, value,
                                      accepted):
         # every attribute of a Name, not only its commonName, holds a
-        # UTF8String or a PrintableString, as cryptography requires
+        # UTF8String or a PrintableString, as cryptography requires, and a
+        # countryName two PrintableString characters (RFC 5280 Appendix A)
         der = self.resigned_leaf(
             p160_pki, der_tlv(TAG_SEQUENCE, der_oid(oid) + value),
             _atv(der_tlv(TAG_UTF8, SERVER_CN.encode())))

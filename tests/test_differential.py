@@ -108,7 +108,7 @@ def test_every_length_around_the_narrow_width_both_ways():
 
 ECC_CURVES = {"secp192r1": ec.SECP192R1, "secp224r1": ec.SECP224R1,
               "secp256r1": ec.SECP256R1}
-ECC_DRAWS = settings(derandomize=True, deadline=None, max_examples=6)
+ECC_DRAWS = settings(max_examples=6)
 PREHASHED = ec.ECDSA(dss.Prehashed(hashes.SHA256()))
 scalars = st.integers(1, 2**256)
 

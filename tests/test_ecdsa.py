@@ -3,13 +3,13 @@ import hashlib
 import pytest
 
 from ecdtls import counters, scalarmult
-from ecdtls.curve import CurveError, validate_point
+from ecdtls.curve import CurveError
 from ecdtls.drbg import HmacDrbg
 from ecdtls.ecdsa import (EcdsaSignature, KeyPair, SignatureError,
                           digest_to_scalar, ecdsa_sign, ecdsa_verify,
                           rfc6979_nonce)
 from ecdtls.field import inv_euclid_int, mul_int
-from ecdtls.scalarmult import CombCache, ecsm_comb
+from ecdtls.scalarmult import CombCache, ScalarRangeError, ecsm_comb
 from ecdtls.sha256 import sha256
 from test_formula_prices import oracle_add
 
@@ -143,6 +143,15 @@ class TestKeyPair:
         with pytest.raises(CurveError):
             KeyPair(5, c, Q=c.generator())
 
+    def test_scalar_out_of_range_rejected(self, curves):
+        # the comb's range check refuses d before any work is priced
+        c = curves["secp192r1"]
+        for d in (0, c.n):
+            with counters.scope() as sc:
+                with pytest.raises(ScalarRangeError):
+                    KeyPair(d, c)
+            assert sc.counters == {}
+
     def test_der_signature_round_trip(self, rng):
         for _ in range(20):
             sig = EcdsaSignature(rng.randrange(1, 2**255),
@@ -203,10 +212,6 @@ def affine_verify(pub, digest, sig, cache=None, seen=None):
     n = curve.n
     if not sig.in_range(n):
         return False
-    try:
-        validate_point(pub)
-    except CurveError:
-        return False
     counters.record("ecdsa_verify")
     n_mod = curve.n_mod
     z = digest_to_scalar(digest, curve)
@@ -223,7 +228,7 @@ def affine_verify(pub, digest, sig, cache=None, seen=None):
         R = oracle_add(A, B)
     if seen is not None:
         seen.add(branch)
-    if R.at_infinity:
+    if R is None:
         return False
     if seen is not None and R.x == sig.r + n:
         seen.add("x = r + n")

@@ -261,7 +261,7 @@ class TestRingAxioms:
                 (mul_int(a, b, mod) + mul_int(a, c, mod)) % p
 
     @given(st.integers(0, P256 - 1), st.integers(0, P256 - 1))
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     def test_closure_and_canonical(self, a, b):
         assert 0 <= mul_int(a, b, MOD256) < P256
 

@@ -1,6 +1,6 @@
 import pytest
 
-from ecdtls.curve import AffinePoint
+from ecdtls.curve import AffinePoint, CurveError, PointDecodeError
 from ecdtls.drbg import HmacDrbg
 from ecdtls.ecdsa import KeyPair
 from ecdtls.keyagree import KeyAgreementError, ecdhe_shared
@@ -41,17 +41,25 @@ class TestEcdhe:
         assert ecdhe_shared(a, b.Q, cache) == ecdhe_shared(b, a.Q, cache)
 
     def test_infinity_peer_rejected(self, curves):
+        # a peer's point arrives as bytes; SEC1's identity encoding does not
+        # decode, so no identity reaches ecdhe_shared
         c = curves["secp256r1"]
-        a = KeyPair(7, c)
-        with pytest.raises(KeyAgreementError):
-            ecdhe_shared(a, c.infinity())
+        with pytest.raises(PointDecodeError):
+            AffinePoint.decode(b"\x00", c)
 
     def test_off_curve_peer_rejected(self, curves):
         c = curves["secp256r1"]
-        a = KeyPair(7, c)
-        bogus = AffinePoint(c, c.gx, (c.gy + 1) % c.mod.p)
+        with pytest.raises(CurveError):
+            AffinePoint(c, c.gx, (c.gy + 1) % c.mod.p)
+        data = bytearray(c.generator().encode())
+        data[-1] ^= 1
+        with pytest.raises(PointDecodeError, match="point not on curve"):
+            AffinePoint.decode(bytes(data), c)
+
+    def test_peer_on_another_curve_rejected(self, curves):
+        a = KeyPair(7, curves["secp256r1"])
         with pytest.raises(KeyAgreementError):
-            ecdhe_shared(a, bogus)
+            ecdhe_shared(a, curves["secp192r1"].generator())
 
     def test_matches_double_and_add_oracle(self, curves, rng):
         c = curves["secp256r1"]
