@@ -1,16 +1,19 @@
 """Golden transcripts: the bytes on the wire and the counters beside them.
 
-One digest per (curve, mode) pins everything a loopback pair leaves behind:
-every datagram, the sending role hashed before it, both ends'
-`handshake_counters` as item lists (so their order counts), both ends'
-`drop_counts`, and a 64 B record the client seals once established.  Each
-pair runs from fixed entropies and a fixed clock.  The cached runs use one
-fresh `CertCache`: the first pair misses and fills it, the second hits.
+Two digests per (curve, mode) pin what a loopback pair leaves behind.  The
+wire digest covers every datagram, the sending role hashed before it, both
+ends' `drop_counts`, and a 64 B record the client seals once established.
+The counter digest covers both ends' `handshake_counters` as item lists, so
+their order counts.  Each pair runs from fixed entropies and a fixed clock.
+The cached runs use one fresh `CertCache`: the first pair misses and fills
+it, the second hits.  A curve's three wire digests are equal: caching
+changes what the client checks, not what it sends.
 
 A change meant to keep bytes and counts passes this file unedited.  A change
-that moves them updates the literals and says why.  The toy59 full
-handshake's datagrams are also pinned as hex, so a failure there shows which
-message moved.
+that moves them updates the literals and says why; one that only reprices
+keeps every wire digest, so its diff shows that the bytes held.  The toy59
+full handshake's datagrams are also pinned as hex, so a failure there shows
+which message moved.
 """
 
 import hashlib
@@ -27,25 +30,34 @@ from ecdtls.x509 import CertCache
 FIXED_CLOCK = lambda: 1754784000.0  # mid validity window
 PAYLOAD = bytes(range(64))
 
-GOLDEN_DIGESTS = {
-    ("secp160r1", "cached-hit"):
-        "c4b6d667341d250329ecfe6fb5cbe443af6667406b013760c8db48c8c6bcebac",
-    ("secp160r1", "cached-miss"):
-        "8aed4973164b504a302845e82163fe30ccf6c5ebb972bcfd8d0df7e9aef26d73",
-    ("secp160r1", "full"):
-        "b73106b10b30229a519167dff4cc4f42f7240d0f435e51405ce14cd42fae713e",
-    ("secp256r1", "cached-hit"):
-        "ae813bb40571a4e7d699a8a24b8db770e225185215c2b75ab824fb08b5b0ea4f",
-    ("secp256r1", "cached-miss"):
-        "634f9b0010b5903a052ca5d4319eb714b89529b8b642ad0bdc0bd18ac4ee4456",
-    ("secp256r1", "full"):
-        "3bfc330be5ad7be340c2a8165f61e9c93aa8a353e8951813d0727d1057b18159",
-    ("toy59", "cached-hit"):
-        "d176d2363fb5e0d2b15c5e2e36bcfff4ec580c05670e8770fb30398ba3ee44c5",
-    ("toy59", "cached-miss"):
-        "e1edc1e03870e9a053cf28bd20e7b3c6cf665b843fea340f7414f57a7d64ca6c",
-    ("toy59", "full"):
-        "b7abc02f50e8f9955edc460c305dcd654f688f525865157c22b5115109303d2d",
+GOLDEN_DIGESTS = {  # (wire digest, counter digest)
+    ("secp160r1", "cached-hit"): (
+        "a81aa6a3791c64edf7ecfe34b9e34601792ec26dcc4a451d9a78c9cd9c0b3c72",
+        "20a18258da601ab8076446031dba2a3711839f60679a2161951cb1fd9f45084b"),
+    ("secp160r1", "cached-miss"): (
+        "a81aa6a3791c64edf7ecfe34b9e34601792ec26dcc4a451d9a78c9cd9c0b3c72",
+        "b374d20fb8496efa651553f0264a11eb34fe039c9834e62e0ff3479dab7f71a8"),
+    ("secp160r1", "full"): (
+        "a81aa6a3791c64edf7ecfe34b9e34601792ec26dcc4a451d9a78c9cd9c0b3c72",
+        "55d231229a2bef3477d21268dd5849d2ad556b1f6a1ec92fa50d74f87ab8e276"),
+    ("secp256r1", "cached-hit"): (
+        "0b71eaebeff66799baa3bb30e807d809e2e70df27a5cab97f94d951ac2a6ab5c",
+        "7a73b14b439a6d3b65091ae0ec115f90f3d5c7f652d5e4fed1a9593dec5ab770"),
+    ("secp256r1", "cached-miss"): (
+        "0b71eaebeff66799baa3bb30e807d809e2e70df27a5cab97f94d951ac2a6ab5c",
+        "ec380397a158f845a973a420281bb08013b0dab6de71ff191d81f193b1477594"),
+    ("secp256r1", "full"): (
+        "0b71eaebeff66799baa3bb30e807d809e2e70df27a5cab97f94d951ac2a6ab5c",
+        "ac2b28cf08a9c4afc7a0e7aec9ad70b8a8cc961d02465cc32d1a5ac5b1339d0b"),
+    ("toy59", "cached-hit"): (
+        "f110db02ca36bb9b27cba8915615f777331846afccd035ab7f901b447931405f",
+        "224d04bf0fbb91129c950209abfbd64d925216b6c83e9ac7e1b901abe17447a6"),
+    ("toy59", "cached-miss"): (
+        "f110db02ca36bb9b27cba8915615f777331846afccd035ab7f901b447931405f",
+        "72fdf27160f8db3c2bc6e2275f5516dcdc1842fd0d5e48e067062fcafddb6d5b"),
+    ("toy59", "full"): (
+        "f110db02ca36bb9b27cba8915615f777331846afccd035ab7f901b447931405f",
+        "7cb9f42f2f476b17d25f9a478e9e0dca50358b5b243d263063b7c24d86f9c895"),
 }
 
 TOY59_FULL_DATAGRAMS = [
@@ -123,7 +135,7 @@ def _pair(curve, pki, mode, cert_cache):
 
 def _run(curve, pki, mode, cert_cache=None):
     """The datagrams of one loopback pair, as (sending role, bytes), and
-    the digest of what the pair leaves behind."""
+    the pair's wire and counter digests."""
     client, server = _pair(curve, pki, mode, cert_cache)
     sent = []
 
@@ -134,26 +146,29 @@ def _run(curve, pki, mode, cert_cache=None):
     assert run_loopback(client, server, tap).established
     sealed = client.seal_app_data(PAYLOAD)
     assert server.open_app_data(sealed) == PAYLOAD
-    h = hashlib.sha256()
-
-    def put(data: bytes) -> None:
-        h.update(len(data).to_bytes(4, "big") + data)
-
+    wire = []
     for role, datagram in sent:
-        put(role.encode())
-        put(datagram)
-    for end in (client, server):
-        put(repr(list(end.handshake_counters.items())).encode())
-    for end in (client, server):
-        put(repr(list(end.records.drop_counts.items())).encode())
-    put(sealed)
-    return sent, h.hexdigest()
+        wire += [role.encode(), datagram]
+    wire += [repr(list(end.records.drop_counts.items())).encode()
+             for end in (client, server)]
+    tallies = [repr(list(end.handshake_counters.items())).encode()
+               for end in (client, server)]
+    return sent, (_digest(wire + [sealed]), _digest(tallies))
+
+
+def _digest(fields):
+    """SHA-256 over each field, its length before it."""
+    h = hashlib.sha256()
+    for data in fields:
+        h.update(len(data).to_bytes(4, "big") + data)
+    return h.hexdigest()
 
 
 @pytest.fixture(scope="module")
 def transcripts():
-    """(curve name, mode) -> (datagrams, digest); the cached runs share one
-    fresh CertCache, so the first misses and the second hits."""
+    """(curve name, mode) -> (datagrams, (wire digest, counter digest));
+    the cached runs share one fresh CertCache, so the first misses and the
+    second hits."""
     out = {}
     for name in ("toy59", "secp160r1", "secp256r1"):
         curve = get_curve(name)
@@ -167,7 +182,13 @@ def transcripts():
 
 @pytest.mark.parametrize("key", sorted(GOLDEN_DIGESTS))
 def test_transcript_digest(transcripts, key):
-    assert transcripts[key][1] == GOLDEN_DIGESTS[key]
+    # the wire digest
+    assert transcripts[key][1][0] == GOLDEN_DIGESTS[key][0]
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_DIGESTS))
+def test_counter_digest(transcripts, key):
+    assert transcripts[key][1][1] == GOLDEN_DIGESTS[key][1]
 
 
 def test_toy59_full_datagrams(transcripts):
