@@ -33,12 +33,9 @@ The fixed suite is ECDHE-ECDSA with AES-128-GCM and SHA-256 transcripts.
 A `SessionConfig` takes its endpoint from a process-wide store, or prepares
 it once per credential: it parses the own certificate, computes Q = d*G and
 refuses a key that does not match the certificate's, and parses the trust
-anchor.  That runs inside `counters.isolated()`, and each session still
-records what it cost before the store existed, in the same order: the own
-key's `ecsm_comb` through its own comb cache (`comb_price`, so the cache's
-hit/miss bookkeeping is unchanged) and one `x509_parse` for the anchor.  So
-a session's counters never depend on whether the store hit; ROADMAP item
-10, step 2 stops pricing this work per session.  The store holds at most
+anchor.  That runs inside `counters.isolated()`, and no session prices it: a
+credential is provisioned, so a session records only its own work, and its
+counters never depend on whether the store hit.  The store holds at most
 `ENDPOINT_CAPACITY` endpoints, the least recently used evicted first, and
 each resident endpoint's `KeyPair`, its private scalar included, until it
 is evicted.  Its key is a SHA-256 digest of the curve, scalar and both
@@ -76,7 +73,7 @@ from .keyagree import KeyAgreementError, ecdhe_shared
 from .prf import tls_prf_sha256
 from .record import (CONTENT_ALERT, CONTENT_APPDATA, CONTENT_CCS,
                      CONTENT_HANDSHAKE, DROP_OK, MAX_SEQUENCE, RecordLayer)
-from .scalarmult import CombCache, comb_price, pin_trust_anchor
+from .scalarmult import CombCache, pin_trust_anchor
 from .sha256 import Sha256, hmac_sha256, sha256
 from .x509 import CertCache, X509Error, x509_parse, x509_verify
 
@@ -237,23 +234,19 @@ class HandshakeSession:
         self._next_send_seq = 0
         self.security: Optional[SecurityParams] = None
         self.handshake_counters: Optional[counters.OpCounters] = None
+        self.comb_cache = config.comb_cache
+        self.cert_cache = config.cert_cache
+        self.own_key, self.ca_subject, self.ca_key = config.endpoint
+        pin_trust_anchor(self.ca_key)
+        self.client_random: Optional[bytes] = None
+        self.server_random: Optional[bytes] = None
+        self.eph_key: Optional[KeyPair] = None
+        self.peer_key: Optional[AffinePoint] = None
+        self.peer_eph: Optional[AffinePoint] = None
 
         with self._recorder:
             self.drbg = HmacDrbg(config.entropy, self.role.encode(),
                                  b"dtls-engine " + self.role.encode())
-            self.comb_cache = config.comb_cache
-            self.cert_cache = config.cert_cache
-            # priced as when each session computed them (item 10, step 2)
-            self.own_key, self.ca_subject, self.ca_key = config.endpoint
-            comb_price(self.own_key.d, config.curve.generator(),
-                       self.comb_cache)
-            counters.record("x509_parse")
-            pin_trust_anchor(self.ca_key)
-            self.client_random: Optional[bytes] = None
-            self.server_random: Optional[bytes] = None
-            self.eph_key: Optional[KeyPair] = None
-            self.peer_key: Optional[AffinePoint] = None
-            self.peer_eph: Optional[AffinePoint] = None
             if self.role == "server":
                 self.cookie_secret = sha256(b"cookie-secret" + config.entropy)
 

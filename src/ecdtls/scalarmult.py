@@ -10,12 +10,11 @@ fixed-base comb with zero-less signed-digit recoding on the affine law, at
 the one width `COMB_WIDTH` = 4 that the energy model is calibrated on: the
 table (`comb_precompute`) on a miss of the six-entry LRU `CombCache`, then a
 doubling and an addition per column and a parity tail, from schedules
-memoised per curve.  `comb_price` records that price and computes nothing;
-`_comb`, behind every comb multiplication, calls it and then executes, and
-a caller that already holds k*P (a session's own Q = d*G) calls it alone,
-so each comb price takes one path.  The columns' schedule is the same for
-every k but those that meet an exceptional branch (n-4, n-2 and n-1 among k
-within 64 of 0 or n); the Python's own time varies with k and the base.
+memoised per curve.  `_comb`, behind every comb multiplication, records
+that price and then executes, so each comb price takes one path.  The
+columns' schedule is the same for every k but those that meet an
+exceptional branch (n-4, n-2 and n-1 among k within 64 of 0 or n); the
+Python's own time varies with k and the base.
 The price helpers take the comb's geometry, so the tests can check them at
 other widths.  `comb_sum_x_matches`, ECDSA's verification equation, is
 priced as its two comb multiplications and the affine addition of their
@@ -287,7 +286,8 @@ def _walk_price(curve: CurveParams, k: int, w: int, t: int) -> tuple:
 
 def comb_walk_price(curve: CurveParams, k: int) -> tuple:
     """The price of the walk at k of the comb of width `COMB_WIDTH`: what
-    `comb_price` records past the table, and the energy fit's anchor."""
+    a comb multiplication records past the table, and the energy fit's
+    anchor."""
     return _walk_price(curve, k, COMB_WIDTH, comb_digit_count(
         curve.n_bits, COMB_WIDTH))
 
@@ -569,27 +569,17 @@ def _check_range(k: int, curve: CurveParams) -> None:
         raise ScalarRangeError("scalar out of [1, n)")
 
 
-def comb_price(k: int, P: AffinePoint, cache: Optional[CombCache]
-               ) -> Optional[list]:
-    """Record the price of k*P as `ecsm_comb` without computing k*P: check
-    k in [1, n), count the multiplication, take P's table through the
-    cache (a hit refreshes P's recency and builds its rows on P's first
-    hit; a miss, or no cache, prices the precompute), then price the walk
-    at k.  Return P's rows, None for a base without them.  Every comb
-    multiplication is priced here, and so is a product its caller already
-    holds."""
+def _comb(k: int, P: AffinePoint, cache: Optional[CombCache]) -> tuple:
+    """k*P as a Jacobian triple, priced as `ecsm_comb`: check k in [1, n),
+    count the multiplication, take P's table through the cache (a hit
+    refreshes P's recency and builds its rows on P's first hit; a miss, or
+    no cache, prices the precompute), price the walk at k, then execute
+    from P's rows, or by wNAF for a base without them."""
     curve = P.curve
     _check_range(k, curve)
     counters.record("ecsm_comb")
     rows = cache.get_or_build(P) if cache is not None else comb_precompute(P)
     counters.record_all(comb_walk_price(curve, k))
-    return rows
-
-
-def _comb(k: int, P: AffinePoint, cache: Optional[CombCache]) -> tuple:
-    """k*P as a Jacobian triple, priced by `comb_price`."""
-    rows = comb_price(k, P, cache)
-    curve = P.curve
     return _fixed_base(curve, rows, k) if rows else _wnaf(curve, k, P.x, P.y)
 
 
@@ -602,13 +592,13 @@ def ecsm_comb(k: int, P: AffinePoint, cache: Optional[CombCache] = None
 
 
 def _jsum(curve: CurveParams, A: tuple, B: tuple) -> tuple:
-    """(A + B, its price) for Jacobian A and B, priced as `curve.add_cost`,
-    or `double_cost` at A = B, and nothing with an identity operand or
-    sum."""
+    """(A + B, its price) for Jacobian A and B, B not the identity,
+    priced as `curve.add_cost`, or `double_cost` at A = B, and nothing when
+    A or the sum is the identity."""
     X1, Y1, Z1 = A
     X2, Y2, Z2 = B
-    if Z1 == 0 or Z2 == 0:
-        return (B if Z1 == 0 else A), None
+    if Z1 == 0:
+        return B, None
     p = curve.mod.p
     Z1Z1, Z2Z2 = Z1 * Z1 % p, Z2 * Z2 % p
     U1 = X1 * Z2Z2 % p

@@ -25,73 +25,71 @@ from reference_engines import ecsm_jacobian, scalar_mul_unchecked
 
 HANDSHAKE_COUNTERS = {
     ("secp160r1", "cached", "client"): {
-        "aes_block": 8, "cert_cache_hit": 1, "comb_cache_hit": 3,
+        "aes_block": 8, "cert_cache_hit": 1, "comb_cache_hit": 2,
         "comb_cache_miss": 3, "comb_precompute": 3, "drbg_generate": 3,
-        "ecdsa_sign": 1, "ecdsa_verify": 1, "ecsm_comb": 6, "ghash_block": 8,
-        "hmac": 25, "inv_work": 149762, "mod_add": 2460, "mod_inv_euclid": 936,
-        "mod_mul": 3421, "mod_sub": 4662, "mul_iter": 547364, "point_add": 319,
-        "point_double": 615, "sha_compress": 135, "sha_message": 55,
-        "x509_parse": 1,
+        "ecdsa_sign": 1, "ecdsa_verify": 1, "ecsm_comb": 5, "ghash_block": 8,
+        "hmac": 25, "inv_work": 136642, "mod_add": 2296, "mod_inv_euclid": 854,
+        "mod_mul": 3134, "mod_sub": 4210, "mul_iter": 501444, "point_add": 278,
+        "point_double": 574, "sha_compress": 135, "sha_message": 55,
     },
     ("secp160r1", "cached", "server"): {
-        "aes_block": 8, "comb_cache_hit": 4, "comb_cache_miss": 4,
+        "aes_block": 8, "comb_cache_hit": 3, "comb_cache_miss": 4,
         "comb_precompute": 4, "drbg_generate": 3, "ecdsa_sign": 1,
-        "ecdsa_verify": 2, "ecsm_comb": 8, "ghash_block": 8, "hmac": 27,
-        "inv_work": 199843, "mod_add": 3280, "mod_inv_euclid": 1249,
-        "mod_mul": 4564, "mod_sub": 6220, "mul_iter": 730246, "point_add": 426,
-        "point_double": 820, "sha_compress": 143, "sha_message": 60,
-        "x509_parse": 2,
-    },
-    ("secp160r1", "full", "client"): {
-        "aes_block": 8, "comb_cache_hit": 4, "comb_cache_miss": 4,
-        "comb_precompute": 4, "drbg_generate": 3, "ecdsa_sign": 1,
-        "ecdsa_verify": 2, "ecsm_comb": 8, "ghash_block": 8, "hmac": 25,
-        "inv_work": 199843, "mod_add": 3280, "mod_inv_euclid": 1249,
-        "mod_mul": 4564, "mod_sub": 6220, "mul_iter": 730246, "point_add": 426,
-        "point_double": 820, "sha_compress": 138, "sha_message": 56,
-        "x509_parse": 2,
-    },
-    ("secp160r1", "full", "server"): {
-        "aes_block": 8, "comb_cache_hit": 4, "comb_cache_miss": 4,
-        "comb_precompute": 4, "drbg_generate": 3, "ecdsa_sign": 1,
-        "ecdsa_verify": 2, "ecsm_comb": 8, "ghash_block": 8, "hmac": 27,
-        "inv_work": 199843, "mod_add": 3280, "mod_inv_euclid": 1249,
-        "mod_mul": 4564, "mod_sub": 6220, "mul_iter": 730246, "point_add": 426,
-        "point_double": 820, "sha_compress": 143, "sha_message": 60,
-        "x509_parse": 2,
-    },
-    ("toy59", "cached", "client"): {
-        "aes_block": 8, "cert_cache_hit": 1, "comb_cache_hit": 4,
-        "comb_cache_miss": 2, "comb_precompute": 2, "drbg_generate": 3,
-        "ecdsa_sign": 1, "ecdsa_verify": 1, "ecsm_comb": 6, "ghash_block": 8,
-        "hmac": 25, "inv_work": 468, "mod_add": 92, "mod_inv_euclid": 78,
-        "mod_mul": 255, "mod_sub": 448, "mul_iter": 1530, "point_add": 53,
-        "point_double": 23, "sha_compress": 128, "sha_message": 55,
+        "ecdsa_verify": 2, "ecsm_comb": 7, "ghash_block": 8, "hmac": 27,
+        "inv_work": 186723, "mod_add": 3116, "mod_inv_euclid": 1167,
+        "mod_mul": 4277, "mod_sub": 5768, "mul_iter": 684326, "point_add": 385,
+        "point_double": 779, "sha_compress": 143, "sha_message": 60,
         "x509_parse": 1,
     },
-    ("toy59", "cached", "server"): {
-        "aes_block": 8, "comb_cache_hit": 4, "comb_cache_miss": 4,
+    ("secp160r1", "full", "client"): {
+        "aes_block": 8, "comb_cache_hit": 3, "comb_cache_miss": 4,
         "comb_precompute": 4, "drbg_generate": 3, "ecdsa_sign": 1,
-        "ecdsa_verify": 2, "ecsm_comb": 8, "ghash_block": 8, "hmac": 27,
-        "inv_work": 912, "mod_add": 176, "mod_inv_euclid": 152, "mod_mul": 497,
-        "mod_sub": 877, "mul_iter": 2982, "point_add": 105, "point_double": 44,
-        "sha_compress": 137, "sha_message": 60, "x509_parse": 2,
+        "ecdsa_verify": 2, "ecsm_comb": 7, "ghash_block": 8, "hmac": 25,
+        "inv_work": 186723, "mod_add": 3116, "mod_inv_euclid": 1167,
+        "mod_mul": 4277, "mod_sub": 5768, "mul_iter": 684326, "point_add": 385,
+        "point_double": 779, "sha_compress": 138, "sha_message": 56,
+        "x509_parse": 1,
+    },
+    ("secp160r1", "full", "server"): {
+        "aes_block": 8, "comb_cache_hit": 3, "comb_cache_miss": 4,
+        "comb_precompute": 4, "drbg_generate": 3, "ecdsa_sign": 1,
+        "ecdsa_verify": 2, "ecsm_comb": 7, "ghash_block": 8, "hmac": 27,
+        "inv_work": 186723, "mod_add": 3116, "mod_inv_euclid": 1167,
+        "mod_mul": 4277, "mod_sub": 5768, "mul_iter": 684326, "point_add": 385,
+        "point_double": 779, "sha_compress": 143, "sha_message": 60,
+        "x509_parse": 1,
+    },
+    ("toy59", "cached", "client"): {
+        "aes_block": 8, "cert_cache_hit": 1, "comb_cache_hit": 3,
+        "comb_cache_miss": 2, "comb_precompute": 2, "drbg_generate": 3,
+        "ecdsa_sign": 1, "ecdsa_verify": 1, "ecsm_comb": 5, "ghash_block": 8,
+        "hmac": 25, "inv_work": 456, "mod_add": 88, "mod_inv_euclid": 76,
+        "mod_mul": 248, "mod_sub": 436, "mul_iter": 1488, "point_add": 52,
+        "point_double": 22, "sha_compress": 128, "sha_message": 55,
+    },
+    ("toy59", "cached", "server"): {
+        "aes_block": 8, "comb_cache_hit": 3, "comb_cache_miss": 4,
+        "comb_precompute": 4, "drbg_generate": 3, "ecdsa_sign": 1,
+        "ecdsa_verify": 2, "ecsm_comb": 7, "ghash_block": 8, "hmac": 27,
+        "inv_work": 888, "mod_add": 168, "mod_inv_euclid": 148, "mod_mul": 483,
+        "mod_sub": 854, "mul_iter": 2898, "point_add": 103, "point_double": 42,
+        "sha_compress": 137, "sha_message": 60, "x509_parse": 1,
     },
     ("toy59", "full", "client"): {
-        "aes_block": 8, "comb_cache_hit": 5, "comb_cache_miss": 3,
+        "aes_block": 8, "comb_cache_hit": 4, "comb_cache_miss": 3,
         "comb_precompute": 3, "drbg_generate": 3, "ecdsa_sign": 1,
-        "ecdsa_verify": 2, "ecsm_comb": 8, "ghash_block": 8, "hmac": 25,
-        "inv_work": 690, "mod_add": 132, "mod_inv_euclid": 115, "mod_mul": 375,
-        "mod_sub": 661, "mul_iter": 2250, "point_add": 79, "point_double": 33,
-        "sha_compress": 131, "sha_message": 56, "x509_parse": 2,
+        "ecdsa_verify": 2, "ecsm_comb": 7, "ghash_block": 8, "hmac": 25,
+        "inv_work": 678, "mod_add": 128, "mod_inv_euclid": 113, "mod_mul": 368,
+        "mod_sub": 649, "mul_iter": 2208, "point_add": 78, "point_double": 32,
+        "sha_compress": 131, "sha_message": 56, "x509_parse": 1,
     },
     ("toy59", "full", "server"): {
-        "aes_block": 8, "comb_cache_hit": 4, "comb_cache_miss": 4,
+        "aes_block": 8, "comb_cache_hit": 3, "comb_cache_miss": 4,
         "comb_precompute": 4, "drbg_generate": 3, "ecdsa_sign": 1,
-        "ecdsa_verify": 2, "ecsm_comb": 8, "ghash_block": 8, "hmac": 27,
-        "inv_work": 912, "mod_add": 176, "mod_inv_euclid": 152, "mod_mul": 497,
-        "mod_sub": 877, "mul_iter": 2982, "point_add": 105, "point_double": 44,
-        "sha_compress": 137, "sha_message": 60, "x509_parse": 2,
+        "ecdsa_verify": 2, "ecsm_comb": 7, "ghash_block": 8, "hmac": 27,
+        "inv_work": 888, "mod_add": 168, "mod_inv_euclid": 148, "mod_mul": 483,
+        "mod_sub": 854, "mul_iter": 2898, "point_add": 103, "point_double": 42,
+        "sha_compress": 137, "sha_message": 60, "x509_parse": 1,
     },
 }
 
@@ -100,22 +98,21 @@ HANDSHAKE_COUNTERS = {
 # (G, the CA key, the peer's key) hits its resident table.
 WARM_HANDSHAKE_COUNTERS = {
     "client": {
-        "aes_block": 8, "cert_cache_hit": 1, "comb_cache_hit": 5,
+        "aes_block": 8, "cert_cache_hit": 1, "comb_cache_hit": 4,
         "comb_cache_miss": 1, "comb_precompute": 1, "drbg_generate": 3,
-        "ecdsa_sign": 1, "ecdsa_verify": 1, "ecsm_comb": 6, "ghash_block": 8,
-        "hmac": 25, "inv_work": 102722, "mod_add": 1476,
-        "mod_inv_euclid": 642, "mod_mul": 2293, "mod_sub": 3366,
-        "mul_iter": 366884, "point_add": 271, "point_double": 369,
-        "sha_compress": 135, "sha_message": 55, "x509_parse": 1,
+        "ecdsa_sign": 1, "ecdsa_verify": 1, "ecsm_comb": 5, "ghash_block": 8,
+        "hmac": 25, "inv_work": 89602, "mod_add": 1312, "mod_inv_euclid": 560,
+        "mod_mul": 2006, "mod_sub": 2914, "mul_iter": 320964, "point_add": 230,
+        "point_double": 328, "sha_compress": 135, "sha_message": 55,
     },
     "server": {
-        "aes_block": 8, "comb_cache_hit": 7, "comb_cache_miss": 1,
+        "aes_block": 8, "comb_cache_hit": 6, "comb_cache_miss": 1,
         "comb_precompute": 1, "drbg_generate": 3, "ecdsa_sign": 1,
-        "ecdsa_verify": 2, "ecsm_comb": 8, "ghash_block": 8, "hmac": 27,
-        "inv_work": 129283, "mod_add": 1804, "mod_inv_euclid": 808,
-        "mod_mul": 2872, "mod_sub": 4276, "mul_iter": 459526,
-        "point_add": 354, "point_double": 451, "sha_compress": 143,
-        "sha_message": 60, "x509_parse": 2,
+        "ecdsa_verify": 2, "ecsm_comb": 7, "ghash_block": 8, "hmac": 27,
+        "inv_work": 116163, "mod_add": 1640, "mod_inv_euclid": 726,
+        "mod_mul": 2585, "mod_sub": 3824, "mul_iter": 413606, "point_add": 313,
+        "point_double": 410, "sha_compress": 143, "sha_message": 60,
+        "x509_parse": 1,
     },
 }
 

@@ -33,31 +33,31 @@ PAYLOAD = bytes(range(64))
 GOLDEN_DIGESTS = {  # (wire digest, counter digest)
     ("secp160r1", "cached-hit"): (
         "a81aa6a3791c64edf7ecfe34b9e34601792ec26dcc4a451d9a78c9cd9c0b3c72",
-        "20a18258da601ab8076446031dba2a3711839f60679a2161951cb1fd9f45084b"),
+        "b001c13616da105aa3b921172f785be15ebc4d11af767e91f2e0f69a8496897a"),
     ("secp160r1", "cached-miss"): (
         "a81aa6a3791c64edf7ecfe34b9e34601792ec26dcc4a451d9a78c9cd9c0b3c72",
-        "b374d20fb8496efa651553f0264a11eb34fe039c9834e62e0ff3479dab7f71a8"),
+        "e0632db0fec8fcf1d8678654c87146dfec407b815606e214b4cd3e727924632d"),
     ("secp160r1", "full"): (
         "a81aa6a3791c64edf7ecfe34b9e34601792ec26dcc4a451d9a78c9cd9c0b3c72",
-        "55d231229a2bef3477d21268dd5849d2ad556b1f6a1ec92fa50d74f87ab8e276"),
+        "f988c6e612f139f5b33a8f3c8c95c5a9826a2b3d570af1818e12fc492e11e3fd"),
     ("secp256r1", "cached-hit"): (
         "0b71eaebeff66799baa3bb30e807d809e2e70df27a5cab97f94d951ac2a6ab5c",
-        "7a73b14b439a6d3b65091ae0ec115f90f3d5c7f652d5e4fed1a9593dec5ab770"),
+        "1c4b30fd03f950c989317e5b17215c8079cf21c9affad5bf0d6f4c657ff826fb"),
     ("secp256r1", "cached-miss"): (
         "0b71eaebeff66799baa3bb30e807d809e2e70df27a5cab97f94d951ac2a6ab5c",
-        "ec380397a158f845a973a420281bb08013b0dab6de71ff191d81f193b1477594"),
+        "c049b80a071e9042fd3ee550252836add6342ed15daaac044b8130beca133220"),
     ("secp256r1", "full"): (
         "0b71eaebeff66799baa3bb30e807d809e2e70df27a5cab97f94d951ac2a6ab5c",
-        "ac2b28cf08a9c4afc7a0e7aec9ad70b8a8cc961d02465cc32d1a5ac5b1339d0b"),
+        "72170ad5ee824c22dc61ad22109027ea271663dc0bb6a3a656e8e9db1bee201e"),
     ("toy59", "cached-hit"): (
         "f110db02ca36bb9b27cba8915615f777331846afccd035ab7f901b447931405f",
-        "224d04bf0fbb91129c950209abfbd64d925216b6c83e9ac7e1b901abe17447a6"),
+        "c03ad3b5a1b9b077604252b9700166bed23d66eb72806d6c58e12e1fe5eabc39"),
     ("toy59", "cached-miss"): (
         "f110db02ca36bb9b27cba8915615f777331846afccd035ab7f901b447931405f",
-        "72fdf27160f8db3c2bc6e2275f5516dcdc1842fd0d5e48e067062fcafddb6d5b"),
+        "ef73baeb5713a8b5b35b5b3935928e34cfaade05adc56fdab35304bbf592736a"),
     ("toy59", "full"): (
         "f110db02ca36bb9b27cba8915615f777331846afccd035ab7f901b447931405f",
-        "7cb9f42f2f476b17d25f9a478e9e0dca50358b5b243d263063b7c24d86f9c895"),
+        "6f3740130c0888ec6bf51489e68aea70082bc20f493254010e4531d82d4cd460"),
 }
 
 TOY59_FULL_DATAGRAMS = [
