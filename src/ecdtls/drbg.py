@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from . import counters
-from .sha256 import hmac_sha256
+from .sha256 import HmacKey, hmac_sha256
 
 RESEED_INTERVAL = 1 << 48
 MAX_REQUEST_BYTES = 1 << 16
@@ -40,9 +40,10 @@ class HmacDrbg:
         if self.reseed_counter > RESEED_INTERVAL:
             raise ReseedRequiredError("reseed interval exceeded")
         counters.record("drbg_generate")
+        key = HmacKey(self.K)   # K holds until the update below
         out = b""
         while len(out) < n:
-            self.V = hmac_sha256(self.K, self.V)
+            self.V = key.mac(self.V)
             out += self.V
         self._update(b"")
         self.reseed_counter += 1

@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
-from .sha256 import hmac_sha256
+from .sha256 import HmacKey
 
 
 def tls_prf_sha256(secret: bytes, label: bytes, seed: bytes, n: int) -> bytes:
-    """First n bytes of P_SHA256(secret, label || seed)."""
+    """First n bytes of P_SHA256(secret, label || seed), every block under
+    one `HmacKey`, so the key's pads are absorbed once."""
+    key = HmacKey(secret)
     full_seed = label + seed
     out = b""
     a = full_seed
     while len(out) < n:
-        a = hmac_sha256(secret, a)
-        out += hmac_sha256(secret, a + full_seed)
+        a = key.mac(a)
+        out += key.mac(a + full_seed)
     return out[:n]

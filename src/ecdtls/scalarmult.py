@@ -9,12 +9,15 @@ exact for a base of order n.  `ecsm_comb` is priced as the paper's
 fixed-base comb with zero-less signed-digit recoding on the affine law, at
 the one width `COMB_WIDTH` = 4 that the energy model is calibrated on: the
 table (`comb_precompute`) on a miss of the six-entry LRU `CombCache`, then a
-doubling and an addition per column and a parity tail, from schedules
-memoised per curve.  `_comb`, behind every comb multiplication, records
-that price and then executes, so each comb price takes one path.  The
-columns' schedule is the same for every k but those that meet an
-exceptional branch (n-4, n-2 and n-1 among k within 64 of 0 or n); the
-Python's own time varies with k and the base.
+doubling and an addition per column, a parity tail and a negation, from
+schedules memoised per curve.  `_comb`, behind every comb multiplication,
+records that price and then executes, so each comb price takes one path.
+The walk is priced at k' = min(k, n - k), and the negation of its result
+whichever k' is chosen, so wherever 6 mask + 5 < n (`_walk_price`) no
+column and no tail meets an exceptional branch and the schedule is the same
+for every k in [1, n): on every registered curve but toy59, whose small n
+keeps an exact price per k.  The Python's own time varies with k and the
+base.
 The price helpers take the comb's geometry, so the tests can check them at
 other widths.  `comb_sum_x_matches`, ECDSA's verification equation, is
 priced as its two comb multiplications and the affine addition of their
@@ -218,68 +221,41 @@ def _walk_events(curve: CurveParams, terms: Iterable[int], law: tuple = (),
     return events
 
 
-_WALK_CONSTANTS: Dict[tuple, tuple] = {}
-
-
-def _walk_constants(n: int, w: int, t: int) -> tuple:
-    """(d, mask, top, gather) of the walk of t digits in w rows of d: mask
-    holds each row's bit 0; top is the highest column j < d-1 at which
-    |2 acc| + |term(j)| can reach n, or -1, where both are at most
-    mask*(2^(d-j) - 1) together, so every column above it sums without a
-    wrap, whatever k is; gather holds bits 0 .. d-top-2 of each row."""
-    key = (n, w, t)
-    if key not in _WALK_CONSTANTS:
-        d = t // w
-        mask = sum(1 << r * d for r in range(w))
-        top = d - 2
-        while top >= 0 and mask * ((1 << d - top) - 1) < n:
-            top -= 1
-        _WALK_CONSTANTS[key] = d, mask, top, ((1 << d - top - 1) - 1) * mask
-    return _WALK_CONSTANTS[key]
-
-
-def _walk_regular(n: int, k: int, w: int, t: int) -> bool:
-    """Whether no column and no tail of the walk at k meets an exceptional
-    branch of the affine law.
-
-    The t zero-less signed digits of k sum to k + c, c = 1 + (k mod 2):
-    digit i is +1 exactly when bit i+1 of K = (k + c) | 2^t is set.  So
-    column j's term, sum(digit(r*d + j) 2^(r*d)), is 2 (K >> j+1 & mask) -
-    mask, and the walk's sum over the columns above the first that can
-    wrap reads the bits above it in each row, which one shift gathers."""
-    d, mask, top, gather = _walk_constants(n, w, t)
-    c = 1 + (k & 1)
-    K = (k + c) | 1 << t
-    if (2 * (K >> d & mask) - mask) % n == 0:
-        return False
-    acc = 2 * (K >> top + 2 & gather) - gather
-    for j in range(top, -1, -1):
-        m, dbl = 2 * (K >> j + 1 & mask) - mask, 2 * acc
-        # dbl = 0, m = 0 and dbl = +-m are the exceptions.  acc and m are
-        # odd, so each needs a wrap mod n: |dbl| + |m| >= n.  n is prime.
-        if abs(dbl) + abs(m) >= n and dbl * m * (dbl * dbl - m * m) % n == 0:
-            return False
-        acc = dbl + m
-    return acc * (acc * acc - c * c) % n != 0
-
-
 def _walk_price(curve: CurveParams, k: int, w: int, t: int) -> tuple:
-    """The columns at k, top column first, then the parity tail, which
-    builds 2P and adds -c to the columns' sum k + c: the memoised regular
-    schedule unless one of them meets an exceptional branch."""
+    """The walk at k' = min(k, n - k) (Hedabou, Pinel and Beneteau, ISPEC
+    2005): the columns, top first, then the parity tail, which builds 2P
+    and adds -c to the columns' sum k' + c, c = 1 + (k' mod 2), then the
+    negation of the result, executed whichever k' is chosen.
+
+    The t zero-less signed digits of k' in w rows of d sum to k' + c: digit
+    i is +1 exactly when bit i+1 of K = (k' + c) | 2^t is set, so column
+    j's term is 2 (K >> j+1 & mask) - mask, mask = sum(2^(r*d)).  The price
+    is memoised per curve when 6 mask + 5 < n, for then no column and no
+    tail meets an exceptional branch of the affine law, whatever k is:
+    - every term and every acc = 2 acc + term past the first column is odd
+      and nonzero, with |term| <= mask;
+    - acc at column j is (k' + c) less the columns below j, at most
+      mask (2^j - 1), over 2^j, so |2 acc| + |term| < (k' + c) + 3 mask
+      <= (n + 3)/2 + 3 mask < n: nothing wraps mod n, and an even 2 acc
+      is never +-term;
+    - k' + c and k' + 2c stay below n, so the tail's sum and addends are
+      not the identity and the tail adds no point to itself.
+    On a smaller n (toy59's, at every width above 1) each k is priced as
+    its own walk, unmemoised."""
     n = curve.n
-    regular = _walk_regular(n, k, w, t)
     key = ("walk", curve.mod.bitlen, n, w, t)
-    if regular and key in _PRICES:
+    if key in _PRICES:
         return _PRICES[key]
-    d, mask = _walk_constants(n, w, t)[:2]
+    d = t // w
+    mask = sum(1 << r * d for r in range(w))
+    k = min(k, n - k)
     c = 1 + (k & 1)
     K = (k + c) | 1 << t
     terms = [2 * (K >> j + 1 & mask) - mask for j in range(d - 1, -1, -1)]
     price = _merge(_walk_events(curve, terms, negate=True) +
                    _sum_price(curve, 1, 1) + _neg_price(curve, c) +
-                   _sum_price(curve, k + c, -c))
-    if regular:
+                   _sum_price(curve, k + c, -c) + [curve.mod.cost("s")])
+    if 6 * mask + 5 < n:
         _PRICES[key] = price
     return price
 
@@ -586,8 +562,8 @@ def _comb(k: int, P: AffinePoint, cache: Optional[CombCache]) -> tuple:
 def ecsm_comb(k: int, P: AffinePoint, cache: Optional[CombCache] = None
               ) -> AffinePoint:
     """k*P, priced as the ZSD comb: the table on a cache miss or with no
-    cache, then one double and one add per column and a parity-correction
-    tail.  k outside [1, n) raises `ScalarRangeError`."""
+    cache, then one double and one add per column, a parity-correction
+    tail and a negation.  k outside [1, n) raises `ScalarRangeError`."""
     return _point(P.curve, _comb(k, P, cache))
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from ecdtls import counters
 from ecdtls.drbg import DrbgError, HmacDrbg, ReseedRequiredError
 
 # A NIST CAVP HMAC_DRBG (SHA-256) vector: no-reseed, no additional input,
@@ -35,6 +36,18 @@ class TestDeterminism:
         a = HmacDrbg(b"e" * 32, b"n" * 16, b"one")
         b = HmacDrbg(b"e" * 32, b"n" * 16, b"two")
         assert a.generate(32) != b.generate(32)
+
+
+class TestPrice:
+    def test_generate_absorbs_the_key_once(self):
+        # 72 bytes are three blocks of V under one key: its two pad
+        # compressions and two per MAC; then the update's two MACs, each
+        # under a new key, four compressions each
+        drbg = HmacDrbg(b"e" * 32, b"n" * 16)
+        with counters.scope() as sc:
+            drbg.generate(72)
+        assert dict(sc.counters) == {"drbg_generate": 1, "sha_compress": 16,
+                                     "hmac": 5, "sha_message": 10}
 
 
 class TestLimits:

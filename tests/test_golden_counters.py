@@ -29,16 +29,16 @@ HANDSHAKE_COUNTERS = {
         "comb_cache_miss": 3, "comb_precompute": 3, "drbg_generate": 3,
         "ecdsa_sign": 1, "ecdsa_verify": 1, "ecsm_comb": 5, "ghash_block": 8,
         "hmac": 25, "inv_work": 136642, "mod_add": 2296, "mod_inv_euclid": 854,
-        "mod_mul": 3134, "mod_sub": 4210, "mul_iter": 501444, "point_add": 278,
-        "point_double": 574, "sha_compress": 135, "sha_message": 55,
+        "mod_mul": 3134, "mod_sub": 4215, "mul_iter": 501444, "point_add": 278,
+        "point_double": 574, "sha_compress": 119, "sha_message": 55,
     },
     ("secp160r1", "cached", "server"): {
         "aes_block": 8, "comb_cache_hit": 3, "comb_cache_miss": 4,
         "comb_precompute": 4, "drbg_generate": 3, "ecdsa_sign": 1,
         "ecdsa_verify": 2, "ecsm_comb": 7, "ghash_block": 8, "hmac": 27,
         "inv_work": 186723, "mod_add": 3116, "mod_inv_euclid": 1167,
-        "mod_mul": 4277, "mod_sub": 5768, "mul_iter": 684326, "point_add": 385,
-        "point_double": 779, "sha_compress": 143, "sha_message": 60,
+        "mod_mul": 4277, "mod_sub": 5775, "mul_iter": 684326, "point_add": 385,
+        "point_double": 779, "sha_compress": 127, "sha_message": 60,
         "x509_parse": 1,
     },
     ("secp160r1", "full", "client"): {
@@ -46,8 +46,8 @@ HANDSHAKE_COUNTERS = {
         "comb_precompute": 4, "drbg_generate": 3, "ecdsa_sign": 1,
         "ecdsa_verify": 2, "ecsm_comb": 7, "ghash_block": 8, "hmac": 25,
         "inv_work": 186723, "mod_add": 3116, "mod_inv_euclid": 1167,
-        "mod_mul": 4277, "mod_sub": 5768, "mul_iter": 684326, "point_add": 385,
-        "point_double": 779, "sha_compress": 138, "sha_message": 56,
+        "mod_mul": 4277, "mod_sub": 5775, "mul_iter": 684326, "point_add": 385,
+        "point_double": 779, "sha_compress": 122, "sha_message": 56,
         "x509_parse": 1,
     },
     ("secp160r1", "full", "server"): {
@@ -55,41 +55,41 @@ HANDSHAKE_COUNTERS = {
         "comb_precompute": 4, "drbg_generate": 3, "ecdsa_sign": 1,
         "ecdsa_verify": 2, "ecsm_comb": 7, "ghash_block": 8, "hmac": 27,
         "inv_work": 186723, "mod_add": 3116, "mod_inv_euclid": 1167,
-        "mod_mul": 4277, "mod_sub": 5768, "mul_iter": 684326, "point_add": 385,
-        "point_double": 779, "sha_compress": 143, "sha_message": 60,
+        "mod_mul": 4277, "mod_sub": 5775, "mul_iter": 684326, "point_add": 385,
+        "point_double": 779, "sha_compress": 127, "sha_message": 60,
         "x509_parse": 1,
     },
     ("toy59", "cached", "client"): {
         "aes_block": 8, "cert_cache_hit": 1, "comb_cache_hit": 3,
         "comb_cache_miss": 2, "comb_precompute": 2, "drbg_generate": 3,
         "ecdsa_sign": 1, "ecdsa_verify": 1, "ecsm_comb": 5, "ghash_block": 8,
-        "hmac": 25, "inv_work": 456, "mod_add": 88, "mod_inv_euclid": 76,
-        "mod_mul": 248, "mod_sub": 436, "mul_iter": 1488, "point_add": 52,
-        "point_double": 22, "sha_compress": 128, "sha_message": 55,
+        "hmac": 25, "inv_work": 450, "mod_add": 84, "mod_inv_euclid": 75,
+        "mod_mul": 244, "mod_sub": 437, "mul_iter": 1464, "point_add": 52,
+        "point_double": 21, "sha_compress": 112, "sha_message": 55,
     },
     ("toy59", "cached", "server"): {
         "aes_block": 8, "comb_cache_hit": 3, "comb_cache_miss": 4,
         "comb_precompute": 4, "drbg_generate": 3, "ecdsa_sign": 1,
         "ecdsa_verify": 2, "ecsm_comb": 7, "ghash_block": 8, "hmac": 27,
-        "inv_work": 888, "mod_add": 168, "mod_inv_euclid": 148, "mod_mul": 483,
-        "mod_sub": 854, "mul_iter": 2898, "point_add": 103, "point_double": 42,
-        "sha_compress": 137, "sha_message": 60, "x509_parse": 1,
+        "inv_work": 894, "mod_add": 168, "mod_inv_euclid": 149, "mod_mul": 486,
+        "mod_sub": 868, "mul_iter": 2916, "point_add": 104, "point_double": 42,
+        "sha_compress": 121, "sha_message": 60, "x509_parse": 1,
     },
     ("toy59", "full", "client"): {
         "aes_block": 8, "comb_cache_hit": 4, "comb_cache_miss": 3,
         "comb_precompute": 3, "drbg_generate": 3, "ecdsa_sign": 1,
         "ecdsa_verify": 2, "ecsm_comb": 7, "ghash_block": 8, "hmac": 25,
-        "inv_work": 678, "mod_add": 128, "mod_inv_euclid": 113, "mod_mul": 368,
-        "mod_sub": 649, "mul_iter": 2208, "point_add": 78, "point_double": 32,
-        "sha_compress": 131, "sha_message": 56, "x509_parse": 1,
+        "inv_work": 684, "mod_add": 128, "mod_inv_euclid": 114, "mod_mul": 371,
+        "mod_sub": 663, "mul_iter": 2226, "point_add": 79, "point_double": 32,
+        "sha_compress": 115, "sha_message": 56, "x509_parse": 1,
     },
     ("toy59", "full", "server"): {
         "aes_block": 8, "comb_cache_hit": 3, "comb_cache_miss": 4,
         "comb_precompute": 4, "drbg_generate": 3, "ecdsa_sign": 1,
         "ecdsa_verify": 2, "ecsm_comb": 7, "ghash_block": 8, "hmac": 27,
-        "inv_work": 888, "mod_add": 168, "mod_inv_euclid": 148, "mod_mul": 483,
-        "mod_sub": 854, "mul_iter": 2898, "point_add": 103, "point_double": 42,
-        "sha_compress": 137, "sha_message": 60, "x509_parse": 1,
+        "inv_work": 894, "mod_add": 168, "mod_inv_euclid": 149, "mod_mul": 486,
+        "mod_sub": 868, "mul_iter": 2916, "point_add": 104, "point_double": 42,
+        "sha_compress": 121, "sha_message": 60, "x509_parse": 1,
     },
 }
 
@@ -102,16 +102,16 @@ WARM_HANDSHAKE_COUNTERS = {
         "comb_cache_miss": 1, "comb_precompute": 1, "drbg_generate": 3,
         "ecdsa_sign": 1, "ecdsa_verify": 1, "ecsm_comb": 5, "ghash_block": 8,
         "hmac": 25, "inv_work": 89602, "mod_add": 1312, "mod_inv_euclid": 560,
-        "mod_mul": 2006, "mod_sub": 2914, "mul_iter": 320964, "point_add": 230,
-        "point_double": 328, "sha_compress": 135, "sha_message": 55,
+        "mod_mul": 2006, "mod_sub": 2919, "mul_iter": 320964, "point_add": 230,
+        "point_double": 328, "sha_compress": 119, "sha_message": 55,
     },
     "server": {
         "aes_block": 8, "comb_cache_hit": 6, "comb_cache_miss": 1,
         "comb_precompute": 1, "drbg_generate": 3, "ecdsa_sign": 1,
         "ecdsa_verify": 2, "ecsm_comb": 7, "ghash_block": 8, "hmac": 27,
         "inv_work": 116163, "mod_add": 1640, "mod_inv_euclid": 726,
-        "mod_mul": 2585, "mod_sub": 3824, "mul_iter": 413606, "point_add": 313,
-        "point_double": 410, "sha_compress": 143, "sha_message": 60,
+        "mod_mul": 2585, "mod_sub": 3831, "mul_iter": 413606, "point_add": 313,
+        "point_double": 410, "sha_compress": 127, "sha_message": 60,
         "x509_parse": 1,
     },
 }
@@ -119,13 +119,13 @@ WARM_HANDSHAKE_COUNTERS = {
 ECSM_SECP160R1 = {
     "comb_hit": {
         "comb_cache_hit": 1, "ecsm_comb": 1, "inv_work": 13120, "mod_add": 164,
-        "mod_inv_euclid": 82, "mod_mul": 287, "mod_sub": 452,
+        "mod_inv_euclid": 82, "mod_mul": 287, "mod_sub": 453,
         "mul_iter": 45920, "point_add": 41, "point_double": 41,
     },
     "comb_miss": {
         "comb_cache_miss": 1, "comb_precompute": 1, "ecsm_comb": 1,
         "inv_work": 36640, "mod_add": 656, "mod_inv_euclid": 229,
-        "mod_mul": 851, "mod_sub": 1100, "mul_iter": 136160, "point_add": 65,
+        "mod_mul": 851, "mod_sub": 1101, "mul_iter": 136160, "point_add": 65,
         "point_double": 164,
     },
     "unchecked": {

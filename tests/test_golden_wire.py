@@ -33,31 +33,31 @@ PAYLOAD = bytes(range(64))
 GOLDEN_DIGESTS = {  # (wire digest, counter digest)
     ("secp160r1", "cached-hit"): (
         "a81aa6a3791c64edf7ecfe34b9e34601792ec26dcc4a451d9a78c9cd9c0b3c72",
-        "b001c13616da105aa3b921172f785be15ebc4d11af767e91f2e0f69a8496897a"),
+        "134d6178f72e48cf27caeb8d3aa159d586ce2ab5b439d918c4f789d8b32cad20"),
     ("secp160r1", "cached-miss"): (
         "a81aa6a3791c64edf7ecfe34b9e34601792ec26dcc4a451d9a78c9cd9c0b3c72",
-        "e0632db0fec8fcf1d8678654c87146dfec407b815606e214b4cd3e727924632d"),
+        "7adbcfe1faff31f1a404041a6586e102d085d00ebfa9b7c6f073de8bb4e0c817"),
     ("secp160r1", "full"): (
         "a81aa6a3791c64edf7ecfe34b9e34601792ec26dcc4a451d9a78c9cd9c0b3c72",
-        "f988c6e612f139f5b33a8f3c8c95c5a9826a2b3d570af1818e12fc492e11e3fd"),
+        "cfb10e8d616ab04a06eca73e4959c490d4f74f99e79e2bd8fbfd44f0a578856c"),
     ("secp256r1", "cached-hit"): (
         "0b71eaebeff66799baa3bb30e807d809e2e70df27a5cab97f94d951ac2a6ab5c",
-        "1c4b30fd03f950c989317e5b17215c8079cf21c9affad5bf0d6f4c657ff826fb"),
+        "7c46f9c67f4c4c6b6741b099aa923fd792a7e342f2f5a7caa7465af35d1e0b56"),
     ("secp256r1", "cached-miss"): (
         "0b71eaebeff66799baa3bb30e807d809e2e70df27a5cab97f94d951ac2a6ab5c",
-        "c049b80a071e9042fd3ee550252836add6342ed15daaac044b8130beca133220"),
+        "509612222a763e21cfa88cdd9e6d935df0cbb410ebf69632f1bbb321502b4b88"),
     ("secp256r1", "full"): (
         "0b71eaebeff66799baa3bb30e807d809e2e70df27a5cab97f94d951ac2a6ab5c",
-        "72170ad5ee824c22dc61ad22109027ea271663dc0bb6a3a656e8e9db1bee201e"),
+        "428fa1adaf2031e5037d24727af79af0aab7f37a71e03572894d28a15125ffc9"),
     ("toy59", "cached-hit"): (
         "f110db02ca36bb9b27cba8915615f777331846afccd035ab7f901b447931405f",
-        "c03ad3b5a1b9b077604252b9700166bed23d66eb72806d6c58e12e1fe5eabc39"),
+        "714f43501a84275cfde9edefe55294415b418a6eb689a1c23ed7f99450a8eaa6"),
     ("toy59", "cached-miss"): (
         "f110db02ca36bb9b27cba8915615f777331846afccd035ab7f901b447931405f",
-        "ef73baeb5713a8b5b35b5b3935928e34cfaade05adc56fdab35304bbf592736a"),
+        "3d23ebae24f94e3bff982fa91e3ee4e1af8a7562a29433d5bd23c98b559d4658"),
     ("toy59", "full"): (
         "f110db02ca36bb9b27cba8915615f777331846afccd035ab7f901b447931405f",
-        "6f3740130c0888ec6bf51489e68aea70082bc20f493254010e4531d82d4cd460"),
+        "8574299f1cbf0b20aedefdea462a9ce37dd5962adca26ad1288a60e747889b7a"),
 }
 
 TOY59_FULL_DATAGRAMS = [

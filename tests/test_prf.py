@@ -1,5 +1,6 @@
 import pytest
 
+from ecdtls import counters
 from ecdtls.prf import tls_prf_sha256
 
 # Published TLS 1.2 PRF (SHA-256) interop vector
@@ -32,3 +33,13 @@ def test_prefix_consistency():
     long = tls_prf_sha256(b"s", b"label", b"seed", 100)
     short = tls_prf_sha256(b"s", b"label", b"seed", 37)
     assert long[:37] == short
+
+
+def test_master_secret_absorbs_the_key_once():
+    # 48 bytes are two blocks of P_SHA256, four MACs under one key: the
+    # key's two pad compressions, then 3 + 3 + 2 + 3 for the MACs of the
+    # 77-byte label and seed, A(1) and the seed, A(1), and A(2) and the seed
+    with counters.scope() as sc:
+        tls_prf_sha256(bytes(48), b"master secret", bytes(64), 48)
+    assert dict(sc.counters) == {"sha_compress": 13, "hmac": 4,
+                                 "sha_message": 8}

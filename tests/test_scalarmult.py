@@ -19,7 +19,8 @@ from ecdtls.transport import run_loopback
 from conftest import registered_names
 from reference_engines import (affine, double_and_add, ecsm_jacobian,
                                scalar_mul_unchecked)
-from test_engine_prices import oracle_unchecked, table_price, zsd_recode
+from test_engine_prices import oracle_comb, oracle_unchecked, table_price, \
+    zsd_recode
 from test_formula_prices import oracle_add, oracle_double, oracle_negate, \
     priced, same_price
 from test_golden_counters import _session_pair, warm_handshakes
@@ -237,10 +238,8 @@ class TestEcsmComb:
         ecsm_comb(2, G, cache)  # warm
         d = comb_digit_count(c.n_bits, 4) // 4
         vectors = set()
-        # n-1 and n-2 are excluded: there k + c = n, the pre-correction sum is
-        # the identity, and the group law short-circuits two additions.
-        # test_off_schedule_scalars_near_order pins every such scalar.
-        for k in (1, 2, 3, c.n - 3, c.n // 2, 0xDEADBEEF):
+        for k in (1, 2, 3, c.n - 4, c.n - 3, c.n - 2, c.n - 1, c.n // 2,
+                  0xDEADBEEF):
             with counters.scope() as sc:
                 ecsm_comb(k, G, cache)
             assert sc.counters["point_double"] == d  # d-1 columns + correction
@@ -248,19 +247,19 @@ class TestEcsmComb:
             vectors.add(uniform_vector(sc.counters))
         assert len(vectors) == 1
 
-    # The vectors at n-1, n-2 and n-4 differ from the fixed structure above.
-    # Making the comb uniform for every k in [1, n) will change these counts
-    # on purpose; until then they pin what the comb does near n.
+    # a walk at k itself would meet an exceptional branch at n-1 and n-2
+    # (k + c = n) and at n-4 (the tail adds -2P to itself); the walk at
+    # min(k, n - k) prices them as every other k, in the regular vector
     @pytest.mark.parametrize("name, offset, adds, doubles, vector", [
-        ("secp160r1", 1, 39, 41, (164, 440, 281, 44960, 80, 12800, 0, 39, 41)),
-        ("secp160r1", 2, 39, 41, (164, 440, 281, 44960, 80, 12800, 0, 39, 41)),
-        ("secp160r1", 4, 40, 42, (168, 450, 288, 46080, 82, 13120, 0, 40, 42)),
-        ("secp256r1", 1, 63, 65,
-         (260, 704, 449, 114944, 128, 32768, 0, 63, 65)),
-        ("secp256r1", 2, 63, 65,
-         (260, 704, 449, 114944, 128, 32768, 0, 63, 65)),
-        ("secp256r1", 4, 64, 66,
-         (264, 714, 456, 116736, 130, 33280, 0, 64, 66)),
+        ("secp160r1", 1, 41, 41, (164, 453, 287, 45920, 82, 13120, 0, 41, 41)),
+        ("secp160r1", 2, 41, 41, (164, 453, 287, 45920, 82, 13120, 0, 41, 41)),
+        ("secp160r1", 4, 41, 41, (164, 453, 287, 45920, 82, 13120, 0, 41, 41)),
+        ("secp256r1", 1, 65, 65,
+         (260, 717, 455, 116480, 130, 33280, 0, 65, 65)),
+        ("secp256r1", 2, 65, 65,
+         (260, 717, 455, 116480, 130, 33280, 0, 65, 65)),
+        ("secp256r1", 4, 65, 65,
+         (260, 717, 455, 116480, 130, 33280, 0, 65, 65)),
     ])
     def test_counts_near_order_pinned(self, curves, name, offset, adds,
                                       doubles, vector):
@@ -330,40 +329,11 @@ def edge_scalars(curve) -> list:
     return sorted(set(range(1, min(65, n))) | set(range(max(1, n - 64), n)))
 
 
-def slow_walk_regular(n, k, w, t):
-    """The regularity verdict with every constant derived per call and
-    each row's bits above the first column that can wrap gathered one row
-    at a time."""
-    d, c = t // w, 1 + (k & 1)
-    mask = sum(1 << r * d for r in range(w))
-    K = (k + c) | 1 << t
-
-    def term(j):
-        return 2 * (K >> j + 1 & mask) - mask
-
-    if term(d - 1) % n == 0:
-        return False
-    top = d - 2
-    while top >= 0 and mask * ((1 << d - top) - 1) < n:
-        top -= 1
-    ones = (1 << d - top - 1) - 1
-    acc = 2 * sum((K >> r * d + top + 2 & ones) << r * d
-                  for r in range(w)) - ones * mask
-    for j in range(top, -1, -1):
-        m, dbl = term(j), 2 * acc
-        if abs(dbl) + abs(m) >= n and dbl * m * (dbl * dbl - m * m) % n == 0:
-            return False
-        acc = dbl + m
-    return acc * (acc * acc - c * c) % n != 0
-
-
 class TestPrice:
     @pytest.mark.parametrize("name", SECP_CURVES)
     def test_off_schedule_scalars_near_order(self, curves, name):
-        # at width 4, the edge scalars whose price is not the regular
-        # schedule's are exactly those whose sum meets an exceptional branch
-        # of the affine law: n-1 and n-2 (the sum before the parity tail is
-        # the identity) and n-4 (the tail adds a point to itself)
+        # at width 4, no edge scalar's price leaves the regular schedule's,
+        # n-1, n-2 and n-4 among them: the walk runs on min(k, n - k)
         c = curves[name]
         G = c.generator()
         cache = CombCache()
@@ -371,7 +341,7 @@ class TestPrice:
         regular = priced(ecsm_comb, c.n // 2, G, cache)[1:]
         off = {k for k in edge_scalars(c)
                if priced(ecsm_comb, k, G, cache)[1:] != regular}
-        assert off == {c.n - 4, c.n - 2, c.n - 1}
+        assert off == set()
 
     def test_one_record_per_layer(self, curves, monkeypatch):
         # the tick, the cache lookup, the table on a miss and the walk each
@@ -447,50 +417,63 @@ class TestPrice:
         assert sc.counters == {} and sc.trace == []
 
     @staticmethod
-    def full_walk_regular(n, k, w, t):
-        """The regularity verdict as a walk over every column."""
-        d, c = t // w, 1 + (k & 1)
-        mask = sum(1 << r * d for r in range(w))
-        K = (k + c) | 1 << t
-
-        def term(j):
-            return 2 * (K >> j + 1 & mask) - mask
-
-        acc = term(d - 1)
-        regular = acc % n != 0
-        for j in range(d - 2, -1, -1):
-            m, dbl = term(j), 2 * acc
-            if abs(dbl) + abs(m) >= n:
-                regular = regular and dbl * m * (dbl * dbl - m * m) % n != 0
-            acc = dbl + m
-        return regular and acc * (acc * acc - c * c) % n != 0
-
-    @pytest.mark.parametrize("name", ["toy59", "secp160r1"])
-    def test_walk_verdict_matches_full_walk(self, registry, name):
-        # the verdict starts at the first column that can wrap mod n
-        c = registry.get(name)
-        rng = random.Random(name)
-        scalars = edge_scalars(c) + [rng.randrange(1, c.n) for _ in range(200)]
-        verdicts = set()
-        for w in range(1, 6):
-            t = comb_digit_count(c.n_bits, w)
-            for k in scalars:
-                want = self.full_walk_regular(c.n, k, w, t)
-                assert scalarmult._walk_regular(c.n, k, w, t) == want
-                verdicts.add(want)
-        assert verdicts == {True, False}
+    def meets_bound(curve, w, t):
+        """6 mask + 5 < n, mask = sum(2^(r*d)) over the w rows of d."""
+        d = t // w
+        return 6 * sum(1 << r * d for r in range(w)) + 5 < curve.n
 
     @pytest.mark.parametrize("name", registered_names(builtin_registry()))
-    def test_walk_verdict_matches_slow_oracle(self, registry, name):
-        # the memoised constants and the one-shift gather decide as the
-        # per-call derivation does, at every width the price tests use
+    def test_one_walk_price_where_the_bound_holds(self, registry, name,
+                                                  monkeypatch):
+        # each k is priced as its own walk, with no memo to return the first
+        # one's: where the bound holds, edge and random scalars all price the
+        # same at every width 1-5
         c = registry.get(name)
         rng = random.Random(name)
         scalars = edge_scalars(c) + [rng.randrange(1, c.n) for _ in range(200)]
-        for w in sorted({COMB_WIDTH, *range(1, 6)}):
+        widths = [w for w in range(1, 6)
+                  if self.meets_bound(c, w, comb_digit_count(c.n_bits, w))]
+        assert widths == ([1] if name == "toy59" else [1, 2, 3, 4, 5])
+        for w in widths:
             t = comb_digit_count(c.n_bits, w)
-            assert [scalarmult._walk_regular(c.n, k, w, t) for k in scalars] \
-                == [slow_walk_regular(c.n, k, w, t) for k in scalars]
+            prices = set()
+            for k in scalars:
+                monkeypatch.setattr(scalarmult, "_PRICES", {})
+                prices.add(scalarmult._walk_price(c, k, w, t))
+            assert len(prices) == 1
+
+    def test_walk_memoised_on_every_curve_but_toy59(self, registry,
+                                                    monkeypatch):
+        # the walk's price is one constant per curve where the bound holds:
+        # at every width 1-5 on each curve but toy59, and at width 1 alone on
+        # toy59, whose n = 53 is below 6 mask + 5 at the comb's width
+        memo = {}
+        monkeypatch.setattr(scalarmult, "_PRICES", memo)
+        names = {}
+        for name in registered_names(registry):
+            c = registry.get(name)
+            names[c.n] = name
+            for w in range(1, 6):
+                scalarmult._walk_price(c, 1, w, comb_digit_count(c.n_bits, w))
+        memoised = {(names[key[2]], key[3]) for key in memo}
+        assert {name for name, w in memoised if w == COMB_WIDTH} == \
+            set(registered_names(registry)) - {"toy59"}
+        assert {w for name, w in memoised if name == "toy59"} == {1}
+        assert len(memoised) == 4 * 5 + 1
+
+    def test_every_toy59_scalar_matches_the_affine_oracle(self, toy):
+        # below the bound every k is priced as its own walk, which the
+        # oracle runs point by point: the exact prices, more than one
+        G = toy.generator()
+        cache, oracle_cache = CombCache(), CombCache()
+        ecsm_comb(1, G, cache)   # so every price below is a hit's
+        oracle_comb(1, G, oracle_cache)
+        prices = set()
+        for k in range(1, toy.n):
+            got = priced(ecsm_comb, k, G, cache)
+            assert got == priced(oracle_comb, k, G, oracle_cache)
+            prices.add(tuple(map(tuple, got[1:3])))
+        assert len(prices) > 1
 
 
 class TestExecutors:
