@@ -1,9 +1,13 @@
-"""HMAC_DRBG over SHA-256 per SP 800-90A: deterministic given seed material."""
+"""HMAC_DRBG over SHA-256 per SP 800-90A: deterministic given seed material.
+
+The state's K is held as an `HmacKey`, made each time K changes, so each K
+absorbs its pads once however many MACs run under it.
+"""
 
 from __future__ import annotations
 
 from . import counters
-from .sha256 import HmacKey, hmac_sha256
+from .sha256 import HmacKey
 
 RESEED_INTERVAL = 1 << 48
 MAX_REQUEST_BYTES = 1 << 16
@@ -22,17 +26,15 @@ class HmacDrbg:
 
     def __init__(self, entropy: bytes, nonce: bytes = b"",
                  personalization: bytes = b""):
-        self.K = b"\x00" * 32
+        self._key = HmacKey(b"\x00" * 32)
         self.V = b"\x01" * 32
         self._update(entropy + nonce + personalization)
         self.reseed_counter = 1
 
     def _update(self, data: bytes) -> None:
-        self.K = hmac_sha256(self.K, self.V + b"\x00" + data)
-        self.V = hmac_sha256(self.K, self.V)
-        if data:
-            self.K = hmac_sha256(self.K, self.V + b"\x01" + data)
-            self.V = hmac_sha256(self.K, self.V)
+        for tag in (b"\x00", b"\x01") if data else (b"\x00",):
+            self._key = HmacKey(self._key.mac(self.V + tag + data))
+            self.V = self._key.mac(self.V)
 
     def generate(self, n: int) -> bytes:
         if n > MAX_REQUEST_BYTES:
@@ -40,10 +42,9 @@ class HmacDrbg:
         if self.reseed_counter > RESEED_INTERVAL:
             raise ReseedRequiredError("reseed interval exceeded")
         counters.record("drbg_generate")
-        key = HmacKey(self.K)   # K holds until the update below
         out = b""
         while len(out) < n:
-            self.V = key.mac(self.V)
+            self.V = self._key.mac(self.V)
             out += self.V
         self._update(b"")
         self.reseed_counter += 1

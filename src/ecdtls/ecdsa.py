@@ -1,14 +1,16 @@
 """ECDSA (X9.62 semantics, SHA-256 digests) over any registered curve.
 
-Nonces come from a session DRBG when one is given, and otherwise from the
-RFC 6979 HMAC construction (reproducible fixtures and test vectors).
+Nonces come from a session DRBG when one is given, and otherwise from RFC
+6979 (reproducible fixtures and test vectors), run as its §3.3 states it: an
+`HmacDrbg` seeded with the private key and the digest, whose successive
+generates are the candidates for k.
 Verification prices two comb multiplications through the shared table cache
 and their affine sum, and compares x projectively, with no inversion.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import counters
 from .curve import AffinePoint, CurveError, CurveParams
@@ -16,7 +18,6 @@ from .der import TAG_SEQUENCE, DerCursor, DerError, der_integer, der_tlv
 from .drbg import HmacDrbg
 from .field import inv_euclid_int, mul_int
 from .scalarmult import CombCache, comb_sum_x_matches, ecsm_comb
-from .sha256 import hmac_sha256
 
 MAX_SIGN_RETRIES = 8
 
@@ -96,42 +97,19 @@ def digest_to_scalar(digest: bytes, curve: CurveParams) -> int:
     return z % curve.n
 
 
-def rfc6979_nonce(d: int, digest: bytes, curve: CurveParams,
-                  retry: int = 0) -> int:
-    """Deterministic nonce via the RFC 6979 HMAC chain."""
-    n = curve.n
-    qlen = curve.n_bits
+def rfc6979_nonces(d: int, digest: bytes,
+                   curve: CurveParams) -> Iterator[int]:
+    """RFC 6979's candidates for k, in order (§3.3): HMAC_DRBG instantiated
+    with int2octets(d) and bits2octets(h1), each candidate the leftmost
+    qlen bits of one rlen-byte generate, those outside [1, n) skipped."""
     rlen = curve.n_bytes
-
-    def int2octets(v: int) -> bytes:
-        return v.to_bytes(rlen, "big")
-
-    def bits2int(data: bytes) -> int:
-        v = int.from_bytes(data, "big")
-        excess = len(data) * 8 - qlen
-        return v >> excess if excess > 0 else v
-
-    h1 = bits2int(digest) % n
-    V = b"\x01" * 32
-    K = b"\x00" * 32
-    seed = int2octets(d) + int2octets(h1)
-    K = hmac_sha256(K, V + b"\x00" + seed)
-    V = hmac_sha256(K, V)
-    K = hmac_sha256(K, V + b"\x01" + seed)
-    V = hmac_sha256(K, V)
-    skipped = 0
+    h1 = digest_to_scalar(digest, curve)
+    drbg = HmacDrbg(d.to_bytes(rlen, "big"), h1.to_bytes(rlen, "big"))
     while True:
-        t = b""
-        while len(t) < rlen:
-            V = hmac_sha256(K, V)
-            t += V
-        k = bits2int(t[:rlen])
-        if 1 <= k < n:
-            if skipped == retry:
-                return k
-            skipped += 1
-        K = hmac_sha256(K, V + b"\x00")
-        V = hmac_sha256(K, V)
+        k = int.from_bytes(drbg.generate(rlen), "big") >> \
+            (8 * rlen - curve.n_bits)
+        if 1 <= k < curve.n:
+            yield k
 
 
 def ecdsa_sign(key: KeyPair, digest: bytes, drbg: Optional[HmacDrbg] = None,
@@ -144,11 +122,9 @@ def ecdsa_sign(key: KeyPair, digest: bytes, drbg: Optional[HmacDrbg] = None,
     n_mod = curve.n_mod
     z = digest_to_scalar(digest, curve)
     G = curve.generator()
-    for attempt in range(MAX_SIGN_RETRIES):
-        if drbg is None:
-            k = rfc6979_nonce(key.d, digest, curve, retry=attempt)
-        else:
-            k = _scalar_from_drbg(curve, drbg)
+    nonces = rfc6979_nonces(key.d, digest, curve) if drbg is None else None
+    for _ in range(MAX_SIGN_RETRIES):
+        k = next(nonces) if drbg is None else _scalar_from_drbg(curve, drbg)
         R = ecsm_comb(k, G, cache)
         r = R.x % n
         if r == 0:

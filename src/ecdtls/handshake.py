@@ -30,6 +30,10 @@ so a lost record stalls the handshake; a lost HelloVerifyRequest needs
 only a client that re-sends its hello.
 
 The fixed suite is ECDHE-ECDSA with AES-128-GCM and SHA-256 transcripts.
+Each secret is made an `HmacKey` once, so its pads are absorbed once: a
+server's cookie key when the session is made, the premaster's and the
+master secret's keys when the keys are derived, the master key then serving
+the key block and both Finished PRFs.
 A `SessionConfig` takes its endpoint from a process-wide store, or prepares
 it once per credential: it parses the own certificate, computes Q = d*G and
 refuses a key that does not match the certificate's, and parses the trust
@@ -74,7 +78,7 @@ from .prf import tls_prf_sha256
 from .record import (CONTENT_ALERT, CONTENT_APPDATA, CONTENT_CCS,
                      CONTENT_HANDSHAKE, DROP_OK, MAX_SEQUENCE, RecordLayer)
 from .scalarmult import CombCache, pin_trust_anchor
-from .sha256 import Sha256, hmac_sha256, sha256
+from .sha256 import HmacKey, Sha256, sha256
 from .x509 import CertCache, X509Error, x509_parse, x509_verify
 
 VERIFY_DATA_LEN = 12
@@ -114,25 +118,30 @@ class State(enum.Enum):
 
 
 class SecurityParams:
-    """Derived key material; zeroized when the session fails or closes."""
+    """Derived key material, the master secret's `HmacKey` among it, which
+    the key block and both Finished PRFs share; zeroized when the session
+    fails or closes."""
 
-    __slots__ = ("master_secret", "client_key", "server_key",
-                 "client_salt", "server_salt", "cleared")
+    __slots__ = ("master_secret", "master_key", "client_key", "server_key",
+                 "client_salt", "server_salt")
 
-    def __init__(self, master_secret: bytes, key_block: bytes):
+    def __init__(self, master_secret: bytes, master_key: HmacKey,
+                 key_block: bytes):
         self.master_secret = bytearray(master_secret)
+        self.master_key: Optional[HmacKey] = master_key
         self.client_key = bytearray(key_block[0:16])
         self.server_key = bytearray(key_block[16:32])
         self.client_salt = bytearray(key_block[32:36])
         self.server_salt = bytearray(key_block[36:40])
-        self.cleared = False
 
     def zeroize(self) -> None:
+        """Wipe each key buffer and drop the master key, whose bytes Python
+        cannot wipe in place."""
         for buf in (self.master_secret, self.client_key, self.server_key,
                     self.client_salt, self.server_salt):
             for i in range(len(buf)):
                 buf[i] = 0
-        self.cleared = True
+        self.master_key = None
 
 
 class _Endpoint(NamedTuple):
@@ -248,7 +257,8 @@ class HandshakeSession:
             self.drbg = HmacDrbg(config.entropy, self.role.encode(),
                                  b"dtls-engine " + self.role.encode())
             if self.role == "server":
-                self.cookie_secret = sha256(b"cookie-secret" + config.entropy)
+                self.cookie_key = HmacKey(
+                    sha256(b"cookie-secret" + config.entropy))
 
     # -- state plumbing -------------------------------------------------------
 
@@ -294,7 +304,7 @@ class HandshakeSession:
 
     def _check_cookie(self, record_seq: int, seq: int, msg: bytes) -> None:
         """RFC 6347 §4.2.1: until a ClientHello's cookie verifies, answer
-        each from it and the cookie secret alone, at message_seq 0 and its
+        each from it and the cookie key alone, at message_seq 0 and its
         record sequence number.  File the first that verifies at
         message_seq 1, the client's second message (§4.2.2), and number
         this end's messages and epoch-0 records on from it.  The cookie
@@ -303,7 +313,7 @@ class HandshakeSession:
         if self._messages:  # the verified hello is in; this step leaves INIT
             return
         hello = wire.parse_client_hello(wire.parse_handshake(msg)[2])
-        cookie = hmac_sha256(self.cookie_secret, b"client" + hello.random)
+        cookie = self.cookie_key.mac(b"client" + hello.random)
         if not hmac.compare_digest(hello.cookie, cookie):
             answer = wire.pack_handshake(
                 wire.HT_HELLO_VERIFY_REQUEST, 0,
@@ -353,13 +363,14 @@ class HandshakeSession:
     # -- key schedule -----------------------------------------------------------
 
     def _derive_keys(self, premaster: bytes) -> None:
-        master = tls_prf_sha256(premaster, b"master secret",
+        master = tls_prf_sha256(HmacKey(premaster), b"master secret",
                                 self.client_random + self.server_random,
                                 MASTER_SECRET_LEN)
-        key_block = tls_prf_sha256(master, b"key expansion",
+        master_key = HmacKey(master)
+        key_block = tls_prf_sha256(master_key, b"key expansion",
                                    self.server_random + self.client_random,
                                    KEY_BLOCK_LEN)
-        self.security = SecurityParams(master, key_block)
+        self.security = SecurityParams(master, master_key, key_block)
 
     def _write_key(self, role: str) -> AeadKey:
         return AeadKey(bytes(getattr(self.security, role + "_key")),
@@ -367,7 +378,7 @@ class HandshakeSession:
 
     def _verify_data(self, role: str) -> bytes:
         """The verify_data of role's Finished over the transcript so far."""
-        return tls_prf_sha256(bytes(self.security.master_secret),
+        return tls_prf_sha256(self.security.master_key,
                               role.encode() + b" finished",
                               self.transcript.copy().digest(), VERIFY_DATA_LEN)
 

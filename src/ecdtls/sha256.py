@@ -7,10 +7,12 @@ deterministic, so the block count follows from byte lengths alone: every whole
 block absorbed by `update`, plus one final block in `digest`, or two when the
 0x80 byte and the 8-byte length no longer fit after the last partial block.
 
-`HmacKey` is priced as that algorithm run block by block: the key absorbs its
-ipad and opad blocks once (2 compressions, after hashing a key longer than a
-block), and each MAC finishes an inner and an outer digest.  It executes each
-MAC as one `hmac.digest` and records each price in one call, its kinds in the
+`HmacKey` is the one MAC, priced as a keyed HMAC unit runs it block by
+block: a key absorbs its ipad and opad blocks once, where the key is made (2
+compressions, after hashing a key longer than a block), and each MAC
+finishes an inner and an outer digest.  So each secret is made an `HmacKey`
+once, and every MAC under it goes through that key.  It executes each MAC
+as one `hmac.digest` and records each price in one call, its kinds in the
 order the block-by-block run first reaches them.
 """
 
@@ -81,9 +83,9 @@ def _mac_price(length: int) -> tuple:
 
 
 class HmacKey:
-    """HMAC-SHA256 key, priced with the ipad/opad block states absorbed
-    once, so repeated MACs under one key skip the two key-schedule
-    compressions."""
+    """HMAC-SHA256 key (RFC 2104; a key longer than a block is hashed
+    first), priced with the ipad/opad block states absorbed once, here, so
+    every MAC under it skips the two key-schedule compressions."""
 
     __slots__ = ("_key",)
 
@@ -99,8 +101,3 @@ class HmacKey:
     def mac(self, message: bytes) -> bytes:
         counters.record_all(_mac_price(len(message)))
         return hmac.digest(self._key, message, "sha256")
-
-
-def hmac_sha256(key: bytes, message: bytes) -> bytes:
-    """RFC 2104 over SHA-256; keys longer than one block are pre-hashed."""
-    return HmacKey(key).mac(message)

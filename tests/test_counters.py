@@ -98,4 +98,4 @@ def test_handshake_counter_key_order(curve, mode):
 def test_cold_secp256r1_client_handshake_energy_exact():
     client, _ = handshake_scenario("secp256r1", "full")
     total = default_model().estimate(client.handshake_counters).total
-    assert total == 9.162587997518871e-05
+    assert total == 9.118847997518871e-05

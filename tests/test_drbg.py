@@ -40,14 +40,25 @@ class TestDeterminism:
 
 class TestPrice:
     def test_generate_absorbs_the_key_once(self):
-        # 72 bytes are three blocks of V under one key: its two pad
-        # compressions and two per MAC; then the update's two MACs, each
-        # under a new key, four compressions each
+        # 72 bytes are three blocks of V, each a MAC under the state's key
+        # (its pads were absorbed when it was made), two compressions each;
+        # then the update's two MACs, two each, and its new key's two pad
+        # compressions
         drbg = HmacDrbg(b"e" * 32, b"n" * 16)
         with counters.scope() as sc:
             drbg.generate(72)
-        assert dict(sc.counters) == {"drbg_generate": 1, "sha_compress": 16,
+        assert dict(sc.counters) == {"drbg_generate": 1, "sha_compress": 12,
                                      "hmac": 5, "sha_message": 10}
+
+
+    def test_instantiate_absorbs_each_key_once(self):
+        # three keys, the all-zero K and the two the update derives, two pad
+        # compressions each; four MACs, 3 + 2 + 3 + 2 for V || tag and the
+        # 48-byte seed, then V
+        with counters.scope() as sc:
+            HmacDrbg(b"e" * 32, b"n" * 16)
+        assert dict(sc.counters) == {"sha_compress": 16, "hmac": 4,
+                                     "sha_message": 8}
 
 
 class TestLimits:

@@ -7,7 +7,7 @@ from ecdtls.curve import CurveError
 from ecdtls.drbg import HmacDrbg
 from ecdtls.ecdsa import (EcdsaSignature, KeyPair, SignatureError,
                           digest_to_scalar, ecdsa_sign, ecdsa_verify,
-                          rfc6979_nonce)
+                          rfc6979_nonces)
 from ecdtls.field import inv_euclid_int, mul_int
 from ecdtls.scalarmult import CombCache, ScalarRangeError, ecsm_comb
 from ecdtls.sha256 import sha256
@@ -27,6 +27,28 @@ RFC6979_TEST = dict(
     r=0xF1ABB023518351CD71D881567B1EA663ED3EFCF6C5132B354F28D3B0B7D38367,
     s=0x019F4113742A2B14BD25926B49C649155F267E60D3814B4C0CC84250E46F0083,
 )
+
+# The first four RFC 6979 candidates for k and the signature made without a
+# DRBG, per (curve, private key, message), computed with §3.2's K/V steps
+# written out, so they check the HMAC_DRBG form of §3.3.  On toy59, d = 1
+# and "msg-1", the first candidate gives r = 0, so signing takes the second.
+RFC6979_CANDIDATES = [
+    ("secp256r1", RFC6979_KEY, b"sample",
+     [0xA6E3C57DD01ABE90086538398355DD4C3B17AA873382B0F24D6129493D8AAD60,
+      0x8E83DC490BC5FC4D5992BD63CD87F254ADFFCB930F8A8011702A88870F638FDB,
+      0x7B8DC9AD8CE159ABCA1B9915FC1470E91D5AD2443B3032557E78F47E180AB702,
+      0x0C2161730A70227DA55C7D16DF1B6E1302E751BAB0CAF723FF830F7BA60A30AD],
+     RFC6979_SAMPLE["r"], RFC6979_SAMPLE["s"]),
+    ("secp256r1", 7, b"msg-1",
+     [0xD8C09EA2FD81895626214C5DA9D231ACD7730D43FFC75AC58001D89BD210D145,
+      0xF5AE24C0E4DB65578E0DF18B4BBFEE79368EFE561F284F7DF53A02243D916933,
+      0x32F6968961C621889712F40ED763BCE00B9F774E7888FAFD4C7539C7FFDE5241,
+      0x7A02F2E729061B60CCDEFFF708A0BAB1980A9FBF5D6FF451451C8EB8967E3397],
+     0xF9E14AB35B091EE93ABCF6466A328F7629FC2EB3624D82C7F26FA44D3CB934A9,
+     0x505AA6663AAE6B4FB3BEC71F764D8E9DD3F16C256EA02321203521FD5BCD8FE0),
+    ("toy59", 1, b"msg-1", [0x08, 0x22, 0x0F, 0x2E], 0x1E, 0x14),
+    ("toy59", 17, b"sample", [0x19, 0x12, 0x14, 0x04], 0x31, 0x34),
+]
 
 # RFC 4754 section 8.1 (ECDSA-256, message "abc", fixed k)
 RFC4754 = dict(
@@ -49,10 +71,22 @@ class TestRfc6979Deterministic:
         c = curves["secp256r1"]
         digest = sha256(msg)
         assert digest == hashlib.sha256(msg).digest()
-        assert rfc6979_nonce(RFC6979_KEY, digest, c) == vec["k"]
+        assert next(rfc6979_nonces(RFC6979_KEY, digest, c)) == vec["k"]
         key = KeyPair(RFC6979_KEY, c)
         sig = ecdsa_sign(key, digest)
         assert (sig.r, sig.s) == (vec["r"], vec["s"])
+
+    @pytest.mark.parametrize("name,d,msg,ks,r,s", RFC6979_CANDIDATES,
+                             ids=["p256-sample", "p256-d7", "toy59-r0",
+                                  "toy59-d17"])
+    def test_candidates_and_signature_pinned(self, registry, name, d, msg,
+                                             ks, r, s):
+        c = registry.get(name)
+        digest = sha256(msg)
+        nonces = rfc6979_nonces(d, digest, c)
+        assert [next(nonces) for _ in ks] == ks
+        sig = ecdsa_sign(KeyPair(d, c), digest)
+        assert (sig.r, sig.s) == (r, s)
 
     def test_deterministic_signatures_repeat(self, curves):
         key = KeyPair(1234567, curves["secp224r1"])

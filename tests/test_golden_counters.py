@@ -30,7 +30,7 @@ HANDSHAKE_COUNTERS = {
         "ecdsa_sign": 1, "ecdsa_verify": 1, "ecsm_comb": 5, "ghash_block": 8,
         "hmac": 25, "inv_work": 136642, "mod_add": 2296, "mod_inv_euclid": 854,
         "mod_mul": 3134, "mod_sub": 4215, "mul_iter": 501444, "point_add": 278,
-        "point_double": 574, "sha_compress": 119, "sha_message": 55,
+        "point_double": 574, "sha_compress": 101, "sha_message": 55,
     },
     ("secp160r1", "cached", "server"): {
         "aes_block": 8, "comb_cache_hit": 3, "comb_cache_miss": 4,
@@ -38,7 +38,7 @@ HANDSHAKE_COUNTERS = {
         "ecdsa_verify": 2, "ecsm_comb": 7, "ghash_block": 8, "hmac": 27,
         "inv_work": 186723, "mod_add": 3116, "mod_inv_euclid": 1167,
         "mod_mul": 4277, "mod_sub": 5775, "mul_iter": 684326, "point_add": 385,
-        "point_double": 779, "sha_compress": 127, "sha_message": 60,
+        "point_double": 779, "sha_compress": 107, "sha_message": 60,
         "x509_parse": 1,
     },
     ("secp160r1", "full", "client"): {
@@ -47,7 +47,7 @@ HANDSHAKE_COUNTERS = {
         "ecdsa_verify": 2, "ecsm_comb": 7, "ghash_block": 8, "hmac": 25,
         "inv_work": 186723, "mod_add": 3116, "mod_inv_euclid": 1167,
         "mod_mul": 4277, "mod_sub": 5775, "mul_iter": 684326, "point_add": 385,
-        "point_double": 779, "sha_compress": 122, "sha_message": 56,
+        "point_double": 779, "sha_compress": 104, "sha_message": 56,
         "x509_parse": 1,
     },
     ("secp160r1", "full", "server"): {
@@ -56,7 +56,7 @@ HANDSHAKE_COUNTERS = {
         "ecdsa_verify": 2, "ecsm_comb": 7, "ghash_block": 8, "hmac": 27,
         "inv_work": 186723, "mod_add": 3116, "mod_inv_euclid": 1167,
         "mod_mul": 4277, "mod_sub": 5775, "mul_iter": 684326, "point_add": 385,
-        "point_double": 779, "sha_compress": 127, "sha_message": 60,
+        "point_double": 779, "sha_compress": 107, "sha_message": 60,
         "x509_parse": 1,
     },
     ("toy59", "cached", "client"): {
@@ -65,7 +65,7 @@ HANDSHAKE_COUNTERS = {
         "ecdsa_sign": 1, "ecdsa_verify": 1, "ecsm_comb": 5, "ghash_block": 8,
         "hmac": 25, "inv_work": 450, "mod_add": 84, "mod_inv_euclid": 75,
         "mod_mul": 244, "mod_sub": 437, "mul_iter": 1464, "point_add": 52,
-        "point_double": 21, "sha_compress": 112, "sha_message": 55,
+        "point_double": 21, "sha_compress": 94, "sha_message": 55,
     },
     ("toy59", "cached", "server"): {
         "aes_block": 8, "comb_cache_hit": 3, "comb_cache_miss": 4,
@@ -73,7 +73,7 @@ HANDSHAKE_COUNTERS = {
         "ecdsa_verify": 2, "ecsm_comb": 7, "ghash_block": 8, "hmac": 27,
         "inv_work": 894, "mod_add": 168, "mod_inv_euclid": 149, "mod_mul": 486,
         "mod_sub": 868, "mul_iter": 2916, "point_add": 104, "point_double": 42,
-        "sha_compress": 121, "sha_message": 60, "x509_parse": 1,
+        "sha_compress": 101, "sha_message": 60, "x509_parse": 1,
     },
     ("toy59", "full", "client"): {
         "aes_block": 8, "comb_cache_hit": 4, "comb_cache_miss": 3,
@@ -81,7 +81,7 @@ HANDSHAKE_COUNTERS = {
         "ecdsa_verify": 2, "ecsm_comb": 7, "ghash_block": 8, "hmac": 25,
         "inv_work": 684, "mod_add": 128, "mod_inv_euclid": 114, "mod_mul": 371,
         "mod_sub": 663, "mul_iter": 2226, "point_add": 79, "point_double": 32,
-        "sha_compress": 115, "sha_message": 56, "x509_parse": 1,
+        "sha_compress": 97, "sha_message": 56, "x509_parse": 1,
     },
     ("toy59", "full", "server"): {
         "aes_block": 8, "comb_cache_hit": 3, "comb_cache_miss": 4,
@@ -89,7 +89,7 @@ HANDSHAKE_COUNTERS = {
         "ecdsa_verify": 2, "ecsm_comb": 7, "ghash_block": 8, "hmac": 27,
         "inv_work": 894, "mod_add": 168, "mod_inv_euclid": 149, "mod_mul": 486,
         "mod_sub": 868, "mul_iter": 2916, "point_add": 104, "point_double": 42,
-        "sha_compress": 121, "sha_message": 60, "x509_parse": 1,
+        "sha_compress": 101, "sha_message": 60, "x509_parse": 1,
     },
 }
 
@@ -103,7 +103,7 @@ WARM_HANDSHAKE_COUNTERS = {
         "ecdsa_sign": 1, "ecdsa_verify": 1, "ecsm_comb": 5, "ghash_block": 8,
         "hmac": 25, "inv_work": 89602, "mod_add": 1312, "mod_inv_euclid": 560,
         "mod_mul": 2006, "mod_sub": 2919, "mul_iter": 320964, "point_add": 230,
-        "point_double": 328, "sha_compress": 119, "sha_message": 55,
+        "point_double": 328, "sha_compress": 101, "sha_message": 55,
     },
     "server": {
         "aes_block": 8, "comb_cache_hit": 6, "comb_cache_miss": 1,
@@ -111,7 +111,7 @@ WARM_HANDSHAKE_COUNTERS = {
         "ecdsa_verify": 2, "ecsm_comb": 7, "ghash_block": 8, "hmac": 27,
         "inv_work": 116163, "mod_add": 1640, "mod_inv_euclid": 726,
         "mod_mul": 2585, "mod_sub": 3831, "mul_iter": 413606, "point_add": 313,
-        "point_double": 410, "sha_compress": 127, "sha_message": 60,
+        "point_double": 410, "sha_compress": 107, "sha_message": 60,
         "x509_parse": 1,
     },
 }

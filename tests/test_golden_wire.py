@@ -33,31 +33,31 @@ PAYLOAD = bytes(range(64))
 GOLDEN_DIGESTS = {  # (wire digest, counter digest)
     ("secp160r1", "cached-hit"): (
         "a81aa6a3791c64edf7ecfe34b9e34601792ec26dcc4a451d9a78c9cd9c0b3c72",
-        "134d6178f72e48cf27caeb8d3aa159d586ce2ab5b439d918c4f789d8b32cad20"),
+        "0350d16824bd3c5620e6ef9bef5b646efa3e7322f520b8aff095572e616d345f"),
     ("secp160r1", "cached-miss"): (
         "a81aa6a3791c64edf7ecfe34b9e34601792ec26dcc4a451d9a78c9cd9c0b3c72",
-        "7adbcfe1faff31f1a404041a6586e102d085d00ebfa9b7c6f073de8bb4e0c817"),
+        "17e72f0730b934e367457d452b1749f8f0b416241b3ef98d61a636e737a1a8a0"),
     ("secp160r1", "full"): (
         "a81aa6a3791c64edf7ecfe34b9e34601792ec26dcc4a451d9a78c9cd9c0b3c72",
-        "cfb10e8d616ab04a06eca73e4959c490d4f74f99e79e2bd8fbfd44f0a578856c"),
+        "e8d8cfa90713f143e78f337e3ff1a19e72d9987515934d49e8168f4d58941c32"),
     ("secp256r1", "cached-hit"): (
         "0b71eaebeff66799baa3bb30e807d809e2e70df27a5cab97f94d951ac2a6ab5c",
-        "7c46f9c67f4c4c6b6741b099aa923fd792a7e342f2f5a7caa7465af35d1e0b56"),
+        "a057894eaf073efb974602bc358969a76b4f44392b97da610921050330fbb0ef"),
     ("secp256r1", "cached-miss"): (
         "0b71eaebeff66799baa3bb30e807d809e2e70df27a5cab97f94d951ac2a6ab5c",
-        "509612222a763e21cfa88cdd9e6d935df0cbb410ebf69632f1bbb321502b4b88"),
+        "801d31b647e3568b1bc6326a86c43d285536f42e2a9bb2650467ab804d84d50c"),
     ("secp256r1", "full"): (
         "0b71eaebeff66799baa3bb30e807d809e2e70df27a5cab97f94d951ac2a6ab5c",
-        "428fa1adaf2031e5037d24727af79af0aab7f37a71e03572894d28a15125ffc9"),
+        "5345344de93b43563df48e78f41e7cc7fb78b26ebde32465789cc895bf5b0f30"),
     ("toy59", "cached-hit"): (
         "f110db02ca36bb9b27cba8915615f777331846afccd035ab7f901b447931405f",
-        "714f43501a84275cfde9edefe55294415b418a6eb689a1c23ed7f99450a8eaa6"),
+        "9a582203b5def7ae295ccbc16d6f941076ee3d3a840a5528255d93c3c065e7f0"),
     ("toy59", "cached-miss"): (
         "f110db02ca36bb9b27cba8915615f777331846afccd035ab7f901b447931405f",
-        "3d23ebae24f94e3bff982fa91e3ee4e1af8a7562a29433d5bd23c98b559d4658"),
+        "5441c83e96951787ed645af82a4f69355813dbe868918c2aae2072a2985caa9c"),
     ("toy59", "full"): (
         "f110db02ca36bb9b27cba8915615f777331846afccd035ab7f901b447931405f",
-        "8574299f1cbf0b20aedefdea462a9ce37dd5962adca26ad1288a60e747889b7a"),
+        "9a8b27717cc79a7a05feb4e9774d7e0099ee49bdb55c66df3c15d01fe0bde9d2"),
 }
 
 TOY59_FULL_DATAGRAMS = [

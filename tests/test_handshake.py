@@ -18,7 +18,7 @@ from ecdtls.handshake import (ENDPOINT_CAPACITY, MODE_CACHED, MODE_FULL,
 from ecdtls.record import (CONTENT_ALERT, CONTENT_CCS, CONTENT_HANDSHAKE,
                            DROP_BAD_EPOCH, DROP_MALFORMED, DROP_OVERFLOW,
                            DROP_PACKED, RecordHeader)
-from ecdtls.sha256 import hmac_sha256
+from ecdtls.sha256 import HmacKey
 from ecdtls.transport import MAX_LOOPBACK_ITERATIONS, run_loopback
 from ecdtls.x509 import CertCache, make_certificate
 from test_x509 import with_raised
@@ -171,8 +171,7 @@ class TestLoopbackHandshake:
         client, server = make_pair(toy, toy_pki)
         run_loopback(client, server)
         client.close()
-        assert client.security.cleared
-        assert bytes(client.security.master_secret) == b"\x00" * 48
+        assert_zeroized(client.security)
 
     def test_closed_session_seals_and_opens_nothing(self, toy, toy_pki):
         client, server = make_pair(toy, toy_pki)
@@ -214,11 +213,15 @@ class TestLoopbackHandshake:
             assert run_loopback(client, server).established
             assert any(client.security.master_secret)
         for end in (client, server):
-            sec = end.security
-            assert sec.cleared
-            for buf in (sec.master_secret, sec.client_key, sec.server_key,
-                        sec.client_salt, sec.server_salt):
-                assert buf and not any(buf)
+            assert_zeroized(end.security)
+
+
+def assert_zeroized(sec):
+    """Every key buffer is all zero and the master key is gone."""
+    for buf in (sec.master_secret, sec.client_key, sec.server_key,
+                sec.client_salt, sec.server_salt):
+        assert buf and not any(buf)
+    assert sec.master_key is None
 
 
 class TestCachedMode:
@@ -290,6 +293,52 @@ class TestCachedMode:
         assert client.failure_reason == \
             "peer certificate rejected: bad_signature"
         assert client.session_counters["cert_cache_hit"] == 0
+
+
+class TestHmacKeys:
+    """A session makes each HMAC key once, where the key is made, so no
+    key's ipad and opad blocks are absorbed twice."""
+
+    @pytest.mark.parametrize("mode", [MODE_FULL, MODE_CACHED])
+    @pytest.mark.parametrize("name", ["toy59", "secp160r1"])
+    def test_no_session_absorbs_a_key_twice(self, registry, toy_pki,
+                                            p160_pki, monkeypatch, name,
+                                            mode):
+        absorbed = {}  # recorder -> the key bytes of each HmacKey made in it
+        real = HmacKey.__init__
+
+        def spy(key_self, key):
+            for rec in counters._stack():
+                absorbed.setdefault(rec, []).append(bytes(key))
+            real(key_self, key)
+
+        monkeypatch.setattr(HmacKey, "__init__", spy)
+        pki = toy_pki if name == "toy59" else p160_pki
+        cache = CertCache()
+        sessions = []
+        # a cached client misses its cache, then hits it
+        for _ in range(1 if mode == MODE_FULL else 2):
+            client, server = make_pair(registry.get(name), pki, mode=mode,
+                                       cert_cache=cache)
+            assert run_loopback(client, server).established
+            sessions += [client, server]
+        assert client.handshake_counters["cert_cache_hit"] == \
+            (mode == MODE_CACHED)
+        for end in sessions:
+            keys = absorbed[end._recorder]
+            assert len(keys) == len(set(keys)), end.role
+
+    def test_a_second_cookieless_hello_costs_one_mac(self, toy, toy_pki):
+        # the cookie key's pads were absorbed when the server was made, so
+        # a hello answered again costs only the MAC of its 38-byte
+        # "client" || random: an inner and an outer final block
+        client, server = make_pair(toy, toy_pki)
+        hello = client.client_step([])
+        answer = server.server_step(hello)
+        before = server.session_counters
+        assert server.server_step(hello) == answer
+        assert server.session_counters.diff(before) == {
+            "hmac": 1, "sha_message": 2, "sha_compress": 2}
 
 
 @pytest.fixture
@@ -520,8 +569,8 @@ class TestTampering:
         assert server.failure_reason == "CertificateVerify signature invalid"
         assert client.failure_reason == "peer sent a fatal alert"
         for end in (client, server):
-            assert end.failed and end.security.cleared
-            assert bytes(end.security.master_secret) == b"\x00" * 48
+            assert end.failed
+            assert_zeroized(end.security)
 
     def test_client_failing_on_server_finished_alerts_at_epoch_1(self, toy,
                                                                 toy_pki):
@@ -860,8 +909,7 @@ class TestStateMachine:
         monkeypatch.setattr(hmac, "compare_digest", spy)
         client, server = make_pair(toy, toy_pki)
         assert run_loopback(client, server).established
-        cookie = hmac_sha256(server.cookie_secret,
-                             b"client" + client.client_random)
+        cookie = server.cookie_key.mac(b"client" + client.client_random)
         assert len(cookie) == 32
         assert ("server", "_check_cookie", cookie, cookie) in seen
         for role in ("client", "server"):
@@ -979,8 +1027,8 @@ class TestMessageLayer:
     @staticmethod
     def assert_same_handshake(reference, client, server, hello_verifies=1):
         """The pair established as the reference pair did.  The server's
-        counters add one cookie HMAC per HelloVerifyRequest beyond the
-        reference's one."""
+        counters add one cookie MAC, under the key it made once, per
+        HelloVerifyRequest beyond the reference's one."""
         _, _, ref_client, ref_server = reference
         assert client.established and server.established
         for end, ref in ((client, ref_client), (server, ref_server)):
@@ -990,7 +1038,7 @@ class TestMessageLayer:
         assert client.handshake_counters == ref_client.handshake_counters
         expected = ref_server.handshake_counters
         with counters.scope() as cookie_price:
-            hmac_sha256(server.cookie_secret, b"client" + client.client_random)
+            server.cookie_key.mac(b"client" + client.client_random)
         for _ in range(hello_verifies - 1):
             expected = expected + cookie_price.counters
         assert server.handshake_counters == expected

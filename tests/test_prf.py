@@ -2,6 +2,7 @@ import pytest
 
 from ecdtls import counters
 from ecdtls.prf import tls_prf_sha256
+from ecdtls.sha256 import HmacKey
 
 # Published TLS 1.2 PRF (SHA-256) interop vector
 PRF_SECRET = bytes.fromhex("9bbe436ba940f017b17652849a71db35")
@@ -15,23 +16,26 @@ PRF_OUT = bytes.fromhex(
 
 
 def test_published_interop_vector():
-    assert tls_prf_sha256(PRF_SECRET, PRF_LABEL, PRF_SEED, 100) == PRF_OUT
+    assert tls_prf_sha256(HmacKey(PRF_SECRET), PRF_LABEL, PRF_SEED,
+                          100) == PRF_OUT
 
 
 @pytest.mark.parametrize("n", [12, 48, 72])
 def test_output_length_exact(n):
-    assert len(tls_prf_sha256(b"s", b"l", b"seed", n)) == n
+    assert len(tls_prf_sha256(HmacKey(b"s"), b"l", b"seed", n)) == n
 
 
 def test_labels_separate_streams():
-    a = tls_prf_sha256(b"secret", b"client finished", b"seed", 16)
-    b = tls_prf_sha256(b"secret", b"server finished", b"seed", 16)
+    key = HmacKey(b"secret")
+    a = tls_prf_sha256(key, b"client finished", b"seed", 16)
+    b = tls_prf_sha256(key, b"server finished", b"seed", 16)
     assert a[:16] != b[:16]
 
 
 def test_prefix_consistency():
-    long = tls_prf_sha256(b"s", b"label", b"seed", 100)
-    short = tls_prf_sha256(b"s", b"label", b"seed", 37)
+    key = HmacKey(b"s")
+    long = tls_prf_sha256(key, b"label", b"seed", 100)
+    short = tls_prf_sha256(key, b"label", b"seed", 37)
     assert long[:37] == short
 
 
@@ -40,6 +44,6 @@ def test_master_secret_absorbs_the_key_once():
     # key's two pad compressions, then 3 + 3 + 2 + 3 for the MACs of the
     # 77-byte label and seed, A(1) and the seed, A(1), and A(2) and the seed
     with counters.scope() as sc:
-        tls_prf_sha256(bytes(48), b"master secret", bytes(64), 48)
+        tls_prf_sha256(HmacKey(bytes(48)), b"master secret", bytes(64), 48)
     assert dict(sc.counters) == {"sha_compress": 13, "hmac": 4,
                                  "sha_message": 8}

@@ -90,8 +90,6 @@ ALLOWED_UNPASSED = {
 # Attributes stored on self that nothing under src/ecdtls or perfbench/
 # loads yet, and why each stays.
 ALLOWED_UNLOADED = {
-    "handshake.SecurityParams.cleared":
-        "the tests observe zeroization through it",
     "x509.Certificate.serial":
         "a parse result the X.509 tests check",
     "x509.Certificate.is_ca":

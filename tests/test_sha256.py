@@ -4,7 +4,7 @@ import hmac as stdlib_hmac
 import pytest
 
 from ecdtls import counters
-from ecdtls.sha256 import HmacKey, Sha256, hmac_sha256, sha256
+from ecdtls.sha256 import HmacKey, Sha256, sha256
 
 # FIPS 180-4 known-answer vectors
 SHA_KATS = [
@@ -129,24 +129,24 @@ class TestHmacSha256:
 
     @pytest.mark.parametrize("key,msg,want", HMAC_KATS)
     def test_rfc4231_kats(self, key, msg, want):
-        assert hmac_sha256(key, msg).hex() == want
+        assert HmacKey(key).mac(msg).hex() == want
 
     def test_empty_key_and_message_against_oracle(self):
         want = stdlib_hmac.new(b"", b"", hashlib.sha256).digest()
-        assert hmac_sha256(b"", b"") == want
+        assert HmacKey(b"").mac(b"") == want
 
     def test_distinct_messages_distinct_macs(self, rng):
-        key = b"k" * 16
+        key = HmacKey(b"k" * 16)
         seen = set()
         for i in range(50):
-            seen.add(hmac_sha256(key, b"msg-%d" % i))
+            seen.add(key.mac(b"msg-%d" % i))
         assert len(seen) == 50
 
     def test_random_against_oracle(self, rng):
         for _ in range(30):
             key = bytes(rng.randrange(256) for _ in range(rng.randrange(1, 100)))
             msg = bytes(rng.randrange(256) for _ in range(rng.randrange(200)))
-            assert hmac_sha256(key, msg) == \
+            assert HmacKey(key).mac(msg) == \
                 stdlib_hmac.new(key, msg, hashlib.sha256).digest()
 
     @pytest.mark.parametrize("key_len", sorted(HMAC_KEY_TICKS))
@@ -159,7 +159,7 @@ class TestHmacSha256:
         for msg_len, compress in HMAC_MAC_TICKS.items():
             msg = b"m" * msg_len
             with counters.scope() as sc:
-                got = hmac_sha256(key, msg)
+                got = HmacKey(key).mac(msg)
             assert got == stdlib_hmac.new(key, msg, hashlib.sha256).digest()
             ticks = HMAC_KEY_TICKS[key_len]
             kinds = ["sha_compress", "hmac", "sha_message"] if short else \
