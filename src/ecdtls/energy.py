@@ -33,7 +33,7 @@ CAL_APPDATA_J_PER_BYTE = 0.89e-9  # reference per-byte application data cost
 PRICED_KINDS = (
     "mod_add", "mod_sub", "mod_mul", "mul_iter", "mod_inv_euclid",
     "inv_work", "mod_inv_fermat", "point_add", "point_double", "ecsm_comb",
-    "ecsm_jacobian", "comb_precompute",
+    "ecsm_jacobian", "ecsm_window", "comb_precompute",
     "comb_cache_hit", "comb_cache_miss", "ecdsa_sign", "ecdsa_verify",
     "aes_block", "ghash_block", "sha_compress", "sha_message", "hmac",
     "drbg_generate", "cert_cache_hit", "cert_cache_miss", "x509_parse",

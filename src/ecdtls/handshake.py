@@ -483,7 +483,7 @@ class HandshakeSession:
         """ECDHE with the peer's ephemeral point, then the key schedule."""
         try:
             self.peer_eph = AffinePoint.decode(point, self.config.curve)
-            shared = ecdhe_shared(self.eph_key, self.peer_eph, self.comb_cache)
+            shared = ecdhe_shared(self.eph_key, self.peer_eph)
         except (CurveError, KeyAgreementError) as exc:
             raise _Abort("key agreement failed: %s" % exc) from None
         self._derive_keys(shared)

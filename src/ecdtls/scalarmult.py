@@ -22,6 +22,19 @@ The price helpers take the comb's geometry, so the tests can check them at
 other widths.  `comb_sum_x_matches`, ECDSA's verification equation, is
 priced as its two comb multiplications and the affine addition of their
 results, on the branch that their Jacobian sum takes.
+
+A base that stays is priced on the comb: G in `ecdsa`'s key generation
+Q = d*G and signing R = k*G, and G and the signer's key in ECDSA's
+verification (`comb_sum_x_matches`, for certificates and handshake
+signatures).  A one-shot base, ECDHE's peer ephemeral point in
+`keyagree.ecdhe_shared`, is used once, so it is priced as `ecsm_window`,
+whose table lives for the one call and which no cache sees: a regular
+signed window (Joye and Tunstall, AFRICACRYPT 2009), the 8 odd multiples
+P .. 15P on the affine law, then 4-bit windows, each with one odd nonzero
+digit, on the projective law, and one Euclid inversion (`window_price`).
+As the comb's walk does, its price runs one schedule for every k in
+[1, n) on every registered curve but toy59.
+
 The energy fit reads two prices and runs no multiplication:
 `comb_walk_price`, the comb's walk (a cache hit's price less its
 `ecsm_comb` and `comb_cache_hit` counts), and `jacobian_price`, the
@@ -67,6 +80,7 @@ COMB_WIDTH = 4   # the comb the energy model is calibrated on
 COMB_CACHE_CAPACITY = 6
 _TEETH, _BLOCKS = 8, 4   # bases with rows: the comb's geometry
 _WNAF_WIDTH = 5   # bases without: odd digits in [-15, 15]
+_WINDOW_WIDTH = 4   # the one-shot engine's price: odd digits in +-[1, 15]
 
 
 class ScalarRangeError(CurveError):
@@ -207,7 +221,8 @@ def _walk_events(curve: CurveParams, terms: Iterable[int], law: tuple = (),
     """acc = 2 acc + m for each term m in turn from acc = 0, under the law:
     the doubling, then the addition, whose head (what precedes its H = 0
     test; the affine law has none) is priced unless acc or m is the
-    identity.  The comb walks its table terms, negating each first."""
+    identity.  The comb and `ecsm_window` walk their table terms, negating
+    each first."""
     events, acc, n = [], 0, curve.n
     for m in terms:
         if negate:
@@ -268,23 +283,93 @@ def comb_walk_price(curve: CurveParams, k: int) -> tuple:
         curve.n_bits, COMB_WIDTH))
 
 
+def _projective_law(curve: CurveParams) -> tuple:
+    """((double, add), head) of the Jacobian datapath: the doubling, with
+    4 X YY, 3 XX + a Z^4 and 8 YY^2 as chains of additions, and the mixed
+    addition of an affine point, whose head computes U2, S2 and the H = 0
+    test."""
+    mod = curve.mod
+    return (mod.cost("mmaammmaamamasmaaasmsam", "point_double"),
+            mod.cost("mmmmsassmmsm")), mod.cost("mmmmss", "point_add")
+
+
 def jacobian_price(curve: CurveParams, k: int) -> tuple:
     """The price of k*P, P of order n, on the projective baseline that the
     energy fit reads: Jacobian double-and-add, whose inner loop avoids
     inversions, and one final Fermat inversion, as cost strings of their
     counted kernels in evaluation order."""
     mod = curve.mod
-    # the doubling, with 4 X YY, 3 XX + a Z^4 and 8 YY^2 as chains of
-    # additions, and the mixed addition after U2, S2 and the H = 0 test
-    events = _walk_events(curve, map(int, bin(k)[2:]), (
-        mod.cost("mmaammmaamamasmaaasmsam", "point_double"),
-        mod.cost("mmmmsassmmsm")), mod.cost("mmmmss", "point_add"))
+    events = _walk_events(curve, map(int, bin(k)[2:]), *_projective_law(curve))
     if k % curve.n:
         # x^(p-2) by square-and-multiply, then 4 products back to affine
         e = mod.p - 2
         events.append(mod.cost("m" * (
             e.bit_length() + 2 + bin(e).count("1")), "mod_inv_fermat"))
     return _merge(events)
+
+
+def _window_digits(k: int, count: int) -> list:
+    """The odd k as count odd digits in +-{1, 3, ..., 2^w - 1}, w =
+    `_WINDOW_WIDTH`, top first, sum(d_i 2^(w*i)) = k (Joye and Tunstall,
+    AFRICACRYPT 2009): each digit is k mod 2^(w+1) less 2^w, which leaves
+    (k - d) / 2^w odd, and the top digit is what is left, positive."""
+    digits = []
+    for _ in range(count - 1):
+        d = (k & (2 << _WINDOW_WIDTH) - 1) - (1 << _WINDOW_WIDTH)
+        digits.append(d)
+        k = (k - d) >> _WINDOW_WIDTH
+    return [k] + digits[::-1]
+
+
+def window_price(curve: CurveParams, k: int) -> tuple:
+    """The price of `ecsm_window` at k past its own count: the table of
+    the odd multiples P, 3P, ..., 15P on the affine law, one doubling and
+    then 2^(w-1) - 1 additions of 2P; then the windows of k' + c, k' =
+    min(k, n - k) and c = 1 + (k' mod 2), on the projective law, top first,
+    each w doublings and the mixed addition of its digit's entry, negated
+    whichever its sign, as the comb's columns are; then the tail, which
+    negates c*P and adds it; then one binary Euclid inversion and four
+    products back to affine, and the negation of the result, executed
+    whichever k' is chosen.  k' + c is odd and at most (n + 3)/2, so over
+    ceil(bits of n / w) windows its digits are all odd and nonzero, and the
+    top one is in [1, 2^(w-1) + 1].
+
+    The price is memoised per curve when (n + 3)/2 + 2 (2^w - 1) < n, for
+    then no table entry, no window and no tail meets an exceptional branch
+    of either law, whatever k is:
+    - the table adds 2 to each odd m below 2^w - 1, and m + 2 < n;
+    - past the top window acc is A_{i+1} = sum(d_j 2^(w(j-i-1)), j > i),
+      which is odd and in [1, k' + c], k' + c <= (n + 3)/2 < n, so no
+      doubling of it is the identity, and the addition of d_i to
+      2^w A_{i+1} = A_i - d_i has the sum A_i and the difference
+      A_i - 2 d_i, odd and below n in size, so neither is 0 mod n;
+    - k' + c and k' + 2c stay below n, so the tail's sum and addends are
+      not the identity and the tail adds no point to itself.
+    On a smaller n (toy59's) each k is priced as its own schedule,
+    unmemoised."""
+    n = curve.n
+    key = ("window", curve.mod.bitlen, n)
+    if key in _PRICES:
+        return _PRICES[key]
+    law, head = _projective_law(curve)
+    top = (1 << _WINDOW_WIDTH) - 1   # the largest digit
+    events = _sum_price(curve, 1, 1)
+    for m in range(1, top - 1, 2):
+        events += _sum_price(curve, m, 2)
+    k = min(k, n - k)
+    c = 1 + (k & 1)
+    terms = []
+    for d in _window_digits(k + c, -(-curve.n_bits // _WINDOW_WIDTH)):
+        terms += [0] * (_WINDOW_WIDTH - 1) + [d]
+    events += _walk_events(curve, terms, law, head, negate=True)
+    # the tail's head is priced as a window's: neither acc nor -c*P is the
+    # identity
+    events += _neg_price(curve, c) + [head] + \
+        _sum_price(curve, k + c, -c, law) + [curve.mod.cost("immmms")]
+    price = _merge(events)
+    if (n + 3) // 2 + 2 * top < n:
+        _PRICES[key] = price
+    return price
 
 
 # ---------------------------------------------------------------------------
@@ -565,6 +650,18 @@ def ecsm_comb(k: int, P: AffinePoint, cache: Optional[CombCache] = None
     cache, then one double and one add per column, a parity-correction
     tail and a negation.  k outside [1, n) raises `ScalarRangeError`."""
     return _point(P.curve, _comb(k, P, cache))
+
+
+def ecsm_window(k: int, P: AffinePoint) -> AffinePoint:
+    """k*P for a one-shot base, priced as `window_price`: a regular
+    signed-window multiplication whose table of 8 entries is built for
+    this call alone, and which no cache sees.  Executed by wNAF.  k outside
+    [1, n) raises `ScalarRangeError`."""
+    curve = P.curve
+    _check_range(k, curve)
+    counters.record("ecsm_window")
+    counters.record_all(window_price(curve, k))
+    return _point(curve, _wnaf(curve, k, P.x, P.y))
 
 
 def _jsum(curve: CurveParams, A: tuple, B: tuple) -> tuple:

@@ -84,4 +84,4 @@ def test_every_golden_kind_is_priced():
 def test_secp160r1_full_client_handshake_energy():
     client, _ = handshake_scenario("secp160r1", "full")
     uJ = default_model().estimate(client.handshake_counters).total * 1e6
-    assert uJ == 38.59310504727983
+    assert uJ == 35.60012788127589

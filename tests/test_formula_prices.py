@@ -4,12 +4,15 @@
 prices, which `scalarmult` records summed over its schedules;
 `scalarmult.jacobian_price` is the price of the projective formulas and
 the Fermat inversion, computed from the scalar, which the tests'
-`ecsm_jacobian` (in `reference_engines`) records in one call.  The oracles
-below are those formulas as they ran before: every modular operation a counted
-kernel call, so the nesting of the calls fixed the price.  Each price must
-give the same counter items in the same order and the same trace as its
-oracle on every registered curve, and `ecsm_jacobian` the same result on
-the exceptional inputs too.  The affine oracles are the tests' reference
+`ecsm_jacobian` (in `reference_engines`) records in one call.
+`scalarmult.window_price`, which `ecsm_window` records, walks the same
+projective formulas over an affine table of odd multiples and ends in a
+Euclid inversion.  The oracles below are those formulas as they ran
+before: every modular operation a counted kernel call, so the nesting of
+the calls fixed the price.  Each price must give the same counter items in
+the same order and the same trace as its oracle on every registered curve,
+`ecsm_jacobian` the same result on the exceptional inputs too, and
+`ecsm_window` the same point as `ecsm_jacobian`.  The affine oracles are the tests' reference
 group law: `test_curve` checks them against the group axioms, and the
 engine oracles of `test_engine_prices` walk on them with `oracle_negate`,
 the negation the comb's price counts.  No `AffinePoint` is the identity, so
@@ -106,62 +109,64 @@ def oracle_double(P):
     return AffinePoint(P.curve, x3, y3)
 
 
+def oracle_jdouble(curve, X1, Y1, Z1):
+    if Z1 == 0 or Y1 == 0:
+        return (1, 1, 0)
+    counters.record("point_double")
+    mod, a = curve.mod, curve.a
+    YY = mul(Y1, Y1, mod)
+    S = mul(X1, YY, mod)
+    S = add(S, S, mod)
+    S = add(S, S, mod)
+    XX = mul(X1, X1, mod)
+    ZZ = mul(Z1, Z1, mod)
+    ZZ2 = mul(ZZ, ZZ, mod)
+    M = add(add(XX, XX, mod), XX, mod)
+    M = add(M, mul(a, ZZ2, mod), mod)
+    X3 = sub(mul(M, M, mod), add(S, S, mod), mod)
+    YY2 = mul(YY, YY, mod)
+    Y8 = add(YY2, YY2, mod)
+    Y8 = add(Y8, Y8, mod)
+    Y8 = add(Y8, Y8, mod)
+    Y3 = sub(mul(M, sub(S, X3, mod), mod), Y8, mod)
+    Z3 = mul(add(Y1, Y1, mod), Z1, mod)
+    return (X3, Y3, Z3)
+
+
+def oracle_jadd_mixed(curve, X1, Y1, Z1, x2, y2):
+    if Z1 == 0:
+        return (x2, y2, 1)
+    counters.record("point_add")
+    mod = curve.mod
+    ZZ = mul(Z1, Z1, mod)
+    U2 = mul(x2, ZZ, mod)
+    ZZZ = mul(ZZ, Z1, mod)
+    S2 = mul(y2, ZZZ, mod)
+    H = sub(U2, X1, mod)
+    R = sub(S2, Y1, mod)
+    if H == 0:
+        if R == 0:
+            return oracle_jdouble(curve, X1, Y1, Z1)
+        return (1, 1, 0)
+    HH = mul(H, H, mod)
+    HHH = mul(HH, H, mod)
+    V = mul(X1, HH, mod)
+    X3 = sub(sub(mul(R, R, mod), HHH, mod), add(V, V, mod), mod)
+    Y3 = sub(mul(R, sub(V, X3, mod), mod), mul(Y1, HHH, mod), mod)
+    Z3 = mul(Z1, H, mod)
+    return (X3, Y3, Z3)
+
+
 def oracle_jacobian(k, P):
     """ecsm_jacobian without its range check."""
     curve = P.curve
     counters.record("ecsm_jacobian")
     mod = curve.mod
-    a = curve.a
-
-    def jdouble(X1, Y1, Z1):
-        if Z1 == 0 or Y1 == 0:
-            return (1, 1, 0)
-        counters.record("point_double")
-        YY = mul(Y1, Y1, mod)
-        S = mul(X1, YY, mod)
-        S = add(S, S, mod)
-        S = add(S, S, mod)
-        XX = mul(X1, X1, mod)
-        ZZ = mul(Z1, Z1, mod)
-        ZZ2 = mul(ZZ, ZZ, mod)
-        M = add(add(XX, XX, mod), XX, mod)
-        M = add(M, mul(a, ZZ2, mod), mod)
-        X3 = sub(mul(M, M, mod), add(S, S, mod), mod)
-        YY2 = mul(YY, YY, mod)
-        Y8 = add(YY2, YY2, mod)
-        Y8 = add(Y8, Y8, mod)
-        Y8 = add(Y8, Y8, mod)
-        Y3 = sub(mul(M, sub(S, X3, mod), mod), Y8, mod)
-        Z3 = mul(add(Y1, Y1, mod), Z1, mod)
-        return (X3, Y3, Z3)
-
-    def jadd_mixed(X1, Y1, Z1, x2, y2):
-        if Z1 == 0:
-            return (x2, y2, 1)
-        counters.record("point_add")
-        ZZ = mul(Z1, Z1, mod)
-        U2 = mul(x2, ZZ, mod)
-        ZZZ = mul(ZZ, Z1, mod)
-        S2 = mul(y2, ZZZ, mod)
-        H = sub(U2, X1, mod)
-        R = sub(S2, Y1, mod)
-        if H == 0:
-            if R == 0:
-                return jdouble(X1, Y1, Z1)
-            return (1, 1, 0)
-        HH = mul(H, H, mod)
-        HHH = mul(HH, H, mod)
-        V = mul(X1, HH, mod)
-        X3 = sub(sub(mul(R, R, mod), HHH, mod), add(V, V, mod), mod)
-        Y3 = sub(mul(R, sub(V, X3, mod), mod), mul(Y1, HHH, mod), mod)
-        Z3 = mul(Z1, H, mod)
-        return (X3, Y3, Z3)
-
     X, Y, Z = 1, 1, 0
     for i in range(k.bit_length() - 1, -1, -1):
-        X, Y, Z = jdouble(X, Y, Z)
+        X, Y, Z = oracle_jdouble(curve, X, Y, Z)
         if (k >> i) & 1:
-            X, Y, Z = jadd_mixed(X, Y, Z, P.x, P.y)
+            X, Y, Z = oracle_jadd_mixed(curve, X, Y, Z, P.x, P.y)
     if Z == 0:
         return None
     zinv = inv_fermat(Z, mod)
@@ -169,6 +174,55 @@ def oracle_jacobian(k, P):
     x = mul(X, zz, mod)
     y = mul(Y, mul(zz, zinv, mod), mod)
     return AffinePoint(curve, x, y)
+
+
+def window_recode(k, count):
+    """The odd k as count odd digits in +-{1, 3, ..., 15}, top first, the
+    top one positive: each digit is k mod 32 less 16, which leaves
+    (k - digit) / 16 odd (Joye and Tunstall, AFRICACRYPT 2009)."""
+    assert k & 1
+    digits = []
+    for _ in range(count - 1):
+        digit = k % 32 - 16
+        digits.append(digit)
+        k = (k - digit) // 16
+    assert 1 <= k <= 15
+    return [k] + digits[::-1]
+
+
+def oracle_window(k, P):
+    """ecsm_window without its range check, run on k' = min(k, n - k): the
+    affine table P, 3P, ..., 15P, built from 2P; the windows of k' + c, c =
+    1 + (k' mod 2), top first, each the negation of its digit's entry, four
+    Jacobian doublings and the mixed addition of the entry or its negation,
+    as the digit's sign selects; the tail, which adds -c*P; the Euclid
+    inversion and four products back to affine; and the negation of that
+    point, computed whichever k' is chosen, and the one of the two that k
+    selects, which is k*P for P of order n."""
+    curve = P.curve
+    mod, n = curve.mod, curve.n
+    counters.record("ecsm_window")
+    two = oracle_double(P)
+    table = [P]
+    for _ in range(7):
+        table.append(oracle_add(table[-1], two))
+    kp = min(k, n - k)
+    c = 1 + kp % 2
+    acc = (1, 1, 0)
+    for digit in window_recode(kp + c, -(-curve.n_bits // 4)):
+        entry = table[abs(digit) // 2]
+        neg = oracle_negate(entry)
+        term = entry if digit > 0 else neg
+        for _ in range(4):
+            acc = oracle_jdouble(curve, *acc)
+        acc = oracle_jadd_mixed(curve, *acc, term.x, term.y)
+    corr = oracle_negate(P if c == 1 else two)
+    X, Y, Z = oracle_jadd_mixed(curve, *acc, corr.x, corr.y)
+    zinv = inv_euclid(Z, mod)
+    zz = mul(zinv, zinv, mod)
+    R = AffinePoint(curve, mul(X, zz, mod), mul(Y, mul(zz, zinv, mod), mod))
+    neg = oracle_negate(R)
+    return R if kp == k else neg
 
 
 # ---------------------------------------------------------------------------
@@ -222,3 +276,20 @@ def test_jacobian_matches_counted_oracle(curve, monkeypatch):
     for k in (n + 1, n + 2):
         assert same_price(ecsm_jacobian, oracle_jacobian, k, P) == \
             scalar_mul_unchecked(k - n, P)
+
+
+def window_scalars(curve):
+    """Every k on toy59; elsewhere 1, 2, n - 2, n - 1 and random ones."""
+    n = curve.n
+    if curve.id == "toy59":
+        return range(1, n)
+    rng = random.Random("window-prices-" + curve.id)
+    return [1, 2, n - 2, n - 1] + [rng.randrange(1, n) for _ in range(12)]
+
+
+def test_window_matches_counted_oracle(curve):
+    rng = random.Random("window-base-" + curve.id)
+    P = scalar_mul_unchecked(rng.randrange(2, curve.n), curve.generator())
+    for k in window_scalars(curve):
+        assert same_price(scalarmult.ecsm_window, oracle_window, k, P) == \
+            ecsm_jacobian(k, P)

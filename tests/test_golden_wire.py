@@ -33,31 +33,31 @@ PAYLOAD = bytes(range(64))
 GOLDEN_DIGESTS = {  # (wire digest, counter digest)
     ("secp160r1", "cached-hit"): (
         "a81aa6a3791c64edf7ecfe34b9e34601792ec26dcc4a451d9a78c9cd9c0b3c72",
-        "0350d16824bd3c5620e6ef9bef5b646efa3e7322f520b8aff095572e616d345f"),
+        "093d18816c3dcae1370d428bfec34228a5d3236e302ad40726c9a5a386f9812b"),
     ("secp160r1", "cached-miss"): (
         "a81aa6a3791c64edf7ecfe34b9e34601792ec26dcc4a451d9a78c9cd9c0b3c72",
-        "17e72f0730b934e367457d452b1749f8f0b416241b3ef98d61a636e737a1a8a0"),
+        "47918e57647aa4f3ac6bcf4629d041f9f6995651bb9484a9413df92ac23f2a3d"),
     ("secp160r1", "full"): (
         "a81aa6a3791c64edf7ecfe34b9e34601792ec26dcc4a451d9a78c9cd9c0b3c72",
-        "e8d8cfa90713f143e78f337e3ff1a19e72d9987515934d49e8168f4d58941c32"),
+        "299b15447d2ff95e5d1355dad2b8109904190e8b98808abdcb60354d111cc4eb"),
     ("secp256r1", "cached-hit"): (
         "0b71eaebeff66799baa3bb30e807d809e2e70df27a5cab97f94d951ac2a6ab5c",
-        "a057894eaf073efb974602bc358969a76b4f44392b97da610921050330fbb0ef"),
+        "4e328764efd44461c34344ba8bccec1a50a0293d6f661a74f0a56eb7a2b095d2"),
     ("secp256r1", "cached-miss"): (
         "0b71eaebeff66799baa3bb30e807d809e2e70df27a5cab97f94d951ac2a6ab5c",
-        "801d31b647e3568b1bc6326a86c43d285536f42e2a9bb2650467ab804d84d50c"),
+        "64a3ba92b3446b5b85ea26d834386af7d0e60337c68598823c55b265ee6af986"),
     ("secp256r1", "full"): (
         "0b71eaebeff66799baa3bb30e807d809e2e70df27a5cab97f94d951ac2a6ab5c",
-        "5345344de93b43563df48e78f41e7cc7fb78b26ebde32465789cc895bf5b0f30"),
+        "b0246c07019b2860a147d4ca347228e26cd0473b46bdd2eaccbe562cfcc70882"),
     ("toy59", "cached-hit"): (
         "f110db02ca36bb9b27cba8915615f777331846afccd035ab7f901b447931405f",
-        "9a582203b5def7ae295ccbc16d6f941076ee3d3a840a5528255d93c3c065e7f0"),
+        "0ba6b493e6ffd74e9b7fbe83d29eff5ebf3bbdf738d25c94928cb6e937dd0670"),
     ("toy59", "cached-miss"): (
         "f110db02ca36bb9b27cba8915615f777331846afccd035ab7f901b447931405f",
-        "5441c83e96951787ed645af82a4f69355813dbe868918c2aae2072a2985caa9c"),
+        "88b4be63863462e3949cb85725e8fc3adbde3481198642d123c8ef279c51be12"),
     ("toy59", "full"): (
         "f110db02ca36bb9b27cba8915615f777331846afccd035ab7f901b447931405f",
-        "9a8b27717cc79a7a05feb4e9774d7e0099ee49bdb55c66df3c15d01fe0bde9d2"),
+        "d93b80c1e1cafc244d036d4691340fee2067c27a640a2b5c5bfcf485769180bd"),
 }
 
 TOY59_FULL_DATAGRAMS = [

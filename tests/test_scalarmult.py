@@ -7,14 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecdtls import counters, scalarmult
+from ecdtls import counters, handshake, scalarmult
 from ecdtls.credentials import generate_pki
+from ecdtls.energy import calibration_scalar, default_model
 from ecdtls.curve import AffinePoint, CurveError, CurveRegistry, \
     builtin_registry
-from ecdtls.handshake import MODE_FULL
+from ecdtls.handshake import MODE_CACHED, MODE_FULL, HandshakeSession, \
+    SessionConfig
 from ecdtls.scalarmult import (COMB_WIDTH, CombCache, ScalarRangeError,
                                comb_digit_count, comb_precompute, ecsm_comb,
-                               pin_trust_anchor, point_identity)
+                               ecsm_window, pin_trust_anchor, point_identity)
 from ecdtls.transport import run_loopback
 from conftest import registered_names
 from reference_engines import (affine, double_and_add, ecsm_jacobian,
@@ -23,7 +25,7 @@ from test_engine_prices import oracle_comb, oracle_unchecked, table_price, \
     zsd_recode
 from test_formula_prices import oracle_add, oracle_double, oracle_negate, \
     priced, same_price
-from test_golden_counters import _session_pair, warm_handshakes
+from test_golden_counters import FIXED_CLOCK, _session_pair, warm_handshakes
 
 # Kinds whose tallies must be independent of the scalar for a fixed curve and
 # comb geometry: the operation-count signature of one scalar multiplication.
@@ -726,3 +728,110 @@ class TestFixedRows:
         assert not any(t.is_alive() for t in threads)
         assert errors == []
         assert len(got) == 20 and all(rows == want for rows in got)
+
+
+class TestWindow:
+    # ecsm_window, the one-shot engine: its price against its oracle is in
+    # test_formula_prices
+
+    @staticmethod
+    def meets_bound(curve):
+        """(n + 3)/2 + 2 * 15 < n: k' + c is at most (n + 3)/2, and every
+        sum and difference the walk and the tail form stays below n in
+        size, odd or nonzero, so none is 0 mod n."""
+        return (curve.n + 3) // 2 + 2 * 15 < curve.n
+
+    @pytest.mark.parametrize("name", registered_names(builtin_registry()))
+    def test_one_price_where_the_bound_holds(self, registry, name,
+                                             monkeypatch):
+        # each k is priced as its own schedule, with no memo to return the
+        # first one's: where the bound holds, the memoised price is every
+        # sampled k's, and toy59, below it, is never memoised
+        c = registry.get(name)
+        rng = random.Random("window-" + name)
+        memo = {}
+        monkeypatch.setattr(scalarmult, "_PRICES", memo)
+        memoised = scalarmult.window_price(c, c.n // 2)
+        assert self.meets_bound(c) == (name != "toy59") == bool(memo)
+        if name == "toy59":
+            return
+        for k in edge_scalars(c) + [rng.randrange(1, c.n)
+                                    for _ in range(200)]:
+            monkeypatch.setattr(scalarmult, "_PRICES", {})
+            assert scalarmult.window_price(c, k) == memoised
+
+    def test_no_comb_kind_and_no_cache_touched(self, curves):
+        c = curves["secp160r1"]
+        G = c.generator()
+        Q = scalar_mul_unchecked(0xC0FFEE, G)
+        cache = CombCache()
+        for P in (Q, G, Q):       # a miss, a miss, then Q's first hit
+            ecsm_comb(5, P, cache)
+        resident = list(cache._bases.items())
+        k = c.n * 2 // 3 | 1
+        for P in (Q, G, scalar_mul_unchecked(0xBEEF, G)):
+            with counters.scope() as sc:
+                assert ecsm_window(k, P) == scalar_mul_unchecked(k, P)
+            assert sc.counters["ecsm_window"] == 1
+            assert not [kind for kind in sc.counters
+                        if kind.startswith(("comb", "ecsm_comb"))]
+        assert list(cache._bases.items()) == resident
+
+    def test_range_checked(self, toy):
+        for k in (0, toy.n, -1):
+            with pytest.raises(ScalarRangeError):
+                ecsm_window(k, toy.generator())
+
+    def test_below_table_plus_walk_and_the_jacobian_baseline(self, curves):
+        c = curves["secp256r1"]
+        model = default_model()
+        k = calibration_scalar(c)
+
+        def uJ(price):
+            with counters.scope() as sc:
+                counters.record_all(price)
+            return model.estimate(sc.counters).total * 1e6
+
+        window = uJ(scalarmult.window_price(c, k))
+        miss = uJ(scalarmult._precompute_price(
+            c, COMB_WIDTH, comb_digit_count(c.n_bits, COMB_WIDTH) //
+            COMB_WIDTH)) + uJ(scalarmult.comb_walk_price(c, k))
+        assert window < uJ(scalarmult.jacobian_price(c, k)) < miss
+
+    def test_a_resent_ephemeral_point_builds_no_rows(self, curves, p160_pki,
+                                                     built, monkeypatch):
+        # two cached-mode handshakes share the client's comb cache, and the
+        # server's fixed entropy re-sends one ephemeral point: before, the
+        # second ECDHE was that point's first comb hit, which built its
+        # rows and priced a walk alone
+        c = curves["secp160r1"]
+        agreed = []
+        ecdhe = handshake.ecdhe_shared
+
+        def spy(own, peer):
+            with counters.scope() as sc:
+                out = ecdhe(own, peer)
+            agreed.append((peer, list(sc.counters.items())))
+            return out
+
+        monkeypatch.setattr(handshake, "ecdhe_shared", spy)
+        client_comb, servers = CombCache(), []
+        for tag in (b"first", b"second"):
+            client = HandshakeSession(SessionConfig(
+                role="client", curve=c, own_cert_der=p160_pki.client.cert_der,
+                own_key_d=p160_pki.client.key.d, ca_der=p160_pki.ca_der,
+                mode=MODE_CACHED, entropy=b"resent-client-" + tag,
+                expected_peer_cn="server", comb_cache=client_comb,
+                clock=FIXED_CLOCK))
+            servers.append(HandshakeSession(SessionConfig(
+                role="server", curve=c, own_cert_der=p160_pki.server.cert_der,
+                own_key_d=p160_pki.server.key.d, ca_der=p160_pki.ca_der,
+                mode=MODE_FULL, entropy=b"resent-server",
+                expected_peer_cn="client", clock=FIXED_CLOCK)))
+            assert run_loopback(client, servers[-1]).established
+        E = servers[0].eph_key.Q
+        assert servers[1].eph_key.Q == E
+        prices = [items for peer, items in agreed if peer == E]
+        assert len(prices) == 2 and prices[0] == prices[1]
+        assert point_identity(E) not in client_comb._bases
+        assert (E.x, E.y) not in built
