@@ -4,8 +4,11 @@ Nonces come from a session DRBG when one is given, and otherwise from RFC
 6979 (reproducible fixtures and test vectors), run as its §3.3 states it: an
 `HmacDrbg` seeded with the private key and the digest, whose successive
 generates are the candidates for k.
-Verification prices two comb multiplications through the shared table cache
-and their affine sum, and compares x projectively, with no inversion.
+G is a resident base (see `scalarmult`): every k*G, in key generation,
+signing and verification, walks its provisioned table, and no caller prices
+G's table.  Verification prices u2*Q by its key's class, resident or
+one-shot, then the affine sum, and compares x projectively, with no
+inversion.
 """
 
 from __future__ import annotations
@@ -67,19 +70,16 @@ class KeyPair:
     __slots__ = ("d", "Q", "curve")
 
     def __init__(self, d: int, curve: CurveParams,
-                 Q: Optional[AffinePoint] = None,
-                 cache: Optional[CombCache] = None):
+                 Q: Optional[AffinePoint] = None):
         self.d = d
         self.curve = curve
-        self.Q = ecsm_comb(d, curve.generator(), cache)
+        self.Q = ecsm_comb(d, curve.generator())
         if Q is not None and Q != self.Q:
             raise CurveError("public point does not match private scalar")
 
     @staticmethod
-    def generate(curve: CurveParams, drbg: HmacDrbg,
-                 cache: Optional[CombCache] = None) -> "KeyPair":
-        d = _scalar_from_drbg(curve, drbg)
-        return KeyPair(d, curve, cache=cache)
+    def generate(curve: CurveParams, drbg: HmacDrbg) -> "KeyPair":
+        return KeyPair(_scalar_from_drbg(curve, drbg), curve)
 
 
 def _scalar_from_drbg(curve: CurveParams, drbg: HmacDrbg) -> int:
@@ -112,8 +112,8 @@ def rfc6979_nonces(d: int, digest: bytes,
             yield k
 
 
-def ecdsa_sign(key: KeyPair, digest: bytes, drbg: Optional[HmacDrbg] = None,
-               cache: Optional[CombCache] = None) -> EcdsaSignature:
+def ecdsa_sign(key: KeyPair, digest: bytes, drbg: Optional[HmacDrbg] = None
+               ) -> EcdsaSignature:
     """Sign a digest, with RFC 6979 nonces when no DRBG is given; retries on
     the degenerate r = 0 / s = 0 cases."""
     counters.record("ecdsa_sign")
@@ -125,7 +125,7 @@ def ecdsa_sign(key: KeyPair, digest: bytes, drbg: Optional[HmacDrbg] = None,
     nonces = rfc6979_nonces(key.d, digest, curve) if drbg is None else None
     for _ in range(MAX_SIGN_RETRIES):
         k = next(nonces) if drbg is None else _scalar_from_drbg(curve, drbg)
-        R = ecsm_comb(k, G, cache)
+        R = ecsm_comb(k, G)
         r = R.x % n
         if r == 0:
             continue
@@ -138,9 +138,13 @@ def ecdsa_sign(key: KeyPair, digest: bytes, drbg: Optional[HmacDrbg] = None,
 
 
 def ecdsa_verify(pub: AffinePoint, digest: bytes, sig: EcdsaSignature,
-                 cache: Optional[CombCache] = None) -> bool:
+                 cache: Optional[CombCache] = None,
+                 resident: bool = False) -> bool:
     """Accept iff (u1*G + u2*pub).x == r mod n.  Out-of-range components
-    reject; they are not errors."""
+    reject; they are not errors.  u2*pub is priced on pub's resident table
+    when resident is set (a trust anchor's key, a peer leaf that a
+    cached-mode client keeps), and as a one-shot base otherwise; cache,
+    when given, holds pub's execution rows."""
     curve = pub.curve
     n = curve.n
     if not sig.in_range(n):
@@ -151,4 +155,4 @@ def ecdsa_verify(pub: AffinePoint, digest: bytes, sig: EcdsaSignature,
     sinv = inv_euclid_int(sig.s, n_mod)
     u1 = mul_int(z % n, sinv, n_mod)
     u2 = mul_int(sig.r % n, sinv, n_mod)
-    return comb_sum_x_matches(u1, curve.generator(), u2, pub, sig.r, cache)
+    return comb_sum_x_matches(u1, u2, pub, sig.r, cache, resident)

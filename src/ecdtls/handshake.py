@@ -44,10 +44,16 @@ counters never depend on whether the store hit.  The store holds at most
 each resident endpoint's `KeyPair`, its private scalar included, until it
 is evicted.  Its key is a SHA-256 digest of the curve, scalar and both
 certificates, so no secret is a dict key and no entry serves a config that
-differs in any of them.  Each session pins its anchor's key in
-`scalarmult`, refreshing its recency, so certificate checks run their
-multiplication on it from process-wide fixed-base rows; that is execution
-only and prices nothing.
+differs in any of them.
+Each multiplication is priced by where its base's comb table lives (see
+`scalarmult`).  G and the trust anchor's key are resident: their tables are
+provisioned with the credential, so they walk only, and no session prices
+them.  Each session pins its anchor's key in `scalarmult`, refreshing its
+recency, so certificate checks run on its process-wide fixed-base rows;
+that is execution only and prices nothing.  The peer's leaf key is
+one-shot, except in a cached-mode client, which keeps it: the session that
+verifies a fresh leaf and caches it pays its table once, and every
+signature under it walks.  The peer's ephemeral point is one-shot.
 Both roles authenticate the peer through three shared helpers.
 `_peer_certificate` checks the leaf, the first certificate of the peer's
 chain (RFC 5246 §7.4.2), `_check_signature` a ServerKeyExchange or
@@ -77,7 +83,7 @@ from .keyagree import KeyAgreementError, ecdhe_shared
 from .prf import tls_prf_sha256
 from .record import (CONTENT_ALERT, CONTENT_APPDATA, CONTENT_CCS,
                      CONTENT_HANDSHAKE, DROP_OK, MAX_SEQUENCE, RecordLayer)
-from .scalarmult import CombCache, pin_trust_anchor
+from .scalarmult import CombCache, comb_precompute, pin_trust_anchor
 from .sha256 import HmacKey, Sha256, sha256
 from .x509 import CertCache, X509Error, x509_parse, x509_verify
 
@@ -445,7 +451,8 @@ class HandshakeSession:
         the chain is not read.  Unless a cached-mode client finds it in its
         cache, the leaf is parsed and checked: curve and expected common
         name, issued by the trust anchor, then signature and validity window
-        under the session clock.  A client caches the leaf it verified."""
+        under the session clock.  A client caches the leaf it verified, and
+        a cached-mode one pays the table of the key it now keeps."""
         if not cert_ders:
             raise _Abort("peer sent no certificate")
         now = int(self.config.clock())
@@ -463,20 +470,24 @@ class HandshakeSession:
                 or (fresh and cert.issuer != self.ca_subject):
             raise _Abort("peer certificate rejected")
         if fresh:
-            ok, reason = x509_verify(cert, self.ca_key, now, self.comb_cache)
+            ok, reason = x509_verify(cert, self.ca_key, now)
             if not ok:
                 raise _Abort("peer certificate rejected: %s" % reason)
             if self.role == "client":
                 self.cert_cache.insert(cert, self.ca_key)
+                if self.config.mode == MODE_CACHED:
+                    comb_precompute(cert.public_key)
         self.peer_key = cert.public_key
 
     def _check_signature(self, der: bytes, digest: bytes, what: str) -> None:
-        """The peer's DER signature over digest, under `peer_key`."""
+        """The peer's DER signature over digest, under `peer_key`, which
+        is resident in a cached-mode client and one-shot otherwise."""
         try:
             sig = EcdsaSignature.from_der(der)
         except SignatureError:
             raise _Abort("undecodable %s signature" % what) from None
-        if not ecdsa_verify(self.peer_key, digest, sig, self.comb_cache):
+        if not ecdsa_verify(self.peer_key, digest, sig, self.comb_cache,
+                            self.config.mode == MODE_CACHED):
             raise _Abort("%s signature invalid" % what)
 
     def _agree(self, point: bytes) -> None:
@@ -519,8 +530,7 @@ class HandshakeSession:
             self.client_random, self.server_random, ske.signed_params)
         self._check_signature(ske.signature_der, sha256(signed),
                               "ServerKeyExchange")
-        self.eph_key = KeyPair.generate(self.config.curve, self.drbg,
-                                        self.comb_cache)
+        self.eph_key = KeyPair.generate(self.config.curve, self.drbg)
         self._agree(ske.point)
 
         self._send_handshake(
@@ -530,7 +540,7 @@ class HandshakeSession:
             wire.HT_CLIENT_KEY_EXCHANGE,
             wire.build_client_key_exchange(self.eph_key.Q.encode()))
         cv_sig = ecdsa_sign(self.own_key, self.transcript.copy().digest(),
-                            self.drbg, cache=self.comb_cache)
+                            self.drbg)
         self._send_handshake(wire.HT_CERTIFICATE_VERIFY,
                              wire.build_certificate_verify(cv_sig.to_der()))
         self._change_cipher_and_finish()
@@ -550,14 +560,12 @@ class HandshakeSession:
         self._send_handshake(
             wire.HT_CERTIFICATE,
             wire.build_certificate([self.config.own_cert_der]))
-        self.eph_key = KeyPair.generate(self.config.curve, self.drbg,
-                                        self.comb_cache)
+        self.eph_key = KeyPair.generate(self.config.curve, self.drbg)
         params = wire.build_server_ecdh_params(self.config.curve.tls_code,
                                                self.eph_key.Q.encode())
         signed = wire.server_key_exchange_signed_data(
             self.client_random, self.server_random, params)
-        sig = ecdsa_sign(self.own_key, sha256(signed), self.drbg,
-                         cache=self.comb_cache)
+        sig = ecdsa_sign(self.own_key, sha256(signed), self.drbg)
         self._send_handshake(
             wire.HT_SERVER_KEY_EXCHANGE,
             wire.build_server_key_exchange(params, sig.to_der()))

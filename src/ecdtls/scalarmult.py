@@ -5,13 +5,14 @@ Every engine is priced from its scalar, in integers.  Each point it touches
 is m*P for an integer m, and a registered curve has cofactor 1 and odd
 prime order n, so each exceptional branch of the group law is a test on
 m mod n (m = 0 is the identity, m1 = +-m2 is equal x), and the prices are
-exact for a base of order n.  `ecsm_comb` is priced as the paper's
-fixed-base comb with zero-less signed-digit recoding on the affine law, at
-the one width `COMB_WIDTH` = 4 that the energy model is calibrated on: the
-table (`comb_precompute`) on a miss of the six-entry LRU `CombCache`, then a
-doubling and an addition per column, a parity tail and a negation, from
-schedules memoised per curve.  `_comb`, behind every comb multiplication,
-records that price and then executes, so each comb price takes one path.
+exact for a base of order n.  `ecsm_comb` is priced as the walk of the
+paper's fixed-base comb with zero-less signed-digit recoding on the affine
+law, at the one width `COMB_WIDTH` = 4 that the energy model is calibrated
+on: a doubling and an addition per column, a parity tail and a negation,
+from schedules memoised per curve.  Its table is priced apart
+(`comb_precompute`), where a base becomes resident.  `_comb`, behind every
+comb multiplication, records that price and then executes, so each comb
+price takes one path.
 The walk is priced at k' = min(k, n - k), and the negation of its result
 whichever k' is chosen, so wherever 6 mask + 5 < n (`_walk_price`) no
 column and no tail meets an exceptional branch and the schedule is the same
@@ -20,23 +21,33 @@ keeps an exact price per k.  The Python's own time varies with k and the
 base.
 The price helpers take the comb's geometry, so the tests can check them at
 other widths.  `comb_sum_x_matches`, ECDSA's verification equation, is
-priced as its two comb multiplications and the affine addition of their
-results, on the branch that their Jacobian sum takes.
+priced as its two multiplications, each by its base's class, and the
+affine addition of their results, on the branch that their Jacobian sum
+takes.
 
-A base that stays is priced on the comb: G in `ecdsa`'s key generation
-Q = d*G and signing R = k*G, and G and the signer's key in ECDSA's
-verification (`comb_sum_x_matches`, for certificates and handshake
-signatures).  A one-shot base, ECDHE's peer ephemeral point in
-`keyagree.ecdhe_shared`, is used once, so it is priced as `ecsm_window`,
-whose table lives for the one call and which no cache sees: a regular
-signed window (Joye and Tunstall, AFRICACRYPT 2009), the 8 odd multiples
-P .. 15P on the affine law, then 4-bit windows, each with one odd nonzero
-digit, on the projective law, and one Euclid inversion (`window_price`).
-As the comb's walk does, its price runs one schedule for every k in
-[1, n) on every registered curve but toy59.
+A multiplication is priced by the class of its base, never by what a
+`CombCache` holds:
+- A resident base has a comb table provisioned off-session (fixed-base
+  precomputation is offline work: Lim and Lee, CRYPTO 1994; HMV 3.3.2), so
+  `ecsm_comb` records `ecsm_comb`, `comb_cache_hit` and the walk, and no
+  table.  G is resident (`ecdsa`'s key generation Q = d*G, signing R = k*G
+  and the u1*G of every verification), and so is the trust anchor's key in
+  a certificate check (`comb_sum_x_matches` with `resident`).
+- A peer's leaf key that a cached-mode client keeps is resident from the
+  insert that pays its table once, `comb_precompute`: `comb_cache_miss`
+  and the table.
+- Any other base is one-shot, priced as `ecsm_window`, whose table lives
+  for the one call: ECDHE's peer ephemeral point in
+  `keyagree.ecdhe_shared`, and the u2*Q of a verification under a leaf key
+  that no cache keeps.  It is a regular signed window (Joye and Tunstall,
+  AFRICACRYPT 2009), the 8 odd multiples P .. 15P on the affine law, then
+  4-bit windows, each with one odd nonzero digit, on the projective law,
+  and one Euclid inversion (`window_price`).  As the comb's walk does, its
+  price runs one schedule for every k in [1, n) on every registered curve
+  but toy59.
 
 The energy fit reads two prices and runs no multiplication:
-`comb_walk_price`, the comb's walk (a cache hit's price less its
+`comb_walk_price`, the comb's walk (a resident base's price less its
 `ecsm_comb` and `comb_cache_hit` counts), and `jacobian_price`, the
 projective baseline: double-and-add on the projective datapath plus one
 Fermat inversion.  The tests' engines in
@@ -56,14 +67,15 @@ most 32 additions from 1,020 points).  A process-wide store holds the rows
 of the bases the process is configured with: each curve's G, built on first
 use and never evicted, and each trust anchor pinned by `pin_trust_anchor`,
 built when pinned, at most `COMB_CACHE_CAPACITY` of them, the least
-recently used evicted first.  A `CombCache` maps each resident base to its
-rows: the process-wide ones, or for any other base rows built on its first
-hit, which go when the cache evicts the base.  A base without rows (a cache
-miss, no cache, a one-shot point) runs width-5 wNAF, one step per digit,
-and so does the registry's check of n*G = O, `order_annihilates_generator`,
-which prices nothing.  The kernel inlines the a = -3 doubling and the
-addition; only an addition at equal x, and a doubling on another a, go to
-`_jdouble` and `_jadd`.  The tests' double-and-add engines
+recently used evicted first.  A `CombCache`, which prices nothing, maps each
+base it has seen to its rows: the process-wide ones, or for any other base
+rows built on its second use, which go when the cache evicts the base.  A
+base without rows (a first use, no cache, ECDHE's peer point) runs width-5
+wNAF, one step per digit, and so does the registry's check of n*G = O,
+`order_annihilates_generator`, which prices nothing.  The kernel inlines
+the a = -3 doubling and the addition; only an addition at equal x, and a
+doubling on another a, go to `_jdouble` and `_jadd`.  The tests'
+double-and-add engines
 (tests/reference_engines.py) run on those two alone, so their results are
 an independent reference for the kernel's formulas.
 """
@@ -572,29 +584,32 @@ def pin_trust_anchor(Q: AffinePoint) -> None:
     _fixed_rows(Q, point_identity(Q), pin=True)
 
 
-def comb_precompute(P: AffinePoint) -> Optional[list]:
-    """Record the price of the comb table for base P, entry[j] = sum(s_i
-    2^(i*d) P) over the sign pattern j (bit i set -> +1) with the top row
-    sign always +1, in one call.  Return P's process-wide rows if P is G or
-    a pinned anchor, else None."""
+def comb_precompute(P: AffinePoint) -> None:
+    """Record the price of making P's comb table (of width `COMB_WIDTH`)
+    resident, once, where a session comes to keep P: `comb_cache_miss`,
+    then the table, entry[j] = sum(s_i 2^(i*d) P) over the sign pattern j
+    (bit i set -> +1) with the top row sign always +1, in one call.  No
+    point is built: execution keeps its rows apart."""
     curve = P.curve
     key = ("table", curve.mod.bitlen, curve.n)
     if key not in _PRICES:
         _PRICES[key] = _precompute_price(curve, COMB_WIDTH, comb_digit_count(
             curve.n_bits, COMB_WIDTH) // COMB_WIDTH)
+    counters.record("comb_cache_miss")
     counters.record_all(_PRICES[key])
-    return _fixed_rows(P, point_identity(P))
 
 
 class CombCache:
-    """The bases with a resident comb table (of width `COMB_WIDTH`), LRU,
-    at most six, each mapped to its execution rows: a hit skips the table's
-    price, and a base's first hit builds its rows unless it holds G's or a
-    pinned anchor's already.  The rows go when the base is evicted.  On
-    secp256r1 the build takes about 5.4 ms and each later hit saves about
-    1.3 ms against wNAF, so a base pays back its build after about 4 hits
-    (medians scaled to the benchmark's nominal pace, a 2.1 GHz Xeon vCPU).
-    Mutable; callers serialize access (one writer at a time)."""
+    """Execution only: the bases a configuration has multiplied, LRU, at
+    most six, each mapped to its rows.  A base's first use stores its
+    process-wide rows, G's or a pinned anchor's, or none, and so runs wNAF;
+    its second builds rows unless it has them, which go when the base is
+    evicted.  On secp256r1 the build takes about 5.4 ms and each later use
+    saves about 1.3 ms against wNAF, so a base pays back its build after
+    about 4 uses (medians scaled to the benchmark's nominal pace, a 2.1 GHz
+    Xeon vCPU).  Nothing is recorded: a multiplication is priced by its
+    base's class, never by what a cache holds.  Mutable; callers serialize
+    access (one writer at a time)."""
 
     def __init__(self):
         self._bases: Dict[bytes, Optional[list]] = {}
@@ -603,20 +618,17 @@ class CombCache:
         return len(self._bases)
 
     def get_or_build(self, P: AffinePoint) -> Optional[list]:
-        """Hit: return P's rows (LRU refresh, no priced point operation),
-        built if this is its first.  Miss: precompute, insert, evict the
-        stalest base beyond capacity, and return what the precompute
-        returned."""
+        """P's rows, built if this is its second use, or on its first the
+        process-wide ones or None; P becomes the most recently used, and
+        the stalest base beyond capacity is evicted."""
         key = point_identity(P)
         if key in self._bases:
-            counters.record("comb_cache_hit")
             rows = self._bases.pop(key)
             if rows is None:
                 rows = _rows(P.curve, P.x, P.y)
-            self._bases[key] = rows  # most recently used last
-            return rows
-        counters.record("comb_cache_miss")
-        rows = self._bases[key] = comb_precompute(P)
+        else:
+            rows = _fixed_rows(P, key)
+        self._bases[key] = rows  # most recently used last
         while len(self._bases) > COMB_CACHE_CAPACITY:
             del self._bases[next(iter(self._bases))]
         return rows
@@ -630,38 +642,53 @@ def _check_range(k: int, curve: CurveParams) -> None:
         raise ScalarRangeError("scalar out of [1, n)")
 
 
-def _comb(k: int, P: AffinePoint, cache: Optional[CombCache]) -> tuple:
-    """k*P as a Jacobian triple, priced as `ecsm_comb`: check k in [1, n),
-    count the multiplication, take P's table through the cache (a hit
-    refreshes P's recency and builds its rows on P's first hit; a miss, or
-    no cache, prices the precompute), price the walk at k, then execute
-    from P's rows, or by wNAF for a base without them."""
+def _times(k: int, P: AffinePoint, cache: Optional[CombCache]) -> tuple:
+    """k*P as a Jacobian triple, unpriced: from P's rows in the cache, or
+    with no cache its process-wide rows, or by wNAF for a base without
+    them."""
+    rows = cache.get_or_build(P) if cache is not None else \
+        _fixed_rows(P, point_identity(P))
     curve = P.curve
-    _check_range(k, curve)
-    counters.record("ecsm_comb")
-    rows = cache.get_or_build(P) if cache is not None else comb_precompute(P)
-    counters.record_all(comb_walk_price(curve, k))
     return _fixed_base(curve, rows, k) if rows else _wnaf(curve, k, P.x, P.y)
 
 
-def ecsm_comb(k: int, P: AffinePoint, cache: Optional[CombCache] = None
-              ) -> AffinePoint:
-    """k*P, priced as the ZSD comb: the table on a cache miss or with no
-    cache, then one double and one add per column, a parity-correction
-    tail and a negation.  k outside [1, n) raises `ScalarRangeError`."""
-    return _point(P.curve, _comb(k, P, cache))
+def _comb(k: int, P: AffinePoint, cache: Optional[CombCache] = None
+          ) -> tuple:
+    """k*P as a Jacobian triple for a resident base, priced as `ecsm_comb`:
+    check k in [1, n), count the multiplication and its resident table
+    (`comb_cache_hit`), price the walk at k, then execute (`_times`)."""
+    curve = P.curve
+    _check_range(k, curve)
+    counters.record("ecsm_comb")
+    counters.record("comb_cache_hit")
+    counters.record_all(comb_walk_price(curve, k))
+    return _times(k, P, cache)
+
+
+def _window(k: int, P: AffinePoint, cache: Optional[CombCache] = None
+            ) -> tuple:
+    """k*P as a Jacobian triple for a one-shot base, priced as
+    `ecsm_window`: check k in [1, n), count the multiplication, price it
+    as `window_price`, then execute (`_times`)."""
+    curve = P.curve
+    _check_range(k, curve)
+    counters.record("ecsm_window")
+    counters.record_all(window_price(curve, k))
+    return _times(k, P, cache)
+
+
+def ecsm_comb(k: int, P: AffinePoint) -> AffinePoint:
+    """k*P for a resident base, priced as the walk of its ZSD comb table:
+    one double and one add per column, a parity-correction tail and a
+    negation, and no table.  k outside [1, n) raises `ScalarRangeError`."""
+    return _point(P.curve, _comb(k, P))
 
 
 def ecsm_window(k: int, P: AffinePoint) -> AffinePoint:
     """k*P for a one-shot base, priced as `window_price`: a regular
     signed-window multiplication whose table of 8 entries is built for
-    this call alone, and which no cache sees.  Executed by wNAF.  k outside
-    [1, n) raises `ScalarRangeError`."""
-    curve = P.curve
-    _check_range(k, curve)
-    counters.record("ecsm_window")
-    counters.record_all(window_price(curve, k))
-    return _point(curve, _wnaf(curve, k, P.x, P.y))
+    this call alone.  k outside [1, n) raises `ScalarRangeError`."""
+    return _point(P.curve, _window(k, P))
 
 
 def _jsum(curve: CurveParams, A: tuple, B: tuple) -> tuple:
@@ -690,17 +717,21 @@ def _jsum(curve: CurveParams, A: tuple, B: tuple) -> tuple:
         curve.add_cost
 
 
-def comb_sum_x_matches(u1: int, P: AffinePoint, u2: int, Q: AffinePoint,
-                       r: int, cache: Optional[CombCache] = None) -> bool:
-    """Whether u1*P + u2*Q, for u1 in [0, n) and u2 in [1, n), is not the
+def comb_sum_x_matches(u1: int, u2: int, Q: AffinePoint, r: int,
+                       cache: Optional[CombCache] = None,
+                       resident: bool = False) -> bool:
+    """Whether u1*G + u2*Q, for u1 in [0, n) and u2 in [1, n), is not the
     identity and has an x of r mod n: the ECDSA verification equation.
-    Priced as `ecsm_comb` of each term with a nonzero scalar in turn, then
-    the affine addition of the two.  The sum stays Jacobian, and its x is
-    compared projectively, X = x Z^2 for each x = r mod n below p, so
-    nothing is inverted."""
+    Priced in turn as `ecsm_comb` of u1*G, G being resident, when u1 is
+    nonzero; u2*Q as `ecsm_comb` when Q's table is resident and as
+    `ecsm_window` when Q is one-shot; then the affine addition of the two.
+    Q's rows come from cache when one is given.  The sum stays Jacobian,
+    and its x is compared projectively, X = x Z^2 for each x = r mod n
+    below p, so nothing is inverted."""
     curve = Q.curve
-    A = _comb(u1, P, cache) if u1 else _IDENTITY
-    (X, _, Z), price = _jsum(curve, A, _comb(u2, Q, cache))
+    A = _comb(u1, curve.generator()) if u1 else _IDENTITY
+    (X, _, Z), price = _jsum(curve, A, (_comb if resident else _window)(
+        u2, Q, cache))
     if price:
         counters.record_all(price)
     if Z == 0:

@@ -24,7 +24,6 @@ from .der import (PRINTABLE_CHARACTERS, TAG_BIT_STRING, TAG_BOOLEAN,
                   der_integer, der_oid, der_tlv, der_utctime)
 from .ecdsa import EcdsaSignature, KeyPair, SignatureError, ecdsa_sign, \
     ecdsa_verify
-from .scalarmult import CombCache
 from .sha256 import sha256
 
 
@@ -217,16 +216,17 @@ REJECT_NOT_YET_VALID = "not_yet_valid"
 ACCEPTED = "ok"
 
 
-def x509_verify(cert: Certificate, issuer_key: AffinePoint, now: int,
-                cache: Optional[CombCache] = None) -> Tuple[bool, str]:
+def x509_verify(cert: Certificate, issuer_key: AffinePoint, now: int
+                ) -> Tuple[bool, str]:
     """Signature over the exact TBS bytes plus validity window; the clock is
-    supplied by the caller."""
+    supplied by the caller.  The issuer is the trust anchor, whose key is a
+    resident base."""
     if now < cert.not_before:
         return False, REJECT_NOT_YET_VALID
     if now > cert.not_after:
         return False, REJECT_EXPIRED
     digest = sha256(cert.raw_tbs)
-    if not ecdsa_verify(issuer_key, digest, cert.signature, cache):
+    if not ecdsa_verify(issuer_key, digest, cert.signature, resident=True):
         return False, REJECT_BAD_SIGNATURE
     return True, ACCEPTED
 

@@ -9,7 +9,7 @@ import pytest
 
 from ecdtls import counters, scalarmult
 from ecdtls.curve import builtin_registry
-from ecdtls.scalarmult import CombCache, comb_precompute, pin_trust_anchor
+from ecdtls.scalarmult import CombCache, pin_trust_anchor
 from conftest import registered_names
 from reference_engines import double_and_add, scalar_mul_unchecked
 
@@ -32,6 +32,11 @@ def reference(curve, k, P):
     return scalarmult._point(curve, double_and_add(curve, k, P.x, P.y))
 
 
+def process_rows(P):
+    """P's process-wide rows: G's, a pinned anchor's, or None."""
+    return scalarmult._fixed_rows(P, scalarmult.point_identity(P))
+
+
 class TestCombShape:
     def test_p256_tables_and_schedule(self, curves, schedules):
         # 8 teeth of d = 32 bits in 4 blocks of e = 8: 4 tables of the 255
@@ -39,7 +44,7 @@ class TestCombShape:
         # at most 7 doublings and one addition per block and step
         c = curves["secp256r1"]
         G = c.generator()
-        rows = comb_precompute(G)
+        rows = process_rows(G)
         assert scalarmult._comb_geometry(c) == (32, 8)
         assert [len(table) for table in rows] == [255] * 4
         rng = random.Random("p256-schedule")
@@ -83,7 +88,7 @@ def test_executors_agree_with_double_and_add(registry, name, no_anchors):
     other = scalar_mul_unchecked(c.n // 5, G)
     cache = CombCache()
     assert cache.get_or_build(other) is None                  # miss
-    bases = {G: comb_precompute(G), anchor: comb_precompute(anchor),
+    bases = {G: process_rows(G), anchor: process_rows(anchor),
              other: cache.get_or_build(other)}                # first hit
     assert all(rows is not None for rows in bases.values())
     d, _ = scalarmult._comb_geometry(c)

@@ -9,7 +9,8 @@ from ecdtls.ecdsa import (EcdsaSignature, KeyPair, SignatureError,
                           digest_to_scalar, ecdsa_sign, ecdsa_verify,
                           rfc6979_nonces)
 from ecdtls.field import inv_euclid_int, mul_int
-from ecdtls.scalarmult import CombCache, ScalarRangeError, ecsm_comb
+from ecdtls.scalarmult import CombCache, ScalarRangeError, ecsm_comb, \
+    ecsm_window
 from ecdtls.sha256 import sha256
 from test_formula_prices import oracle_add
 
@@ -120,9 +121,9 @@ class TestSignVerify:
         c = curves[name]
         drbg = HmacDrbg(b"seed" * 8, name.encode())
         cache = CombCache()
-        key = KeyPair.generate(c, drbg, cache)
+        key = KeyPair.generate(c, drbg)
         digest = sha256(b"message for " + name.encode())
-        sig = ecdsa_sign(key, digest, drbg, cache=cache)
+        sig = ecdsa_sign(key, digest, drbg)
         assert ecdsa_verify(key.Q, digest, sig, cache)
 
     def test_flipped_digest_bit_rejects(self, curves):
@@ -157,10 +158,14 @@ class TestSignVerify:
         key = KeyPair.generate(c, drbg)
         digest = sha256(b"count me")
         sig = ecdsa_sign(key, digest, drbg)
-        with counters.scope() as sc:
-            ecdsa_verify(key.Q, digest, sig)
-        assert sc.counters["ecdsa_verify"] == 1
-        assert sc.counters["ecsm_comb"] == 2
+        # u1*G walks G's resident table; u2*Q walks too when Q's table is
+        # resident, and is one-shot otherwise
+        for resident, engines in ((False, (1, 1)), (True, (2, 0))):
+            with counters.scope() as sc:
+                ecdsa_verify(key.Q, digest, sig, resident=resident)
+            assert sc.counters["ecdsa_verify"] == 1
+            assert (sc.counters["ecsm_comb"], sc.counters["ecsm_window"]) \
+                == engines
 
     def test_toy_curve_round_trip(self, toy, rng):
         drbg = HmacDrbg(b"toy" * 12)
@@ -238,10 +243,12 @@ class TestStrictDerSignature:
                 EcdsaSignature.from_der(der[:cut])
 
 
-def affine_verify(pub, digest, sig, cache=None, seen=None):
+def affine_verify(pub, digest, sig, resident=False, seen=None):
     """The verify as it was before the projective x comparison: both
-    products made affine and summed by `oracle_add`.  Adds to seen the
-    branch the sum took, and whether an accepted x was r + n."""
+    products made affine, u2*pub by `ecsm_comb` when its table is resident
+    and by `ecsm_window` when it is one-shot, and summed by `oracle_add`.
+    Adds to seen the branch the sum took, and whether an accepted x was
+    r + n."""
     curve = pub.curve
     n = curve.n
     if not sig.in_range(n):
@@ -252,12 +259,12 @@ def affine_verify(pub, digest, sig, cache=None, seen=None):
     sinv = inv_euclid_int(sig.s, n_mod)
     u1 = mul_int(z % n, sinv, n_mod)
     u2 = mul_int(sig.r % n, sinv, n_mod)
+    times_pub = ecsm_comb if resident else ecsm_window
     if u1 == 0:
         branch = "u1 = 0"
-        R = ecsm_comb(u2, pub, cache)
+        R = times_pub(u2, pub)
     else:
-        A, B = ecsm_comb(u1, curve.generator(), cache), \
-            ecsm_comb(u2, pub, cache)
+        A, B = ecsm_comb(u1, curve.generator()), times_pub(u2, pub)
         branch = "add" if A.x != B.x else "double" if A == B else "cancel"
         R = oracle_add(A, B)
     if seen is not None:
@@ -279,10 +286,12 @@ class TestProjectiveVerify:
     @pytest.mark.parametrize("q,cached", [(7, False), (52, True)])
     def test_every_signature_against_affine_oracle(self, toy, q, cached):
         # for every r and s: a plain digest, the digests that make
-        # u1*G = +-u2*Q (z = +-q*r) and the one that makes u1 = 0
+        # u1*G = +-u2*Q (z = +-q*r) and the one that makes u1 = 0; cached,
+        # Q's table is resident and its rows are in a comb cache, else Q is
+        # one-shot
         n = toy.n
         Q = KeyPair(q, toy).Q
-        caches = (CombCache(), CombCache()) if cached else (None, None)
+        cache = CombCache() if cached else None
         seen = set()
         for r in range(1, n):
             for z in (q + 5, q * r % n, -q * r % n, 0):
@@ -290,10 +299,9 @@ class TestProjectiveVerify:
                 for s in range(1, n):
                     sig = EcdsaSignature(r, s)
                     with counters.scope(trace=True) as want:
-                        accept = affine_verify(Q, digest, sig, caches[0],
-                                               seen)
+                        accept = affine_verify(Q, digest, sig, cached, seen)
                     with counters.scope(trace=True) as got:
-                        assert ecdsa_verify(Q, digest, sig, caches[1]) \
+                        assert ecdsa_verify(Q, digest, sig, cache, cached) \
                             == accept
                     assert list(got.counters.items()) == \
                         list(want.counters.items())
@@ -306,13 +314,13 @@ class TestProjectiveVerify:
         digest = sha256(b"resident")
         sig = ecdsa_sign(key, digest)
         cache = CombCache()
-        for _ in range(2):   # a miss, then the first hit builds Q's rows
-            ecdsa_verify(key.Q, digest, sig, cache)
+        for _ in range(2):   # Q's first use, then its second builds rows
+            ecdsa_verify(key.Q, digest, sig, cache, resident=True)
         calls = []
         to_affine = scalarmult._to_affine
         monkeypatch.setattr(scalarmult, "_to_affine",
                             lambda *a: calls.append(a) or to_affine(*a))
         with counters.scope() as sc:
-            assert ecdsa_verify(key.Q, digest, sig, cache)
+            assert ecdsa_verify(key.Q, digest, sig, cache, resident=True)
         assert sc.counters["comb_cache_hit"] == 2
         assert calls == []

@@ -10,10 +10,14 @@ those engines as they ran before, on the counted affine formulas
 `oracle_add`, `oracle_double` and `oracle_negate` of `test_formula_prices`:
 one affine operation, one inversion, each, walked point by point.  Both must
 give the same result, the same counter items in the same order and the same
-trace, on every registered curve, with and without a comb cache.  The
-table's price is also checked at other widths, through the price helper that
-takes the comb's geometry.  The prices are exact for points of the curve's
-order n; on a point whose order is not n, only the results are compared."""
+trace, on every registered curve, whether a comb cache holds the base's
+rows or not.  Each class of base is checked: a resident base's walk
+(`ecsm_comb`), the table a base pays once where it becomes resident
+(`comb_precompute`), and a one-shot base's window (`ecsm_window`, whose
+oracle is `test_formula_prices.oracle_window`).  The table's price is also
+checked at other widths, through the price helper that takes the comb's
+geometry.  The prices are exact for points of the curve's order n; on a
+point whose order is not n, only the results are compared."""
 
 import random
 from collections import namedtuple
@@ -27,7 +31,7 @@ from ecdtls.scalarmult import (COMB_WIDTH, CombCache, ScalarRangeError,
 from conftest import registered_names
 from reference_engines import affine, scalar_mul_unchecked
 from test_formula_prices import oracle_add, oracle_double, oracle_negate, \
-    priced, same_price
+    oracle_window, priced, same_price
 
 # the oracle's recoding, which the library no longer builds: it reads the
 # digits as bits of an integer
@@ -72,23 +76,32 @@ def oracle_precompute(P, w=COMB_WIDTH):
     return tuple(entries)
 
 
-def oracle_comb(k, P, cache=None):
-    """ecsm_comb without its range check, run on k' = min(k, n - k): the
-    walk to k'*P, then its negation, computed whichever k' is chosen, and
-    the one of the two that k selects, which is k*P for P of order n.  A
-    cache miss builds the table with oracle_precompute, and the cache keeps
-    its entries in place of rows."""
+def oracle_insert(P):
+    """comb_precompute: the miss that makes P resident, then its table."""
+    counters.record("comb_cache_miss")
+    return oracle_precompute(P)
+
+
+_ORACLE_TABLES = {}   # the entries of each resident base, built unpriced
+
+
+def oracle_comb(k, P):
+    """ecsm_comb without its range check, for a resident base: its table's
+    lookup hits, and the walk runs on k' = min(k, n - k): the walk to k'*P,
+    then its negation, computed whichever k' is chosen, and the one of the
+    two that k selects, which is k*P for P of order n.  The table's entries
+    were built by oracle_precompute outside any scope."""
     curve = P.curve
     counters.record("ecsm_comb")
+    counters.record("comb_cache_hit")
     w = COMB_WIDTH
     t = comb_digit_count(curve.n_bits, w)
     d = t // w
-    if cache is not None:
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(scalarmult, "comb_precompute", oracle_precompute)
-            entries = cache.get_or_build(P)
-    else:
-        entries = oracle_precompute(P)
+    key = (curve.id, P.x, P.y)
+    if key not in _ORACLE_TABLES:
+        with counters.isolated():
+            _ORACLE_TABLES[key] = oracle_precompute(P)
+    entries = _ORACLE_TABLES[key]
     kp = min(k, curve.n - k)
     zsd = zsd_recode(kp, t)
     digits = zsd.digits
@@ -144,16 +157,21 @@ def oracle_scalars(curve):
 
 @pytest.mark.parametrize("base", ["generator", "other"])
 def test_comb_matches_affine_oracle(curve, base):
+    # the resident walk, with P's rows from the process-wide store or wNAF,
+    # and from a comb cache's rows, whose first use finds none; every 8th k
+    # also prices the one-shot window, through the same cache
     P = curve.generator() if base == "generator" else other_base(curve)
-    cache, oracle_cache = CombCache(), CombCache()
+    cache = CombCache()
     for i, k in enumerate(oracle_scalars(curve)):
-        # the first cached call misses, the rest hit
-        assert priced(ecsm_comb, k, P, cache) == \
-            priced(oracle_comb, k, P, oracle_cache)
-        # without a cache the table's price is the same: every 8th will do
+        want = priced(oracle_comb, k, P)
+        assert priced(ecsm_comb, k, P) == want
         if i % 8 == 0:
-            assert same_price(ecsm_comb, oracle_comb, k, P, None) == \
-                oracle_unchecked(k, P)
+            got = priced(scalarmult._comb, k, P, cache)
+            assert (affine(curve, got[0]),) + got[1:] == want
+            got = priced(scalarmult._window, k, P, cache)
+            assert (affine(curve, got[0]),) + got[1:] == \
+                priced(oracle_window, k, P)
+            assert want[0] == oracle_unchecked(k, P)
 
 
 def table_price(curve, w):
@@ -167,11 +185,13 @@ def table_price(curve, w):
 def test_table_entries_match_affine_oracle(curve, w):
     # no entry is built: the price helper records what building them costs,
     # at every width it takes, and comb_precompute records it at COMB_WIDTH
+    # after the miss that makes the base resident
     for P in (curve.generator(), other_base(curve)):
         want = priced(oracle_precompute, P, w)[1:]
         assert priced(table_price, curve, w)[1:] == want
         if w == COMB_WIDTH:
-            assert priced(comb_precompute, P)[1:] == want
+            assert priced(comb_precompute, P)[1:] == \
+                priced(oracle_insert, P)[1:]
 
 
 def test_unchecked_matches_affine_oracle_past_the_order(toy, curves):
@@ -198,17 +218,16 @@ def test_engines_match_affine_oracle_on_a_two_torsion_point():
     curve = CurveParams("two-torsion", 59, 1, -2, 1, 0, 53, 0xFE03, "2.999.2")
     T = curve.generator()
     assert oracle_double(T) is None
-    cache, oracle_cache = CombCache(), CombCache()
+    cache = CombCache()
     for k in range(1, curve.n):
         want = T if k % 2 else None
         selected = T if min(k, curve.n - k) % 2 else None
         assert oracle_comb(k, T) == selected
-        assert oracle_comb(k, T, oracle_cache) == selected
         for c in (None, cache):
             assert affine(curve, scalarmult._comb(k, T, c)) == want
-            if want is None:
-                with pytest.raises(CurveError):
-                    ecsm_comb(k, T, c)
-            else:
-                assert ecsm_comb(k, T, c) == want
+        if want is None:
+            with pytest.raises(CurveError):
+                ecsm_comb(k, T)
+        else:
+            assert ecsm_comb(k, T) == want
         assert scalar_mul_unchecked(k, T) == oracle_unchecked(k, T) == want

@@ -33,31 +33,31 @@ PAYLOAD = bytes(range(64))
 GOLDEN_DIGESTS = {  # (wire digest, counter digest)
     ("secp160r1", "cached-hit"): (
         "a81aa6a3791c64edf7ecfe34b9e34601792ec26dcc4a451d9a78c9cd9c0b3c72",
-        "093d18816c3dcae1370d428bfec34228a5d3236e302ad40726c9a5a386f9812b"),
+        "db3b6b76b43ce7adf459150fe663f1501cebb0b9d7b2574eed9ba95a9cba3e7d"),
     ("secp160r1", "cached-miss"): (
         "a81aa6a3791c64edf7ecfe34b9e34601792ec26dcc4a451d9a78c9cd9c0b3c72",
-        "47918e57647aa4f3ac6bcf4629d041f9f6995651bb9484a9413df92ac23f2a3d"),
+        "7a6d2d91f9f1b0cf9bc6c67e25b99ada82ba3201e4b6c61eb19f5a8f27f16b21"),
     ("secp160r1", "full"): (
         "a81aa6a3791c64edf7ecfe34b9e34601792ec26dcc4a451d9a78c9cd9c0b3c72",
-        "299b15447d2ff95e5d1355dad2b8109904190e8b98808abdcb60354d111cc4eb"),
+        "4520857369f058648640e6feec8e1300d6bbd3210b0eeb9d45959c942779df15"),
     ("secp256r1", "cached-hit"): (
         "0b71eaebeff66799baa3bb30e807d809e2e70df27a5cab97f94d951ac2a6ab5c",
-        "4e328764efd44461c34344ba8bccec1a50a0293d6f661a74f0a56eb7a2b095d2"),
+        "bff5ae17cce8f8ace8187f1bc7f8b2bb18cac40612430d883380a50a2616b89b"),
     ("secp256r1", "cached-miss"): (
         "0b71eaebeff66799baa3bb30e807d809e2e70df27a5cab97f94d951ac2a6ab5c",
-        "64a3ba92b3446b5b85ea26d834386af7d0e60337c68598823c55b265ee6af986"),
+        "7ef7b962ed9bfe4d5b8a3371ddf8dd2e0a2526dc6dfc422909785b6be2e27e0d"),
     ("secp256r1", "full"): (
         "0b71eaebeff66799baa3bb30e807d809e2e70df27a5cab97f94d951ac2a6ab5c",
-        "b0246c07019b2860a147d4ca347228e26cd0473b46bdd2eaccbe562cfcc70882"),
+        "36cf04bb0047fb069161ec035567e604192d559bd901c6026f428941860ba7c1"),
     ("toy59", "cached-hit"): (
         "f110db02ca36bb9b27cba8915615f777331846afccd035ab7f901b447931405f",
-        "0ba6b493e6ffd74e9b7fbe83d29eff5ebf3bbdf738d25c94928cb6e937dd0670"),
+        "680a862668be9324b6f5ab352849bdccc6803cb9586b2298c667179c04d95a38"),
     ("toy59", "cached-miss"): (
         "f110db02ca36bb9b27cba8915615f777331846afccd035ab7f901b447931405f",
-        "88b4be63863462e3949cb85725e8fc3adbde3481198642d123c8ef279c51be12"),
+        "b915bf255c73ebd06e1fea5ae73c1ea7159beb4b86f0f6d23e711e226b70d03f"),
     ("toy59", "full"): (
         "f110db02ca36bb9b27cba8915615f777331846afccd035ab7f901b447931405f",
-        "d93b80c1e1cafc244d036d4691340fee2067c27a640a2b5c5bfcf485769180bd"),
+        "73b59d1b1aec4ebb8457873c880c1a858a274756c862ca5a24965ad8360171d3"),
 }
 
 TOY59_FULL_DATAGRAMS = [
