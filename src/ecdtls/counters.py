@@ -59,8 +59,7 @@ class OpCounters(dict):
 class Recorder:
     """A counting scope.  Accumulates while entered; re-entrant per call site."""
 
-    def __init__(self, label: str = "", trace: bool = False):
-        self.label = label
+    def __init__(self, trace: bool = False):
         self.counters = OpCounters()
         self.trace: Optional[list] = [] if trace else None
 
@@ -71,7 +70,7 @@ class Recorder:
     def __exit__(self, *exc) -> None:
         stack = _stack()
         if not stack or stack[-1] is not self:
-            raise ScopeError("scope %r exited out of order" % self.label)
+            raise ScopeError("scope exited out of order")
         stack.pop()
 
 
@@ -108,7 +107,7 @@ def record_all(cost: tuple) -> None:
 
 class isolated:
     """Temporarily detach all active scopes, so that work done on the side
-    (the energy fit's calibration prices, a credential's preparation) leaks
+    (a credential's preparation, a test's fixtures) leaks
     no operation counts into whatever scope happens to be open."""
 
     def __enter__(self) -> None:

@@ -2,23 +2,22 @@
 counter vector.
 
 The model prices field work per interleaved-multiplier iteration and per
-Euclid-inversion bit, with the two weights fitted once so that a default
-256-bit comb multiplication (cache hit) costs exactly the reference ECSM
+Euclid-inversion bit, with the two weights fitted once so that a 256-bit
+comb multiplication on a resident base costs exactly the reference ECSM
 energy and the Jacobian-plus-Fermat baseline lands at the reference
 affine-versus-projective ratio.  Symmetric primitives are priced per block
 from their reference energies.  Everything is a model over counted
-operations, not a measurement.  The fit prices its two calibration
-multiplications from the calibration scalar and executes neither.
+operations, not a measurement.  The fit reads the two engines' prices at
+the calibration scalar and executes neither.
 """
 
 from __future__ import annotations
 
 from typing import Dict, NamedTuple, Optional, Tuple
 
-from . import counters
 from .counters import OpCounters
 from .curve import CurveParams, get_curve
-from .scalarmult import comb_walk_price, jacobian_price
+from .scalarmult import comb_price, jacobian_price
 
 # Reference calibration anchors (all energies in joules)
 CAL_ECSM_256B_J = 6.34e-6        # one 256-bit scalar multiplication
@@ -33,8 +32,8 @@ CAL_APPDATA_J_PER_BYTE = 0.89e-9  # reference per-byte application data cost
 PRICED_KINDS = (
     "mod_add", "mod_sub", "mod_mul", "mul_iter", "mod_inv_euclid",
     "inv_work", "mod_inv_fermat", "point_add", "point_double", "ecsm_comb",
-    "ecsm_jacobian", "ecsm_window", "comb_precompute",
-    "comb_cache_hit", "comb_cache_miss", "ecdsa_sign", "ecdsa_verify",
+    "ecsm_jacobian", "ecsm_window", "comb_precompute", "ecdsa_sign",
+    "ecdsa_verify",
     "aes_block", "ghash_block", "sha_compress", "sha_message", "hmac",
     "drbg_generate", "cert_cache_hit", "cert_cache_miss", "x509_parse",
     "bytes_sealed", "bytes_opened",
@@ -92,20 +91,13 @@ def calibration_scalar(curve: CurveParams) -> int:
 
 
 def _measure_calibration_counts() -> Tuple[OpCounters, OpCounters]:
-    """The counts of k*G at the calibration scalar, priced from the scalar
-    alone: `ecsm_comb` on a comb cache hit, and the Jacobian baseline.
-    Nothing is executed, and no open scope sees the prices."""
+    """The counts of k*G at the calibration scalar, read from the prices a
+    resident base's `ecsm_comb` and the Jacobian baseline record: nothing
+    is executed or recorded."""
     curve = get_curve(_FIT_CURVE)
     k_cal = calibration_scalar(curve)
-    with counters.isolated():
-        with counters.scope() as hit:
-            counters.record("ecsm_comb")
-            counters.record("comb_cache_hit")
-            counters.record_all(comb_walk_price(curve, k_cal))
-        with counters.scope() as jac:
-            counters.record("ecsm_jacobian")
-            counters.record_all(jacobian_price(curve, k_cal))
-    return hit.counters, jac.counters
+    return OpCounters(comb_price(curve, k_cal)[0]), \
+        OpCounters(jacobian_price(curve, k_cal)[0])
 
 
 def _mul_equivalents(counts: OpCounters) -> Tuple[float, float]:

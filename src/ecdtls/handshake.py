@@ -245,7 +245,7 @@ class HandshakeSession:
         self._ccs = False  # the peer's ChangeCipherSpec is in
         self._out: List[tuple] = []  # (epoch, type, payload) this step sends
         self.transcript = Sha256()
-        self._recorder = counters.Recorder(label="%s-session" % self.role)
+        self._recorder = counters.scope()
         self._next_send_seq = 0
         self.security: Optional[SecurityParams] = None
         self.handshake_counters: Optional[counters.OpCounters] = None

@@ -5,54 +5,50 @@ Every engine is priced from its scalar, in integers.  Each point it touches
 is m*P for an integer m, and a registered curve has cofactor 1 and odd
 prime order n, so each exceptional branch of the group law is a test on
 m mod n (m = 0 is the identity, m1 = +-m2 is equal x), and the prices are
-exact for a base of order n.  `ecsm_comb` is priced as the walk of the
-paper's fixed-base comb with zero-less signed-digit recoding on the affine
-law, at the one width `COMB_WIDTH` = 4 that the energy model is calibrated
-on: a doubling and an addition per column, a parity tail and a negation,
-from schedules memoised per curve.  Its table is priced apart
-(`comb_precompute`), where a base becomes resident.  `_comb`, behind every
-comb multiplication, records that price and then executes, so each comb
-price takes one path.
+exact for a base of order n.  Each engine's whole price is one tuple, its
+count first, memoised per curve where the schedule is the same for every
+k, and each multiplication records it in one call before it executes:
+- `comb_price`, a resident base's `ecsm_comb`: the walk of the paper's
+  fixed-base comb with zero-less signed-digit recoding on the affine law,
+  at the one width `COMB_WIDTH` = 4 that the energy model is calibrated
+  on: a doubling and an addition per column, a parity tail and a negation.
+- `table_price`, `comb_precompute`: the comb's table, paid once where a
+  base becomes resident.
+- `window_price`, a one-shot base's `ecsm_window`.
+- `jacobian_price`, `ecsm_jacobian`: the projective baseline,
+  double-and-add on the projective datapath plus one Fermat inversion,
+  which no session runs.
+The energy fit reads `comb_price` and `jacobian_price` at its calibration
+scalar and runs no multiplication; the tests' engines in
+tests/reference_engines.py record `jacobian_price`, and the same walk on
+the affine law for any k >= 0.
 The walk is priced at k' = min(k, n - k), and the negation of its result
-whichever k' is chosen, so wherever 6 mask + 5 < n (`_walk_price`) no
+whichever k' is chosen, so wherever 6 mask + 5 < n (`comb_price`) no
 column and no tail meets an exceptional branch and the schedule is the same
 for every k in [1, n): on every registered curve but toy59, whose small n
 keeps an exact price per k.  The Python's own time varies with k and the
-base.
-The price helpers take the comb's geometry, so the tests can check them at
-other widths.  `comb_sum_x_matches`, ECDSA's verification equation, is
-priced as its two multiplications, each by its base's class, and the
-affine addition of their results, on the branch that their Jacobian sum
-takes.
+base.  `comb_sum_x_matches`, ECDSA's verification equation, is priced as
+its two multiplications, each by its base's class, and the affine addition
+of their results, on the branch that their Jacobian sum takes.
 
 A multiplication is priced by the class of its base, never by what a
 `CombCache` holds:
 - A resident base has a comb table provisioned off-session (fixed-base
   precomputation is offline work: Lim and Lee, CRYPTO 1994; HMV 3.3.2), so
-  `ecsm_comb` records `ecsm_comb`, `comb_cache_hit` and the walk, and no
-  table.  G is resident (`ecdsa`'s key generation Q = d*G, signing R = k*G
-  and the u1*G of every verification), and so is the trust anchor's key in
-  a certificate check (`comb_sum_x_matches` with `resident`).
+  it records `comb_price` and no table.  G is resident (`ecdsa`'s key
+  generation Q = d*G, signing R = k*G and the u1*G of every verification),
+  and so is the trust anchor's key in a certificate check
+  (`comb_sum_x_matches` with `resident`).
 - A peer's leaf key that a cached-mode client keeps is resident from the
-  insert that pays its table once, `comb_precompute`: `comb_cache_miss`
-  and the table.
+  insert that pays its table once, `comb_precompute`.
 - Any other base is one-shot, priced as `ecsm_window`, whose table lives
   for the one call: ECDHE's peer ephemeral point in
   `keyagree.ecdhe_shared`, and the u2*Q of a verification under a leaf key
   that no cache keeps.  It is a regular signed window (Joye and Tunstall,
   AFRICACRYPT 2009), the 8 odd multiples P .. 15P on the affine law, then
   4-bit windows, each with one odd nonzero digit, on the projective law,
-  and one Euclid inversion (`window_price`).  As the comb's walk does, its
-  price runs one schedule for every k in [1, n) on every registered curve
-  but toy59.
-
-The energy fit reads two prices and runs no multiplication:
-`comb_walk_price`, the comb's walk (a resident base's price less its
-`ecsm_comb` and `comb_cache_hit` counts), and `jacobian_price`, the
-projective baseline: double-and-add on the projective datapath plus one
-Fermat inversion.  The tests' engines in
-tests/reference_engines.py record `jacobian_price`, and the same walk on
-the affine law for any k >= 0.
+  and one Euclid inversion.  As the comb's walk does, its price runs one
+  schedule for every k in [1, n) on every registered curve but toy59.
 
 Execution records nothing.  It runs in Jacobian coordinates (Z = 0 the
 identity), normalised by shared inversions (the verification equation
@@ -176,12 +172,6 @@ def _point(curve: CurveParams, triple: tuple) -> AffinePoint:
 # ---------------------------------------------------------------------------
 # Prices: m stands for the point m*P, P of order n
 
-def comb_digit_count(order_bits: int, w: int) -> int:
-    """Digit count padded to a whole number of comb rows."""
-    d = -(-(order_bits + 1) // w)
-    return w * d
-
-
 _PRICES: Dict[tuple, tuple] = {}
 
 
@@ -212,20 +202,30 @@ def _neg_price(curve: CurveParams, m: int) -> list:
     return [curve.mod.cost("s")] if m % curve.n else []
 
 
-def _precompute_price(curve: CurveParams, w: int, d: int) -> tuple:
-    """d doublings per row base past the first, then each entry summed from
-    the top row down, negating the rows of its - signs."""
-    events = [curve.mod.cost("", "comb_precompute")]
-    for i in range((w - 1) * d):
-        events += _sum_price(curve, 1 << i, 1 << i)
-    for idx in range(1 << (w - 1)):
-        acc = 1 << (w - 1) * d
-        for r in range(w - 2, -1, -1):
-            term = 1 << r * d if idx >> r & 1 else -(1 << r * d)
-            events += (_neg_price(curve, term) if term < 0 else []) + \
-                _sum_price(curve, acc, term)
-            acc += term
-    return _merge(events)
+def table_price(curve: CurveParams) -> tuple:
+    """The price of making a base's comb table resident: its count,
+    `comb_precompute`, then the table of the comb of `COMB_WIDTH` rows of d
+    digits, d = ceil((bits of n + 1) / w).  entry[j] = sum(s_i 2^(i*d) P)
+    over the sign pattern j (bit i set -> +1), the top row's sign always
+    +1: d doublings per row base past the first, then each entry summed
+    from the top row down, negating the rows of its - signs.  Memoised per
+    curve."""
+    key = ("table", curve.mod.bitlen, curve.n)
+    if key not in _PRICES:
+        w = COMB_WIDTH
+        d = -(-(curve.n_bits + 1) // w)
+        events = [curve.mod.cost("", "comb_precompute")]
+        for i in range((w - 1) * d):
+            events += _sum_price(curve, 1 << i, 1 << i)
+        for idx in range(1 << (w - 1)):
+            acc = 1 << (w - 1) * d
+            for r in range(w - 2, -1, -1):
+                term = 1 << r * d if idx >> r & 1 else -(1 << r * d)
+                events += (_neg_price(curve, term) if term < 0 else []) + \
+                    _sum_price(curve, acc, term)
+                acc += term
+        _PRICES[key] = _merge(events)
+    return _PRICES[key]
 
 
 def _walk_events(curve: CurveParams, terms: Iterable[int], law: tuple = (),
@@ -248,17 +248,20 @@ def _walk_events(curve: CurveParams, terms: Iterable[int], law: tuple = (),
     return events
 
 
-def _walk_price(curve: CurveParams, k: int, w: int, t: int) -> tuple:
-    """The walk at k' = min(k, n - k) (Hedabou, Pinel and Beneteau, ISPEC
-    2005): the columns, top first, then the parity tail, which builds 2P
-    and adds -c to the columns' sum k' + c, c = 1 + (k' mod 2), then the
-    negation of the result, executed whichever k' is chosen.
+def comb_price(curve: CurveParams, k: int) -> tuple:
+    """The price of `ecsm_comb` at k, a resident base's multiplication and
+    the energy fit's anchor: its count, then the walk of the comb of width
+    w = `COMB_WIDTH` at k' = min(k, n - k) (Hedabou, Pinel and Beneteau,
+    ISPEC 2005): the columns, top first, then the parity tail, which
+    builds 2P and adds -c to the columns' sum k' + c, c = 1 + (k' mod 2),
+    then the negation of the result, executed whichever k' is chosen.
 
-    The t zero-less signed digits of k' in w rows of d sum to k' + c: digit
-    i is +1 exactly when bit i+1 of K = (k' + c) | 2^t is set, so column
-    j's term is 2 (K >> j+1 & mask) - mask, mask = sum(2^(r*d)).  The price
-    is memoised per curve when 6 mask + 5 < n, for then no column and no
-    tail meets an exceptional branch of the affine law, whatever k is:
+    The t = w*d zero-less signed digits of k' in w rows of d, d = ceil((bits
+    of n + 1) / w), sum to k' + c: digit i is +1 exactly when bit i+1 of
+    K = (k' + c) | 2^t is set, so column j's term is 2 (K >> j+1 & mask) -
+    mask, mask = sum(2^(r*d)).  The price is memoised per curve when
+    6 mask + 5 < n, for then no column and no tail meets an exceptional
+    branch of the affine law, whatever k is:
     - every term and every acc = 2 acc + term past the first column is odd
       and nonzero, with |term| <= mask;
     - acc at column j is (k' + c) less the columns below j, at most
@@ -267,32 +270,25 @@ def _walk_price(curve: CurveParams, k: int, w: int, t: int) -> tuple:
       is never +-term;
     - k' + c and k' + 2c stay below n, so the tail's sum and addends are
       not the identity and the tail adds no point to itself.
-    On a smaller n (toy59's, at every width above 1) each k is priced as
-    its own walk, unmemoised."""
+    On a smaller n (toy59's) each k is priced as its own walk, unmemoised."""
     n = curve.n
-    key = ("walk", curve.mod.bitlen, n, w, t)
+    key = ("comb", curve.mod.bitlen, n)
     if key in _PRICES:
         return _PRICES[key]
-    d = t // w
+    w = COMB_WIDTH
+    d = -(-(curve.n_bits + 1) // w)
     mask = sum(1 << r * d for r in range(w))
     k = min(k, n - k)
     c = 1 + (k & 1)
-    K = (k + c) | 1 << t
+    K = (k + c) | 1 << w * d
     terms = [2 * (K >> j + 1 & mask) - mask for j in range(d - 1, -1, -1)]
-    price = _merge(_walk_events(curve, terms, negate=True) +
+    price = _merge([curve.mod.cost("", "ecsm_comb")] +
+                   _walk_events(curve, terms, negate=True) +
                    _sum_price(curve, 1, 1) + _neg_price(curve, c) +
                    _sum_price(curve, k + c, -c) + [curve.mod.cost("s")])
     if 6 * mask + 5 < n:
         _PRICES[key] = price
     return price
-
-
-def comb_walk_price(curve: CurveParams, k: int) -> tuple:
-    """The price of the walk at k of the comb of width `COMB_WIDTH`: what
-    a comb multiplication records past the table, and the energy fit's
-    anchor."""
-    return _walk_price(curve, k, COMB_WIDTH, comb_digit_count(
-        curve.n_bits, COMB_WIDTH))
 
 
 def _projective_law(curve: CurveParams) -> tuple:
@@ -307,11 +303,13 @@ def _projective_law(curve: CurveParams) -> tuple:
 
 def jacobian_price(curve: CurveParams, k: int) -> tuple:
     """The price of k*P, P of order n, on the projective baseline that the
-    energy fit reads: Jacobian double-and-add, whose inner loop avoids
-    inversions, and one final Fermat inversion, as cost strings of their
-    counted kernels in evaluation order."""
+    energy fit reads: its count, `ecsm_jacobian`, then Jacobian
+    double-and-add, whose inner loop avoids inversions, and one final Fermat
+    inversion, as cost strings of their counted kernels in evaluation
+    order."""
     mod = curve.mod
-    events = _walk_events(curve, map(int, bin(k)[2:]), *_projective_law(curve))
+    events = [mod.cost("", "ecsm_jacobian")] + _walk_events(
+        curve, map(int, bin(k)[2:]), *_projective_law(curve))
     if k % curve.n:
         # x^(p-2) by square-and-multiply, then 4 products back to affine
         e = mod.p - 2
@@ -334,7 +332,7 @@ def _window_digits(k: int, count: int) -> list:
 
 
 def window_price(curve: CurveParams, k: int) -> tuple:
-    """The price of `ecsm_window` at k past its own count: the table of
+    """The price of `ecsm_window` at k: its count, then the table of
     the odd multiples P, 3P, ..., 15P on the affine law, one doubling and
     then 2^(w-1) - 1 additions of 2P; then the windows of k' + c, k' =
     min(k, n - k) and c = 1 + (k' mod 2), on the projective law, top first,
@@ -365,7 +363,7 @@ def window_price(curve: CurveParams, k: int) -> tuple:
         return _PRICES[key]
     law, head = _projective_law(curve)
     top = (1 << _WINDOW_WIDTH) - 1   # the largest digit
-    events = _sum_price(curve, 1, 1)
+    events = [curve.mod.cost("", "ecsm_window")] + _sum_price(curve, 1, 1)
     for m in range(1, top - 1, 2):
         events += _sum_price(curve, m, 2)
     k = min(k, n - k)
@@ -585,18 +583,10 @@ def pin_trust_anchor(Q: AffinePoint) -> None:
 
 
 def comb_precompute(P: AffinePoint) -> None:
-    """Record the price of making P's comb table (of width `COMB_WIDTH`)
-    resident, once, where a session comes to keep P: `comb_cache_miss`,
-    then the table, entry[j] = sum(s_i 2^(i*d) P) over the sign pattern j
-    (bit i set -> +1) with the top row sign always +1, in one call.  No
-    point is built: execution keeps its rows apart."""
-    curve = P.curve
-    key = ("table", curve.mod.bitlen, curve.n)
-    if key not in _PRICES:
-        _PRICES[key] = _precompute_price(curve, COMB_WIDTH, comb_digit_count(
-            curve.n_bits, COMB_WIDTH) // COMB_WIDTH)
-    counters.record("comb_cache_miss")
-    counters.record_all(_PRICES[key])
+    """Record `table_price`, the price of making P's comb table resident,
+    in one call, once, where a session comes to keep P.  No point is built:
+    execution keeps its rows apart."""
+    counters.record_all(table_price(P.curve))
 
 
 class CombCache:
@@ -654,33 +644,29 @@ def _times(k: int, P: AffinePoint, cache: Optional[CombCache]) -> tuple:
 
 def _comb(k: int, P: AffinePoint, cache: Optional[CombCache] = None
           ) -> tuple:
-    """k*P as a Jacobian triple for a resident base, priced as `ecsm_comb`:
-    check k in [1, n), count the multiplication and its resident table
-    (`comb_cache_hit`), price the walk at k, then execute (`_times`)."""
+    """k*P as a Jacobian triple for a resident base: check k in [1, n),
+    record `comb_price` in one call, then execute (`_times`)."""
     curve = P.curve
     _check_range(k, curve)
-    counters.record("ecsm_comb")
-    counters.record("comb_cache_hit")
-    counters.record_all(comb_walk_price(curve, k))
+    counters.record_all(comb_price(curve, k))
     return _times(k, P, cache)
 
 
 def _window(k: int, P: AffinePoint, cache: Optional[CombCache] = None
             ) -> tuple:
-    """k*P as a Jacobian triple for a one-shot base, priced as
-    `ecsm_window`: check k in [1, n), count the multiplication, price it
-    as `window_price`, then execute (`_times`)."""
+    """k*P as a Jacobian triple for a one-shot base: check k in [1, n),
+    record `window_price` in one call, then execute (`_times`)."""
     curve = P.curve
     _check_range(k, curve)
-    counters.record("ecsm_window")
     counters.record_all(window_price(curve, k))
     return _times(k, P, cache)
 
 
 def ecsm_comb(k: int, P: AffinePoint) -> AffinePoint:
-    """k*P for a resident base, priced as the walk of its ZSD comb table:
-    one double and one add per column, a parity-correction tail and a
-    negation, and no table.  k outside [1, n) raises `ScalarRangeError`."""
+    """k*P for a resident base, priced as `comb_price`, the walk of its ZSD
+    comb table: one double and one add per column, a parity-correction tail
+    and a negation, and no table.  k outside [1, n) raises
+    `ScalarRangeError`."""
     return _point(P.curve, _comb(k, P))
 
 

@@ -7,9 +7,10 @@ kernel's out-of-line `_jdouble` and `_jadd` alone, so their results are an
 independent reference for the kernel's inline formulas.  Each is priced as
 the package once priced it: `scalar_mul_unchecked` as double-and-add on the
 affine law, and `ecsm_jacobian` as `scalarmult.jacobian_price`, the energy
-fit's projective baseline.  Each walk is computed only while a counter
-scope is open, and recorded in one call.  No `AffinePoint` is the identity,
-so these engines return None for it, as the tests' affine oracles do.
+fit's projective baseline, whose count comes with it.  Each price is
+computed only while a counter scope is open, and recorded in one call.  No
+`AffinePoint` is the identity, so these engines return None for it, as the
+tests' affine oracles do.
 
 The package's private helpers are read through the module at call time, so
 a test that patches one of them patches these engines too.
@@ -47,10 +48,9 @@ def scalar_mul_unchecked(k: int, P: AffinePoint):
 
 def ecsm_jacobian(k: int, P: AffinePoint):
     """k*P for k in [1, n), None for the identity, priced as the
-    projective baseline."""
+    projective baseline, its `ecsm_jacobian` count included."""
     curve = P.curve
     scalarmult._check_range(k, curve)
-    counters.record("ecsm_jacobian")
     if counters._stack():   # a scope is open, so the price counts
         counters.record_all(scalarmult.jacobian_price(curve, k))
     return affine(curve, double_and_add(curve, k, P.x, P.y))

@@ -67,17 +67,17 @@ HANDSHAKE_KEY_HEAD = ["sha_compress", "hmac", "sha_message", "drbg_generate"]
 # a client's first ECC is checking the server's certificate
 _CLIENT_AFTER_LEAF = [
     "ecdsa_verify", "mod_inv_euclid", "inv_work", "mod_mul", "mul_iter",
-    "ecsm_comb", "comb_cache_hit", "mod_sub", "point_double", "mod_add",
-    "point_add", "ecsm_window", "ecdsa_sign", "aes_block", "ghash_block",
+    "ecsm_comb", "mod_sub", "point_double", "mod_add", "point_add",
+    "ecsm_window", "ecdsa_sign", "aes_block", "ghash_block",
 ]
 HANDSHAKE_KEY_TAIL = {
     ("full", "client"): ["x509_parse"] + _CLIENT_AFTER_LEAF,
     ("cached", "client"): ["cert_cache_hit"] + _CLIENT_AFTER_LEAF,
     ("full", "server"): [
-        "ecsm_comb", "comb_cache_hit", "mod_sub", "point_double", "mod_mul",
-        "mul_iter", "mod_add", "mod_inv_euclid", "inv_work", "point_add",
-        "ecdsa_sign", "x509_parse", "ecdsa_verify", "ecsm_window",
-        "aes_block", "ghash_block"],
+        "ecsm_comb", "mod_sub", "point_double", "mod_mul", "mul_iter",
+        "mod_add", "mod_inv_euclid", "inv_work", "point_add", "ecdsa_sign",
+        "x509_parse", "ecdsa_verify", "ecsm_window", "aes_block",
+        "ghash_block"],
 }
 HANDSHAKE_KEY_TAIL[("cached", "server")] = HANDSHAKE_KEY_TAIL[("full",
                                                                "server")]

@@ -322,5 +322,5 @@ class TestProjectiveVerify:
                             lambda *a: calls.append(a) or to_affine(*a))
         with counters.scope() as sc:
             assert ecdsa_verify(key.Q, digest, sig, cache, resident=True)
-        assert sc.counters["comb_cache_hit"] == 2
+        assert sc.counters["ecsm_comb"] == 2
         assert calls == []

@@ -3,9 +3,9 @@ replaced.
 
 `comb_precompute`, `ecsm_comb` and `scalar_mul_unchecked` (the tests'
 engine in `reference_engines`) compute their price from the scalar in
-integers and record it in one call; their results come from executors that
-record nothing (`ecsm_comb`'s fixed-base table or wNAF,
-`scalar_mul_unchecked`'s double-and-add).  The oracles below are
+integers and record it in one call, the engine's count first; their
+results come from executors that record nothing (`ecsm_comb`'s fixed-base
+table or wNAF, `scalar_mul_unchecked`'s double-and-add).  The oracles below are
 those engines as they ran before, on the counted affine formulas
 `oracle_add`, `oracle_double` and `oracle_negate` of `test_formula_prices`:
 one affine operation, one inversion, each, walked point by point.  Both must
@@ -14,9 +14,10 @@ trace, on every registered curve, whether a comb cache holds the base's
 rows or not.  Each class of base is checked: a resident base's walk
 (`ecsm_comb`), the table a base pays once where it becomes resident
 (`comb_precompute`), and a one-shot base's window (`ecsm_window`, whose
-oracle is `test_formula_prices.oracle_window`).  The table's price is also
-checked at other widths, through the price helper that takes the comb's
-geometry.  The prices are exact for points of the curve's order n; on a
+oracle is `test_formula_prices.oracle_window`).  The comb's width is the
+module constant `scalarmult.COMB_WIDTH`, which no caller sets; the table's
+price is also checked at widths 1-5 with that constant patched
+(`comb_width`).  The prices are exact for points of the curve's order n; on a
 point whose order is not n, only the results are compared."""
 
 import random
@@ -27,7 +28,7 @@ import pytest
 from ecdtls import counters, scalarmult
 from ecdtls.curve import CurveError, CurveParams, builtin_registry
 from ecdtls.scalarmult import (COMB_WIDTH, CombCache, ScalarRangeError,
-                               comb_digit_count, comb_precompute, ecsm_comb)
+                               comb_precompute, ecsm_comb, ecsm_window)
 from conftest import registered_names
 from reference_engines import affine, scalar_mul_unchecked
 from test_formula_prices import oracle_add, oracle_double, oracle_negate, \
@@ -55,9 +56,23 @@ def zsd_recode(k, t):
 # ---------------------------------------------------------------------------
 # The affine engines, one inversion per point operation
 
+def comb_digits(curve, w=COMB_WIDTH):
+    """d, the digits of each of the comb's w rows: the fewest that hold
+    the bits of n and one more."""
+    return -(-(curve.n_bits + 1) // w)
+
+
+def comb_width(monkeypatch, w):
+    """Price the comb at width w for the rest of the test: the module
+    constant patched, and the memoised prices emptied."""
+    monkeypatch.setattr(scalarmult, "COMB_WIDTH", w)
+    monkeypatch.setattr(scalarmult, "_PRICES", {})
+
+
 def oracle_precompute(P, w=COMB_WIDTH):
-    """The table's entries, each built by affine operations."""
-    d = comb_digit_count(P.curve.n_bits, w) // w
+    """The count, then the table's entries, each built by affine
+    operations."""
+    d = comb_digits(P.curve, w)
     counters.record("comb_precompute")
     rows = [P]
     for _ in range(w - 1):
@@ -76,34 +91,26 @@ def oracle_precompute(P, w=COMB_WIDTH):
     return tuple(entries)
 
 
-def oracle_insert(P):
-    """comb_precompute: the miss that makes P resident, then its table."""
-    counters.record("comb_cache_miss")
-    return oracle_precompute(P)
-
-
 _ORACLE_TABLES = {}   # the entries of each resident base, built unpriced
 
 
 def oracle_comb(k, P):
-    """ecsm_comb without its range check, for a resident base: its table's
-    lookup hits, and the walk runs on k' = min(k, n - k): the walk to k'*P,
+    """ecsm_comb without its range check, for a resident base: the count,
+    then the walk on k' = min(k, n - k): the walk to k'*P,
     then its negation, computed whichever k' is chosen, and the one of the
     two that k selects, which is k*P for P of order n.  The table's entries
     were built by oracle_precompute outside any scope."""
     curve = P.curve
     counters.record("ecsm_comb")
-    counters.record("comb_cache_hit")
     w = COMB_WIDTH
-    t = comb_digit_count(curve.n_bits, w)
-    d = t // w
+    d = comb_digits(curve)
     key = (curve.id, P.x, P.y)
     if key not in _ORACLE_TABLES:
         with counters.isolated():
             _ORACLE_TABLES[key] = oracle_precompute(P)
     entries = _ORACLE_TABLES[key]
     kp = min(k, curve.n - k)
-    zsd = zsd_recode(kp, t)
+    zsd = zsd_recode(kp, w * d)
     digits = zsd.digits
     acc = None
     for j in range(d - 1, -1, -1):
@@ -174,24 +181,43 @@ def test_comb_matches_affine_oracle(curve, base):
             assert want[0] == oracle_unchecked(k, P)
 
 
-def table_price(curve, w):
-    """Record the table's price at width w, as comb_precompute does at
-    COMB_WIDTH."""
-    counters.record_all(scalarmult._precompute_price(
-        curve, w, comb_digit_count(curve.n_bits, w) // w))
-
-
 @pytest.mark.parametrize("w", range(1, 6))
-def test_table_entries_match_affine_oracle(curve, w):
-    # no entry is built: the price helper records what building them costs,
-    # at every width it takes, and comb_precompute records it at COMB_WIDTH
-    # after the miss that makes the base resident
+def test_table_entries_match_affine_oracle(curve, w, monkeypatch):
+    # no entry is built: comb_precompute records what building them costs,
+    # at COMB_WIDTH and, with the constant patched, at every other width
+    comb_width(monkeypatch, w)
     for P in (curve.generator(), other_base(curve)):
-        want = priced(oracle_precompute, P, w)[1:]
-        assert priced(table_price, curve, w)[1:] == want
-        if w == COMB_WIDTH:
-            assert priced(comb_precompute, P)[1:] == \
-                priced(oracle_insert, P)[1:]
+        assert priced(comb_precompute, P)[1:] == \
+            priced(oracle_precompute, P, w)[1:]
+
+
+def test_each_engine_records_its_price_in_one_call(curve, monkeypatch):
+    # one top-level call to counters.record or record_all per
+    # multiplication and per table, nested calls (record's own record_all)
+    # not counted: the engine's count comes inside its price
+    calls, depth = [], [0]
+
+    def spy(fn):
+        def wrapper(*args):
+            if not depth[0]:
+                calls.append(fn.__name__)
+            depth[0] += 1
+            try:
+                return fn(*args)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    for name in ("record", "record_all"):
+        monkeypatch.setattr(counters, name, spy(getattr(counters, name)))
+    G = curve.generator()
+    k = curve.n * 2 // 3 | 1
+    for engine in (lambda: ecsm_comb(k, G), lambda: ecsm_window(k, G),
+                   lambda: comb_precompute(G)):
+        del calls[:]
+        with counters.scope() as sc:
+            engine()
+        assert calls == ["record_all"] and sc.counters
 
 
 def test_unchecked_matches_affine_oracle_past_the_order(toy, curves):

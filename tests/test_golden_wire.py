@@ -33,31 +33,31 @@ PAYLOAD = bytes(range(64))
 GOLDEN_DIGESTS = {  # (wire digest, counter digest)
     ("secp160r1", "cached-hit"): (
         "a81aa6a3791c64edf7ecfe34b9e34601792ec26dcc4a451d9a78c9cd9c0b3c72",
-        "db3b6b76b43ce7adf459150fe663f1501cebb0b9d7b2574eed9ba95a9cba3e7d"),
+        "c2270bcc2c31abcb29d6f9ac4381145555359557fbaf97a1a3d428bd4f5916ee"),
     ("secp160r1", "cached-miss"): (
         "a81aa6a3791c64edf7ecfe34b9e34601792ec26dcc4a451d9a78c9cd9c0b3c72",
-        "7a6d2d91f9f1b0cf9bc6c67e25b99ada82ba3201e4b6c61eb19f5a8f27f16b21"),
+        "da8126b89b0f29588fc6b54acb6b45e55f740feb3186902927006463b7fd4c27"),
     ("secp160r1", "full"): (
         "a81aa6a3791c64edf7ecfe34b9e34601792ec26dcc4a451d9a78c9cd9c0b3c72",
-        "4520857369f058648640e6feec8e1300d6bbd3210b0eeb9d45959c942779df15"),
+        "bc75e754ecd0b1356fdc63ccb25331668ea7021364284ba09b59a3fc3d2fe0c5"),
     ("secp256r1", "cached-hit"): (
         "0b71eaebeff66799baa3bb30e807d809e2e70df27a5cab97f94d951ac2a6ab5c",
-        "bff5ae17cce8f8ace8187f1bc7f8b2bb18cac40612430d883380a50a2616b89b"),
+        "bf4b14f3ddf2f1927ca3a5bf0559cf8f95b0680692dd93ef03cbad98a79aec11"),
     ("secp256r1", "cached-miss"): (
         "0b71eaebeff66799baa3bb30e807d809e2e70df27a5cab97f94d951ac2a6ab5c",
-        "7ef7b962ed9bfe4d5b8a3371ddf8dd2e0a2526dc6dfc422909785b6be2e27e0d"),
+        "ab990b5f624fe3d55dc3ce71d36519f4074b4b582f644a7a2feee972d4c665a6"),
     ("secp256r1", "full"): (
         "0b71eaebeff66799baa3bb30e807d809e2e70df27a5cab97f94d951ac2a6ab5c",
-        "36cf04bb0047fb069161ec035567e604192d559bd901c6026f428941860ba7c1"),
+        "b14b39bf887b6393b6e70cc95641fcd87099116cb92f7d4db26c684f71b3b9e9"),
     ("toy59", "cached-hit"): (
         "f110db02ca36bb9b27cba8915615f777331846afccd035ab7f901b447931405f",
-        "680a862668be9324b6f5ab352849bdccc6803cb9586b2298c667179c04d95a38"),
+        "d15ab2924a9e978c9553dbe964977d10c1cd536309d7128a67d4a6df02b39c28"),
     ("toy59", "cached-miss"): (
         "f110db02ca36bb9b27cba8915615f777331846afccd035ab7f901b447931405f",
-        "b915bf255c73ebd06e1fea5ae73c1ea7159beb4b86f0f6d23e711e226b70d03f"),
+        "c8cac86d7c2dd1b26bb2bce19354808cf31ce2dc0548f97c3b2772b082fd8b07"),
     ("toy59", "full"): (
         "f110db02ca36bb9b27cba8915615f777331846afccd035ab7f901b447931405f",
-        "73b59d1b1aec4ebb8457873c880c1a858a274756c862ca5a24965ad8360171d3"),
+        "2d0f754b636a9138950c319c28cf8989f23ab94b96cf510a67a6b343e5bebb5d"),
 }
 
 TOY59_FULL_DATAGRAMS = [

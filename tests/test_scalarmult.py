@@ -15,15 +15,15 @@ from ecdtls.curve import AffinePoint, CurveError, CurveRegistry, \
 from ecdtls.handshake import MODE_CACHED, MODE_FULL, HandshakeSession, \
     SessionConfig
 from ecdtls.scalarmult import (COMB_WIDTH, CombCache, ScalarRangeError,
-                               comb_digit_count, comb_precompute, ecsm_comb,
-                               ecsm_window, pin_trust_anchor, point_identity)
+                               comb_precompute, ecsm_comb, ecsm_window,
+                               pin_trust_anchor, point_identity)
 from ecdtls.transport import run_loopback
 from conftest import registered_names
 from reference_engines import (affine, double_and_add, ecsm_jacobian,
                                scalar_mul_unchecked)
 from test_comb_execution import process_rows
-from test_engine_prices import oracle_comb, oracle_unchecked, table_price, \
-    zsd_recode
+from test_engine_prices import comb_digits, comb_width, oracle_comb, \
+    oracle_unchecked, zsd_recode
 from test_formula_prices import oracle_add, oracle_double, oracle_negate, \
     priced, same_price
 from test_golden_counters import FIXED_CLOCK, _session_pair, warm_handshakes
@@ -89,25 +89,30 @@ class TestZsdRecode:
         with pytest.raises(ScalarRangeError):
             zsd_recode(2**10, 8)
 
-    def test_digit_count_geometry(self):
-        assert comb_digit_count(256, 4) == 260
-        assert comb_digit_count(161, 4) == 164
-        assert comb_digit_count(6, 4) == 8
+    def test_digit_count_geometry(self, registry):
+        # the table doubles each of its 3 row bases past the first d times:
+        # d = 65, 49 and 41, for 260, 196 and 164 digits over 256, 192 and
+        # 161 bits of n
+        for name, d in (("secp256r1", 65), ("secp192r1", 49),
+                        ("secp160r1", 41)):
+            with counters.scope() as sc:
+                comb_precompute(registry.get(name).generator())
+            assert sc.counters["point_double"] == (COMB_WIDTH - 1) * d
 
 
 class TestCombPrecompute:
     # comb_precompute records the price of the table and builds no point;
-    # the price helper takes the comb's geometry, and is checked at other
-    # widths directly
+    # its formula is checked at other widths with COMB_WIDTH patched
 
-    def test_width_one_degenerate(self, toy):
+    def test_width_one_degenerate(self, toy, monkeypatch):
         # one row, and one entry that is the base itself: no point operation
-        assert comb_digit_count(toy.n_bits, 1) == 7
+        comb_width(monkeypatch, 1)
         with counters.scope() as sc:
-            table_price(toy, 1)
+            comb_precompute(toy.generator())
         assert dict(sc.counters) == {"comb_precompute": 1}
 
-    def test_width_two_matches_bruteforce(self, toy):
+    def test_width_two_matches_bruteforce(self, toy, monkeypatch):
+        comb_width(monkeypatch, 2)
         G = toy.generator()
         fifteenG = scalar_mul_unchecked(15, G)
 
@@ -120,8 +125,8 @@ class TestCombPrecompute:
             assert oracle_add(sixteenG, oracle_negate(G)) == fifteenG
             oracle_add(sixteenG, G)
 
-        assert comb_digit_count(toy.n_bits, 2) == 8
-        assert priced(table_price, toy, 2)[1:] == priced(bruteforce)[1:]
+        assert comb_digits(toy, 2) == 4
+        assert priced(comb_precompute, G)[1:] == priced(bruteforce)[1:]
 
     def test_entries_on_curve(self, curves):
         # the 8 entries stand for sum(s_r 2^(49 r)) G, r < 4, top sign +1:
@@ -131,7 +136,7 @@ class TestCombPrecompute:
         G = c.generator()
         with counters.scope() as sc:
             comb_precompute(G)
-        assert COMB_WIDTH == 4 and comb_digit_count(c.n_bits, 4) == 196
+        assert COMB_WIDTH == 4 and comb_digits(c) == 49
         for idx in range(8):
             m = (1 << 147) + sum((1 if idx >> r & 1 else -1) << 49 * r
                                  for r in range(3))
@@ -241,7 +246,7 @@ class TestEcsmComb:
     def test_fixed_iteration_structure(self, curves):
         c = curves["secp256r1"]
         G = c.generator()
-        d = comb_digit_count(c.n_bits, 4) // 4
+        d = comb_digits(c)
         vectors = set()
         for k in (1, 2, 3, c.n - 4, c.n - 3, c.n - 2, c.n - 1, c.n // 2,
                   0xDEADBEEF):
@@ -342,11 +347,11 @@ class TestPrice:
         assert off == set()
 
     def test_one_record_per_layer(self, curves, monkeypatch):
-        # the tick, the resident table's hit and the walk each record once,
-        # and so do the window's tick and price, whether the base's rows
-        # come from a cache, whose lookups record nothing, or not;
-        # double-and-add's walk records once, after the Jacobian baseline's
-        # tick; the executors record nothing
+        # the comb's and the window's prices, each with its count, record
+        # in one call, whether the base's rows come from a cache, whose
+        # lookups record nothing, or not; double-and-add's walk and the
+        # Jacobian baseline with its count record once at most; the
+        # executors record nothing
         c = curves["secp256r1"]
         G = c.generator()
         Q = scalar_mul_unchecked(0xC0FFEE, G)
@@ -359,12 +364,11 @@ class TestPrice:
             cache = CombCache()
             # first use, second (builds rows), third (with rows), no cache
             for cached in (cache, cache, cache, None):
-                for engine, records in ((scalarmult._comb, 3),
-                                        (scalarmult._window, 2)):
+                for engine in (scalarmult._comb, scalarmult._window):
                     del calls[:]
                     with counters.scope():
                         engine(k, P, cached)
-                    assert len(calls) == records
+                    assert len(calls) == 1
         for P in (G, Q):
             for m in (0, 1, 2, k, c.n - 1, c.n, c.n + 1, 2 * c.n + 1):
                 del calls[:]
@@ -375,7 +379,7 @@ class TestPrice:
                 del calls[:]
                 with counters.scope():
                     ecsm_jacobian(m, P)
-                assert len(calls) <= 3
+                assert len(calls) <= 1
         del calls[:]
         with counters.scope(trace=True) as sc:
             rows = scalarmult._rows(c, Q.x, Q.y)
@@ -419,9 +423,9 @@ class TestPrice:
         assert sc.counters == {} and sc.trace == []
 
     @staticmethod
-    def meets_bound(curve, w, t):
+    def meets_bound(curve, w):
         """6 mask + 5 < n, mask = sum(2^(r*d)) over the w rows of d."""
-        d = t // w
+        d = comb_digits(curve, w)
         return 6 * sum(1 << r * d for r in range(w)) + 5 < curve.n
 
     @pytest.mark.parametrize("name", registered_names(builtin_registry()))
@@ -429,35 +433,33 @@ class TestPrice:
                                                   monkeypatch):
         # each k is priced as its own walk, with no memo to return the first
         # one's: where the bound holds, edge and random scalars all price the
-        # same at every width 1-5
+        # same at every width 1-5, with COMB_WIDTH patched
         c = registry.get(name)
         rng = random.Random(name)
         scalars = edge_scalars(c) + [rng.randrange(1, c.n) for _ in range(200)]
-        widths = [w for w in range(1, 6)
-                  if self.meets_bound(c, w, comb_digit_count(c.n_bits, w))]
+        widths = [w for w in range(1, 6) if self.meets_bound(c, w)]
         assert widths == ([1] if name == "toy59" else [1, 2, 3, 4, 5])
         for w in widths:
-            t = comb_digit_count(c.n_bits, w)
             prices = set()
             for k in scalars:
-                monkeypatch.setattr(scalarmult, "_PRICES", {})
-                prices.add(scalarmult._walk_price(c, k, w, t))
+                comb_width(monkeypatch, w)
+                prices.add(scalarmult.comb_price(c, k))
             assert len(prices) == 1
 
     def test_walk_memoised_on_every_curve_but_toy59(self, registry,
                                                     monkeypatch):
         # the walk's price is one constant per curve where the bound holds:
-        # at every width 1-5 on each curve but toy59, and at width 1 alone on
-        # toy59, whose n = 53 is below 6 mask + 5 at the comb's width
-        memo = {}
-        monkeypatch.setattr(scalarmult, "_PRICES", memo)
-        names = {}
-        for name in registered_names(registry):
-            c = registry.get(name)
-            names[c.n] = name
-            for w in range(1, 6):
-                scalarmult._walk_price(c, 1, w, comb_digit_count(c.n_bits, w))
-        memoised = {(names[key[2]], key[3]) for key in memo}
+        # at every width 1-5 (COMB_WIDTH patched) on each curve but toy59,
+        # and at width 1 alone on toy59, whose n = 53 is below 6 mask + 5 at
+        # the comb's width
+        names, memoised = {}, set()
+        for w in range(1, 6):
+            comb_width(monkeypatch, w)
+            for name in registered_names(registry):
+                c = registry.get(name)
+                names[c.n] = name
+                scalarmult.comb_price(c, 1)
+            memoised |= {(names[key[2]], w) for key in scalarmult._PRICES}
         assert {name for name, w in memoised if w == COMB_WIDTH} == \
             set(registered_names(registry)) - {"toy59"}
         assert {w for name, w in memoised if name == "toy59"} == {1}
@@ -802,9 +804,8 @@ class TestWindow:
             k = calibration_scalar(c)
             window = uJ(scalarmult.window_price(c, k))
             jacobian = uJ(scalarmult.jacobian_price(c, k))
-            miss = uJ(scalarmult._precompute_price(
-                c, COMB_WIDTH, comb_digit_count(c.n_bits, COMB_WIDTH) //
-                COMB_WIDTH)) + uJ(scalarmult.comb_walk_price(c, k))
+            miss = uJ(scalarmult.table_price(c)) + \
+                uJ(scalarmult.comb_price(c, k))
             assert window < miss, name
             if name != "toy59":
                 assert window < jacobian < miss, name

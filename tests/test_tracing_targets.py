@@ -20,6 +20,17 @@ from ecdtls import energy
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 MODULES = ("pace", "tracing", "workloads", "run")
 
+# Counter kinds perfbench/run.py reads that the energy model does not price,
+# and why each may be read.  An entry whose kind is no longer read fails
+# too, so the exemptions stay current.
+_PER_LAYER_COMB = ("the per-layer comb metrics read it until ROADMAP item 7 "
+                   "switches them to ecsm_comb, ecsm_window and "
+                   "comb_precompute; nothing records it, so they read 0")
+UNPRICED_READS = {
+    "comb_cache_hit": _PER_LAYER_COMB,
+    "comb_cache_miss": _PER_LAYER_COMB,
+}
+
 
 def load_perfbench(name: str):
     """Import perfbench/<name>.py afresh.  perfbench/ is on sys.path, and
@@ -62,6 +73,34 @@ def test_benchmark_imports_and_package_attributes_resolve(name):
                     not hasattr(owner, node.attr):
                 missing.append("%s.%s" % (node.value.id, node.attr))
     assert missing == []
+
+
+def counter_kinds_read(tree) -> set:
+    """The kinds a module reads as ``counts["<kind>"]`` or
+    ``count("<kind>", ...)``."""
+    kinds = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and \
+                isinstance(node.value, ast.Name) and \
+                node.value.id == "counts":
+            args = [node.slice]
+        elif isinstance(node, ast.Call) and \
+                isinstance(node.func, ast.Name) and node.func.id == "count":
+            args = node.args
+        else:
+            continue
+        kinds |= {a.value for a in args if isinstance(a, ast.Constant)}
+    return kinds
+
+
+def test_every_counter_kind_the_benchmark_reads_is_priced():
+    """A kind the benchmark reads is a priced kind or one of its own
+    ``drop.<reason>`` kinds; otherwise it silently reads 0."""
+    read = counter_kinds_read(ast.parse((PERFBENCH / "run.py").read_text()))
+    assert {"mod_mul", "cert_cache_hit", "drop.replay"} <= read
+    unpriced = {kind for kind in read if kind not in energy.PRICED_KINDS
+                and not kind.startswith("drop.")}
+    assert sorted(unpriced) == sorted(UNPRICED_READS)
 
 
 @pytest.mark.parametrize("name", ["hs-full-cold", "hs-cached-warm"])
