@@ -1,11 +1,7 @@
-"""Short Weierstrass prime curves, affine points, the group law's prices,
-and the curve registry.
+"""Short Weierstrass prime curves, affine points, and the curve registry.
 
-The group law is priced in affine coordinates, as the paper's datapath runs
-it: one Euclid inversion plus a few multiplications, additions and
-subtractions per operation.  `CurveParams.add_cost` and `double_cost` hold
-those prices; `scalarmult` records them summed over a whole schedule in one
-call, and computes its results in Jacobian coordinates.
+A curve prices nothing: the group law's prices are strings of datapath
+units in `scalarmult`, counted by the curve's `PrimeModulus.cost`.
 
 A registry record carries everything a curve is: its parameters plus the TLS
 NamedCurve code point and the namedCurve OID that name it in handshakes and
@@ -38,7 +34,7 @@ class CurveParams:
     """One registered curve: y^2 = x^3 + ax + b over GF(p)."""
 
     __slots__ = ("id", "mod", "a", "b", "gx", "gy", "n", "tls_code", "oid",
-                 "n_mod", "n_bits", "n_bytes", "add_cost", "double_cost")
+                 "n_mod", "n_bits", "n_bytes")
 
     def __init__(self, id: str, p: int, a: int, b: int,
                  gx: int, gy: int, n: int, tls_code: int, oid: str):
@@ -54,9 +50,6 @@ class CurveParams:
         self.n_mod = PrimeModulus(n)  # group order is prime; doubles as scalar field
         self.n_bits = n.bit_length()
         self.n_bytes = (self.n_bits + 7) // 8
-        # chord and tangent kernels in datapath order; 3 x^2 + a is 3 additions
-        self.add_cost = self.mod.cost("ssimmsssms", "point_add")
-        self.double_cost = self.mod.cost("maaaaimmsssms", "point_double")
 
     def generator(self) -> "AffinePoint":
         return AffinePoint(self, self.gx, self.gy)

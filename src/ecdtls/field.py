@@ -6,10 +6,12 @@ simulation of the hardware loop.  The counters price the hardware algorithms
 the paper describes: a bit-serial interleaved multiplier that runs exactly
 bitlen(p) iterations per product whatever the operands, binary extended
 Euclid inversion priced at bitlen(p) units of work, and one count per modular
-addition or subtraction.  `PrimeModulus.cost` prices a whole formula from a
-string of kernel letters, for one `counters.record_all` call.  Fermat
-inversion, the projective baseline's, is priced only as such a string: a
-`mod_inv_fermat` head and the products square-and-multiply performs.
+addition or subtraction.  Every ECC price is one string of `_KERNELS`
+letters, one per datapath unit in evaluation order, a capital for a tick
+with no per-bit work, which `PrimeModulus.cost` counts once for one
+`counters.record_all` call.  Fermat inversion, the projective baseline's,
+is priced only in such a string: an `F` and the products
+square-and-multiply performs.
 
 `PrimeModulus` checks its modulus with the Baillie-PSW test (Baillie and
 Wagstaff, Math. Comp. 35, 1980; FIPS 186-4 App. C.3): trial division by the
@@ -52,13 +54,25 @@ class NotPrimeError(FieldError):
     """Modulus failed validation."""
 
 
-# kernel letter -> its kind counted once per call, then any counted bitlen(p)
+# letter -> its kind counted once per letter, then any counted bitlen(p)
 _KERNELS = {
     "m": ("mod_mul", "mul_iter"),          # interleaved product
     "i": ("mod_inv_euclid", "inv_work"),   # binary Euclid inversion
     "a": ("mod_add",),
     "s": ("mod_sub",),
+    "A": ("point_add",),
+    "D": ("point_double",),
+    "F": ("mod_inv_fermat",),
+    "C": ("ecsm_comb",),
+    "W": ("ecsm_window",),
+    "J": ("ecsm_jacobian",),
+    "P": ("comb_precompute",),
 }
+# deletes every letter whose kind is not traced
+_UNTRACED = str.maketrans("", "", "".join(
+    op for op, kinds in _KERNELS.items()
+    if kinds[0] not in counters.TRACED_KINDS))
+_KIND = {op: kinds[0] for op, kinds in _KERNELS.items()}
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                  59, 61, 67, 71, 73, 79, 83, 89, 97)
@@ -167,19 +181,19 @@ class PrimeModulus:
         self.bitlen = p.bit_length()
         self.byte_len = (self.bitlen + 7) // 8
 
-    def cost(self, ops: str, head: str = "") -> tuple:
-        """(items, traced) of the kernel calls `ops` names, one letter each in
-        evaluation order, after one count of `head`: (kind, n) pairs in
-        first-appearance order, and the TRACED_KINDS in execution order."""
-        steps = [(head, 1)] if head else []
-        for op in ops:
+    def cost(self, ops: str) -> tuple:
+        """(items, traced) of the units `ops` names, one `_KERNELS` letter
+        each in evaluation order: (kind, n) pairs in first-appearance order,
+        and the TRACED_KINDS in execution order.  Counted by `str.count`
+        and `str.translate`, not letter by letter in Python: a schedule
+        runs to thousands of letters."""
+        items = []
+        for op in sorted(filter(ops.__contains__, _KERNELS), key=ops.find):
+            n = ops.count(op)
             kernel, *work = _KERNELS[op]
-            steps += [(kernel, 1)] + [(kind, self.bitlen) for kind in work]
-        items = {}
-        for kind, n in steps:
-            items[kind] = items.get(kind, 0) + n
-        traced = tuple(k for k, _ in steps if k in counters.TRACED_KINDS)
-        return tuple(items.items()), traced
+            items += [(kernel, n)] + [(kind, n * self.bitlen) for kind in work]
+        return tuple(items), tuple(map(_KIND.__getitem__,
+                                       ops.translate(_UNTRACED)))
 
 
 # ---------------------------------------------------------------------------

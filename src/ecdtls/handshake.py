@@ -194,6 +194,8 @@ def _endpoint(curve: CurveParams, own_key_d: int, own_cert_der: bytes,
 
 class SessionConfig:
     """Everything one endpoint needs: role, curve, credentials, mode, seed.
+    A comb cache, when given, keeps execution rows of the peer keys it
+    sees across the sessions that share it; without one, none is built.
 
     The credential is prepared once per process (see the module docstring):
     a certificate or trust anchor that does not parse, or a key that does
@@ -219,7 +221,7 @@ class SessionConfig:
         self.own_cert_der = own_cert_der
         self.entropy = entropy if entropy is not None else os.urandom(32)
         self.expected_peer_cn = expected_peer_cn
-        self.comb_cache = comb_cache if comb_cache is not None else CombCache()
+        self.comb_cache = comb_cache
         self.cert_cache = cert_cache if cert_cache is not None else CertCache()
         self.clock = clock
         self.endpoint = _endpoint(curve, own_key_d, own_cert_der, ca_der)
@@ -249,7 +251,6 @@ class HandshakeSession:
         self._next_send_seq = 0
         self.security: Optional[SecurityParams] = None
         self.handshake_counters: Optional[counters.OpCounters] = None
-        self.comb_cache = config.comb_cache
         self.cert_cache = config.cert_cache
         self.own_key, self.ca_subject, self.ca_key = config.endpoint
         pin_trust_anchor(self.ca_key)
@@ -486,8 +487,9 @@ class HandshakeSession:
             sig = EcdsaSignature.from_der(der)
         except SignatureError:
             raise _Abort("undecodable %s signature" % what) from None
-        if not ecdsa_verify(self.peer_key, digest, sig, self.comb_cache,
-                            self.config.mode == MODE_CACHED):
+        config = self.config
+        if not ecdsa_verify(self.peer_key, digest, sig, config.comb_cache,
+                            config.mode == MODE_CACHED):
             raise _Abort("%s signature invalid" % what)
 
     def _agree(self, point: bytes) -> None:

@@ -5,9 +5,11 @@ Every engine is priced from its scalar, in integers.  Each point it touches
 is m*P for an integer m, and a registered curve has cofactor 1 and odd
 prime order n, so each exceptional branch of the group law is a test on
 m mod n (m = 0 is the identity, m1 = +-m2 is equal x), and the prices are
-exact for a base of order n.  Each engine's whole price is one tuple, its
-count first, memoised per curve where the schedule is the same for every
-k, and each multiplication records it in one call before it executes:
+exact for a base of order n.  Each engine's whole price is one string of
+`field._KERNELS` letters, its engine's capital and then the group law's
+formulas (`_AFFINE`, `_PROJECTIVE`), counted once by `PrimeModulus.cost`
+and memoised per curve where the schedule is the same for every k.  Each
+multiplication records it in one call before it executes, in `_times`:
 - `comb_price`, a resident base's `ecsm_comb`: the walk of the paper's
   fixed-base comb with zero-less signed-digit recoding on the affine law,
   at the one width `COMB_WIDTH` = 4 that the energy model is calibrated
@@ -29,7 +31,8 @@ for every k in [1, n): on every registered curve but toy59, whose small n
 keeps an exact price per k.  The Python's own time varies with k and the
 base.  `comb_sum_x_matches`, ECDSA's verification equation, is priced as
 its two multiplications, each by its base's class, and the affine addition
-of their results, on the branch that their Jacobian sum takes.
+of their results, on the branch that their Jacobian sum takes, memoised per
+curve as the engines' prices are.
 
 A multiplication is priced by the class of its base, never by what a
 `CombCache` holds:
@@ -174,32 +177,29 @@ def _point(curve: CurveParams, triple: tuple) -> AffinePoint:
 
 _PRICES: Dict[tuple, tuple] = {}
 
-
-def _merge(costs: list) -> tuple:
-    """One price for a sequence of prices: kinds in first-appearance order,
-    traced kinds in execution order."""
-    items: Dict[str, int] = {}
-    traced: list = []
-    for cost_items, cost_traced in costs:
-        for kind, n in cost_items:
-            items[kind] = items.get(kind, 0) + n
-        traced += cost_traced
-    return tuple(items.items()), tuple(traced)
+# (double, add) of the affine law, each a point tick and then its kernels
+# in datapath order; 3 x^2 + a is 3 additions
+_AFFINE = ("Dmaaaaimmsssms", "Assimmsssms")
+# (double, add) of the Jacobian datapath: the doubling, with 4 X YY,
+# 3 XX + a Z^4 and 8 YY^2 as chains of additions, and the mixed addition of
+# an affine point past its head, which computes U2, S2 and the H = 0 test
+_PROJECTIVE = ("Dmmaammmaamamasmaaasmsam", "mmmmsassmmsm")
+_PROJECTIVE_HEAD = "Ammmmss"
 
 
-def _sum_price(curve: CurveParams, m1: int, m2: int, law: tuple = ()) -> list:
-    """The price of m1 + m2 under the law (double, add), the affine one by
-    default: nothing with an identity operand or sum, the doubling for equal
-    operands (y = 0 would need an even n)."""
+def _sum_price(curve: CurveParams, m1: int, m2: int, law: tuple = _AFFINE
+               ) -> str:
+    """The price of m1 + m2 under the law (double, add): nothing with an
+    identity operand or sum, the doubling for equal operands (y = 0 would
+    need an even n)."""
     n = curve.n
     if m1 % n == 0 or m2 % n == 0 or (m1 + m2) % n == 0:
-        return []
-    double, add = law or (curve.double_cost, curve.add_cost)
-    return [double if (m1 - m2) % n == 0 else add]
+        return ""
+    return law[0] if (m1 - m2) % n == 0 else law[1]
 
 
-def _neg_price(curve: CurveParams, m: int) -> list:
-    return [curve.mod.cost("s")] if m % curve.n else []
+def _neg_price(curve: CurveParams, m: int) -> str:
+    return "s" if m % curve.n else ""
 
 
 def table_price(curve: CurveParams) -> tuple:
@@ -214,38 +214,39 @@ def table_price(curve: CurveParams) -> tuple:
     if key not in _PRICES:
         w = COMB_WIDTH
         d = -(-(curve.n_bits + 1) // w)
-        events = [curve.mod.cost("", "comb_precompute")]
+        ops = "P"
         for i in range((w - 1) * d):
-            events += _sum_price(curve, 1 << i, 1 << i)
+            ops += _sum_price(curve, 1 << i, 1 << i)
         for idx in range(1 << (w - 1)):
             acc = 1 << (w - 1) * d
             for r in range(w - 2, -1, -1):
                 term = 1 << r * d if idx >> r & 1 else -(1 << r * d)
-                events += (_neg_price(curve, term) if term < 0 else []) + \
+                ops += (_neg_price(curve, term) if term < 0 else "") + \
                     _sum_price(curve, acc, term)
                 acc += term
-        _PRICES[key] = _merge(events)
+        _PRICES[key] = curve.mod.cost(ops)
     return _PRICES[key]
 
 
-def _walk_events(curve: CurveParams, terms: Iterable[int], law: tuple = (),
-                 head: Optional[tuple] = None, negate: bool = False) -> list:
+def _walk_events(curve: CurveParams, terms: Iterable[int],
+                 law: tuple = _AFFINE, head: str = "", negate: bool = False
+                 ) -> str:
     """acc = 2 acc + m for each term m in turn from acc = 0, under the law:
     the doubling, then the addition, whose head (what precedes its H = 0
     test; the affine law has none) is priced unless acc or m is the
     identity.  The comb and `ecsm_window` walk their table terms, negating
     each first."""
-    events, acc, n = [], 0, curve.n
+    ops, acc, n = "", 0, curve.n
     for m in terms:
         if negate:
-            events += _neg_price(curve, m)
-        events += _sum_price(curve, acc, acc, law)
+            ops += _neg_price(curve, m)
+        ops += _sum_price(curve, acc, acc, law)
         acc *= 2
         if head and acc % n and m % n:
-            events.append(head)
-        events += _sum_price(curve, acc, m, law)
+            ops += head
+        ops += _sum_price(curve, acc, m, law)
         acc += m
-    return events
+    return ops
 
 
 def comb_price(curve: CurveParams, k: int) -> tuple:
@@ -282,40 +283,26 @@ def comb_price(curve: CurveParams, k: int) -> tuple:
     c = 1 + (k & 1)
     K = (k + c) | 1 << w * d
     terms = [2 * (K >> j + 1 & mask) - mask for j in range(d - 1, -1, -1)]
-    price = _merge([curve.mod.cost("", "ecsm_comb")] +
-                   _walk_events(curve, terms, negate=True) +
-                   _sum_price(curve, 1, 1) + _neg_price(curve, c) +
-                   _sum_price(curve, k + c, -c) + [curve.mod.cost("s")])
+    price = curve.mod.cost("C" + _walk_events(curve, terms, negate=True) +
+                           _sum_price(curve, 1, 1) + _neg_price(curve, c) +
+                           _sum_price(curve, k + c, -c) + "s")
     if 6 * mask + 5 < n:
         _PRICES[key] = price
     return price
-
-
-def _projective_law(curve: CurveParams) -> tuple:
-    """((double, add), head) of the Jacobian datapath: the doubling, with
-    4 X YY, 3 XX + a Z^4 and 8 YY^2 as chains of additions, and the mixed
-    addition of an affine point, whose head computes U2, S2 and the H = 0
-    test."""
-    mod = curve.mod
-    return (mod.cost("mmaammmaamamasmaaasmsam", "point_double"),
-            mod.cost("mmmmsassmmsm")), mod.cost("mmmmss", "point_add")
 
 
 def jacobian_price(curve: CurveParams, k: int) -> tuple:
     """The price of k*P, P of order n, on the projective baseline that the
     energy fit reads: its count, `ecsm_jacobian`, then Jacobian
     double-and-add, whose inner loop avoids inversions, and one final Fermat
-    inversion, as cost strings of their counted kernels in evaluation
-    order."""
-    mod = curve.mod
-    events = [mod.cost("", "ecsm_jacobian")] + _walk_events(
-        curve, map(int, bin(k)[2:]), *_projective_law(curve))
+    inversion."""
+    ops = "J" + _walk_events(curve, map(int, bin(k)[2:]), _PROJECTIVE,
+                             _PROJECTIVE_HEAD)
     if k % curve.n:
         # x^(p-2) by square-and-multiply, then 4 products back to affine
-        e = mod.p - 2
-        events.append(mod.cost("m" * (
-            e.bit_length() + 2 + bin(e).count("1")), "mod_inv_fermat"))
-    return _merge(events)
+        e = curve.mod.p - 2
+        ops += "F" + "m" * (e.bit_length() + 2 + bin(e).count("1"))
+    return curve.mod.cost(ops)
 
 
 def _window_digits(k: int, count: int) -> list:
@@ -361,22 +348,22 @@ def window_price(curve: CurveParams, k: int) -> tuple:
     key = ("window", curve.mod.bitlen, n)
     if key in _PRICES:
         return _PRICES[key]
-    law, head = _projective_law(curve)
     top = (1 << _WINDOW_WIDTH) - 1   # the largest digit
-    events = [curve.mod.cost("", "ecsm_window")] + _sum_price(curve, 1, 1)
+    ops = "W" + _sum_price(curve, 1, 1)
     for m in range(1, top - 1, 2):
-        events += _sum_price(curve, m, 2)
+        ops += _sum_price(curve, m, 2)
     k = min(k, n - k)
     c = 1 + (k & 1)
     terms = []
     for d in _window_digits(k + c, -(-curve.n_bits // _WINDOW_WIDTH)):
         terms += [0] * (_WINDOW_WIDTH - 1) + [d]
-    events += _walk_events(curve, terms, law, head, negate=True)
+    ops += _walk_events(curve, terms, _PROJECTIVE, _PROJECTIVE_HEAD,
+                        negate=True)
     # the tail's head is priced as a window's: neither acc nor -c*P is the
     # identity
-    events += _neg_price(curve, c) + [head] + \
-        _sum_price(curve, k + c, -c, law) + [curve.mod.cost("immmms")]
-    price = _merge(events)
+    ops += _neg_price(curve, c) + _PROJECTIVE_HEAD + \
+        _sum_price(curve, k + c, -c, _PROJECTIVE) + "immmms"
+    price = curve.mod.cost(ops)
     if (n + 3) // 2 + 2 * top < n:
         _PRICES[key] = price
     return price
@@ -632,34 +619,18 @@ def _check_range(k: int, curve: CurveParams) -> None:
         raise ScalarRangeError("scalar out of [1, n)")
 
 
-def _times(k: int, P: AffinePoint, cache: Optional[CombCache]) -> tuple:
-    """k*P as a Jacobian triple, unpriced: from P's rows in the cache, or
-    with no cache its process-wide rows, or by wNAF for a base without
+def _times(k: int, P: AffinePoint, price, cache: Optional[CombCache] = None
+           ) -> tuple:
+    """k*P as a Jacobian triple: check k in [1, n), record its engine's
+    price(curve, k) in one call, then execute from P's rows in the cache,
+    or with no cache its process-wide rows, or by wNAF for a base without
     them."""
+    curve = P.curve
+    _check_range(k, curve)
+    counters.record_all(price(curve, k))
     rows = cache.get_or_build(P) if cache is not None else \
         _fixed_rows(P, point_identity(P))
-    curve = P.curve
     return _fixed_base(curve, rows, k) if rows else _wnaf(curve, k, P.x, P.y)
-
-
-def _comb(k: int, P: AffinePoint, cache: Optional[CombCache] = None
-          ) -> tuple:
-    """k*P as a Jacobian triple for a resident base: check k in [1, n),
-    record `comb_price` in one call, then execute (`_times`)."""
-    curve = P.curve
-    _check_range(k, curve)
-    counters.record_all(comb_price(curve, k))
-    return _times(k, P, cache)
-
-
-def _window(k: int, P: AffinePoint, cache: Optional[CombCache] = None
-            ) -> tuple:
-    """k*P as a Jacobian triple for a one-shot base: check k in [1, n),
-    record `window_price` in one call, then execute (`_times`)."""
-    curve = P.curve
-    _check_range(k, curve)
-    counters.record_all(window_price(curve, k))
-    return _times(k, P, cache)
 
 
 def ecsm_comb(k: int, P: AffinePoint) -> AffinePoint:
@@ -667,24 +638,24 @@ def ecsm_comb(k: int, P: AffinePoint) -> AffinePoint:
     comb table: one double and one add per column, a parity-correction tail
     and a negation, and no table.  k outside [1, n) raises
     `ScalarRangeError`."""
-    return _point(P.curve, _comb(k, P))
+    return _point(P.curve, _times(k, P, comb_price))
 
 
 def ecsm_window(k: int, P: AffinePoint) -> AffinePoint:
     """k*P for a one-shot base, priced as `window_price`: a regular
     signed-window multiplication whose table of 8 entries is built for
     this call alone.  k outside [1, n) raises `ScalarRangeError`."""
-    return _point(P.curve, _window(k, P))
+    return _point(P.curve, _times(k, P, window_price))
 
 
 def _jsum(curve: CurveParams, A: tuple, B: tuple) -> tuple:
-    """(A + B, its price) for Jacobian A and B, B not the identity,
-    priced as `curve.add_cost`, or `double_cost` at A = B, and nothing when
-    A or the sum is the identity."""
+    """(A + B, its price's letters) for Jacobian A and B, B not the
+    identity: the affine law's addition, or its doubling at A = B, and ""
+    when A or the sum is the identity."""
     X1, Y1, Z1 = A
     X2, Y2, Z2 = B
     if Z1 == 0:
-        return B, None
+        return B, ""
     p = curve.mod.p
     Z1Z1, Z2Z2 = Z1 * Z1 % p, Z2 * Z2 % p
     U1 = X1 * Z2Z2 % p
@@ -693,14 +664,13 @@ def _jsum(curve: CurveParams, A: tuple, B: tuple) -> tuple:
     R = (Y2 * Z1 * Z1Z1 - S1) % p
     if H == 0:
         if R == 0:
-            return _jdouble(curve, X1, Y1, Z1), curve.double_cost
-        return _IDENTITY, None
+            return _jdouble(curve, X1, Y1, Z1), _AFFINE[0]
+        return _IDENTITY, ""
     HH = H * H % p
     HHH = HH * H % p
     V = U1 * HH % p
     X3 = (R * R - HHH - 2 * V) % p
-    return (X3, (R * (V - X3) - S1 * HHH) % p, Z1 * Z2 * H % p), \
-        curve.add_cost
+    return (X3, (R * (V - X3) - S1 * HHH) % p, Z1 * Z2 * H % p), _AFFINE[1]
 
 
 def comb_sum_x_matches(u1: int, u2: int, Q: AffinePoint, r: int,
@@ -715,11 +685,14 @@ def comb_sum_x_matches(u1: int, u2: int, Q: AffinePoint, r: int,
     and its x is compared projectively, X = x Z^2 for each x = r mod n
     below p, so nothing is inverted."""
     curve = Q.curve
-    A = _comb(u1, curve.generator()) if u1 else _IDENTITY
-    (X, _, Z), price = _jsum(curve, A, (_comb if resident else _window)(
-        u2, Q, cache))
-    if price:
-        counters.record_all(price)
+    A = _times(u1, curve.generator(), comb_price) if u1 else _IDENTITY
+    (X, _, Z), ops = _jsum(curve, A, _times(
+        u2, Q, comb_price if resident else window_price, cache))
+    if ops:
+        key = (ops, curve.mod.bitlen, curve.n)
+        if key not in _PRICES:
+            _PRICES[key] = curve.mod.cost(ops)
+        counters.record_all(_PRICES[key])
     if Z == 0:
         return False
     p = curve.mod.p

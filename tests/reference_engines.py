@@ -41,7 +41,7 @@ def scalar_mul_unchecked(k: int, P: AffinePoint):
     on the affine law."""
     curve = P.curve
     if counters._stack():   # a scope is open, so the price counts
-        counters.record_all(scalarmult._merge(scalarmult._walk_events(
+        counters.record_all(curve.mod.cost(scalarmult._walk_events(
             curve, map(int, bin(k)[2:]))))
     return affine(curve, double_and_add(curve, k, P.x, P.y))
 

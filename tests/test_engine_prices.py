@@ -173,9 +173,11 @@ def test_comb_matches_affine_oracle(curve, base):
         want = priced(oracle_comb, k, P)
         assert priced(ecsm_comb, k, P) == want
         if i % 8 == 0:
-            got = priced(scalarmult._comb, k, P, cache)
+            got = priced(scalarmult._times, k, P, scalarmult.comb_price,
+                         cache)
             assert (affine(curve, got[0]),) + got[1:] == want
-            got = priced(scalarmult._window, k, P, cache)
+            got = priced(scalarmult._times, k, P, scalarmult.window_price,
+                         cache)
             assert (affine(curve, got[0]),) + got[1:] == \
                 priced(oracle_window, k, P)
             assert want[0] == oracle_unchecked(k, P)
@@ -250,7 +252,8 @@ def test_engines_match_affine_oracle_on_a_two_torsion_point():
         selected = T if min(k, curve.n - k) % 2 else None
         assert oracle_comb(k, T) == selected
         for c in (None, cache):
-            assert affine(curve, scalarmult._comb(k, T, c)) == want
+            assert affine(curve, scalarmult._times(
+                k, T, scalarmult.comb_price, c)) == want
         if want is None:
             with pytest.raises(CurveError):
                 ecsm_comb(k, T)

@@ -2,14 +2,16 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ecdtls import counters
 from ecdtls.curve import builtin_registry
-from ecdtls.field import (_SMALL_PRIMES, NonInvertibleError, NotPrimeError,
-                          PrimeModulus, _is_probable_prime, _strong_base2,
-                          _strong_lucas, inv_euclid_int, mul_int)
+from ecdtls.energy import PRICED_KINDS
+from ecdtls.field import (_KERNELS, _SMALL_PRIMES, NonInvertibleError,
+                          NotPrimeError, PrimeModulus, _is_probable_prime,
+                          _strong_base2, _strong_lucas, inv_euclid_int,
+                          mul_int)
 from conftest import registered_names
 from reference_engines import ecsm_jacobian
 
@@ -119,6 +121,42 @@ class TestPrimeModulus:
     def test_rejects_wide(self):
         with pytest.raises(NotPrimeError):
             PrimeModulus(2**257 + 2221)
+
+
+def record_letters(ops: str, mod: PrimeModulus) -> tuple:
+    """The oracle of `PrimeModulus.cost`: (items, trace) of a scope that
+    records each letter of ops in turn, its kernel once and any work kind
+    bitlen(p) times."""
+    with counters.scope(trace=True) as sc:
+        for op in ops:
+            kernel, *work = _KERNELS[op]
+            counters.record(kernel)
+            for kind in work:
+                counters.record(kind, mod.bitlen)
+    return list(sc.counters.items()), sc.trace
+
+
+class TestCost:
+    """`PrimeModulus.cost` counts a whole string of `_KERNELS` letters at
+    once; recording it must equal recording its letters one by one."""
+
+    @settings(max_examples=200)
+    @given(st.text(alphabet=sorted(_KERNELS), max_size=300),
+           st.sampled_from([7, 59] + sorted(CURVE_PRIMES.values())))
+    @example("CDmaaaaimmsssmsAssimmsssmsWJFmmmPmias", P256)
+    def test_matches_letter_by_letter(self, ops, p):
+        mod = PrimeModulus(p)
+        items, traced = mod.cost(ops)
+        with counters.scope(trace=True) as sc:
+            counters.record_all((items, traced))
+        assert (list(items), list(traced)) == record_letters(ops, mod) == \
+            (list(sc.counters.items()), sc.trace)
+
+    def test_every_letter_is_priced_and_capitals_do_no_bit_work(self):
+        for op, kinds in _KERNELS.items():
+            assert set(kinds) <= set(PRICED_KINDS)
+            if op.isupper():
+                assert MOD256.cost(op)[0] == ((kinds[0], 1),)
 
 
 # Composites that fool one half of Baillie-PSW or a weaker check; the whole

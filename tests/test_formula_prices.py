@@ -1,22 +1,22 @@
 """The group law's prices against the counted formulas they replaced.
 
-`CurveParams.add_cost` and `double_cost` are the affine chord and tangent
-prices, which `scalarmult` records summed over its schedules;
-`scalarmult.jacobian_price` is the price of the projective formulas and
-the Fermat inversion, computed from the scalar, which the tests'
-`ecsm_jacobian` (in `reference_engines`) records in one call.
-`scalarmult.window_price`, which `ecsm_window` records, walks the same
-projective formulas over an affine table of odd multiples and ends in a
-Euclid inversion.  The oracles below are those formulas as they ran
-before: every modular operation a counted kernel call, so the nesting of
-the calls fixed the price.  Each price must give the same counter items in
-the same order and the same trace as its oracle on every registered curve,
-`ecsm_jacobian` the same result on the exceptional inputs too, and
-`ecsm_window` the same point as `ecsm_jacobian`.  The affine oracles are the tests' reference
-group law: `test_curve` checks them against the group axioms, and the
-engine oracles of `test_engine_prices` walk on them with `oracle_negate`,
-the negation the comb's price counts.  No `AffinePoint` is the identity, so
-the oracles take and return None for it."""
+`scalarmult._AFFINE` holds the affine doubling and addition as strings
+of datapath letters, which `scalarmult` concatenates into its schedules
+and `PrimeModulus.cost` counts; `scalarmult.jacobian_price` is the price of
+the projective formulas and the Fermat inversion, computed from the
+scalar, which the tests' `ecsm_jacobian` (in `reference_engines`) records
+in one call.  `scalarmult.window_price`, which `ecsm_window` records, walks
+the same projective formulas over an affine table of odd multiples and
+ends in a Euclid inversion.  The oracles below are those formulas as they
+ran before: every modular operation a counted kernel call, so the nesting
+of the calls fixed the price.  Each price must give the same counter items
+in the same order and the same trace as its oracle on every registered
+curve, `ecsm_jacobian` the same result on the exceptional inputs too, and
+`ecsm_window` the same point as `ecsm_jacobian`.  The affine oracles are
+the tests' reference group law: `test_curve` checks them against the group
+axioms, and the engine oracles of `test_engine_prices` walk on them with
+`oracle_negate`, the negation the comb's price counts.  No `AffinePoint`
+is the identity, so the oracles take and return None for it."""
 
 import random
 
@@ -255,9 +255,10 @@ def test_affine_formulas_match_counted_oracles(curve):
     P = curve.generator()
     Q = scalar_mul_unchecked(rng.randrange(2, curve.n - 1), P)
     assert P.x != Q.x
-    assert priced(counters.record_all, curve.add_cost)[1:] == \
+    double, add = scalarmult._AFFINE
+    assert priced(counters.record_all, curve.mod.cost(add))[1:] == \
         priced(oracle_add, P, Q)[1:]
-    assert priced(counters.record_all, curve.double_cost)[1:] == \
+    assert priced(counters.record_all, curve.mod.cost(double))[1:] == \
         priced(oracle_double, P)[1:]
 
 

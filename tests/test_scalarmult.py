@@ -12,6 +12,7 @@ from ecdtls.credentials import generate_pki
 from ecdtls.energy import calibration_scalar, default_model
 from ecdtls.curve import AffinePoint, CurveError, CurveRegistry, \
     builtin_registry
+from ecdtls.field import PrimeModulus
 from ecdtls.handshake import MODE_CACHED, MODE_FULL, HandshakeSession, \
     SessionConfig
 from ecdtls.scalarmult import (COMB_WIDTH, CombCache, ScalarRangeError,
@@ -26,7 +27,8 @@ from test_engine_prices import comb_digits, comb_width, oracle_comb, \
     oracle_unchecked, zsd_recode
 from test_formula_prices import oracle_add, oracle_double, oracle_negate, \
     priced, same_price
-from test_golden_counters import FIXED_CLOCK, _session_pair, warm_handshakes
+from test_golden_counters import FIXED_CLOCK, _session_pair, \
+    handshake_scenario, warm_handshakes
 
 # Kinds whose tallies must be independent of the scalar for a fixed curve and
 # comb geometry: the operation-count signature of one scalar multiplication.
@@ -54,7 +56,8 @@ def lookup(cache: CombCache, P) -> str:
 def comb_through(k, P, cache):
     """`ecsm_comb`'s k*P, priced the same, executed from P's rows in
     cache."""
-    return affine(P.curve, scalarmult._comb(k, P, cache))
+    return affine(P.curve,
+                  scalarmult._times(k, P, scalarmult.comb_price, cache))
 
 
 class TestZsdRecode:
@@ -364,10 +367,11 @@ class TestPrice:
             cache = CombCache()
             # first use, second (builds rows), third (with rows), no cache
             for cached in (cache, cache, cache, None):
-                for engine in (scalarmult._comb, scalarmult._window):
+                for price in (scalarmult.comb_price,
+                              scalarmult.window_price):
                     del calls[:]
                     with counters.scope():
-                        engine(k, P, cached)
+                        scalarmult._times(k, P, price, cached)
                     assert len(calls) == 1
         for P in (G, Q):
             for m in (0, 1, 2, k, c.n - 1, c.n, c.n + 1, 2 * c.n + 1):
@@ -413,6 +417,25 @@ class TestPrice:
         k = 0xC0FFEE
         same_price(scalar_mul_unchecked, oracle_unchecked, k, G)
         assert len(calls) == 1
+
+    def test_prices_counted_once_per_curve(self, monkeypatch):
+        # once a secp256r1 pair has run, each engine's price, the table's
+        # and the affine sum of a verification are memoised, so the pairs
+        # after it count only ECDSA's one-letter scalar-field kernels
+        warm_handshakes("secp256r1", 1)
+        calls = []
+        cost = PrimeModulus.cost
+
+        def spy(mod, ops):
+            calls.append((sys._getframe(1).f_code.co_name, ops))
+            return cost(mod, ops)
+
+        monkeypatch.setattr(PrimeModulus, "cost", spy)
+        handshake_scenario("secp256r1", MODE_FULL)
+        warm_handshakes("secp256r1", 2)   # a leaf-cache miss, then a hit
+        assert {caller for caller, _ in calls} == \
+            {"mul_int", "inv_euclid_int"}
+        assert all(len(ops) == 1 for _, ops in calls)
 
     def test_base_must_be_on_the_curve(self, toy):
         # an off-curve base cannot be made, so it reaches no multiplication
