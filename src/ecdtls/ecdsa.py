@@ -143,8 +143,9 @@ def ecdsa_verify(pub: AffinePoint, digest: bytes, sig: EcdsaSignature,
     """Accept iff (u1*G + u2*pub).x == r mod n.  Out-of-range components
     reject; they are not errors.  u2*pub is priced on pub's resident table
     when resident is set (a trust anchor's key, a peer leaf that a
-    cached-mode client keeps), and as a one-shot base otherwise; cache,
-    when given, holds pub's execution rows."""
+    cached-mode client keeps), and as a one-shot base otherwise.  A
+    resident pub runs its process-wide rows; cache, when given, holds a
+    one-shot pub's."""
     curve = pub.curve
     n = curve.n
     if not sig.in_range(n):

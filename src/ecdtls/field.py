@@ -164,9 +164,10 @@ def _strong_lucas(n: int) -> bool:
 
 class PrimeModulus:
     """An odd prime p, 3 < p < 2^256, validated once at construction by the
-    Baillie-PSW test (see the module docstring)."""
+    Baillie-PSW test (see the module docstring), with the prices of one
+    product and one inversion counted once."""
 
-    __slots__ = ("p", "bitlen", "byte_len")
+    __slots__ = ("p", "bitlen", "byte_len", "mul_price", "inv_price")
 
     def __init__(self, p: int):
         if not isinstance(p, int) or p <= 3:
@@ -180,6 +181,8 @@ class PrimeModulus:
         self.p = p
         self.bitlen = p.bit_length()
         self.byte_len = (self.bitlen + 7) // 8
+        self.mul_price = self.cost("m")
+        self.inv_price = self.cost("i")
 
     def cost(self, ops: str) -> tuple:
         """(items, traced) of the units `ops` names, one `_KERNELS` letter
@@ -198,12 +201,12 @@ class PrimeModulus:
 
 # ---------------------------------------------------------------------------
 # Counted integer kernels.  These operate on plain ints already reduced mod p
-# and record their price through `PrimeModulus.cost`.
+# and record the price that `PrimeModulus` counted once per modulus.
 
 def mul_int(x: int, y: int, mod: PrimeModulus) -> int:
     """x*y mod p, priced as one bit-serial interleaved product: one
     shift-accumulate-reduce iteration per bit of p."""
-    counters.record_all(mod.cost("m"))
+    counters.record_all(mod.mul_price)
     return x * y % mod.p
 
 
@@ -211,6 +214,6 @@ def inv_euclid_int(x: int, mod: PrimeModulus) -> int:
     """x^-1 mod p, priced as one binary extended Euclid inversion."""
     if x % mod.p == 0:
         raise NonInvertibleError("inverse of zero")
-    counters.record_all(mod.cost("i"))
+    counters.record_all(mod.inv_price)
     return pow(x, -1, mod.p)
 

@@ -48,12 +48,10 @@ differs in any of them.
 Each multiplication is priced by where its base's comb table lives (see
 `scalarmult`).  G and the trust anchor's key are resident: their tables are
 provisioned with the credential, so they walk only, and no session prices
-them.  Each session pins its anchor's key in `scalarmult`, refreshing its
-recency, so certificate checks run on its process-wide fixed-base rows;
-that is execution only and prices nothing.  The peer's leaf key is
-one-shot, except in a cached-mode client, which keeps it: the session that
-verifies a fresh leaf and caches it pays its table once, and every
-signature under it walks.  The peer's ephemeral point is one-shot.
+them.  The peer's leaf key is one-shot, except in a cached-mode client,
+which keeps it: the session that verifies a fresh leaf and caches it pays
+its table once, and every signature under it walks.  The peer's ephemeral
+point is one-shot.
 Both roles authenticate the peer through three shared helpers.
 `_peer_certificate` checks the leaf, the first certificate of the peer's
 chain (RFC 5246 §7.4.2), `_check_signature` a ServerKeyExchange or
@@ -83,7 +81,7 @@ from .keyagree import KeyAgreementError, ecdhe_shared
 from .prf import tls_prf_sha256
 from .record import (CONTENT_ALERT, CONTENT_APPDATA, CONTENT_CCS,
                      CONTENT_HANDSHAKE, DROP_OK, MAX_SEQUENCE, RecordLayer)
-from .scalarmult import CombCache, comb_precompute, pin_trust_anchor
+from .scalarmult import CombCache, comb_precompute
 from .sha256 import HmacKey, Sha256, sha256
 from .x509 import CertCache, X509Error, x509_parse, x509_verify
 
@@ -194,8 +192,10 @@ def _endpoint(curve: CurveParams, own_key_d: int, own_cert_der: bytes,
 
 class SessionConfig:
     """Everything one endpoint needs: role, curve, credentials, mode, seed.
-    A comb cache, when given, keeps execution rows of the peer keys it
-    sees across the sessions that share it; without one, none is built.
+    A comb cache, when given, keeps execution rows of the one-shot peer
+    leaves it sees across the sessions that share it, from each one's
+    second use; without one, they run wNAF.  A resident base's rows are
+    process-wide either way.
 
     The credential is prepared once per process (see the module docstring):
     a certificate or trust anchor that does not parse, or a key that does
@@ -251,9 +251,7 @@ class HandshakeSession:
         self._next_send_seq = 0
         self.security: Optional[SecurityParams] = None
         self.handshake_counters: Optional[counters.OpCounters] = None
-        self.cert_cache = config.cert_cache
         self.own_key, self.ca_subject, self.ca_key = config.endpoint
-        pin_trust_anchor(self.ca_key)
         self.client_random: Optional[bytes] = None
         self.server_random: Optional[bytes] = None
         self.eph_key: Optional[KeyPair] = None
@@ -456,17 +454,18 @@ class HandshakeSession:
         a cached-mode one pays the table of the key it now keeps."""
         if not cert_ders:
             raise _Abort("peer sent no certificate")
-        now = int(self.config.clock())
-        cert = self.cert_cache.check(cert_ders[0], self.ca_key, now) \
-            if self.config.mode == MODE_CACHED else None
+        config = self.config
+        now = int(config.clock())
+        cert = config.cert_cache.check(cert_ders[0], self.ca_key, now) \
+            if config.mode == MODE_CACHED else None
         fresh = cert is None
         if fresh:
             try:
                 cert = x509_parse(cert_ders[0], self.registry)
             except X509Error:
                 raise _Abort("peer certificate rejected") from None
-        expected_cn = self.config.expected_peer_cn
-        if cert.public_key.curve.id != self.config.curve.id or (
+        expected_cn = config.expected_peer_cn
+        if cert.public_key.curve.id != config.curve.id or (
                 expected_cn is not None and cert.subject_cn != expected_cn) \
                 or (fresh and cert.issuer != self.ca_subject):
             raise _Abort("peer certificate rejected")
@@ -475,8 +474,8 @@ class HandshakeSession:
             if not ok:
                 raise _Abort("peer certificate rejected: %s" % reason)
             if self.role == "client":
-                self.cert_cache.insert(cert, self.ca_key)
-                if self.config.mode == MODE_CACHED:
+                config.cert_cache.insert(cert, self.ca_key)
+                if config.mode == MODE_CACHED:
                     comb_precompute(cert.public_key)
         self.peer_key = cert.public_key
 

@@ -62,19 +62,19 @@ tables of its multiples) runs a Lim-Lee comb (Lim and Lee, CRYPTO 1994; HMV
 Guide to ECC 3.3.2) of 8 teeth of d bits, d the fewest that cover n rounded
 up to a multiple of 4, in 4 blocks of e = d/4: e steps of at most 4
 additions from 4 tables of 255 tooth sums (on secp256r1, 7 doublings and at
-most 32 additions from 1,020 points).  A process-wide store holds the rows
-of the bases the process is configured with: each curve's G, built on first
-use and never evicted, and each trust anchor pinned by `pin_trust_anchor`,
-built when pinned, at most `COMB_CACHE_CAPACITY` of them, the least
-recently used evicted first.  A `CombCache`, which prices nothing, maps each
-base it has seen to its rows: the process-wide ones, or for any other base
-rows built on its second use, which go when the cache evicts the base.  A
-base without rows (a first use, no cache, ECDHE's peer point) runs width-5
-wNAF, one step per digit, and so does the registry's check of n*G = O,
-`order_annihilates_generator`, which prices nothing.  The kernel inlines
-the a = -3 doubling and the addition; only an addition at equal x, and a
-doubling on another a, go to `_jdouble` and `_jadd`.  The tests'
-double-and-add engines
+most 32 additions from 1,020 points).  The class that prices a
+multiplication also picks its rows.  A resident base's rows live in one
+process-wide store of at most `COMB_CACHE_CAPACITY` bases, the least
+recently used evicted first, G's, anchors' and kept leaves' alike, each
+built at its first resident multiplication.  A one-shot base has rows only
+in a `CombCache`, which prices nothing and never reads the store: none on
+its first use, rows built on its second, which go when the cache evicts the
+base.  A base without rows (one-shot with no cache or on its first use in
+one, ECDHE's peer point) runs width-5 wNAF, one step per digit, and so does
+the registry's check of n*G = O, `order_annihilates_generator`, which
+prices nothing.  The kernel inlines the a = -3 doubling and the addition;
+only an addition at equal x, and a doubling on another a, go to `_jdouble`
+and `_jadd`.  The tests' double-and-add engines
 (tests/reference_engines.py) run on those two alone, so their results are
 an independent reference for the kernel's formulas.
 """
@@ -533,40 +533,26 @@ def point_identity(P: AffinePoint) -> bytes:
     return P.curve.id.encode() + b"|" + P.encode()
 
 
-_FIXED_LOCK = threading.Lock()
-_GENERATOR_ROWS: Dict[bytes, list] = {}   # never evicted
-_ANCHOR_ROWS: Dict[bytes, list] = {}      # least recently used first
+_RESIDENT_LOCK = threading.Lock()
+_RESIDENT_ROWS: Dict[bytes, list] = {}   # least recently used first
 
 
-def _fixed_rows(P: AffinePoint, key: bytes, pin: bool = False
-                ) -> Optional[list]:
-    """The process-wide rows of P, whose `point_identity` is key, refreshing
-    an anchor's recency: G's built on first use, an anchor's when pinned,
-    None for any other base.  Rows are built outside the lock, so a racing
-    build makes equal rows, and the first stored is kept."""
-    with _FIXED_LOCK:
-        rows = _GENERATOR_ROWS.get(key)
-        if rows is None and key in _ANCHOR_ROWS:
-            rows = _ANCHOR_ROWS[key] = _ANCHOR_ROWS.pop(key)
-    curve = P.curve
-    generator = (P.x, P.y) == (curve.gx, curve.gy)
-    if rows is None and (pin or generator):
-        rows = _rows(curve, P.x, P.y)
-        with _FIXED_LOCK:
-            if generator:
-                return _GENERATOR_ROWS.setdefault(key, rows)
-            rows = _ANCHOR_ROWS[key] = _ANCHOR_ROWS.pop(key, rows)
-            while len(_ANCHOR_ROWS) > COMB_CACHE_CAPACITY:
-                del _ANCHOR_ROWS[next(iter(_ANCHOR_ROWS))]
+def _resident_rows(P: AffinePoint) -> list:
+    """The process-wide rows of a resident base P, built at its first
+    resident multiplication; P becomes the most recently used, and the
+    stalest base beyond `COMB_CACHE_CAPACITY` is evicted.  Rows are built
+    outside the lock, so a racing build makes equal rows, and the first
+    stored is kept."""
+    key = point_identity(P)
+    with _RESIDENT_LOCK:
+        rows = _RESIDENT_ROWS.get(key)
+    if rows is None:
+        rows = _rows(P.curve, P.x, P.y)
+    with _RESIDENT_LOCK:
+        rows = _RESIDENT_ROWS[key] = _RESIDENT_ROWS.pop(key, rows)
+        while len(_RESIDENT_ROWS) > COMB_CACHE_CAPACITY:
+            del _RESIDENT_ROWS[next(iter(_RESIDENT_ROWS))]
     return rows
-
-
-def pin_trust_anchor(Q: AffinePoint) -> None:
-    """Keep rows of a configured trust anchor's key for the process, so
-    every multiplication on it runs fixed-base, with or without a comb
-    cache.  Execution only: nothing is recorded.  Only keys the process is
-    configured with belong here, never a peer's."""
-    _fixed_rows(Q, point_identity(Q), pin=True)
 
 
 def comb_precompute(P: AffinePoint) -> None:
@@ -577,16 +563,16 @@ def comb_precompute(P: AffinePoint) -> None:
 
 
 class CombCache:
-    """Execution only: the bases a configuration has multiplied, LRU, at
-    most six, each mapped to its rows.  A base's first use stores its
-    process-wide rows, G's or a pinned anchor's, or none, and so runs wNAF;
-    its second builds rows unless it has them, which go when the base is
-    evicted.  On secp256r1 the build takes about 5.4 ms and each later use
-    saves about 1.3 ms against wNAF, so a base pays back its build after
-    about 4 uses (medians scaled to the benchmark's nominal pace, a 2.1 GHz
-    Xeon vCPU).  Nothing is recorded: a multiplication is priced by its
-    base's class, never by what a cache holds.  Mutable; callers serialize
-    access (one writer at a time)."""
+    """Execution only: the one-shot bases a configuration has multiplied,
+    LRU, at most six.  A base's first use stores no rows, and so runs wNAF;
+    its second builds rows, which go when the base is evicted.  On
+    secp256r1 the build takes about 5.4 ms and each later use saves about
+    1.3 ms against wNAF, so a base pays back its build after about 4 uses
+    (medians scaled to the benchmark's nominal pace, a 2.1 GHz Xeon vCPU).
+    A resident base never comes here: its rows are process-wide.  Nothing
+    is recorded: a multiplication is priced by its base's class, never by
+    what a cache holds.  Mutable; callers serialize access (one writer at
+    a time)."""
 
     def __init__(self):
         self._bases: Dict[bytes, Optional[list]] = {}
@@ -595,16 +581,13 @@ class CombCache:
         return len(self._bases)
 
     def get_or_build(self, P: AffinePoint) -> Optional[list]:
-        """P's rows, built if this is its second use, or on its first the
-        process-wide ones or None; P becomes the most recently used, and
-        the stalest base beyond capacity is evicted."""
+        """P's rows, built if this is its second use, or None on its first;
+        P becomes the most recently used, and the stalest base beyond
+        capacity is evicted."""
         key = point_identity(P)
+        rows = None
         if key in self._bases:
-            rows = self._bases.pop(key)
-            if rows is None:
-                rows = _rows(P.curve, P.x, P.y)
-        else:
-            rows = _fixed_rows(P, key)
+            rows = self._bases.pop(key) or _rows(P.curve, P.x, P.y)
         self._bases[key] = rows  # most recently used last
         while len(self._bases) > COMB_CACHE_CAPACITY:
             del self._bases[next(iter(self._bases))]
@@ -619,17 +602,17 @@ def _check_range(k: int, curve: CurveParams) -> None:
         raise ScalarRangeError("scalar out of [1, n)")
 
 
-def _times(k: int, P: AffinePoint, price, cache: Optional[CombCache] = None
-           ) -> tuple:
-    """k*P as a Jacobian triple: check k in [1, n), record its engine's
-    price(curve, k) in one call, then execute from P's rows in the cache,
-    or with no cache its process-wide rows, or by wNAF for a base without
-    them."""
+def _times(k: int, P: AffinePoint, resident: bool,
+           cache: Optional[CombCache] = None) -> tuple:
+    """k*P as a Jacobian triple: check k in [1, n), record the price of P's
+    class in one call, `comb_price` for a resident base and `window_price`
+    for a one-shot one, then execute from P's process-wide rows when it is
+    resident, else from its rows in the cache, or by wNAF without them."""
     curve = P.curve
     _check_range(k, curve)
-    counters.record_all(price(curve, k))
-    rows = cache.get_or_build(P) if cache is not None else \
-        _fixed_rows(P, point_identity(P))
+    counters.record_all((comb_price if resident else window_price)(curve, k))
+    rows = _resident_rows(P) if resident else \
+        cache.get_or_build(P) if cache is not None else None
     return _fixed_base(curve, rows, k) if rows else _wnaf(curve, k, P.x, P.y)
 
 
@@ -638,14 +621,14 @@ def ecsm_comb(k: int, P: AffinePoint) -> AffinePoint:
     comb table: one double and one add per column, a parity-correction tail
     and a negation, and no table.  k outside [1, n) raises
     `ScalarRangeError`."""
-    return _point(P.curve, _times(k, P, comb_price))
+    return _point(P.curve, _times(k, P, True))
 
 
 def ecsm_window(k: int, P: AffinePoint) -> AffinePoint:
     """k*P for a one-shot base, priced as `window_price`: a regular
     signed-window multiplication whose table of 8 entries is built for
     this call alone.  k outside [1, n) raises `ScalarRangeError`."""
-    return _point(P.curve, _times(k, P, window_price))
+    return _point(P.curve, _times(k, P, False))
 
 
 def _jsum(curve: CurveParams, A: tuple, B: tuple) -> tuple:
@@ -681,13 +664,13 @@ def comb_sum_x_matches(u1: int, u2: int, Q: AffinePoint, r: int,
     Priced in turn as `ecsm_comb` of u1*G, G being resident, when u1 is
     nonzero; u2*Q as `ecsm_comb` when Q's table is resident and as
     `ecsm_window` when Q is one-shot; then the affine addition of the two.
-    Q's rows come from cache when one is given.  The sum stays Jacobian,
-    and its x is compared projectively, X = x Z^2 for each x = r mod n
-    below p, so nothing is inverted."""
+    A resident Q runs its process-wide rows, a one-shot one its rows in
+    cache when one is given.  The sum stays Jacobian, and its x is compared
+    projectively, X = x Z^2 for each x = r mod n below p, so nothing is
+    inverted."""
     curve = Q.curve
-    A = _times(u1, curve.generator(), comb_price) if u1 else _IDENTITY
-    (X, _, Z), ops = _jsum(curve, A, _times(
-        u2, Q, comb_price if resident else window_price, cache))
+    A = _times(u1, curve.generator(), True) if u1 else _IDENTITY
+    (X, _, Z), ops = _jsum(curve, A, _times(u2, Q, resident, cache))
     if ops:
         key = (ops, curve.mod.bitlen, curve.n)
         if key not in _PRICES:

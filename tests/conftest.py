@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import settings
 
+from ecdtls import scalarmult
 from ecdtls.curve import builtin_registry
 
 # every property draws the same examples on every run, with no example
@@ -34,6 +35,12 @@ def curves(registry):
 @pytest.fixture(scope="session")
 def toy(registry):
     return registry.get("toy59")
+
+
+@pytest.fixture
+def fresh_rows(monkeypatch):
+    """An empty process-wide store of resident bases' rows for the test."""
+    monkeypatch.setattr(scalarmult, "_RESIDENT_ROWS", {})
 
 
 @pytest.fixture

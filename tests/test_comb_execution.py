@@ -9,7 +9,7 @@ import pytest
 
 from ecdtls import counters, scalarmult
 from ecdtls.curve import builtin_registry
-from ecdtls.scalarmult import CombCache, pin_trust_anchor
+from ecdtls.scalarmult import CombCache
 from conftest import registered_names
 from reference_engines import double_and_add, scalar_mul_unchecked
 
@@ -33,8 +33,9 @@ def reference(curve, k, P):
 
 
 def process_rows(P):
-    """P's process-wide rows: G's, a pinned anchor's, or None."""
-    return scalarmult._fixed_rows(P, scalarmult.point_identity(P))
+    """P's rows in the process-wide store, or None; refreshes nothing and
+    builds nothing."""
+    return scalarmult._RESIDENT_ROWS.get(scalarmult.point_identity(P))
 
 
 class TestCombShape:
@@ -44,7 +45,7 @@ class TestCombShape:
         # at most 7 doublings and one addition per block and step
         c = curves["secp256r1"]
         G = c.generator()
-        rows = process_rows(G)
+        rows = scalarmult._resident_rows(G)
         assert scalarmult._comb_geometry(c) == (32, 8)
         assert [len(table) for table in rows] == [255] * 4
         rng = random.Random("p256-schedule")
@@ -72,23 +73,19 @@ class TestCombShape:
                 assert got is None or got == (want.x, want.y)
 
 
-@pytest.fixture
-def no_anchors(monkeypatch):
-    monkeypatch.setattr(scalarmult, "_ANCHOR_ROWS", {})
-
-
 @pytest.mark.parametrize("name", registered_names(builtin_registry()))
-def test_executors_agree_with_double_and_add(registry, name, no_anchors):
-    # G's tables, a pinned anchor's, and those of a base built on its first
-    # cache hit, each on seeded scalars and on the largest the comb takes
+def test_executors_agree_with_double_and_add(registry, name, fresh_rows):
+    # G's tables and an anchor's in the process-wide store, and those of a
+    # base built on its first cache hit, each on seeded scalars and on the
+    # largest the comb takes
     c = registry.get(name)
     G = c.generator()
     anchor = scalar_mul_unchecked(c.n // 3, G)
-    pin_trust_anchor(anchor)
     other = scalar_mul_unchecked(c.n // 5, G)
     cache = CombCache()
     assert cache.get_or_build(other) is None                  # miss
-    bases = {G: process_rows(G), anchor: process_rows(anchor),
+    bases = {G: scalarmult._resident_rows(G),
+             anchor: scalarmult._resident_rows(anchor),
              other: cache.get_or_build(other)}                # first hit
     assert all(rows is not None for rows in bases.values())
     d, _ = scalarmult._comb_geometry(c)

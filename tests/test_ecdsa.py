@@ -287,8 +287,8 @@ class TestProjectiveVerify:
     def test_every_signature_against_affine_oracle(self, toy, q, cached):
         # for every r and s: a plain digest, the digests that make
         # u1*G = +-u2*Q (z = +-q*r) and the one that makes u1 = 0; cached,
-        # Q's table is resident and its rows are in a comb cache, else Q is
-        # one-shot
+        # Q is resident and runs its process-wide rows, a comb cache given
+        # beside them; else Q is one-shot and runs wNAF
         n = toy.n
         Q = KeyPair(q, toy).Q
         cache = CombCache() if cached else None
@@ -314,7 +314,7 @@ class TestProjectiveVerify:
         digest = sha256(b"resident")
         sig = ecdsa_sign(key, digest)
         cache = CombCache()
-        for _ in range(2):   # Q's first use, then its second builds rows
+        for _ in range(2):   # Q's first use builds rows; the cache is unread
             ecdsa_verify(key.Q, digest, sig, cache, resident=True)
         calls = []
         to_affine = scalarmult._to_affine

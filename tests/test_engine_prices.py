@@ -164,20 +164,16 @@ def oracle_scalars(curve):
 
 @pytest.mark.parametrize("base", ["generator", "other"])
 def test_comb_matches_affine_oracle(curve, base):
-    # the resident walk, with P's rows from the process-wide store or wNAF,
-    # and from a comb cache's rows, whose first use finds none; every 8th k
-    # also prices the one-shot window, through the same cache
+    # the resident walk, on P's rows in the process-wide store; every 8th k
+    # also prices the one-shot window, through a comb cache, whose first
+    # use finds no rows
     P = curve.generator() if base == "generator" else other_base(curve)
     cache = CombCache()
     for i, k in enumerate(oracle_scalars(curve)):
         want = priced(oracle_comb, k, P)
         assert priced(ecsm_comb, k, P) == want
         if i % 8 == 0:
-            got = priced(scalarmult._times, k, P, scalarmult.comb_price,
-                         cache)
-            assert (affine(curve, got[0]),) + got[1:] == want
-            got = priced(scalarmult._times, k, P, scalarmult.window_price,
-                         cache)
+            got = priced(scalarmult._times, k, P, False, cache)
             assert (affine(curve, got[0]),) + got[1:] == \
                 priced(oracle_window, k, P)
             assert want[0] == oracle_unchecked(k, P)
@@ -251,9 +247,9 @@ def test_engines_match_affine_oracle_on_a_two_torsion_point():
         want = T if k % 2 else None
         selected = T if min(k, curve.n - k) % 2 else None
         assert oracle_comb(k, T) == selected
-        for c in (None, cache):
+        for resident, c in ((True, None), (False, None), (False, cache)):
             assert affine(curve, scalarmult._times(
-                k, T, scalarmult.comb_price, c)) == want
+                k, T, resident, c)) == want
         if want is None:
             with pytest.raises(CurveError):
                 ecsm_comb(k, T)

@@ -40,6 +40,24 @@ GOLDEN_DIGESTS = {  # (wire digest, counter digest)
     ("secp160r1", "full"): (
         "a81aa6a3791c64edf7ecfe34b9e34601792ec26dcc4a451d9a78c9cd9c0b3c72",
         "bc75e754ecd0b1356fdc63ccb25331668ea7021364284ba09b59a3fc3d2fe0c5"),
+    ("secp192r1", "cached-hit"): (
+        "248e0ffeb0b58226fd3894750931909afe16a47b5ad4415ceb5e7c43cd3a8c05",
+        "d0dc2a72d34bc71f7da77da978272fc0549901a4939eb317e3998258d03a05df"),
+    ("secp192r1", "cached-miss"): (
+        "248e0ffeb0b58226fd3894750931909afe16a47b5ad4415ceb5e7c43cd3a8c05",
+        "972c9807e26bd0e677ae9e8b6406959f5cd734bbc32cbdb9ceb1ee8852432717"),
+    ("secp192r1", "full"): (
+        "248e0ffeb0b58226fd3894750931909afe16a47b5ad4415ceb5e7c43cd3a8c05",
+        "a74328bf9de7e328c7b534ba33eb268113eb6ce1c2eb5d7ea0bf78d68cd22e99"),
+    ("secp224r1", "cached-hit"): (
+        "5df408cd065c52260338ffed429ef6eb375e086e7784850547f62d7814bb6e42",
+        "1f23a5a5234425d05706479d5ef3984351d6408e2be8a348e60734a8e649da52"),
+    ("secp224r1", "cached-miss"): (
+        "5df408cd065c52260338ffed429ef6eb375e086e7784850547f62d7814bb6e42",
+        "363217855c5b6ea982c55d57b7d27d771a7abc1eb6a3da67de02103a9c20e1c3"),
+    ("secp224r1", "full"): (
+        "5df408cd065c52260338ffed429ef6eb375e086e7784850547f62d7814bb6e42",
+        "63c706a580ee9db4bb37ceaf6578028b828a011862d93a3e7cfa7f5907c78dec"),
     ("secp256r1", "cached-hit"): (
         "0b71eaebeff66799baa3bb30e807d809e2e70df27a5cab97f94d951ac2a6ab5c",
         "bf4b14f3ddf2f1927ca3a5bf0559cf8f95b0680692dd93ef03cbad98a79aec11"),
@@ -170,7 +188,8 @@ def transcripts():
     the cached runs share one fresh CertCache, so the first misses and the
     second hits."""
     out = {}
-    for name in ("toy59", "secp160r1", "secp256r1"):
+    for name in ("toy59", "secp160r1", "secp192r1", "secp224r1",
+                 "secp256r1"):
         curve = get_curve(name)
         pki = generate_pki(curve, b"golden-wire-pki-" + name.encode())
         out[name, "full"] = _run(curve, pki, MODE_FULL)
