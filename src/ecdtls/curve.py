@@ -34,7 +34,7 @@ class CurveParams:
     """One registered curve: y^2 = x^3 + ax + b over GF(p)."""
 
     __slots__ = ("id", "mod", "a", "b", "gx", "gy", "n", "tls_code", "oid",
-                 "n_mod", "n_bits", "n_bytes")
+                 "n_mod", "n_bits", "n_bytes", "_generator")
 
     def __init__(self, id: str, p: int, a: int, b: int,
                  gx: int, gy: int, n: int, tls_code: int, oid: str):
@@ -50,9 +50,12 @@ class CurveParams:
         self.n_mod = PrimeModulus(n)  # group order is prime; doubles as scalar field
         self.n_bits = n.bit_length()
         self.n_bytes = (self.n_bits + 7) // 8
+        self._generator = AffinePoint(self, self.gx, self.gy) \
+            if self.equation_holds(self.gx, self.gy) else None
 
     def generator(self) -> "AffinePoint":
-        return AffinePoint(self, self.gx, self.gy)
+        """G: one point, made with the curve, so its rows serve every user."""
+        return self._generator or AffinePoint(self, self.gx, self.gy)
 
     def equation_holds(self, x: int, y: int) -> bool:
         return (y * y - (x * x * x + self.a * x + self.b)) % self.mod.p == 0
@@ -72,9 +75,10 @@ class CurveParams:
 
 
 class AffinePoint:
-    """A finite curve point: range and equation checked when made."""
+    """A finite curve point: range and equation checked when made.  Its
+    comb `rows` are None until `scalarmult.provision` builds them."""
 
-    __slots__ = ("curve", "x", "y")
+    __slots__ = ("curve", "x", "y", "rows")
 
     def __init__(self, curve: CurveParams, x: int, y: int):
         if not (0 <= x < curve.mod.p and 0 <= y < curve.mod.p):
@@ -82,6 +86,7 @@ class AffinePoint:
         if not curve.equation_holds(x, y):
             raise CurveError("point not on curve")
         self.curve, self.x, self.y = curve, x, y
+        self.rows: Optional[list] = None
 
     def __eq__(self, other) -> bool:
         return isinstance(other, AffinePoint) and self.curve == other.curve \

@@ -143,9 +143,9 @@ def ecdsa_verify(pub: AffinePoint, digest: bytes, sig: EcdsaSignature,
     """Accept iff (u1*G + u2*pub).x == r mod n.  Out-of-range components
     reject; they are not errors.  u2*pub is priced on pub's resident table
     when resident is set (a trust anchor's key, a peer leaf that a
-    cached-mode client keeps), and as a one-shot base otherwise.  A
-    resident pub runs its process-wide rows; cache, when given, holds a
-    one-shot pub's."""
+    cached-mode client keeps), and as a one-shot base otherwise.  The price
+    picks no rows: pub runs its own when provisioned (a trust anchor's
+    key), else its rows in cache when one is given, else wNAF."""
     curve = pub.curve
     n = curve.n
     if not sig.in_range(n):

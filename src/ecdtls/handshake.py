@@ -37,21 +37,23 @@ the key block and both Finished PRFs.
 A `SessionConfig` takes its endpoint from a process-wide store, or prepares
 it once per credential: it parses the own certificate, computes Q = d*G and
 refuses a key that does not match the certificate's, and parses the trust
-anchor.  That runs inside `counters.isolated()`, and no session prices it: a
-credential is provisioned, so a session records only its own work, and its
-counters never depend on whether the store hit.  The store holds at most
+anchor, and provisions the rows of G and of the anchor's key.  That runs
+inside `counters.isolated()`, and no session prices it: a credential is
+provisioned, so a session records only its own work, and its counters never
+depend on whether the store hit.  The store holds at most
 `ENDPOINT_CAPACITY` endpoints, the least recently used evicted first, and
-each resident endpoint's `KeyPair`, its private scalar included, until it
-is evicted.  Its key is a SHA-256 digest of the curve, scalar and both
-certificates, so no secret is a dict key and no entry serves a config that
-differs in any of them.
+each resident endpoint's `KeyPair`, its private scalar included, and its
+anchor's rows, until it is evicted.  Its key is a SHA-256 digest of the
+curve, scalar and both certificates, so no secret is a dict key and no
+entry serves a config that differs in any of them.
 Each multiplication is priced by where its base's comb table lives (see
 `scalarmult`).  G and the trust anchor's key are resident: their tables are
 provisioned with the credential, so they walk only, and no session prices
 them.  The peer's leaf key is one-shot, except in a cached-mode client,
 which keeps it: the session that verifies a fresh leaf and caches it pays
-its table once, and every signature under it walks.  The peer's ephemeral
-point is one-shot.
+its table once, and every signature under it walks.  Whatever its price, a
+leaf runs by wNAF, or on rows the config's `CombCache` builds at its second
+use.  The peer's ephemeral point is one-shot.
 Both roles authenticate the peer through three shared helpers.
 `_peer_certificate` checks the leaf, the first certificate of the peer's
 chain (RFC 5246 §7.4.2), `_check_signature` a ServerKeyExchange or
@@ -81,7 +83,7 @@ from .keyagree import KeyAgreementError, ecdhe_shared
 from .prf import tls_prf_sha256
 from .record import (CONTENT_ALERT, CONTENT_APPDATA, CONTENT_CCS,
                      CONTENT_HANDSHAKE, DROP_OK, MAX_SEQUENCE, RecordLayer)
-from .scalarmult import CombCache, comb_precompute
+from .scalarmult import CombCache, comb_precompute, provision
 from .sha256 import HmacKey, Sha256, sha256
 from .x509 import CertCache, X509Error, x509_parse, x509_verify
 
@@ -162,7 +164,8 @@ _ENDPOINTS: Dict[bytes, _Endpoint] = {}  # least recently used first
 def _endpoint(curve: CurveParams, own_key_d: int, own_cert_der: bytes,
               ca_der: bytes) -> _Endpoint:
     """The stored endpoint of a credential, refreshing its recency, or one
-    prepared now and stored, evicting the stalest beyond capacity.  It is
+    prepared now and stored, evicting the stalest beyond capacity, with the
+    rows of G, the anchor's key and its curve's G provisioned.  It is
     prepared outside the lock, so a racing build makes an equal endpoint,
     and the first stored is kept."""
     digest = hashlib.sha256()
@@ -178,10 +181,13 @@ def _endpoint(curve: CurveParams, own_key_d: int, own_cert_der: bytes,
     with counters.isolated():
         try:
             cert = x509_parse(own_cert_der, registry)
+            provision(curve.generator())
             own_key = KeyPair(own_key_d, curve, Q=cert.public_key)
             ca = x509_parse(ca_der, registry)
         except (X509Error, CurveError) as exc:
             raise HandshakeError("credential refused: %s" % exc) from None
+    for P in (ca.public_key.curve.generator(), ca.public_key):
+        provision(P)
     with _ENDPOINT_LOCK:
         endpoint = _ENDPOINTS[key] = _ENDPOINTS.pop(
             key, _Endpoint(own_key, ca.subject, ca.public_key))
@@ -192,10 +198,10 @@ def _endpoint(curve: CurveParams, own_key_d: int, own_cert_der: bytes,
 
 class SessionConfig:
     """Everything one endpoint needs: role, curve, credentials, mode, seed.
-    A comb cache, when given, keeps execution rows of the one-shot peer
-    leaves it sees across the sessions that share it, from each one's
-    second use; without one, they run wNAF.  A resident base's rows are
-    process-wide either way.
+    A comb cache, when given, keeps execution rows of the peer leaves it
+    sees, a kept one included, across the sessions that share it, from
+    each one's second use; without one, they run wNAF.  G and the anchor's
+    key run the rows the endpoint provisioned either way.
 
     The credential is prepared once per process (see the module docstring):
     a certificate or trust anchor that does not parse, or a key that does

@@ -62,17 +62,18 @@ tables of its multiples) runs a Lim-Lee comb (Lim and Lee, CRYPTO 1994; HMV
 Guide to ECC 3.3.2) of 8 teeth of d bits, d the fewest that cover n rounded
 up to a multiple of 4, in 4 blocks of e = d/4: e steps of at most 4
 additions from 4 tables of 255 tooth sums (on secp256r1, 7 doublings and at
-most 32 additions from 1,020 points).  The class that prices a
-multiplication also picks its rows.  A resident base's rows live in one
-process-wide store of at most `COMB_CACHE_CAPACITY` bases, the least
-recently used evicted first, G's, anchors' and kept leaves' alike, each
-built at its first resident multiplication.  A one-shot base has rows only
-in a `CombCache`, which prices nothing and never reads the store: none on
-its first use, rows built on its second, which go when the cache evicts the
-base.  A base without rows (one-shot with no cache or on its first use in
-one, ECDHE's peer point) runs width-5 wNAF, one step per digit, and so does
-the registry's check of n*G = O, `order_annihilates_generator`, which
-prices nothing.  The kernel inlines the a = -3 doubling and the addition;
+most 32 additions from 1,020 points).  The class prices a multiplication
+and picks no rows.  A point's `rows` are None until `provision` builds them,
+where a credential is provisioned (`handshake`): on G, one point per curve,
+and on the trust anchor's key: one set per registered curve, plus one per
+stored endpoint (at most `handshake.ENDPOINT_CAPACITY`).  A racing
+`provision` builds equal rows, and one complete list is ever assigned.  Any
+other base, a kept leaf as a one-shot one, has rows only in a `CombCache`,
+which prices nothing: none on its first use, rows built on its second,
+which go when the cache evicts the base.  A base without rows (no cache, or
+its first use in one; ECDHE's peer point) runs width-5 wNAF, one step per
+digit, and so does the registry's check of n*G = O,
+`order_annihilates_generator`, which prices nothing.  The kernel inlines the a = -3 doubling and the addition;
 only an addition at equal x, and a doubling on another a, go to `_jdouble`
 and `_jadd`.  The tests' double-and-add engines
 (tests/reference_engines.py) run on those two alone, so their results are
@@ -81,7 +82,6 @@ an independent reference for the kernel's formulas.
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, Iterable, Optional
 
 from . import counters
@@ -526,33 +526,19 @@ def order_annihilates_generator(curve: CurveParams) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Fixed-base rows, comb residency and cache
+# Fixed-base rows: provisioned, or in a cache
 
 def point_identity(P: AffinePoint) -> bytes:
     """Stable identity of a base point: curve name and serialized form."""
     return P.curve.id.encode() + b"|" + P.encode()
 
 
-_RESIDENT_LOCK = threading.Lock()
-_RESIDENT_ROWS: Dict[bytes, list] = {}   # least recently used first
-
-
-def _resident_rows(P: AffinePoint) -> list:
-    """The process-wide rows of a resident base P, built at its first
-    resident multiplication; P becomes the most recently used, and the
-    stalest base beyond `COMB_CACHE_CAPACITY` is evicted.  Rows are built
-    outside the lock, so a racing build makes equal rows, and the first
-    stored is kept."""
-    key = point_identity(P)
-    with _RESIDENT_LOCK:
-        rows = _RESIDENT_ROWS.get(key)
-    if rows is None:
-        rows = _rows(P.curve, P.x, P.y)
-    with _RESIDENT_LOCK:
-        rows = _RESIDENT_ROWS[key] = _RESIDENT_ROWS.pop(key, rows)
-        while len(_RESIDENT_ROWS) > COMB_CACHE_CAPACITY:
-            del _RESIDENT_ROWS[next(iter(_RESIDENT_ROWS))]
-    return rows
+def provision(P: AffinePoint) -> None:
+    """Build P's rows and keep them on P, unless it has them: the offline
+    precomputation of a fixed base, which records nothing.  Racing calls
+    build equal rows, and each assigns one complete list."""
+    if P.rows is None:
+        P.rows = _rows(P.curve, P.x, P.y)
 
 
 def comb_precompute(P: AffinePoint) -> None:
@@ -563,16 +549,17 @@ def comb_precompute(P: AffinePoint) -> None:
 
 
 class CombCache:
-    """Execution only: the one-shot bases a configuration has multiplied,
-    LRU, at most six.  A base's first use stores no rows, and so runs wNAF;
-    its second builds rows, which go when the base is evicted.  On
-    secp256r1 the build takes about 5.4 ms and each later use saves about
-    1.3 ms against wNAF, so a base pays back its build after about 4 uses
-    (medians scaled to the benchmark's nominal pace, a 2.1 GHz Xeon vCPU).
-    A resident base never comes here: its rows are process-wide.  Nothing
-    is recorded: a multiplication is priced by its base's class, never by
-    what a cache holds.  Mutable; callers serialize access (one writer at
-    a time)."""
+    """Execution only: the bases without rows of their own that a
+    configuration has multiplied, LRU, at most `COMB_CACHE_CAPACITY`: peer
+    leaves, a kept one included.  A base's first use stores no rows, and so
+    runs wNAF; its second builds rows, which go when the base is evicted.
+    On secp256r1 the build takes about 5.9 ms and each later use saves
+    about 1.3 ms against wNAF, so a base pays back its build after about
+    4.4 uses (medians scaled to the benchmark's nominal pace, a 2.1 GHz
+    Xeon vCPU).  A provisioned base never comes here: `_times` runs its own
+    rows.  Nothing is recorded: a multiplication is priced by its base's
+    class, never by what a cache holds.  Mutable; callers serialize access
+    (one writer at a time)."""
 
     def __init__(self):
         self._bases: Dict[bytes, Optional[list]] = {}
@@ -606,13 +593,13 @@ def _times(k: int, P: AffinePoint, resident: bool,
            cache: Optional[CombCache] = None) -> tuple:
     """k*P as a Jacobian triple: check k in [1, n), record the price of P's
     class in one call, `comb_price` for a resident base and `window_price`
-    for a one-shot one, then execute from P's process-wide rows when it is
-    resident, else from its rows in the cache, or by wNAF without them."""
+    for a one-shot one, then execute from P's provisioned rows, else from
+    its rows in the cache, or by wNAF without them.  The class picks only
+    the price."""
     curve = P.curve
     _check_range(k, curve)
     counters.record_all((comb_price if resident else window_price)(curve, k))
-    rows = _resident_rows(P) if resident else \
-        cache.get_or_build(P) if cache is not None else None
+    rows = P.rows or (cache.get_or_build(P) if cache is not None else None)
     return _fixed_base(curve, rows, k) if rows else _wnaf(curve, k, P.x, P.y)
 
 
@@ -664,8 +651,8 @@ def comb_sum_x_matches(u1: int, u2: int, Q: AffinePoint, r: int,
     Priced in turn as `ecsm_comb` of u1*G, G being resident, when u1 is
     nonzero; u2*Q as `ecsm_comb` when Q's table is resident and as
     `ecsm_window` when Q is one-shot; then the affine addition of the two.
-    A resident Q runs its process-wide rows, a one-shot one its rows in
-    cache when one is given.  The sum stays Jacobian, and its x is compared
+    Each runs its provisioned rows, else Q its rows in cache when one is
+    given, else wNAF.  The sum stays Jacobian, and its x is compared
     projectively, X = x Z^2 for each x = r mod n below p, so nothing is
     inverted."""
     curve = Q.curve

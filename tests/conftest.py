@@ -3,8 +3,8 @@ import random
 import pytest
 from hypothesis import settings
 
-from ecdtls import scalarmult
-from ecdtls.curve import builtin_registry
+from ecdtls import handshake
+from ecdtls.curve import AffinePoint, builtin_registry
 
 # every property draws the same examples on every run, with no example
 # database and no per-example deadline
@@ -38,9 +38,13 @@ def toy(registry):
 
 
 @pytest.fixture
-def fresh_rows(monkeypatch):
-    """An empty process-wide store of resident bases' rows for the test."""
-    monkeypatch.setattr(scalarmult, "_RESIDENT_ROWS", {})
+def fresh_endpoints(monkeypatch, registry):
+    """An empty endpoint store, and on every registered curve a G of the
+    test's own, without rows, so that what the test provisions is seen."""
+    monkeypatch.setattr(handshake, "_ENDPOINTS", {})
+    for name in registered_names(registry):
+        c = registry.get(name)
+        monkeypatch.setattr(c, "_generator", AffinePoint(c, c.gx, c.gy))
 
 
 @pytest.fixture

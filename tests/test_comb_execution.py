@@ -32,12 +32,6 @@ def reference(curve, k, P):
     return scalarmult._point(curve, double_and_add(curve, k, P.x, P.y))
 
 
-def process_rows(P):
-    """P's rows in the process-wide store, or None; refreshes nothing and
-    builds nothing."""
-    return scalarmult._RESIDENT_ROWS.get(scalarmult.point_identity(P))
-
-
 class TestCombShape:
     def test_p256_tables_and_schedule(self, curves, schedules):
         # 8 teeth of d = 32 bits in 4 blocks of e = 8: 4 tables of the 255
@@ -45,7 +39,7 @@ class TestCombShape:
         # at most 7 doublings and one addition per block and step
         c = curves["secp256r1"]
         G = c.generator()
-        rows = scalarmult._resident_rows(G)
+        rows = scalarmult._rows(c, G.x, G.y)
         assert scalarmult._comb_geometry(c) == (32, 8)
         assert [len(table) for table in rows] == [255] * 4
         rng = random.Random("p256-schedule")
@@ -74,18 +68,20 @@ class TestCombShape:
 
 
 @pytest.mark.parametrize("name", registered_names(builtin_registry()))
-def test_executors_agree_with_double_and_add(registry, name, fresh_rows):
-    # G's tables and an anchor's in the process-wide store, and those of a
-    # base built on its first cache hit, each on seeded scalars and on the
-    # largest the comb takes
+def test_executors_agree_with_double_and_add(registry, name,
+                                             fresh_endpoints):
+    # the rows provisioned on G and on an anchor, and those of a base built
+    # on its first cache hit, each on seeded scalars and on the largest the
+    # comb takes
     c = registry.get(name)
     G = c.generator()
     anchor = scalar_mul_unchecked(c.n // 3, G)
     other = scalar_mul_unchecked(c.n // 5, G)
     cache = CombCache()
     assert cache.get_or_build(other) is None                  # miss
-    bases = {G: scalarmult._resident_rows(G),
-             anchor: scalarmult._resident_rows(anchor),
+    for P in (G, anchor):
+        scalarmult.provision(P)
+    bases = {G: G.rows, anchor: anchor.rows,
              other: cache.get_or_build(other)}                # first hit
     assert all(rows is not None for rows in bases.values())
     d, _ = scalarmult._comb_geometry(c)

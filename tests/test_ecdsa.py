@@ -287,8 +287,10 @@ class TestProjectiveVerify:
     def test_every_signature_against_affine_oracle(self, toy, q, cached):
         # for every r and s: a plain digest, the digests that make
         # u1*G = +-u2*Q (z = +-q*r) and the one that makes u1 = 0; cached,
-        # Q is resident and runs its process-wide rows, a comb cache given
-        # beside them; else Q is one-shot and runs wNAF
+        # Q is priced resident and runs its rows in a comb cache from its
+        # second use; else Q is one-shot and runs wNAF.  G runs the rows an
+        # endpoint would provision
+        scalarmult.provision(toy.generator())
         n = toy.n
         Q = KeyPair(q, toy).Q
         cache = CombCache() if cached else None
@@ -309,12 +311,14 @@ class TestProjectiveVerify:
         assert seen == {"add", "double", "cancel", "u1 = 0", "x = r + n"}
 
     def test_resident_bases_make_nothing_affine(self, curves, monkeypatch):
+        # G provisioned, as an endpoint does, and Q's rows in the cache
         c = curves["secp160r1"]
+        scalarmult.provision(c.generator())
         key = KeyPair(0xC0FFEE, c)
         digest = sha256(b"resident")
         sig = ecdsa_sign(key, digest)
         cache = CombCache()
-        for _ in range(2):   # Q's first use builds rows; the cache is unread
+        for _ in range(2):   # Q's second use builds its rows in the cache
             ecdsa_verify(key.Q, digest, sig, cache, resident=True)
         calls = []
         to_affine = scalarmult._to_affine

@@ -63,6 +63,30 @@ def test_fit_runs_nothing(registry, monkeypatch):
     assert weights["inv_work"] == 1.4975626405928432e-10
 
 
+def fit_on(monkeypatch, hit: tuple, jacobian: tuple) -> EnergyModel:
+    """The fit on calibration counts of (mul_iter, inv_work) each."""
+    counts = [OpCounters(mul_iter=a, inv_work=b) for a, b in (hit, jacobian)]
+    monkeypatch.setattr(energy, "_measure_calibration_counts",
+                        lambda: tuple(counts))
+    return energy._fit_default_model()
+
+
+def test_singular_calibration_rejected(monkeypatch):
+    # equal counts make two equal equations in the two weights: det = 0
+    with pytest.raises(EnergyModelError, match="degenerate"):
+        fit_on(monkeypatch, (10, 1), (10, 1))
+
+
+@pytest.mark.parametrize("hit,jacobian", [
+    ((1, 10), (1, 1)),     # inv_work's weight < 0
+    ((10, 1), (1, 1)),     # mul_iter's weight < 0
+    ((1, 0), (1.93, 1)),   # inv_work's weight exactly 0
+])
+def test_non_positive_weight_rejected(monkeypatch, hit, jacobian):
+    with pytest.raises(EnergyModelError, match="non-positive"):
+        fit_on(monkeypatch, hit, jacobian)
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(EnergyModelError):
         default_model().estimate(OpCounters(mod_mul=1, no_such_kind=1))

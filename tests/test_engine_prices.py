@@ -26,7 +26,8 @@ from collections import namedtuple
 import pytest
 
 from ecdtls import counters, scalarmult
-from ecdtls.curve import CurveError, CurveParams, builtin_registry
+from ecdtls.curve import AffinePoint, CurveError, CurveParams, \
+    builtin_registry
 from ecdtls.scalarmult import (COMB_WIDTH, CombCache, ScalarRangeError,
                                comb_precompute, ecsm_comb, ecsm_window)
 from conftest import registered_names
@@ -164,16 +165,18 @@ def oracle_scalars(curve):
 
 @pytest.mark.parametrize("base", ["generator", "other"])
 def test_comb_matches_affine_oracle(curve, base):
-    # the resident walk, on P's rows in the process-wide store; every 8th k
-    # also prices the one-shot window, through a comb cache, whose first
-    # use finds no rows
+    # the resident walk, on rows provisioned on P; every 8th k also prices
+    # the one-shot window, on a copy of P without rows, through a comb
+    # cache, whose first use finds no rows
     P = curve.generator() if base == "generator" else other_base(curve)
+    scalarmult.provision(P)
+    bare = AffinePoint(curve, P.x, P.y)
     cache = CombCache()
     for i, k in enumerate(oracle_scalars(curve)):
         want = priced(oracle_comb, k, P)
         assert priced(ecsm_comb, k, P) == want
         if i % 8 == 0:
-            got = priced(scalarmult._times, k, P, False, cache)
+            got = priced(scalarmult._times, k, bare, False, cache)
             assert (affine(curve, got[0]),) + got[1:] == \
                 priced(oracle_window, k, P)
             assert want[0] == oracle_unchecked(k, P)
@@ -239,17 +242,21 @@ def test_engines_match_affine_oracle_on_a_two_torsion_point():
     # and ecsm_comb refuses to make the point.  The oracle runs the priced
     # algorithm on k' = min(k, n - k), whose selected point is k*T only for
     # a T of order n: here it is k'*T.
+    # They run on provisioned rows, by wNAF and on rows in a cache.
     curve = CurveParams("two-torsion", 59, 1, -2, 1, 0, 53, 0xFE03, "2.999.2")
     T = curve.generator()
     assert oracle_double(T) is None
+    provisioned = AffinePoint(curve, T.x, T.y)
+    scalarmult.provision(provisioned)
     cache = CombCache()
     for k in range(1, curve.n):
         want = T if k % 2 else None
         selected = T if min(k, curve.n - k) % 2 else None
         assert oracle_comb(k, T) == selected
-        for resident, c in ((True, None), (False, None), (False, cache)):
+        for P, resident, c in ((provisioned, True, None), (T, False, None),
+                               (T, False, cache)):
             assert affine(curve, scalarmult._times(
-                k, T, resident, c)) == want
+                k, P, resident, c)) == want
         if want is None:
             with pytest.raises(CurveError):
                 ecsm_comb(k, T)

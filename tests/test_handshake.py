@@ -772,6 +772,25 @@ class TestChainAcrossCurves:
             if lookup:
                 assert client.handshake_counters["cert_cache_" + lookup] == 1
 
+    def test_leaf_check_runs_provisioned_rows(self, curves, cross_curve_pki,
+                                              fresh_endpoints, monkeypatch):
+        # the u1*G and u2*Q of each leaf check are on the CA's curve,
+        # secp256r1, whose G each endpoint provisions beside its anchor: no
+        # multiplication on that curve runs wNAF
+        seen = []
+        wnaf = scalarmult._wnaf
+
+        def spy(curve, k, x, y):
+            seen.append(curve.id)
+            return wnaf(curve, k, x, y)
+
+        monkeypatch.setattr(scalarmult, "_wnaf", spy)
+        client, server = make_pair(curves["secp160r1"], cross_curve_pki)
+        assert run_loopback(client, server).established
+        assert curves["secp256r1"].generator().rows is not None
+        assert client.ca_key.curve.id == "secp256r1"
+        assert seen and "secp256r1" not in seen
+
 
 class TestStateMachine:
     def test_flight_table_drives_loopback(self, toy, toy_pki):

@@ -20,10 +20,9 @@ from ecdtls.scalarmult import (COMB_WIDTH, CombCache, ScalarRangeError,
                                point_identity)
 from ecdtls.transport import run_loopback
 from ecdtls.x509 import CertCache, x509_parse, x509_verify
-from conftest import registered_names
+from conftest import CURVE_NAMES, registered_names
 from reference_engines import (affine, double_and_add, ecsm_jacobian,
                                scalar_mul_unchecked)
-from test_comb_execution import process_rows
 from test_engine_prices import comb_digits, comb_width, oracle_comb, \
     oracle_unchecked, zsd_recode
 from test_formula_prices import oracle_add, oracle_double, oracle_negate, \
@@ -166,19 +165,19 @@ class TestCombCache:
                 cache.get_or_build(Q)
         assert sc.counters == {}
 
-    def test_hit_table_bit_identical_to_fresh(self, toy, fresh_rows):
-        # every base, G too, stores no rows on its first use, has them built
-        # on its first hit and kept for the later ones; the cache never
-        # reads the process-wide store
+    def test_hit_table_bit_identical_to_fresh(self, toy, fresh_endpoints):
+        # every base, a provisioned G too, stores no rows on its first use,
+        # has them built on its first hit and kept for the later ones; the
+        # cache never reads a point's own rows
         cache = CombCache()
         G = toy.generator()
-        resident = scalarmult._resident_rows(G)
+        scalarmult.provision(G)
         for P in (G, oracle_double(G)):
             assert cache.get_or_build(P) is None                # miss
             rows = cache.get_or_build(P)                        # first hit
             assert rows == scalarmult._rows(toy, P.x, P.y)
             assert cache.get_or_build(P) is rows
-        assert cache.get_or_build(G) is not resident
+        assert cache.get_or_build(G) is not G.rows
 
     def test_lru_eviction_at_six(self, toy):
         cache = CombCache()
@@ -501,7 +500,7 @@ class TestPrice:
 class TestExecutors:
     def test_every_toy_scalar_against_repeated_addition(self, toy,
                                                         monkeypatch):
-        # k*G runs G's table, k*2G 2G's rows once a comb cache has built
+        # k*G runs G's tables, k*2G 2G's rows once a comb cache has built
         # them and wNAF without.  Below n an equal-x addition never comes up, so the
         # executors also run k in [n, 3n), where both of its outcomes must
         # be reached: else the H = 0 branch would be tested vacuously
@@ -522,7 +521,7 @@ class TestExecutors:
         P = oracle_double(G)
         cache = CombCache()
         cache.get_or_build(P)                       # first use
-        rows = {G: scalarmult._resident_rows(G),
+        rows = {G: scalarmult._rows(toy, G.x, G.y),
                 P: cache.get_or_build(P)}           # second: built
         runs = {"fixed": (G, lambda k: scalarmult._fixed_base(
                     toy, rows[G], k)),
@@ -553,9 +552,8 @@ class TestExecutors:
 
 
 @pytest.fixture
-def built(monkeypatch, fresh_rows):
-    """The bases whose rows are built while the test runs, from an empty
-    store."""
+def built(monkeypatch):
+    """The bases whose rows are built while the test runs."""
     bases = []
     rows = scalarmult._rows
 
@@ -568,8 +566,9 @@ def built(monkeypatch, fresh_rows):
 
 
 class TestResidentRows:
-    # a one-shot base a comb cache holds runs from its rows from its second
-    # use on; a resident base's rows are never the cache's
+    # a base without rows of its own, whatever its price, runs from its rows
+    # in a comb cache from its second use on; a provisioned base runs its
+    # own
 
     @pytest.mark.parametrize("name", registered_names(builtin_registry()))
     def test_first_and_later_hits_on_edge_scalars(self, registry, name):
@@ -602,38 +601,49 @@ class TestResidentRows:
         assert built == [(Q.x, Q.y)]
         assert window_through(k, Q, cache) == want      # second again
         assert built == [(Q.x, Q.y)] * 2
-        assert process_rows(Q) is None
+        assert Q.rows is None
 
-    def test_a_resident_base_never_reaches_the_cache(self, curves, built):
-        # resident, with a cache given, Q runs the store's rows from its
-        # first use on, and the cache is neither read nor written
+    def test_a_provisioned_base_never_reaches_the_cache(self, curves, built):
+        # provisioned, Q runs its own rows from its first use on, whatever
+        # its price, and the cache is neither read nor written; a base
+        # priced resident without rows of its own, as a kept leaf is, takes
+        # them from the cache at its second use, and they never go on it
         c = curves["secp160r1"]
-        Q = scalar_mul_unchecked(0xC0FFEE, c.generator())
+        Q, R = [scalar_mul_unchecked(m, c.generator())
+                for m in (0xC0FFEE, 0xBEEF)]
+        scalarmult.provision(Q)
         cache = CombCache()
         k = c.n // 5
-        for _ in range(3):
-            assert affine(c, scalarmult._times(k, Q, True, cache)) == \
+        for resident in (True, False, True):
+            assert affine(c, scalarmult._times(k, Q, resident, cache)) == \
                 scalar_mul_unchecked(k, Q)
         assert len(cache) == 0 and built == [(Q.x, Q.y)]
-        assert process_rows(Q) is not None
+        for _ in range(3):
+            assert affine(c, scalarmult._times(k, R, True, cache)) == \
+                scalar_mul_unchecked(k, R)
+        assert len(cache) == 1 and built == [(Q.x, Q.y), (R.x, R.y)]
+        assert R.rows is None
 
-    def test_warm_handshakes_build_long_lived_bases_once(self, built):
-        # each at its first resident multiplication: G, the CA key at the
-        # first certificate check and the server's key, which the cached
-        # client keeps, at the first signature under it; and the client's
-        # key in the server's comb cache on its second use there; no
-        # ephemeral point
+    def test_warm_handshakes_build_long_lived_bases_once(self,
+                                                         fresh_endpoints,
+                                                         built):
+        # G and the CA key when the client's endpoint is prepared, the CA key
+        # again for the server's, which parses its own; then, at the second
+        # handshake, each leaf in its peer's comb cache: the server's, which
+        # the cached client keeps, at the signature under it, and then the
+        # client's; no ephemeral point
         pairs = warm_handshakes("toy59", 3)
         client, server = pairs[0]
         assert built == [(P.x, P.y) for P in (
-            client.config.curve.generator(), client.ca_key,
+            client.config.curve.generator(), client.ca_key, server.ca_key,
             client.peer_key, server.peer_key)]
+        assert client.ca_key is not server.ca_key
 
     def test_hits_record_the_same_price(self, curves):
         # a base's price is its class's, whatever rows run it: one-shot,
         # wNAF alone and on its first use in a cache, rows built on its
-        # second, then the built rows; resident, rows built on its first
-        # use, then the store's, and G's
+        # second, then the built rows; resident, wNAF, then rows provisioned
+        # on Q, and G's
         c = curves["secp256r1"]
         G = c.generator()
         Q = scalar_mul_unchecked(0xC0FFEE, G)
@@ -644,7 +654,9 @@ class TestResidentRows:
         assert cache.get_or_build(Q) is not None
         assert {use[0] for use in uses} == {scalar_mul_unchecked(k, Q)}
         assert all(use[1:] == uses[0][1:] for use in uses)
-        walks = [priced(ecsm_comb, k, P) for P in (G, Q, Q)]
+        walks = [priced(ecsm_comb, k, P) for P in (G, Q)]
+        scalarmult.provision(Q)
+        walks.append(priced(ecsm_comb, k, Q))
         assert {walk[0] for walk in walks[1:]} == {uses[0][0]}
         assert all(walk[1:] == walks[0][1:] for walk in walks)
 
@@ -654,30 +666,85 @@ def p160_pki(curves):
     return generate_pki(curves["secp160r1"], b"fixed-rows-pki")
 
 
+@pytest.fixture(scope="module")
+def toy_pki(toy):
+    return generate_pki(toy, b"fixed-rows-pki")
+
+
+@pytest.fixture(scope="module")
+def pkis(curves):
+    return {name: generate_pki(curves[name], b"four-curves-pki")
+            for name in CURVE_NAMES}
+
+
+def run_threads(worker, count: int) -> list:
+    """Run worker(i) for i in range(count) on as many threads, switching
+    between them as often as the interpreter can; the exceptions raised."""
+    errors = []
+
+    def guarded(i):
+        try:
+            worker(i)
+        except Exception as exc:  # reported to the caller
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=guarded, args=(i,))
+                   for i in range(count)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    return errors
+
+
 class TestFixedRows:
-    # the rows of every resident base, G's, anchors' and kept leaves',
-    # live in one process-wide store
+    # G and the trust anchor's key carry rows an endpoint provisions; no
+    # session builds any
 
     def test_anchor_built_once_however_many_sessions(self, curves, p160_pki,
-                                                     built):
-        # G at its first multiplication, the CA key at the first
-        # certificate check; a full-mode leaf is one-shot and, with no
-        # comb cache, builds nothing
+                                                     fresh_endpoints, built):
+        # G and the CA key when the client's endpoint is prepared, the CA
+        # key again for the server's; a full-mode leaf is one-shot and,
+        # with no comb cache, builds nothing
         for i in range(3):
             client, server = _session_pair(curves["secp160r1"], p160_pki,
                                            MODE_FULL, None, b"%d" % i)
             assert run_loopback(client, server).established
         G = curves["secp160r1"].generator()
-        assert built == [(G.x, G.y), (client.ca_key.x, client.ca_key.y)]
+        ca = (client.ca_key.x, client.ca_key.y)
+        assert built == [(G.x, G.y), ca, ca]
+        assert G.rows is not None and client.ca_key.rows is not None
+
+    def test_an_endpoint_prepared_again_provisions_its_anchor_again(
+            self, toy, toy_pki, fresh_endpoints, built, monkeypatch):
+        # with room for one endpoint, the server's evicts the client's, so
+        # the client's is prepared again: its anchor is parsed again and
+        # provisioned again, and G, the curve's, is not
+        monkeypatch.setattr(handshake, "ENDPOINT_CAPACITY", 1)
+        configs = [SessionConfig(
+            role=role, curve=toy, own_cert_der=creds.cert_der,
+            own_key_d=creds.key.d, ca_der=toy_pki.ca_der)
+            for role, creds in (("client", toy_pki.client),
+                                ("server", toy_pki.server),
+                                ("client", toy_pki.client))]
+        G = toy.generator()
+        anchors = [config.endpoint.ca_key for config in configs]
+        assert built == [(G.x, G.y)] + [(P.x, P.y) for P in anchors]
+        assert anchors[0] is not anchors[2]
+        assert all(P.rows is not None for P in anchors)
 
     def test_session_init_counters_independent_of_the_store(
-            self, curves, p160_pki, built):
+            self, curves, p160_pki, fresh_endpoints, built):
         # making both sessions and a server's answer to a hello without a
-        # cookie build no rows; G's, which an endpoint's first Q = d*G
-        # builds, are in the store first
+        # cookie build no rows, whether the endpoint store missed or hit:
+        # all the rows built are the endpoints' G and anchors
         c = curves["secp160r1"]
-        scalarmult._resident_rows(c.generator())
-        del built[:]
         cold, warm = [], []
         for counters_of in (cold, warm):
             client, server = _session_pair(c, p160_pki, MODE_FULL, None,
@@ -685,83 +752,88 @@ class TestFixedRows:
             assert len(server.server_step(client.client_step([]))) == 1
             counters_of += [list(end.session_counters.items())
                             for end in (client, server)]
-        assert built == []
+        G = c.generator()
+        assert built == [(G.x, G.y)] + [(client.ca_key.x,
+                                         client.ca_key.y)] * 2
         assert cold and cold == warm
 
     @pytest.mark.parametrize("comb", [False, True])
-    def test_kept_leaf_built_at_its_first_signature(self, curves, p160_pki,
-                                                    built, comb):
-        # a cached-mode client's kept leaf is resident, with or without a
-        # comb cache: built once, at the first signature checked under it,
-        # and never in the cache
+    def test_kept_leaf_rows_live_in_the_comb_cache(self, curves, p160_pki,
+                                                   built, comb):
+        # a cached-mode client's kept leaf is priced resident, but it has no
+        # rows of its own: with a comb cache they are built there at the
+        # leaf's second session, and without one it runs wNAF
         c = curves["secp160r1"]
         cache, certs = CombCache() if comb else None, CertCache()
+        builds, leaves = [], []
         for i in range(3):
             client, server = _session_pair(c, p160_pki, MODE_CACHED, certs,
                                            b"kept-%d" % i, (cache, None))
+            if i:                       # the endpoints are stored by now
+                del built[:]
             assert run_loopback(client, server).established
-        G = c.generator()
-        assert built == [(P.x, P.y) for P in (G, client.ca_key,
-                                              client.peer_key)]
-        assert cache is None or len(cache) == 0
+            builds.append(list(built))
+            leaves.append(client.peer_key)
+        leaf = leaves[0]
+        assert all(P is leaf for P in leaves) and leaf.rows is None
+        assert (leaf.x, leaf.y) not in builds[0]
+        assert builds[1:] == [[(leaf.x, leaf.y)] * comb, []]
+        assert cache is None or len(cache) == 1
 
-    def test_x509_anchor_built_at_its_first_check(self, curves, p160_pki,
-                                                  built):
+    def test_x509_check_runs_provisioned_rows_and_builds_none(
+            self, curves, p160_pki, built, monkeypatch):
+        # a certificate check builds no rows, and once G and the anchor are
+        # provisioned it runs their rows alone, no wNAF
         c = curves["secp160r1"]
         registry = builtin_registry()
         cert = x509_parse(p160_pki.server.cert_der, registry)
         anchor = x509_parse(p160_pki.ca_der, registry).public_key
+        assert x509_verify(cert, anchor, int(FIXED_CLOCK()))[0]
+        assert built == [] and anchor.rows is None
+        for P in (c.generator(), anchor):
+            scalarmult.provision(P)
+        del built[:]
+        monkeypatch.setattr(scalarmult, "_wnaf", None)  # a call would raise
         for _ in range(2):
             assert x509_verify(cert, anchor, int(FIXED_CLOCK()))[0]
-        G = c.generator()
-        assert built == [(G.x, G.y), (anchor.x, anchor.y)]
+        assert built == []
 
-    def test_generator_rows_built_on_first_use_only(self, toy, built):
+    def test_generator_is_one_point_provisioned_once(self, registry, toy,
+                                                     fresh_endpoints, built):
+        # one G per curve, the same object on every call; a multiplication
+        # of it builds no rows, and `provision` builds them once
+        for name in registered_names(registry):
+            c = registry.get(name)
+            assert c.generator() is c.generator()
         G = toy.generator()
-        assert process_rows(G) is None
+        assert G.rows is None
         assert ecsm_comb(5, G) == scalar_mul_unchecked(5, G)
-        rows = process_rows(G)
+        assert G.rows is None and built == []
+        scalarmult.provision(G)
+        rows = G.rows
+        scalarmult.provision(G)
         assert ecsm_comb(7, G) == scalar_mul_unchecked(7, G)
-        assert process_rows(G) is rows
+        assert toy.generator().rows is rows
         assert built == [(G.x, G.y)]
 
-    def test_one_lru_spans_generators_and_anchors(self, registry, toy,
-                                                  built):
-        # G's rows are evicted like any other base's, and rebuilt at its
-        # next resident multiplication
-        G = toy.generator()
-        anchors = [scalar_mul_unchecked(k, G) for k in range(2, 8)]
-        two, three, four, five, six, seven = anchors
-        for P in [G] + anchors[:5]:
-            scalarmult._resident_rows(P)
-        assert ecsm_comb(3, two) == scalar_mul_unchecked(3, two)  # refreshed
-        scalarmult._resident_rows(seven)                # evicts G
-        assert process_rows(G) is None
-        assert ecsm_comb(4, G) == scalar_mul_unchecked(4, G)  # evicts 3G
-        other = registry.get("secp160r1").generator()
-        scalarmult._resident_rows(other)                # evicts 4G
-        assert list(scalarmult._RESIDENT_ROWS) == [
-            point_identity(P) for P in (five, six, two, seven, G, other)]
-        assert built == [(P.x, P.y) for P in
-                         [G] + anchors[:5] + [seven, G, other]]
-
     @pytest.mark.parametrize("name", registered_names(builtin_registry()))
-    def test_pinned_rows_on_edge_scalars(self, registry, name, fresh_rows,
-                                         monkeypatch):
-        # a resident base's rows, once built, run every multiplication on
-        # it, none by wNAF; a cache given beside them is not read
+    def test_pinned_rows_on_edge_scalars(self, registry, name, monkeypatch):
+        # a provisioned base's rows run every multiplication on it, none by
+        # wNAF, whatever its price; a cache given beside them is not read
         c = registry.get(name)
         Q = scalar_mul_unchecked(c.n // 3, c.generator())
-        scalarmult._resident_rows(Q)
+        scalarmult.provision(Q)
         monkeypatch.setattr(scalarmult, "_wnaf", None)  # a call would raise
+        cache = CombCache()
         for k in edge_scalars(c):
             want = scalar_mul_unchecked(k, Q)
             assert ecsm_comb(k, Q) == want
-            assert affine(c, scalarmult._times(k, Q, True, CombCache())) \
-                == want
+            assert ecsm_window(k, Q) == want
+            assert affine(c, scalarmult._times(k, Q, True, cache)) == want
+        assert len(cache) == 0
 
     def test_cold_handshake_runs_wnaf_only_on_peer_points(
-            self, curves, p160_pki, fresh_rows, monkeypatch):
+            self, curves, p160_pki, fresh_endpoints, monkeypatch):
         c = curves["secp160r1"]
         seen = []
         wnaf = scalarmult._wnaf
@@ -778,36 +850,62 @@ class TestFixedRows:
         assert sorted(seen) == sorted((P.x, P.y) for P in peer_points)
         assert (client.ca_key.x, client.ca_key.y) not in seen
 
-    def test_threads_build_and_read_two_resident_bases(self, curves,
-                                                        fresh_rows):
+    def test_threads_build_and_read_two_resident_bases(self, curves):
+        # racing provisions build equal rows, and every read finds one
+        # complete list
         c = curves["secp160r1"]
         G = c.generator()
         anchors = [scalar_mul_unchecked(k, G) for k in (0xA11CE, 0xB0B)]
         want = [scalarmult._rows(c, Q.x, Q.y) for Q in anchors]
-        got, errors = [], []
+        got = []
 
-        def worker():
-            try:
-                for _ in range(5):
-                    got.append([scalarmult._resident_rows(Q)
-                                for Q in anchors])
-            except Exception as exc:  # reported below
-                errors.append(exc)
+        def worker(_):
+            for _ in range(5):
+                for Q in anchors:
+                    scalarmult.provision(Q)
+                got.append([Q.rows for Q in anchors])
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker) for _ in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert errors == []
+        assert run_threads(worker, 4) == []
         assert len(got) == 20 and all(rows == want for rows in got)
-        assert all(a is b for rows in got for a, b in zip(rows, got[0]))
+        assert [Q.rows for Q in anchors] == want
+
+    def test_threads_prepare_one_credential_and_establish(
+            self, toy, toy_pki, fresh_endpoints):
+        # four pairs made at once on one credential race to prepare its
+        # endpoints: each establishes, and G and the stored anchors carry
+        # their rows
+        established = []
+
+        def worker(i):
+            client, server = _session_pair(toy, toy_pki, MODE_FULL, None,
+                                           b"thread-%d" % i)
+            established.append(run_loopback(client, server).established)
+
+        assert run_threads(worker, 4) == []
+        assert established == [True] * 4
+        assert toy.generator().rows is not None
+        endpoints = list(handshake._ENDPOINTS.values())
+        assert len(endpoints) == 2
+        assert all(end.ca_key.rows is not None for end in endpoints)
+
+    @pytest.mark.parametrize("mode", [MODE_FULL, MODE_CACHED])
+    def test_pairs_over_four_curves_build_no_rows_once_warm(
+            self, curves, pkis, built, mode):
+        # full pairs, or cached-mode clients with a certificate cache and
+        # no comb cache, alternate over the four curves: after one round,
+        # five more build no rows, as each curve keeps its G's and each
+        # endpoint its anchor's
+        certs = {name: CertCache() for name in CURVE_NAMES}
+        for i in range(6):
+            if i == 1:
+                del built[:]
+            for name in CURVE_NAMES:
+                client, server = _session_pair(
+                    curves[name], pkis[name], mode,
+                    certs[name] if mode == MODE_CACHED else None,
+                    b"round-%d" % i)
+                assert run_loopback(client, server).established
+        assert built == []
 
 
 class TestWindow:
