@@ -10,13 +10,20 @@ proves: n is prime and n*G = O, so n divides the point count; both lie in
 the Hasse interval, (p + 1 - n)^2 <= 4p, whose width n exceeds, n^2 > 16p,
 so the count is n.  An `AffinePoint` is a finite curve point, checked when
 made, so on a registered curve it has order n and no caller re-checks it.
+
+The proof is the costly part of a record: the primality tests of p and n
+and the scalar multiplication n*G.  A record of the shipped file runs every
+other check when the file is read, and its proof at the first lookup that
+names it, before the curve is returned; so a process pays only for the
+curves it uses, and no curve reaches a caller unproved.
 """
 
 from __future__ import annotations
 
 import os
 import re
-from typing import Dict, List, Optional
+import threading
+from typing import Dict, List, Optional, Union
 
 from .der import DerError, der_oid
 from .field import NotPrimeError, PrimeModulus
@@ -118,58 +125,108 @@ class AffinePoint:
 # ---------------------------------------------------------------------------
 # Registry
 
+class _Record:
+    """A record of the shipped file that passed every check but its proof,
+    which waits for the first lookup that names it; `refusal` keeps the
+    proof's error, which every later lookup raises again."""
+
+    __slots__ = ("id", "tls_code", "oid", "vals", "refusal")
+
+    def __init__(self, id: str, vals: Dict[str, int], oid: str):
+        self.id, self.tls_code, self.oid = id, vals["tls"], oid
+        self.vals = vals
+        self.refusal: Optional[str] = None
+
+    def curve(self) -> CurveParams:
+        """The record's curve, its p and n proved prime."""
+        v = self.vals
+        try:
+            return CurveParams(id=self.id, p=v["p"], a=v["a"], b=v["b"],
+                               gx=v["gx"], gy=v["gy"], n=v["n"],
+                               tls_code=self.tls_code, oid=self.oid)
+        except NotPrimeError as exc:
+            raise CurveError("bad registry record %r: %s"
+                             % (self.id, exc)) from None
+
+
 class CurveRegistry:
-    """Named curves available to the engine; validated when registered."""
+    """Named curves available to the engine, in the order they were added.
+    A curve is validated when registered, by `register` or `load_text`; a
+    record of the shipped file (see `builtin_registry`) is registered at the
+    first lookup that names it, and holds its name, TLS code point and OID
+    until then."""
 
     def __init__(self):
-        self._curves: Dict[str, CurveParams] = {}
+        self._curves: Dict[str, Union[CurveParams, _Record]] = {}
+        self._lock = threading.RLock()
 
     def get(self, name: str) -> CurveParams:
         try:
-            return self._curves[name]
+            entry = self._curves[name]
         except KeyError:
             raise CurveError("curve %r not registered" % name) from None
+        return entry if isinstance(entry, CurveParams) else self._prove(name)
 
     def by_oid(self, oid: str) -> CurveParams:
-        for params in self._curves.values():
-            if params.oid == oid:
-                return params
+        for entry in self._curves.values():
+            if entry.oid == oid:
+                return self.get(entry.id)
         raise CurveError("no registered curve has OID %s" % oid)
 
-    def register(self, params: CurveParams) -> CurveParams:
-        """Validate params and add them, replacing a curve of the same id.
-        The handshake names a curve by its TLS code point and a certificate
-        by its OID, so no two registered curves may share either."""
+    def _prove(self, name: str) -> CurveParams:
+        """Register the pending record name, once, under the lock, so that
+        racing lookups share one curve and one G; or refuse it, at this and
+        every later lookup.  Registering replaces a value in place, so a
+        lookup iterating the curves meanwhile is not disturbed."""
+        with self._lock:
+            record = self._curves[name]
+            if isinstance(record, CurveParams):  # a racing lookup proved it
+                return record
+            if record.refusal is None:
+                try:
+                    return self.register(record.curve())
+                except CurveError as exc:
+                    record.refusal = str(exc)
+            raise CurveError(record.refusal)
+
+    def _claim(self, entry: Union[CurveParams, _Record]) -> None:
+        """Refuse entry if another curve, registered or pending, holds its
+        TLS code point or OID: the handshake names a curve by the one and a
+        certificate by the other."""
         for other in self._curves.values():
-            if other.id == params.id:
+            if other.id == entry.id:
                 continue
-            if other.tls_code == params.tls_code:
+            if other.tls_code == entry.tls_code:
                 raise CurveError("TLS curve code 0x%04x of %r is taken by %r"
-                                 % (params.tls_code, params.id, other.id))
-            if other.oid == params.oid:
+                                 % (entry.tls_code, entry.id, other.id))
+            if other.oid == entry.oid:
                 raise CurveError("curve OID %s of %r is taken by %r"
-                                 % (params.oid, params.id, other.id))
-        try:
-            _validate_params(params)
-        except CurveError as exc:
-            raise CurveError("bad registry record %r: %s"
-                             % (params.id, exc)) from None
-        self._curves[params.id] = params
-        return params
+                                 % (entry.oid, entry.id, other.id))
+
+    def register(self, params: CurveParams) -> CurveParams:
+        """Validate params and add them, replacing a curve or pending record
+        of the same id; no two curves may share a TLS code point or an
+        OID."""
+        with self._lock:
+            self._claim(params)
+            try:
+                _validate_params(params)
+            except CurveError as exc:
+                raise CurveError("bad registry record %r: %s"
+                                 % (params.id, exc)) from None
+            self._curves[params.id] = params
+            return params
 
     def load_text(self, text: str) -> None:
-        """Register every record of text or none: each is parsed, then
-        checked against the registry and the records before it, before the
-        first is registered."""
-        staged = CurveRegistry()
-        staged._curves = dict(self._curves)
-        for params in parse_registry_text(text):
-            staged.register(params)
-        self._curves = staged._curves
-
-    def load_file(self, path: str) -> None:
-        with open(path, "r", encoding="utf-8") as fh:
-            self.load_text(fh.read())
+        """Register every record of text or none: each is parsed and
+        proved, then checked against the registry and the records before
+        it, before the first is registered."""
+        with self._lock:
+            staged = CurveRegistry()
+            staged._curves = dict(self._curves)
+            for params in parse_registry_text(text):
+                staged.register(params)
+            self._curves = staged._curves
 
 
 def _validate_params(params: CurveParams) -> None:
@@ -189,15 +246,10 @@ _RECORD_KEYS = frozenset(("kind", "tls", "oid", "p", "a", "b", "gx", "gy", "n",
                           "h"))
 
 
-def parse_registry_text(text: str) -> List[CurveParams]:
-    """Parse the curve registry format: [name] blocks of key=value lines,
-    plain hex digits, a, b, gx and gy below p, except the `oid`, which
-    `der.der_oid` must accept.  Each record
-    names its curve form in `kind` and its cofactor in `h`; only
-    `weierstrass` with h = 1 is accepted, so a record for another form or a
-    larger group is refused rather than misread.  A name may head one
-    block, and a block must give each of `_RECORD_KEYS` exactly once."""
-    records: List[CurveParams] = []
+def _parse_records(text: str) -> List[_Record]:
+    """The records of a registry text, through every check that needs no
+    primality test or scalar multiplication; see `parse_registry_text`."""
+    records: List[_Record] = []
     name = None
     fields: Dict[str, str] = {}
 
@@ -205,6 +257,9 @@ def parse_registry_text(text: str) -> List[CurveParams]:
         if name is None:
             return
         try:
+            if fields.keys() != _RECORD_KEYS:
+                raise ValueError("missing key %r"
+                                 % min(_RECORD_KEYS - fields.keys()))
             kind = fields.pop("kind")
             oid = fields.pop("oid")
             if not all(re.fullmatch("[0-9a-fA-F]+", v)
@@ -220,11 +275,8 @@ def parse_registry_text(text: str) -> List[CurveParams]:
             if max(vals["a"], vals["b"], vals["gx"], vals["gy"]) >= vals["p"]:
                 raise ValueError("a, b, gx and gy must be below p")
             der_oid(oid)
-            records.append(CurveParams(
-                id=name, p=vals["p"], a=vals["a"], b=vals["b"],
-                gx=vals["gx"], gy=vals["gy"], n=vals["n"],
-                tls_code=vals["tls"], oid=oid))
-        except (KeyError, ValueError, DerError, NotPrimeError) as exc:
+            records.append(_Record(name, vals, oid))
+        except (ValueError, DerError) as exc:
             raise CurveError("bad registry record %r: %s" % (name, exc)) from None
 
     for line in text.splitlines():
@@ -234,7 +286,7 @@ def parse_registry_text(text: str) -> List[CurveParams]:
         if line.startswith("[") and line.endswith("]"):
             flush()
             name = line[1:-1].strip()
-            if any(params.id == name for params in records):
+            if any(record.id == name for record in records):
                 raise CurveError("duplicate registry record %r" % name)
             fields = {}
         elif "=" in line and name is not None:
@@ -250,17 +302,45 @@ def parse_registry_text(text: str) -> List[CurveParams]:
     return records
 
 
+def parse_registry_text(text: str) -> List[CurveParams]:
+    """Parse the curve registry format: [name] blocks of key=value lines,
+    plain hex digits, a, b, gx and gy below p, except the `oid`, which
+    `der.der_oid` must accept.  Each record
+    names its curve form in `kind` and its cofactor in `h`; only
+    `weierstrass` with h = 1 is accepted, so a record for another form or a
+    larger group is refused rather than misread.  A name may head one
+    block, and a block must give each of `_RECORD_KEYS` exactly once.  Each
+    curve's p and n are proved prime as it is built."""
+    return [record.curve() for record in _parse_records(text)]
+
+
+def _pending_registry(text: str) -> CurveRegistry:
+    """A registry of text's records, each through every check but its proof
+    now, its TLS code point and OID claimed, and proved at its first
+    lookup."""
+    registry = CurveRegistry()
+    for record in _parse_records(text):
+        registry._claim(record)
+        registry._curves[record.id] = record
+    return registry
+
+
 _builtin: Optional[CurveRegistry] = None
+_BUILTIN_LOCK = threading.Lock()
 
 
 def builtin_registry() -> CurveRegistry:
-    """The registry shipped with the package (loaded and validated once)."""
+    """The registry shipped with the package, read once.  Loading checks the
+    whole file but proves no record: a process proves only the curves it
+    looks up, each at its first lookup, and a record that fails its proof
+    is refused at every lookup."""
     global _builtin
-    if _builtin is None:
-        reg = CurveRegistry()
-        path = os.path.join(os.path.dirname(__file__), "data", "curves.txt")
-        reg.load_file(path)
-        _builtin = reg
+    with _BUILTIN_LOCK:
+        if _builtin is None:
+            path = os.path.join(os.path.dirname(__file__), "data",
+                                "curves.txt")
+            with open(path, "r", encoding="utf-8") as fh:
+                _builtin = _pending_registry(fh.read())
     return _builtin
 
 

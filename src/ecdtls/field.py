@@ -31,8 +31,10 @@ at least as strong as the 64 Miller-Rabin rounds it replaced:
   its callers.
 
 The check is not priced: it runs once per modulus, when a curve is built,
-and never inside a handshake.  On a Xeon VM the builtin registry's 10
-moduli take about 4 ms, against about 80 ms for the Miller-Rabin rounds.
+which for a shipped record is at the first lookup that names it, and it
+records nothing even there.  On a Xeon VM a 256-bit curve's p and n take
+about 1.1 ms, and all 10 moduli of the builtin registry about 3.3 ms,
+against about 80 ms for the Miller-Rabin rounds.
 """
 
 from __future__ import annotations

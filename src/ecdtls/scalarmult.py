@@ -521,7 +521,9 @@ def _wnaf(curve: CurveParams, k: int, x: int, y: int) -> tuple:
 
 def order_annihilates_generator(curve: CurveParams) -> bool:
     """Whether n*G is the identity, by wNAF: the registry's check of a
-    record, which prices nothing."""
+    record, run where the curve is registered, at the first lookup for a
+    shipped record, and so inside any scope open there; it prices
+    nothing."""
     return _wnaf(curve, curve.n, curve.gx, curve.gy)[2] == 0
 
 

@@ -1,9 +1,10 @@
+import os
 import random
 
 import pytest
 from hypothesis import settings
 
-from ecdtls import handshake
+from ecdtls import curve, handshake
 from ecdtls.curve import AffinePoint, builtin_registry
 
 # every property draws the same examples on every run, with no example
@@ -14,11 +15,16 @@ settings.load_profile("tier1")
 
 CURVE_NAMES = ["secp160r1", "secp192r1", "secp224r1", "secp256r1"]
 
+with open(os.path.join(os.path.dirname(curve.__file__), "data", "curves.txt"),
+          encoding="utf-8") as _fh:
+    SHIPPED_TEXT = _fh.read()
+
 
 def registered_names(registry):
-    """The ids of every curve registry holds, in registration order, for
-    tests that run over all of them; the package looks curves up one at a
-    time."""
+    """The ids of every curve registry holds, proved or pending, in the
+    order they were added (the shipped file's, for the builtin registry),
+    for tests that run over all of them; the package looks curves up one at
+    a time."""
     return list(registry._curves)
 
 

@@ -1,4 +1,4 @@
-import os
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -6,12 +6,15 @@ from hypothesis import strategies as st
 
 from ecdtls import counters
 from ecdtls.curve import (AffinePoint, CurveError, CurveParams, CurveRegistry,
-                          PointDecodeError, builtin_registry,
-                          parse_registry_text)
+                          PointDecodeError, _pending_registry,
+                          builtin_registry, parse_registry_text)
+from ecdtls.ecdsa import KeyPair
 from ecdtls.scalarmult import ecsm_comb, order_annihilates_generator
-from conftest import registered_names
+from ecdtls.x509 import UnsupportedCurveError, make_certificate, x509_parse
+from conftest import SHIPPED_TEXT, registered_names
 from reference_engines import scalar_mul_unchecked
 from test_formula_prices import oracle_add, oracle_double
+from test_scalarmult import run_threads
 
 # TLS code point and OID for curves built in a test; no builtin curve has them
 PRIVATE_IDS = (0xFE01, "1.3.6.1.4.1.55555.2")
@@ -272,10 +275,8 @@ class TestRegistryParsing:
             CurveRegistry().load_text(text)
 
     def test_registry_load_records_nothing(self):
-        path = os.path.join(os.path.dirname(counters.__file__), "data",
-                            "curves.txt")
         with counters.scope(trace=True) as sc:
-            CurveRegistry().load_file(path)
+            CurveRegistry().load_text(SHIPPED_TEXT)
         assert sc.counters == {} and sc.trace == []
 
     def test_register_rejects_colliding_tls_code(self, toy):
@@ -369,3 +370,98 @@ class TestRegistryParsing:
     def test_unknown_key_refused(self):
         with pytest.raises(CurveError, match="unknown key 'q'"):
             parse_registry_text(TINY_RECORD + "q = 05\n")
+
+
+def proved_names(registry) -> list:
+    return [name for name in registered_names(registry)
+            if isinstance(registry._curves[name], CurveParams)]
+
+
+class TestFirstLookup:
+    # a shipped-format text gets every check but the proofs when it is
+    # read, and each record its proof at the first lookup that names it
+
+    # n = 61 is prime and passes the Hasse bound, but G has order 53
+    WRONG_N = TINY_RECORD.replace("n = 35", "n = 3d")
+
+    def test_reading_proves_nothing(self):
+        reg = _pending_registry(SHIPPED_TEXT)
+        assert registered_names(reg) == registered_names(builtin_registry())
+        assert registered_names(reg) == ["secp160r1", "secp192r1",
+                                         "secp224r1", "secp256r1", "toy59"]
+        assert proved_names(reg) == []
+        assert reg.by_oid("1.3.132.0.33").id == "secp224r1"
+        assert proved_names(reg) == ["secp224r1"]
+
+    def test_bad_record_refused_at_every_lookup(self, toy):
+        with pytest.raises(CurveError) as eager:
+            CurveRegistry().load_text(self.WRONG_N)
+        assert str(eager.value) == ("bad registry record 'tiny': "
+                                    "n * G is not the identity")
+        reg = _pending_registry(SHIPPED_TEXT + self.WRONG_N)
+        assert reg.get("toy59").n == toy.n
+        lookups = ((reg.get, "tiny"), (reg.by_oid, PRIVATE_IDS[1]))
+        for lookup, key in lookups * 2:
+            with pytest.raises(CurveError) as lazy:
+                lookup(key)
+            assert str(lazy.value) == str(eager.value)
+        assert proved_names(reg) == ["toy59"]
+        tiny = CurveParams("tiny", 59, 2, 11, 5, 21, 61, *PRIVATE_IDS)
+        der = make_certificate("leaf", "ca", 2, AffinePoint(tiny, 5, 21),
+                               KeyPair(7, toy), 0, 1)
+        with pytest.raises(UnsupportedCurveError, match="'tiny': n \\* G"):
+            x509_parse(der, reg)
+
+    @pytest.mark.parametrize("tail, error", [
+        (TINY_RECORD.replace("weierstrass", "montgomery"), "montgomery"),
+        (TINY_RECORD.replace("h = 01", "h = 02"), "cofactor"),
+        (TINY_RECORD.replace("gy = 15\n", ""), "missing key 'gy'"),
+        (TINY_RECORD + "q = 05\n", "unknown key 'q'"),
+        (TINY_RECORD + "q\n", "unparseable"),
+        (TINY_RECORD.replace("tiny", "toy59"), "duplicate registry record"),
+        (TINY_RECORD.replace("fe01", "feca"), "0xfeca of 'tiny' is taken"),
+        (TINY_RECORD.replace(PRIVATE_IDS[1],
+                             "1.3.6.1.4.1.55555.1.116.111.121.53.57"),
+         "OID .* of 'tiny' is taken by 'toy59'"),
+    ])
+    def test_file_faults_refused_when_read(self, tail, error):
+        with pytest.raises(CurveError, match=error):
+            _pending_registry(SHIPPED_TEXT + tail)
+
+    @pytest.mark.parametrize("ids", [(0xFECA, PRIVATE_IDS[1]),
+                                     (PRIVATE_IDS[0], "1.3.132.0.8")])
+    def test_register_refuses_what_a_pending_record_holds(self, toy, ids):
+        reg = _pending_registry(SHIPPED_TEXT)
+        twin = CurveParams("yot59", toy.mod.p, toy.a, toy.b, toy.gx, toy.gy,
+                           toy.n, *ids)
+        with pytest.raises(CurveError, match="is taken by"):
+            reg.register(twin)
+        assert "yot59" not in registered_names(reg)
+        assert proved_names(reg) == []
+
+    def test_first_lookup_records_nothing(self):
+        reg = _pending_registry(SHIPPED_TEXT + self.WRONG_N)
+        with counters.scope(trace=True) as sc:
+            for name in registered_names(reg):
+                try:
+                    reg.get(name)
+                except CurveError:
+                    assert name == "tiny"
+        assert sc.counters == {} and sc.trace == []
+        assert len(proved_names(reg)) == 5
+
+    @pytest.mark.parametrize("attempt", range(3))
+    def test_racing_first_lookups_share_one_curve(self, attempt):
+        reg = _pending_registry(SHIPPED_TEXT)
+        seen = [None] * 4
+        start = threading.Barrier(4, timeout=60)
+
+        def first_lookup(i):
+            start.wait()
+            curve = reg.by_oid("1.3.132.0.8") if i % 2 else \
+                reg.get("secp160r1")
+            seen[i] = (curve, curve.generator())
+
+        assert run_threads(first_lookup, 4) == []
+        assert len({id(curve) for curve, _ in seen}) == 1
+        assert len({id(G) for _, G in seen}) == 1

@@ -71,6 +71,10 @@ ROOTS = ("handshake", "transport", "credentials", "energy")
 # Public names nothing under src/ecdtls or perfbench/ reads yet, and why
 # each stays.
 ALLOWED_UNREAD = {
+    "curve.CurveRegistry.load_text":
+        "the eager, all-or-none load of a caller's own curves, whose "
+        "refusals the registry tests pin; the shipped file is proved record "
+        "by record at first lookup, so no module of the package calls it",
     "energy.CAL_HANDSHAKE_J":
         "the paper's whole-handshake anchor, which ROADMAP item 6 checks "
         "the model against",
@@ -135,6 +139,37 @@ def test_public_api_loads_no_socket_or_calendar():
     out = subprocess.run([sys.executable, "-I", "-c", code], check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+ONE_SECP256R1_PAIR = """
+import sys
+sys.path.insert(0, %r)
+from ecdtls import credentials, energy, handshake, transport
+from ecdtls.curve import CurveParams, builtin_registry
+energy.default_model()
+curve = builtin_registry().get("secp256r1")
+pki = credentials.generate_pki(curve, bytes(32))
+def session(role, own, peer_cn):
+    return handshake.HandshakeSession(handshake.SessionConfig(
+        role=role, curve=curve, own_cert_der=own.cert_der,
+        own_key_d=own.key.d, ca_der=pki.ca_der, entropy=role.encode() * 8,
+        expected_peer_cn=peer_cn, clock=lambda: 1754784000.0))
+result = transport.run_loopback(
+    session("client", pki.client, credentials.SERVER_CN),
+    session("server", pki.server, credentials.CLIENT_CN))
+assert result.established
+print(sorted(name for name, entry in builtin_registry()._curves.items()
+             if isinstance(entry, CurveParams)))
+"""
+
+
+def test_a_secp256r1_process_proves_only_secp256r1():
+    """A process proves only the curves it names: the energy fit and one
+    secp256r1 handshake pair leave every other shipped record unproved."""
+    out = subprocess.run(
+        [sys.executable, "-I", "-c", ONE_SECP256R1_PAIR % str(PACKAGE.parent)],
+        check=True, capture_output=True, text=True).stdout
+    assert out.strip() == "['secp256r1']"
 
 
 def unread_imports(path: pathlib.Path) -> list:

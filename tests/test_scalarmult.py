@@ -1,4 +1,3 @@
-import os
 import random
 import sys
 import threading
@@ -20,7 +19,7 @@ from ecdtls.scalarmult import (COMB_WIDTH, CombCache, ScalarRangeError,
                                point_identity)
 from ecdtls.transport import run_loopback
 from ecdtls.x509 import CertCache, x509_parse, x509_verify
-from conftest import CURVE_NAMES, registered_names
+from conftest import CURVE_NAMES, SHIPPED_TEXT, registered_names
 from reference_engines import (affine, double_and_add, ecsm_jacobian,
                                scalar_mul_unchecked)
 from test_engine_prices import comb_digits, comb_width, oracle_comb, \
@@ -404,9 +403,7 @@ class TestPrice:
         with counters.scope() as sc:
             with counters.isolated():
                 assert not counters._stack()
-                CurveRegistry().load_file(os.path.join(
-                    os.path.dirname(scalarmult.__file__), "data",
-                    "curves.txt"))
+                CurveRegistry().load_text(SHIPPED_TEXT)
                 assert scalar_mul_unchecked(c.n, G) is None
                 assert ecsm_jacobian(c.n - 1, G) == \
                     scalar_mul_unchecked(c.n - 1, G)
