@@ -6,9 +6,9 @@ Nonces come from a session DRBG when one is given, and otherwise from RFC
 generates are the candidates for k.
 G is a resident base (see `scalarmult`): every k*G, in key generation,
 signing and verification, walks its provisioned table, and no caller prices
-G's table.  Verification prices u2*Q by its key's class, resident or
-one-shot, then the affine sum, and compares x projectively, with no
-inversion.
+G's table.  Verification prices u1*G + u2*Q as one joint multiplication by
+the class of Q's key, resident or one-shot, and compares x projectively,
+with no inversion.
 """
 
 from __future__ import annotations
@@ -141,11 +141,11 @@ def ecdsa_verify(pub: AffinePoint, digest: bytes, sig: EcdsaSignature,
                  cache: Optional[CombCache] = None,
                  resident: bool = False) -> bool:
     """Accept iff (u1*G + u2*pub).x == r mod n.  Out-of-range components
-    reject; they are not errors.  u2*pub is priced on pub's resident table
-    when resident is set (a trust anchor's key, a peer leaf that a
-    cached-mode client keeps), and as a one-shot base otherwise.  The price
-    picks no rows: pub runs its own when provisioned (a trust anchor's
-    key), else its rows in cache when one is given, else wNAF."""
+    reject; they are not errors.  The joint multiplication is priced with
+    pub's table resident when resident is set (a trust anchor's key, a peer
+    leaf that a cached-mode client keeps), and pub one-shot otherwise.  The
+    price picks no rows: pub runs its own when provisioned (a trust
+    anchor's key), else its rows in cache when one is given, else wNAF."""
     curve = pub.curve
     n = curve.n
     if not sig.in_range(n):

@@ -37,7 +37,8 @@ the key block and both Finished PRFs.
 A `SessionConfig` takes its endpoint from a process-wide store, or prepares
 it once per credential: it parses the own certificate, computes Q = d*G and
 refuses a key that does not match the certificate's, and parses the trust
-anchor, and provisions the rows of G and of the anchor's key.  That runs
+anchor, and provisions the rows of G and of the anchor's key, unless a
+stored endpoint holds that key provisioned already.  That runs
 inside `counters.isolated()`, and no session prices it: a credential is
 provisioned, so a session records only its own work, and its counters never
 depend on whether the store hit.  The store holds at most
@@ -165,9 +166,11 @@ def _endpoint(curve: CurveParams, own_key_d: int, own_cert_der: bytes,
               ca_der: bytes) -> _Endpoint:
     """The stored endpoint of a credential, refreshing its recency, or one
     prepared now and stored, evicting the stalest beyond capacity, with the
-    rows of G, the anchor's key and its curve's G provisioned.  It is
-    prepared outside the lock, so a racing build makes an equal endpoint,
-    and the first stored is kept."""
+    rows of G, the anchor's key and its curve's G provisioned.  A stored
+    endpoint with an equal anchor key lends its provisioned point, so the
+    endpoints under one CA share one set of its rows.  It is prepared
+    outside the lock, so a racing build makes an equal endpoint, and the
+    first stored is kept."""
     digest = hashlib.sha256()
     for field in (curve.id.encode(), b"%d" % own_key_d, own_cert_der,
                   ca_der):
@@ -186,11 +189,14 @@ def _endpoint(curve: CurveParams, own_key_d: int, own_cert_der: bytes,
             ca = x509_parse(ca_der, registry)
         except (X509Error, CurveError) as exc:
             raise HandshakeError("credential refused: %s" % exc) from None
-    for P in (ca.public_key.curve.generator(), ca.public_key):
+    with _ENDPOINT_LOCK:
+        anchor = next((end.ca_key for end in _ENDPOINTS.values()
+                       if end.ca_key == ca.public_key), ca.public_key)
+    for P in (anchor.curve.generator(), anchor):
         provision(P)
     with _ENDPOINT_LOCK:
         endpoint = _ENDPOINTS[key] = _ENDPOINTS.pop(
-            key, _Endpoint(own_key, ca.subject, ca.public_key))
+            key, _Endpoint(own_key, ca.subject, anchor))
         while len(_ENDPOINTS) > ENDPOINT_CAPACITY:
             del _ENDPOINTS[next(iter(_ENDPOINTS))]
     return endpoint

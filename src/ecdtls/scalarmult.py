@@ -29,18 +29,31 @@ whichever k' is chosen, so wherever 6 mask + 5 < n (`comb_price`) no
 column and no tail meets an exceptional branch and the schedule is the same
 for every k in [1, n): on every registered curve but toy59, whose small n
 keeps an exact price per k.  The Python's own time varies with k and the
-base.  `comb_sum_x_matches`, ECDSA's verification equation, is priced as
-its two multiplications, each by its base's class, and the affine addition
-of their results, on the branch that their Jacobian sum takes, memoised per
-curve as the engines' prices are.
+base.
+
+`comb_sum_x_matches`, ECDSA's verification equation u1*G + u2*Q, is priced
+as one joint (Straus) multiplication, `_joint_price`, recorded in one call
+with one class count per base: G's comb shares its doublings with u2*Q's
+engine, on the affine law beside a resident Q's comb and as mixed
+additions in the last doublings of a one-shot Q's window chain.  Its steps
+add a*G + b*Q to one another, so their exceptional branches are tests on
+a + b log_G Q mod n.  On toy59 the price is exact, log_G Q found by search.
+On every other registered curve it is memoised per curve and class, and
+this is where the "same operations for every scalar" claim is narrowed:
+the price is exact unless log_G Q lies in a set of at most 3 values per
+step that adds a term of one base to an accumulator holding the other's,
+a set fixed by (u1, u2).  Outside it the schedule is the same for every
+(u1, u2) with u1 nonzero.  Inside it (say Q = G and u1 = u2, whose
+columns add equal points) execution still takes the right branch and the
+verdict is exact; only the price is the regular schedule's.
 
 A multiplication is priced by the class of its base, never by what a
 `CombCache` holds:
 - A resident base has a comb table provisioned off-session (fixed-base
   precomputation is offline work: Lim and Lee, CRYPTO 1994; HMV 3.3.2), so
   it records `comb_price` and no table.  G is resident (`ecdsa`'s key
-  generation Q = d*G, signing R = k*G and the u1*G of every verification),
-  and so is the trust anchor's key in a certificate check
+  generation Q = d*G, signing R = k*G and the u1*G of every verification's
+  joint price), and so is the trust anchor's key in a certificate check
   (`comb_sum_x_matches` with `resident`).
 - A peer's leaf key that a cached-mode client keeps is resident from the
   insert that pays its table once, `comb_precompute`.
@@ -57,27 +70,30 @@ Execution records nothing.  It runs in Jacobian coordinates (Z = 0 the
 identity), normalised by shared inversions (the verification equation
 compares x projectively and inverts nothing), and the fast paths share one
 kernel, `_execute`: a schedule of steps, each a doubling of the accumulator
-and then mixed additions of affine points.  A base with rows (the comb's
-tables of its multiples) runs a Lim-Lee comb (Lim and Lee, CRYPTO 1994; HMV
+and then mixed additions of affine points.  A verification runs one merged
+Straus schedule: G's steps are added to the last steps of Q's.  A base
+with rows (the comb's tables of its multiples) runs a Lim-Lee comb (Lim
+and Lee, CRYPTO 1994; HMV
 Guide to ECC 3.3.2) of 8 teeth of d bits, d the fewest that cover n rounded
 up to a multiple of 4, in 4 blocks of e = d/4: e steps of at most 4
 additions from 4 tables of 255 tooth sums (on secp256r1, 7 doublings and at
 most 32 additions from 1,020 points).  The class prices a multiplication
 and picks no rows.  A point's `rows` are None until `provision` builds them,
-where a credential is provisioned (`handshake`): on G, one point per curve,
-and on the trust anchor's key: one set per registered curve, plus one per
-stored endpoint (at most `handshake.ENDPOINT_CAPACITY`).  A racing
+where a credential is provisioned (`handshake`): on G, one set per curve,
+and on the trust anchor's key, one set per anchor key among the stored
+endpoints (at most `handshake.ENDPOINT_CAPACITY`), which share it.  A racing
 `provision` builds equal rows, and one complete list is ever assigned.  Any
 other base, a kept leaf as a one-shot one, has rows only in a `CombCache`,
 which prices nothing: none on its first use, rows built on its second,
 which go when the cache evicts the base.  A base without rows (no cache, or
 its first use in one; ECDHE's peer point) runs width-5 wNAF, one step per
 digit, and so does the registry's check of n*G = O,
-`order_annihilates_generator`, which prices nothing.  The kernel inlines the a = -3 doubling and the addition;
-only an addition at equal x, and a doubling on another a, go to `_jdouble`
-and `_jadd`.  The tests' double-and-add engines
-(tests/reference_engines.py) run on those two alone, so their results are
-an independent reference for the kernel's formulas.
+`order_annihilates_generator`, which prices nothing.  The kernel inlines
+the a = -3 doubling and the addition; only an addition at equal x, and a
+doubling on another a, go to `_jdouble` and `_jadd`.  The tests'
+double-and-add engines (tests/reference_engines.py) run on those two
+alone, so their results are an independent reference for the kernel's
+formulas.
 """
 
 from __future__ import annotations
@@ -176,6 +192,7 @@ def _point(curve: CurveParams, triple: tuple) -> AffinePoint:
 # Prices: m stands for the point m*P, P of order n
 
 _PRICES: Dict[tuple, tuple] = {}
+_LOGS: Dict[tuple, dict] = {}   # G -> {xy of k*G: k}, small n only
 
 # (double, add) of the affine law, each a point tick and then its kernels
 # in datapath order; 3 x^2 + a is 3 additions
@@ -228,41 +245,88 @@ def table_price(curve: CurveParams) -> tuple:
     return _PRICES[key]
 
 
+def _adds(null, acc: tuple, terms: list, law: tuple, head: str) -> tuple:
+    """(the letters, acc) of acc + each term m in turn, m = (a, b) the point
+    a*G + b*Q and null(a, b) its test for the identity: each addition,
+    whose head (what precedes its H = 0 test; the affine law has none) is
+    priced unless acc or m is the identity, is nothing with an identity
+    operand or sum and the doubling for equal operands."""
+    ops = ""
+    for m in terms:
+        a1, b1 = acc
+        a2, b2 = m
+        if head and not null(a1, b1) and not null(a2, b2):
+            ops += head
+        if not (null(a1, b1) or null(a2, b2) or null(a1 + a2, b1 + b2)):
+            ops += law[0] if null(a1 - a2, b1 - b2) else law[1]
+        acc = a1 + a2, b1 + b2
+    return ops, acc
+
+
+def _walk(null, steps: Iterable[list], law: tuple, head: str = "",
+          negate: bool = True) -> tuple:
+    """(the letters, acc) of acc = 2 acc + the terms of each step, from
+    acc = 0, terms as in `_adds`: each term's negation first, where negate
+    is set and the term is not the identity, then the doubling, nothing
+    for the identity (y = 0 would need an even n), then `_adds`."""
+    ops, acc = "", (0, 0)
+    for step in steps:
+        if negate:
+            ops += "s" * sum(not null(*m) for m in step)
+        if not null(*acc):
+            ops += law[0]
+        events, acc = _adds(null, (2 * acc[0], 2 * acc[1]), step, law, head)
+        ops += events
+    return ops, acc
+
+
 def _walk_events(curve: CurveParams, terms: Iterable[int],
                  law: tuple = _AFFINE, head: str = "", negate: bool = False
                  ) -> str:
-    """acc = 2 acc + m for each term m in turn from acc = 0, under the law:
-    the doubling, then the addition, whose head (what precedes its H = 0
-    test; the affine law has none) is priced unless acc or m is the
-    identity.  The comb and `ecsm_window` walk their table terms, negating
-    each first."""
-    ops, acc, n = "", 0, curve.n
-    for m in terms:
-        if negate:
-            ops += _neg_price(curve, m)
-        ops += _sum_price(curve, acc, acc, law)
-        acc *= 2
-        if head and acc % n and m % n:
-            ops += head
-        ops += _sum_price(curve, acc, m, law)
-        acc += m
-    return ops
+    """The `_walk` of one base, a term m*P per step, under the law.  The comb
+    and `ecsm_window` walk their table terms, negating each first."""
+    n = curve.n
+    return _walk(lambda a, b: a % n == 0, ([(m, 0)] for m in terms), law,
+                 head, negate)[0]
+
+
+def _comb_walk(curve: CurveParams, k: int) -> tuple:
+    """(k', c, the column terms top first) of the comb of width w =
+    `COMB_WIDTH` at k' = min(k, n - k), c = 1 + (k' mod 2).
+
+    The t = w*d zero-less signed digits of k' in w rows of d, d = ceil((bits
+    of n + 1) / w), sum to k' + c: digit i is +1 exactly when bit i+1 of
+    K = (k' + c) | 2^t is set, so column j's term is 2 (K >> j+1 & mask) -
+    mask, mask = sum(2^(r*d))."""
+    w = COMB_WIDTH
+    d = -(-(curve.n_bits + 1) // w)
+    mask = sum(1 << r * d for r in range(w))
+    k = min(k, curve.n - k)
+    c = 1 + (k & 1)
+    K = (k + c) | 1 << w * d
+    return k, c, [2 * (K >> j + 1 & mask) - mask
+                  for j in range(d - 1, -1, -1)]
+
+
+def _comb_regular(curve: CurveParams) -> bool:
+    """6 mask + 5 < n: the comb's walk meets no exceptional branch, whatever
+    k is (see `comb_price`)."""
+    d = -(-(curve.n_bits + 1) // COMB_WIDTH)
+    return 6 * sum(1 << r * d for r in range(COMB_WIDTH)) + 5 < curve.n
 
 
 def comb_price(curve: CurveParams, k: int) -> tuple:
     """The price of `ecsm_comb` at k, a resident base's multiplication and
     the energy fit's anchor: its count, then the walk of the comb of width
     w = `COMB_WIDTH` at k' = min(k, n - k) (Hedabou, Pinel and Beneteau,
-    ISPEC 2005): the columns, top first, then the parity tail, which
-    builds 2P and adds -c to the columns' sum k' + c, c = 1 + (k' mod 2),
-    then the negation of the result, executed whichever k' is chosen.
+    ISPEC 2005) over the column terms of `_comb_walk`: the columns, top
+    first, then the parity tail, which builds 2P and adds -c to the
+    columns' sum k' + c, c = 1 + (k' mod 2), then the negation of the
+    result, executed whichever k' is chosen.
 
-    The t = w*d zero-less signed digits of k' in w rows of d, d = ceil((bits
-    of n + 1) / w), sum to k' + c: digit i is +1 exactly when bit i+1 of
-    K = (k' + c) | 2^t is set, so column j's term is 2 (K >> j+1 & mask) -
-    mask, mask = sum(2^(r*d)).  The price is memoised per curve when
-    6 mask + 5 < n, for then no column and no tail meets an exceptional
-    branch of the affine law, whatever k is:
+    The price is memoised per curve when 6 mask + 5 < n (`_comb_regular`),
+    for then no column and no tail meets an exceptional branch of the
+    affine law, whatever k is:
     - every term and every acc = 2 acc + term past the first column is odd
       and nonzero, with |term| <= mask;
     - acc at column j is (k' + c) less the columns below j, at most
@@ -272,21 +336,14 @@ def comb_price(curve: CurveParams, k: int) -> tuple:
     - k' + c and k' + 2c stay below n, so the tail's sum and addends are
       not the identity and the tail adds no point to itself.
     On a smaller n (toy59's) each k is priced as its own walk, unmemoised."""
-    n = curve.n
-    key = ("comb", curve.mod.bitlen, n)
+    key = ("comb", curve.mod.bitlen, curve.n)
     if key in _PRICES:
         return _PRICES[key]
-    w = COMB_WIDTH
-    d = -(-(curve.n_bits + 1) // w)
-    mask = sum(1 << r * d for r in range(w))
-    k = min(k, n - k)
-    c = 1 + (k & 1)
-    K = (k + c) | 1 << w * d
-    terms = [2 * (K >> j + 1 & mask) - mask for j in range(d - 1, -1, -1)]
+    k, c, terms = _comb_walk(curve, k)
     price = curve.mod.cost("C" + _walk_events(curve, terms, negate=True) +
                            _sum_price(curve, 1, 1) + _neg_price(curve, c) +
                            _sum_price(curve, k + c, -c) + "s")
-    if 6 * mask + 5 < n:
+    if _comb_regular(curve):
         _PRICES[key] = price
     return price
 
@@ -318,22 +375,44 @@ def _window_digits(k: int, count: int) -> list:
     return [k] + digits[::-1]
 
 
+def _window_walk(curve: CurveParams, k: int) -> tuple:
+    """(k', c, the digits of k' + c top first) of the one-shot window at
+    k' = min(k, n - k), c = 1 + (k' mod 2): ceil(bits of n / w) digits."""
+    k = min(k, curve.n - k)
+    c = 1 + (k & 1)
+    return k, c, _window_digits(k + c, -(-curve.n_bits // _WINDOW_WIDTH))
+
+
+def _window_regular(curve: CurveParams) -> bool:
+    """(n + 3)/2 + 2 (2^w - 1) < n: the window meets no exceptional branch,
+    whatever k is (see `window_price`)."""
+    return (curve.n + 3) // 2 + 2 * ((1 << _WINDOW_WIDTH) - 1) < curve.n
+
+
+def _table_events(curve: CurveParams) -> str:
+    """The one-shot window's table of the odd multiples P, 3P, ..., 15P on
+    the affine law: one doubling, then 2^(w-1) - 1 additions of 2P."""
+    ops = _sum_price(curve, 1, 1)
+    for m in range(1, (1 << _WINDOW_WIDTH) - 2, 2):
+        ops += _sum_price(curve, m, 2)
+    return ops
+
+
 def window_price(curve: CurveParams, k: int) -> tuple:
     """The price of `ecsm_window` at k: its count, then the table of
-    the odd multiples P, 3P, ..., 15P on the affine law, one doubling and
-    then 2^(w-1) - 1 additions of 2P; then the windows of k' + c, k' =
-    min(k, n - k) and c = 1 + (k' mod 2), on the projective law, top first,
-    each w doublings and the mixed addition of its digit's entry, negated
-    whichever its sign, as the comb's columns are; then the tail, which
-    negates c*P and adds it; then one binary Euclid inversion and four
-    products back to affine, and the negation of the result, executed
-    whichever k' is chosen.  k' + c is odd and at most (n + 3)/2, so over
-    ceil(bits of n / w) windows its digits are all odd and nonzero, and the
-    top one is in [1, 2^(w-1) + 1].
+    `_table_events`; then the windows of k' + c, k' = min(k, n - k) and
+    c = 1 + (k' mod 2), on the projective law, top first, each w doublings
+    and the mixed addition of its digit's entry, negated whichever its
+    sign, as the comb's columns are; then the tail, which negates c*P and
+    adds it; then one binary Euclid inversion and four products back to
+    affine, and the negation of the result, executed whichever k' is
+    chosen.  k' + c is odd and at most (n + 3)/2, so over ceil(bits of n /
+    w) windows its digits are all odd and nonzero, and the top one is in
+    [1, 2^(w-1) + 1].
 
-    The price is memoised per curve when (n + 3)/2 + 2 (2^w - 1) < n, for
-    then no table entry, no window and no tail meets an exceptional branch
-    of either law, whatever k is:
+    The price is memoised per curve when (n + 3)/2 + 2 (2^w - 1) < n
+    (`_window_regular`), for then no table entry, no window and no tail
+    meets an exceptional branch of either law, whatever k is:
     - the table adds 2 to each odd m below 2^w - 1, and m + 2 < n;
     - past the top window acc is A_{i+1} = sum(d_j 2^(w(j-i-1)), j > i),
       which is odd and in [1, k' + c], k' + c <= (n + 3)/2 < n, so no
@@ -344,27 +423,116 @@ def window_price(curve: CurveParams, k: int) -> tuple:
       not the identity and the tail adds no point to itself.
     On a smaller n (toy59's) each k is priced as its own schedule,
     unmemoised."""
-    n = curve.n
-    key = ("window", curve.mod.bitlen, n)
+    key = ("window", curve.mod.bitlen, curve.n)
     if key in _PRICES:
         return _PRICES[key]
-    top = (1 << _WINDOW_WIDTH) - 1   # the largest digit
-    ops = "W" + _sum_price(curve, 1, 1)
-    for m in range(1, top - 1, 2):
-        ops += _sum_price(curve, m, 2)
-    k = min(k, n - k)
-    c = 1 + (k & 1)
+    k, c, digits = _window_walk(curve, k)
     terms = []
-    for d in _window_digits(k + c, -(-curve.n_bits // _WINDOW_WIDTH)):
+    for d in digits:
         terms += [0] * (_WINDOW_WIDTH - 1) + [d]
-    ops += _walk_events(curve, terms, _PROJECTIVE, _PROJECTIVE_HEAD,
-                        negate=True)
+    ops = "W" + _table_events(curve) + _walk_events(
+        curve, terms, _PROJECTIVE, _PROJECTIVE_HEAD, negate=True)
     # the tail's head is priced as a window's: neither acc nor -c*P is the
     # identity
     ops += _neg_price(curve, c) + _PROJECTIVE_HEAD + \
         _sum_price(curve, k + c, -c, _PROJECTIVE) + "immmms"
     price = curve.mod.cost(ops)
-    if (n + 3) // 2 + 2 * top < n:
+    if _window_regular(curve):
+        _PRICES[key] = price
+    return price
+
+
+def _log(curve: CurveParams, Q: AffinePoint) -> int:
+    """log_G Q, the k in [1, n) with k*G = Q, by search over the n - 1
+    multiples of G, made affine by one inversion and memoised per curve:
+    the exact joint price needs it only where n is small."""
+    key = (curve.id, curve.gx, curve.gy)
+    if key not in _LOGS:
+        acc, multiples = _IDENTITY, []
+        for _ in range(curve.n - 1):
+            acc = _jadd(curve, *acc, curve.gx, curve.gy)
+            multiples.append(acc)
+        _LOGS[key] = {xy: k for k, xy in
+                      enumerate(_to_affine(curve, multiples), 1)}
+    return _LOGS[key][Q.x, Q.y]
+
+
+def _joint_price(curve: CurveParams, u1: int, u2: int, Q: AffinePoint,
+                 resident: bool) -> tuple:
+    """The price of u1*G + u2*Q, u1 in [0, n) and u2 in [1, n): at u1 = 0
+    u2*Q's own engine price, else one joint (Straus) schedule (HMV Guide
+    to ECC 3.3.3; Moller, SAC 2001): the count of each base's class,
+    `ecsm_comb` for G and for a resident Q, `ecsm_window` for a one-shot
+    Q; then one chain of doublings, top first, each followed by the
+    additions of its step's terms, Q's and then G's, each term's entry
+    negated first; then Q's parity tail and G's.  Each base runs on k' =
+    min(k, n - k) as its engine does, and where k' is n - k the signs of
+    its terms and its tail flip, so no result is negated.
+    - Resident Q: the two combs of `_comb_walk` share one column chain on
+      the affine law: one doubling per column, then both tables' terms.
+      Each tail builds its 2P and adds -c*P.
+    - One-shot Q: `_table_events` builds Q's odd multiples, and Q's
+      windows of `_window_walk` run on the projective law, w doublings
+      each; G's d column terms are mixed additions after the last d
+      doublings; Q's tail adds -c*Q, G's builds 2G on the affine law and
+      adds -c*G; then one Euclid inversion and four products back to
+      affine, unless the sum is the identity.
+    A joint step's operands are a*G + b*Q, so its exceptional branches
+    depend on q = log_G Q.  Where both engines are regular
+    (`_comb_regular`, and `_window_regular` for a one-shot Q), the price is
+    that of the branch taken for every q, with a*G + b*Q the identity only
+    for a = b = 0 mod n, and memoised per curve and class: every step that
+    adds a term to an accumulator with a part of the other base is an
+    addition, as each engine's own steps are.  It is exact unless q lies
+    in a set of at most 3 values per such step, fixed by (u1, u2): those
+    where the accumulator is the identity, or equals the term or its
+    negation.  Elsewhere (toy59, whose small n fails both bounds) each
+    step is priced exactly from `_log`, unmemoised."""
+    if not u1:
+        return (comb_price if resident else window_price)(curve, u2)
+    n = curve.n
+    regular = _comb_regular(curve) and (resident or _window_regular(curve))
+    key = ("joint comb" if resident else "joint window", curve.mod.bitlen, n)
+    if regular and key in _PRICES:
+        return _PRICES[key]
+    if regular:
+        def null(a, b):
+            return a % n == 0 and b % n == 0
+    else:
+        q = _log(curve, Q)
+
+        def null(a, b):
+            return (a + b * q) % n == 0
+    k1, c1, terms = _comb_walk(curve, u1)
+    s1 = 1 if k1 == u1 else -1
+    g_terms = [(s1 * t, 0) for t in terms]
+    if resident:
+        k2, c2, terms = _comb_walk(curve, u2)
+        s2 = 1 if k2 == u2 else -1
+        steps = [[(0, s2 * t), g] for t, g in zip(terms, g_terms)]
+        ops, law, head = "CC", _AFFINE, ""
+        q_double = _AFFINE[0]   # the tail's 2Q
+    else:
+        k2, c2, digits = _window_walk(curve, u2)
+        s2 = 1 if k2 == u2 else -1
+        steps = []
+        for d in digits:
+            steps += [[] for _ in range(_WINDOW_WIDTH - 1)] + [[(0, s2 * d)]]
+        for step, g in zip(steps[-len(g_terms):], g_terms):
+            step.append(g)
+        ops = "CW" + _table_events(curve)
+        law, head = _PROJECTIVE, _PROJECTIVE_HEAD
+        q_double = ""           # 2Q is in the table
+    events, acc = _walk(null, steps, law, head)
+    ops += events
+    for double, corr in ((q_double, (0, -s2 * c2)),
+                         (_AFFINE[0], (-s1 * c1, 0))):
+        events, acc = _adds(null, acc, [corr], law, head)
+        ops += double + "s" + events
+    if not resident and not null(*acc):
+        ops += "immmm"
+    price = curve.mod.cost(ops)
+    if regular:
         _PRICES[key] = price
     return price
 
@@ -472,9 +640,9 @@ def _rows(curve: CurveParams, x: int, y: int) -> list:
 _BIT = bytes.maketrans(b"01", b"\0\1")
 
 
-def _fixed_base(curve: CurveParams, rows: list, k: int) -> tuple:
-    """k*P for 0 <= k < 2^(8d) from P's comb tables: e steps, each of a
-    doubling and an addition per block whose column is not 0.  Tooth i
+def _fixed_base(curve: CurveParams, rows: list, k: int) -> list:
+    """The schedule of k*P for 0 <= k < 2^(8d) from P's comb tables: e
+    steps, each an addition per block whose column is not 0.  Tooth i
     reads bits i*d .. i*d + d - 1 of k, and the column at bit c of block b
     gathers bit b*e + c of every tooth."""
     d, e = _comb_geometry(curve)
@@ -493,12 +661,13 @@ def _fixed_base(curve: CurveParams, rows: list, k: int) -> tuple:
             if j and rows[b][j - 1]:
                 step.append(rows[b][j - 1])
         steps.append(step)
-    return _execute(curve, steps)
+    return steps
 
 
-def _wnaf(curve: CurveParams, k: int, x: int, y: int) -> tuple:
-    """k*(x, y) by width-5 NAF, one step per digit, over the odd multiples
-    +-1, +-3, ..., +-15 of the base, made affine by one shared inversion."""
+def _wnaf(curve: CurveParams, k: int, x: int, y: int) -> list:
+    """The schedule of k*(x, y) by width-5 NAF, one step per digit, over
+    the odd multiples +-1, +-3, ..., +-15 of the base, made affine by one
+    shared inversion."""
     p = curve.mod.p
     two = _to_affine(curve, [_jdouble(curve, x, y, 1)])[0]
     odd = [(x, y, 1)]
@@ -516,7 +685,7 @@ def _wnaf(curve: CurveParams, k: int, x: int, y: int) -> tuple:
         k = (k - digit) >> 1
         steps.append(signed[digit])
     steps.reverse()
-    return _execute(curve, steps)
+    return steps
 
 
 def order_annihilates_generator(curve: CurveParams) -> bool:
@@ -524,7 +693,7 @@ def order_annihilates_generator(curve: CurveParams) -> bool:
     record, run where the curve is registered, at the first lookup for a
     shipped record, and so inside any scope open there; it prices
     nothing."""
-    return _wnaf(curve, curve.n, curve.gx, curve.gy)[2] == 0
+    return _execute(curve, _wnaf(curve, curve.n, curve.gx, curve.gy))[2] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -591,18 +760,24 @@ def _check_range(k: int, curve: CurveParams) -> None:
         raise ScalarRangeError("scalar out of [1, n)")
 
 
+def _schedule(k: int, P: AffinePoint, cache: Optional[CombCache]) -> list:
+    """The schedule of k*P from P's provisioned rows, else from its rows in
+    the cache, or by wNAF without them."""
+    rows = P.rows or (cache.get_or_build(P) if cache is not None else None)
+    return _fixed_base(P.curve, rows, k) if rows else \
+        _wnaf(P.curve, k, P.x, P.y)
+
+
 def _times(k: int, P: AffinePoint, resident: bool,
            cache: Optional[CombCache] = None) -> tuple:
     """k*P as a Jacobian triple: check k in [1, n), record the price of P's
     class in one call, `comb_price` for a resident base and `window_price`
-    for a one-shot one, then execute from P's provisioned rows, else from
-    its rows in the cache, or by wNAF without them.  The class picks only
+    for a one-shot one, then execute P's `_schedule`.  The class picks only
     the price."""
     curve = P.curve
     _check_range(k, curve)
     counters.record_all((comb_price if resident else window_price)(curve, k))
-    rows = P.rows or (cache.get_or_build(P) if cache is not None else None)
-    return _fixed_base(curve, rows, k) if rows else _wnaf(curve, k, P.x, P.y)
+    return _execute(curve, _schedule(k, P, cache))
 
 
 def ecsm_comb(k: int, P: AffinePoint) -> AffinePoint:
@@ -620,51 +795,30 @@ def ecsm_window(k: int, P: AffinePoint) -> AffinePoint:
     return _point(P.curve, _times(k, P, False))
 
 
-def _jsum(curve: CurveParams, A: tuple, B: tuple) -> tuple:
-    """(A + B, its price's letters) for Jacobian A and B, B not the
-    identity: the affine law's addition, or its doubling at A = B, and ""
-    when A or the sum is the identity."""
-    X1, Y1, Z1 = A
-    X2, Y2, Z2 = B
-    if Z1 == 0:
-        return B, ""
-    p = curve.mod.p
-    Z1Z1, Z2Z2 = Z1 * Z1 % p, Z2 * Z2 % p
-    U1 = X1 * Z2Z2 % p
-    S1 = Y1 * Z2 * Z2Z2 % p
-    H = (X2 * Z1Z1 - U1) % p
-    R = (Y2 * Z1 * Z1Z1 - S1) % p
-    if H == 0:
-        if R == 0:
-            return _jdouble(curve, X1, Y1, Z1), _AFFINE[0]
-        return _IDENTITY, ""
-    HH = H * H % p
-    HHH = HH * H % p
-    V = U1 * HH % p
-    X3 = (R * R - HHH - 2 * V) % p
-    return (X3, (R * (V - X3) - S1 * HHH) % p, Z1 * Z2 * H % p), _AFFINE[1]
-
-
 def comb_sum_x_matches(u1: int, u2: int, Q: AffinePoint, r: int,
                        cache: Optional[CombCache] = None,
                        resident: bool = False) -> bool:
     """Whether u1*G + u2*Q, for u1 in [0, n) and u2 in [1, n), is not the
     identity and has an x of r mod n: the ECDSA verification equation.
-    Priced in turn as `ecsm_comb` of u1*G, G being resident, when u1 is
-    nonzero; u2*Q as `ecsm_comb` when Q's table is resident and as
-    `ecsm_window` when Q is one-shot; then the affine addition of the two.
-    Each runs its provisioned rows, else Q its rows in cache when one is
-    given, else wNAF.  The sum stays Jacobian, and its x is compared
+    Priced in one call as `_joint_price`, the joint schedule of Q's class,
+    resident when Q's table is and one-shot otherwise, or at u1 = 0 as
+    u2*Q alone.  Executed as one merged Straus schedule: G's steps, from
+    its provisioned rows (else wNAF), are folded into the last steps of
+    Q's `_schedule`.  The sum stays Jacobian, and its x is compared
     projectively, X = x Z^2 for each x = r mod n below p, so nothing is
     inverted."""
     curve = Q.curve
-    A = _times(u1, curve.generator(), True) if u1 else _IDENTITY
-    (X, _, Z), ops = _jsum(curve, A, _times(u2, Q, resident, cache))
-    if ops:
-        key = (ops, curve.mod.bitlen, curve.n)
-        if key not in _PRICES:
-            _PRICES[key] = curve.mod.cost(ops)
-        counters.record_all(_PRICES[key])
+    _check_range(u2, curve)
+    if u1:
+        _check_range(u1, curve)
+    counters.record_all(_joint_price(curve, u1, u2, Q, resident))
+    steps = _schedule(u2, Q, cache)
+    if u1:
+        folded = _schedule(u1, curve.generator(), None)
+        steps = [()] * (len(folded) - len(steps)) + steps
+        cut = len(steps) - len(folded)
+        steps = steps[:cut] + [[*a, *b] for a, b in zip(steps[cut:], folded)]
+    X, _, Z = _execute(curve, steps)
     if Z == 0:
         return False
     p = curve.mod.p

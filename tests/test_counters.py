@@ -64,12 +64,19 @@ def test_record_all_adds_items_in_order_to_every_scope():
 # kernels).  energy.estimate sums in this order, so a reordering moves the
 # modeled total in its last digits even where the counts are unchanged.
 HANDSHAKE_KEY_HEAD = ["sha_compress", "hmac", "sha_message", "drbg_generate"]
-# a client's first ECC is checking the server's certificate
+# a client's first ECC is a joint verification under a resident key: the
+# server's certificate under the anchor, or in cached mode the signature
+# under the leaf it keeps.  Its first column adds G's term to Q's before any
+# doubling; on toy59 the kept leaf's top term is 53 = 0 mod n, so there
+# that addition meets the identity and the next column's doubling comes
+# first.
 _CLIENT_AFTER_LEAF = [
     "ecdsa_verify", "mod_inv_euclid", "inv_work", "mod_mul", "mul_iter",
-    "ecsm_comb", "mod_sub", "point_double", "mod_add", "point_add",
+    "ecsm_comb", "mod_sub", "point_add", "point_double", "mod_add",
     "ecsm_window", "ecdsa_sign", "aes_block", "ghash_block",
 ]
+_TOY59_CACHED_CLIENT = _CLIENT_AFTER_LEAF[:7] + [
+    "point_double", "mod_add", "point_add"] + _CLIENT_AFTER_LEAF[10:]
 HANDSHAKE_KEY_TAIL = {
     ("full", "client"): ["x509_parse"] + _CLIENT_AFTER_LEAF,
     ("cached", "client"): ["cert_cache_hit"] + _CLIENT_AFTER_LEAF,
@@ -90,11 +97,13 @@ HANDSHAKE_KEY_TAIL[("cached", "server")] = HANDSHAKE_KEY_TAIL[("full",
 def test_handshake_counter_key_order(curve, mode):
     client, server = handshake_scenario(curve, mode)
     for role, session in (("client", client), ("server", server)):
-        assert list(session.handshake_counters) == \
-            HANDSHAKE_KEY_HEAD + HANDSHAKE_KEY_TAIL[(mode, role)]
+        tail = HANDSHAKE_KEY_TAIL[(mode, role)]
+        if (curve, mode, role) == ("toy59", "cached", "client"):
+            tail = ["cert_cache_hit"] + _TOY59_CACHED_CLIENT
+        assert list(session.handshake_counters) == HANDSHAKE_KEY_HEAD + tail
 
 
 def test_cold_secp256r1_client_handshake_energy_exact():
     client, _ = handshake_scenario("secp256r1", "full")
     total = default_model().estimate(client.handshake_counters).total
-    assert total == 5.4780914061552835e-05
+    assert total == 4.7379602873523274e-05

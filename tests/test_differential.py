@@ -8,9 +8,12 @@
   cannot load secp160r1), with Hypothesis drawing keys and messages,
   bounded and derandomized: signed here and verified there, the reverse,
   equal verdicts on signatures with one mutation each, and equal ECDH
-  shared secrets.
+  shared secrets.  A verification here runs under a one-shot key and
+  under a resident, provisioned one, each verdict of both joint
+  schedules.
 - X.509: fixture leaves and fixed variants of them, parsed and verified on
-  both sides, with every verdict that differs pinned in DIVERGENCES.
+  both sides, with every verdict that differs pinned in DIVERGENCES; on
+  each curve, and with a secp256r1 CA over a secp192r1 leaf.
 
 The file skips when `cryptography` is not installed; the package itself
 never imports it.
@@ -26,10 +29,11 @@ from hypothesis import strategies as st
 
 from ecdtls.aesgcm import _NARROW, AuthenticationError, GcmContext
 from ecdtls.credentials import (CA_CN, NOT_AFTER, NOT_BEFORE, SERVER_CN,
-                                generate_pki)
+                                Pki, generate_pki)
 from ecdtls.der import DerCursor
 from ecdtls.ecdsa import EcdsaSignature, KeyPair, ecdsa_sign, ecdsa_verify
 from ecdtls.keyagree import ecdhe_shared
+from ecdtls.scalarmult import provision
 from ecdtls.x509 import X509Error, make_certificate, x509_parse, x509_verify
 
 AESGCM = pytest.importorskip(
@@ -138,16 +142,37 @@ def test_ecdsa_signed_here_verifies_there(curves, name, k, message):
                                   PREHASHED)
 
 
-@pytest.mark.parametrize("name", sorted(ECC_CURVES))
+def classes():
+    """Each curve's one-shot key, which runs wNAF, and its resident key,
+    provisioned, which runs its rows: the two joint schedules that
+    verification folds G's rows into."""
+    return [pytest.param(name, resident,
+                         id=name + ("-resident" if resident else ""))
+            for name in sorted(ECC_CURVES) for resident in (False, True)]
+
+
+def verifier(curve, here, resident):
+    """Verify under here's key in its class, G's rows provisioned, and a
+    resident key's own."""
+    provision(curve.generator())
+    if resident:
+        provision(here.Q)
+    return lambda digest, sig: ecdsa_verify(here.Q, digest, sig,
+                                            resident=resident)
+
+
+@pytest.mark.parametrize("name,resident", classes())
 @given(k=scalars, message=st.binary(max_size=64))
 @ECC_DRAWS
-def test_ecdsa_signed_there_verifies_here(curves, name, k, message):
+def test_ecdsa_signed_there_verifies_here(curves, name, resident, k,
+                                          message):
     here, there = key_pair(curves[name], k)
+    verify = verifier(curves[name], here, resident)
     digest = hashlib.sha256(message).digest()
     sig = EcdsaSignature(*dss.decode_dss_signature(
         there.sign(digest, PREHASHED)))
-    assert ecdsa_verify(here.Q, digest, sig)
-    assert not ecdsa_verify(here.Q, hashlib.sha256(digest).digest(), sig)
+    assert verify(digest, sig)
+    assert not verify(hashlib.sha256(digest).digest(), sig)
 
 
 def verifies_there(there, digest, r, s):
@@ -159,12 +184,12 @@ def verifies_there(there, digest, r, s):
     return True
 
 
-@pytest.mark.parametrize("name", sorted(ECC_CURVES))
+@pytest.mark.parametrize("name,resident", classes())
 @given(k=scalars, other=scalars, message=st.binary(max_size=64),
        bit=st.integers(0, 255))
 @ECC_DRAWS
-def test_ecdsa_mutated_signature_verdicts_agree(curves, name, k, other,
-                                                message, bit):
+def test_ecdsa_mutated_signature_verdicts_agree(curves, name, resident, k,
+                                                other, message, bit):
     # one mutation per verify: r +- 1, s +- 1, s -> n - s, a flipped
     # digest bit or another key; r +- 1 may leave [1, n)
     n = curves[name].n
@@ -178,7 +203,7 @@ def test_ecdsa_mutated_signature_verdicts_agree(curves, name, k, other,
         [(here, there, digest, r, s2) for s2 in (s - 1, s + 1, n - s)] + \
         [(here, there, flipped, r, s),
          key_pair(curves[name], other) + (digest, r, s)]
-    ours = [ecdsa_verify(h.Q, d, EcdsaSignature(r2, s2))
+    ours = [verifier(curves[name], h, resident)(d, EcdsaSignature(r2, s2))
             for h, _, d, r2, s2 in cases]
     theirs = [verifies_there(t, d, r2, s2) for _, t, d, r2, s2 in cases]
     assert ours == theirs
@@ -262,10 +287,22 @@ def accepted_there(der, ca):
     return True
 
 
-@pytest.mark.parametrize("name", sorted(ECC_CURVES))
+def differential_pki(curves, name):
+    """The fixture PKI on one curve, or for "A-over-B" a CA on curve A over
+    a server key on curve B: the issuer's curve differs from the leaf's."""
+    ca_curve, _, leaf_curve = name.partition("-over-")
+    pki = generate_pki(curves[ca_curve], b"differential-pki" * 2)
+    if leaf_curve:
+        leaves = generate_pki(curves[leaf_curve], b"differential-pki" * 2)
+        pki = Pki(pki.ca_der, pki.ca_key, leaves.server, leaves.client)
+    return pki
+
+
+@pytest.mark.parametrize("name", sorted(ECC_CURVES) +
+                         ["secp256r1-over-secp192r1"])
 def test_certificate_verdicts_differ_only_where_pinned(registry, curves,
                                                        name):
-    pki = generate_pki(curves[name], b"differential-pki" * 2)
+    pki = differential_pki(curves, name)
     ca_here = x509_parse(pki.ca_der, registry)
     ca_there = cx509.load_der_x509_certificate(pki.ca_der)
     verdicts = {variant: (accepted_here(der, registry, ca_here),

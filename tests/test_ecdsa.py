@@ -1,18 +1,21 @@
 import hashlib
+import random
 
 import pytest
 
 from ecdtls import counters, scalarmult
-from ecdtls.curve import CurveError
+from ecdtls.curve import AffinePoint, CurveError
 from ecdtls.drbg import HmacDrbg
 from ecdtls.ecdsa import (EcdsaSignature, KeyPair, SignatureError,
                           digest_to_scalar, ecdsa_sign, ecdsa_verify,
                           rfc6979_nonces)
-from ecdtls.field import inv_euclid_int, mul_int
-from ecdtls.scalarmult import CombCache, ScalarRangeError, ecsm_comb, \
-    ecsm_window
+from ecdtls.field import PrimeModulus, inv_euclid_int, mul_int
+from ecdtls.scalarmult import CombCache, ScalarRangeError, ecsm_comb
 from ecdtls.sha256 import sha256
-from test_formula_prices import oracle_add
+from test_engine_prices import oracle_columns, oracle_comb
+from test_formula_prices import (inv_euclid, mul, oracle_add, oracle_double,
+                                 oracle_jadd_mixed, oracle_jdouble,
+                                 oracle_negate, oracle_window, window_recode)
 
 # RFC 6979 A.2.5, P-256 with SHA-256, message "sample"
 RFC6979_KEY = 0xC9AFA9D845BA75166B5C215767B1D6934E50C3DB36E89B127B8A622B120F6721
@@ -243,12 +246,117 @@ class TestStrictDerSignature:
                 EcdsaSignature.from_der(der[:cut])
 
 
-def affine_verify(pub, digest, sig, resident=False, seen=None):
-    """The verify as it was before the projective x comparison: both
-    products made affine, u2*pub by `ecsm_comb` when its table is resident
-    and by `ecsm_window` when it is one-shot, and summed by `oracle_add`.
-    Adds to seen the branch the sum took, and whether an accepted x was
-    r + n."""
+class JointOracle:
+    """u1*G + u2*Q walked point by point on the counted formulas of
+    `test_formula_prices`, as the joint schedule of Q's class.  Each base
+    runs on k' = min(k, n - k), its terms and tail negated where k' is
+    n - k; each step negates its terms' entries, doubles, then adds Q's
+    term and G's.  Adds to seen the branch of each addition of two points
+    where the accumulator already holds a term of the other base: "add",
+    "double" or "cancel"."""
+
+    def __init__(self, curve, seen):
+        self.curve, self.seen = curve, seen
+        self.parts = set()
+
+    def branch(self, operands, base, same_x, same_y):
+        """Note the branch of an addition to an acc of base's term, where
+        neither operand is the identity (operands)."""
+        if self.seen is not None and operands and self.parts - {base}:
+            self.seen.add("double" if same_x and same_y else
+                          "cancel" if same_x else "add")
+        self.parts.add(base)
+
+    def add(self, acc, P, base):
+        """acc + P on the affine law."""
+        self.branch(acc and P, base, acc and P and acc.x == P.x,
+                    acc and P and acc.y == P.y)
+        return oracle_add(acc, P)
+
+    def jadd(self, acc, P, base):
+        """Jacobian acc + affine P, nothing for P the identity."""
+        if P is None:
+            return acc
+        X, Y, Z = acc
+        p = self.curve.mod.p
+        self.branch(Z, base, (P.x * Z * Z - X) % p == 0,
+                    (P.y * Z * Z * Z - Y) % p == 0)
+        return oracle_jadd_mixed(self.curve, *acc, P.x, P.y)
+
+    def comb(self, k, P):
+        """(the sign k' selects, c, and each column's signed term)."""
+        kp, c, columns = oracle_columns(k, P)
+        flip = 1 if kp == k else -1
+        return flip, c, [entry if top * flip == 1 else neg
+                         for entry, top in columns
+                         for neg in [oracle_negate(entry)]]
+
+    def tail(self, P, c, flip, dbl):
+        corr = P if c == 1 else dbl
+        neg = oracle_negate(corr)
+        return neg if flip == 1 else corr
+
+    def resident(self, u1, u2, Q):
+        G = self.curve.generator()
+        counters.record("ecsm_comb")
+        counters.record("ecsm_comb")
+        acc = None
+        columns = [self.comb(u2, Q), self.comb(u1, G)]
+        # the terms' negations were computed in `comb`, column by column
+        for term_q, term_g in zip(columns[0][2], columns[1][2]):
+            acc = self.add(oracle_double(acc), term_q, "Q")
+            acc = self.add(acc, term_g, "G")
+        for P, (flip, c, _), base in ((Q, columns[0], "Q"),
+                                      (G, columns[1], "G")):
+            acc = self.add(acc, self.tail(P, c, flip, oracle_double(P)),
+                           base)
+        return acc
+
+    def one_shot(self, u1, u2, Q):
+        curve = self.curve
+        n, mod = curve.n, curve.mod
+        G = curve.generator()
+        counters.record("ecsm_comb")
+        counters.record("ecsm_window")
+        two = oracle_double(Q)
+        table = [Q]
+        for _ in range(7):
+            table.append(oracle_add(table[-1], two))
+        kp = min(u2, n - u2)
+        c, flip = 1 + kp % 2, 1 if kp == u2 else -1
+        digits = window_recode(kp + c, -(-curve.n_bits // 4))
+        flip_g, c_g, g_terms = self.comb(u1, G)
+        chain = 4 * len(digits)
+        acc = (1, 1, 0)
+        for t in range(chain):
+            acc = oracle_jdouble(curve, *acc)
+            if t % 4 == 3:
+                digit = digits[t // 4] * flip
+                entry = table[abs(digit) // 2]
+                neg = oracle_negate(entry)
+                acc = self.jadd(acc, entry if digit > 0 else neg, "Q")
+            if t >= chain - len(g_terms):
+                acc = self.jadd(acc, g_terms[t - chain + len(g_terms)], "G")
+        acc = self.jadd(acc, self.tail(Q, c, flip, two), "Q")
+        acc = self.jadd(acc, self.tail(G, c_g, flip_g, oracle_double(G)),
+                        "G")
+        X, Y, Z = acc
+        if Z == 0:
+            return None
+        zinv = inv_euclid(Z, mod)
+        zz = mul(zinv, zinv, mod)
+        return AffinePoint(curve, mul(X, zz, mod),
+                           mul(Y, mul(zz, zinv, mod), mod))
+
+
+def oracle_verify(pub, digest, sig, resident=False, seen=None, walks=None):
+    """ecdsa_verify point by point: u1 and u2 by the counted scalar
+    kernels, then at u1 = 0 u2*pub by its engine's oracle, `oracle_comb`
+    for a resident pub and `oracle_window` for a one-shot one, and else the
+    `JointOracle` of pub's class.  Adds to seen the joint steps' branches,
+    "u1 = 0", and whether an accepted x was r + n.  Given walks, a dict,
+    the walk of each (u1, u2) runs once, and its result, counts and trace
+    are replayed for every later signature that gives the same pair."""
     curve = pub.curve
     n = curve.n
     if not sig.in_range(n):
@@ -259,16 +367,22 @@ def affine_verify(pub, digest, sig, resident=False, seen=None):
     sinv = inv_euclid_int(sig.s, n_mod)
     u1 = mul_int(z % n, sinv, n_mod)
     u2 = mul_int(sig.r % n, sinv, n_mod)
-    times_pub = ecsm_comb if resident else ecsm_window
-    if u1 == 0:
-        branch = "u1 = 0"
-        R = times_pub(u2, pub)
+    if walks is not None and (u1, u2) in walks:
+        R, items, trace = walks[u1, u2]
+        counters.record_all((items, trace))
     else:
-        A, B = ecsm_comb(u1, curve.generator()), times_pub(u2, pub)
-        branch = "add" if A.x != B.x else "double" if A == B else "cancel"
-        R = oracle_add(A, B)
-    if seen is not None:
-        seen.add(branch)
+        with counters.scope(trace=True) as walk:
+            if u1 == 0:
+                if seen is not None:
+                    seen.add("u1 = 0")
+                R = (oracle_comb if resident else oracle_window)(u2, pub)
+            else:
+                joint = JointOracle(curve, seen)
+                R = (joint.resident if resident else joint.one_shot)(
+                    u1, u2, pub)
+        if walks is not None:
+            walks[u1, u2] = R, tuple(walk.counters.items()), \
+                tuple(walk.trace)
     if R is None:
         return False
     if seen is not None and R.x == sig.r + n:
@@ -294,14 +408,15 @@ class TestProjectiveVerify:
         n = toy.n
         Q = KeyPair(q, toy).Q
         cache = CombCache() if cached else None
-        seen = set()
+        seen, walks = set(), {}
         for r in range(1, n):
             for z in (q + 5, q * r % n, -q * r % n, 0):
                 digest = scalar_digest(z, toy)
                 for s in range(1, n):
                     sig = EcdsaSignature(r, s)
                     with counters.scope(trace=True) as want:
-                        accept = affine_verify(Q, digest, sig, cached, seen)
+                        accept = oracle_verify(Q, digest, sig, cached, seen,
+                                               walks)
                     with counters.scope(trace=True) as got:
                         assert ecdsa_verify(Q, digest, sig, cache, cached) \
                             == accept
@@ -328,3 +443,88 @@ class TestProjectiveVerify:
             assert ecdsa_verify(key.Q, digest, sig, cache, resident=True)
         assert sc.counters["ecsm_comb"] == 2
         assert calls == []
+
+    @pytest.mark.parametrize("resident", [False, True])
+    @pytest.mark.parametrize("name", ["secp160r1", "secp256r1"])
+    def test_seeded_signatures_against_the_joint_oracle(self, curves, name,
+                                                        resident):
+        # seeded keys, digests and signatures, valid and random: each
+        # verdict, count and trace is the joint oracle's, where the price
+        # is the memoised one of every q but a few
+        c = curves[name]
+        n = c.n
+        rng = random.Random("joint-%s-%s" % (name, resident))
+        for valid in (True, False, True):
+            key = KeyPair(rng.randrange(1, n), c)
+            digest = rng.randbytes(32)
+            sig = ecdsa_sign(key, digest) if valid else \
+                EcdsaSignature(rng.randrange(1, n), rng.randrange(1, n))
+            with counters.scope(trace=True) as want:
+                accept = oracle_verify(key.Q, digest, sig, resident)
+            with counters.scope(trace=True) as got:
+                assert ecdsa_verify(key.Q, digest, sig, None, resident) \
+                    == accept == valid
+            assert list(got.counters.items()) == \
+                list(want.counters.items())
+            assert got.trace == want.trace
+
+    def test_equal_columns_take_the_doubling_the_price_narrows_away(
+            self, curves):
+        # the narrowing the joint price states: on secp160r1 with Q = G
+        # (d = 1) and z = r, u1 = u2, so every column's two comb terms are
+        # equal; the oracle's first joint addition doubles, while the price
+        # recorded is the memoised one of the branch every other q takes,
+        # and the verdict is the oracle's
+        c = curves["secp160r1"]
+        n = c.n
+        key = KeyPair(1, c)
+        assert key.Q == c.generator()
+        k = 0xC0FFEE
+        r = ecsm_comb(k, c.generator()).x % n
+        sig = EcdsaSignature(r, 2 * r * pow(k, -1, n) % n)
+        digest = scalar_digest(r, c)
+        branches = Branches()
+        with counters.scope(trace=True) as exact:
+            accept = oracle_verify(key.Q, digest, sig, True, branches)
+        assert branches[0] == "double"
+        with counters.scope(trace=True) as got:
+            assert ecdsa_verify(key.Q, digest, sig, None, resident=True) \
+                == accept is True
+        other = KeyPair(0xBEEF, c)
+        other_digest = sha256(b"generic")
+        other_sig = ecdsa_sign(other, other_digest)
+        with counters.scope(trace=True) as generic:
+            assert ecdsa_verify(other.Q, other_digest, other_sig, None,
+                                resident=True)
+        assert got.counters == generic.counters and \
+            got.trace == generic.trace
+        assert got.counters != exact.counters
+
+    @pytest.mark.parametrize("resident", [False, True])
+    def test_a_second_verification_counts_nothing(self, curves, resident,
+                                                  monkeypatch):
+        # the joint price is memoised per curve and class: a second
+        # verification counts no letters, and records its price in one call
+        c = curves["secp256r1"]
+        n = c.n
+        key = KeyPair(0xC0FFEE, c)
+        rng = random.Random("memo-%s" % resident)
+        for i in range(2):
+            u1, u2 = rng.randrange(1, n), rng.randrange(1, n)
+            costs, calls = [], []
+            if i:
+                cost, record_all = PrimeModulus.cost, counters.record_all
+                monkeypatch.setattr(PrimeModulus, "cost", lambda *a:
+                                    costs.append(a) or cost(*a))
+                monkeypatch.setattr(counters, "record_all", lambda price:
+                                    calls.append(price) or record_all(price))
+            with counters.scope():
+                scalarmult.comb_sum_x_matches(u1, u2, key.Q, 1, None,
+                                              resident)
+        assert costs == [] and len(calls) == 1
+        assert (("ecsm_window", 1) in calls[0][0]) == (not resident)
+
+
+class Branches(list):
+    """The branches a `JointOracle` notes, in order."""
+    add = list.append

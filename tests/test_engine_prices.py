@@ -95,14 +95,12 @@ def oracle_precompute(P, w=COMB_WIDTH):
 _ORACLE_TABLES = {}   # the entries of each resident base, built unpriced
 
 
-def oracle_comb(k, P):
-    """ecsm_comb without its range check, for a resident base: the count,
-    then the walk on k' = min(k, n - k): the walk to k'*P,
-    then its negation, computed whichever k' is chosen, and the one of the
-    two that k selects, which is k*P for P of order n.  The table's entries
-    were built by oracle_precompute outside any scope."""
+def oracle_columns(k, P):
+    """The comb's walk of a resident base at k' = min(k, n - k): (k', c,
+    and per column, top first, its entry of P's table and the sign of its
+    top digit, which selects the entry or its negation).  The table's
+    entries were built by oracle_precompute outside any scope."""
     curve = P.curve
-    counters.record("ecsm_comb")
     w = COMB_WIDTH
     d = comb_digits(curve)
     key = (curve.id, P.x, P.y)
@@ -113,14 +111,26 @@ def oracle_comb(k, P):
     kp = min(k, curve.n - k)
     zsd = zsd_recode(kp, w * d)
     digits = zsd.digits
-    acc = None
+    columns = []
     for j in range(d - 1, -1, -1):
         top = digits[(w - 1) * d + j]
         idx = 0
         for r in range(w - 1):
             if digits[r * d + j] == top:
                 idx |= 1 << r
-        entry = entries[idx]
+        columns.append((entries[idx], top))
+    return kp, zsd.c, columns
+
+
+def oracle_comb(k, P):
+    """ecsm_comb without its range check, for a resident base: the count,
+    then the walk on k' = min(k, n - k) of `oracle_columns` to k'*P, then
+    its negation, computed whichever k' is chosen, and the one of the two
+    that k selects, which is k*P for P of order n."""
+    counters.record("ecsm_comb")
+    kp, c, columns = oracle_columns(k, P)
+    acc = None
+    for entry, top in columns:
         neg = oracle_negate(entry)
         term = entry if top == 1 else neg
         if acc is None:
@@ -128,7 +138,7 @@ def oracle_comb(k, P):
         else:
             acc = oracle_add(oracle_double(acc), term)
     dbl = oracle_double(P)
-    corr = P if zsd.c == 1 else dbl
+    corr = P if c == 1 else dbl
     R = oracle_add(acc, oracle_negate(corr))
     neg = oracle_negate(R)
     return R if kp == k else neg

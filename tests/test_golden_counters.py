@@ -31,62 +31,62 @@ HANDSHAKE_COUNTERS = {
     ("secp160r1", "cached", "client"): {
         "aes_block": 8, "cert_cache_hit": 1, "drbg_generate": 3,
         "ecdsa_sign": 1, "ecdsa_verify": 1, "ecsm_comb": 4, "ecsm_window": 1,
-        "ghash_block": 8, "hmac": 25, "inv_work": 54402, "mod_add": 2301,
-        "mod_inv_euclid": 340, "mod_mul": 3235, "mod_sub": 2633,
-        "mul_iter": 517604, "point_add": 213, "point_double": 325,
+        "ghash_block": 8, "hmac": 25, "inv_work": 48002, "mod_add": 2141,
+        "mod_inv_euclid": 300, "mod_mul": 3075, "mod_sub": 2471,
+        "mul_iter": 492004, "point_add": 213, "point_double": 285,
         "sha_compress": 101, "sha_message": 55,
     },
     ("secp160r1", "cached", "server"): {
         "aes_block": 8, "drbg_generate": 3, "ecdsa_sign": 1, "ecdsa_verify": 2,
         "ecsm_comb": 5, "ecsm_window": 2, "ghash_block": 8, "hmac": 27,
-        "inv_work": 69283, "mod_add": 4110, "mod_inv_euclid": 433,
-        "mod_mul": 5607, "mod_sub": 3907, "mul_iter": 897126, "point_add": 303,
-        "point_double": 527, "sha_compress": 107, "sha_message": 60,
+        "inv_work": 49763, "mod_add": 3832, "mod_inv_euclid": 311,
+        "mod_mul": 5623, "mod_sub": 3583, "mul_iter": 899686, "point_add": 303,
+        "point_double": 447, "sha_compress": 107, "sha_message": 60,
         "x509_parse": 1,
     },
     ("secp160r1", "full", "client"): {
         "aes_block": 8, "drbg_generate": 3, "ecdsa_sign": 1, "ecdsa_verify": 2,
         "ecsm_comb": 5, "ecsm_window": 2, "ghash_block": 8, "hmac": 25,
-        "inv_work": 69283, "mod_add": 4110, "mod_inv_euclid": 433,
-        "mod_mul": 5607, "mod_sub": 3907, "mul_iter": 897126, "point_add": 303,
-        "point_double": 527, "sha_compress": 104, "sha_message": 56,
+        "inv_work": 49763, "mod_add": 3832, "mod_inv_euclid": 311,
+        "mod_mul": 5623, "mod_sub": 3583, "mul_iter": 899686, "point_add": 303,
+        "point_double": 447, "sha_compress": 104, "sha_message": 56,
         "x509_parse": 1,
     },
     ("secp160r1", "full", "server"): {
         "aes_block": 8, "drbg_generate": 3, "ecdsa_sign": 1, "ecdsa_verify": 2,
         "ecsm_comb": 5, "ecsm_window": 2, "ghash_block": 8, "hmac": 27,
-        "inv_work": 69283, "mod_add": 4110, "mod_inv_euclid": 433,
-        "mod_mul": 5607, "mod_sub": 3907, "mul_iter": 897126, "point_add": 303,
-        "point_double": 527, "sha_compress": 107, "sha_message": 60,
+        "inv_work": 49763, "mod_add": 3832, "mod_inv_euclid": 311,
+        "mod_mul": 5623, "mod_sub": 3583, "mul_iter": 899686, "point_add": 303,
+        "point_double": 447, "sha_compress": 107, "sha_message": 60,
         "x509_parse": 1,
     },
     ("toy59", "cached", "client"): {
         "aes_block": 8, "cert_cache_hit": 1, "drbg_generate": 3,
         "ecdsa_sign": 1, "ecdsa_verify": 1, "ecsm_comb": 4, "ecsm_window": 1,
         "ghash_block": 8, "hmac": 25, "inv_work": 144, "mod_add": 70,
-        "mod_inv_euclid": 24, "mod_mul": 140, "mod_sub": 154, "mul_iter": 840,
+        "mod_inv_euclid": 24, "mod_mul": 140, "mod_sub": 152, "mul_iter": 840,
         "point_add": 16, "point_double": 11, "sha_compress": 94,
         "sha_message": 55,
     },
     ("toy59", "cached", "server"): {
         "aes_block": 8, "drbg_generate": 3, "ecdsa_sign": 1, "ecdsa_verify": 2,
         "ecsm_comb": 5, "ecsm_window": 2, "ghash_block": 8, "hmac": 27,
-        "inv_work": 258, "mod_add": 132, "mod_inv_euclid": 43, "mod_mul": 264,
-        "mod_sub": 280, "mul_iter": 1584, "point_add": 30, "point_double": 20,
+        "inv_work": 228, "mod_add": 127, "mod_inv_euclid": 38, "mod_mul": 280,
+        "mod_sub": 268, "mul_iter": 1680, "point_add": 30, "point_double": 18,
         "sha_compress": 101, "sha_message": 60, "x509_parse": 1,
     },
     ("toy59", "full", "client"): {
         "aes_block": 8, "drbg_generate": 3, "ecdsa_sign": 1, "ecdsa_verify": 2,
         "ecsm_comb": 5, "ecsm_window": 2, "ghash_block": 8, "hmac": 25,
-        "inv_work": 246, "mod_add": 128, "mod_inv_euclid": 41, "mod_mul": 257,
-        "mod_sub": 269, "mul_iter": 1542, "point_add": 29, "point_double": 19,
+        "inv_work": 216, "mod_add": 123, "mod_inv_euclid": 36, "mod_mul": 273,
+        "mod_sub": 257, "mul_iter": 1638, "point_add": 29, "point_double": 17,
         "sha_compress": 97, "sha_message": 56, "x509_parse": 1,
     },
     ("toy59", "full", "server"): {
         "aes_block": 8, "drbg_generate": 3, "ecdsa_sign": 1, "ecdsa_verify": 2,
         "ecsm_comb": 5, "ecsm_window": 2, "ghash_block": 8, "hmac": 27,
-        "inv_work": 258, "mod_add": 132, "mod_inv_euclid": 43, "mod_mul": 264,
-        "mod_sub": 280, "mul_iter": 1584, "point_add": 30, "point_double": 20,
+        "inv_work": 228, "mod_add": 127, "mod_inv_euclid": 38, "mod_mul": 280,
+        "mod_sub": 268, "mul_iter": 1680, "point_add": 30, "point_double": 18,
         "sha_compress": 101, "sha_message": 60, "x509_parse": 1,
     },
 }
@@ -100,17 +100,17 @@ WARM_HANDSHAKE_COUNTERS = {
     "client": {
         "aes_block": 8, "cert_cache_hit": 1, "drbg_generate": 3,
         "ecdsa_sign": 1, "ecdsa_verify": 1, "ecsm_comb": 4, "ecsm_window": 1,
-        "ghash_block": 8, "hmac": 25, "inv_work": 54402, "mod_add": 2301,
-        "mod_inv_euclid": 340, "mod_mul": 3235, "mod_sub": 2633,
-        "mul_iter": 517604, "point_add": 213, "point_double": 325,
+        "ghash_block": 8, "hmac": 25, "inv_work": 48002, "mod_add": 2141,
+        "mod_inv_euclid": 300, "mod_mul": 3075, "mod_sub": 2471,
+        "mul_iter": 492004, "point_add": 213, "point_double": 285,
         "sha_compress": 101, "sha_message": 55,
     },
     "server": {
         "aes_block": 8, "drbg_generate": 3, "ecdsa_sign": 1, "ecdsa_verify": 2,
         "ecsm_comb": 5, "ecsm_window": 2, "ghash_block": 8, "hmac": 27,
-        "inv_work": 69283, "mod_add": 4110, "mod_inv_euclid": 433,
-        "mod_mul": 5607, "mod_sub": 3907, "mul_iter": 897126, "point_add": 303,
-        "point_double": 527, "sha_compress": 107, "sha_message": 60,
+        "inv_work": 49763, "mod_add": 3832, "mod_inv_euclid": 311,
+        "mod_mul": 5623, "mod_sub": 3583, "mul_iter": 899686, "point_add": 303,
+        "point_double": 447, "sha_compress": 107, "sha_message": 60,
         "x509_parse": 1,
     },
 }

@@ -33,49 +33,49 @@ PAYLOAD = bytes(range(64))
 GOLDEN_DIGESTS = {  # (wire digest, counter digest)
     ("secp160r1", "cached-hit"): (
         "a81aa6a3791c64edf7ecfe34b9e34601792ec26dcc4a451d9a78c9cd9c0b3c72",
-        "c2270bcc2c31abcb29d6f9ac4381145555359557fbaf97a1a3d428bd4f5916ee"),
+        "083ba6065d07d8e0f08d60650ff6eb25f62d0631138573a58b25c5b97a32977f"),
     ("secp160r1", "cached-miss"): (
         "a81aa6a3791c64edf7ecfe34b9e34601792ec26dcc4a451d9a78c9cd9c0b3c72",
-        "da8126b89b0f29588fc6b54acb6b45e55f740feb3186902927006463b7fd4c27"),
+        "ebf00c30599bb5398ed5e5b28197eedbee21a8203f64f50465ac84f0a077924a"),
     ("secp160r1", "full"): (
         "a81aa6a3791c64edf7ecfe34b9e34601792ec26dcc4a451d9a78c9cd9c0b3c72",
-        "bc75e754ecd0b1356fdc63ccb25331668ea7021364284ba09b59a3fc3d2fe0c5"),
+        "9823e4409ffeb2e5ca57b25f069b3813c13ddb7ec748c9fa17e11cb6c99dc25e"),
     ("secp192r1", "cached-hit"): (
         "248e0ffeb0b58226fd3894750931909afe16a47b5ad4415ceb5e7c43cd3a8c05",
-        "d0dc2a72d34bc71f7da77da978272fc0549901a4939eb317e3998258d03a05df"),
+        "060e67b89b5d5ff90bb47b7f4d71f83068c18e51ca5db61fab6a5567adc01d8f"),
     ("secp192r1", "cached-miss"): (
         "248e0ffeb0b58226fd3894750931909afe16a47b5ad4415ceb5e7c43cd3a8c05",
-        "972c9807e26bd0e677ae9e8b6406959f5cd734bbc32cbdb9ceb1ee8852432717"),
+        "41bfffaef16987b5b6e47143655ff6bc7bf518fc9c0c00afdde04cb10936e43d"),
     ("secp192r1", "full"): (
         "248e0ffeb0b58226fd3894750931909afe16a47b5ad4415ceb5e7c43cd3a8c05",
-        "a74328bf9de7e328c7b534ba33eb268113eb6ce1c2eb5d7ea0bf78d68cd22e99"),
+        "d41ef75978a76f44d82a968f2e187ff22d9754e88c021c67b61b00fc2886cb38"),
     ("secp224r1", "cached-hit"): (
         "5df408cd065c52260338ffed429ef6eb375e086e7784850547f62d7814bb6e42",
-        "1f23a5a5234425d05706479d5ef3984351d6408e2be8a348e60734a8e649da52"),
+        "0075dd66984221d003e2d659f8a3b92c818f55d075f397ec69bd56d346630e06"),
     ("secp224r1", "cached-miss"): (
         "5df408cd065c52260338ffed429ef6eb375e086e7784850547f62d7814bb6e42",
-        "363217855c5b6ea982c55d57b7d27d771a7abc1eb6a3da67de02103a9c20e1c3"),
+        "fec7b28006a0d5eb00988e9c8e22ac99a13c406ddee0ef447933aeed6c4ac44a"),
     ("secp224r1", "full"): (
         "5df408cd065c52260338ffed429ef6eb375e086e7784850547f62d7814bb6e42",
-        "63c706a580ee9db4bb37ceaf6578028b828a011862d93a3e7cfa7f5907c78dec"),
+        "10885961980ee2da352d910e108dff6ebe64b8b725cb1deb7d19303a7a356b1c"),
     ("secp256r1", "cached-hit"): (
         "0b71eaebeff66799baa3bb30e807d809e2e70df27a5cab97f94d951ac2a6ab5c",
-        "bf4b14f3ddf2f1927ca3a5bf0559cf8f95b0680692dd93ef03cbad98a79aec11"),
+        "9c87321e4a4f8862ecba822c2f7cfa4cab198ec9c8548dfe41238d392322e2a3"),
     ("secp256r1", "cached-miss"): (
         "0b71eaebeff66799baa3bb30e807d809e2e70df27a5cab97f94d951ac2a6ab5c",
-        "ab990b5f624fe3d55dc3ce71d36519f4074b4b582f644a7a2feee972d4c665a6"),
+        "a78524ed9765420d49ec2bbb6dc4cd9a3940e48ce1e888df00f763032d356ac7"),
     ("secp256r1", "full"): (
         "0b71eaebeff66799baa3bb30e807d809e2e70df27a5cab97f94d951ac2a6ab5c",
-        "b14b39bf887b6393b6e70cc95641fcd87099116cb92f7d4db26c684f71b3b9e9"),
+        "6c99c098532797030821276b8e8a817246815c1517caa61cc6fdf68b435fd1a7"),
     ("toy59", "cached-hit"): (
         "f110db02ca36bb9b27cba8915615f777331846afccd035ab7f901b447931405f",
-        "d15ab2924a9e978c9553dbe964977d10c1cd536309d7128a67d4a6df02b39c28"),
+        "e732d38efa736fcaac03cef5d30ff19333d915daef45f65c0c0475c7c8742eac"),
     ("toy59", "cached-miss"): (
         "f110db02ca36bb9b27cba8915615f777331846afccd035ab7f901b447931405f",
-        "c8cac86d7c2dd1b26bb2bce19354808cf31ce2dc0548f97c3b2772b082fd8b07"),
+        "6833457fa2676cc26b6b299a10865ab54af5af37105adcf92e53936d13e0da2f"),
     ("toy59", "full"): (
         "f110db02ca36bb9b27cba8915615f777331846afccd035ab7f901b447931405f",
-        "2d0f754b636a9138950c319c28cf8989f23ab94b96cf510a67a6b343e5bebb5d"),
+        "2558123f0f0fde85e46bd8b4a37fe5b4f3695e0e5966de648dce2e19dfdea732"),
 }
 
 TOY59_FULL_DATAGRAMS = [

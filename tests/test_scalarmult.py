@@ -415,9 +415,9 @@ class TestPrice:
 
     def test_prices_counted_once_per_curve(self, monkeypatch):
         # once a secp256r1 pair has run, each engine's price, the table's
-        # and the affine sum of a verification are memoised, and each
-        # modulus counted its product and inversion when it was made, so
-        # the pairs after it count nothing
+        # and each class's joint price of a verification are memoised, and
+        # each modulus counted its product and inversion when it was made,
+        # so the pairs after it count nothing
         warm_handshakes("secp256r1", 1)
         calls = []
         cost = PrimeModulus.cost
@@ -533,7 +533,7 @@ class TestExecutors:
                     assert ecsm_comb(k, base) == expected
                     assert window_through(k, base, cache) == expected
                 executor = name
-                triple = run(k)
+                triple = scalarmult._execute(toy, run(k))
                 executor = None
                 assert affine(toy, triple) == expected
         assert outcomes == {(name, outcome) for name in runs
@@ -624,17 +624,18 @@ class TestResidentRows:
     def test_warm_handshakes_build_long_lived_bases_once(self,
                                                          fresh_endpoints,
                                                          built):
-        # G and the CA key when the client's endpoint is prepared, the CA key
-        # again for the server's, which parses its own; then, at the second
-        # handshake, each leaf in its peer's comb cache: the server's, which
-        # the cached client keeps, at the signature under it, and then the
-        # client's; no ephemeral point
+        # G and the CA key when the client's endpoint is prepared, and not
+        # the CA key again for the server's, which parses its own and
+        # shares the client's stored point; then, at the second handshake,
+        # each leaf in its peer's comb cache: the server's, which the cached
+        # client keeps, at the signature under it, and then the client's;
+        # no ephemeral point
         pairs = warm_handshakes("toy59", 3)
         client, server = pairs[0]
         assert built == [(P.x, P.y) for P in (
-            client.config.curve.generator(), client.ca_key, server.ca_key,
+            client.config.curve.generator(), client.ca_key,
             client.peer_key, server.peer_key)]
-        assert client.ca_key is not server.ca_key
+        assert client.ca_key is server.ca_key
 
     def test_hits_record_the_same_price(self, curves):
         # a base's price is its class's, whatever rows run it: one-shot,
@@ -706,23 +707,39 @@ class TestFixedRows:
 
     def test_anchor_built_once_however_many_sessions(self, curves, p160_pki,
                                                      fresh_endpoints, built):
-        # G and the CA key when the client's endpoint is prepared, the CA
-        # key again for the server's; a full-mode leaf is one-shot and,
-        # with no comb cache, builds nothing
+        # G and the CA key when the client's endpoint is prepared; the
+        # server's shares the client's stored anchor; a full-mode leaf is
+        # one-shot and, with no comb cache, builds nothing
         for i in range(3):
             client, server = _session_pair(curves["secp160r1"], p160_pki,
                                            MODE_FULL, None, b"%d" % i)
             assert run_loopback(client, server).established
         G = curves["secp160r1"].generator()
         ca = (client.ca_key.x, client.ca_key.y)
-        assert built == [(G.x, G.y), ca, ca]
+        assert built == [(G.x, G.y), ca]
         assert G.rows is not None and client.ca_key.rows is not None
+        assert server.ca_key is client.ca_key
 
-    def test_an_endpoint_prepared_again_provisions_its_anchor_again(
+    def test_two_credentials_under_one_ca_build_its_rows_once(
+            self, toy, toy_pki, fresh_endpoints, built):
+        # the server's endpoint finds the client's stored under the same
+        # CA, and provisions no rows of its own for the anchor
+        configs = [SessionConfig(
+            role=role, curve=toy, own_cert_der=creds.cert_der,
+            own_key_d=creds.key.d, ca_der=toy_pki.ca_der)
+            for role, creds in (("client", toy_pki.client),
+                                ("server", toy_pki.server))]
+        G = toy.generator()
+        ca = configs[0].endpoint.ca_key
+        assert configs[1].endpoint.ca_key is ca
+        assert built == [(G.x, G.y), (ca.x, ca.y)]
+
+    def test_an_endpoint_prepared_again_shares_a_stored_anchor(
             self, toy, toy_pki, fresh_endpoints, built, monkeypatch):
         # with room for one endpoint, the server's evicts the client's, so
-        # the client's is prepared again: its anchor is parsed again and
-        # provisioned again, and G, the curve's, is not
+        # the client's is prepared again: its anchor is parsed again, and
+        # the server's stored endpoint lends its provisioned point, so
+        # neither the anchor nor G, the curve's, is provisioned again
         monkeypatch.setattr(handshake, "ENDPOINT_CAPACITY", 1)
         configs = [SessionConfig(
             role=role, curve=toy, own_cert_der=creds.cert_der,
@@ -732,15 +749,16 @@ class TestFixedRows:
                                 ("client", toy_pki.client))]
         G = toy.generator()
         anchors = [config.endpoint.ca_key for config in configs]
-        assert built == [(G.x, G.y)] + [(P.x, P.y) for P in anchors]
-        assert anchors[0] is not anchors[2]
-        assert all(P.rows is not None for P in anchors)
+        assert configs[0].endpoint is not configs[2].endpoint
+        assert built == [(G.x, G.y), (anchors[0].x, anchors[0].y)]
+        assert all(P is anchors[0] for P in anchors)
+        assert anchors[0].rows is not None
 
     def test_session_init_counters_independent_of_the_store(
             self, curves, p160_pki, fresh_endpoints, built):
         # making both sessions and a server's answer to a hello without a
         # cookie build no rows, whether the endpoint store missed or hit:
-        # all the rows built are the endpoints' G and anchors
+        # all the rows built are the endpoints' G and their one anchor
         c = curves["secp160r1"]
         cold, warm = [], []
         for counters_of in (cold, warm):
@@ -750,8 +768,7 @@ class TestFixedRows:
             counters_of += [list(end.session_counters.items())
                             for end in (client, server)]
         G = c.generator()
-        assert built == [(G.x, G.y)] + [(client.ca_key.x,
-                                         client.ca_key.y)] * 2
+        assert built == [(G.x, G.y), (client.ca_key.x, client.ca_key.y)]
         assert cold and cold == warm
 
     @pytest.mark.parametrize("comb", [False, True])
